@@ -7,13 +7,176 @@
 //! pipeline so the CI `static-analysis` job covers both build
 //! profiles. The analysis *yield* (how many stages carry vector or
 //! elision tags) is printed per run for drift-watching but not
-//! asserted: the Table-3 lowering binds per-iteration locals inside
-//! its inner loops, which today's hot-shape lattice does not chunk —
-//! the dedicated differential suites in `crates/spatial/tests` pin
-//! the widened shapes instead.
+//! asserted.
+//!
+//! For every superinstruction loop (`RangeSimple`, `Scan1Simple`,
+//! `Scan2Simple`) that is not vector-tagged or elision-licensed, the
+//! test also prints the first thing that keeps it out, in the order
+//! `analysis::classify_vec` and `analysis::compute_elide` look — run
+//! with `--nocapture` to read it. What it shows today: the Table-3
+//! inner loops already *are* `RangeSimple`, and what blocks the tiers
+//! above is inside their bodies — per-iteration FIFO `deq` binds
+//! (`Bind Expr(Deq)`), per-iteration `Alloc` + `Load` of whole-dimension
+//! SRAMs, and index arithmetic the lowering leaves unfolded
+//! (`(0 + (j * 1))`), which lands in `Operand::Expr` where a `Gather`
+//! or fused shape would have matched.
+
+use std::collections::BTreeMap;
 
 use stardust_bench::{instantiate, Scale, KERNEL_NAMES};
-use stardust_spatial::VecClass;
+use stardust_spatial::bytecode::{EOp, Op, Operand};
+use stardust_spatial::{CompiledProgram, VecClass};
+
+/// An operand by the form the lowering gave it; an expression program
+/// by the kinds of its ops (`Expr(Var Const Binary VarReadMem)`).
+fn operand_shape(p: &CompiledProgram, operand: Operand) -> String {
+    match operand {
+        Operand::Const(_) => "Const".into(),
+        Operand::Var(_) => "Var".into(),
+        Operand::Gather { .. } => "Gather".into(),
+        Operand::Fused(i) => {
+            let fused = format!("{:?}", p.fused()[i as usize]);
+            format!("Fused({})", fused.split([' ', '{']).next().unwrap_or(""))
+        }
+        Operand::Expr(e) => {
+            let kinds: Vec<String> = p.eops()[e as usize..]
+                .iter()
+                .take_while(|eop| !matches!(eop, EOp::End))
+                .map(|eop| {
+                    let eop = format!("{eop:?}");
+                    eop.split(['(', ' ', '{']).next().unwrap_or("").to_string()
+                })
+                .collect();
+            format!("Expr({})", kinds.join(" "))
+        }
+    }
+}
+
+/// The variant name of an op (`RangeSimple`, `Enq`, ...).
+fn op_kind(op: &Op) -> String {
+    let op = format!("{op:?}");
+    op.split([' ', '{']).next().unwrap_or("").to_string()
+}
+
+/// A body op by kind, with the operand that matters for chunking.
+fn op_shape(p: &CompiledProgram, op: &Op) -> String {
+    match *op {
+        Op::Bind { value, .. } => format!("Bind {}", operand_shape(p, value)),
+        Op::Alloc { kind, size, .. } => format!("Alloc {kind:?}[{size}]"),
+        ref other => op_kind(other),
+    }
+}
+
+/// The parts of a superinstruction loop the two classifiers read.
+struct SimpleLoop<'a> {
+    kind: String,
+    /// `(var, min, max, step)` of a `RangeSimple`; scans have none.
+    range: Option<(u32, Operand, Operand, i64)>,
+    body: &'a [Op],
+    reduce: Option<Operand>,
+}
+
+fn simple_loop(ops: &[Op], pc: usize) -> Option<SimpleLoop<'_>> {
+    let (range, body, body_len, reduce) = match ops[pc] {
+        Op::RangeSimple {
+            var,
+            min,
+            max,
+            step,
+            body,
+            body_len,
+            reduce,
+            ..
+        } => (Some((var, min, max, step)), body, body_len, reduce),
+        Op::Scan1Simple {
+            body,
+            body_len,
+            reduce,
+            ..
+        }
+        | Op::Scan2Simple {
+            body,
+            body_len,
+            reduce,
+            ..
+        } => (None, body, body_len, reduce),
+        _ => return None,
+    };
+    Some(SimpleLoop {
+        kind: op_kind(&ops[pc]),
+        range,
+        body: &ops[body as usize..(body + body_len) as usize],
+        reduce: reduce.map(|(_, expr)| expr),
+    })
+}
+
+fn is_scatter(op: &Op) -> bool {
+    matches!(op, Op::WriteMem { .. } | Op::RmwAdd { .. })
+}
+
+/// Why `classify_vec` left this loop `VecClass::None`, in its order:
+/// loop kind, step, first body op that is not a scatter write, then
+/// the reduce or scatter operands.
+fn vector_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
+    let Some((_, _, _, step)) = l.range else {
+        return "scan loops have no vector class".into();
+    };
+    if step != 1 {
+        return format!("step {step}");
+    }
+    if let Some(op) = l.body.iter().find(|op| !is_scatter(op)) {
+        return format!("body op {}", op_shape(p, op));
+    }
+    match (l.body, l.reduce) {
+        ([], None) => "empty body, nothing reduced".into(),
+        ([], Some(expr)) => format!("reduce operand {}", operand_shape(p, expr)),
+        (_, Some(_)) => "reduce over a non-empty body".into(),
+        (body, None) => {
+            let operands: Vec<String> = body
+                .iter()
+                .map(|op| match *op {
+                    Op::WriteMem { index, value, .. } | Op::RmwAdd { index, value, .. } => format!(
+                        "[{}] = {}",
+                        operand_shape(p, index),
+                        operand_shape(p, value)
+                    ),
+                    _ => unreachable!("every body op is a scatter write"),
+                })
+                .collect();
+            format!("scatter operands {}", operands.join("; "))
+        }
+    }
+}
+
+/// Why `compute_elide` licensed no write in this loop, in its order:
+/// loop kind, constant bounds, a write indexed by the loop variable.
+fn elide_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
+    let Some((var, min, max, _)) = l.range else {
+        return "scan loops are not licensed".into();
+    };
+    if !matches!((min, max), (Operand::Const(_), Operand::Const(_))) {
+        return format!(
+            "bounds {}..{}",
+            operand_shape(p, min),
+            operand_shape(p, max)
+        );
+    }
+    let index_of = |op: &Op| match *op {
+        Op::WriteMem { index, .. } | Op::RmwAdd { index, .. } => Some(index),
+        _ => None,
+    };
+    match l.body.iter().find_map(index_of) {
+        None => "no on-chip write in the body".into(),
+        Some(_)
+            if l.body
+                .iter()
+                .any(|op| index_of(op) == Some(Operand::Var(var))) =>
+        {
+            "write past the destination's one allocation size".into()
+        }
+        Some(index) => format!("write index {}", operand_shape(p, index)),
+    }
+}
 
 #[test]
 fn all_table3_kernels_pass_the_verifier() {
@@ -21,12 +184,15 @@ fn all_table3_kernels_pass_the_verifier() {
     let mut vector_tagged = 0usize;
     let mut elide_tagged = 0usize;
     let mut stages = 0usize;
+    let mut loops = 0usize;
+    let mut vector_blockers: BTreeMap<String, usize> = BTreeMap::new();
+    let mut elide_blockers: BTreeMap<String, usize> = BTreeMap::new();
     for name in KERNEL_NAMES {
         for (kernel, set) in instantiate(name, &scale) {
             let compiled = kernel
                 .compile(&set.inputs)
                 .unwrap_or_else(|e| panic!("{name} on {} fails to compile: {e}", set.dataset));
-            for stage in &compiled {
+            for (s, stage) in compiled.iter().enumerate() {
                 let spatial = stage.compiled_spatial();
                 spatial.verify().unwrap_or_else(|e| {
                     panic!(
@@ -42,12 +208,41 @@ fn all_table3_kernels_pass_the_verifier() {
                 if (0..ops.len()).any(|pc| spatial.elide_at(pc)) {
                     elide_tagged += 1;
                 }
+                for pc in 0..ops.len() {
+                    let Some(l) = simple_loop(ops, pc) else {
+                        continue;
+                    };
+                    loops += 1;
+                    let vector = if spatial.vec_class(pc) == VecClass::None {
+                        vector_blocker(spatial, &l)
+                    } else {
+                        format!("tagged {:?}", spatial.vec_class(pc))
+                    };
+                    let licensed = (pc + 1..=pc + l.body.len()).any(|b| spatial.elide_at(b));
+                    let elide = if licensed {
+                        "licensed".to_string()
+                    } else {
+                        elide_blocker(spatial, &l)
+                    };
+                    println!(
+                        "{name}/{} stage {s} pc {pc} {}: vector: {vector}; elide: {elide}",
+                        set.dataset, l.kind
+                    );
+                    *vector_blockers.entry(vector).or_default() += 1;
+                    *elide_blockers.entry(elide).or_default() += 1;
+                }
             }
         }
     }
     assert!(stages >= 10, "suite shrank: only {stages} stages compiled");
     println!(
         "static-analysis: {stages} stages verified, \
-         {vector_tagged} vector-tagged, {elide_tagged} elision-licensed"
+         {vector_tagged} vector-tagged, {elide_tagged} elision-licensed, \
+         {loops} superinstruction loops"
     );
+    for (what, blockers) in [("vector", &vector_blockers), ("elide", &elide_blockers)] {
+        for (why, count) in blockers {
+            println!("  {what}: {count:>3} × {why}");
+        }
+    }
 }

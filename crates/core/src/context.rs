@@ -68,7 +68,7 @@ impl TensorDecl {
 /// assert_eq!(p.decl("A").unwrap().dims, vec![8, 8]);
 /// assert_eq!(p.input_loc(), 5); // 3 tensors + 1 expression + 1 compile
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     name: String,
     decls: BTreeMap<String, TensorDecl>,

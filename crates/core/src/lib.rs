@@ -34,5 +34,5 @@ pub use context::{Program, ProgramBuilder, TensorDecl};
 pub use contraction::{contraction_op, lower_iter, ContractionOp, IterFormat, IterStrategy};
 pub use error::CompileError;
 pub use memory::{ArrayBinding, ArrayRole, MemoryPlan};
-pub use pipeline::{CompiledKernel, Compiler, Dataset, ImageCache};
+pub use pipeline::{CompiledKernel, Compiler, ImageCache};
 pub use schedule::Scheduler;

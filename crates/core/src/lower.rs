@@ -35,7 +35,7 @@ use crate::memory::{analyze, analyze_iteration, ArrayRole, MemoryPlan, VarIterat
 /// Buffer-size hints for DRAM array declarations: actual nonzero counts per
 /// tensor level (the compiler otherwise falls back to dense worst-case
 /// sizes, which is intractable for paper-scale matrices).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SizeHints {
     /// `(tensor, level)` → number of stored positions at that level.
     pub level_nnz: HashMap<(String, usize), usize>,

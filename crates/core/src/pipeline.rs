@@ -186,17 +186,19 @@ impl InputPlan {
     }
 
     /// Content-addressed identity of `inputs` as this plan binds them:
-    /// a word-at-a-time mix (splitmix64 finalizer per 64-bit word) over
-    /// each planned tensor's name and content — the same dims,
-    /// `pos`/`crd` words, and value bits [`InputPlan::apply`] writes,
-    /// in the same plan order — so two input sets hash equal exactly
-    /// when they build identical [`DramImage`]s. This is what makes
+    /// each planned tensor's name and its
+    /// [`SparseTensor::fingerprint`] (a scalar's bits), folded in plan
+    /// order. The fingerprint covers the dims, `pos`/`crd` words and
+    /// value bits [`InputPlan::apply`] writes, so two input sets with
+    /// equal ids build identical [`DramImage`]s. This is what makes
     /// [`ImageCache`] keys misuse-proof: no caller-supplied id to
     /// collide.
     ///
-    /// One read pass over the inputs, no allocation, a few ALU ops per
-    /// word — cheap against the O(nnz) convert-and-copy it gates, and
-    /// irrelevant once the image is cached and re-bound in O(outputs).
+    /// A tensor reads its words once, the first time anything asks for
+    /// its fingerprint, and every clone remembers the answer; after
+    /// that this is O(#inputs). A tensor nobody has seen before — a
+    /// stage intermediate [`CompiledKernel::read_output`] rebuilds per
+    /// run — is read in full, as it must be.
     fn content_id(&self, inputs: &HashMap<String, TensorData>) -> Result<u64, CompileError> {
         let mut h: u64 = 0x9e3779b97f4a7c15;
         for p in &self.inputs {
@@ -213,27 +215,7 @@ impl InputPlan {
                 }
                 TensorData::Sparse(t) => {
                     mix64(&mut h, 2);
-                    mix64(&mut h, t.dims().len() as u64);
-                    for &d in t.dims() {
-                        mix64(&mut h, d as u64);
-                    }
-                    for (l, f) in t.format().levels().iter().enumerate() {
-                        mix64(&mut h, u64::from(f.is_compressed()));
-                        if f.is_compressed() {
-                            mix64(&mut h, t.pos(l).len() as u64);
-                            for &x in t.pos(l) {
-                                mix64(&mut h, x as u64);
-                            }
-                            mix64(&mut h, t.crd(l).len() as u64);
-                            for &x in t.crd(l) {
-                                mix64(&mut h, x as u64);
-                            }
-                        }
-                    }
-                    mix64(&mut h, t.vals().len() as u64);
-                    for v in t.vals() {
-                        mix64(&mut h, v.to_bits());
-                    }
+                    mix64(&mut h, t.fingerprint());
                 }
             }
         }
@@ -285,7 +267,8 @@ impl InputPlan {
     }
 }
 
-/// A fully compiled kernel.
+/// A fully compiled kernel: a handle ([`Clone`] is a pointer bump) to
+/// one immutable artifact.
 ///
 /// The Spatial program is carried in its executable bytecode form
 /// behind an [`Arc`], so every [`CompiledKernel::bind`] across a
@@ -296,54 +279,68 @@ impl InputPlan {
 /// `Arc`-shared [`DramImage`] so repeated binds
 /// ([`CompiledKernel::bind_image`]) cost O(outputs), not O(nnz).
 #[derive(Debug, Clone)]
-pub struct CompiledKernel {
+pub struct CompiledKernel(Arc<Artifact>);
+
+/// What [`Compiler::compile`] produced, with the arguments it was
+/// produced from: `(program, cin, hints)` is the key
+/// [`Compiler::compile_cached`] compares to serve it again.
+#[derive(Debug)]
+struct Artifact {
     program: Program,
     cin: Stmt,
+    hints: SizeHints,
     spatial: Arc<CompiledProgram>,
     source: String,
     plan: MemoryPlan,
     input_plan: InputPlan,
 }
 
+impl Artifact {
+    /// Whether these are exactly the arguments this was compiled from.
+    fn compiled_from(&self, program: &Program, stmt: &Stmt, hints: &SizeHints) -> bool {
+        self.program == *program && self.cin == *stmt && self.hints == *hints
+    }
+}
+
 impl CompiledKernel {
     /// The input program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.0.program
     }
 
     /// The scheduled CIN the kernel was lowered from.
     pub fn cin(&self) -> &Stmt {
-        &self.cin
+        &self.0.cin
     }
 
     /// The lowered Spatial IR.
     pub fn spatial(&self) -> &SpatialProgram {
-        self.spatial.source()
+        self.0.spatial.source()
     }
 
     /// The shared executable (bytecode) form of the Spatial IR.
     pub fn compiled_spatial(&self) -> &Arc<CompiledProgram> {
-        &self.spatial
+        &self.0.spatial
     }
 
     /// Printed Spatial source (Fig. 11 style).
     pub fn source(&self) -> &str {
-        &self.source
+        &self.0.source
     }
 
     /// The memory analysis result.
     pub fn plan(&self) -> &MemoryPlan {
-        &self.plan
+        &self.0.plan
     }
 
     /// Input lines of code (Table 3, "Input" column).
     pub fn input_loc(&self) -> usize {
-        self.program.input_loc()
+        self.0.program.input_loc()
     }
 
     /// Generated Spatial lines of code (Table 3, "Spatial" column).
     pub fn spatial_loc(&self) -> usize {
-        spatial_loc(self.spatial.source())
+        spatial_loc(self.0.spatial.source())
     }
 
     /// Binds input tensors into a fresh machine through the compile-time
@@ -355,8 +352,8 @@ impl CompiledKernel {
     /// Returns [`CompileError`] when an input is missing, has the wrong
     /// format, or does not fit its declared DRAM arrays.
     pub fn bind(&self, inputs: &HashMap<String, TensorData>) -> Result<Machine, CompileError> {
-        let mut machine = Machine::from_compiled(Arc::clone(&self.spatial));
-        self.input_plan.apply(&mut machine, inputs)?;
+        let mut machine = Machine::from_compiled(Arc::clone(&self.0.spatial));
+        self.0.input_plan.apply(&mut machine, inputs)?;
         Ok(machine)
     }
 
@@ -372,8 +369,8 @@ impl CompiledKernel {
         &self,
         inputs: &HashMap<String, TensorData>,
     ) -> Result<DramImage, CompileError> {
-        let mut builder = DramImage::builder(Arc::clone(&self.spatial));
-        self.input_plan.apply(&mut builder, inputs)?;
+        let mut builder = DramImage::builder(Arc::clone(&self.0.spatial));
+        self.0.input_plan.apply(&mut builder, inputs)?;
         Ok(builder.finish())
     }
 
@@ -386,7 +383,7 @@ impl CompiledKernel {
     /// Returns [`CompileError::Memory`] when the image belongs to a
     /// different compiled program.
     pub fn bind_image(&self, image: &DramImage) -> Result<Machine, CompileError> {
-        let mut machine = Machine::from_compiled(Arc::clone(&self.spatial));
+        let mut machine = Machine::from_compiled(Arc::clone(&self.0.spatial));
         machine
             .bind_image(image)
             .map_err(|e| CompileError::Memory(e.to_string()))?;
@@ -419,7 +416,7 @@ impl CompiledKernel {
         let mut machine = self.bind_image(image)?;
         machine.set_budget(budget.clone());
         let stats = machine
-            .run(self.spatial.source())
+            .run(self.0.spatial.source())
             .map_err(CompileError::Execution)?;
         let output = self.read_output(&machine)?;
         Ok(KernelRun { output, stats })
@@ -437,7 +434,7 @@ impl CompiledKernel {
         &self,
         inputs: &HashMap<String, TensorData>,
     ) -> Result<u64, CompileError> {
-        self.input_plan.content_id(inputs)
+        self.0.input_plan.content_id(inputs)
     }
 
     /// Checks a machine out of `pool` bound to `image`: the pooled
@@ -454,7 +451,7 @@ impl CompiledKernel {
         image: &DramImage,
         pool: &'p MachinePool,
     ) -> Result<PooledMachine<'p>, CompileError> {
-        pool.checkout_bound(&self.spatial, image)
+        pool.checkout_bound(&self.0.spatial, image)
             .map_err(|e| CompileError::Memory(e.to_string()))
     }
 
@@ -495,7 +492,7 @@ impl CompiledKernel {
     ) -> Result<KernelRun, CompileError> {
         let mut machine = self.bind_image_pooled(image, pool)?;
         machine.set_budget(budget.clone());
-        let run = catch_unwind(AssertUnwindSafe(|| machine.run(self.spatial.source())));
+        let run = catch_unwind(AssertUnwindSafe(|| machine.run(self.0.spatial.source())));
         // The guard drops here on both paths; a poisoned machine (error
         // or panic) is quarantined by the pool, not recycled.
         let stats = match run {
@@ -519,7 +516,7 @@ impl CompiledKernel {
     ///
     /// Returns the typed [`NotShardable`] reason.
     pub fn shard(&self, n: usize) -> Result<CompiledShards, NotShardable> {
-        Ok(ShardPlan::analyze(&self.spatial)?.compile(n))
+        Ok(ShardPlan::analyze(&self.0.spatial)?.compile(n))
     }
 
     /// [`CompiledKernel::shard`] with the shard count chosen
@@ -532,7 +529,7 @@ impl CompiledKernel {
     /// counts, a one-machine pool) — callers fall back to the serial
     /// pooled path either way.
     pub fn shard_auto(&self, pool: &MachinePool) -> Option<CompiledShards> {
-        let plan = ShardPlan::analyze(&self.spatial).ok()?;
+        let plan = ShardPlan::analyze(&self.0.spatial).ok()?;
         let n = stardust_spatial::auto_shard_count_for(&plan, &pool.occupancy());
         if n <= 1 {
             return None;
@@ -588,7 +585,7 @@ impl CompiledKernel {
     pub fn execute(&self, inputs: &HashMap<String, TensorData>) -> Result<KernelRun, CompileError> {
         let mut machine = self.bind(inputs)?;
         let stats = machine
-            .run(self.spatial.source())
+            .run(self.0.spatial.source())
             .map_err(CompileError::Execution)?;
         let output = self.read_output(&machine)?;
         Ok(KernelRun { output, stats })
@@ -601,8 +598,9 @@ impl CompiledKernel {
     /// Returns [`CompileError::Memory`] when the written arrays violate
     /// format invariants.
     pub fn read_output(&self, machine: &Machine) -> Result<KernelOutput, CompileError> {
-        let out = self.program.output();
+        let out = self.0.program.output();
         let decl = self
+            .0
             .program
             .decl(out)
             .ok_or_else(|| CompileError::UndeclaredTensor(out.to_string()))?;
@@ -666,79 +664,6 @@ impl CompiledKernel {
     }
 }
 
-/// A reusable dataset: input tensors plus a **memoized**
-/// content-addressed identity per compiled program.
-///
-/// [`CompiledKernel::input_content_id`] is an O(nnz) read pass over the
-/// input words; paying it once per [`ImageCache::get_or_build`] lookup
-/// is fine for a sweep that looks each dataset up a handful of times,
-/// but a serving layer resolving the same (kernel, dataset) pair per
-/// *request* would spend its hot path re-hashing unchanged bytes.
-/// `Dataset` owns the inputs — they are immutable behind it, which is
-/// what makes the memo sound — and caches the id per compiled program,
-/// so repeated lookups cost one pointer-keyed map probe instead of a
-/// hash of the dataset.
-///
-/// The memo key is the compiled program's `Arc` pointer; the `Arc` is
-/// stored alongside the id to pin that identity (a freed-and-reused
-/// allocation can never alias a live key).
-#[derive(Debug)]
-pub struct Dataset {
-    inputs: HashMap<String, TensorData>,
-    ids: Mutex<Vec<(Arc<CompiledProgram>, u64)>>,
-    hashes: AtomicUsize,
-}
-
-impl Dataset {
-    /// Wraps input tensors for memoized identity lookups.
-    pub fn new(inputs: HashMap<String, TensorData>) -> Self {
-        Dataset {
-            inputs,
-            ids: Mutex::new(Vec::new()),
-            hashes: AtomicUsize::new(0),
-        }
-    }
-
-    /// The wrapped input tensors.
-    pub fn inputs(&self) -> &HashMap<String, TensorData> {
-        &self.inputs
-    }
-
-    /// The content-addressed identity of this dataset as `kernel` binds
-    /// it — [`CompiledKernel::input_content_id`], computed on first
-    /// sight per compiled program and memoized thereafter.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledKernel::input_content_id`] (missing planned
-    /// input); failures are not memoized.
-    pub fn content_id(&self, kernel: &CompiledKernel) -> Result<u64, CompileError> {
-        {
-            let ids = self.ids.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some((_, id)) = ids.iter().find(|(c, _)| Arc::ptr_eq(c, &kernel.spatial)) {
-                return Ok(*id);
-            }
-        }
-        // Hash outside the lock: concurrent first-sight callers may
-        // both pay the pass (the counter reports every pass taken),
-        // but they memoize the same value, so last-write-wins is fine.
-        let id = kernel.input_plan.content_id(&self.inputs)?;
-        self.hashes.fetch_add(1, Ordering::Relaxed);
-        let mut ids = self.ids.lock().unwrap_or_else(|e| e.into_inner());
-        if !ids.iter().any(|(c, _)| Arc::ptr_eq(c, &kernel.spatial)) {
-            ids.push((Arc::clone(&kernel.spatial), id));
-        }
-        Ok(id)
-    }
-
-    /// Number of O(nnz) content-hash passes actually taken — the
-    /// memoization test asserts this stays at one per compiled program
-    /// no matter how many lookups hit.
-    pub fn hashes(&self) -> usize {
-        self.hashes.load(Ordering::Relaxed)
-    }
-}
-
 /// A cache of built [`DramImage`]s keyed by (compiled program identity,
 /// input content hash). Repeated executions of one kernel over one
 /// dataset — measurement iterations, sweep threads, multi-memory
@@ -772,15 +697,12 @@ impl ImageCache {
 
     /// Returns the shared image of (kernel, inputs), building it on
     /// first sight. The dataset identity is derived from the inputs'
-    /// content — there is no id for a caller to reuse across different
-    /// datasets. Every lookup (hits included) pays one O(nnz) read
-    /// pass to compute that identity: the deliberate price of
-    /// misuse-proof keys — the id is always derived from content,
-    /// never supplied by the caller. Callers on a hard hot path can
-    /// either hold the returned `Arc` across iterations and skip the
-    /// lookup entirely, or wrap their inputs in a [`Dataset`] and use
-    /// [`ImageCache::get_or_build_dataset`], which memoizes the
-    /// content pass per compiled program.
+    /// content ([`CompiledKernel::input_content_id`]) — there is no id
+    /// for a caller to reuse across different datasets. A lookup costs
+    /// one remembered fingerprint per planned tensor and two map
+    /// probes; only a tensor seen for the first time is read (see
+    /// [`SparseTensor::fingerprint`]), so a hot loop can simply call
+    /// this per iteration.
     ///
     /// # Errors
     ///
@@ -797,36 +719,10 @@ impl ImageCache {
         kernel: &CompiledKernel,
         inputs: &HashMap<String, TensorData>,
     ) -> Result<Arc<DramImage>, CompileError> {
-        let dataset = kernel.input_plan.content_id(inputs)?;
-        self.get_or_build_keyed(kernel, inputs, dataset)
-    }
-
-    /// [`ImageCache::get_or_build`] through a [`Dataset`]'s memoized
-    /// identity: cache **hits** skip the O(nnz) content pass entirely —
-    /// after the dataset's first sight of a compiled program, a lookup
-    /// is two map probes. This is the serving-layer hot path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ImageCache::get_or_build`].
-    pub fn get_or_build_dataset(
-        &self,
-        kernel: &CompiledKernel,
-        dataset: &Dataset,
-    ) -> Result<Arc<DramImage>, CompileError> {
-        let id = dataset.content_id(kernel)?;
-        self.get_or_build_keyed(kernel, dataset.inputs(), id)
-    }
-
-    fn get_or_build_keyed(
-        &self,
-        kernel: &CompiledKernel,
-        inputs: &HashMap<String, TensorData>,
-        dataset: u64,
-    ) -> Result<Arc<DramImage>, CompileError> {
+        let dataset = kernel.0.input_plan.content_id(inputs)?;
         // The compiled artifact is kept alive by every cached image, so
         // its address is a stable identity for the cache's lifetime.
-        let key = (Arc::as_ptr(&kernel.spatial) as usize, dataset);
+        let key = (Arc::as_ptr(&kernel.0.spatial) as usize, dataset);
         let entry = Arc::clone(
             self.inner
                 .lock()
@@ -899,14 +795,23 @@ impl Compiler {
         Self::compile_impl(program, stmt, hints, None)
     }
 
-    /// Like [`Compiler::compile`], but resolves the generated Spatial
-    /// program through `cache`: repeated compilations of an identical
-    /// program (bandwidth sweeps, repeated runs of one kernel) share one
-    /// linked-and-lowered artifact instead of re-linking per call.
+    /// Like [`Compiler::compile`], but serves repeats from `cache`.
+    ///
+    /// Arguments `cache` has compiled before — found by comparing
+    /// `program`, `stmt` and `hints` for **equality** with the ones an
+    /// earlier call was given, never by a hash of them — return a handle
+    /// to that call's artifact: nothing is lowered, validated, printed
+    /// or verified again (the artifact is immutable and passed all of
+    /// those before it was kept). New arguments are lowered; if the
+    /// Spatial program they lower to is one `cache` already holds
+    /// (another kernel or other hints can produce it), its linked
+    /// bytecode is shared instead of being linked again. Either way the
+    /// call counts as a hit in [`ProgramCache::stats`]; only a program
+    /// `cache` had to link counts as a miss.
     ///
     /// # Errors
     ///
-    /// Same as [`Compiler::compile`].
+    /// Same as [`Compiler::compile`]. Failures are not remembered.
     pub fn compile_cached(
         program: &Program,
         stmt: &Stmt,
@@ -922,7 +827,14 @@ impl Compiler {
         hints: SizeHints,
         cache: Option<&ProgramCache>,
     ) -> Result<CompiledKernel, CompileError> {
-        let lowerer = Lowerer::new(program, stmt, hints)?;
+        // The memo lives with the `ProgramCache` whose entries it
+        // fronts, filed under the program's name; the name only picks a
+        // bucket, this comparison decides.
+        let probe = |k: &CompiledKernel| k.0.compiled_from(program, stmt, &hints);
+        if let Some(hit) = cache.and_then(|c| c.memo_get(program.name(), probe)) {
+            return Ok(hit);
+        }
+        let lowerer = Lowerer::new(program, stmt, hints.clone())?;
         let plan = lowerer.plan().clone();
         let spatial = lowerer.lower(stmt)?;
         validate(&spatial)
@@ -939,13 +851,24 @@ impl Compiler {
         #[cfg(not(debug_assertions))]
         spatial.verify()?;
         let input_plan = InputPlan::build(program, &spatial);
-        Ok(CompiledKernel {
+        let kernel = CompiledKernel(Arc::new(Artifact {
             program: program.clone(),
             cin: stmt.clone(),
+            hints,
             spatial,
             source,
             plan,
             input_plan,
+        }));
+        // Only an artifact that passed `validate` and `verify` above is
+        // ever filed, so a later hit needs neither.
+        Ok(match cache {
+            Some(cache) => {
+                let filed = kernel.clone();
+                let same = |k: &CompiledKernel| k.0.compiled_from(program, stmt, &filed.0.hints);
+                cache.memo_insert(program.name(), same, kernel)
+            }
+            None => kernel,
         })
     }
 
@@ -1198,61 +1121,122 @@ mod tests {
         }
     }
 
-    /// The serving hot path: a [`Dataset`] pays the O(nnz) content
-    /// pass once per compiled program, after which every cache lookup
-    /// — hits included — resolves from the memoized id. The plain
-    /// `get_or_build` path pays the pass per lookup; this is the
-    /// regression the memo exists to prevent.
+    /// `compile_cached` serves equal arguments from the memo — the same
+    /// artifact, nothing lowered or linked, a hit in the cache's
+    /// counters — and compares the whole key: other hints or another
+    /// schedule are other compiles.
     #[test]
-    fn dataset_memoizes_content_id_across_cache_hits() {
+    fn compile_cached_memoizes_on_exact_arguments() {
         let (p, stmt) = spmv_kernel();
-        let dataset = Dataset::new(spmv_inputs(42, 1.0));
-        let kernel = Compiler::compile(
-            &p,
-            &stmt,
-            Compiler::hints_from_inputs(dataset.inputs(), &[]),
-        )
-        .unwrap();
+        let hints = Compiler::hints_from_inputs(&spmv_inputs(42, 1.0), &[]);
+        let cache = ProgramCache::new();
+
+        let first = Compiler::compile_cached(&p, &stmt, hints.clone(), &cache).unwrap();
+        assert_eq!(cache.stats(), (0, 1));
+        let again = Compiler::compile_cached(&p, &stmt, hints.clone(), &cache).unwrap();
+        assert!(Arc::ptr_eq(
+            first.compiled_spatial(),
+            again.compiled_spatial()
+        ));
+        assert!(
+            std::ptr::eq(first.source(), again.source()),
+            "a memo hit is the first call's artifact, not a rebuilt one"
+        );
+        assert_eq!(
+            cache.stats(),
+            (1, 1),
+            "a memo hit is a hit, and no new miss"
+        );
+
+        // Same program and schedule, other hints: DRAM arrays are sized
+        // differently, so this is another program.
+        let mut bigger = hints.clone();
+        bigger.set_vals_len("A", 64);
+        let resized = Compiler::compile_cached(&p, &stmt, bigger, &cache).unwrap();
+        assert!(!Arc::ptr_eq(
+            first.compiled_spatial(),
+            resized.compiled_spatial()
+        ));
+        assert_eq!(cache.stats(), (1, 2));
+
+        // Same program and hints, another schedule.
+        let mut p2 = p.clone();
+        let mut s = Scheduler::new(&mut p2);
+        s.environment("innerPar", 8).unwrap();
+        s.environment("outerPar", 2).unwrap();
+        s.precompute(&Expr::access("x", vec!["j".into()]), &["j"], "x_on")
+            .unwrap();
+        s.precompute_reduction("ws").unwrap();
+        s.accelerate_reduction("ws", PatternFn::Reduction).unwrap();
+        let stmt2 = s.finish();
+        let rescheduled = Compiler::compile_cached(&p2, &stmt2, hints.clone(), &cache).unwrap();
+        assert!(!Arc::ptr_eq(
+            first.compiled_spatial(),
+            rescheduled.compiled_spatial()
+        ));
+        assert_eq!(cache.stats(), (1, 3));
+        assert_eq!(cache.len(), 3);
+
+        // The uncached entry point consults nothing.
+        let uncached = Compiler::compile(&p, &stmt, hints).unwrap();
+        assert!(!Arc::ptr_eq(
+            first.compiled_spatial(),
+            uncached.compiled_spatial()
+        ));
+        assert_eq!(cache.stats(), (1, 3));
+    }
+
+    /// Eight threads meeting one never-seen key at once: each may lower
+    /// it, one program is linked, one artifact is kept and all eight
+    /// receive it.
+    #[test]
+    fn racing_first_sight_compiles_keep_one_artifact() {
+        let (p, stmt) = spmv_kernel();
+        let hints = Compiler::hints_from_inputs(&spmv_inputs(42, 1.0), &[]);
+        let cache = ProgramCache::new();
+        let gate = std::sync::Barrier::new(8);
+        let kernels: Vec<CompiledKernel> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        Compiler::compile_cached(&p, &stmt, hints.clone(), &cache).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for k in &kernels[1..] {
+            assert!(std::ptr::eq(kernels[0].source(), k.source()));
+        }
+        assert_eq!(cache.len(), 1);
+        let (hits, misses) = cache.stats();
+        assert_eq!((hits, misses), (7, 1));
+        // Afterwards the key is served from the memo.
+        let later = Compiler::compile_cached(&p, &stmt, hints, &cache).unwrap();
+        assert!(std::ptr::eq(kernels[0].source(), later.source()));
+        assert_eq!(cache.stats(), (8, 1));
+    }
+
+    /// Image identity is per tensor content, not per tensor object: a
+    /// clone and an equal tensor built separately find the first one's
+    /// image, and an intermediate rebuilt per run is read each time.
+    #[test]
+    fn content_id_follows_content_across_clones_and_rebuilds() {
+        let (p, stmt) = spmv_kernel();
+        let inputs = spmv_inputs(42, 1.0);
+        let kernel =
+            Compiler::compile(&p, &stmt, Compiler::hints_from_inputs(&inputs, &[])).unwrap();
+        let id = kernel.input_content_id(&inputs).unwrap();
+        assert_eq!(kernel.input_content_id(&inputs.clone()).unwrap(), id);
+        assert_eq!(kernel.input_content_id(&spmv_inputs(42, 1.0)).unwrap(), id);
+        assert_ne!(kernel.input_content_id(&spmv_inputs(7, 1.0)).unwrap(), id);
 
         let cache = ImageCache::new();
-        let first = cache.get_or_build_dataset(&kernel, &dataset).unwrap();
-        assert_eq!(dataset.hashes(), 1, "first sight must hash exactly once");
+        let image = cache.get_or_build(&kernel, &inputs).unwrap();
+        let rebuilt = cache.get_or_build(&kernel, &spmv_inputs(42, 1.0)).unwrap();
+        assert!(Arc::ptr_eq(&image, &rebuilt));
         assert_eq!(cache.builds(), 1);
-
-        // Ten hot-path hits: same image, zero further content passes.
-        for _ in 0..10 {
-            let hit = cache.get_or_build_dataset(&kernel, &dataset).unwrap();
-            assert!(Arc::ptr_eq(&first, &hit));
-        }
-        assert_eq!(
-            dataset.hashes(),
-            1,
-            "cache hits re-hashed the dataset: memoization is broken"
-        );
-        assert_eq!(cache.builds(), 1);
-
-        // The memoized id is the real content id — the same key the
-        // unmemoized path would derive.
-        assert_eq!(
-            dataset.content_id(&kernel).unwrap(),
-            kernel.input_content_id(dataset.inputs()).unwrap()
-        );
-
-        // A second compiled program is a distinct memo entry: one more
-        // pass, not a collision with the first program's id.
-        let (p2, stmt2) = spmv_kernel();
-        let kernel2 = Compiler::compile(
-            &p2,
-            &stmt2,
-            Compiler::hints_from_inputs(dataset.inputs(), &[]),
-        )
-        .unwrap();
-        let img2 = cache.get_or_build_dataset(&kernel2, &dataset).unwrap();
-        assert_eq!(dataset.hashes(), 2);
-        assert!(
-            !Arc::ptr_eq(&first, &img2),
-            "programs must not share images"
-        );
     }
 
     /// Pooled execution is byte-identical to fresh-machine image

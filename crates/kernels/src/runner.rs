@@ -1,5 +1,6 @@
 //! Compiling and executing kernels end-to-end (multi-stage aware).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -382,10 +383,12 @@ impl Kernel {
         cache: Option<&ProgramCache>,
         images: Option<(&ImageCache, Option<PoolExec<'_>>)>,
     ) -> Result<KernelResult, CompileError> {
-        let mut available = inputs.clone();
+        // The caller's map is borrowed; it is copied (tensor clones are
+        // pointer bumps) only once a stage's output has to join it.
+        let mut available = Cow::Borrowed(inputs);
         let mut stages = Vec::with_capacity(self.stages.len());
         let mut last_output = None;
-        for stage in &self.stages {
+        for (i, stage) in self.stages.iter().enumerate() {
             let hints = stage_hints(stage, &available)?;
             let compiled = match cache {
                 Some(cache) => Compiler::compile_cached(&stage.program, &stage.stmt, hints, cache)?,
@@ -405,8 +408,8 @@ impl Kernel {
                 }
                 None => compiled.execute(&available)?,
             };
-            if let KernelOutput::Tensor(t) = &run.output {
-                available.insert(
+            if let (KernelOutput::Tensor(t), true) = (&run.output, i + 1 < self.stages.len()) {
+                available.to_mut().insert(
                     stage.program.output().to_string(),
                     TensorData::Sparse(t.clone()),
                 );
@@ -546,6 +549,52 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.created as usize, k.stages.len());
         assert_eq!(stats.reused as usize, k.stages.len());
+    }
+
+    /// Running leaves no trace on what was run: the kernel and the
+    /// caller's inputs print as before (the memos a warm run fills live
+    /// in the caches and beside the tensors' storage, invisible to
+    /// `Debug`), the caller's map gains no intermediate, and a two-stage
+    /// kernel — whose second stage sees the borrowed inputs plus the
+    /// first stage's output — matches the uncached run bit for bit,
+    /// cold and warm.
+    #[test]
+    fn running_changes_neither_the_kernel_nor_the_callers_inputs() {
+        let k = defs::plus3(12);
+        let mut inputs = HashMap::new();
+        for (name, seed) in [("B", 21), ("C", 22), ("D", 23)] {
+            let m = random_matrix(12, 12, 0.3, seed);
+            inputs.insert(name.to_string(), TensorData::from_coo(&m, Format::csr()));
+        }
+        let (kernel_before, inputs_before) = (format!("{k:?}"), format!("{inputs:?}"));
+
+        let cache = stardust_spatial::ProgramCache::new();
+        let images = ImageCache::new();
+        let pool = MachinePool::with_shards(1);
+        let direct = k.run(&inputs).unwrap();
+        let bits = |r: &KernelResult| match &r.output {
+            KernelOutput::Tensor(t) => (
+                t.pos(1).to_vec(),
+                t.crd(1).to_vec(),
+                t.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            ),
+            KernelOutput::Scalar(_) => panic!("Plus3 produces a matrix"),
+        };
+        for _ in 0..3 {
+            let pooled = k.run_pooled(&inputs, &cache, &images, &pool).unwrap();
+            assert_eq!(bits(&direct), bits(&pooled));
+            assert_eq!(direct.total_stats(), pooled.total_stats());
+        }
+        assert_eq!(format!("{k:?}"), kernel_before);
+        assert_eq!(format!("{inputs:?}"), inputs_before);
+        assert_eq!(
+            inputs.len(),
+            3,
+            "the intermediate T leaked into the caller's map"
+        );
+        // Two stages compiled once each, then served from the memo.
+        assert_eq!(cache.stats(), (4, 2));
+        assert_eq!(images.builds(), 2);
     }
 
     /// The serving-layer recovery policy end to end: a one-shot

@@ -29,6 +29,7 @@
 //!    merged [`ExecStats`], and measured latency; completion feeds
 //!    the wait-free latency histogram behind [`ServeStats`].
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -37,9 +38,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use stardust_core::pipeline::{
-    CompiledKernel, Compiler, Dataset, ImageCache, KernelOutput, TensorData,
-};
+use stardust_core::pipeline::{CompiledKernel, Compiler, ImageCache, KernelOutput, TensorData};
 use stardust_core::CompileError;
 use stardust_kernels::{merge_stats, stage_hints, Kernel};
 use stardust_spatial::{
@@ -247,7 +246,7 @@ type PlanSlot = Arc<Mutex<Option<Arc<Vec<StagePlan>>>>>;
 struct Inner {
     cfg: ServeConfig,
     programs: Mutex<Vec<Arc<Kernel>>>,
-    datasets: Mutex<Vec<Arc<Dataset>>>,
+    datasets: Mutex<Vec<Arc<HashMap<String, TensorData>>>>,
     queue: Mutex<QueueState>,
     available: Condvar,
     spatial_cache: ProgramCache,
@@ -420,31 +419,28 @@ impl Inner {
     /// by running the stage once here), because hints derived from
     /// placeholders would compile *different* programs with different
     /// DRAM sizing — and the serving path must stay bitwise identical
-    /// to the serial baseline. Stage 0 resolves its image through the
-    /// dataset's memoized content id; later stages key on the real
-    /// intermediates.
+    /// to the serial baseline. The registered map is borrowed and
+    /// copied only when an intermediate has to join it; every stage's
+    /// image is keyed on the content of what it binds.
     fn build_plans(
         &self,
         kernel: &Kernel,
-        dataset: &Dataset,
+        dataset: &HashMap<String, TensorData>,
     ) -> Result<Vec<StagePlan>, CompileError> {
         let mut plans = Vec::with_capacity(kernel.stages.len());
-        let mut available = dataset.inputs().clone();
+        let mut available = Cow::Borrowed(dataset);
         for (i, stage) in kernel.stages.iter().enumerate() {
             let hints = stage_hints(stage, &available)?;
             let compiled =
                 Compiler::compile_cached(&stage.program, &stage.stmt, hints, &self.spatial_cache)?;
-            let image = if i == 0 {
-                self.images.get_or_build_dataset(&compiled, dataset)?
-            } else {
-                self.images.get_or_build(&compiled, &available)?
-            };
+            let image = self.images.get_or_build(&compiled, &available)?;
             if i + 1 < kernel.stages.len() {
                 // Materialize the real intermediate for the next
                 // stage's hints and image (deterministic per dataset).
                 let run = self.run_stage(&compiled, &image, None)?;
                 if let KernelOutput::Tensor(t) = run.output {
-                    available.insert(stage.program.output().to_string(), TensorData::Sparse(t));
+                    let name = stage.program.output().to_string();
+                    available.to_mut().insert(name, TensorData::Sparse(t));
                 }
             }
             // Pin the shard partition with the plan: the analysis runs
@@ -580,12 +576,13 @@ impl Server {
         ProgramId(programs.len() - 1)
     }
 
-    /// Registers a dataset. Its content-addressed identity is hashed
-    /// once per compiled program ([`Dataset`] memoization) no matter
-    /// how many jobs reference it.
+    /// Registers a dataset. Each tensor's words are read once, when
+    /// the first plan that binds it is built
+    /// ([`stardust_tensor::SparseTensor::fingerprint`]), no matter how
+    /// many programs or jobs reference it.
     pub fn register_dataset(&self, inputs: HashMap<String, TensorData>) -> DatasetId {
         let mut datasets = lock(&self.inner.datasets);
-        datasets.push(Arc::new(Dataset::new(inputs)));
+        datasets.push(Arc::new(inputs));
         DatasetId(datasets.len() - 1)
     }
 

@@ -30,6 +30,7 @@
 //! datasets or memory models re-bind a fresh [`crate::Machine`] per run
 //! without paying the link/lower cost again.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -661,6 +662,15 @@ impl CompiledProgram {
 /// A cache of compiled programs keyed by program identity (name fast
 /// path, full structural equality on collision). Thread-safe; cheap to
 /// share by reference across a benchmark harness or dataset sweep.
+///
+/// It also carries a **front-end memo** ([`ProgramCache::memo_get`],
+/// [`ProgramCache::memo_insert`]): a typed side index a compiler front
+/// end uses to find the artifact it built around one of this cache's
+/// entries without producing the [`SpatialProgram`] again. This crate
+/// does not know the front end's key type, so the memo stores opaque
+/// handles and the caller supplies the (exact) comparison; the counters
+/// stay here so [`ProgramCache::stats`] covers both ways of being served
+/// from cache.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
     inner: Mutex<CacheInner>,
@@ -669,8 +679,21 @@ pub struct ProgramCache {
 #[derive(Debug, Default)]
 struct CacheInner {
     entries: HashMap<String, Vec<Arc<CompiledProgram>>>,
+    memo: HashMap<String, Vec<Box<dyn Any + Send + Sync>>>,
     hits: u64,
     misses: u64,
+}
+
+/// The first handle of type `T` in `bucket` that `matches`.
+fn memo_find<T: Any + Clone>(
+    bucket: &[Box<dyn Any + Send + Sync>],
+    matches: impl Fn(&T) -> bool,
+) -> Option<T> {
+    bucket
+        .iter()
+        .filter_map(|handle| handle.downcast_ref::<T>())
+        .find(|handle| matches(handle))
+        .cloned()
 }
 
 impl ProgramCache {
@@ -699,6 +722,54 @@ impl ProgramCache {
         compiled
     }
 
+    /// Probes the front-end memo: the handle of type `T` filed under
+    /// `bucket` for which `matches` holds, cloned. `matches` must compare
+    /// the handle's whole key for equality — the bucket name only narrows
+    /// the search — and, running under the cache lock, must not call
+    /// back into the cache. A handle found counts as a hit in
+    /// [`ProgramCache::stats`]; a probe that finds none counts nothing
+    /// (the caller goes on to [`ProgramCache::get_or_compile`], which
+    /// counts).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache lock was poisoned.
+    pub fn memo_get<T: Any + Clone>(
+        &self,
+        bucket: &str,
+        matches: impl Fn(&T) -> bool,
+    ) -> Option<T> {
+        let mut inner = self.inner.lock().expect("cache lock");
+        let hit = memo_find(inner.memo.get(bucket)?, matches)?;
+        inner.hits += 1;
+        Some(hit)
+    }
+
+    /// Files `handle` in the front-end memo under `bucket`, unless a
+    /// handle that `matches` is already there — first-sight racers all
+    /// build one, the first to arrive is kept and returned to every one
+    /// of them. The handle should be no more than an `Arc` around an
+    /// artifact that holds the [`ProgramCache::get_or_compile`] entry it
+    /// was built on, so the memo adds a pointer per entry, not a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache lock was poisoned.
+    pub fn memo_insert<T: Any + Clone + Send + Sync>(
+        &self,
+        bucket: &str,
+        matches: impl Fn(&T) -> bool,
+        handle: T,
+    ) -> T {
+        let mut inner = self.inner.lock().expect("cache lock");
+        let bucket = inner.memo.entry(bucket.to_string()).or_default();
+        if let Some(first) = memo_find(bucket, matches) {
+            return first;
+        }
+        bucket.push(Box::new(handle.clone()));
+        handle
+    }
+
     /// Builds a machine bound to the cached compiled form of `program`.
     pub fn machine(&self, program: &SpatialProgram) -> Machine {
         Machine::from_compiled(self.get_or_compile(program))
@@ -719,7 +790,9 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// `(hits, misses)` counters since construction.
+    /// `(hits, misses)` counters since construction: a hit is a request
+    /// served from cache, by [`ProgramCache::get_or_compile`] or by
+    /// [`ProgramCache::memo_get`]; a miss is a program compiled.
     ///
     /// # Panics
     ///
@@ -1913,6 +1986,45 @@ mod tests {
         m2.run(&q).unwrap();
         assert_eq!(m1.dram("out").unwrap()[0], 1.0);
         assert_eq!(m2.dram("out").unwrap()[0], 2.0);
+    }
+
+    /// The front-end memo: handles are found by type and by the
+    /// caller's comparison (the bucket only narrows the search), a find
+    /// counts as a hit and a failed probe as nothing, and eight threads
+    /// filing one key at once keep one handle.
+    #[test]
+    fn memo_is_typed_exact_and_raced_once() {
+        let cache = ProgramCache::new();
+        let is = |key: u32| move |h: &Arc<(u32, String)>| h.0 == key;
+        assert!(cache.memo_get("k", is(7)).is_none());
+        assert_eq!(cache.stats(), (0, 0), "a failed probe counts nothing");
+
+        let gate = std::sync::Barrier::new(8);
+        let kept: Vec<Arc<(u32, String)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|i| {
+                    let (cache, gate) = (&cache, &gate);
+                    scope.spawn(move || {
+                        gate.wait();
+                        cache.memo_insert("k", is(7), Arc::new((7, format!("thread {i}"))))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(kept.iter().all(|h| Arc::ptr_eq(h, &kept[0])));
+        assert_eq!(cache.inner.lock().unwrap().memo["k"].len(), 1);
+
+        // Same bucket: another key, and another type with a matching
+        // comparison, are both other entries.
+        cache.memo_insert("k", is(8), Arc::new((8, String::new())));
+        cache.memo_insert("k", |_: &u32| true, 7u32);
+        assert_eq!(cache.inner.lock().unwrap().memo["k"].len(), 3);
+        let hit = cache.memo_get("k", is(7)).expect("filed above");
+        assert!(Arc::ptr_eq(&hit, &kept[0]));
+        assert!(cache.memo_get("other", is(7)).is_none());
+        assert_eq!(cache.stats(), (1, 0));
+        assert!(cache.is_empty(), "the memo is not a compiled program");
     }
 
     #[test]

@@ -573,10 +573,12 @@ pub struct DramImage {
 }
 
 /// Mixes one 64-bit word into a running content hash (splitmix64-style
-/// finalizer, a few ALU ops per word) — the shared content-hash
-/// primitive behind [`DramImage::content_hash`] and the pipeline's
-/// content-addressed image-cache keys, kept in one place so the two
-/// identities can never drift apart.
+/// finalizer, a few ALU ops per word) — the content-hash primitive
+/// behind [`DramImage::content_hash`] and the fold of names and tensor
+/// fingerprints that makes the pipeline's image-cache keys. (The
+/// fingerprints themselves are computed in `stardust-tensor`, which
+/// sits below this crate and carries its own copy of the finalizer;
+/// the two hashes are never compared with each other.)
 #[inline]
 pub fn mix64(h: &mut u64, v: u64) {
     let mut x = h.wrapping_add(0x9e3779b97f4a7c15).wrapping_add(v);

@@ -6,6 +6,9 @@
 //! coordinates array, and a single values array holds the scalars at the
 //! leaves (Fig. 8 of the paper shows the CSR instance of this layout).
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use crate::coo::CooTensor;
 use crate::dense::DenseTensor;
 use crate::format::Format;
@@ -37,12 +40,107 @@ use crate::value::Value;
 /// assert_eq!(b.crd(1), &[1, 0, 2, 1, 3]);
 /// assert_eq!(b.vals(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// # Identity
+///
+/// A tensor is immutable once built — nothing in this API hands out a
+/// mutable view of `dims`, the format, a level's `pos`/`crd` or `vals` —
+/// so the four live behind one [`Arc`]: [`Clone`] is a pointer bump, and
+/// [`SparseTensor::fingerprint`] is computed on first use and remembered
+/// by every clone.
 pub struct SparseTensor<T> {
+    s: Arc<Storage<T>>,
+}
+
+/// Everything a [`SparseTensor`] is, plus the memo of its fingerprint.
+/// The memo is derived from the other four fields, so equality and
+/// `Debug` leave it out.
+struct Storage<T> {
     dims: Vec<usize>,
     format: Format,
     levels: Vec<LevelStorage>,
     vals: Vec<T>,
+    fingerprint: OnceLock<u64>,
+}
+
+impl<T> Clone for SparseTensor<T> {
+    fn clone(&self) -> Self {
+        SparseTensor {
+            s: Arc::clone(&self.s),
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for SparseTensor<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.s.dims == other.s.dims
+            && self.s.format == other.s.format
+            && self.s.levels == other.s.levels
+            && self.s.vals == other.s.vals
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SparseTensor<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SparseTensor")
+            .field("dims", &self.s.dims)
+            .field("format", &self.s.format)
+            .field("levels", &self.s.levels)
+            .field("vals", &self.s.vals)
+            .finish()
+    }
+}
+
+/// Mixes one 64-bit word into a running hash (splitmix64 finalizer).
+#[inline]
+fn mix(h: &mut u64, v: u64) {
+    let mut x = h.wrapping_add(0x9e3779b97f4a7c15).wrapping_add(v);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+    *h = x ^ (x >> 31);
+}
+
+/// Mixes a word array into a running hash: its length, then its words.
+///
+/// A chain of [`mix`] calls costs the latency of two multiplies per
+/// word, and a fingerprint pass over a tensor nobody has seen before is
+/// on the path of every run that rebuilds an intermediate. So the words
+/// go round-robin to eight accumulators that do not depend on each
+/// other, one rotate-xor-multiply each, and only the accumulators (and
+/// the odd words at the end) go through [`mix`]. Every step is a
+/// bijection of the accumulator for a given word and of the word for a
+/// given accumulator, so two arrays of one length that differ in one
+/// word never mix equal.
+fn mix_words<W: Copy>(h: &mut u64, words: &[W], bits: impl Fn(W) -> u64) {
+    const LANES: usize = 8;
+    mix(h, words.len() as u64);
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| !(i as u64));
+    let mut blocks = words.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (lane, &word) in lanes.iter_mut().zip(block) {
+            *lane = (lane.rotate_left(23) ^ bits(word)).wrapping_mul(0x9e3779b185ebca87);
+        }
+    }
+    for lane in lanes {
+        mix(h, lane);
+    }
+    for &word in blocks.remainder() {
+        mix(h, bits(word));
+    }
+}
+
+impl<T> SparseTensor<T> {
+    fn new(dims: Vec<usize>, format: Format, levels: Vec<LevelStorage>, vals: Vec<T>) -> Self {
+        SparseTensor {
+            s: Arc::new(Storage {
+                dims,
+                format,
+                levels,
+                vals,
+                fingerprint: OnceLock::new(),
+            }),
+        }
+    }
 }
 
 impl<T: Value> SparseTensor<T> {
@@ -146,12 +244,7 @@ impl<T: Value> SparseTensor<T> {
             vals[parent_pos[e]] = v;
         }
 
-        SparseTensor {
-            dims,
-            format,
-            levels,
-            vals,
-        }
+        SparseTensor::new(dims, format, levels, vals)
     }
 
     /// Packs a dense tensor (all elements, including zeros, participate in
@@ -187,34 +280,29 @@ impl<T: Value> SparseTensor<T> {
                 return Err(format!("level {l} storage does not match format {fmt}"));
             }
         }
-        let t = SparseTensor {
-            dims,
-            format,
-            levels,
-            vals,
-        };
+        let t = SparseTensor::new(dims, format, levels, vals);
         t.validate()?;
         Ok(t)
     }
 
     /// Dimension sizes (logical mode order).
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        &self.s.dims
     }
 
     /// Tensor rank.
     pub fn rank(&self) -> usize {
-        self.dims.len()
+        self.s.dims.len()
     }
 
     /// The tensor's format.
     pub fn format(&self) -> &Format {
-        &self.format
+        &self.s.format
     }
 
     /// Storage of level `l`.
     pub fn level(&self, l: usize) -> &LevelStorage {
-        &self.levels[l]
+        &self.s.levels[l]
     }
 
     /// The positions array of compressed level `l`.
@@ -223,7 +311,7 @@ impl<T: Value> SparseTensor<T> {
     ///
     /// Panics when level `l` is dense.
     pub fn pos(&self, l: usize) -> &[usize] {
-        match &self.levels[l] {
+        match &self.s.levels[l] {
             LevelStorage::Compressed { pos, .. } => pos,
             LevelStorage::Dense { .. } => panic!("level {l} is dense and has no pos array"),
         }
@@ -235,7 +323,7 @@ impl<T: Value> SparseTensor<T> {
     ///
     /// Panics when level `l` is dense.
     pub fn crd(&self, l: usize) -> &[usize] {
-        match &self.levels[l] {
+        match &self.s.levels[l] {
             LevelStorage::Compressed { crd, .. } => crd,
             LevelStorage::Dense { .. } => panic!("level {l} is dense and has no crd array"),
         }
@@ -243,18 +331,53 @@ impl<T: Value> SparseTensor<T> {
 
     /// The values array.
     pub fn vals(&self) -> &[T] {
-        &self.vals
+        &self.s.vals
+    }
+
+    /// A 64-bit fingerprint of the tensor's content: dims, format (level
+    /// kinds, mode order, region), every `pos`/`crd` word and the bit
+    /// pattern of every stored value ([`Value::word_bits`]), each array
+    /// preceded by its length. Tensors whose parts are bitwise equal
+    /// fingerprint equal, however they were built; a change to any one
+    /// word changes it (up to 64-bit collisions).
+    ///
+    /// The first call reads every stored word once; the result is kept
+    /// beside the storage, so later calls — on this tensor or any clone
+    /// — are a load. That is sound because the storage never changes.
+    pub fn fingerprint(&self) -> u64 {
+        *self.s.fingerprint.get_or_init(|| {
+            let index = |x: usize| x as u64;
+            let mut h: u64 = 0x9e3779b97f4a7c15;
+            mix_words(&mut h, &self.s.dims, index);
+            mix_words(&mut h, self.s.format.mode_order(), index);
+            mix(&mut h, u64::from(self.s.format.region().is_on_chip()));
+            for level in &self.s.levels {
+                match level {
+                    LevelStorage::Dense { dim } => {
+                        mix(&mut h, 0);
+                        mix(&mut h, *dim as u64);
+                    }
+                    LevelStorage::Compressed { pos, crd } => {
+                        mix(&mut h, 1);
+                        mix_words(&mut h, pos, index);
+                        mix_words(&mut h, crd, index);
+                    }
+                }
+            }
+            mix_words(&mut h, &self.s.vals, T::word_bits);
+            h
+        })
     }
 
     /// Number of explicitly stored values (leaf positions). For formats with
     /// a dense inner level this can exceed the logical nonzero count.
     pub fn stored_len(&self) -> usize {
-        self.vals.len()
+        self.s.vals.len()
     }
 
     /// Number of logically nonzero stored values.
     pub fn nnz(&self) -> usize {
-        self.vals.iter().filter(|v| !v.is_zero()).count()
+        self.s.vals.iter().filter(|v| !v.is_zero()).count()
     }
 
     /// Random access by logical coordinates; `None` when not materialized.
@@ -262,10 +385,10 @@ impl<T: Value> SparseTensor<T> {
         debug_assert_eq!(coords.len(), self.rank());
         let mut p = 0usize;
         for l in 0..self.rank() {
-            let i = coords[self.format.mode_order()[l]];
-            p = self.levels[l].locate(p, i)?;
+            let i = coords[self.s.format.mode_order()[l]];
+            p = self.s.levels[l].locate(p, i)?;
         }
-        Some(self.vals[p])
+        Some(self.s.vals[p])
     }
 
     /// Random access returning zero for missing coordinates.
@@ -282,7 +405,7 @@ impl<T: Value> SparseTensor<T> {
         self.walk(0, 0, &mut stored_coords, &mut |sc, v| {
             if !v.is_zero() {
                 for (l, &c) in sc.iter().enumerate() {
-                    logical[self.format.mode_order()[l]] = c;
+                    logical[self.s.format.mode_order()[l]] = c;
                 }
                 f(&logical, v);
             }
@@ -297,10 +420,10 @@ impl<T: Value> SparseTensor<T> {
         f: &mut impl FnMut(&[usize], T),
     ) {
         if l == self.rank() {
-            f(stored_coords, self.vals[p]);
+            f(stored_coords, self.s.vals[p]);
             return;
         }
-        match &self.levels[l] {
+        match &self.s.levels[l] {
             LevelStorage::Dense { dim } => {
                 for i in 0..*dim {
                     stored_coords.push(i);
@@ -320,7 +443,7 @@ impl<T: Value> SparseTensor<T> {
 
     /// Converts to canonical COO.
     pub fn to_coo(&self) -> CooTensor<T> {
-        let mut coo = CooTensor::new(self.dims.clone());
+        let mut coo = CooTensor::new(self.s.dims.clone());
         self.for_each_nonzero(|coords, v| coo.push(coords, v));
         coo.canonicalize();
         coo
@@ -328,7 +451,7 @@ impl<T: Value> SparseTensor<T> {
 
     /// Converts to a dense tensor.
     pub fn to_dense(&self) -> DenseTensor<T> {
-        let mut d = DenseTensor::zeros(self.dims.clone());
+        let mut d = DenseTensor::zeros(self.s.dims.clone());
         self.for_each_nonzero(|coords, v| d.add_assign(coords, v));
         d
     }
@@ -340,15 +463,15 @@ impl<T: Value> SparseTensor<T> {
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
         let mut parent_count = 1usize;
-        for (l, lvl) in self.levels.iter().enumerate() {
-            let dim = self.dims[self.format.mode_order()[l]];
+        for (l, lvl) in self.s.levels.iter().enumerate() {
+            let dim = self.s.dims[self.s.format.mode_order()[l]];
             lvl.validate(parent_count, dim)?;
             parent_count = lvl.positions(parent_count);
         }
-        if self.vals.len() != parent_count {
+        if self.s.vals.len() != parent_count {
             return Err(format!(
                 "vals length {} != leaf positions {}",
-                self.vals.len(),
+                self.s.vals.len(),
                 parent_count
             ));
         }

@@ -52,6 +52,11 @@ pub trait Value:
     /// Converts to `f64` (lossy for large 64-bit integers).
     fn to_f64(self) -> f64;
 
+    /// The value's exact bit pattern, widened to 64 bits: what
+    /// [`crate::SparseTensor::fingerprint`] mixes per stored value. It
+    /// is bitwise, not `==`: `0.0` and `-0.0` differ.
+    fn word_bits(self) -> u64;
+
     /// Absolute value, used by approximate comparisons in tests.
     fn abs_value(self) -> Self {
         if self < Self::ZERO {
@@ -87,6 +92,10 @@ impl Value for f64 {
     fn to_f64(self) -> f64 {
         self
     }
+
+    fn word_bits(self) -> u64 {
+        self.to_bits()
+    }
 }
 
 impl Value for f32 {
@@ -99,6 +108,10 @@ impl Value for f32 {
 
     fn to_f64(self) -> f64 {
         f64::from(self)
+    }
+
+    fn word_bits(self) -> u64 {
+        u64::from(self.to_bits())
     }
 
     fn approx_eq(self, other: Self) -> bool {
@@ -121,6 +134,10 @@ impl Value for i64 {
         self as f64
     }
 
+    fn word_bits(self) -> u64 {
+        self as u64
+    }
+
     fn approx_eq(self, other: Self) -> bool {
         self == other
     }
@@ -136,6 +153,10 @@ impl Value for i32 {
 
     fn to_f64(self) -> f64 {
         f64::from(self)
+    }
+
+    fn word_bits(self) -> u64 {
+        u64::from(self as u32)
     }
 
     fn approx_eq(self, other: Self) -> bool {
