@@ -87,7 +87,9 @@ fn bench_accelerate_ablation(c: &mut Criterion) {
     inputs.remove("y");
     let mut group = c.benchmark_group("accelerate_ablation");
     group.sample_size(10);
-    group.bench_function("accelerated", |b| b.iter(|| measure(accelerated, set)));
+    group.bench_function("accelerated", |b| {
+        b.iter(|| measure(accelerated, set, None))
+    });
     group.bench_function("plain", |b| b.iter(|| plain.run(&inputs).expect("runs")));
     group.finish();
 }

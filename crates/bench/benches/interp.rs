@@ -940,9 +940,8 @@ fn speedup_summary(_c: &mut Criterion) {
         // stable dotted paths (`vector.spmv_speedup`, ...) so the floors
         // file can gate the data-parallel tier without `[*]` wildcards.
         let json = format!(
-            "{{\n  \"bench\": \"interp\",\n  \"quick\": {},\n  \"vector\": {{\"impl\": \"{}\", \"lanes\": {}, {vector_rows}}},\n  \"elide\": {elide_json},\n  \"results\": [{rows}\n  ],\n  \"bind\": [{bind_rows}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"interp\",\n  \"quick\": {},\n  \"vector\": {{\"lanes\": {}, {vector_rows}}},\n  \"elide\": {elide_json},\n  \"results\": [{rows}\n  ],\n  \"bind\": [{bind_rows}\n  ]\n}}\n",
             quick(),
-            stardust_spatial::vector::IMPL,
             stardust_spatial::vector::LANES,
         );
         std::fs::write(&path, json).expect("write bench summary");

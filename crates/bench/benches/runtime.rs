@@ -12,7 +12,7 @@ fn bench_runtime(c: &mut Criterion) {
         let sets = instantiate(name, &scale);
         let (kernel, set) = &sets[0];
         group.bench_function(name, |b| {
-            b.iter(|| measure(kernel, set));
+            b.iter(|| measure(kernel, set, None));
         });
     }
     group.finish();

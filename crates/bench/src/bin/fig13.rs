@@ -15,7 +15,7 @@ fn main() {
     let mut gpu_all = Vec::new();
     let mut cpu_all = Vec::new();
     for name in KERNEL_NAMES {
-        let ms = measure_kernel(name, &scale);
+        let ms = measure_kernel(name, &scale, None, 1);
         let hbm = gmean(ms.iter().map(|m| m.capstan_hbm));
         let gpu = gmean(ms.iter().map(|m| m.gpu)) / hbm;
         let cpu = gmean(ms.iter().map(|m| m.cpu)) / hbm;

@@ -1,5 +1,5 @@
 //! Thread-parallel dataset-sweep executor: runs the kernel × dataset
-//! measurement suite serially on fresh machines, then at each requested
+//! measurement suite serially and cold (`Kernel::run`), then at each requested
 //! thread count on the **pooled** serving path (shared compiled
 //! programs, content-addressed shared DRAM images, machines recycled
 //! through the process-wide `MachinePool`), asserts the pooled
@@ -30,11 +30,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use stardust_bench::{
-    best_ns, image_cache, machine_pool, measure_kernel, measure_kernel_image,
-    measure_kernel_pooled, measure_kernel_sharded, shard_speedup_probe, spatial_cache, InputSet,
-    Measurement, Scale, KERNEL_NAMES,
+    best_ns, image_cache, machine_pool, measure_kernel, shard_speedup_probe, spatial_cache,
+    InputSet, Measurement, Scale, KERNEL_NAMES,
 };
-use stardust_core::pipeline::TensorData;
+use stardust_core::pipeline::{Pooled, RunOptions, Split, TensorData};
 use stardust_kernels::Kernel;
 
 /// Times the bind paths of a kernel's first stage on one dataset: the
@@ -152,22 +151,22 @@ fn main() {
     // pooled timings measure the steady-state serving loop — reset +
     // image re-bind on recycled machines — not the one-time O(nnz)
     // dataset conversions they amortize.
+    let on_pool = RunOptions::pooled(machine_pool());
     for name in &kernels {
-        measure_kernel(name, &scale);
-        measure_kernel_pooled(name, &scale, 1);
+        measure_kernel(name, &scale, Some(&on_pool), 1);
     }
 
-    // Serial fresh-machine baseline: the ground truth every pooled and
-    // image-bound run must match.
+    // Cold `Kernel::run`, serially: the ground truth every pooled,
+    // image-bound and sharded run must match.
     let t0 = Instant::now();
     let serial: Vec<Vec<Measurement>> = kernels
         .iter()
-        .map(|name| measure_kernel(name, &scale))
+        .map(|name| measure_kernel(name, &scale, None, 1))
         .collect();
     let serial_secs = t0.elapsed().as_secs_f64();
     let datasets: usize = serial.iter().map(Vec::len).sum();
     println!(
-        "serial (fresh machines): {datasets} kernel×dataset measurements in {serial_secs:.3} s"
+        "serial (cold Kernel::run): {datasets} kernel×dataset measurements in {serial_secs:.3} s"
     );
 
     let mut rows = String::new();
@@ -175,7 +174,7 @@ fn main() {
         let t0 = Instant::now();
         let pooled: Vec<Vec<Measurement>> = kernels
             .iter()
-            .map(|name| measure_kernel_pooled(name, &scale, t))
+            .map(|name| measure_kernel(name, &scale, Some(&on_pool), t))
             .collect();
         let secs = t0.elapsed().as_secs_f64();
         // Hard identity gate: a pooled sweep that measures anything
@@ -200,7 +199,6 @@ fn main() {
         .expect("write to string");
     }
     let pool_stats = machine_pool().stats();
-    let recovery = stardust_kernels::recovery_stats();
     println!(
         "machine pool: {} created, {} reused, {} quarantined, {} idle; \
          recovery: {} retried, {} aborted",
@@ -208,8 +206,8 @@ fn main() {
         pool_stats.reused,
         pool_stats.quarantined,
         machine_pool().idle(),
-        recovery.retried,
-        recovery.aborted,
+        pool_stats.retried,
+        pool_stats.aborted,
     );
 
     // Copy-on-write image binding must be invisible in the results:
@@ -222,7 +220,7 @@ fn main() {
         let t0 = Instant::now();
         let image_bound: Vec<Vec<Measurement>> = kernels
             .iter()
-            .map(|name| measure_kernel_image(name, &scale))
+            .map(|name| measure_kernel(name, &scale, Some(&RunOptions::default()), 1))
             .collect();
         image_secs = t0.elapsed().as_secs_f64();
         assert_eq!(
@@ -243,10 +241,18 @@ fn main() {
     let shard_counts = [1usize, 2, 4];
     let mut shard_rows = String::new();
     for &s in &shard_counts {
+        let split = RunOptions {
+            pooled: Some(Pooled {
+                pool: machine_pool(),
+                split: Some(Split::Ways(s)),
+                capacity: None,
+            }),
+            ..RunOptions::default()
+        };
         let t0 = Instant::now();
         let sharded: Vec<Vec<Measurement>> = kernels
             .iter()
-            .map(|name| measure_kernel_sharded(name, &scale, s))
+            .map(|name| measure_kernel(name, &scale, Some(&split), 1))
             .collect();
         let secs = t0.elapsed().as_secs_f64();
         assert_eq!(
@@ -320,8 +326,8 @@ fn main() {
             pool_stats.reused,
             pool_stats.quarantined,
             machine_pool().idle(),
-            recovery.retried,
-            recovery.aborted,
+            pool_stats.retried,
+            pool_stats.aborted,
             image_cache().len(),
         );
         std::fs::write(&path, json).expect("write sweep summary");

@@ -11,7 +11,7 @@ fn main() {
     // Per-kernel geomean runtime per platform, normalized to Capstan HBM2E.
     let mut rows: Vec<(String, [f64; 5])> = Vec::new();
     for name in KERNEL_NAMES {
-        let ms = measure_kernel(name, &scale);
+        let ms = measure_kernel(name, &scale, None, 1);
         let hbm = gmean(ms.iter().map(|m| m.capstan_hbm));
         let row = [
             gmean(ms.iter().map(|m| m.capstan_ideal)) / hbm,

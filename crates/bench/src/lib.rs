@@ -26,7 +26,7 @@ use std::sync::{Mutex, OnceLock};
 use stardust_baselines::{cpu_time, gpu_time, CpuModel, GpuModel, WorkProfile};
 use stardust_capstan::sim::{combine, SimModel};
 use stardust_capstan::{simulate, CapstanConfig, MemoryModel, SimReport};
-use stardust_core::pipeline::{ImageCache, TensorData};
+use stardust_core::pipeline::{ImageCache, RunOptions, TensorData};
 use stardust_datasets as datasets;
 use stardust_kernels as kernels;
 use stardust_kernels::Kernel;
@@ -350,59 +350,31 @@ pub struct Measurement {
 
 /// Runs one kernel on one input set across every platform model.
 ///
+/// `warm: None` is the cold baseline — [`Kernel::run`], nothing shared,
+/// inputs bound directly into fresh machines. `Some(opts)` runs through
+/// the process-wide [`spatial_cache`] and [`image_cache`] (keys are
+/// content-addressed, so one (kernel, dataset) name pair at two scales
+/// gets two images — never the other scale's data), each stage the way
+/// `opts` says: `RunOptions::default()` is image-bound on fresh machines,
+/// `RunOptions::pooled(machine_pool())` the full serving path, and a
+/// `split` shards every shardable stage. The measurement is
+/// byte-identical whichever is passed (CI's `sweep` binary asserts it);
+/// only the fixed per-measurement cost differs.
+///
 /// # Panics
 ///
 /// Panics when compilation or simulation fails (they are bugs).
-pub fn measure(kernel: &Kernel, set: &InputSet) -> Measurement {
-    let result = kernel
-        .run_cached(&set.inputs, spatial_cache())
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, set.dataset));
-    measurement_from(kernel, set, &result)
-}
-
-/// [`measure`] with every stage bound through the process-wide
-/// [`image_cache`] instead of per-run `write_dram` copies. Cache keys
-/// are content-addressed (hashes of the bound input words), so one
-/// (kernel, dataset) name pair at two scales gets two images — never
-/// the other scale's data. The simulated results are byte-identical to
-/// [`measure`] (CI's `sweep` binary asserts it); only the binding cost
-/// differs.
-pub fn measure_image(kernel: &Kernel, set: &InputSet) -> Measurement {
-    let result = kernel
-        .run_images(&set.inputs, spatial_cache(), image_cache())
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, set.dataset));
-    measurement_from(kernel, set, &result)
-}
-
-/// [`measure_image`] on pooled machines: the full serving path —
-/// shared compiled program ([`spatial_cache`]), shared DRAM image
-/// ([`image_cache`]), recycled machine ([`machine_pool`]). Results are
-/// byte-identical to [`measure`]; only the fixed per-measurement cost
-/// differs.
-pub fn measure_pooled(kernel: &Kernel, set: &InputSet) -> Measurement {
-    let result = kernel
-        .run_pooled(&set.inputs, spatial_cache(), image_cache(), machine_pool())
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, set.dataset));
-    measurement_from(kernel, set, &result)
-}
-
-/// [`measure_pooled`] with intra-kernel parallelism: every stage whose
-/// outer loop proves shardable runs as `shards` contiguous slices on
-/// pooled machines sharing one image; `NotShardable` stages fall back
-/// to the serial pooled path. Results are byte-identical to
-/// [`measure`] (CI's `sweep` binary gates it at 1/2/4 shards).
-pub fn measure_sharded(kernel: &Kernel, set: &InputSet, shards: usize) -> Measurement {
-    let result = kernel
-        .run_sharded(
+pub fn measure(kernel: &Kernel, set: &InputSet, warm: Option<&RunOptions<'_>>) -> Measurement {
+    let result = match warm {
+        None => kernel.run(&set.inputs),
+        Some(opts) => kernel.run_with(
             &set.inputs,
-            spatial_cache(),
-            image_cache(),
-            machine_pool(),
-            &RunBudget::default(),
-            shards,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{} on {} ({shards} shards): {e}", kernel.name, set.dataset));
+            Some(spatial_cache()),
+            Some(image_cache()),
+            opts,
+        ),
+    }
+    .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, set.dataset));
     measurement_from(kernel, set, &result)
 }
 
@@ -538,17 +510,6 @@ where
         .collect()
 }
 
-/// [`measure_kernel`] fanned out across `threads` OS threads on the
-/// pooled serving path: every (kernel, dataset) pair of the suite runs
-/// on a pooled machine bound to the shared compiled artifact through
-/// the shared image cache. Results are bitwise-identical to the serial
-/// fresh-machine path and in the same order. (Alias of
-/// [`measure_kernel_pooled`]: since PR 5 the parallel executor *is*
-/// the pooled executor.)
-pub fn measure_kernel_parallel(name: &str, scale: &Scale, threads: usize) -> Vec<Measurement> {
-    measure_kernel_pooled(name, scale, threads)
-}
-
 /// [`measure_bandwidth_sweep`] with the per-bandwidth re-timing fanned
 /// out across `threads` OS threads (the serial sweep is this function
 /// at `threads == 1`, where [`parallel_sweep`] degenerates to a plain
@@ -614,44 +575,16 @@ pub fn gmean(xs: impl IntoIterator<Item = f64>) -> f64 {
     (logsum / n as f64).exp()
 }
 
-/// Runs every dataset of a kernel and returns the measurements.
-pub fn measure_kernel(name: &str, scale: &Scale) -> Vec<Measurement> {
-    instantiate(name, scale)
-        .iter()
-        .map(|(k, set)| measure(k, set))
-        .collect()
-}
-
-/// [`measure_kernel`] through the image-bound execution path
-/// ([`measure_image`]): every (kernel, dataset) pair converts its
-/// inputs once into a cached [`stardust_spatial::DramImage`] and every
-/// run re-binds it in O(outputs).
-pub fn measure_kernel_image(name: &str, scale: &Scale) -> Vec<Measurement> {
-    instantiate(name, scale)
-        .iter()
-        .map(|(k, set)| measure_image(k, set))
-        .collect()
-}
-
-/// [`measure_kernel`] through the pooled serving path
-/// ([`measure_pooled`]) fanned out across `threads` OS threads: shared
-/// compiled programs, shared content-addressed images, machines
-/// recycled through [`machine_pool`]. Bitwise-identical to
-/// [`measure_kernel`] (CI's `sweep` binary gates it at 1/2/4 threads).
-pub fn measure_kernel_pooled(name: &str, scale: &Scale, threads: usize) -> Vec<Measurement> {
+/// [`measure`]s every dataset of a kernel, fanned out across `threads`
+/// OS threads ([`parallel_sweep`]; `1` spawns none), in dataset order.
+pub fn measure_kernel(
+    name: &str,
+    scale: &Scale,
+    warm: Option<&RunOptions<'_>>,
+    threads: usize,
+) -> Vec<Measurement> {
     let sets = instantiate(name, scale);
-    parallel_sweep(&sets, threads, |(k, set)| measure_pooled(k, set))
-}
-
-/// [`measure_kernel`] through the intra-kernel sharded executor
-/// ([`measure_sharded`]): one dataset at a time, each shardable stage
-/// split across `shards` pooled machines. Bitwise-identical to
-/// [`measure_kernel`] (CI's `sweep` binary gates it).
-pub fn measure_kernel_sharded(name: &str, scale: &Scale, shards: usize) -> Vec<Measurement> {
-    instantiate(name, scale)
-        .iter()
-        .map(|(k, set)| measure_sharded(k, set, shards))
-        .collect()
+    parallel_sweep(&sets, threads, |(k, set)| measure(k, set, warm))
 }
 
 /// One shard count's timing from [`shard_speedup_probe`].
@@ -774,7 +707,7 @@ mod tests {
         let scale = Scale::ci();
         let sets = instantiate("SpMV", &scale);
         assert_eq!(sets.len(), 3);
-        let m = measure(&sets[0].0, &sets[0].1);
+        let m = measure(&sets[0].0, &sets[0].1, None);
         assert!(m.capstan_hbm > 0.0);
         assert!(m.capstan_ddr4 >= m.capstan_hbm);
         assert!(m.capstan_ideal <= m.capstan_hbm);
@@ -833,25 +766,24 @@ mod tests {
     #[test]
     fn image_bound_sweep_is_bitwise_equal_to_direct() {
         let scale = Scale::ci();
-        let direct = measure_kernel("SpMV", &scale);
+        let direct = measure_kernel("SpMV", &scale, None, 1);
         // Twice: the second pass re-binds every cached image.
         for round in 0..2 {
-            let image = measure_kernel_image("SpMV", &scale);
+            let image = measure_kernel("SpMV", &scale, Some(&RunOptions::default()), 1);
             assert_eq!(direct, image, "image-bound sweep diverges (round {round})");
         }
     }
 
     /// The fresh-machine path under `parallel_sweep` (the baseline the
     /// sweep binary's identity gate is defined against) keeps its own
-    /// multi-thread coverage: `measure_kernel_parallel` is pooled now,
-    /// so this test fans out plain [`measure`] directly.
+    /// multi-thread coverage.
     #[test]
     fn parallel_fresh_machine_sweep_is_bitwise_equal_to_serial() {
         let scale = Scale::ci();
         let sets = instantiate("SpMV", &scale);
-        let serial = measure_kernel("SpMV", &scale);
+        let serial = measure_kernel("SpMV", &scale, None, 1);
         for threads in [2, 4] {
-            let parallel = parallel_sweep(&sets, threads, |(k, set)| measure(k, set));
+            let parallel = parallel_sweep(&sets, threads, |(k, set)| measure(k, set, None));
             assert_eq!(serial, parallel, "{threads}-thread sweep diverges");
         }
     }
@@ -859,9 +791,10 @@ mod tests {
     #[test]
     fn pooled_kernel_sweep_is_bitwise_equal_to_serial() {
         let scale = Scale::ci();
-        let serial = measure_kernel("Residual", &scale);
+        let serial = measure_kernel("Residual", &scale, None, 1);
+        let on_pool = RunOptions::pooled(machine_pool());
         for threads in [1, 2, 4] {
-            let pooled = measure_kernel_pooled("Residual", &scale, threads);
+            let pooled = measure_kernel("Residual", &scale, Some(&on_pool), threads);
             assert_eq!(serial, pooled, "{threads}-thread pooled sweep diverges");
         }
         // The second single-thread pass must reuse pooled machines; the
@@ -882,8 +815,8 @@ mod tests {
             suite: small.suite / 2,
             ..small
         };
-        let direct_small = measure_kernel("MatTransMul", &small);
-        let direct_large = measure_kernel("MatTransMul", &large);
+        let direct_small = measure_kernel("MatTransMul", &small, None, 1);
+        let direct_large = measure_kernel("MatTransMul", &large, None, 1);
         assert_ne!(
             direct_small, direct_large,
             "scales must measure differently for the regression to bite"
@@ -891,8 +824,9 @@ mod tests {
         // Same names at both scales; content-addressed keys must keep
         // the images — and hence the results — apart. Order matters:
         // the second scale is the one a collision would poison.
-        let image_small = measure_kernel_image("MatTransMul", &small);
-        let image_large = measure_kernel_image("MatTransMul", &large);
+        let image_bound = RunOptions::default();
+        let image_small = measure_kernel("MatTransMul", &small, Some(&image_bound), 1);
+        let image_large = measure_kernel("MatTransMul", &large, Some(&image_bound), 1);
         assert_eq!(direct_small, image_small, "small scale diverges");
         assert_eq!(
             direct_large, image_large,
@@ -923,15 +857,24 @@ mod tests {
 
         // A local cache so the entry-count assertion is airtight.
         let images = ImageCache::new();
-        let r1 = kernel.run_images(&in1, spatial_cache(), &images).unwrap();
-        let r2 = kernel.run_images(&in2, spatial_cache(), &images).unwrap();
+        let image_bound = |inputs| {
+            kernel
+                .run_with(
+                    inputs,
+                    Some(spatial_cache()),
+                    Some(&images),
+                    &RunOptions::default(),
+                )
+                .unwrap()
+        };
+        let (r1, r2) = (image_bound(&in1), image_bound(&in2));
         assert_eq!(
             images.len(),
             2 * kernel.stages.len(),
             "value-scaled dataset collided with the original"
         );
-        let d1 = kernel.run_cached(&in1, spatial_cache()).unwrap();
-        let d2 = kernel.run_cached(&in2, spatial_cache()).unwrap();
+        let d1 = kernel.run(&in1).unwrap();
+        let d2 = kernel.run(&in2).unwrap();
         let (r1, r2) = (r1.output.to_dense(), r2.output.to_dense());
         assert!(r1.approx_eq(&d1.output.to_dense()).is_ok());
         assert!(r2.approx_eq(&d2.output.to_dense()).is_ok());

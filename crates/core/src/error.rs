@@ -30,7 +30,7 @@
 //!    process.
 //!
 //! Retry guidance: `ExecutionPanic` and `Execution(InjectedFault)` are
-//! transient — the kernel-level `run_pooled` policy retries them once
+//! transient — `CompiledKernel::execute_image_with` retries them once
 //! on a fresh machine. `Execution(BudgetExceeded)` is deterministic
 //! (the same run will exhaust the same budget) and is never retried.
 
@@ -38,7 +38,7 @@ use std::error::Error;
 use std::fmt;
 
 use stardust_ir::IrError;
-use stardust_spatial::{RunError, VerifyError};
+use stardust_spatial::{RunError, ShardError, VerifyError};
 
 /// Errors produced by the Stardust compiler and execution harness.
 /// See the module docs for the full taxonomy.
@@ -107,6 +107,15 @@ impl From<IrError> for CompileError {
 impl From<RunError> for CompileError {
     fn from(e: RunError) -> Self {
         CompileError::Execution(e)
+    }
+}
+
+impl From<ShardError> for CompileError {
+    fn from(e: ShardError) -> Self {
+        match e {
+            ShardError::Run(err) => CompileError::Execution(err),
+            ShardError::Panic(msg) => CompileError::ExecutionPanic(msg),
+        }
     }
 }
 

@@ -8,7 +8,6 @@
 //! path every correctness test and every simulated benchmark goes through.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -16,8 +15,8 @@ use stardust_ir::cin::Stmt;
 use stardust_spatial::interp::mix64;
 use stardust_spatial::printer::spatial_loc;
 use stardust_spatial::{
-    print_program, validate, CompiledProgram, CompiledShards, DramImage, ExecStats, Machine,
-    MachinePool, NotShardable, PooledMachine, ProgramCache, RunBudget, RunError, ShardError,
+    print_program, run_contained, validate, CompiledProgram, CompiledShards, DramImage, ExecStats,
+    Machine, MachinePool, NotShardable, PooledMachine, ProgramCache, RunBudget, RunError,
     ShardPlan, Slot, SpatialProgram,
 };
 use stardust_tensor::{CooTensor, DenseTensor, Format, LevelFormat, LevelStorage, SparseTensor};
@@ -26,18 +25,6 @@ use crate::context::Program;
 use crate::error::CompileError;
 use crate::lower::{Lowerer, SizeHints};
 use crate::memory::MemoryPlan;
-
-/// Best-effort extraction of a contained panic's message (the payload
-/// of a `panic!` is `&str` or `String` in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// Concrete input data for one declared tensor.
 #[derive(Debug, Clone)]
@@ -97,6 +84,63 @@ pub struct KernelRun {
     pub output: KernelOutput,
     /// Interpreter event counts (drives the Capstan timing model).
     pub stats: ExecStats,
+}
+
+/// How [`CompiledKernel::execute_image_with`] runs a stage. The default
+/// is the serial baseline: a fresh machine, no limits, no split.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions<'a> {
+    /// The allowance every run is armed with (per shard when the stage
+    /// is split): exhausting it aborts with
+    /// [`CompileError::Execution`]`(`[`RunError::BudgetExceeded`]`)`.
+    pub budget: RunBudget,
+    /// Run on machines recycled through a pool; `None` constructs a
+    /// fresh machine per run.
+    pub pooled: Option<Pooled<'a>>,
+}
+
+impl<'a> RunOptions<'a> {
+    /// Unlimited, unsplit runs on machines checked out of `pool`.
+    pub fn pooled(pool: &'a MachinePool) -> Self {
+        RunOptions {
+            budget: RunBudget::unlimited(),
+            pooled: Some(Pooled {
+                pool,
+                split: None,
+                capacity: None,
+            }),
+        }
+    }
+}
+
+/// The pooled half of [`RunOptions`]. Splitting a stage needs several
+/// machines at once, so it can only be asked for here.
+#[derive(Debug, Clone, Copy)]
+pub struct Pooled<'a> {
+    /// Where machines are checked out (and quarantined, and retries and
+    /// aborts counted — see [`stardust_spatial::PoolStats`]).
+    pub pool: &'a MachinePool,
+    /// Intra-kernel parallelism: run a shardable stage's outer loop as
+    /// contiguous slices on several pooled machines sharing one image,
+    /// merged bitwise identically to the serial run.
+    pub split: Option<Split<'a>>,
+    /// Bound on the pool's concurrently checked-out machines while a
+    /// split stage runs: a smaller grant degrades to fewer round-robin
+    /// workers, never blocks.
+    pub capacity: Option<u64>,
+}
+
+/// How a pooled run splits a stage.
+#[derive(Debug, Clone, Copy)]
+pub enum Split<'a> {
+    /// Partition this many ways, analysing the stage on every run;
+    /// stages that are [`NotShardable`] (and counts below two) run
+    /// serially. For sweeps, where one setting covers every stage.
+    Ways(usize),
+    /// A partition of exactly this stage made ahead of time by
+    /// [`CompiledKernel::shard`] or [`CompiledKernel::shard_auto`]: the
+    /// serving layer pins one per stage so no run pays the analysis.
+    Pinned(&'a CompiledShards),
 }
 
 /// A DRAM write sink: [`Machine`] (direct binding) and
@@ -391,34 +435,101 @@ impl CompiledKernel {
     }
 
     /// [`CompiledKernel::execute`] from a prebuilt [`DramImage`]:
-    /// identical results, O(outputs) binding.
+    /// identical results, O(outputs) binding. This is
+    /// [`CompiledKernel::execute_image_with`] at its default options.
     ///
     /// # Errors
     ///
     /// Same as [`CompiledKernel::execute`], plus the image-mismatch
     /// error of [`CompiledKernel::bind_image`].
     pub fn execute_image(&self, image: &DramImage) -> Result<KernelRun, CompileError> {
-        self.execute_image_budgeted(image, &RunBudget::unlimited())
+        self.execute_image_with(image, &RunOptions::default())
     }
 
-    /// [`CompiledKernel::execute_image`] under a [`RunBudget`]: the run
-    /// aborts with [`CompileError::Execution`]`(`[`RunError::BudgetExceeded`]`)`
-    /// when it exhausts its fuel, DRAM-word, or wall-clock allowance.
+    /// Runs this stage once on `image`, the way `opts` says: takes a
+    /// machine (fresh, or checked out of the pool and bound in
+    /// O(outputs)), arms the budget, runs with panics contained
+    /// ([`run_contained`] — a panic surfaces as
+    /// [`CompileError::ExecutionPanic`]), and reads the output back. A
+    /// split stage runs through [`CompiledShards::run_pooled`] instead,
+    /// with the same results.
+    ///
+    /// This is also where the one recovery policy lives: a transient
+    /// failure ([`CompileError::is_transient`] — a contained panic or a
+    /// one-shot injected fault) is retried exactly once, immediately, on
+    /// another machine. The faulted machine was poisoned, so its pool
+    /// quarantined it at check-in and the retry can only receive a clean
+    /// or newly constructed one. Deterministic failures (budget
+    /// exhaustion, bind errors) are returned at once: the same run would
+    /// fail the same way. With a pool, retries and final failures are
+    /// counted on it.
     ///
     /// # Errors
     ///
-    /// Same as [`CompiledKernel::execute_image`], plus budget aborts.
-    pub fn execute_image_budgeted(
+    /// Same as [`CompiledKernel::execute_image`], plus budget aborts and
+    /// contained panics, after the retry. For a split stage the error is
+    /// the lowest-indexed failing shard's, which is what the serial run
+    /// would have raised first.
+    pub fn execute_image_with(
         &self,
         image: &DramImage,
+        opts: &RunOptions<'_>,
+    ) -> Result<KernelRun, CompileError> {
+        let analysed;
+        let partition = match opts.pooled.and_then(|p| p.split) {
+            Some(Split::Pinned(shards)) => Some(shards),
+            Some(Split::Ways(n)) if n > 1 => {
+                // A one-slice partition is serial with extra steps.
+                analysed = self.shard(n).ok().filter(|sh| sh.shard_count() > 1);
+                analysed.as_ref()
+            }
+            _ => None,
+        };
+        let attempt = || -> Result<KernelRun, CompileError> {
+            match (opts.pooled, partition) {
+                (None, _) => self.run_bound(&mut self.bind_image(image)?, &opts.budget),
+                (Some(p), None) => {
+                    // The guard drops when this arm returns; a poisoned
+                    // machine (error or panic) is quarantined, not
+                    // recycled.
+                    let mut machine = self.bind_image_pooled(image, p.pool)?;
+                    self.run_bound(&mut machine, &opts.budget)
+                }
+                (Some(p), Some(shards)) => {
+                    let run = shards.run_pooled(image, p.pool, &opts.budget, p.capacity)?;
+                    let output = self.read_output(&run.machine)?;
+                    Ok(KernelRun {
+                        output,
+                        stats: run.stats,
+                    })
+                }
+            }
+        };
+        let pool = opts.pooled.map(|p| p.pool);
+        let result = match attempt() {
+            Err(e) if e.is_transient() => {
+                if let Some(pool) = pool {
+                    pool.record_retry();
+                }
+                attempt()
+            }
+            first => first,
+        };
+        if let (Err(_), Some(pool)) = (&result, pool) {
+            pool.record_abort();
+        }
+        result
+    }
+
+    /// Budget, contained run, read-back on a bound machine.
+    fn run_bound(
+        &self,
+        machine: &mut Machine,
         budget: &RunBudget,
     ) -> Result<KernelRun, CompileError> {
-        let mut machine = self.bind_image(image)?;
         machine.set_budget(budget.clone());
-        let stats = machine
-            .run(self.0.spatial.source())
-            .map_err(CompileError::Execution)?;
-        let output = self.read_output(&machine)?;
+        let stats = run_contained(machine, self.0.spatial.source())?;
+        let output = self.read_output(machine)?;
         Ok(KernelRun { output, stats })
     }
 
@@ -455,62 +566,11 @@ impl CompiledKernel {
             .map_err(|e| CompileError::Memory(e.to_string()))
     }
 
-    /// [`CompiledKernel::execute_image`] on a pooled machine: identical
-    /// results (the pool-reuse property tests hold checkout to
-    /// fresh-machine byte identity), amortized machine construction.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledKernel::execute_image`].
-    pub fn execute_image_pooled(
-        &self,
-        image: &DramImage,
-        pool: &MachinePool,
-    ) -> Result<KernelRun, CompileError> {
-        self.execute_image_pooled_budgeted(image, pool, &RunBudget::unlimited())
-    }
-
-    /// [`CompiledKernel::execute_image_pooled`] under a [`RunBudget`],
-    /// with **panic containment**: a panic inside the interpreter run —
-    /// real or injected by the `spatial::faults` harness — is caught
-    /// here and surfaced as [`CompileError::ExecutionPanic`] instead of
-    /// unwinding the caller. The machine involved is poisoned either
-    /// way and the pool quarantines it at check-in, so the contained
-    /// state can never be recycled — which is what makes the
-    /// `AssertUnwindSafe` below sound: nothing the panic tore through
-    /// is ever observed again.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledKernel::execute_image_budgeted`], plus
-    /// [`CompileError::ExecutionPanic`] for contained panics.
-    pub fn execute_image_pooled_budgeted(
-        &self,
-        image: &DramImage,
-        pool: &MachinePool,
-        budget: &RunBudget,
-    ) -> Result<KernelRun, CompileError> {
-        let mut machine = self.bind_image_pooled(image, pool)?;
-        machine.set_budget(budget.clone());
-        let run = catch_unwind(AssertUnwindSafe(|| machine.run(self.0.spatial.source())));
-        // The guard drops here on both paths; a poisoned machine (error
-        // or panic) is quarantined by the pool, not recycled.
-        let stats = match run {
-            Ok(result) => result.map_err(CompileError::Execution)?,
-            Err(payload) => {
-                drop(machine);
-                return Err(CompileError::ExecutionPanic(panic_message(&payload)));
-            }
-        };
-        let output = self.read_output(&machine)?;
-        Ok(KernelRun { output, stats })
-    }
-
     /// Partitions this kernel's outer loop into `n` contiguous-slice
-    /// sub-programs for [`CompiledKernel::execute_image_sharded_budgeted`],
-    /// or explains why the program cannot be sharded (callers fall
-    /// back to serial execution). The shards share this kernel's
-    /// symbol table, so any [`DramImage`] built for it binds directly.
+    /// sub-programs for [`Split::Pinned`], or explains why the program
+    /// cannot be sharded (callers fall back to serial execution). The
+    /// shards share this kernel's symbol table, so any [`DramImage`]
+    /// built for it binds directly.
     ///
     /// # Errors
     ///
@@ -535,43 +595,6 @@ impl CompiledKernel {
             return None;
         }
         Some(plan.compile(n))
-    }
-
-    /// [`CompiledKernel::execute_image_pooled_budgeted`] across `shards`
-    /// machines: runs the partitioned outer loop on pooled machines
-    /// sharing `image`'s input segment and merges outputs and stats
-    /// bitwise identically to the serial run. `capacity` bounds total
-    /// pool checkouts (a smaller grant degrades to round-robin, never
-    /// blocks); the budget is armed per shard. Returns the run plus
-    /// the number of machines actually granted.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledKernel::execute_image_pooled_budgeted`]; the
-    /// propagated error is the lowest-indexed failing shard's, which
-    /// matches what serial execution would have raised first.
-    pub fn execute_image_sharded_budgeted(
-        &self,
-        shards: &CompiledShards,
-        image: &DramImage,
-        pool: &MachinePool,
-        budget: &RunBudget,
-        capacity: Option<u64>,
-    ) -> Result<(KernelRun, usize), CompileError> {
-        let run = shards
-            .run_pooled(image, pool, budget, capacity)
-            .map_err(|e| match e {
-                ShardError::Run(err) => CompileError::Execution(err),
-                ShardError::Panic(msg) => CompileError::ExecutionPanic(msg),
-            })?;
-        let output = self.read_output(&run.machine)?;
-        Ok((
-            KernelRun {
-                output,
-                stats: run.stats,
-            },
-            run.workers,
-        ))
     }
 
     /// Runs the kernel on the given inputs through the Spatial interpreter
@@ -1239,6 +1262,15 @@ mod tests {
         assert_eq!(cache.builds(), 1);
     }
 
+    fn output_bits(run: &KernelRun) -> Vec<u64> {
+        run.output
+            .to_dense()
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
     /// Pooled execution is byte-identical to fresh-machine image
     /// execution, and the pool actually reuses machines.
     #[test]
@@ -1252,16 +1284,60 @@ mod tests {
         for inputs in [&in1, &in2, &in1] {
             let image = cache.get_or_build(&kernel, inputs).unwrap();
             let fresh = kernel.execute_image(&image).unwrap();
-            let pooled = kernel.execute_image_pooled(&image, &pool).unwrap();
+            let pooled = kernel
+                .execute_image_with(&image, &RunOptions::pooled(&pool))
+                .unwrap();
             assert_eq!(fresh.stats, pooled.stats, "stats diverge on pooled machine");
-            let f = fresh.output.to_dense();
-            let g = pooled.output.to_dense();
-            assert!(f.approx_eq(&g).is_ok());
+            assert_eq!(output_bits(&fresh), output_bits(&pooled));
         }
         let stats = pool.stats();
         assert_eq!(stats.created, 1, "pool failed to reuse its machine");
         assert_eq!(stats.reused, 2);
+        assert_eq!((stats.retried, stats.aborted), (0, 0));
         assert_eq!(pool.idle(), 1);
+    }
+
+    /// The recovery policy counts on the pool it ran on (process-wide
+    /// counters could not say whose fault it was): a one-shot fault is
+    /// retried on a fresh checkout and the result is the clean run's, bit
+    /// for bit; a second fault in a row aborts.
+    #[test]
+    fn retries_and_aborts_are_counted_per_pool() {
+        use stardust_spatial::{faults, FaultPlan};
+
+        let (p, stmt) = spmv_kernel();
+        let inputs = spmv_inputs(42, 1.0);
+        let kernel =
+            Compiler::compile(&p, &stmt, Compiler::hints_from_inputs(&inputs, &[])).unwrap();
+        let image = kernel.build_image(&inputs).unwrap();
+        let (a, b) = (MachinePool::with_shards(1), MachinePool::with_shards(1));
+        let clean = kernel
+            .execute_image_with(&image, &RunOptions::pooled(&b))
+            .unwrap();
+        let b_before = b.stats();
+        let on_a = RunOptions::pooled(&a);
+        let faulted = |plan| faults::with_plan(plan, || kernel.execute_image_with(&image, &on_a));
+
+        let once = FaultPlan {
+            error_at_step: Some(2),
+            ..FaultPlan::default()
+        };
+        let recovered = faulted(once.clone()).expect("the retry runs clean");
+        assert_eq!(recovered.stats, clean.stats);
+        assert_eq!(output_bits(&recovered), output_bits(&clean));
+        let s = a.stats();
+        assert_eq!((s.retried, s.aborted, s.quarantined), (1, 0, 1));
+
+        // Two one-shot faults: the retry meets the second one.
+        let twice = FaultPlan {
+            panic_at_step: Some(3),
+            ..once
+        };
+        let err = faulted(twice).expect_err("both attempts fault");
+        assert!(err.is_transient(), "{err:?}");
+        let s = a.stats();
+        assert_eq!((s.retried, s.aborted, s.quarantined), (2, 1, 3));
+        assert_eq!(b.stats(), b_before, "pool B counted pool A's faults");
     }
 
     #[test]

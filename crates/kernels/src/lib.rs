@@ -19,4 +19,4 @@ pub use defs::{
     innerprod, mattransmul, mttkrp, plus2, plus3, residual, sddmm, spmv, suite, ttm, ttv, Kernel,
     Stage,
 };
-pub use runner::{merge_stats, recovery_stats, stage_hints, KernelResult, RecoveryStats, StageRun};
+pub use runner::{merge_stats, stage_hints, KernelResult, StageRun, WalkedStage};

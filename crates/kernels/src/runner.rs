@@ -2,119 +2,17 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
 
 use stardust_core::lower::SizeHints;
 use stardust_core::pipeline::{
-    CompiledKernel, Compiler, ImageCache, KernelOutput, KernelRun, TensorData,
+    CompiledKernel, Compiler, ImageCache, KernelOutput, KernelRun, RunOptions, TensorData,
 };
 use stardust_core::CompileError;
-use stardust_spatial::{DramImage, ExecStats, MachinePool, ProgramCache, RunBudget};
+use stardust_spatial::{DramImage, ExecStats, MachinePool, ProgramCache};
 use stardust_tensor::SparseTensor;
 
 use crate::defs::Kernel;
-
-/// Process-wide counters for the pooled-execution recovery policy:
-/// `RETRIED` counts stage runs that failed transiently (contained
-/// panic, injected fault) and were retried once on a fresh machine;
-/// `ABORTED` counts stage runs that failed for good — a deterministic
-/// error, or a retry that failed again. Monotonic, like the pool's
-/// created/reused/quarantined counters; the sweep binary reports them
-/// in its summary.
-static RETRIED: AtomicU64 = AtomicU64::new(0);
-static ABORTED: AtomicU64 = AtomicU64::new(0);
-
-/// The capped backoff slept before the single retry — long enough to
-/// let a transiently-wedged resource settle, short enough to be
-/// invisible against a kernel run.
-const RETRY_BACKOFF: Duration = Duration::from_millis(5);
-
-/// Cumulative recovery counters (see [`recovery_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Transient stage failures retried once on a fresh machine.
-    pub retried: u64,
-    /// Stage runs that aborted for good (deterministic error, or the
-    /// retry failed too).
-    pub aborted: u64,
-}
-
-/// The process-wide [`RecoveryStats`] for every pooled kernel run so
-/// far.
-pub fn recovery_stats() -> RecoveryStats {
-    RecoveryStats {
-        retried: RETRIED.load(Ordering::Relaxed),
-        aborted: ABORTED.load(Ordering::Relaxed),
-    }
-}
-
-/// How pooled stages execute: the pool and budget, plus the opt-in
-/// intra-kernel parallelism knobs (`shards > 1` splits each shardable
-/// stage's outer loop across pooled machines; `capacity` bounds total
-/// checkouts as in `MachinePool::try_checkout_n`).
-#[derive(Clone, Copy)]
-struct PoolExec<'a> {
-    pool: &'a MachinePool,
-    budget: &'a RunBudget,
-    shards: usize,
-    capacity: Option<u64>,
-}
-
-/// Runs one stage on pooled machines under the recovery policy:
-/// transient failures ([`CompileError::is_transient`] — a contained
-/// panic or a one-shot injected fault) are retried exactly once, after
-/// [`RETRY_BACKOFF`], on a *fresh* machine — the faulted one was
-/// poisoned and quarantined at check-in, so the retry checkout can
-/// only receive a clean or newly constructed machine. Deterministic
-/// failures (budget exhaustion, bind errors) abort immediately: the
-/// same run would fail the same way.
-///
-/// With `shards > 1`, a stage whose outer loop proves shardable runs
-/// through the sharded executor (bitwise-identical results, its own
-/// internal per-shard retry); everything else — `NotShardable`
-/// stages, single-trip loops — falls back to the serial pooled path
-/// below.
-fn run_stage_pooled(
-    compiled: &CompiledKernel,
-    image: &DramImage,
-    exec: PoolExec<'_>,
-) -> Result<KernelRun, CompileError> {
-    let PoolExec {
-        pool,
-        budget,
-        shards,
-        capacity,
-    } = exec;
-    if shards > 1 {
-        if let Ok(sh) = compiled.shard(shards) {
-            if sh.shard_count() > 1 {
-                return compiled
-                    .execute_image_sharded_budgeted(&sh, image, pool, budget, capacity)
-                    .map(|(run, _workers)| run)
-                    .inspect_err(|_| {
-                        ABORTED.fetch_add(1, Ordering::Relaxed);
-                    });
-            }
-        }
-    }
-    match compiled.execute_image_pooled_budgeted(image, pool, budget) {
-        Ok(run) => Ok(run),
-        Err(e) if e.is_transient() => {
-            RETRIED.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(RETRY_BACKOFF);
-            compiled
-                .execute_image_pooled_budgeted(image, pool, budget)
-                .inspect_err(|_| {
-                    ABORTED.fetch_add(1, Ordering::Relaxed);
-                })
-        }
-        Err(e) => {
-            ABORTED.fetch_add(1, Ordering::Relaxed);
-            Err(e)
-        }
-    }
-}
 
 /// One executed stage: its compiled form plus interpreter statistics.
 #[derive(Debug, Clone)]
@@ -150,46 +48,40 @@ impl KernelResult {
     }
 }
 
-/// Accumulates `from` into `into`, field by field — the stage-stats
-/// merge behind [`KernelResult::total_stats`], public so executors
-/// that drive stages themselves (the serving layer) can aggregate
-/// identically.
+/// Accumulates `from` into `into` ([`ExecStats::merge`]) — the
+/// stage-stats sum behind [`KernelResult::total_stats`], under the name
+/// executors that drive stages themselves already call.
 pub fn merge_stats(into: &mut ExecStats, from: &ExecStats) {
-    for (k, v) in &from.dram_reads {
-        *into.dram_reads.entry(k.clone()).or_default() += v;
-    }
-    for (k, v) in &from.dram_writes {
-        *into.dram_writes.entry(k.clone()).or_default() += v;
-    }
-    into.dram_random_reads += from.dram_random_reads;
-    into.dram_random_writes += from.dram_random_writes;
-    ExecStats::merge_node(&mut into.node_trips, &from.node_trips);
-    ExecStats::merge_node(&mut into.node_dram_read_words, &from.node_dram_read_words);
-    ExecStats::merge_node(&mut into.node_dram_write_words, &from.node_dram_write_words);
-    into.alu_ops += from.alu_ops;
-    into.sram_reads += from.sram_reads;
-    into.sram_writes += from.sram_writes;
-    into.shuffle_accesses += from.shuffle_accesses;
-    into.fifo_enqs += from.fifo_enqs;
-    into.fifo_deqs += from.fifo_deqs;
-    into.scan_bits += from.scan_bits;
-    into.scan_emits += from.scan_emits;
-    into.bv_gen_bits += from.bv_gen_bits;
-    into.reduce_elems += from.reduce_elems;
+    into.merge(from);
+}
+
+/// One stage as [`Kernel::walk`] left it.
+#[derive(Debug, Clone)]
+pub struct WalkedStage {
+    /// The compiled stage.
+    pub compiled: CompiledKernel,
+    /// The image the stage binds, when the walk was given an
+    /// [`ImageCache`].
+    pub image: Option<Arc<DramImage>>,
+    /// The stage's run; `None` only for a final stage the walk was told
+    /// not to run.
+    pub run: Option<KernelRun>,
 }
 
 impl Kernel {
-    /// Compiles every stage with size hints derived from `inputs`, using
-    /// conservative union/intersection bounds for stage outputs.
+    /// Compiles every stage exactly as [`Kernel::run`] would: a later
+    /// stage is sized from the earlier stages' actual outputs, so on a
+    /// multi-stage kernel the earlier stages are run here to have them.
     ///
     /// # Errors
     ///
-    /// Returns the first [`CompileError`].
+    /// Returns the first compile or simulation error.
     pub fn compile(
         &self,
         inputs: &HashMap<String, TensorData>,
     ) -> Result<Vec<CompiledKernel>, CompileError> {
-        self.compile_with(inputs, None)
+        let walked = self.walk(inputs, None, None, &RunOptions::default(), false)?;
+        Ok(walked.into_iter().map(|stage| stage.compiled).collect())
     }
 
     /// Like [`Kernel::compile`], but shares linked Spatial artifacts
@@ -198,88 +90,32 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Returns the first [`CompileError`].
+    /// Returns the first compile or simulation error.
     pub fn compile_cached(
         &self,
         inputs: &HashMap<String, TensorData>,
         cache: &ProgramCache,
     ) -> Result<Vec<CompiledKernel>, CompileError> {
-        self.compile_with(inputs, Some(cache))
+        let walked = self.walk(inputs, Some(cache), None, &RunOptions::default(), false)?;
+        Ok(walked.into_iter().map(|stage| stage.compiled).collect())
     }
 
-    fn compile_with(
-        &self,
-        inputs: &HashMap<String, TensorData>,
-        cache: Option<&ProgramCache>,
-    ) -> Result<Vec<CompiledKernel>, CompileError> {
-        let mut compiled = Vec::with_capacity(self.stages.len());
-        let mut known = inputs.clone();
-        for stage in &self.stages {
-            let hints = stage_hints(stage, &known)?;
-            let kernel = match cache {
-                Some(cache) => Compiler::compile_cached(&stage.program, &stage.stmt, hints, cache)?,
-                None => Compiler::compile(&stage.program, &stage.stmt, hints)?,
-            };
-            compiled.push(kernel);
-            // Later stages size against a bound for this stage's output;
-            // record a placeholder so hint derivation can see it.
-            known.insert(stage.program.output().to_string(), TensorData::Scalar(0.0));
-        }
-        Ok(compiled)
-    }
-
-    /// Compiles and executes all stages, threading stage outputs into the
-    /// inputs of later stages.
+    /// Compiles and executes all stages cold, sharing nothing: every
+    /// stage is lowered and linked anew and binds its inputs into a fresh
+    /// machine. The baseline every other way of running is held bitwise
+    /// against.
     ///
     /// # Errors
     ///
     /// Returns the first compile or simulation error.
     pub fn run(&self, inputs: &HashMap<String, TensorData>) -> Result<KernelResult, CompileError> {
-        self.run_with(inputs, None)
+        self.run_with(inputs, None, None, &RunOptions::default())
     }
 
-    /// Like [`Kernel::run`], but shares linked Spatial artifacts through
-    /// `cache` (see [`Kernel::compile_cached`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first compile or simulation error.
-    pub fn run_cached(
-        &self,
-        inputs: &HashMap<String, TensorData>,
-        cache: &ProgramCache,
-    ) -> Result<KernelResult, CompileError> {
-        self.run_with(inputs, Some(cache))
-    }
-
-    /// Like [`Kernel::run_cached`], but binds every stage through
-    /// `images`: each stage's dataset is baked into an `Arc`-shared
-    /// [`stardust_spatial::DramImage`] on first sight (keyed by the
-    /// stage's compiled program and the content hash of its inputs),
-    /// and later runs re-bind in O(outputs) with no per-element input
-    /// conversion or copy. Results are byte-identical to
-    /// [`Kernel::run_cached`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first compile or simulation error.
-    pub fn run_images(
-        &self,
-        inputs: &HashMap<String, TensorData>,
-        cache: &ProgramCache,
-        images: &ImageCache,
-    ) -> Result<KernelResult, CompileError> {
-        self.run_with_impl(inputs, Some(cache), Some((images, None)))
-    }
-
-    /// [`Kernel::run_images`] on pooled machines: every stage checks a
-    /// recycled [`stardust_spatial::Machine`] out of `pool` (reset +
-    /// image re-bind, no arena allocation) instead of constructing a
-    /// fresh one. The full serving path for sweeps: compile once per
-    /// program ([`ProgramCache`]), convert once per dataset
-    /// ([`ImageCache`]), allocate once per (thread, program)
-    /// ([`stardust_spatial::MachinePool`]). Results are byte-identical
-    /// to [`Kernel::run_cached`].
+    /// Runs warm: compile once per program ([`ProgramCache`]), convert
+    /// once per dataset ([`ImageCache`]), allocate once per (thread,
+    /// program) ([`MachinePool`]); a repeat pays for the run and an
+    /// O(outputs) re-bind. Results are byte-identical to [`Kernel::run`].
     ///
     /// # Errors
     ///
@@ -291,138 +127,106 @@ impl Kernel {
         images: &ImageCache,
         pool: &MachinePool,
     ) -> Result<KernelResult, CompileError> {
-        self.run_pooled_budgeted(inputs, cache, images, pool, &RunBudget::unlimited())
+        self.run_with(inputs, Some(cache), Some(images), &RunOptions::pooled(pool))
     }
 
-    /// [`Kernel::run_pooled`] with every stage run under `budget`: the
-    /// serving-layer entry point. Runaway stages abort with
-    /// [`CompileError::Execution`]`(`[`stardust_spatial::RunError::BudgetExceeded`]`)`
-    /// instead of hanging, contained panics surface as
-    /// [`CompileError::ExecutionPanic`], and transient failures are
-    /// retried once on a fresh machine (see [`recovery_stats`]).
+    /// Compiles and executes all stages, threading stage outputs into
+    /// the inputs of later stages. `programs` shares linked artifacts and
+    /// memoizes compiles; `images` bakes each stage's dataset into a
+    /// shared [`DramImage`] on first sight, keyed by the content of what
+    /// the stage binds (intermediates are deterministic per dataset, so
+    /// their images stay valid), and re-binds it in O(outputs)
+    /// afterwards. `opts` says how each image-bound stage runs
+    /// ([`CompiledKernel::execute_image_with`]: pool, budget, split,
+    /// the retry policy); without `images` a stage binds its inputs
+    /// directly into a fresh machine ([`CompiledKernel::execute`]) and
+    /// `opts` has nothing to act on. Results are byte-identical to
+    /// [`Kernel::run`] whatever is passed.
     ///
     /// # Errors
     ///
     /// Returns the first compile or simulation error, after the retry
     /// policy has been exhausted.
-    pub fn run_pooled_budgeted(
+    pub fn run_with(
         &self,
         inputs: &HashMap<String, TensorData>,
-        cache: &ProgramCache,
-        images: &ImageCache,
-        pool: &MachinePool,
-        budget: &RunBudget,
+        programs: Option<&ProgramCache>,
+        images: Option<&ImageCache>,
+        opts: &RunOptions<'_>,
     ) -> Result<KernelResult, CompileError> {
-        self.run_with_impl(
-            inputs,
-            Some(cache),
-            Some((
-                images,
-                Some(PoolExec {
-                    pool,
-                    budget,
-                    shards: 1,
-                    capacity: None,
-                }),
-            )),
-        )
-    }
-
-    /// [`Kernel::run_pooled_budgeted`] with intra-kernel parallelism:
-    /// every stage whose outer loop proves shardable is split into
-    /// `shards` contiguous slices run concurrently on pooled machines
-    /// sharing one image (results bitwise identical to serial — the
-    /// shard property suite and the sweep binary's hard gate hold it
-    /// there); stages that are [`stardust_spatial::NotShardable`] run
-    /// on the serial pooled path. `capacity` bounds total machine
-    /// checkouts — when the pool is busier than that, a stage degrades
-    /// to fewer workers (round-robin) instead of blocking. `shards <=
-    /// 1` is exactly [`Kernel::run_pooled_budgeted`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first compile or simulation error, after the retry
-    /// policy has been exhausted.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded(
-        &self,
-        inputs: &HashMap<String, TensorData>,
-        cache: &ProgramCache,
-        images: &ImageCache,
-        pool: &MachinePool,
-        budget: &RunBudget,
-        shards: usize,
-        capacity: Option<u64>,
-    ) -> Result<KernelResult, CompileError> {
-        self.run_with_impl(
-            inputs,
-            Some(cache),
-            Some((
-                images,
-                Some(PoolExec {
-                    pool,
-                    budget,
-                    shards,
-                    capacity,
-                }),
-            )),
-        )
-    }
-
-    fn run_with(
-        &self,
-        inputs: &HashMap<String, TensorData>,
-        cache: Option<&ProgramCache>,
-    ) -> Result<KernelResult, CompileError> {
-        self.run_with_impl(inputs, cache, None)
-    }
-
-    fn run_with_impl(
-        &self,
-        inputs: &HashMap<String, TensorData>,
-        cache: Option<&ProgramCache>,
-        images: Option<(&ImageCache, Option<PoolExec<'_>>)>,
-    ) -> Result<KernelResult, CompileError> {
-        // The caller's map is borrowed; it is copied (tensor clones are
-        // pointer bumps) only once a stage's output has to join it.
-        let mut available = Cow::Borrowed(inputs);
         let mut stages = Vec::with_capacity(self.stages.len());
-        let mut last_output = None;
+        let mut output = None;
+        for stage in self.walk(inputs, programs, images, opts, true)? {
+            if let Some(run) = stage.run {
+                output = Some(run.output);
+                stages.push(StageRun {
+                    compiled: stage.compiled,
+                    stats: run.stats,
+                });
+            }
+        }
+        let output =
+            output.ok_or_else(|| CompileError::Schedule("kernel has no stages to run".into()))?;
+        Ok(KernelResult { output, stages })
+    }
+
+    /// The stage walk, written once: per stage, derive size hints from
+    /// the tensors available *now* ([`stage_hints`] — the real outputs of
+    /// earlier stages, never placeholders, or the DRAM arrays come out
+    /// sized for another program), compile, build or find the image,
+    /// run, and make the output available to the stages after it. The
+    /// final stage's output feeds nothing, so `run_final: false` skips
+    /// its run: that is compiling ([`Kernel::compile`]) or pinning a
+    /// serving plan, which must produce the very programs and images
+    /// [`Kernel::run_with`] executes. See there for the other arguments.
+    ///
+    /// The caller's map is borrowed; it is copied (tensor clones are
+    /// pointer bumps) only once a stage's output has to join it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first compile or simulation error.
+    pub fn walk(
+        &self,
+        inputs: &HashMap<String, TensorData>,
+        programs: Option<&ProgramCache>,
+        images: Option<&ImageCache>,
+        opts: &RunOptions<'_>,
+        run_final: bool,
+    ) -> Result<Vec<WalkedStage>, CompileError> {
+        let mut available = Cow::Borrowed(inputs);
+        let mut walked = Vec::with_capacity(self.stages.len());
         for (i, stage) in self.stages.iter().enumerate() {
             let hints = stage_hints(stage, &available)?;
-            let compiled = match cache {
+            let compiled = match programs {
                 Some(cache) => Compiler::compile_cached(&stage.program, &stage.stmt, hints, cache)?,
                 None => Compiler::compile(&stage.program, &stage.stmt, hints)?,
             };
-            let run = match images {
-                Some((images, pool)) => {
-                    // Stage identity is carried by the compiled program
-                    // (distinct per stage) plus the content hash of the
-                    // stage's inputs; intermediates are deterministic
-                    // per dataset, keeping their cached images valid.
-                    let image = images.get_or_build(&compiled, &available)?;
-                    match pool {
-                        Some(exec) => run_stage_pooled(&compiled, &image, exec)?,
-                        None => compiled.execute_image(&image)?,
-                    }
+            let image = images
+                .map(|images| images.get_or_build(&compiled, &available))
+                .transpose()?;
+            let feeds_later = i + 1 < self.stages.len();
+            let mut run = None;
+            if feeds_later || run_final {
+                let done = match &image {
+                    Some(image) => compiled.execute_image_with(image, opts)?,
+                    None => compiled.execute(&available)?,
+                };
+                if let (true, KernelOutput::Tensor(t)) = (feeds_later, &done.output) {
+                    available.to_mut().insert(
+                        stage.program.output().to_string(),
+                        TensorData::Sparse(t.clone()),
+                    );
                 }
-                None => compiled.execute(&available)?,
-            };
-            if let (KernelOutput::Tensor(t), true) = (&run.output, i + 1 < self.stages.len()) {
-                available.to_mut().insert(
-                    stage.program.output().to_string(),
-                    TensorData::Sparse(t.clone()),
-                );
+                run = Some(done);
             }
-            last_output = Some(run.output);
-            stages.push(StageRun {
+            walked.push(WalkedStage {
                 compiled,
-                stats: run.stats,
+                image,
+                run,
             });
         }
-        let output = last_output
-            .ok_or_else(|| CompileError::Schedule("kernel has no stages to run".into()))?;
-        Ok(KernelResult { output, stages })
+        Ok(walked)
     }
 }
 
@@ -430,11 +234,9 @@ impl Kernel {
 /// sum-of-inputs bound for the stage's own output (unions can at most
 /// concatenate operand coordinates; intersections and mirrors are smaller).
 ///
-/// Public because any executor that compiles stages itself must derive
-/// hints from the *actual* tensors available at that stage — including
-/// real intermediate outputs — to compile the same programs
-/// [`Kernel::run`] would; hints from placeholders produce different
-/// DRAM sizing and therefore different (non-comparable) stats.
+/// Public for callers that attribute its cost; to compile the programs
+/// [`Kernel::run`] would, go through [`Kernel::walk`], which calls this
+/// with the *actual* tensors available at each stage.
 pub fn stage_hints(
     stage: &crate::defs::Stage,
     available: &HashMap<String, TensorData>,
@@ -513,10 +315,14 @@ mod tests {
         inputs.insert("x".into(), TensorData::from_coo(&x, Format::dense_vec()));
         let cache = stardust_spatial::ProgramCache::new();
         let images = ImageCache::new();
-        let direct = k.run_cached(&inputs, &cache).unwrap();
-        // Two image runs: the second re-binds the cached image.
+        let fresh = RunOptions::default();
+        // Shared programs, direct bind — then shared images too, on
+        // fresh machines, twice: the second run re-binds the cached image.
+        let direct = k.run_with(&inputs, Some(&cache), None, &fresh).unwrap();
         for _ in 0..2 {
-            let via_image = k.run_images(&inputs, &cache, &images).unwrap();
+            let via_image = k
+                .run_with(&inputs, Some(&cache), Some(&images), &fresh)
+                .unwrap();
             assert_eq!(direct.total_stats(), via_image.total_stats());
             let d = direct.output.to_dense();
             let i = via_image.output.to_dense();
@@ -536,7 +342,7 @@ mod tests {
         let cache = stardust_spatial::ProgramCache::new();
         let images = ImageCache::new();
         let pool = MachinePool::with_shards(1);
-        let direct = k.run_cached(&inputs, &cache).unwrap();
+        let direct = k.run(&inputs).unwrap();
         // Two pooled runs: the second reuses both the cached image and
         // the pooled machine.
         for _ in 0..2 {
@@ -604,7 +410,7 @@ mod tests {
     /// abort is surfaced immediately with no retry.
     #[test]
     fn pooled_run_retries_transient_faults_and_matches_clean_run() {
-        use stardust_spatial::{faults, FaultPlan, RunError};
+        use stardust_spatial::{faults, FaultPlan, RunBudget, RunError};
 
         let k = defs::spmv(16);
         let a = random_matrix(16, 16, 0.25, 1);
@@ -617,8 +423,7 @@ mod tests {
         let pool = MachinePool::with_shards(1);
 
         let clean = k.run_pooled(&inputs, &cache, &images, &pool).unwrap();
-        let before = recovery_stats();
-        let quarantined_before = pool.stats().quarantined;
+        let before = pool.stats();
 
         // A one-shot injected error: first attempt faults (machine
         // quarantined), the retry on a fresh machine succeeds, and the
@@ -637,15 +442,15 @@ mod tests {
             .to_dense()
             .approx_eq(&recovered.output.to_dense())
             .is_ok());
-        let after = recovery_stats();
+        let after = pool.stats();
         assert_eq!(after.retried, before.retried + 1, "no retry recorded");
         assert_eq!(
             after.aborted, before.aborted,
             "recovered run counted as abort"
         );
         assert_eq!(
-            pool.stats().quarantined,
-            quarantined_before + 1,
+            after.quarantined,
+            before.quarantined + 1,
             "faulted machine not quarantined"
         );
 
@@ -659,13 +464,16 @@ mod tests {
                 .expect("retry must recover the contained panic")
         });
         assert_eq!(clean.total_stats(), recovered.total_stats());
-        assert_eq!(recovery_stats().retried, before.retried + 2);
+        assert_eq!(pool.stats().retried, before.retried + 2);
 
         // Budget exhaustion is deterministic: surfaced as a structured
         // error, counted as an abort, never retried.
-        let tiny = RunBudget::default().with_max_steps(1);
+        let tiny = RunOptions {
+            budget: RunBudget::default().with_max_steps(1),
+            ..RunOptions::pooled(&pool)
+        };
         let err = k
-            .run_pooled_budgeted(&inputs, &cache, &images, &pool, &tiny)
+            .run_with(&inputs, Some(&cache), Some(&images), &tiny)
             .expect_err("a 1-step budget cannot cover SpMV");
         assert!(
             matches!(
@@ -674,7 +482,7 @@ mod tests {
             ),
             "wrong abort error: {err:?}"
         );
-        let final_stats = recovery_stats();
+        let final_stats = pool.stats();
         assert_eq!(
             final_stats.retried,
             before.retried + 2,

@@ -19,9 +19,10 @@
 //!    the compiled programs are byte-for-byte the ones
 //!    [`Kernel::run`] would produce) and pinned thereafter — the hot
 //!    path never re-hashes input words or rebuilds images.
-//! 4. **Run** — each stage executes on a machine checked out of the
-//!    shared [`MachinePool`] under the configured [`RunBudget`], with
-//!    panic containment; transient failures (contained panic,
+//! 4. **Run** — each stage executes through
+//!    [`CompiledKernel::execute_image_with`] on a machine checked out
+//!    of the shared [`MachinePool`] under the configured [`RunBudget`]:
+//!    panics are contained, and transient failures (contained panic,
 //!    injected fault) quarantine the machine and retry once on a
 //!    fresh one. Consecutive batch jobs keep checking the same warm
 //!    machine back out of the shard's LIFO free list.
@@ -29,7 +30,6 @@
 //!    merged [`ExecStats`], and measured latency; completion feeds
 //!    the wait-free latency histogram behind [`ServeStats`].
 
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -38,9 +38,11 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use stardust_core::pipeline::{CompiledKernel, Compiler, ImageCache, KernelOutput, TensorData};
+use stardust_core::pipeline::{
+    CompiledKernel, ImageCache, KernelOutput, Pooled, RunOptions, Split, TensorData,
+};
 use stardust_core::CompileError;
-use stardust_kernels::{merge_stats, stage_hints, Kernel};
+use stardust_kernels::Kernel;
 use stardust_spatial::{
     CompiledShards, DramImage, ExecStats, MachinePool, ProgramCache, RunBudget,
 };
@@ -258,7 +260,6 @@ struct Inner {
     failed: AtomicU64,
     rejected_queue_full: AtomicU64,
     rejected_tenant_cap: AtomicU64,
-    retried: AtomicU64,
     batches: AtomicU64,
     batch_peak: AtomicU64,
     latency: LatencyHistogram,
@@ -289,7 +290,6 @@ impl Inner {
             failed: AtomicU64::new(0),
             rejected_queue_full: AtomicU64::new(0),
             rejected_tenant_cap: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batch_peak: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
@@ -413,36 +413,44 @@ impl Inner {
         Ok(plans)
     }
 
-    /// Compiles and pins every stage of `kernel` against `dataset`,
-    /// mirroring [`Kernel::run`]'s stage loop: size hints for stage
-    /// `n+1` come from stage `n`'s **actual** output tensor (obtained
-    /// by running the stage once here), because hints derived from
-    /// placeholders would compile *different* programs with different
-    /// DRAM sizing — and the serving path must stay bitwise identical
-    /// to the serial baseline. The registered map is borrowed and
-    /// copied only when an intermediate has to join it; every stage's
-    /// image is keyed on the content of what it binds.
+    /// How a stage runs here: pooled, under the configured budget, with
+    /// the stage's pinned partition (checkouts capped at the tenant
+    /// in-flight limit) when it has one.
+    fn run_options<'a>(&'a self, shards: Option<&'a CompiledShards>) -> RunOptions<'a> {
+        RunOptions {
+            budget: self.cfg.budget.clone(),
+            pooled: Some(Pooled {
+                pool: &self.pool,
+                split: shards.map(Split::Pinned),
+                capacity: Some(self.cfg.tenant_inflight as u64),
+            }),
+        }
+    }
+
+    /// Compiles and pins every stage of `kernel` against `dataset` with
+    /// [`Kernel::walk`] — the stage loop [`Kernel::run`] itself is, so
+    /// the pinned programs and images are the ones the serial baseline
+    /// executes (a non-final stage is run once here, serially, to size
+    /// and feed the next). Every stage's image is keyed on the content
+    /// of what it binds.
     fn build_plans(
         &self,
         kernel: &Kernel,
         dataset: &HashMap<String, TensorData>,
     ) -> Result<Vec<StagePlan>, CompileError> {
-        let mut plans = Vec::with_capacity(kernel.stages.len());
-        let mut available = Cow::Borrowed(dataset);
-        for (i, stage) in kernel.stages.iter().enumerate() {
-            let hints = stage_hints(stage, &available)?;
-            let compiled =
-                Compiler::compile_cached(&stage.program, &stage.stmt, hints, &self.spatial_cache)?;
-            let image = self.images.get_or_build(&compiled, &available)?;
-            if i + 1 < kernel.stages.len() {
-                // Materialize the real intermediate for the next
-                // stage's hints and image (deterministic per dataset).
-                let run = self.run_stage(&compiled, &image, None)?;
-                if let KernelOutput::Tensor(t) = run.output {
-                    let name = stage.program.output().to_string();
-                    available.to_mut().insert(name, TensorData::Sparse(t));
-                }
-            }
+        let walked = kernel.walk(
+            dataset,
+            Some(&self.spatial_cache),
+            Some(&self.images),
+            &self.run_options(None),
+            false,
+        )?;
+        let mut plans = Vec::with_capacity(walked.len());
+        for stage in walked {
+            let compiled = stage.compiled;
+            let image = stage
+                .image
+                .ok_or_else(|| CompileError::Memory("stage walked without an image".into()))?;
             // Pin the shard partition with the plan: the analysis runs
             // once per (program, dataset), never on the hot path. A
             // one-slice partition is serial with extra steps — skip it.
@@ -472,49 +480,14 @@ impl Inner {
         let mut total = ExecStats::default();
         let mut output = None;
         for plan in plans {
-            let run = self.run_stage(&plan.compiled, &plan.image, plan.shards.as_ref())?;
-            merge_stats(&mut total, &run.stats);
+            let opts = self.run_options(plan.shards.as_ref());
+            let run = plan.compiled.execute_image_with(&plan.image, &opts)?;
+            total.merge(&run.stats);
             output = Some(run.output);
         }
         let output =
             output.ok_or_else(|| CompileError::Schedule("kernel has no stages to run".into()))?;
         Ok((output, total))
-    }
-
-    /// One budgeted stage run under the recovery policy: transient
-    /// failures (contained panic, one-shot injected fault) leave the
-    /// faulted machine quarantined by the pool and retry exactly once
-    /// on a fresh checkout; deterministic failures abort immediately.
-    /// With a pinned shard partition the stage runs through the
-    /// intra-kernel sharded executor (bitwise identical to serial,
-    /// checkouts capped at the tenant in-flight limit); otherwise the
-    /// serial pooled path.
-    fn run_stage(
-        &self,
-        compiled: &CompiledKernel,
-        image: &DramImage,
-        shards: Option<&CompiledShards>,
-    ) -> Result<stardust_core::pipeline::KernelRun, CompileError> {
-        let once = || match shards {
-            Some(sh) => compiled
-                .execute_image_sharded_budgeted(
-                    sh,
-                    image,
-                    &self.pool,
-                    &self.cfg.budget,
-                    Some(self.cfg.tenant_inflight as u64),
-                )
-                .map(|(run, _workers)| run),
-            None => compiled.execute_image_pooled_budgeted(image, &self.pool, &self.cfg.budget),
-        };
-        match once() {
-            Ok(run) => Ok(run),
-            Err(e) if e.is_transient() => {
-                self.retried.fetch_add(1, Ordering::Relaxed);
-                once()
-            }
-            Err(e) => Err(e),
-        }
     }
 
     fn snapshot(&self) -> ServeStats {
@@ -523,20 +496,21 @@ impl Inner {
             .values()
             .filter(|slot| lock(slot).is_some())
             .count();
+        let pool = self.pool.occupancy();
         ServeStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_tenant_cap: self.rejected_tenant_cap.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
+            retried: pool.stats.retried,
             batches: self.batches.load(Ordering::Relaxed),
             batch_peak: self.batch_peak.load(Ordering::Relaxed),
             queue_depth,
             working_sets,
             image_builds: self.images.builds(),
             images_cached: self.images.len(),
-            pool: self.pool.occupancy(),
+            pool,
             latency: self.latency.snapshot(),
         }
     }

@@ -18,7 +18,7 @@
 //! countdown the budget uses, so injection adds **zero** hot-path cost
 //! and nothing at all when no plan is installed. The step/alloc faults
 //! are **one-shot**: firing consumes them, so a retry on a fresh
-//! machine (the `Kernel::run_pooled` recovery policy) runs fault-free —
+//! machine (the pipeline's retry-once recovery policy) runs fault-free —
 //! exactly the scenario the recovery suites must prove byte-identical
 //! to a never-faulted baseline. The budget shrink (`max_steps`) is
 //! persistent: it models a standing resource limit, not a transient

@@ -213,12 +213,6 @@ impl RunBudget {
 /// atomic off the per-iteration path.
 pub(crate) const INTERRUPT_MASK: u64 = 0xFFF;
 
-/// Default for [`Machine::set_elide_mode`]: on unless
-/// `STARDUST_ELIDE=0` (mirrors the vector tier's env toggle).
-fn elide_env_default() -> bool {
-    !matches!(std::env::var("STARDUST_ELIDE"), Ok(v) if v == "0")
-}
-
 /// What hitting zero fuel means: the step budget, or a one-shot
 /// injected fault from the [`crate::faults`] harness min-folded into
 /// the same countdown (zero extra hot-path cost).
@@ -426,8 +420,54 @@ impl ExecStats {
         counts[node] += delta;
     }
 
-    /// Elementwise-adds a dense node-indexed counter into another
-    /// (merging stage statistics).
+    /// Adds every counter of `from` into `self` — the one field-wise
+    /// sum behind stage, shard and job totals. `from` is destructured
+    /// exhaustively, so a counter added to [`ExecStats`] fails to
+    /// compile here instead of being silently dropped from totals.
+    pub fn merge(&mut self, from: &ExecStats) {
+        let ExecStats {
+            dram_reads,
+            dram_writes,
+            dram_random_reads,
+            dram_random_writes,
+            node_trips,
+            node_dram_read_words,
+            node_dram_write_words,
+            alu_ops,
+            sram_reads,
+            sram_writes,
+            shuffle_accesses,
+            fifo_enqs,
+            fifo_deqs,
+            scan_bits,
+            scan_emits,
+            bv_gen_bits,
+            reduce_elems,
+        } = from;
+        for (k, v) in dram_reads {
+            *self.dram_reads.entry(k.clone()).or_default() += v;
+        }
+        for (k, v) in dram_writes {
+            *self.dram_writes.entry(k.clone()).or_default() += v;
+        }
+        self.dram_random_reads += dram_random_reads;
+        self.dram_random_writes += dram_random_writes;
+        Self::merge_node(&mut self.node_trips, node_trips);
+        Self::merge_node(&mut self.node_dram_read_words, node_dram_read_words);
+        Self::merge_node(&mut self.node_dram_write_words, node_dram_write_words);
+        self.alu_ops += alu_ops;
+        self.sram_reads += sram_reads;
+        self.sram_writes += sram_writes;
+        self.shuffle_accesses += shuffle_accesses;
+        self.fifo_enqs += fifo_enqs;
+        self.fifo_deqs += fifo_deqs;
+        self.scan_bits += scan_bits;
+        self.scan_emits += scan_emits;
+        self.bv_gen_bits += bv_gen_bits;
+        self.reduce_elems += reduce_elems;
+    }
+
+    /// Elementwise-adds a dense node-indexed counter into another.
     pub fn merge_node(into: &mut Vec<u64>, from: &[u64]) {
         if into.len() < from.len() {
             into.resize(from.len(), 0);
@@ -1328,15 +1368,14 @@ pub struct Machine {
     /// DRAM store.
     write_log: Option<Vec<u64>>,
     /// Whether the data-parallel tier (see [`crate::vector`]) is
-    /// active. On by default (`STARDUST_VECTOR=0` disables);
+    /// active. On by default;
     /// runtime-togglable via [`Machine::set_vector_mode`] so one
     /// process measures scalar vs vector on identical state. Results,
     /// statistics, and abort points are bit-identical either way.
     vector_enabled: bool,
     /// Whether the dispatch loop consults the static
     /// bounds-check-elision table (see [`crate::analysis`]). On by
-    /// default (`STARDUST_ELIDE=0` disables); runtime-togglable via
-    /// [`Machine::set_elide_mode`]. Results, statistics, and abort
+    /// default; runtime-togglable via [`Machine::set_elide_mode`]. Results, statistics, and abort
     /// points are bit-identical either way — only the per-access
     /// check is skipped, and only under a hoisted runtime guard that
     /// re-establishes the proof's premises.
@@ -1425,8 +1464,8 @@ impl Machine {
             interrupts: false,
             poisoned: false,
             write_log: None,
-            vector_enabled: vector::env_default(),
-            elide_enabled: elide_env_default(),
+            vector_enabled: true,
+            elide_enabled: true,
         };
         m.grow_state();
         let compiled = Arc::clone(&m.compiled);
@@ -1606,31 +1645,20 @@ impl Machine {
         &self.budget
     }
 
-    /// Whether the data-parallel (vector) tier is active (see
-    /// [`crate::vector`]).
-    pub fn vector_mode(&self) -> bool {
-        self.vector_enabled
-    }
-
-    /// Enables or disables the vector tier at runtime. Execution
-    /// results, `ExecStats`, and budget-abort points are bit-identical
-    /// in both modes — the toggle exists so benchmarks and differential
-    /// suites can measure scalar vs vector in one process.
+    /// Enables or disables the data-parallel tier ([`crate::vector`];
+    /// on by default) at runtime. Execution results, `ExecStats`, and
+    /// budget-abort points are bit-identical in both modes — the toggle
+    /// exists so benchmarks and differential suites can measure scalar
+    /// vs vector in one process.
     pub fn set_vector_mode(&mut self, on: bool) {
         self.vector_enabled = on;
     }
 
-    /// Whether statically-proven in-bounds accesses skip the
-    /// per-access bounds check (see [`crate::analysis`]).
-    pub fn elide_mode(&self) -> bool {
-        self.elide_enabled
-    }
-
-    /// Enables or disables bounds-check elision at runtime. Execution
-    /// results, `ExecStats`, and budget-abort points are bit-identical
-    /// in both modes — the toggle exists so benchmarks and
-    /// differential suites can measure checked vs elided in one
-    /// process.
+    /// Enables or disables bounds-check elision ([`crate::analysis`];
+    /// on by default) at runtime. Execution results, `ExecStats`, and
+    /// budget-abort points are bit-identical in both modes — the toggle
+    /// exists so benchmarks and differential suites can measure checked
+    /// vs elided in one process.
     pub fn set_elide_mode(&mut self, on: bool) {
         self.elide_enabled = on;
     }

@@ -32,9 +32,7 @@
 //! shard planner and vector classifier share, and the
 //! bounds-check-elision table the dispatch loop consults.
 
-// Every unsafe operation inside an unsafe fn must carry its own
-// unsafe block (and, per the clippy CI gate, its own SAFETY comment).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod bytecode;
@@ -62,7 +60,7 @@ pub use printer::print_program;
 pub use reference::ReferenceMachine;
 pub use resolve::{resolve, DramLayout, DramRegion, ResolvedProgram, Slot, SymbolTable};
 pub use shard::{
-    auto_shard_count, auto_shard_count_for, CompiledShards, NotShardable, ShardError, ShardPlan,
-    ShardedRun, MIN_TRIPS_PER_SHARD, VECTOR_SHARD_DISCOUNT,
+    auto_shard_count, auto_shard_count_for, run_contained, CompiledShards, NotShardable,
+    ShardError, ShardPlan, ShardedRun, MIN_TRIPS_PER_SHARD, VECTOR_SHARD_DISCOUNT,
 };
 pub use validate::{validate, ValidationError};

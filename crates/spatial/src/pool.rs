@@ -90,6 +90,12 @@ pub struct PoolStats {
     /// Machines discarded at check-in because their last run aborted
     /// (error or panic) — see [`Machine::poisoned`].
     pub quarantined: u64,
+    /// Runs on this pool that failed transiently and were retried once
+    /// on a fresh checkout ([`MachinePool::record_retry`]).
+    pub retried: u64,
+    /// Runs on this pool that failed for good — a deterministic error,
+    /// or a retry that failed again ([`MachinePool::record_abort`]).
+    pub aborted: u64,
 }
 
 /// An instantaneous occupancy snapshot of a [`MachinePool`]: how many
@@ -110,7 +116,7 @@ pub struct PoolOccupancy {
     pub idle: usize,
     /// Current shard count.
     pub shards: usize,
-    /// Cumulative created/reused/quarantined counters.
+    /// Cumulative counters.
     pub stats: PoolStats,
 }
 
@@ -129,6 +135,8 @@ pub struct MachinePool {
     created: AtomicU64,
     reused: AtomicU64,
     quarantined: AtomicU64,
+    retried: AtomicU64,
+    aborted: AtomicU64,
     /// Machines currently out in live [`PooledMachine`] guards
     /// (decremented on check-in *and* on [`PooledMachine::detach`] —
     /// a detached machine has left the pool's custody either way).
@@ -142,30 +150,25 @@ impl MachinePool {
     /// worker has a private home shard — even when the sweep runs more
     /// threads than `available_parallelism` reports cores.
     pub fn new() -> Self {
-        MachinePool {
-            shards: RwLock::new(vec![Mutex::new(Shard::new())]),
-            fixed: false,
-            created: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            checked_out: AtomicU64::new(0),
-        }
+        Self::build(1, false)
     }
 
     /// A pool with an explicit, fixed shard count (min 1). One shard is
     /// a plain mutex-guarded pool — useful in tests that need
     /// deterministic reuse.
     pub fn with_shards(shards: usize) -> Self {
+        Self::build(shards.max(1), true)
+    }
+
+    fn build(shards: usize, fixed: bool) -> Self {
         MachinePool {
-            shards: RwLock::new(
-                (0..shards.max(1))
-                    .map(|_| Mutex::new(Shard::new()))
-                    .collect(),
-            ),
-            fixed: true,
+            shards: RwLock::new((0..shards).map(|_| Mutex::new(Shard::new())).collect()),
+            fixed,
             created: AtomicU64::new(0),
             reused: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
+            retried: AtomicU64::new(0),
+            aborted: AtomicU64::new(0),
             checked_out: AtomicU64::new(0),
         }
     }
@@ -391,12 +394,27 @@ impl MachinePool {
         };
     }
 
-    /// Cumulative created/reused/quarantined counters.
+    /// Counts one transient failure retried on a fresh checkout. The
+    /// recovery policy lives with the executor that owns the retry;
+    /// the count lives here so it is per pool, beside the quarantine
+    /// it caused.
+    pub fn record_retry(&self) {
+        self.retried.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one run that failed for good.
+    pub fn record_abort(&self) {
+        self.aborted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Cumulative counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             created: self.created.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
+            retried: self.retried.load(Ordering::Relaxed),
+            aborted: self.aborted.load(Ordering::Relaxed),
         }
     }
 

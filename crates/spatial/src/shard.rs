@@ -217,9 +217,10 @@ impl fmt::Display for NotShardable {
 
 impl std::error::Error for NotShardable {}
 
-/// An error from a sharded run — either a shard's [`RunError`]
-/// (identical to what serial execution would have produced first) or a
-/// contained panic.
+/// An error from a contained run ([`run_contained`]) — of one machine
+/// or of a sharded stage: either the [`RunError`] (for shards, identical
+/// to what serial execution would have produced first) or a contained
+/// panic.
 #[derive(Debug, Clone)]
 pub enum ShardError {
     /// A shard's interpreter error.
@@ -233,7 +234,7 @@ impl ShardError {
     /// Whether one clean retry is warranted: injected faults and
     /// contained panics are transient by the fault-injection contract;
     /// deterministic interpreter errors and budget aborts are not.
-    fn is_transient(&self) -> bool {
+    pub fn is_transient(&self) -> bool {
         matches!(
             self,
             ShardError::Panic(_) | ShardError::Run(RunError::InjectedFault { .. })
@@ -990,15 +991,12 @@ impl CompiledShards {
                     let mut guard = guard;
                     let mut outs = Vec::new();
                     for k in (w..n).step_by(m) {
-                        let mut res = run_one_shard(&mut guard, &shards[k], image, budget);
-                        if res.as_ref().is_err_and(|e| e.is_transient()) {
-                            // Swap in a fresh machine (dropping the
-                            // poisoned one quarantines it) and retry
-                            // once — the transient one-shot fault was
-                            // consumed from this worker's plan clone.
-                            guard = pool.checkout(&shards[k]);
-                            res = run_one_shard(&mut guard, &shards[k], image, budget);
-                        }
+                        // The transient one-shot fault was consumed
+                        // from this worker's plan clone, so the retry
+                        // runs clean.
+                        let res = retry_once(pool, &shards[k], &mut guard, |m| {
+                            run_one_shard(m, &shards[k], image, budget)
+                        });
                         let failed = res.is_err();
                         outs.push((k, res));
                         if failed {
@@ -1026,7 +1024,7 @@ impl CompiledShards {
                     Err(payload) => {
                         worker_outs.push(vec![(
                             usize::MAX,
-                            Err(ShardError::Panic(panic_message(payload))),
+                            Err(ShardError::Panic(panic_message(&*payload))),
                         )]);
                     }
                 }
@@ -1101,11 +1099,9 @@ impl CompiledShards {
     ) -> Result<(PooledMachine<'p>, ExecStats, f64), ShardError> {
         let start = Instant::now();
         let mut guard = pool.checkout(&self.baseline);
-        let mut res = run_one_baseline(&mut guard, &self.baseline, image, budget);
-        if res.as_ref().is_err_and(|e| e.is_transient()) {
-            guard = pool.checkout(&self.baseline);
-            res = run_one_baseline(&mut guard, &self.baseline, image, budget);
-        }
+        let res = retry_once(pool, &self.baseline, &mut guard, |m| {
+            run_one(m, &self.baseline, image, budget, false)
+        });
         res.map(|stats| (guard, stats, start.elapsed().as_secs_f64()))
     }
 }
@@ -1141,17 +1137,24 @@ fn run_one_shard(
     })
 }
 
-fn run_one_baseline(
-    machine: &mut Machine,
+/// Runs `run` on the checked-out machine; on a transient failure swaps
+/// in a fresh checkout (dropping the poisoned machine quarantines it)
+/// and runs exactly once more.
+fn retry_once<'p, T>(
+    pool: &'p MachinePool,
     prog: &Arc<CompiledProgram>,
-    image: &DramImage,
-    budget: &RunBudget,
-) -> Result<ExecStats, ShardError> {
-    run_one(machine, prog, image, budget, false)
+    guard: &mut PooledMachine<'p>,
+    run: impl Fn(&mut Machine) -> Result<T, ShardError>,
+) -> Result<T, ShardError> {
+    let res = run(guard);
+    if res.as_ref().is_err_and(|e| e.is_transient()) {
+        *guard = pool.checkout(prog);
+        return run(guard);
+    }
+    res
 }
 
-/// One contained execution: rebind, budget, run under
-/// `catch_unwind` so a panicking shard cannot take down the scope.
+/// One shard-side execution: rebind, budget, contained run.
 fn run_one(
     machine: &mut Machine,
     prog: &Arc<CompiledProgram>,
@@ -1165,15 +1168,31 @@ fn run_one(
     if arm_log {
         machine.shard_arm_write_log();
     }
-    match catch_unwind(AssertUnwindSafe(|| machine.run(prog.source()))) {
+    run_contained(machine, prog.source())
+}
+
+/// Runs `machine` on `program` with **panic containment**: a panic
+/// inside the interpreter — real or injected by the [`crate::faults`]
+/// harness — is caught here and returned as [`ShardError::Panic`]
+/// instead of unwinding the caller (or a shard scope). The machine is
+/// poisoned either way, so a pool quarantines it at check-in and the
+/// contained state can never be recycled — which is what makes the
+/// `AssertUnwindSafe` sound: nothing the panic tore through is ever
+/// observed again.
+pub fn run_contained(
+    machine: &mut Machine,
+    program: &crate::ir::SpatialProgram,
+) -> Result<ExecStats, ShardError> {
+    match catch_unwind(AssertUnwindSafe(|| machine.run(program))) {
         Ok(Ok(stats)) => Ok(stats),
         Ok(Err(e)) => Err(ShardError::Run(e)),
-        Err(payload) => Err(ShardError::Panic(panic_message(payload))),
+        Err(payload) => Err(ShardError::Panic(panic_message(&*payload))),
     }
 }
 
-/// Best-effort panic payload rendering.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Best-effort extraction of a contained panic's message (the payload
+/// of a `panic!` is `&str` or `String` in practice).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1193,23 +1212,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn merge_shard_stats(shards: &[ExecStats], baseline: &ExecStats) -> ExecStats {
     let mut sum = ExecStats::default();
     for s in shards {
-        merge_map(&mut sum.dram_reads, &s.dram_reads);
-        merge_map(&mut sum.dram_writes, &s.dram_writes);
-        ExecStats::merge_node(&mut sum.node_trips, &s.node_trips);
-        ExecStats::merge_node(&mut sum.node_dram_read_words, &s.node_dram_read_words);
-        ExecStats::merge_node(&mut sum.node_dram_write_words, &s.node_dram_write_words);
-        sum.dram_random_reads += s.dram_random_reads;
-        sum.dram_random_writes += s.dram_random_writes;
-        sum.alu_ops += s.alu_ops;
-        sum.sram_reads += s.sram_reads;
-        sum.sram_writes += s.sram_writes;
-        sum.shuffle_accesses += s.shuffle_accesses;
-        sum.fifo_enqs += s.fifo_enqs;
-        sum.fifo_deqs += s.fifo_deqs;
-        sum.scan_bits += s.scan_bits;
-        sum.scan_emits += s.scan_emits;
-        sum.bv_gen_bits += s.bv_gen_bits;
-        sum.reduce_elems += s.reduce_elems;
+        sum.merge(s);
     }
     let extra = shards.len().saturating_sub(1) as u64;
     sub_map(&mut sum.dram_reads, &baseline.dram_reads, extra);
@@ -1238,12 +1241,6 @@ fn merge_shard_stats(shards: &[ExecStats], baseline: &ExecStats) -> ExecStats {
     sum.bv_gen_bits -= extra * baseline.bv_gen_bits;
     sum.reduce_elems -= extra * baseline.reduce_elems;
     sum
-}
-
-fn merge_map(into: &mut HashMap<String, u64>, from: &HashMap<String, u64>) {
-    for (k, v) in from {
-        *into.entry(k.clone()).or_insert(0) += v;
-    }
 }
 
 /// Subtracts `extra` copies of the baseline's per-array counts. Every

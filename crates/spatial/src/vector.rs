@@ -10,15 +10,9 @@
 //! serial lane order so f64 results are bit-identical to the scalar
 //! engine.
 //!
-//! Two implementations sit behind one API:
-//!
-//! - the default build uses portable lane loops over fixed-size arrays,
-//!   shaped so the autovectorizer can take them (no early exits, no
-//!   cross-lane dependencies);
-//! - with the `simd` cargo feature on `x86_64`, the multiply/add lane
-//!   kernels go through `core::arch` SSE2 intrinsics (baseline on
-//!   x86_64, so no runtime feature detection is needed). CI builds and
-//!   tests both ways; [`IMPL`] names the active backend.
+//! The lane kernels are portable fixed-trip loops over `[f64; LANES]`,
+//! shaped so the autovectorizer can take them (no early exits, no
+//! cross-lane dependencies).
 //!
 //! Fuel, interrupt, and statistics *semantics* are owned by the
 //! interpreter; the only scheduling helper here is [`burst`], which
@@ -32,27 +26,11 @@ use crate::interp::INTERRUPT_MASK;
 /// line (64 bytes) of the flat word arena.
 pub const LANES: usize = 8;
 
-/// Name of the lane-kernel backend compiled into this build, published
-/// in bench summaries so scalar-vs-vector measurements are attributable.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub const IMPL: &str = "sse2-intrinsics";
-/// Name of the lane-kernel backend compiled into this build.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-pub const IMPL: &str = "portable";
-
 /// Largest f64 loop bound the vector tier treats as exactly
 /// representable for integer trip-count arithmetic (2^32 — far above
 /// any arena extent, far below the 2^53 limit where `f64` stops
 /// counting integers).
 const MAX_EXACT_BOUND: f64 = 4_294_967_296.0;
-
-/// Whether the vector tier starts enabled. On by default; setting the
-/// `STARDUST_VECTOR` environment variable to `0` disables it (the
-/// differential suites use this to pin a scalar baseline without code
-/// changes).
-pub(crate) fn env_default() -> bool {
-    !matches!(std::env::var("STARDUST_VECTOR"), Ok(v) if v == "0")
-}
 
 /// Converts an integral unit-step loop window `[lo, hi)` into
 /// `(base, trips)`: the starting index as a `usize` and the exact trip
@@ -118,24 +96,27 @@ pub(crate) fn to_indices(src: &[f64; LANES], out: &mut [usize; LANES]) -> bool {
     ok
 }
 
+/// `out[k] = f(k)` for every lane: a fixed-trip loop with no early exit,
+/// the shape the autovectorizer turns into packed arithmetic once `f` is
+/// inlined.
+#[inline(always)]
+fn fill_lanes(out: &mut [f64; LANES], f: impl Fn(usize) -> f64) {
+    for (k, slot) in out.iter_mut().enumerate() {
+        *slot = f(k);
+    }
+}
+
 /// `out[k] = a op b[k]` with a loop-invariant left operand — the
 /// scale-by-gathered-value lane kernel (`vb * C_vals[jj]`).
 #[inline(always)]
 pub(crate) fn bin_splat(op: crate::ir::BinSOp, a: f64, b: &[f64; LANES], out: &mut [f64; LANES]) {
     use crate::ir::BinSOp::*;
+    // The common operators get their own loops so no lane re-matches `op`.
     match op {
-        Add => lanes_impl::add_splat(a, b, out),
-        Sub => {
-            for k in 0..LANES {
-                out[k] = a - b[k];
-            }
-        }
-        Mul => lanes_impl::mul_splat(a, b, out),
-        op => {
-            for k in 0..LANES {
-                out[k] = op.apply(a, b[k]);
-            }
-        }
+        Add => fill_lanes(out, |k| a + b[k]),
+        Sub => fill_lanes(out, |k| a - b[k]),
+        Mul => fill_lanes(out, |k| a * b[k]),
+        op => fill_lanes(out, |k| op.apply(a, b[k])),
     }
 }
 
@@ -150,116 +131,10 @@ pub(crate) fn bin_lanes(
 ) {
     use crate::ir::BinSOp::*;
     match op {
-        Add => lanes_impl::add_lanes(a, b, out),
-        Sub => {
-            for k in 0..LANES {
-                out[k] = a[k] - b[k];
-            }
-        }
-        Mul => lanes_impl::mul_lanes(a, b, out),
-        op => {
-            for k in 0..LANES {
-                out[k] = op.apply(a[k], b[k]);
-            }
-        }
-    }
-}
-
-/// Portable lane kernels: fixed-trip loops over `[f64; LANES]` with no
-/// early exits, the shape LLVM's autovectorizer turns into packed
-/// SSE2/AVX arithmetic at the baseline target.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-mod lanes_impl {
-    use super::LANES;
-
-    #[inline(always)]
-    pub fn mul_splat(a: f64, b: &[f64; LANES], out: &mut [f64; LANES]) {
-        for k in 0..LANES {
-            out[k] = a * b[k];
-        }
-    }
-
-    #[inline(always)]
-    pub fn add_splat(a: f64, b: &[f64; LANES], out: &mut [f64; LANES]) {
-        for k in 0..LANES {
-            out[k] = a + b[k];
-        }
-    }
-
-    #[inline(always)]
-    pub fn mul_lanes(a: &[f64; LANES], b: &[f64; LANES], out: &mut [f64; LANES]) {
-        for k in 0..LANES {
-            out[k] = a[k] * b[k];
-        }
-    }
-
-    #[inline(always)]
-    pub fn add_lanes(a: &[f64; LANES], b: &[f64; LANES], out: &mut [f64; LANES]) {
-        for k in 0..LANES {
-            out[k] = a[k] + b[k];
-        }
-    }
-}
-
-/// Explicit `core::arch` lane kernels. SSE2 (2 f64 lanes per op) is
-/// part of the x86_64 baseline, so the intrinsics are unconditionally
-/// available — no runtime dispatch. Packed IEEE-754 multiply/add are
-/// bit-identical to their scalar counterparts lane by lane, so this
-/// path changes nothing observable; it exists to prove the chunked
-/// loops really are data-parallel rather than relying on the
-/// autovectorizer, and CI builds both backends.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod lanes_impl {
-    use super::LANES;
-    use core::arch::x86_64::{_mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_storeu_pd};
-
-    #[inline(always)]
-    pub fn mul_splat(a: f64, b: &[f64; LANES], out: &mut [f64; LANES]) {
-        // SAFETY: SSE2 is baseline on x86_64; loads/stores are
-        // unaligned-tolerant and stay inside the fixed-size arrays.
-        unsafe {
-            let av = _mm_set1_pd(a);
-            for k in (0..LANES).step_by(2) {
-                let bv = _mm_loadu_pd(b.as_ptr().add(k));
-                _mm_storeu_pd(out.as_mut_ptr().add(k), _mm_mul_pd(av, bv));
-            }
-        }
-    }
-
-    #[inline(always)]
-    pub fn add_splat(a: f64, b: &[f64; LANES], out: &mut [f64; LANES]) {
-        // SAFETY: as in `mul_splat`.
-        unsafe {
-            let av = _mm_set1_pd(a);
-            for k in (0..LANES).step_by(2) {
-                let bv = _mm_loadu_pd(b.as_ptr().add(k));
-                _mm_storeu_pd(out.as_mut_ptr().add(k), _mm_add_pd(av, bv));
-            }
-        }
-    }
-
-    #[inline(always)]
-    pub fn mul_lanes(a: &[f64; LANES], b: &[f64; LANES], out: &mut [f64; LANES]) {
-        // SAFETY: as in `mul_splat`.
-        unsafe {
-            for k in (0..LANES).step_by(2) {
-                let av = _mm_loadu_pd(a.as_ptr().add(k));
-                let bv = _mm_loadu_pd(b.as_ptr().add(k));
-                _mm_storeu_pd(out.as_mut_ptr().add(k), _mm_mul_pd(av, bv));
-            }
-        }
-    }
-
-    #[inline(always)]
-    pub fn add_lanes(a: &[f64; LANES], b: &[f64; LANES], out: &mut [f64; LANES]) {
-        // SAFETY: as in `mul_splat`.
-        unsafe {
-            for k in (0..LANES).step_by(2) {
-                let av = _mm_loadu_pd(a.as_ptr().add(k));
-                let bv = _mm_loadu_pd(b.as_ptr().add(k));
-                _mm_storeu_pd(out.as_mut_ptr().add(k), _mm_add_pd(av, bv));
-            }
-        }
+        Add => fill_lanes(out, |k| a[k] + b[k]),
+        Sub => fill_lanes(out, |k| a[k] - b[k]),
+        Mul => fill_lanes(out, |k| a[k] * b[k]),
+        op => fill_lanes(out, |k| op.apply(a[k], b[k])),
     }
 }
 
