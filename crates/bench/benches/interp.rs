@@ -1,6 +1,6 @@
-//! Criterion bench: Spatial-interpreter throughput across all three
-//! engines — flat bytecode (`Machine::run`), the recursive resolved
-//! tree (`Machine::run_tree`), and the string-keyed reference walker.
+//! Criterion bench: Spatial-interpreter throughput across both
+//! engines — flat bytecode (`Machine::run`) and the string-keyed
+//! reference walker.
 //!
 //! Measures elements/second (nonzeros of the stationary operand) on
 //! three interpreter-bound kernels at nnz ∈ {10⁴, 10⁵, 10⁶}:
@@ -11,7 +11,7 @@
 //!   into a SparseSRAM scatter buffer via `RmwAdd`, and
 //! - **scan_union**: per-row bit-vector generation plus a `Scan2(Or)`
 //!   reduction (the Plus2 union shape) — gates the bytecode engine's
-//!   scan superinstructions against the framed tree walkers.
+//!   scan superinstructions against the reference tree walker.
 //!
 //! Every benchmark clones a pre-bound machine per sample (`iter_batched`
 //! setup, excluded from timing) so all engines execute from identical
@@ -417,7 +417,7 @@ fn scatter_workload(nnz_target: usize) -> Workload {
 /// vectors, and a `Scan2(Or)` reduction co-iterates them. The hot loop
 /// is the scan itself — this entry gates the scan-superinstruction
 /// fast path ([`Op::Scan1Simple`]/[`Op::Scan2Simple`] in the bytecode
-/// engine) against the framed tree walkers.
+/// engine) against the reference tree walker.
 fn scan_union_workload(nnz_target: usize) -> Workload {
     // Dense-ish rows over a narrow column dimension keep the scanned
     // bit vectors short (8 words) while emits stay proportional to nnz.
@@ -610,14 +610,6 @@ fn bench_engines(c: &mut Criterion, make: fn(usize) -> Workload) {
                 BatchSize::LargeInput,
             );
         });
-        group.bench_with_input(BenchmarkId::new("resolved-tree", nnz), &w, |b, w| {
-            let proto = w.machine();
-            b.iter_batched(
-                || proto.clone(),
-                |mut m| m.run_tree(&program).expect("runs"),
-                BatchSize::LargeInput,
-            );
-        });
         group.bench_with_input(BenchmarkId::new("reference", nnz), &w, |b, w| {
             let proto = w.reference();
             b.iter_batched(
@@ -741,24 +733,18 @@ fn speedup_summary(_c: &mut Criterion) {
         }
         let budget_overhead_pct = (bud_t / bc_t - 1.0) * 100.0;
         let vec_speedup = sc_t / bc_t;
-        let tree_t = time_best(&bytecode, |m| {
-            m.run_tree(&w.program).expect("resolved tree runs");
-        });
         let ref_t = time_best(&reference, |m| {
             m.run(&w.program).expect("reference runs");
         });
         println!(
             "{} nnz={nnz}: bytecode {:.1} ms (scalar {:.1} ms, vector/scalar {:.2}x), \
-             resolved-tree {:.1} ms, reference {:.1} ms, \
-             bytecode/tree {:.2}x, bytecode/reference {:.2}x, \
+             reference {:.1} ms, bytecode/reference {:.2}x, \
              budgeted bytecode {:.1} ms ({:+.1}% overhead)",
             w.name,
             bc_t * 1e3,
             sc_t * 1e3,
             vec_speedup,
-            tree_t * 1e3,
             ref_t * 1e3,
-            tree_t / bc_t,
             ref_t / bc_t,
             bud_t * 1e3,
             budget_overhead_pct,
@@ -770,14 +756,14 @@ fn speedup_summary(_c: &mut Criterion) {
         }
         write!(vector_rows, r#""{}_speedup": {vec_speedup:.4}"#, w.name).expect("write to string");
         // "state" labels the on-chip memory representation each engine
-        // runs on: the bytecode and resolved-tree engines share the
-        // flat-arena machine state, while the string-keyed reference
-        // walker keeps the pre-arena per-slot heap containers — so the
-        // bytecode/reference and tree/reference ratios track the
-        // arena-vs-pre-arena perf trajectory across PRs. The "bytecode"
-        // leg runs with the vector tier on (the default); the
-        // "bytecode_scalar" leg is the same engine with the tier forced
-        // off, so vector_vs_scalar_speedup isolates the chunked paths.
+        // runs on: the bytecode engine has the flat-arena machine
+        // state, while the string-keyed reference walker keeps the
+        // pre-arena per-slot heap containers — so the
+        // bytecode/reference ratio tracks the arena-vs-pre-arena perf
+        // trajectory across PRs. The "bytecode" leg runs with the
+        // vector tier on (the default); the "bytecode_scalar" leg is
+        // the same engine with the tier forced off, so
+        // vector_vs_scalar_speedup isolates the chunked paths.
         write!(
             rows,
             r#"
@@ -785,25 +771,19 @@ fn speedup_summary(_c: &mut Criterion) {
      "engines": {{
        "bytecode": {{"seconds": {bc_t:.6e}, "elems_per_sec": {:.6e}, "state": "arena"}},
        "bytecode_scalar": {{"seconds": {sc_t:.6e}, "elems_per_sec": {:.6e}, "state": "arena"}},
-       "resolved_tree": {{"seconds": {tree_t:.6e}, "elems_per_sec": {:.6e}, "state": "arena"}},
        "reference": {{"seconds": {ref_t:.6e}, "elems_per_sec": {:.6e}, "state": "per_slot_heap"}}
      }},
      "budgeted_bytecode": {{"seconds": {bud_t:.6e}, "overhead_pct": {budget_overhead_pct:.2}}},
      "vector_vs_scalar_speedup": {vec_speedup:.4},
-     "speedup_bytecode_vs_tree": {:.4},
      "speedup_bytecode_vs_reference": {:.4},
-     "speedup_arena_bytecode_vs_prearena_reference": {:.4},
-     "speedup_arena_tree_vs_prearena_reference": {:.4}}}"#,
+     "speedup_arena_bytecode_vs_prearena_reference": {:.4}}}"#,
             w.name,
             w.elements,
             elems / bc_t,
             elems / sc_t,
-            elems / tree_t,
             elems / ref_t,
-            tree_t / bc_t,
             ref_t / bc_t,
             ref_t / bc_t,
-            ref_t / tree_t,
         )
         .expect("write to string");
     }

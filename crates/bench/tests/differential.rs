@@ -1,24 +1,22 @@
-//! Differential testing of all three Spatial execution engines.
+//! Differential testing of the two Spatial execution engines.
 //!
 //! Every Table 3 kernel is compiled and executed on the full dataset
 //! suite (the Table 4 stand-ins plus the random matrices/tensors the
 //! harness instantiates per kernel). For each stage, the same bound DRAM
 //! image is run through the flat bytecode engine
-//! ([`stardust_spatial::Machine::run`]), the recursive resolved-tree
-//! oracle ([`stardust_spatial::Machine::run_tree`]), and the original
-//! string-keyed [`stardust_spatial::ReferenceMachine`], and the test
-//! asserts:
+//! ([`stardust_spatial::Machine::run`]) and the original string-keyed
+//! [`stardust_spatial::ReferenceMachine`] oracle, and the test asserts:
 //!
 //! - **byte-identical outputs**: every DRAM array compares equal at the
-//!   bit level after execution on all three engines, and
+//!   bit level after execution on both engines, and
 //! - **identical statistics**: the [`stardust_spatial::ExecStats`]
-//!   returned by all three engines — including per-array and per-node
-//!   maps — are equal, and match the stats the production `Kernel::run`
-//!   path recorded.
+//!   returned by both engines — including per-array and per-node maps —
+//!   are equal, and match the stats the production `Kernel::run` path
+//!   recorded.
 //!
-//! The bytecode and tree machines are bound to the *same shared*
-//! `Arc<CompiledProgram>` artifact, so the test also covers the
-//! re-bind-without-relink path the harness uses for dataset sweeps.
+//! The `write_dram`-bound and image-bound machines share one
+//! `Arc<CompiledProgram>` artifact, so the test also covers the re-bind
+//! path the harness uses for dataset sweeps.
 
 use std::collections::HashMap;
 
@@ -27,7 +25,7 @@ use stardust_core::pipeline::{KernelOutput, TensorData};
 use stardust_kernels::Kernel;
 use stardust_spatial::ReferenceMachine;
 
-/// Runs every stage of `kernel` through all three engines and asserts
+/// Runs every stage of `kernel` through both engines and asserts
 /// bit-identical DRAM images and identical statistics.
 fn assert_engines_agree(kernel: &Kernel, inputs: &HashMap<String, TensorData>) {
     let result = kernel
@@ -38,7 +36,7 @@ fn assert_engines_agree(kernel: &Kernel, inputs: &HashMap<String, TensorData>) {
         let compiled = &stage.compiled;
         let program = compiled.spatial();
         let mut fast = compiled.bind(&available).expect("bind inputs");
-        // A fourth machine bound through the copy-on-write DramImage
+        // A second machine bound through the copy-on-write DramImage
         // path: identical DRAM at bind time, identical DRAM and stats
         // after running.
         let image = compiled.build_image(&available).expect("build image");
@@ -62,8 +60,6 @@ fn assert_engines_agree(kernel: &Kernel, inputs: &HashMap<String, TensorData>) {
                 kernel.name, d.name
             );
         }
-        // The tree machine shares the same Arc'd compiled artifact.
-        let mut tree = fast.clone();
         let mut reference = ReferenceMachine::new(program);
         for d in &program.drams {
             reference
@@ -73,7 +69,6 @@ fn assert_engines_agree(kernel: &Kernel, inputs: &HashMap<String, TensorData>) {
 
         let fast_stats = fast.run(program).expect("bytecode engine runs");
         let image_stats = image_bound.run(program).expect("image-bound machine runs");
-        let tree_stats = tree.run_tree(program).expect("resolved tree runs");
         let ref_stats = reference.run(program).expect("reference engine runs");
         assert_eq!(
             fast_stats, image_stats,
@@ -100,11 +95,6 @@ fn assert_engines_agree(kernel: &Kernel, inputs: &HashMap<String, TensorData>) {
             );
         }
         assert_eq!(
-            fast_stats, tree_stats,
-            "{} stage {s}: ExecStats diverge bytecode vs resolved tree",
-            kernel.name
-        );
-        assert_eq!(
             fast_stats, ref_stats,
             "{} stage {s}: ExecStats diverge between engines",
             kernel.name
@@ -117,17 +107,9 @@ fn assert_engines_agree(kernel: &Kernel, inputs: &HashMap<String, TensorData>) {
 
         for d in &program.drams {
             let a = fast.dram(&d.name).expect("dram present");
-            let t = tree.dram(&d.name).expect("dram present");
             let b = reference.dram(&d.name).expect("dram present");
             assert_eq!(a.len(), b.len(), "{}: {} length", kernel.name, d.name);
-            for (i, ((x, y), z)) in a.iter().zip(b).zip(t).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    z.to_bits(),
-                    "{} stage {s}: DRAM {}[{i}] bytecode vs tree: {x} vs {z}",
-                    kernel.name,
-                    d.name
-                );
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
                 assert_eq!(
                     x.to_bits(),
                     y.to_bits(),

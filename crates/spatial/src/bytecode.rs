@@ -1,8 +1,8 @@
 //! Stage two of the execution pipeline: flat bytecode over resolved slots.
 //!
 //! The [`crate::resolve`] pass removes string hashing from the hot path,
-//! but the resolved form is still a statement *tree*: executing it means
-//! a recursive `exec` call per statement and a closure invocation per
+//! but the resolved form is still a statement *tree*: executing it would
+//! mean a recursive call per statement and a closure invocation per
 //! loop iteration, with `Vec<ResolvedStmt>` pointer chasing on every
 //! level. This module lowers a [`ResolvedProgram`] into a dense
 //! [`CompiledProgram`]:
@@ -13,15 +13,16 @@
 //!   counters all share one frame-based protocol), and
 //! - every expression tree becomes a postfix [`EOp`] program evaluated
 //!   with a small value stack, with `Select` lowered to conditional
-//!   jumps so the untaken side is skipped exactly as the tree walker
-//!   skips it.
+//!   jumps so the untaken side is skipped exactly as the reference
+//!   walker skips it.
 //!
 //! [`crate::Machine::run`] then executes the op vector with a program
 //! counter and a dense frame stack — no recursion, no per-iteration
-//! closure, branch-predictable dispatch. The recursive resolved-tree
-//! walker survives as [`crate::Machine::run_tree`] and the original
-//! string-keyed engine as [`crate::ReferenceMachine`]; differential
-//! tests hold all three to byte-identical DRAM images and identical
+//! closure, branch-predictable dispatch. The resolved tree is an
+//! intermediate of [`CompiledProgram::compile`]: lowering consumes it
+//! and only its layouts outlive the compile. The original string-keyed
+//! engine survives as [`crate::ReferenceMachine`]; differential tests
+//! hold the two to byte-identical DRAM images and identical
 //! [`crate::ExecStats`].
 //!
 //! Compilation is pure: a [`CompiledProgram`] depends only on the source
@@ -37,8 +38,8 @@ use std::sync::{Arc, Mutex};
 use crate::interp::Machine;
 use crate::ir::{BinSOp, MemKind, ScanOp, SpatialProgram};
 use crate::resolve::{
-    resolve, ExprId, ResolvedCounter, ResolvedExpr, ResolvedProgram, ResolvedStmt, Slot,
-    SymbolTable,
+    resolve, ArenaLayout, DramLayout, ExprId, ResolvedCounter, ResolvedExpr, ResolvedProgram,
+    ResolvedStmt, Slot, SymbolTable,
 };
 
 /// Index of an [`Op`] in a compiled program (a program-counter value).
@@ -465,14 +466,16 @@ pub enum Op {
 }
 
 /// A fully compiled Spatial program: the source, its symbol table, the
-/// resolved (tree) form kept for the oracle engine, and the flat
-/// bytecode. Immutable once built — share it behind [`Arc`] and bind as
-/// many [`Machine`]s to it as needed.
+/// static memory layouts the link pass computed, and the flat bytecode.
+/// Immutable once built — share it behind [`Arc`] and bind as many
+/// [`Machine`]s to it as needed.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     source: SpatialProgram,
     syms: SymbolTable,
-    resolved: ResolvedProgram,
+    layout: ArenaLayout,
+    dram_layout: DramLayout,
+    node_limit: usize,
     ops: Vec<Op>,
     eops: Vec<EOp>,
     fused: Vec<FusedOp>,
@@ -559,13 +562,23 @@ impl CompiledProgram {
         let Lowering {
             ops, eops, fused, ..
         } = lowering;
-        let zero_input = Arc::new(vec![0.0; resolved.dram_layout.input_words]);
+        // The resolved tree ends here: lowering has consumed it, and
+        // only its layouts travel with the compiled program.
+        let ResolvedProgram {
+            layout,
+            dram_layout,
+            node_limit,
+            ..
+        } = resolved;
+        let zero_input = Arc::new(vec![0.0; dram_layout.input_words]);
         let vec = crate::analysis::classify_vec(&ops, &eops, &fused);
         let elide = crate::analysis::compute_elide(&ops);
         let compiled = CompiledProgram {
             source: program.clone(),
             syms,
-            resolved,
+            layout,
+            dram_layout,
+            node_limit,
             ops,
             eops,
             fused,
@@ -595,8 +608,8 @@ impl CompiledProgram {
             eops: &self.eops,
             fused: &self.fused,
             syms: &self.syms,
-            layout: &self.resolved.layout,
-            dram_layout: &self.resolved.dram_layout,
+            layout: &self.layout,
+            dram_layout: &self.dram_layout,
         })
     }
 
@@ -610,9 +623,22 @@ impl CompiledProgram {
         &self.syms
     }
 
-    /// The resolved statement tree (the `run_tree` oracle input).
-    pub fn resolved(&self) -> &ResolvedProgram {
-        &self.resolved
+    /// Static offsets/extents of every on-chip memory inside a
+    /// machine's flat arenas.
+    pub fn layout(&self) -> &ArenaLayout {
+        &self.layout
+    }
+
+    /// Static placement of every DRAM array inside a machine's flat
+    /// DRAM arena (read-only input prefix, written output suffix).
+    pub fn dram_layout(&self) -> &DramLayout {
+        &self.dram_layout
+    }
+
+    /// One past the largest `Foreach`/`Reduce` node id (sizes the dense
+    /// per-node statistics vectors).
+    pub fn node_limit(&self) -> usize {
+        self.node_limit
     }
 
     /// The flat statement ops.
@@ -1351,35 +1377,24 @@ mod tests {
     use crate::reference::ReferenceMachine;
     use crate::ExecStats;
 
-    /// Runs a program on all three engines (bytecode, resolved tree,
-    /// string-keyed reference) and asserts byte-identical DRAM plus
-    /// identical stats or identical errors.
-    fn assert_three_engines_agree(
+    /// Runs a program on both engines (bytecode, string-keyed
+    /// reference) and asserts byte-identical DRAM plus identical stats
+    /// or identical errors.
+    fn assert_engines_agree(
         p: &SpatialProgram,
         writes: &[(&str, Vec<f64>)],
     ) -> Result<ExecStats, RunError> {
         let mut bytecode = Machine::new(p);
-        for (name, data) in writes {
-            bytecode.write_dram(name, data).unwrap();
-        }
-        let mut tree = bytecode.clone();
         let mut reference = ReferenceMachine::new(p);
         for (name, data) in writes {
+            bytecode.write_dram(name, data).unwrap();
             reference.write_dram(name, data).unwrap();
         }
         let bc_result = bytecode.run(p);
-        let tree_result = tree.run_tree(p);
         let ref_result = reference.run(p);
-        assert_eq!(bc_result, tree_result, "bytecode vs tree result");
         assert_eq!(bc_result, ref_result, "bytecode vs reference result");
         for d in &p.drams {
             let a: Vec<u64> = bytecode
-                .dram(&d.name)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let t: Vec<u64> = tree
                 .dram(&d.name)
                 .unwrap()
                 .iter()
@@ -1391,10 +1406,8 @@ mod tests {
                 .iter()
                 .map(|v| v.to_bits())
                 .collect();
-            assert_eq!(a, t, "DRAM {} bytecode vs tree", d.name);
             assert_eq!(a, r, "DRAM {} bytecode vs reference", d.name);
         }
-        assert_eq!(bytecode.stats(), tree.stats(), "stats bytecode vs tree");
         assert_eq!(
             bytecode.stats(),
             reference.stats(),
@@ -1599,7 +1612,7 @@ mod tests {
         };
         assert_eq!(body, 1, "Next jumps to the first body op");
         assert!(matches!(c.ops()[6], Op::Halt));
-        assert_three_engines_agree(&p, &[]).unwrap();
+        assert_engines_agree(&p, &[]).unwrap();
     }
 
     #[test]
@@ -1629,7 +1642,7 @@ mod tests {
             .eops()
             .iter()
             .any(|e| matches!(e, EOp::VarConstBin { .. })));
-        assert_three_engines_agree(&p, &[]).unwrap();
+        assert_engines_agree(&p, &[]).unwrap();
     }
 
     /// Fusion must not consume ops a `Select` jump target lands past.
@@ -1665,7 +1678,7 @@ mod tests {
             ),
         });
         p.assign_ids();
-        assert_three_engines_agree(&p, &[]).unwrap();
+        assert_engines_agree(&p, &[]).unwrap();
         let mut m = Machine::new(&p);
         m.run(&p).unwrap();
         assert_eq!(m.dram("out").unwrap()[0], 42.0);
@@ -1692,7 +1705,7 @@ mod tests {
             .filter(|e| matches!(e, EOp::Jump { .. }))
             .count();
         assert_eq!((branches, jumps), (1, 1));
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         // Only the mux itself is an ALU op; the untaken side is skipped.
         assert_eq!(stats.alu_ops, 1);
         let mut m = Machine::new(&p);
@@ -1706,7 +1719,7 @@ mod tests {
         p.add_dram("out", 1);
         p.accel.push(range_loop(0, "i", 5.0, vec![]));
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.trips(0), 5);
     }
 
@@ -1737,7 +1750,7 @@ mod tests {
             value: SExpr::Const(2.0),
         });
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.trips(0), 0);
         let mut m = Machine::new(&p);
         m.run(&p).unwrap();
@@ -1768,7 +1781,7 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
-        assert_three_engines_agree(&p, &[]).unwrap();
+        assert_engines_agree(&p, &[]).unwrap();
         let mut m = Machine::new(&p);
         m.run(&p).unwrap();
         assert_eq!(m.dram("out").unwrap()[0], 4.5);
@@ -1809,7 +1822,7 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.trips(0), 3);
         assert_eq!(stats.trips(1), 12);
         let mut m = Machine::new(&p);
@@ -1844,7 +1857,7 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         for d in 0..DEPTH {
             assert_eq!(stats.trips(d), 1, "depth {d}");
         }
@@ -1882,7 +1895,7 @@ mod tests {
             value: SExpr::Const(3.0),
         });
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.scan_emits, 0);
         assert_eq!(stats.scan_bits, 8);
     }
@@ -1911,7 +1924,7 @@ mod tests {
             }],
         ));
         p.assign_ids();
-        let err = assert_three_engines_agree(&p, &[]).unwrap_err();
+        let err = assert_engines_agree(&p, &[]).unwrap_err();
         assert_eq!(err, RunError::FifoUnderflow("f".into()));
     }
 

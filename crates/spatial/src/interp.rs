@@ -21,13 +21,12 @@
 //! folded back into the string-keyed [`ExecStats`] shape when
 //! [`Machine::run`] finishes.
 //!
-//! Two older engines survive as differential-testing oracles: the PR-1
-//! recursive resolved-tree walker as [`Machine::run_tree`] (same
-//! machine state, same compiled artifact) and the original name-keyed
-//! tree walker as [`crate::ReferenceMachine`]. Differential tests
-//! assert all three produce byte-identical DRAM contents and identical
-//! [`ExecStats`], and `cargo bench --bench interp` measures the
-//! speedups.
+//! The original name-keyed tree walker survives as
+//! [`crate::ReferenceMachine`], the differential-testing oracle: it
+//! shares no state representation, link pass, or executor with this
+//! engine, and differential tests assert both produce byte-identical
+//! DRAM contents and identical [`ExecStats`]. `cargo bench --bench
+//! interp` measures the speedup.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -39,10 +38,7 @@ use std::time::{Duration, Instant};
 use crate::bytecode::{CompiledProgram, EOp, FusedOp, GatherRef, Op, OpId, Operand, VecClass};
 use crate::faults;
 use crate::ir::{BinSOp, MemKind, ScanOp, SpatialProgram};
-use crate::resolve::{
-    bit_words_for, ExprId, ResolvedCounter, ResolvedExpr, ResolvedProgram, ResolvedStmt, Slot,
-    SymbolTable,
-};
+use crate::resolve::{bit_words_for, Slot, SymbolTable};
 use crate::vector;
 
 /// Errors raised while executing a Spatial program.
@@ -152,11 +148,11 @@ impl CancelFlag {
 ///
 /// A "step" is one loop-body execution — exactly what
 /// [`ExecStats::node_trips`] counts, summed over nodes — so the
-/// completes-or-aborts predicate is identical across all three
-/// execution engines: a run finishes iff its total trip count fits the
-/// fuel. Budgets are armed at [`Machine::run`]/[`Machine::run_tree`]
-/// entry and persist on the machine until [`Machine::reset`] (pool
-/// check-in clears them, so recycled machines never inherit limits).
+/// completes-or-aborts predicate is identical across both execution
+/// engines: a run finishes iff its total trip count fits the fuel.
+/// Budgets are armed at [`Machine::run`] entry and persist on the
+/// machine until [`Machine::reset`] (pool check-in clears them, so
+/// recycled machines never inherit limits).
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Maximum loop-body executions ("fuel"); `None` = unlimited.
@@ -630,7 +626,7 @@ pub fn mix64(h: &mut u64, v: u64) {
 impl DramImage {
     /// Starts building an image for `compiled`.
     pub fn builder(compiled: Arc<CompiledProgram>) -> DramImageBuilder {
-        let input = vec![0.0; compiled.resolved().dram_layout.input_words];
+        let input = vec![0.0; compiled.dram_layout().input_words];
         DramImageBuilder {
             compiled,
             input,
@@ -661,7 +657,7 @@ impl DramImage {
     fn matches(&self, compiled: &Arc<CompiledProgram>) -> bool {
         Arc::ptr_eq(&self.compiled, compiled)
             || (self.compiled.source() == compiled.source()
-                && self.compiled.resolved().dram_layout == compiled.resolved().dram_layout)
+                && self.compiled.dram_layout() == compiled.dram_layout())
     }
 
     /// Whether this image's *DRAM story* matches `compiled` even if
@@ -675,7 +671,7 @@ impl DramImage {
     pub(crate) fn layout_matches(&self, compiled: &Arc<CompiledProgram>) -> bool {
         self.matches(compiled)
             || (self.compiled.source().drams == compiled.source().drams
-                && self.compiled.resolved().dram_layout == compiled.resolved().dram_layout)
+                && self.compiled.dram_layout() == compiled.dram_layout())
     }
 }
 
@@ -691,7 +687,7 @@ pub struct DramImageBuilder {
 
 impl DramImageBuilder {
     fn region(&self, slot: Slot, len: usize) -> Result<DramState, RunError> {
-        let layout = &self.compiled.resolved().dram_layout;
+        let layout = self.compiled.dram_layout();
         let r = layout
             .drams
             .get(slot as usize)
@@ -1469,7 +1465,7 @@ impl Machine {
         };
         m.grow_state();
         let compiled = Arc::clone(&m.compiled);
-        let layout = &compiled.resolved().dram_layout;
+        let layout = compiled.dram_layout();
         for (slot, r) in layout.drams.iter().enumerate() {
             if r.mapped {
                 m.dram_state[slot] = DramState {
@@ -1633,9 +1629,9 @@ impl Machine {
     }
 
     /// Sets the resource budget for subsequent runs. The budget is
-    /// armed at each [`Machine::run`]/[`Machine::run_tree`] entry and
-    /// survives across runs until [`Machine::reset`] (or pool
-    /// check-in) clears it back to unlimited.
+    /// armed at each [`Machine::run`] entry and survives across runs
+    /// until [`Machine::reset`] (or pool check-in) clears it back to
+    /// unlimited.
     pub fn set_budget(&mut self, budget: RunBudget) {
         self.budget = budget;
     }
@@ -1836,11 +1832,7 @@ impl Machine {
         let drams = self.syms.dram_count();
         let chips = self.syms.chip_count();
         let vars = self.syms.var_count();
-        let nodes = self
-            .compiled
-            .resolved()
-            .node_limit
-            .max(self.dense.node_trips.len());
+        let nodes = self.compiled.node_limit().max(self.dense.node_trips.len());
         if self.dram_state.len() < drams {
             self.dram_state.resize(drams, DramState::UNMAPPED);
             self.dense.dram_reads.resize(drams, None);
@@ -1849,7 +1841,7 @@ impl Machine {
         if self.chip.len() < chips {
             self.chip.resize(chips, ChipState::UNMAPPED);
         }
-        let layout = &self.compiled.resolved().layout;
+        let layout = self.compiled.layout();
         let mut woff = self.words.len();
         let mut boff = self.bits.len();
         for (slot, region) in layout.chips.iter().enumerate() {
@@ -2104,42 +2096,11 @@ impl Machine {
         Ok(self.stats.clone())
     }
 
-    /// Executes the program on the recursive resolved-tree engine (the
-    /// PR-1 walker). Semantically identical to [`Machine::run`] — it is
-    /// kept as a differential-testing oracle and benchmark baseline for
-    /// the bytecode engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RunError`] encountered.
-    pub fn run_tree(&mut self, program: &SpatialProgram) -> Result<ExecStats, RunError> {
-        self.relink(program);
-        let prog = Arc::clone(&self.compiled);
-        self.node_stack.clear();
-        self.frames.clear();
-        self.vstack.clear();
-        self.scan_depth = 0;
-        self.arm_budget();
-        self.poisoned = true;
-        let result = (|| {
-            let resolved = prog.resolved();
-            for stmt in &resolved.body {
-                self.exec(resolved, stmt)?;
-            }
-            Ok(())
-        })();
-        self.stats = self.dense.fold(&self.syms);
-        result?;
-        self.poisoned = false;
-        Ok(self.stats.clone())
-    }
-
     fn current_node(&self) -> Option<usize> {
-        // `node_stack` wins over `frames`: the tree walker uses it
-        // exclusively, and in the bytecode engine only `RangeSimple`
-        // superinstructions push it — always after (inside) any framed
-        // loop, and nested superinstructions push in nesting order — so
-        // the last entry is the innermost active loop.
+        // `node_stack` wins over `frames`: only superinstructions push
+        // it — always after (inside) any framed loop, and nested
+        // superinstructions push in nesting order — so the last entry
+        // is the innermost active loop.
         self.node_stack
             .last()
             .copied()
@@ -2158,7 +2119,7 @@ impl Machine {
     }
 
     /// Dequeues one element, counting the dequeue before the slot check
-    /// exactly as the tree engines do.
+    /// exactly as the reference engine does.
     #[inline(always)]
     fn deq_value(&mut self, fifo: Slot) -> Result<f64, RunError> {
         self.dense.fifo_deqs += 1;
@@ -2174,53 +2135,7 @@ impl Machine {
         }
     }
 
-    fn eval(&mut self, p: &ResolvedProgram, id: ExprId) -> Result<f64, RunError> {
-        match p.expr(id) {
-            ResolvedExpr::Const(c) => Ok(c),
-            ResolvedExpr::Var(v) => self.env[v as usize]
-                .ok_or_else(|| RunError::UnboundVar(self.syms.var_name(v).to_string())),
-            ResolvedExpr::RegRead(r) => self.reg_value(r),
-            ResolvedExpr::Deq(f) => self.deq_value(f),
-            ResolvedExpr::ReadMem {
-                chip,
-                dram,
-                index,
-                random,
-            } => {
-                let ix = self.eval(p, index)?;
-                self.read_mem_value(chip, dram, ix, random)
-            }
-            ResolvedExpr::Neg(inner) => {
-                let v = self.eval(p, inner)?;
-                self.dense.alu_ops += 1;
-                Ok(-v)
-            }
-            ResolvedExpr::Binary { op, lhs, rhs } => {
-                let a = self.eval(p, lhs)?;
-                let b = self.eval(p, rhs)?;
-                self.dense.alu_ops += 1;
-                Ok(op.apply(a, b))
-            }
-            ResolvedExpr::Select {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                let c = self.eval(p, cond)?;
-                self.dense.alu_ops += 1;
-                // Both sides are evaluated in hardware (they are wires);
-                // evaluate lazily here only to avoid spurious OOB on the
-                // untaken side, which a mux masks out.
-                if c != 0.0 {
-                    self.eval(p, if_true)
-                } else {
-                    self.eval(p, if_false)
-                }
-            }
-        }
-    }
-
-    /// Shared `mem[index]` read used by both expression engines:
+    /// Shared `mem[index]` read behind every operand shape:
     /// on-chip first, then the SparseDRAM random-read fallback. `ix` is
     /// the already-evaluated (f64) index. The on-chip fast path is a
     /// bounds check plus one arena load.
@@ -2309,8 +2224,8 @@ impl Machine {
         Ok(())
     }
 
-    // --- Statement executors shared by the tree walker and the
-    // --- bytecode dispatch loop. Operands are already evaluated.
+    // --- Statement executors behind the bytecode dispatch loop.
+    // --- Operands are already evaluated.
 
     fn do_alloc(&mut self, slot: Slot, kind: MemKind, size: usize) -> Result<(), RunError> {
         if self.alloc_fuel == 0 {
@@ -2680,248 +2595,6 @@ impl Machine {
         result
     }
 
-    fn exec(&mut self, p: &ResolvedProgram, stmt: &ResolvedStmt) -> Result<(), RunError> {
-        match stmt {
-            ResolvedStmt::Alloc { slot, kind, size } => self.do_alloc(*slot, *kind, *size),
-            ResolvedStmt::Bind { var, value } => {
-                let v = self.eval(p, *value)?;
-                self.env[*var as usize] = Some(v);
-                Ok(())
-            }
-            ResolvedStmt::Load {
-                dst,
-                src,
-                start,
-                end,
-            } => {
-                let s = self.eval(p, *start)?;
-                let e = self.eval(p, *end)?;
-                self.do_load(*dst, *src, s, e)
-            }
-            ResolvedStmt::Store {
-                dst,
-                offset,
-                src,
-                len,
-            } => {
-                let off = self.eval(p, *offset)?;
-                let off = index_of(off, || "store offset".to_string())?;
-                let n = self.eval(p, *len)?;
-                let n = index_of(n, || "store len".to_string())?;
-                self.do_store(*dst, off, *src, n)
-            }
-            ResolvedStmt::StreamStore {
-                dst,
-                offset,
-                fifo,
-                len,
-            } => {
-                let off = self.eval(p, *offset)?;
-                let off = index_of(off, || "stream store offset".to_string())?;
-                let n = self.eval(p, *len)?;
-                let n = index_of(n, || "stream store len".to_string())?;
-                self.do_stream_store(*dst, off, *fifo, n)
-            }
-            ResolvedStmt::StoreScalar { dst, index, value } => {
-                let ix = self.eval(p, *index)?;
-                let ix = index_of(ix, || "scalar store index".to_string())?;
-                let v = self.eval(p, *value)?;
-                self.do_store_scalar(*dst, ix, v)
-            }
-            ResolvedStmt::WriteMem {
-                mem,
-                index,
-                value,
-                random,
-            } => {
-                let ix = self.eval(p, *index)?;
-                let ix = index_of(ix, || self.syms.chip_name(*mem).to_string())?;
-                let v = self.eval(p, *value)?;
-                self.write_on_chip(*mem, ix, v, *random, false)
-            }
-            ResolvedStmt::RmwAdd { mem, index, value } => {
-                let ix = self.eval(p, *index)?;
-                let ix = index_of(ix, || self.syms.chip_name(*mem).to_string())?;
-                let v = self.eval(p, *value)?;
-                self.write_on_chip(*mem, ix, v, true, true)
-            }
-            ResolvedStmt::SetReg { reg, value } => {
-                let v = self.eval(p, *value)?;
-                self.do_set_reg(*reg, v)
-            }
-            ResolvedStmt::Enq { fifo, value } => {
-                let v = self.eval(p, *value)?;
-                self.do_enq(*fifo, v)
-            }
-            ResolvedStmt::GenBitVector {
-                dst,
-                src,
-                src_start,
-                count,
-                dim,
-            } => {
-                let n = self.eval(p, *count)?;
-                let n = index_of(n, || "genbv count".to_string())?;
-                let d = self.eval(p, *dim)?;
-                let d = index_of(d, || "genbv dim".to_string())?;
-                let s = self.eval(p, *src_start)?;
-                let s = index_of(s, || "genbv start".to_string())?;
-                self.do_gen_bit_vector(*dst, *src, s, n, d)
-            }
-            ResolvedStmt::Foreach { id, counter, body } => {
-                self.node_stack.push(*id);
-                let result = self.run_counter(p, counter, |m| {
-                    m.charge_step()?;
-                    m.dense.node_trips[*id] += 1;
-                    for s in body {
-                        m.exec(p, s)?;
-                    }
-                    Ok(())
-                });
-                self.node_stack.pop();
-                result
-            }
-            ResolvedStmt::Reduce {
-                id,
-                reg,
-                counter,
-                body,
-                expr,
-            } => {
-                self.node_stack.push(*id);
-                let mut acc = match self.reg_value(*reg) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.node_stack.pop();
-                        return Err(e);
-                    }
-                };
-                let result = self.run_counter(p, counter, |m| {
-                    m.charge_step()?;
-                    m.dense.node_trips[*id] += 1;
-                    for s in body {
-                        m.exec(p, s)?;
-                    }
-                    let v = m.eval(p, *expr)?;
-                    m.dense.reduce_elems += 1;
-                    m.dense.alu_ops += 1; // the tree-add
-                    acc += v;
-                    Ok(())
-                });
-                self.node_stack.pop();
-                result?;
-                self.write_reduce_acc(Some(*reg), acc);
-                Ok(())
-            }
-        }
-    }
-
-    fn run_counter(
-        &mut self,
-        p: &ResolvedProgram,
-        counter: &ResolvedCounter,
-        mut body: impl FnMut(&mut Machine) -> Result<(), RunError>,
-    ) -> Result<(), RunError> {
-        match counter {
-            ResolvedCounter::Range {
-                var,
-                min,
-                max,
-                step,
-            } => {
-                let lo = self.eval(p, *min)?;
-                let hi = self.eval(p, *max)?;
-                let step = *step;
-                debug_assert!(step > 0, "non-positive loop step");
-                let var = *var as usize;
-                let saved = self.env[var];
-                let mut v = lo;
-                while v < hi {
-                    self.env[var] = Some(v);
-                    body(self)?;
-                    v += step as f64;
-                }
-                self.env[var] = saved;
-                Ok(())
-            }
-            ResolvedCounter::Scan1 {
-                bv,
-                pos_var,
-                idx_var,
-            } => {
-                let depth = self.scan_depth;
-                let dim = self.scan_snapshot1(*bv)?;
-                self.scan_depth = depth + 1;
-                let (pos_var, idx_var) = (*pos_var as usize, *idx_var as usize);
-                let saved_pos = self.env[pos_var];
-                let saved_idx = self.env[idx_var];
-                let mut pos = 0u64;
-                for idx in 0..dim {
-                    if self.scan_pool[depth].a_set(idx) {
-                        self.env[pos_var] = Some(pos as f64);
-                        self.env[idx_var] = Some(idx as f64);
-                        self.dense.scan_emits += 1;
-                        body(self)?;
-                        pos += 1;
-                    }
-                }
-                self.scan_depth = depth;
-                self.env[pos_var] = saved_pos;
-                self.env[idx_var] = saved_idx;
-                Ok(())
-            }
-            ResolvedCounter::Scan2 {
-                op,
-                bv_a,
-                bv_b,
-                a_pos_var,
-                b_pos_var,
-                out_pos_var,
-                idx_var,
-            } => {
-                let depth = self.scan_depth;
-                let dim = self.scan_snapshot2(*bv_a, *bv_b)?;
-                self.scan_depth = depth + 1;
-                let vars = [
-                    *a_pos_var as usize,
-                    *b_pos_var as usize,
-                    *out_pos_var as usize,
-                    *idx_var as usize,
-                ];
-                let saved = vars.map(|v| self.env[v]);
-                let (mut ap, mut bp, mut op_count) = (0u64, 0u64, 0u64);
-                for idx in 0..dim {
-                    let has_a = self.scan_pool[depth].a_set(idx);
-                    let has_b = self.scan_pool[depth].b_set(idx);
-                    let combined = match op {
-                        ScanOp::And => has_a && has_b,
-                        ScanOp::Or => has_a || has_b,
-                    };
-                    if combined {
-                        self.env[vars[0]] = Some(if has_a { ap as f64 } else { -1.0 });
-                        self.env[vars[1]] = Some(if has_b { bp as f64 } else { -1.0 });
-                        self.env[vars[2]] = Some(op_count as f64);
-                        self.env[vars[3]] = Some(idx as f64);
-                        self.dense.scan_emits += 1;
-                        body(self)?;
-                        op_count += 1;
-                    }
-                    if has_a {
-                        ap += 1;
-                    }
-                    if has_b {
-                        bp += 1;
-                    }
-                }
-                self.scan_depth = depth;
-                for (v, old) in vars.iter().zip(saved) {
-                    self.env[*v] = old;
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Snapshots one bit vector into the scan pool slot at the current
     /// depth (a slice memcpy of the packed words), returning the scan
     /// dimension. Counts the entry's `scan_bits`.
@@ -2949,7 +2622,8 @@ impl Machine {
         if self.scan_pool.len() <= depth {
             self.scan_pool.resize_with(depth + 1, ScanBuf::default);
         }
-        // Error order matches the tree engines: `a` is examined first.
+        // Error order matches the reference engine: `a` is examined
+        // first.
         let sa = self.chip[bv_a as usize];
         if sa.tag != ChipTag::Bits {
             return Err(self.unknown_chip(bv_a));
@@ -3456,8 +3130,8 @@ impl Machine {
         // the observable statistics are identical to per-emit bumping.
         // Fuel stays field-based: the body can nest superinstructions
         // that consume fuel themselves. `emits` counts emit positions
-        // *reached* (bumped before the step charge, like the tree and
-        // reference walkers); `trips` counts charged steps.
+        // *reached* (bumped before the step charge, like the reference
+        // walker); `trips` counts charged steps.
         let mut emits = 0u64;
         let mut trips = 0u64;
         let mut folds = 0u64;
@@ -3556,8 +3230,8 @@ impl Machine {
         let saved = vars.map(|v| self.env[v]);
         let end = (body + body_len) as usize;
         // `emits` counts emit positions *reached* (bumped before the
-        // step charge, like the tree and reference walkers); `trips`
-        // counts charged steps.
+        // step charge, like the reference walker); `trips` counts
+        // charged steps.
         let mut emits = 0u64;
         let mut trips = 0u64;
         let mut folds = 0u64;
@@ -4979,7 +4653,7 @@ impl Machine {
                     tos = self.vstack.pop().expect("stack below condition");
                     *alu += 1;
                     // Both sides are wires in hardware; evaluating only
-                    // the taken side mirrors the tree walker's mux and
+                    // the taken side mirrors the reference walker's mux and
                     // avoids spurious OOB on the masked side.
                     pc = if c != 0.0 { pc + 1 } else { target as usize };
                 }
@@ -4993,7 +4667,7 @@ impl Machine {
     }
 
     /// Reads the accumulator register at loop entry when the loop is a
-    /// `Reduce` (the error ordering the tree walker has: a missing
+    /// `Reduce` (the error ordering the reference walker has: a missing
     /// register is reported before the counter bounds are evaluated).
     fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
         match reduce {
@@ -5003,7 +4677,7 @@ impl Machine {
     }
 
     /// Writes the accumulator back at loop exit. Silently skips a slot
-    /// that is no longer a register, as the tree walker does.
+    /// that is no longer a register, as the reference walker does.
     fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
         if let Some(reg) = reduce {
             let st = self.chip[reg as usize];
@@ -5076,8 +4750,8 @@ impl Machine {
         if idx < dim {
             // `scan_emits` counts the emit position being *reached* —
             // even when the step charge then aborts — while
-            // `node_trips` counts charged steps, matching the tree and
-            // reference walkers exactly.
+            // `node_trips` counts charged steps, matching the reference
+            // walker exactly.
             self.dense.scan_emits += 1;
             self.charge_step()?;
             self.scan_depth = depth + 1;
@@ -5246,7 +4920,7 @@ impl Machine {
             } => {
                 let buf = &scan_pool[*depth];
                 // The emitting index advances its positions after the
-                // body, exactly as the tree walkers do.
+                // body, exactly as the reference walker does.
                 if buf.a_set(*idx) {
                     *ap += 1;
                 }
@@ -5325,10 +4999,9 @@ mod tests {
     use crate::ir::{Counter, MemDecl, SExpr, SpatialStmt};
     use crate::reference::ReferenceMachine;
 
-    /// Runs `program` on all three engines (bytecode, resolved tree,
-    /// string-keyed reference) with the given DRAM inputs and asserts
-    /// byte-identical DRAM contents plus identical statistics (or
-    /// identical errors).
+    /// Runs `program` on both engines (bytecode, string-keyed
+    /// reference) with the given DRAM inputs and asserts byte-identical
+    /// DRAM contents plus identical statistics (or identical errors).
     fn assert_engines_agree(program: &SpatialProgram, writes: &[(&str, Vec<f64>)]) -> ExecStats {
         let mut fast = Machine::new(program);
         let mut reference = ReferenceMachine::new(program);
@@ -5336,23 +5009,16 @@ mod tests {
             fast.write_dram(name, data).unwrap();
             reference.write_dram(name, data).unwrap();
         }
-        let mut tree = fast.clone();
         let fast_result = fast.run(program);
-        let tree_result = tree.run_tree(program);
         let ref_result = reference.run(program);
-        assert_eq!(fast_result, tree_result, "bytecode vs tree results diverge");
         assert_eq!(fast_result, ref_result, "run results diverge");
         for d in &program.drams {
             let a = fast.dram(&d.name).unwrap();
-            let t = tree.dram(&d.name).unwrap();
             let b = reference.dram(&d.name).unwrap();
             let a_bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-            let t_bits: Vec<u64> = t.iter().map(|v| v.to_bits()).collect();
             let b_bits: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a_bits, t_bits, "DRAM {} bytecode vs tree diverges", d.name);
             assert_eq!(a_bits, b_bits, "DRAM {} diverges", d.name);
         }
-        assert_eq!(fast.stats(), tree.stats(), "bytecode vs tree stats diverge");
         assert_eq!(fast.stats(), reference.stats(), "stats diverge");
         fast_result.unwrap_or_else(|_| fast.stats().clone())
     }

@@ -22,10 +22,10 @@
 //! bytecode with a non-recursive dispatch loop and never hashes a
 //! string on its hot path; compiled artifacts are shared behind `Arc`
 //! (and cached by [`ProgramCache`]) so harness sweeps re-bind machines
-//! without re-linking. The PR-1 recursive resolved-tree walker
-//! ([`Machine::run_tree`]) and the original name-keyed walker
-//! ([`ReferenceMachine`]) are preserved as differential-testing oracles
-//! and benchmark baselines.
+//! without re-linking. The original name-keyed walker
+//! ([`ReferenceMachine`]) is preserved as the differential-testing
+//! oracle and benchmark baseline: it shares no code with the link pass,
+//! the lowering, or the machine state it checks.
 //!
 //! The [`analysis`] module is the static layer over the lowered form:
 //! a structural verifier gating every compile, effect summaries the

@@ -133,11 +133,6 @@ fn runaway_kernel_exhausts_fuel_on_all_three_engines() {
         "an aborted run must poison the machine"
     );
 
-    let mut tree = machine(&p);
-    tree.set_budget(budget.clone());
-    assert_eq!(tree.run_tree(&p), want, "resolved-tree engine");
-    assert!(tree.poisoned());
-
     let mut walker = reference(&p);
     walker.set_budget(budget);
     assert_eq!(walker.run(&p), want, "reference engine");
@@ -211,7 +206,6 @@ fn injected_error_is_one_shot_and_engines_agree() {
     // Each engine gets its own plan installation (the fault is one-shot
     // per plan), and all must fail identically.
     let fast = faults::with_plan(plan.clone(), || machine(&p).run(&p));
-    let tree = faults::with_plan(plan.clone(), || machine(&p).run_tree(&p));
     let slow = faults::with_plan(plan.clone(), || reference(&p).run(&p));
     match &fast {
         Err(RunError::InjectedFault { site }) => {
@@ -219,7 +213,6 @@ fn injected_error_is_one_shot_and_engines_agree() {
         }
         other => panic!("expected injected fault, got {other:?}"),
     }
-    assert_eq!(fast, tree, "bytecode vs tree injected-error divergence");
     assert_eq!(
         fast, slow,
         "bytecode vs reference injected-error divergence"

@@ -1,9 +1,8 @@
 //! Machine-pool reuse correctness: a machine checked out of a
 //! [`MachinePool`] after an **arbitrary prior run** must be
 //! byte-identical — DRAM contents and `ExecStats` alike — to a fresh
-//! [`Machine::from_compiled`], on both machine engines (flat bytecode
-//! and the recursive resolved tree), and must agree with the
-//! string-keyed [`ReferenceMachine`] oracle. This is the invariant that
+//! [`Machine::from_compiled`], and must agree with the string-keyed
+//! [`ReferenceMachine`] oracle. This is the invariant that
 //! lets the sweep executor serve every measurement from recycled
 //! machines and still gate bitwise identity against the fresh-machine
 //! baseline.
@@ -91,30 +90,19 @@ fn dram_bits(m: &Machine, name: &str) -> Vec<u64> {
     m.dram(name).unwrap().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs `m` with the engine selected by `engine` (0 = bytecode, 1 =
-/// resolved tree).
-fn run_engine(m: &mut Machine, p: &SpatialProgram, engine: usize) -> stardust_spatial::ExecStats {
-    match engine {
-        0 => m.run(p).expect("bytecode engine runs"),
-        _ => m.run_tree(p).expect("resolved tree runs"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The pool-reuse property: dirty a pooled machine with an
-    /// arbitrary prior run (arbitrary dataset, either machine engine),
-    /// check it out again for a different dataset, and require the
-    /// rerun to be byte-identical — every DRAM array and the full
-    /// `ExecStats` — to a fresh machine, on both machine engines, and
-    /// in agreement with the string-keyed reference oracle.
+    /// arbitrary prior run (arbitrary dataset), check it out again for
+    /// a different dataset, and require the rerun to be byte-identical
+    /// — every DRAM array and the full `ExecStats` — to a fresh
+    /// machine, and in agreement with the string-keyed reference
+    /// oracle.
     #[test]
     fn pooled_checkout_matches_fresh_machine(
         seed in 0u64..50_000,
         prior_seed in 0u64..50_000,
-        prior_engine in 0usize..2,
-        engine in 0usize..2,
     ) {
         let p = writing_program(seed);
         let compiled = Arc::new(CompiledProgram::compile(&p));
@@ -129,7 +117,7 @@ proptest! {
             let mut dirty = pool
                 .checkout_bound(&compiled, &prior_image)
                 .expect("prior checkout");
-            run_engine(&mut dirty, &p, prior_engine);
+            dirty.run(&p).expect("prior run");
         }
         prop_assert_eq!(pool.stats().created, 1);
 
@@ -137,11 +125,11 @@ proptest! {
             .checkout_bound(&compiled, &target_image)
             .expect("target checkout");
         prop_assert_eq!(pool.stats().reused, 1, "checkout did not reuse");
-        let pooled_stats = run_engine(&mut pooled, &p, engine);
+        let pooled_stats = pooled.run(&p).expect("pooled run");
 
         let mut fresh = Machine::from_compiled(Arc::clone(&compiled));
         fresh.bind_image(&target_image).expect("fresh bind");
-        let fresh_stats = run_engine(&mut fresh, &p, engine);
+        let fresh_stats = fresh.run(&p).expect("fresh run");
 
         prop_assert_eq!(&pooled_stats, &fresh_stats, "stats diverge on reuse");
         for d in &p.drams {
@@ -153,7 +141,7 @@ proptest! {
             );
         }
 
-        // Third engine: the string-keyed reference walker agrees too.
+        // The oracle: the string-keyed reference walker agrees too.
         let mut reference = stardust_spatial::ReferenceMachine::new(&p);
         for (name, data) in &target_writes {
             reference.write_dram(name, data).expect("mirror dram");
@@ -192,7 +180,6 @@ proptest! {
     fn interrupted_runs_are_quarantined_and_reruns_match_fresh(
         seed in 0u64..50_000,
         fuel in 1u64..24,
-        engine in 0usize..2,
     ) {
         let p = writing_program(seed);
         let compiled = Arc::new(CompiledProgram::compile(&p));
@@ -200,7 +187,7 @@ proptest! {
 
         let mut fresh = Machine::from_compiled(Arc::clone(&compiled));
         fresh.bind_image(&image).expect("fresh bind");
-        let fresh_stats = run_engine(&mut fresh, &p, engine);
+        let fresh_stats = fresh.run(&p).expect("fresh run");
 
         let pool = MachinePool::with_shards(1);
         let interrupted = {
@@ -216,10 +203,7 @@ proptest! {
             let env_plan = FaultPlan::from_env().expect("STARDUST_FAULTS is malformed");
             let run = {
                 let _guard = env_plan.map(FaultPlan::install);
-                match engine {
-                    0 => m.run(&p),
-                    _ => m.run_tree(&p),
-                }
+                m.run(&p)
             };
             match run {
                 Ok(stats) => {
@@ -251,7 +235,7 @@ proptest! {
         let mut next = pool
             .checkout_bound(&compiled, &image)
             .expect("re-checkout");
-        let next_stats = run_engine(&mut next, &p, engine);
+        let next_stats = next.run(&p).expect("post-interrupt run");
         prop_assert_eq!(&next_stats, &fresh_stats, "post-interrupt stats diverge");
         for d in &p.drams {
             prop_assert_eq!(

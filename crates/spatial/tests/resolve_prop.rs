@@ -1,8 +1,8 @@
 //! Property tests for the resolution and bytecode passes: random
 //! well-formed Spatial programs must resolve without panicking, survive
 //! the printer unchanged, resolve idempotently, and execute identically
-//! on all three engines (flat bytecode, resolved tree, string-keyed
-//! reference). Raise `PROPTEST_CASES` for deeper sweeps (CI does).
+//! on both engines (flat bytecode, string-keyed reference). Raise
+//! `PROPTEST_CASES` for deeper sweeps (CI does).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -406,12 +406,12 @@ fn with_env_faults<R>(f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Runs `p` on all three engines and asserts bitwise-identical DRAM
+/// Runs `p` on both engines and asserts bitwise-identical DRAM
 /// images and identical statistics (or identical errors). Under an
 /// injected `STARDUST_FAULTS` plan the runs abort early — the engines
 /// must then agree on the error *and* on every byte of the partial
 /// DRAM state, since budget/fault charges land on the same loop
-/// back-edges in all three.
+/// back-edges in both.
 fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)]) {
     let mut fast = Machine::new(p);
     let mut reference = ReferenceMachine::new(p);
@@ -419,20 +419,11 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)]) {
         fast.write_dram(name, data).unwrap();
         reference.write_dram(name, data).unwrap();
     }
-    let mut tree = fast.clone();
     let fast_result = with_env_faults(|| fast.run(p));
-    let tree_result = with_env_faults(|| tree.run_tree(p));
     let ref_result = with_env_faults(|| reference.run(p));
-    assert_eq!(fast_result, tree_result, "bytecode vs tree results diverge");
     assert_eq!(fast_result, ref_result, "run results diverge");
     for d in &p.drams {
         let a: Vec<u64> = fast
-            .dram(&d.name)
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let t: Vec<u64> = tree
             .dram(&d.name)
             .unwrap()
             .iter()
@@ -444,10 +435,8 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)]) {
             .iter()
             .map(|v| v.to_bits())
             .collect();
-        assert_eq!(a, t, "DRAM {} bytecode vs tree diverges", d.name);
         assert_eq!(a, b, "DRAM {} diverges", d.name);
     }
-    assert_eq!(fast.stats(), tree.stats(), "bytecode vs tree stats diverge");
     assert_eq!(fast.stats(), reference.stats(), "stats diverge");
 }
 

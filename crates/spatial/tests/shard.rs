@@ -17,8 +17,8 @@ use stardust_spatial::faults;
 use stardust_spatial::ir::MemDecl;
 use stardust_spatial::{
     CompiledProgram, Counter, DramImage, ExecStats, FaultPlan, Machine, MachinePool, MemKind,
-    NotShardable, RunBudget, RunError, SExpr, ScanOp, ShardError, ShardPlan, SpatialProgram,
-    SpatialStmt,
+    NotShardable, ReferenceMachine, RunBudget, RunError, SExpr, ScanOp, ShardError, ShardPlan,
+    SpatialProgram, SpatialStmt,
 };
 
 const SIZE: usize = 16;
@@ -207,19 +207,33 @@ fn build_image(compiled: &Arc<CompiledProgram>, seed: u64) -> DramImage {
 }
 
 /// Serial expectation: a fresh machine bound to the image, run once.
-fn run_serial(
-    compiled: &Arc<CompiledProgram>,
-    image: &DramImage,
-    tree: bool,
-) -> (ExecStats, Vec<Vec<u64>>) {
+fn run_serial(compiled: &Arc<CompiledProgram>, image: &DramImage) -> (ExecStats, Vec<Vec<u64>>) {
     let mut m = Machine::from_compiled(Arc::clone(compiled));
     m.bind_image(image).expect("serial bind");
-    let stats = if tree {
-        m.run_tree(compiled.source()).expect("serial tree run")
-    } else {
-        m.run(compiled.source()).expect("serial run")
-    };
+    let stats = m.run(compiled.source()).expect("serial run");
     (stats, output_bits(&m, compiled))
+}
+
+/// The oracle's serial expectation: the string-keyed reference engine
+/// over the same bound DRAM.
+fn run_reference(compiled: &Arc<CompiledProgram>, image: &DramImage) -> (ExecStats, Vec<Vec<u64>>) {
+    let mut bound = Machine::from_compiled(Arc::clone(compiled));
+    bound.bind_image(image).expect("serial bind");
+    let p = compiled.source();
+    let mut r = ReferenceMachine::new(p);
+    for d in &p.drams {
+        r.write_dram(&d.name, bound.dram(&d.name).expect("bound dram"))
+            .expect("mirror dram");
+    }
+    let stats = r.run(p).expect("reference run");
+    let out = ["out0", "out1"]
+        .iter()
+        .map(|name| {
+            let words = r.dram(name).expect("output dram");
+            words.iter().map(|v| v.to_bits()).collect()
+        })
+        .collect();
+    (stats, out)
 }
 
 /// Output DRAM contents as bit patterns (exactness, not ε-closeness).
@@ -240,16 +254,16 @@ fn output_bits(m: &Machine, compiled: &Arc<CompiledProgram>) -> Vec<Vec<u64>> {
 proptest! {
     /// Sharded runs reproduce the serial bytecode run bitwise — DRAM
     /// outputs and statistics — at shard counts 1..=8, and the serial
-    /// bytecode run itself agrees with the resolved-tree engine.
+    /// bytecode run itself agrees with the reference engine.
     #[test]
     fn sharded_run_is_bitwise_identical_to_serial(seed in 0u64..400, shards in 1usize..=8) {
         let p = random_shardable_program(seed);
         let compiled = Arc::new(CompiledProgram::compile(&p));
         let image = build_image(&compiled, seed);
-        let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
-        let (tree_stats, tree_out) = run_serial(&compiled, &image, true);
-        prop_assert_eq!(&serial_stats, &tree_stats, "bytecode vs tree stats diverge");
-        prop_assert_eq!(&serial_out, &tree_out, "bytecode vs tree outputs diverge");
+        let (serial_stats, serial_out) = run_serial(&compiled, &image);
+        let (ref_stats, ref_out) = run_reference(&compiled, &image);
+        prop_assert_eq!(&serial_stats, &ref_stats, "bytecode vs reference stats diverge");
+        prop_assert_eq!(&serial_out, &ref_out, "bytecode vs reference outputs diverge");
 
         let plan = ShardPlan::analyze(&compiled).expect("generator emits shardable programs");
         let sharded = plan.compile(shards);
@@ -273,7 +287,7 @@ proptest! {
         let p = random_shardable_program(seed);
         let compiled = Arc::new(CompiledProgram::compile(&p));
         let image = build_image(&compiled, seed);
-        let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+        let (serial_stats, serial_out) = run_serial(&compiled, &image);
 
         let plan = ShardPlan::analyze(&compiled).expect("shardable");
         let sharded = plan.compile(6);
@@ -295,7 +309,7 @@ proptest! {
         let p = random_shardable_program(seed);
         let compiled = Arc::new(CompiledProgram::compile(&p));
         let image = build_image(&compiled, seed);
-        let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+        let (serial_stats, serial_out) = run_serial(&compiled, &image);
 
         let plan = ShardPlan::analyze(&compiled).expect("shardable");
         let sharded = plan.compile(4);
@@ -335,7 +349,7 @@ fn injected_panic_mid_shard_recovers_bitwise() {
     let p = random_shardable_program(7);
     let compiled = Arc::new(CompiledProgram::compile(&p));
     let image = build_image(&compiled, 7);
-    let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+    let (serial_stats, serial_out) = run_serial(&compiled, &image);
 
     let sharded = ShardPlan::analyze(&compiled).expect("shardable").compile(4);
     let pool = MachinePool::new();
@@ -688,7 +702,7 @@ fn scan2_union_body_shards_bitwise() {
 
     let compiled = Arc::new(CompiledProgram::compile(&p));
     let image = DramImage::builder(Arc::clone(&compiled)).finish();
-    let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+    let (serial_stats, serial_out) = run_serial(&compiled, &image);
     let sharded = ShardPlan::analyze(&compiled)
         .expect("scan2 body with local state is shardable")
         .compile(3);
@@ -745,7 +759,7 @@ fn auto_sized_partition_is_bitwise_identical() {
     let p = random_shardable_program(4242);
     let compiled = Arc::new(CompiledProgram::compile(&p));
     let image = DramImage::builder(Arc::clone(&compiled)).finish();
-    let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+    let (serial_stats, serial_out) = run_serial(&compiled, &image);
     let plan = ShardPlan::analyze(&compiled).expect("generated programs are shardable");
     let occ = stardust_spatial::PoolOccupancy {
         idle: 3,

@@ -3,8 +3,8 @@
 //! The vector tier must be *observably invisible*: for every program it
 //! chunks, the bytecode engine with vectorization on must produce
 //! bitwise-identical DRAM, identical `ExecStats`, and identical errors
-//! to the scalar bytecode engine, the resolved-tree walker, and the
-//! string-keyed reference engine. These tests sweep the remainder
+//! to the scalar bytecode engine and the string-keyed reference
+//! engine. These tests sweep the remainder
 //! lengths around the chunk width (0, 1, LANES-1, LANES, LANES+1,
 //! 2*LANES-1, ...), misaligned loop starts, faulting lanes in the
 //! middle of a chunk, and — the fuel-drift regression — step budgets
@@ -22,11 +22,10 @@ use stardust_spatial::{
     SpatialStmt,
 };
 
-/// Runs `p` on four engines — bytecode with the vector tier forced on,
-/// bytecode with it forced off, the resolved-tree walker, and the
-/// reference engine — and asserts identical results (or errors),
-/// bitwise-identical DRAM, and identical statistics. An optional step
-/// budget applies to all four.
+/// Runs `p` three ways — bytecode with the vector tier forced on,
+/// bytecode with it forced off, and the reference engine — and asserts
+/// identical results (or errors), bitwise-identical DRAM, and identical
+/// statistics. An optional step budget applies to all three.
 fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: Option<u64>) {
     let mut vec_m = Machine::new(p);
     for (name, data) in writes {
@@ -36,7 +35,6 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: O
         vec_m.set_budget(RunBudget::unlimited().with_max_steps(f));
     }
     let mut scalar_m = vec_m.clone();
-    let mut tree_m = vec_m.clone();
     let mut reference = ReferenceMachine::new(p);
     for (name, data) in writes {
         reference.write_dram(name, data).unwrap();
@@ -48,10 +46,8 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: O
     scalar_m.set_vector_mode(false);
     let rv = vec_m.run(p);
     let rs = scalar_m.run(p);
-    let rt = tree_m.run_tree(p);
     let rr = reference.run(p);
     assert_eq!(rv, rs, "vector vs scalar bytecode results diverge");
-    assert_eq!(rv, rt, "vector bytecode vs tree results diverge");
     assert_eq!(rv, rr, "vector bytecode vs reference results diverge");
     for d in &p.drams {
         let bits =
@@ -65,12 +61,6 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: O
         );
         assert_eq!(
             v,
-            bits(tree_m.dram(&d.name)),
-            "DRAM {} vector vs tree diverges",
-            d.name
-        );
-        assert_eq!(
-            v,
             bits(reference.dram(&d.name)),
             "DRAM {} vector vs reference diverges",
             d.name
@@ -80,11 +70,6 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: O
         vec_m.stats(),
         scalar_m.stats(),
         "vector vs scalar stats diverge"
-    );
-    assert_eq!(
-        vec_m.stats(),
-        tree_m.stats(),
-        "vector vs tree stats diverge"
     );
     assert_eq!(
         vec_m.stats(),

@@ -186,8 +186,8 @@ fn verify_mutant(c: &CompiledProgram, ops: &[Op], eops: &[EOp]) -> Result<(), Ve
         eops,
         fused: c.fused(),
         syms: c.syms(),
-        layout: &c.resolved().layout,
-        dram_layout: &c.resolved().dram_layout,
+        layout: c.layout(),
+        dram_layout: c.dram_layout(),
     })
 }
 
