@@ -537,13 +537,7 @@ pub enum VecClass {
 impl CompiledProgram {
     /// Links and lowers a program against a fresh symbol table.
     pub fn compile(program: &SpatialProgram) -> Self {
-        Self::compile_with(program, SymbolTable::default())
-    }
-
-    /// Links and lowers a program against (and extending) an existing
-    /// symbol table, so slots from a previous compilation stay valid —
-    /// the relink path when a [`Machine`] is handed a new program.
-    pub fn compile_with(program: &SpatialProgram, mut syms: SymbolTable) -> Self {
+        let mut syms = SymbolTable::default();
         let resolved = resolve(program, &mut syms);
         let mut lowering = Lowering {
             resolved: &resolved,
@@ -1931,37 +1925,31 @@ mod tests {
     #[test]
     fn machine_recovers_after_an_errored_run() {
         // An error mid-loop abandons the frame stack; the next run on the
-        // same machine must start clean.
-        let mut fail = SpatialProgram::new("t");
-        fail.add_dram("out", 4);
-        fail.accel.push(range_loop(
+        // same machine must start clean. The store offset is data, so
+        // one program first runs off the end of `out` and then fits.
+        let mut p = SpatialProgram::new("t");
+        p.add_sparse_dram("off", 1);
+        p.add_dram("out", 4);
+        p.accel.push(range_loop(
             0,
             "i",
             4.0,
             vec![SpatialStmt::StoreScalar {
                 dst: "out".into(),
-                index: SExpr::add(SExpr::var("i"), SExpr::Const(2.0)),
-                value: SExpr::Const(1.0),
+                index: SExpr::add(
+                    SExpr::read_random("off", SExpr::Const(0.0)),
+                    SExpr::var("i"),
+                ),
+                value: SExpr::add(SExpr::var("i"), SExpr::Const(1.0)),
             }],
         ));
-        fail.assign_ids();
-        let mut m = Machine::new(&fail);
-        assert!(m.run(&fail).is_err());
-        let mut ok = SpatialProgram::new("t");
-        ok.add_dram("out", 4);
-        ok.accel.push(range_loop(
-            0,
-            "i",
-            2.0,
-            vec![SpatialStmt::StoreScalar {
-                dst: "out".into(),
-                index: SExpr::var("i"),
-                value: SExpr::Const(9.0),
-            }],
-        ));
-        ok.assign_ids();
-        m.run(&ok).unwrap();
-        assert_eq!(&m.dram("out").unwrap()[..2], &[9.0, 9.0]);
+        p.assign_ids();
+        let mut m = Machine::new(&p);
+        m.write_dram("off", &[2.0]).unwrap();
+        assert!(matches!(m.run(&p), Err(RunError::OutOfBounds { .. })));
+        m.write_dram("off", &[0.0]).unwrap();
+        m.run(&p).unwrap();
+        assert_eq!(m.dram("out").unwrap(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -69,6 +69,9 @@ pub enum RunError {
     /// A [`DramImage`] built for one compiled program was bound to a
     /// machine running an incompatible one.
     ImageMismatch,
+    /// [`Machine::run`] was handed a program other than the one the
+    /// machine was compiled for. Nothing ran; the machine is untouched.
+    ForeignProgram,
     /// A [`RunBudget`] resource was exhausted mid-run. The machine's
     /// state is abandoned partway through the program — callers must
     /// treat it as poisoned (the [`crate::MachinePool`] quarantines it
@@ -309,6 +312,9 @@ impl fmt::Display for RunError {
                     "DRAM image does not match the machine's compiled program"
                 )
             }
+            RunError::ForeignProgram => {
+                write!(f, "program is not the one this machine was compiled for")
+            }
             RunError::BudgetExceeded { resource, limit } => match resource {
                 BudgetResource::Steps => write!(f, "run exceeded its step budget of {limit}"),
                 BudgetResource::DramWords => {
@@ -495,7 +501,7 @@ enum ChipTag {
 /// the slot's region inside the word and bitset arenas. Regions start
 /// at the static [`crate::resolve::ArenaLayout`] homes and move to the
 /// end of an arena only on dynamic growth (FIFO overflow, bit-vector
-/// regeneration past the declared dimension, re-linking).
+/// regeneration past the declared dimension).
 ///
 /// Field roles by tag: `len` is the logical word length for `Words`,
 /// the element count for `Fifo`, and the logical bit length for
@@ -542,16 +548,6 @@ struct DramState {
     off: usize,
     /// Declared capacity in words.
     len: usize,
-}
-
-impl DramState {
-    const UNMAPPED: DramState = DramState {
-        mapped: false,
-        input: false,
-        kind: MemKind::Dram,
-        off: 0,
-        len: 0,
-    };
 }
 
 /// The words of a DRAM slot, read-only. Free function (not a method) so
@@ -1295,17 +1291,10 @@ fn index_of(v: f64, context: impl FnOnce() -> String) -> Result<usize, RunError>
 /// ```
 #[derive(Debug, Clone)]
 pub struct Machine {
+    /// The one program this machine runs: its bytecode, its symbol
+    /// table, and the layouts every slot-indexed vector below is sized
+    /// from. Fixed at construction.
     compiled: Arc<CompiledProgram>,
-    /// Machine-local copy of the compiled program's symbol table.
-    /// Kept as a field (not read through `compiled`) so error paths can
-    /// name memories while other fields are mutably borrowed.
-    syms: SymbolTable,
-    /// The compiled program whose [`crate::resolve::DramLayout`] the
-    /// machine's DRAM placement was built from — fixed at construction.
-    /// Re-linking ([`Machine::run`] with a different program) re-homes
-    /// on-chip slots but never remaps DRAM, so images must match this
-    /// artifact, not the possibly-relinked `compiled`.
-    dram_source: Arc<CompiledProgram>,
     /// Per-slot DRAM placement; the storage behind it lives in
     /// `dram_input`/`dram_out`.
     dram_state: Vec<DramState>,
@@ -1397,8 +1386,6 @@ pub struct MachineSnapshot {
     /// after the checkpoint, keeping slot-indexed state and symbol
     /// table in lockstep with the data vectors.
     compiled: Arc<CompiledProgram>,
-    syms: SymbolTable,
-    dram_source: Arc<CompiledProgram>,
     dram_state: Vec<DramState>,
     /// `Arc` clone of the machine's input segment at snapshot time — a
     /// pointer copy, never a word copy; copy-on-write keeps it pristine
@@ -1415,8 +1402,8 @@ pub struct MachineSnapshot {
 
 impl Machine {
     /// Creates a machine with zeroed DRAM arrays sized per the program's
-    /// declarations. The program is linked and lowered to bytecode here;
-    /// [`Machine::run`] re-links only when handed a different program.
+    /// declarations. The program is linked and lowered to bytecode here,
+    /// once; the machine runs that program and no other.
     pub fn new(program: &SpatialProgram) -> Self {
         Machine::from_compiled(Arc::new(CompiledProgram::compile(program)))
     }
@@ -1428,21 +1415,54 @@ impl Machine {
     /// on-chip memories, statistics) is per-machine; only the immutable
     /// compiled form is shared.
     pub fn from_compiled(compiled: Arc<CompiledProgram>) -> Self {
-        let syms = compiled.syms().clone();
-        let dram_input = Arc::clone(compiled.zero_dram_input());
-        let dram_source = Arc::clone(&compiled);
-        let mut m = Machine {
-            compiled,
-            syms,
-            dram_source,
-            dram_state: Vec::new(),
-            dram_input,
-            dram_out: Vec::new(),
-            chip: Vec::new(),
-            words: Vec::new(),
-            bits: Vec::new(),
-            env: Vec::new(),
-            dense: DenseStats::default(),
+        let syms = compiled.syms();
+        let dram_layout = compiled.dram_layout();
+        let dram_state = dram_layout
+            .drams
+            .iter()
+            .map(|r| DramState {
+                mapped: r.mapped,
+                input: !r.written,
+                kind: r.kind,
+                off: r.offset,
+                len: r.size,
+            })
+            .collect();
+        // Every on-chip slot starts unallocated at its static home.
+        let layout = compiled.layout();
+        let chip = layout
+            .chips
+            .iter()
+            .map(|r| ChipState {
+                woff: r.word_off,
+                wcap: r.word_cap,
+                boff: r.bit_off,
+                bcap: r.bit_words,
+                ..ChipState::UNMAPPED
+            })
+            .collect();
+        let nodes = compiled.node_limit();
+        let dense = DenseStats {
+            dram_reads: vec![None; syms.dram_count()],
+            dram_writes: vec![None; syms.dram_count()],
+            node_trips: vec![0; nodes],
+            node_dram_read_words: vec![0; nodes],
+            node_dram_write_words: vec![0; nodes],
+            ..DenseStats::default()
+        };
+        Machine {
+            dram_state,
+            dram_input: Arc::clone(compiled.zero_dram_input()),
+            dram_out: vec![0.0; dram_layout.output_words],
+            chip,
+            // `vec![0; n]` goes through the zeroed allocator — one
+            // calloc of untouched pages, not an element-wise fill — which
+            // keeps fresh-machine creation (the re-bind path) off the
+            // O(arena) memset at large arena sizes.
+            words: vec![0.0; layout.words],
+            bits: vec![0; layout.bit_words],
+            env: vec![None; syms.var_count()],
+            dense,
             stats: ExecStats::default(),
             node_stack: Vec::new(),
             scratch: Vec::new(),
@@ -1462,23 +1482,8 @@ impl Machine {
             write_log: None,
             vector_enabled: true,
             elide_enabled: true,
-        };
-        m.grow_state();
-        let compiled = Arc::clone(&m.compiled);
-        let layout = compiled.dram_layout();
-        for (slot, r) in layout.drams.iter().enumerate() {
-            if r.mapped {
-                m.dram_state[slot] = DramState {
-                    mapped: true,
-                    input: !r.written,
-                    kind: r.kind,
-                    off: r.offset,
-                    len: r.size,
-                };
-            }
+            compiled,
         }
-        m.dram_out = vec![0.0; layout.output_words];
-        m
     }
 
     /// Re-binds the machine's DRAM to a prebuilt [`DramImage`]: an
@@ -1491,12 +1496,9 @@ impl Machine {
     /// # Errors
     ///
     /// [`RunError::ImageMismatch`] when the image was built for an
-    /// incompatible compiled program — including the program a machine
-    /// was merely *re-linked* to: DRAM placement is fixed at
-    /// construction, so only images for the construction-time program
-    /// can bind.
+    /// incompatible compiled program.
     pub fn bind_image(&mut self, image: &DramImage) -> Result<(), RunError> {
-        if !image.matches(&self.dram_source) {
+        if !image.matches(&self.compiled) {
             return Err(RunError::ImageMismatch);
         }
         self.bind_image_segments(image);
@@ -1508,7 +1510,7 @@ impl Machine {
     /// ([`DramImage::layout_matches`]), bodies aside, so shard
     /// sub-programs share the parent's input segment.
     pub(crate) fn shard_bind_image(&mut self, image: &DramImage) -> Result<(), RunError> {
-        if !image.layout_matches(&self.dram_source) {
+        if !image.layout_matches(&self.compiled) {
             return Err(RunError::ImageMismatch);
         }
         self.bind_image_segments(image);
@@ -1529,8 +1531,6 @@ impl Machine {
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             compiled: Arc::clone(&self.compiled),
-            syms: self.syms.clone(),
-            dram_source: Arc::clone(&self.dram_source),
             dram_state: self.dram_state.clone(),
             dram_input: Arc::clone(&self.dram_input),
             dram_out: self.dram_out.clone(),
@@ -1547,8 +1547,6 @@ impl Machine {
     /// reusing this machine's buffers where possible.
     pub fn restore(&mut self, snapshot: &MachineSnapshot) {
         self.compiled = Arc::clone(&snapshot.compiled);
-        self.syms.clone_from(&snapshot.syms);
-        self.dram_source = Arc::clone(&snapshot.dram_source);
         self.dram_state.clone_from(&snapshot.dram_state);
         self.dram_input = Arc::clone(&snapshot.dram_input);
         self.dram_out.clone_from(&snapshot.dram_out);
@@ -1625,7 +1623,7 @@ impl Machine {
     /// machine-pool checkout invariant: a recycled machine becomes
     /// indistinguishable from a fresh [`Machine::from_compiled`].
     pub fn unbind_inputs(&mut self) {
-        self.dram_input = Arc::clone(self.dram_source.zero_dram_input());
+        self.dram_input = Arc::clone(self.compiled.zero_dram_input());
     }
 
     /// Sets the resource budget for subsequent runs. The budget is
@@ -1807,84 +1805,6 @@ impl Machine {
         }
     }
 
-    /// Re-links and re-lowers when handed a program other than the one
-    /// the machine is bound to. The new program is resolved against the
-    /// existing symbol table, so slots (and machine state) survive.
-    fn relink(&mut self, program: &SpatialProgram) {
-        if *program != *self.compiled.source() {
-            let syms = std::mem::take(&mut self.syms);
-            self.compiled = Arc::new(CompiledProgram::compile_with(program, syms));
-            self.syms = self.compiled.syms().clone();
-            self.grow_state();
-        }
-    }
-
-    /// Grows slot-indexed state to match the symbol table after a
-    /// resolution pass. Existing slots keep their contents: allocated
-    /// on-chip slots keep their current arena regions, and
-    /// still-unallocated slots whose reserved extent is smaller than
-    /// the newly linked layout's are re-homed into a fresh stretch at
-    /// the end of the arenas. Only the re-homed regions are appended —
-    /// slots that already satisfy the layout cost nothing, so
-    /// alternating `run` calls between two programs reaches a fixed
-    /// point instead of growing the arenas per relink.
-    fn grow_state(&mut self) {
-        let drams = self.syms.dram_count();
-        let chips = self.syms.chip_count();
-        let vars = self.syms.var_count();
-        let nodes = self.compiled.node_limit().max(self.dense.node_trips.len());
-        if self.dram_state.len() < drams {
-            self.dram_state.resize(drams, DramState::UNMAPPED);
-            self.dense.dram_reads.resize(drams, None);
-            self.dense.dram_writes.resize(drams, None);
-        }
-        if self.chip.len() < chips {
-            self.chip.resize(chips, ChipState::UNMAPPED);
-        }
-        let layout = self.compiled.layout();
-        let mut woff = self.words.len();
-        let mut boff = self.bits.len();
-        for (slot, region) in layout.chips.iter().enumerate() {
-            let st = &mut self.chip[slot];
-            if st.tag != ChipTag::None {
-                continue;
-            }
-            if st.wcap < region.word_cap {
-                st.woff = woff;
-                st.wcap = region.word_cap;
-                woff += region.word_cap;
-            }
-            if st.bcap < region.bit_words {
-                st.boff = boff;
-                st.bcap = region.bit_words;
-                boff += region.bit_words;
-            }
-        }
-        // From-empty growth (machine construction) goes through the
-        // zeroed allocator — one calloc of untouched pages — instead of
-        // `resize`'s element-wise fill; at large arena sizes this keeps
-        // fresh-machine creation (the re-bind path) off the O(arena)
-        // memset.
-        if self.words.is_empty() {
-            self.words = vec![0.0; woff];
-        } else {
-            self.words.resize(woff, 0.0);
-        }
-        if self.bits.is_empty() {
-            self.bits = vec![0; boff];
-        } else {
-            self.bits.resize(boff, 0);
-        }
-        if self.env.len() < vars {
-            self.env.resize(vars, None);
-        }
-        if self.dense.node_trips.len() < nodes {
-            self.dense.node_trips.resize(nodes, 0);
-            self.dense.node_dram_read_words.resize(nodes, 0);
-            self.dense.node_dram_write_words.resize(nodes, 0);
-        }
-    }
-
     /// Ensures the slot's word region holds at least `need` words,
     /// relocating it to the end of the word arena when it does not.
     /// The region contents are NOT carried over — callers reset them.
@@ -1910,15 +1830,16 @@ impl Machine {
     }
 
     fn unknown_dram(&self, slot: Slot) -> RunError {
-        RunError::UnknownMemory(self.syms.dram_name(slot).to_string())
+        RunError::UnknownMemory(self.compiled.syms().dram_name(slot).to_string())
     }
 
     fn unknown_chip(&self, slot: Slot) -> RunError {
-        RunError::UnknownMemory(self.syms.chip_name(slot).to_string())
+        RunError::UnknownMemory(self.compiled.syms().chip_name(slot).to_string())
     }
 
     fn dram_slot_of(&self, name: &str) -> Result<Slot, RunError> {
-        self.syms
+        self.compiled
+            .syms()
             .dram_slot(name)
             .filter(|&s| self.dram_state[s as usize].mapped)
             .ok_or_else(|| RunError::UnknownMemory(name.to_string()))
@@ -1966,7 +1887,7 @@ impl Machine {
         let st = self.dram_state_of(slot)?;
         if data.len() > st.len {
             return Err(RunError::OutOfBounds {
-                mem: self.syms.dram_name(slot).to_string(),
+                mem: self.compiled.syms().dram_name(slot).to_string(),
                 index: data.len() as i64,
                 len: st.len,
             });
@@ -1996,7 +1917,7 @@ impl Machine {
         let st = self.dram_state_of(slot)?;
         if data.len() > st.len {
             return Err(RunError::OutOfBounds {
-                mem: self.syms.dram_name(slot).to_string(),
+                mem: self.compiled.syms().dram_name(slot).to_string(),
                 index: data.len() as i64,
                 len: st.len,
             });
@@ -2018,13 +1939,13 @@ impl Machine {
 
     /// Reads a DRAM array.
     pub fn dram(&self, name: &str) -> Option<&[f64]> {
-        let slot = self.syms.dram_slot(name)?;
+        let slot = self.compiled.syms().dram_slot(name)?;
         self.dram_words_of(slot)
     }
 
     /// The declared kind of a DRAM array.
     pub fn dram_kind(&self, name: &str) -> Option<MemKind> {
-        let slot = self.syms.dram_slot(name)?;
+        let slot = self.compiled.syms().dram_slot(name)?;
         let st = self.dram_state[slot as usize];
         st.mapped.then_some(st.kind)
     }
@@ -2076,21 +1997,25 @@ impl Machine {
     /// (a program counter over the op vector, loop state in a dense
     /// frame stack — no recursion).
     ///
-    /// The compiled form produced at construction is reused when
-    /// `program` equals the program the machine was built from;
-    /// otherwise the new program is linked against the machine's
-    /// existing slot space first.
+    /// `program` must be the program the machine was compiled for —
+    /// the very [`CompiledProgram::source`], or one equal to it.
     ///
     /// # Errors
     ///
-    /// Returns the first [`RunError`] encountered.
+    /// [`RunError::ForeignProgram`] for any other program, before
+    /// anything runs: DRAM, on-chip state, statistics and
+    /// [`Machine::poisoned`] are left as they were. Otherwise the first
+    /// [`RunError`] encountered.
     pub fn run(&mut self, program: &SpatialProgram) -> Result<ExecStats, RunError> {
-        self.relink(program);
+        let own = self.compiled.source();
+        if !std::ptr::eq(program, own) && program != own {
+            return Err(RunError::ForeignProgram);
+        }
         let prog = Arc::clone(&self.compiled);
         self.arm_budget();
         self.poisoned = true;
         let result = self.run_ops(&prog);
-        self.stats = self.dense.fold(&self.syms);
+        self.stats = self.dense.fold(self.compiled.syms());
         result?;
         self.poisoned = false;
         Ok(self.stats.clone())
@@ -2130,7 +2055,7 @@ impl Machine {
         match fifo_pop(&self.words, st) {
             Some(v) => Ok(v),
             None => Err(RunError::FifoUnderflow(
-                self.syms.chip_name(fifo).to_string(),
+                self.compiled.syms().chip_name(fifo).to_string(),
             )),
         }
     }
@@ -2148,13 +2073,13 @@ impl Machine {
         ix: f64,
         random: bool,
     ) -> Result<f64, RunError> {
-        let ix = index_of(ix, || self.syms.chip_name(chip).to_string())?;
+        let ix = index_of(ix, || self.compiled.syms().chip_name(chip).to_string())?;
         let st = &self.chip[chip as usize];
         match st.tag {
             ChipTag::Words => {
                 if ix >= st.len {
                     return Err(RunError::OutOfBounds {
-                        mem: self.syms.chip_name(chip).to_string(),
+                        mem: self.compiled.syms().chip_name(chip).to_string(),
                         index: ix as i64,
                         len: st.len,
                     });
@@ -2173,7 +2098,7 @@ impl Machine {
                         Some(v) => *v,
                         None => {
                             return Err(RunError::OutOfBounds {
-                                mem: self.syms.dram_name(dram).to_string(),
+                                mem: self.compiled.syms().dram_name(dram).to_string(),
                                 index: ix as i64,
                                 len,
                             })
@@ -2206,7 +2131,7 @@ impl Machine {
         }
         if ix >= st.len {
             return Err(RunError::OutOfBounds {
-                mem: self.syms.chip_name(mem).to_string(),
+                mem: self.compiled.syms().chip_name(mem).to_string(),
                 index: ix as i64,
                 len: st.len,
             });
@@ -2232,7 +2157,7 @@ impl Machine {
             self.alloc_fuel = u64::MAX;
             faults::consume_alloc();
             return Err(RunError::InjectedFault {
-                site: format!("alloc {}", self.syms.chip_name(slot)),
+                site: format!("alloc {}", self.compiled.syms().chip_name(slot)),
             });
         }
         self.alloc_fuel -= 1;
@@ -2290,7 +2215,7 @@ impl Machine {
         let alen = src_st.len;
         if e > alen {
             return Err(RunError::OutOfBounds {
-                mem: self.syms.dram_name(src).to_string(),
+                mem: self.compiled.syms().dram_name(src).to_string(),
                 index: e as i64,
                 len: alen,
             });
@@ -2312,7 +2237,7 @@ impl Machine {
                 let st = self.chip[dst as usize];
                 if n > st.len {
                     return Err(RunError::OutOfBounds {
-                        mem: self.syms.chip_name(dst).to_string(),
+                        mem: self.compiled.syms().chip_name(dst).to_string(),
                         index: n as i64,
                         len: st.len,
                     });
@@ -2348,7 +2273,7 @@ impl Machine {
                 Ok(())
             }
             _ => Err(RunError::UnknownMemory(
-                self.syms.chip_name(dst).to_string(),
+                self.compiled.syms().chip_name(dst).to_string(),
             )),
         }
     }
@@ -2360,7 +2285,7 @@ impl Machine {
         }
         if n > st.len {
             return Err(RunError::OutOfBounds {
-                mem: self.syms.chip_name(src).to_string(),
+                mem: self.compiled.syms().chip_name(src).to_string(),
                 index: n as i64,
                 len: st.len,
             });
@@ -2373,9 +2298,10 @@ impl Machine {
                 dram_out,
                 dram_state,
                 words,
-                syms,
+                compiled,
                 ..
             } = self;
+            let syms = compiled.syms();
             let arr = match dram_words_mut(dram_input, dram_out, dram_state[dst as usize]) {
                 Some(arr) => arr,
                 None => return Err(RunError::UnknownMemory(syms.dram_name(dst).to_string())),
@@ -2404,7 +2330,7 @@ impl Machine {
     ) -> Result<(), RunError> {
         if self.chip[fifo as usize].tag != ChipTag::Fifo {
             return Err(RunError::UnknownMemory(
-                self.syms.chip_name(fifo).to_string(),
+                self.compiled.syms().chip_name(fifo).to_string(),
             ));
         }
         if self.chip[fifo as usize].len < n {
@@ -2413,7 +2339,7 @@ impl Machine {
             // the dequeues uncounted.
             fifo_clear(&mut self.chip[fifo as usize]);
             return Err(RunError::FifoUnderflow(
-                self.syms.chip_name(fifo).to_string(),
+                self.compiled.syms().chip_name(fifo).to_string(),
             ));
         }
         self.dense.fifo_deqs += n as u64;
@@ -2425,9 +2351,10 @@ impl Machine {
                 dram_state,
                 words,
                 chip,
-                syms,
+                compiled,
                 ..
             } = self;
+            let syms = compiled.syms();
             let st = &mut chip[fifo as usize];
             let arr = match dram_words_mut(dram_input, dram_out, dram_state[dst as usize]) {
                 Some(arr) => arr,
@@ -2463,12 +2390,12 @@ impl Machine {
         let st = self.dram_state[dst as usize];
         if !st.mapped {
             return Err(RunError::UnknownMemory(
-                self.syms.dram_name(dst).to_string(),
+                self.compiled.syms().dram_name(dst).to_string(),
             ));
         }
         if ix >= st.len {
             return Err(RunError::OutOfBounds {
-                mem: self.syms.dram_name(dst).to_string(),
+                mem: self.compiled.syms().dram_name(dst).to_string(),
                 index: ix as i64,
                 len: st.len,
             });
@@ -2521,7 +2448,7 @@ impl Machine {
                     fifo_clear(&mut self.chip[src as usize]);
                     self.scratch = coords;
                     return Err(RunError::FifoUnderflow(
-                        self.syms.chip_name(src).to_string(),
+                        self.compiled.syms().chip_name(src).to_string(),
                     ));
                 }
                 let Machine { words, chip, .. } = self;
@@ -2537,7 +2464,7 @@ impl Machine {
                 if s + n > st.len {
                     self.scratch = coords;
                     return Err(RunError::OutOfBounds {
-                        mem: self.syms.chip_name(src).to_string(),
+                        mem: self.compiled.syms().chip_name(src).to_string(),
                         index: (s + n) as i64,
                         len: st.len,
                     });
@@ -2552,7 +2479,7 @@ impl Machine {
             _ => {
                 self.scratch = coords;
                 return Err(RunError::UnknownMemory(
-                    self.syms.chip_name(src).to_string(),
+                    self.compiled.syms().chip_name(src).to_string(),
                 ));
             }
         }
@@ -2571,7 +2498,7 @@ impl Machine {
             for &c in &coords {
                 if c >= new_len {
                     failed = Some(RunError::OutOfBounds {
-                        mem: self.syms.chip_name(dst).to_string(),
+                        mem: self.compiled.syms().chip_name(dst).to_string(),
                         index: c as i64,
                         len: new_len,
                     });
@@ -2588,7 +2515,7 @@ impl Machine {
             }
         } else {
             Err(RunError::UnknownMemory(
-                self.syms.chip_name(dst).to_string(),
+                self.compiled.syms().chip_name(dst).to_string(),
             ))
         };
         self.scratch = coords;
@@ -2811,13 +2738,13 @@ impl Machine {
                 random,
             } => {
                 let ix = self.operand_value(prog, *index)?;
-                let ix = index_of(ix, || self.syms.chip_name(*mem).to_string())?;
+                let ix = index_of(ix, || self.compiled.syms().chip_name(*mem).to_string())?;
                 let v = self.operand_value(prog, *value)?;
                 self.write_on_chip(*mem, ix, v, *random, false)
             }
             Op::RmwAdd { mem, index, value } => {
                 let ix = self.operand_value(prog, *index)?;
-                let ix = index_of(ix, || self.syms.chip_name(*mem).to_string())?;
+                let ix = index_of(ix, || self.compiled.syms().chip_name(*mem).to_string())?;
                 let v = self.operand_value(prog, *value)?;
                 self.write_on_chip(*mem, ix, v, true, true)
             }
@@ -3387,14 +3314,18 @@ impl Machine {
             HotValue::Const(k) => Ok(k),
             HotValue::Var(v) => match self.env[v as usize] {
                 Some(x) => Ok(x),
-                None => Err(RunError::UnboundVar(self.syms.var_name(v).to_string())),
+                None => Err(RunError::UnboundVar(
+                    self.compiled.syms().var_name(v).to_string(),
+                )),
             },
             HotValue::Gather(g) => self.hot_gather_read(g, c),
             HotValue::BinGather { a, op, g } => {
                 let x = match self.env[a as usize] {
                     Some(x) => x,
                     None => {
-                        return Err(RunError::UnboundVar(self.syms.var_name(a).to_string()));
+                        return Err(RunError::UnboundVar(
+                            self.compiled.syms().var_name(a).to_string(),
+                        ));
                     }
                 };
                 let r = self.hot_gather_read(g, c)?;
@@ -3405,7 +3336,9 @@ impl Machine {
                 let a = match self.env[var as usize] {
                     Some(x) => x,
                     None => {
-                        return Err(RunError::UnboundVar(self.syms.var_name(var).to_string()));
+                        return Err(RunError::UnboundVar(
+                            self.compiled.syms().var_name(var).to_string(),
+                        ));
                     }
                 };
                 c.alu_ops += 1;
@@ -3419,13 +3352,15 @@ impl Machine {
         let ixf = match self.env[g.var as usize] {
             Some(x) => x,
             None => {
-                return Err(RunError::UnboundVar(self.syms.var_name(g.var).to_string()));
+                return Err(RunError::UnboundVar(
+                    self.compiled.syms().var_name(g.var).to_string(),
+                ));
             }
         };
-        let ix = index_of(ixf, || self.syms.chip_name(g.chip).to_string())?;
+        let ix = index_of(ixf, || self.compiled.syms().chip_name(g.chip).to_string())?;
         if ix >= g.len {
             return Err(RunError::OutOfBounds {
-                mem: self.syms.chip_name(g.chip).to_string(),
+                mem: self.compiled.syms().chip_name(g.chip).to_string(),
                 index: ix as i64,
                 len: g.len,
             });
@@ -3597,7 +3532,7 @@ impl Machine {
                         break 'iters;
                     }
                 };
-                let ix = match index_of(ixf, || self.syms.chip_name(dst).to_string()) {
+                let ix = match index_of(ixf, || self.compiled.syms().chip_name(dst).to_string()) {
                     Ok(x) => x,
                     Err(e) => {
                         result = Err(e);
@@ -3613,7 +3548,7 @@ impl Machine {
                 };
                 if ix >= dst_st.len {
                     result = Err(RunError::OutOfBounds {
-                        mem: self.syms.chip_name(dst).to_string(),
+                        mem: self.compiled.syms().chip_name(dst).to_string(),
                         index: ix as i64,
                         len: dst_st.len,
                     });
@@ -3887,7 +3822,7 @@ impl Machine {
                     break 'outer;
                 }
             };
-            let ix = match index_of(ixf, || self.syms.chip_name(dst).to_string()) {
+            let ix = match index_of(ixf, || self.compiled.syms().chip_name(dst).to_string()) {
                 Ok(x) => x,
                 Err(e) => {
                     result = Err(e);
@@ -3903,7 +3838,7 @@ impl Machine {
             };
             if ix >= dst_st.len {
                 result = Err(RunError::OutOfBounds {
-                    mem: self.syms.chip_name(dst).to_string(),
+                    mem: self.compiled.syms().chip_name(dst).to_string(),
                     index: ix as i64,
                     len: dst_st.len,
                 });
@@ -4166,7 +4101,7 @@ impl Machine {
                         break 'outer;
                     }
                 };
-                let ix = match index_of(ixf, || self.syms.chip_name(s.dst).to_string()) {
+                let ix = match index_of(ixf, || self.compiled.syms().chip_name(s.dst).to_string()) {
                     Ok(x) => x,
                     Err(e) => {
                         result = Err(e);
@@ -4182,7 +4117,7 @@ impl Machine {
                 };
                 if ix >= s.len {
                     result = Err(RunError::OutOfBounds {
-                        mem: self.syms.chip_name(s.dst).to_string(),
+                        mem: self.compiled.syms().chip_name(s.dst).to_string(),
                         index: ix as i64,
                         len: s.len,
                     });
@@ -4442,7 +4377,9 @@ impl Machine {
             Operand::Const(c) => Ok(c),
             Operand::Var(v) => match self.env[v as usize] {
                 Some(x) => Ok(x),
-                None => Err(RunError::UnboundVar(self.syms.var_name(v).to_string())),
+                None => Err(RunError::UnboundVar(
+                    self.compiled.syms().var_name(v).to_string(),
+                )),
             },
             Operand::Gather {
                 chip,
@@ -4453,7 +4390,9 @@ impl Machine {
                 let ix = match self.env[var as usize] {
                     Some(x) => x,
                     None => {
-                        return Err(RunError::UnboundVar(self.syms.var_name(var).to_string()));
+                        return Err(RunError::UnboundVar(
+                            self.compiled.syms().var_name(var).to_string(),
+                        ));
                     }
                 };
                 self.read_mem_value(chip, dram, ix, random)
@@ -4469,7 +4408,9 @@ impl Machine {
         let ix = match self.env[g.var as usize] {
             Some(x) => x,
             None => {
-                return Err(RunError::UnboundVar(self.syms.var_name(g.var).to_string()));
+                return Err(RunError::UnboundVar(
+                    self.compiled.syms().var_name(g.var).to_string(),
+                ));
             }
         };
         self.read_mem_value(g.chip, g.dram, ix, g.random)
@@ -4486,7 +4427,7 @@ impl Machine {
                     Some(x) => x,
                     None => {
                         return Err(RunError::UnboundVar(
-                            self.syms.var_name(mem.var).to_string(),
+                            self.compiled.syms().var_name(mem.var).to_string(),
                         ));
                     }
                 };
@@ -4497,7 +4438,9 @@ impl Machine {
                 let x = match self.env[a as usize] {
                     Some(x) => x,
                     None => {
-                        return Err(RunError::UnboundVar(self.syms.var_name(a).to_string()));
+                        return Err(RunError::UnboundVar(
+                            self.compiled.syms().var_name(a).to_string(),
+                        ));
                     }
                 };
                 let v = self.gather_value(mem)?;
@@ -4563,7 +4506,9 @@ impl Machine {
                         pc += 1;
                     }
                     None => {
-                        return Err(RunError::UnboundVar(self.syms.var_name(v).to_string()));
+                        return Err(RunError::UnboundVar(
+                            self.compiled.syms().var_name(v).to_string(),
+                        ));
                     }
                 },
                 EOp::RegRead(r) => {
@@ -4602,7 +4547,9 @@ impl Machine {
                     let ix = match self.env[var as usize] {
                         Some(x) => x,
                         None => {
-                            return Err(RunError::UnboundVar(self.syms.var_name(var).to_string()));
+                            return Err(RunError::UnboundVar(
+                                self.compiled.syms().var_name(var).to_string(),
+                            ));
                         }
                     };
                     let v = self.read_mem_value(chip, dram, ix, random)?;
@@ -4621,13 +4568,17 @@ impl Machine {
                     let x = match self.env[a as usize] {
                         Some(x) => x,
                         None => {
-                            return Err(RunError::UnboundVar(self.syms.var_name(a).to_string()));
+                            return Err(RunError::UnboundVar(
+                                self.compiled.syms().var_name(a).to_string(),
+                            ));
                         }
                     };
                     let ix = match self.env[ivar as usize] {
                         Some(x) => x,
                         None => {
-                            return Err(RunError::UnboundVar(self.syms.var_name(ivar).to_string()));
+                            return Err(RunError::UnboundVar(
+                                self.compiled.syms().var_name(ivar).to_string(),
+                            ));
                         }
                     };
                     let v = self.read_mem_value(chip, dram, ix, random)?;
@@ -4640,7 +4591,9 @@ impl Machine {
                     let a = match self.env[var as usize] {
                         Some(x) => x,
                         None => {
-                            return Err(RunError::UnboundVar(self.syms.var_name(var).to_string()));
+                            return Err(RunError::UnboundVar(
+                                self.compiled.syms().var_name(var).to_string(),
+                            ));
                         }
                     };
                     *alu += 1;
@@ -5658,17 +5611,32 @@ mod tests {
         assert_eq!(stats.dram_random_writes, 2);
     }
 
+    /// A machine runs the program it was compiled for and no other: a
+    /// foreign program is a typed error raised before anything runs, so
+    /// DRAM, on-chip state, statistics and the poison flag stay exactly
+    /// as the last real run left them.
     #[test]
-    fn run_relinks_a_different_program() {
+    fn run_rejects_a_foreign_program() {
         let mut p1 = SpatialProgram::new("a");
         p1.add_dram("x", 2);
-        p1.accel.push(SpatialStmt::StoreScalar {
-            dst: "x".into(),
-            index: SExpr::Const(0.0),
-            value: SExpr::Const(7.0),
+        p1.accel
+            .push(SpatialStmt::Alloc(MemDecl::new("r", MemKind::Reg, 1)));
+        p1.accel.push(SpatialStmt::SetReg {
+            reg: "r".into(),
+            value: SExpr::Const(3.5),
         });
-        // Same DRAM, different statement — and a reference to a DRAM the
-        // machine never allocated.
+        p1.accel.push(SpatialStmt::Foreach {
+            id: 0,
+            counter: Counter::range_to("i", SExpr::Const(1.0)),
+            par: 1,
+            body: vec![SpatialStmt::StoreScalar {
+                dst: "x".into(),
+                index: SExpr::var("i"),
+                value: SExpr::Const(7.0),
+            }],
+        });
+        p1.assign_ids();
+        // Same DRAM, different statement.
         let mut p2 = SpatialProgram::new("b");
         p2.add_dram("x", 2);
         p2.accel.push(SpatialStmt::StoreScalar {
@@ -5676,22 +5644,30 @@ mod tests {
             index: SExpr::Const(1.0),
             value: SExpr::Const(9.0),
         });
+
         let mut m = Machine::new(&p1);
         m.run(&p1).unwrap();
-        m.run(&p2).unwrap();
-        assert_eq!(m.dram("x").unwrap(), &[7.0, 9.0]);
+        let before = m.clone();
+        assert_eq!(m.run(&p2), Err(RunError::ForeignProgram));
+        assert!(!m.poisoned(), "a refused run must not poison");
+        assert_eq!(m.dram("x").unwrap(), &[7.0, 0.0]);
+        assert_eq!(m.stats(), before.stats());
+        assert_eq!(m.words, before.words);
+        assert_eq!(m.bits, before.bits);
+        assert_eq!(m.env, before.env);
+        assert_eq!(format!("{:?}", m.chip), format!("{:?}", before.chip));
 
-        let mut p3 = SpatialProgram::new("c");
-        p3.add_dram("ghost", 2);
-        p3.accel.push(SpatialStmt::StoreScalar {
-            dst: "ghost".into(),
-            index: SExpr::Const(0.0),
-            value: SExpr::Const(1.0),
-        });
-        // `ghost` was not declared when the machine was built: its slots
-        // exist after re-linking but carry no storage, like the
-        // reference engine's behavior.
-        assert_eq!(m.run(&p3), Err(RunError::UnknownMemory("ghost".into())));
+        // A machine poisoned by an aborted run stays poisoned.
+        let mut aborted = Machine::new(&p1);
+        aborted.set_budget(RunBudget::default().with_max_steps(0));
+        assert!(aborted.run(&p1).is_err());
+        assert_eq!(aborted.run(&p2), Err(RunError::ForeignProgram));
+        assert!(aborted.poisoned(), "a refused run must not clear poison");
+
+        // An equal program held in a different object is the machine's
+        // own: it runs.
+        let stats = m.run(&p1.clone()).unwrap();
+        assert_eq!(stats.dram_random_writes, 2);
     }
 
     #[test]
@@ -5932,221 +5908,7 @@ mod tests {
         assert_eq!(&m.dram("out").unwrap()[..3], &coords[..]);
     }
 
-    // --- Re-linking over the arena -----------------------------------
-
-    /// On-chip state written by one program survives re-linking to a
-    /// second program that reads it without re-allocating — matching
-    /// the reference engine's persistent name-keyed map.
-    #[test]
-    fn relink_preserves_on_chip_state() {
-        let mut p1 = SpatialProgram::new("a");
-        p1.add_dram("out", 4);
-        p1.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, 4)));
-        p1.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("r", MemKind::Reg, 1)));
-        p1.accel.push(SpatialStmt::WriteMem {
-            mem: "s".into(),
-            index: SExpr::Const(2.0),
-            value: SExpr::Const(7.0),
-            random: false,
-        });
-        p1.accel.push(SpatialStmt::SetReg {
-            reg: "r".into(),
-            value: SExpr::Const(3.5),
-        });
-        // p2 reads both without allocating; it also allocates a *larger*
-        // SRAM under a new name, forcing fresh arena regions.
-        let mut p2 = SpatialProgram::new("b");
-        p2.add_dram("out", 4);
-        p2.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("big", MemKind::Sram, 64)));
-        p2.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(0.0),
-            value: SExpr::read("s", SExpr::Const(2.0)),
-        });
-        p2.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(1.0),
-            value: SExpr::RegRead("r".into()),
-        });
-        let mut m = Machine::new(&p1);
-        let mut reference = ReferenceMachine::new(&p1);
-        m.run(&p1).unwrap();
-        reference.run(&p1).unwrap();
-        m.run(&p2).unwrap();
-        reference.run(&p2).unwrap();
-        assert_eq!(&m.dram("out").unwrap()[..2], &[7.0, 3.5]);
-        assert_eq!(m.dram("out").unwrap(), reference.dram("out").unwrap());
-        assert_eq!(m.stats(), reference.stats());
-    }
-
-    /// Re-linking to a program that re-allocates an existing slot with
-    /// a larger size than the original layout reserved grows the region
-    /// at the end of the arena.
-    #[test]
-    fn relink_grows_slot_beyond_original_layout() {
-        let mut p1 = SpatialProgram::new("a");
-        p1.add_dram("out", 4);
-        p1.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, 2)));
-        let mut p2 = SpatialProgram::new("b");
-        p2.add_dram("out", 4);
-        p2.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, 32)));
-        p2.accel.push(SpatialStmt::WriteMem {
-            mem: "s".into(),
-            index: SExpr::Const(31.0),
-            value: SExpr::Const(5.0),
-            random: false,
-        });
-        p2.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(0.0),
-            value: SExpr::read("s", SExpr::Const(31.0)),
-        });
-        let mut m = Machine::new(&p1);
-        m.run(&p1).unwrap();
-        m.run(&p2).unwrap();
-        assert_eq!(m.dram("out").unwrap()[0], 5.0);
-    }
-
-    /// Alternating runs between two programs must not grow the arenas
-    /// per relink: once every slot has a region satisfying both
-    /// layouts, re-linking appends nothing.
-    #[test]
-    fn relink_alternation_reaches_arena_fixed_point() {
-        let mut p1 = SpatialProgram::new("a");
-        p1.add_dram("out", 4);
-        p1.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("s1", MemKind::Sram, 16)));
-        p1.accel.push(SpatialStmt::Alloc(MemDecl::new(
-            "bv1",
-            MemKind::BitVector,
-            128,
-        )));
-        let mut p2 = SpatialProgram::new("b");
-        p2.add_dram("out", 4);
-        p2.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("s2", MemKind::Sram, 32)));
-        p2.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("f2", MemKind::Fifo, 8)));
-        let mut m = Machine::new(&p1);
-        m.run(&p1).unwrap();
-        m.run(&p2).unwrap();
-        let words = m.words.len();
-        let bits = m.bits.len();
-        for _ in 0..4 {
-            m.run(&p1).unwrap();
-            m.run(&p2).unwrap();
-        }
-        assert_eq!(m.words.len(), words, "word arena grew across relinks");
-        assert_eq!(m.bits.len(), bits, "bitset arena grew across relinks");
-    }
-
     // --- Snapshot / restore ------------------------------------------
-
-    /// Checkpoint regression: run a first phase, snapshot, finish, then
-    /// restore and finish again — the replay must produce byte-identical
-    /// DRAM images and identical statistics, proving the snapshot
-    /// captures all mid-execution state (on-chip arenas, FIFO ring
-    /// positions, bindings, and the dense counters).
-    #[test]
-    fn snapshot_restore_replays_identically() {
-        // Phase 1: load, scatter into SparseSRAM, leave a FIFO with a
-        // wrapped ring, a bound variable, and a register mid-flight.
-        let mut p1 = SpatialProgram::new("phase1");
-        p1.add_dram("in", 8);
-        p1.add_dram("out", 16);
-        p1.accel.push(SpatialStmt::Alloc(MemDecl::new(
-            "s",
-            MemKind::SparseSram,
-            8,
-        )));
-        p1.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("f", MemKind::Fifo, 2)));
-        p1.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("r", MemKind::Reg, 1)));
-        p1.accel.push(SpatialStmt::Load {
-            dst: "s".into(),
-            src: "in".into(),
-            start: SExpr::Const(0.0),
-            end: SExpr::Const(8.0),
-            par: 1,
-        });
-        for v in [4.0, 5.0, 6.0] {
-            p1.accel.push(SpatialStmt::Enq {
-                fifo: "f".into(),
-                value: SExpr::Const(v),
-            });
-        }
-        p1.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(15.0),
-            value: SExpr::Deq("f".into()),
-        });
-        p1.accel.push(SpatialStmt::SetReg {
-            reg: "r".into(),
-            value: SExpr::Const(2.5),
-        });
-        p1.accel.push(SpatialStmt::Bind {
-            var: "v".into(),
-            value: SExpr::Const(3.0),
-        });
-        // Phase 2: consume all of that state.
-        let mut p2 = SpatialProgram::new("phase2");
-        p2.add_dram("in", 8);
-        p2.add_dram("out", 16);
-        p2.accel.push(SpatialStmt::Foreach {
-            id: 0,
-            counter: Counter::range_to("i", SExpr::Const(4.0)),
-            par: 1,
-            body: vec![SpatialStmt::StoreScalar {
-                dst: "out".into(),
-                index: SExpr::var("i"),
-                value: SExpr::mul(
-                    SExpr::read("s", SExpr::var("i")),
-                    SExpr::RegRead("r".into()),
-                ),
-            }],
-        });
-        p2.accel.push(SpatialStmt::StreamStore {
-            dst: "out".into(),
-            offset: SExpr::Const(4.0),
-            fifo: "f".into(),
-            len: SExpr::Const(2.0),
-        });
-        p2.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(6.0),
-            value: SExpr::var("v"),
-        });
-        p2.assign_ids();
-
-        let mut m = Machine::new(&p1);
-        m.write_dram("in", &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-            .unwrap();
-        m.run(&p1).unwrap();
-        let checkpoint = m.snapshot();
-        let stats1 = m.run(&p2).unwrap();
-        let dram1: Vec<u64> = m.dram("out").unwrap().iter().map(|v| v.to_bits()).collect();
-        // Finish again from the checkpoint: byte-identical replay.
-        m.restore(&checkpoint);
-        let stats2 = m.run(&p2).unwrap();
-        let dram2: Vec<u64> = m.dram("out").unwrap().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(dram1, dram2, "replayed DRAM must be byte-identical");
-        assert_eq!(stats1, stats2, "replayed statistics must be identical");
-        // Sanity: phase 2 really consumed phase-1 state.
-        assert_eq!(
-            &m.dram("out").unwrap()[..7],
-            &[
-                2.5, 5.0, 7.5, 10.0, // s[i] * r
-                5.0, 6.0, // FIFO leftovers
-                3.0  // bound var
-            ]
-        );
-    }
 
     /// The snapshot is a deep copy: mutations after `snapshot()` do not
     /// leak into it, and `restore` rewinds DRAM too.

@@ -47,9 +47,7 @@
 //!    [`Machine`]; run it like any other machine.
 //! 3. **check-in** — dropping the guard scrubs the machine (execution
 //!    state cleared, inputs unbound; arenas kept) and parks it on the
-//!    dropping thread's home shard. Machines that were re-linked to a
-//!    different program while checked out are discarded instead: their
-//!    slot space no longer matches the pool key's layout invariants.
+//!    dropping thread's home shard.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -368,19 +366,13 @@ impl MachinePool {
     /// first: execution state cleared and the input segment unbound,
     /// so an idle machine never pins its last dataset's multi-MB
     /// `DramImage` segment in memory (and the next checkout pays at
-    /// most an output zero-fill). Two classes of machine are discarded
-    /// instead of parked: **poisoned** machines, whose last run aborted
-    /// partway (quarantined and counted — recycling one would leak
-    /// partial execution state into a later run), and machines
-    /// re-linked away from their checkout program (their DRAM placement
-    /// still follows the construction-time program, but their on-chip
-    /// slot space grew past the pool key's layout).
+    /// most an output zero-fill). **Poisoned** machines, whose last
+    /// run aborted partway, are discarded instead of parked
+    /// (quarantined and counted — recycling one would leak partial
+    /// execution state into a later run).
     fn check_in(&self, key: usize, mut machine: Machine) {
         if machine.poisoned() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if Arc::as_ptr(machine.compiled()) as usize != key {
             return;
         }
         machine.clear_exec_state();

@@ -589,9 +589,8 @@ impl ResolvedProgram {
 
 /// Resolves a program against (and extending) the given symbol table.
 ///
-/// The table may already hold slots from a previous resolution against
-/// the same machine; new names are appended, so existing slots stay
-/// valid and machine state survives re-linking.
+/// Names the table already holds keep their slots and new names are
+/// appended, so resolving the same program twice is idempotent.
 pub fn resolve(program: &SpatialProgram, syms: &mut SymbolTable) -> ResolvedProgram {
     let mut out = ResolvedProgram::default();
     for d in &program.drams {

@@ -22,10 +22,10 @@
 //!    effect summaries ([`crate::analysis::effects_of_span`]).
 //! 2. [`ShardPlan::compile`] rewrites the loop bounds into `n`
 //!    contiguous-slice sub-programs (plus a zero-trip *baseline*
-//!    program), compiled against the parent's [`SymbolTable`] so every
-//!    shard shares the parent's slot interning and `DramLayout` — and
-//!    therefore binds the parent's [`DramImage`] input segment with
-//!    zero copies.
+//!    program). Only literal bounds change, so every shard interns the
+//!    parent's names in the parent's order and computes the parent's
+//!    `DramLayout` — and therefore binds the parent's [`DramImage`]
+//!    input segment with zero copies.
 //! 3. [`CompiledShards::run_pooled`] checks out up to `n` pooled
 //!    machines without blocking ([`MachinePool::try_checkout_n`]
 //!    semantics: degraded grants run shards round-robin rather than
@@ -460,10 +460,10 @@ impl ShardPlan {
 
     /// Compiles `n`-way shards (clamped to `1..=max(1, trips)`): `n`
     /// sub-programs whose outer bounds cover contiguous slices of the
-    /// iteration space, plus the zero-trip baseline. Each is compiled
-    /// with the parent's [`crate::SymbolTable`], so slot interning and
-    /// the `DramLayout` are identical and the parent's [`DramImage`]
-    /// binds directly.
+    /// iteration space, plus the zero-trip baseline. They differ from
+    /// the parent in two literal bounds and a name, so DRAM slot
+    /// interning and the `DramLayout` are identical and the parent's
+    /// [`DramImage`] binds directly.
     pub fn compile(&self, n: usize) -> CompiledShards {
         let n = n
             .max(1)
@@ -497,8 +497,7 @@ impl ShardPlan {
     }
 
     /// The parent source with the candidate loop's `Range` bounds
-    /// replaced by `[lo, hi)` and the name suffixed for debuggability,
-    /// compiled against the parent's symbol table.
+    /// replaced by `[lo, hi)` and the name suffixed for debuggability.
     fn patched(&self, suffix: &str, lo: i64, hi: i64) -> CompiledProgram {
         let mut src = self.parent.source().clone();
         src.name.push_str(suffix);
@@ -510,7 +509,7 @@ impl ShardPlan {
             *min = SExpr::Const(lo as f64);
             *max = SExpr::Const(hi as f64);
         }
-        CompiledProgram::compile_with(&src, self.parent.syms().clone())
+        CompiledProgram::compile(&src)
     }
 }
 
@@ -888,7 +887,7 @@ pub struct CompiledShards {
 }
 
 /// One shard's successful result, extracted off its machine so a
-/// worker can reuse the machine for its next round-robin shard.
+/// worker can hand the machine back before its next round-robin shard.
 struct ShardOut {
     stats: ExecStats,
     /// Write-log bitset over the output segment.
@@ -991,6 +990,14 @@ impl CompiledShards {
                     let mut guard = guard;
                     let mut outs = Vec::new();
                     for k in (w..n).step_by(m) {
+                        if k != w {
+                            // A machine runs one program: trade this
+                            // worker's machine for one compiled for
+                            // shard `k`, returning the old one first so
+                            // the worker's checkout slot stays one.
+                            drop(guard);
+                            guard = pool.checkout(&shards[k]);
+                        }
                         // The transient one-shot fault was consumed
                         // from this worker's plan clone, so the retry
                         // runs clean.
@@ -1106,9 +1113,9 @@ impl CompiledShards {
     }
 }
 
-/// Runs one shard program on a (possibly reused) worker machine with
-/// the write log armed, and extracts the logged words so the machine
-/// can be rebound for the worker's next shard.
+/// Runs one shard program on a worker machine with the write log
+/// armed, and extracts the logged words so the machine can go back to
+/// the pool before the merge.
 fn run_one_shard(
     machine: &mut Machine,
     prog: &Arc<CompiledProgram>,

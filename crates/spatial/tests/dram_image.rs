@@ -218,68 +218,6 @@ fn image_for_different_program_is_rejected() {
     assert_eq!(m.dram("in0").unwrap(), &inputs(3)[0].1[..]);
 }
 
-/// A machine's DRAM placement is fixed at construction: after
-/// re-linking to a different program (whose layout reclassifies an
-/// input array as written), an image built for the *relinked* program
-/// must be rejected — binding it against the stale construction-time
-/// offsets would silently scramble arrays — while images for the
-/// construction-time program still bind correctly.
-#[test]
-fn relinked_machine_rejects_images_for_the_new_program() {
-    // p1 reads `a` and `c`; both land in p1's input segment with `c`
-    // at a nonzero offset.
-    let mut p1 = SpatialProgram::new("p1");
-    p1.add_dram("a", 2);
-    p1.add_dram("c", 4);
-    p1.add_dram("out", 1);
-    p1.accel
-        .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, 2)));
-    p1.accel.push(SpatialStmt::Load {
-        dst: "s".into(),
-        src: "a".into(),
-        start: SExpr::Const(0.0),
-        end: SExpr::Const(2.0),
-        par: 1,
-    });
-    p1.accel.push(SpatialStmt::StoreScalar {
-        dst: "out".into(),
-        index: SExpr::Const(0.0),
-        value: SExpr::read_random("c", SExpr::Const(1.0)),
-    });
-    p1.assign_ids();
-    // p2 *writes* `a`, so p2's layout moves `a` to the output segment
-    // and packs `c` at input offset 0 — different from p1's placement.
-    let mut p2 = SpatialProgram::new("p2");
-    p2.add_dram("a", 2);
-    p2.add_dram("c", 4);
-    p2.accel.push(SpatialStmt::StoreScalar {
-        dst: "a".into(),
-        index: SExpr::Const(0.0),
-        value: SExpr::Const(5.0),
-    });
-    p2.assign_ids();
-
-    let c1 = Arc::new(CompiledProgram::compile(&p1));
-    let mut m = Machine::from_compiled(Arc::clone(&c1));
-    m.run(&p2).expect("relink run");
-
-    // An image for the machine's *current* (relinked) compiled program
-    // must be rejected: the machine's DRAM placement still follows p1.
-    let mut b = DramImage::builder(Arc::clone(m.compiled()));
-    let slot = m.compiled().syms().dram_slot("c").unwrap();
-    b.write(slot, &[10.0, 20.0, 30.0, 40.0]).unwrap();
-    let image_p2 = b.finish();
-    assert_eq!(m.bind_image(&image_p2), Err(RunError::ImageMismatch));
-
-    // An image for the construction-time program binds correctly.
-    let mut b = DramImage::builder(Arc::clone(&c1));
-    let slot = c1.syms().dram_slot("c").unwrap();
-    b.write(slot, &[10.0, 20.0, 30.0, 40.0]).unwrap();
-    let image_p1 = b.finish();
-    m.bind_image(&image_p1).unwrap();
-    assert_eq!(m.dram("c").unwrap(), &[10.0, 20.0, 30.0, 40.0]);
-}
-
 /// `reset` + `bind_image` on one long-lived machine reproduces a fresh
 /// machine's run exactly — DRAM and statistics — across repeated
 /// datasets (the O(outputs) serving loop).

@@ -324,24 +324,26 @@ fn distinct_programs_do_not_share_machines() {
     assert_eq!(pool.stats().reused, 2);
 }
 
-/// A machine re-linked to a different program while checked out is
-/// discarded on check-in: its slot space no longer matches the pool
-/// key's layout invariants.
+/// A machine can only ever run its checkout program, so one that has
+/// run — and one that refused a foreign program — goes back on its
+/// key's free list and serves the next checkout.
 #[test]
-fn relinked_machines_are_not_pooled() {
+fn machines_that_ran_are_pooled_again() {
     let p1 = writing_program(4);
     let p2 = writing_program(5);
     let compiled = Arc::new(CompiledProgram::compile(&p1));
     let pool = MachinePool::with_shards(1);
     {
         let mut m = pool.checkout(&compiled);
-        m.run(&p2).expect("relink run");
+        m.run(&p1).expect("own program runs");
+        assert_eq!(m.run(&p2), Err(RunError::ForeignProgram));
     }
-    assert_eq!(pool.idle(), 0, "relinked machine leaked back into the pool");
+    assert_eq!(pool.idle(), 1, "a clean machine must return to the pool");
     drop(pool.checkout(&compiled));
     let stats = pool.stats();
-    assert_eq!(stats.created, 2);
-    assert_eq!(stats.reused, 0);
+    assert_eq!(stats.created, 1);
+    assert_eq!(stats.reused, 1);
+    assert_eq!(stats.quarantined, 0);
 }
 
 /// `checkout_bound` rejects an image built for a different program and
