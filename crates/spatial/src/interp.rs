@@ -1367,39 +1367,6 @@ pub struct Machine {
     elide_enabled: bool,
 }
 
-/// A copy of a [`Machine`]'s execution state — DRAM images, the flat
-/// on-chip arenas, variable bindings, and statistics — taken with
-/// [`Machine::snapshot`] and reinstated with [`Machine::restore`].
-/// Because machine state is a handful of flat vectors, both directions
-/// are slice memcpys.
-///
-/// Snapshots are valid at statement boundaries: between [`Machine::run`]
-/// calls (multi-phase programs split across several `run`s checkpoint
-/// between phases). Transient in-flight state (loop frames, the value
-/// stack) is not captured — it is empty whenever `run` is not on the
-/// call stack. The snapshot carries the machine's program binding, so
-/// restoring also rewinds any re-linking done after the checkpoint.
-#[derive(Debug, Clone)]
-pub struct MachineSnapshot {
-    /// The program binding at snapshot time (an `Arc` clone, so this is
-    /// a pointer copy): restoring rewinds any re-linking that happened
-    /// after the checkpoint, keeping slot-indexed state and symbol
-    /// table in lockstep with the data vectors.
-    compiled: Arc<CompiledProgram>,
-    dram_state: Vec<DramState>,
-    /// `Arc` clone of the machine's input segment at snapshot time — a
-    /// pointer copy, never a word copy; copy-on-write keeps it pristine
-    /// if the machine writes inputs after the checkpoint.
-    dram_input: Arc<Vec<f64>>,
-    dram_out: Vec<f64>,
-    chip: Vec<ChipState>,
-    words: Vec<f64>,
-    bits: Vec<u64>,
-    env: Vec<Option<f64>>,
-    dense: DenseStats,
-    stats: ExecStats,
-}
-
 impl Machine {
     /// Creates a machine with zeroed DRAM arrays sized per the program's
     /// declarations. The program is linked and lowered to bytecode here,
@@ -1523,39 +1490,6 @@ impl Machine {
         for (off, data) in &image.output_init {
             self.dram_out[*off..*off + data.len()].copy_from_slice(data);
         }
-    }
-
-    /// Copies the machine's execution state (DRAM, the flat on-chip
-    /// arenas, variable bindings, statistics). See [`MachineSnapshot`]
-    /// for validity rules.
-    pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot {
-            compiled: Arc::clone(&self.compiled),
-            dram_state: self.dram_state.clone(),
-            dram_input: Arc::clone(&self.dram_input),
-            dram_out: self.dram_out.clone(),
-            chip: self.chip.clone(),
-            words: self.words.clone(),
-            bits: self.bits.clone(),
-            env: self.env.clone(),
-            dense: self.dense.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Reinstates a state previously captured with [`Machine::snapshot`],
-    /// reusing this machine's buffers where possible.
-    pub fn restore(&mut self, snapshot: &MachineSnapshot) {
-        self.compiled = Arc::clone(&snapshot.compiled);
-        self.dram_state.clone_from(&snapshot.dram_state);
-        self.dram_input = Arc::clone(&snapshot.dram_input);
-        self.dram_out.clone_from(&snapshot.dram_out);
-        self.chip.clone_from(&snapshot.chip);
-        self.words.clone_from(&snapshot.words);
-        self.bits.clone_from(&snapshot.bits);
-        self.env.clone_from(&snapshot.env);
-        self.dense.clone_from(&snapshot.dense);
-        self.stats.clone_from(&snapshot.stats);
     }
 
     /// The compiled program this machine is bound to.
@@ -5906,28 +5840,5 @@ mod tests {
         let mut m = Machine::new(&p);
         m.run(&p).unwrap();
         assert_eq!(&m.dram("out").unwrap()[..3], &coords[..]);
-    }
-
-    // --- Snapshot / restore ------------------------------------------
-
-    /// The snapshot is a deep copy: mutations after `snapshot()` do not
-    /// leak into it, and `restore` rewinds DRAM too.
-    #[test]
-    fn snapshot_is_isolated_from_later_mutation() {
-        let mut p = SpatialProgram::new("t");
-        p.add_dram("out", 2);
-        p.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(0.0),
-            value: SExpr::Const(1.0),
-        });
-        let mut m = Machine::new(&p);
-        let before = m.snapshot();
-        m.run(&p).unwrap();
-        assert_eq!(m.dram("out").unwrap()[0], 1.0);
-        assert_eq!(m.stats().dram_random_writes, 1);
-        m.restore(&before);
-        assert_eq!(m.dram("out").unwrap()[0], 0.0, "DRAM rewound");
-        assert_eq!(m.stats().dram_random_writes, 0, "stats rewound");
     }
 }

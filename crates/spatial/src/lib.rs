@@ -51,8 +51,8 @@ pub use analysis::{effects_of_span, verify, Effects, VerifyCtx, VerifyError};
 pub use bytecode::{CompiledProgram, ProgramCache, VecClass};
 pub use faults::{FaultParseError, FaultPlan};
 pub use interp::{
-    BudgetResource, CancelFlag, DramImage, DramImageBuilder, ExecStats, Machine, MachineSnapshot,
-    RunBudget, RunError, DRAM_WORD_BYTES,
+    BudgetResource, CancelFlag, DramImage, DramImageBuilder, ExecStats, Machine, RunBudget,
+    RunError, DRAM_WORD_BYTES,
 };
 pub use ir::{BinSOp, Counter, MemDecl, MemKind, SExpr, ScanOp, SpatialProgram, SpatialStmt};
 pub use pool::{MachinePool, PoolOccupancy, PoolStats, PooledMachine};

@@ -765,7 +765,7 @@ impl ReferenceMachine {
                     body(self)?;
                     v += step as f64;
                 }
-                restore(&mut self.env, var, saved);
+                rebind(&mut self.env, var, saved);
                 Ok(())
             }
             Counter::Scan1 {
@@ -790,8 +790,8 @@ impl ReferenceMachine {
                         pos += 1;
                     }
                 }
-                restore(&mut self.env, pos_var, saved_pos);
-                restore(&mut self.env, idx_var, saved_idx);
+                rebind(&mut self.env, pos_var, saved_pos);
+                rebind(&mut self.env, idx_var, saved_idx);
                 Ok(())
             }
             Counter::Scan2 {
@@ -845,7 +845,7 @@ impl ReferenceMachine {
                     }
                 }
                 for (v, old) in saved {
-                    restore(&mut self.env, &v, old);
+                    rebind(&mut self.env, &v, old);
                 }
                 Ok(())
             }
@@ -853,7 +853,7 @@ impl ReferenceMachine {
     }
 }
 
-fn restore(env: &mut HashMap<String, f64>, var: &str, saved: Option<f64>) {
+fn rebind(env: &mut HashMap<String, f64>, var: &str, saved: Option<f64>) {
     match saved {
         Some(v) => {
             env.insert(var.to_string(), v);
