@@ -72,6 +72,8 @@ pub enum RunError {
     /// [`Machine::run`] was handed a program other than the one the
     /// machine was compiled for. Nothing ran; the machine is untouched.
     ForeignProgram,
+    /// A `Div` or `Mod` was evaluated with a zero divisor.
+    DivisionByZero,
     /// A [`RunBudget`] resource was exhausted mid-run. The machine's
     /// state is abandoned partway through the program — callers must
     /// treat it as poisoned (the [`crate::MachinePool`] quarantines it
@@ -312,6 +314,7 @@ impl fmt::Display for RunError {
                     "DRAM image does not match the machine's compiled program"
                 )
             }
+            RunError::DivisionByZero => write!(f, "division by zero in Spatial expression"),
             RunError::ForeignProgram => {
                 write!(f, "program is not the one this machine was compiled for")
             }
@@ -3264,7 +3267,7 @@ impl Machine {
                 };
                 let r = self.hot_gather_read(g, c)?;
                 c.alu_ops += 1;
-                Ok(op.apply(x, r))
+                op.apply(x, r).ok_or(RunError::DivisionByZero)
             }
             HotValue::VarConstBin { var, c: k, op } => {
                 let a = match self.env[var as usize] {
@@ -3276,7 +3279,7 @@ impl Machine {
                     }
                 };
                 c.alu_ops += 1;
-                Ok(op.apply(a, k))
+                op.apply(a, k).ok_or(RunError::DivisionByZero)
             }
         }
     }
@@ -3689,9 +3692,16 @@ impl Machine {
                         }
                         ValPlan::IotaBin { op, c } => {
                             // Lanes are independent; per-lane apply is
-                            // bit-identical to the scalar op.
+                            // bit-identical to the scalar op. A zero
+                            // divisor re-runs scalar for the exact error.
                             for (k, x) in vals.iter_mut().enumerate() {
-                                *x = op.apply((at + k) as f64, *c);
+                                match op.apply((at + k) as f64, *c) {
+                                    Some(v) => *x = v,
+                                    None => {
+                                        vec_on = false;
+                                        break 'chunks;
+                                    }
+                                }
                             }
                         }
                         ValPlan::Stream(g) => {
@@ -3700,7 +3710,10 @@ impl Machine {
                         ValPlan::SplatBin { x, op, g } => {
                             let mut lanes = [0.0f64; L];
                             lanes.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            vector::bin_splat(*op, *x, &lanes, &mut vals);
+                            if !vector::bin_splat(*op, *x, &lanes, &mut vals) {
+                                vec_on = false; // scalar re-run raises DivisionByZero
+                                break 'chunks;
+                            }
                         }
                     }
                     // Serial in-lane-order commit: repeated indices
@@ -3964,7 +3977,15 @@ impl Machine {
                             }
                             ValPlan::IotaBin { op, c } => {
                                 for (k, x) in vals.iter_mut().enumerate() {
-                                    *x = op.apply((at + k) as f64, *c);
+                                    match op.apply((at + k) as f64, *c) {
+                                        Some(v) => *x = v,
+                                        None => {
+                                            // Zero divisor: scalar re-run
+                                            // raises the exact error.
+                                            vec_on = false;
+                                            break 'chunks;
+                                        }
+                                    }
                                 }
                             }
                             ValPlan::Stream(g) => {
@@ -3973,7 +3994,10 @@ impl Machine {
                             ValPlan::SplatBin { x, op, g } => {
                                 let mut raw = [0.0f64; L];
                                 raw.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                                vector::bin_splat(*op, *x, &raw, vals);
+                                if !vector::bin_splat(*op, *x, &raw, vals) {
+                                    vec_on = false; // scalar re-run raises DivisionByZero
+                                    break 'chunks;
+                                }
                             }
                         }
                     }
@@ -4204,7 +4228,10 @@ impl Machine {
                         RedPlan::SplatBin { x, op, g } => {
                             let mut lanes = [0.0f64; L];
                             lanes.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            vector::bin_splat(*op, *x, &lanes, &mut m);
+                            if !vector::bin_splat(*op, *x, &lanes, &mut m) {
+                                vec_on = false; // scalar re-run raises DivisionByZero
+                                break 'chunks;
+                            }
                         }
                         RedPlan::IndBin { l, op, i, o } => {
                             let mut lv = [0.0f64; L];
@@ -4228,7 +4255,10 @@ impl Machine {
                             for k in 0..L {
                                 rv[k] = self.words[o.woff + idx[k]];
                             }
-                            vector::bin_lanes(*op, &lv, &rv, &mut m);
+                            if !vector::bin_lanes(*op, &lv, &rv, &mut m) {
+                                vec_on = false; // scalar re-run raises DivisionByZero
+                                break 'chunks;
+                            }
                         }
                     }
                     // The reduction itself stays serial in lane order:
@@ -4366,7 +4396,8 @@ impl Machine {
                     }
                 };
                 self.dense.alu_ops += 1;
-                self.read_mem_value(mem.chip, mem.dram, op.apply(x, c), mem.random)
+                let ix = op.apply(x, c).ok_or(RunError::DivisionByZero)?;
+                self.read_mem_value(mem.chip, mem.dram, ix, mem.random)
             }
             FusedOp::BinGather { a, op, mem } => {
                 let x = match self.env[a as usize] {
@@ -4379,7 +4410,7 @@ impl Machine {
                 };
                 let v = self.gather_value(mem)?;
                 self.dense.alu_ops += 1;
-                Ok(op.apply(x, v))
+                op.apply(x, v).ok_or(RunError::DivisionByZero)
             }
             FusedOp::BinGatherInd {
                 lhs,
@@ -4391,7 +4422,7 @@ impl Machine {
                 let ix = self.gather_value(inner)?;
                 let r = self.read_mem_value(outer.chip, outer.dram, ix, outer.random)?;
                 self.dense.alu_ops += 1;
-                Ok(op.apply(l, r))
+                op.apply(l, r).ok_or(RunError::DivisionByZero)
             }
         }
     }
@@ -4469,7 +4500,7 @@ impl Machine {
                 EOp::Binary(op) => {
                     let a = self.vstack.pop().expect("lhs on stack");
                     *alu += 1;
-                    tos = op.apply(a, tos);
+                    tos = op.apply(a, tos).ok_or(RunError::DivisionByZero)?;
                     pc += 1;
                 }
                 EOp::VarReadMem {
@@ -4518,7 +4549,7 @@ impl Machine {
                     let v = self.read_mem_value(chip, dram, ix, random)?;
                     *alu += 1;
                     self.vstack.push(tos);
-                    tos = op.apply(x, v);
+                    tos = op.apply(x, v).ok_or(RunError::DivisionByZero)?;
                     pc += 1;
                 }
                 EOp::VarConstBin { var, c, op } => {
@@ -4532,7 +4563,7 @@ impl Machine {
                     };
                     *alu += 1;
                     self.vstack.push(tos);
-                    tos = op.apply(a, c);
+                    tos = op.apply(a, c).ok_or(RunError::DivisionByZero)?;
                     pc += 1;
                 }
                 EOp::BranchFalse { target } => {

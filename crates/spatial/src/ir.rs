@@ -92,21 +92,22 @@ pub enum BinSOp {
 }
 
 impl BinSOp {
-    /// Applies the operator.
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
+    /// Applies the operator. `None` when `Div` or `Mod` would divide by
+    /// zero: the divisor is program data (position arithmetic over an
+    /// empty dimension divides by a runtime `n`), so both engines raise
+    /// it as `RunError::DivisionByZero` — in every build profile —
+    /// instead of letting `inf`/`NaN` flow into a stored value or an
+    /// index.
+    pub fn apply(self, a: f64, b: f64) -> Option<f64> {
+        Some(match self {
             BinSOp::Add => a + b,
             BinSOp::Sub => a - b,
             BinSOp::Mul => a * b,
-            BinSOp::Div => {
-                debug_assert!(b != 0.0, "division by zero in Spatial expression");
-                (a / b).trunc()
-            }
-            BinSOp::Mod => {
-                debug_assert!(b != 0.0, "mod by zero in Spatial expression");
-                a - (a / b).trunc() * b
-            }
-        }
+            BinSOp::Div if b == 0.0 => return None,
+            BinSOp::Div => (a / b).trunc(),
+            BinSOp::Mod if b == 0.0 => return None,
+            BinSOp::Mod => a - (a / b).trunc() * b,
+        })
     }
 }
 
@@ -667,11 +668,14 @@ mod tests {
 
     #[test]
     fn binsop_apply() {
-        assert_eq!(BinSOp::Add.apply(2.0, 3.0), 5.0);
-        assert_eq!(BinSOp::Sub.apply(2.0, 3.0), -1.0);
-        assert_eq!(BinSOp::Mul.apply(2.0, 3.0), 6.0);
-        assert_eq!(BinSOp::Div.apply(7.0, 2.0), 3.0);
-        assert_eq!(BinSOp::Mod.apply(7.0, 2.0), 1.0);
+        assert_eq!(BinSOp::Add.apply(2.0, 3.0), Some(5.0));
+        assert_eq!(BinSOp::Sub.apply(2.0, 3.0), Some(-1.0));
+        assert_eq!(BinSOp::Mul.apply(2.0, 3.0), Some(6.0));
+        assert_eq!(BinSOp::Div.apply(7.0, 2.0), Some(3.0));
+        assert_eq!(BinSOp::Mod.apply(7.0, 2.0), Some(1.0));
+        assert_eq!(BinSOp::Mul.apply(7.0, 0.0), Some(0.0));
+        assert_eq!(BinSOp::Div.apply(7.0, 0.0), None);
+        assert_eq!(BinSOp::Mod.apply(7.0, -0.0), None);
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl ReferenceMachine {
                 let a = self.eval(lhs)?;
                 let b = self.eval(rhs)?;
                 self.stats.alu_ops += 1;
-                Ok(op.apply(a, b))
+                op.apply(a, b).ok_or(RunError::DivisionByZero)
             }
             SExpr::Select {
                 cond,

@@ -106,36 +106,63 @@ fn fill_lanes(out: &mut [f64; LANES], f: impl Fn(usize) -> f64) {
     }
 }
 
-/// `out[k] = a op b[k]` with a loop-invariant left operand — the
-/// scale-by-gathered-value lane kernel (`vb * C_vals[jj]`).
+/// [`fill_lanes`] for the operators that can refuse a lane (`Div`/`Mod`
+/// by zero): returns `false` if any lane did. Like [`to_indices`], the
+/// caller then re-runs the chunk scalar so `DivisionByZero` surfaces at
+/// the exact iteration, with the exact partial state.
 #[inline(always)]
-pub(crate) fn bin_splat(op: crate::ir::BinSOp, a: f64, b: &[f64; LANES], out: &mut [f64; LANES]) {
+fn try_fill_lanes(out: &mut [f64; LANES], f: impl Fn(usize) -> Option<f64>) -> bool {
+    let mut ok = true;
+    for (k, slot) in out.iter_mut().enumerate() {
+        match f(k) {
+            Some(v) => *slot = v,
+            None => ok = false,
+        }
+    }
+    ok
+}
+
+/// `out[k] = a op b[k]` with a loop-invariant left operand — the
+/// scale-by-gathered-value lane kernel (`vb * C_vals[jj]`). `false`
+/// when a lane divides by zero (see [`try_fill_lanes`]).
+#[inline(always)]
+#[must_use]
+pub(crate) fn bin_splat(
+    op: crate::ir::BinSOp,
+    a: f64,
+    b: &[f64; LANES],
+    out: &mut [f64; LANES],
+) -> bool {
     use crate::ir::BinSOp::*;
     // The common operators get their own loops so no lane re-matches `op`.
     match op {
         Add => fill_lanes(out, |k| a + b[k]),
         Sub => fill_lanes(out, |k| a - b[k]),
         Mul => fill_lanes(out, |k| a * b[k]),
-        op => fill_lanes(out, |k| op.apply(a, b[k])),
+        Div | Mod => return try_fill_lanes(out, |k| op.apply(a, b[k])),
     }
+    true
 }
 
 /// `out[k] = a[k] op b[k]` — the two-stream lane kernel
-/// (`A_vals[j] * x[crd[j]]`).
+/// (`A_vals[j] * x[crd[j]]`). `false` when a lane divides by zero (see
+/// [`try_fill_lanes`]).
 #[inline(always)]
+#[must_use]
 pub(crate) fn bin_lanes(
     op: crate::ir::BinSOp,
     a: &[f64; LANES],
     b: &[f64; LANES],
     out: &mut [f64; LANES],
-) {
+) -> bool {
     use crate::ir::BinSOp::*;
     match op {
         Add => fill_lanes(out, |k| a[k] + b[k]),
         Sub => fill_lanes(out, |k| a[k] - b[k]),
         Mul => fill_lanes(out, |k| a[k] * b[k]),
-        op => fill_lanes(out, |k| op.apply(a[k], b[k])),
+        Div | Mod => return try_fill_lanes(out, |k| op.apply(a[k], b[k])),
     }
+    true
 }
 
 #[cfg(test)]
@@ -198,18 +225,32 @@ mod tests {
             BinSOp::Div,
             BinSOp::Mod,
         ] {
-            if matches!(op, BinSOp::Div | BinSOp::Mod) && b.contains(&0.0) {
-                continue;
-            }
             let mut out = [0.0; LANES];
-            bin_lanes(op, &a, &b, &mut out);
+            assert!(bin_lanes(op, &a, &b, &mut out));
             for k in 0..LANES {
-                assert_eq!(out[k].to_bits(), op.apply(a[k], b[k]).to_bits());
+                assert_eq!(
+                    Some(out[k].to_bits()),
+                    op.apply(a[k], b[k]).map(f64::to_bits)
+                );
             }
-            bin_splat(op, 2.5, &b, &mut out);
+            assert!(bin_splat(op, 2.5, &b, &mut out));
             for k in 0..LANES {
-                assert_eq!(out[k].to_bits(), op.apply(2.5, b[k]).to_bits());
+                assert_eq!(
+                    Some(out[k].to_bits()),
+                    op.apply(2.5, b[k]).map(f64::to_bits)
+                );
             }
         }
+        // A zero divisor in any lane refuses the chunk (the caller then
+        // re-runs it scalar); the other operators never refuse.
+        let mut zero = b;
+        zero[5] = 0.0;
+        let mut out = [0.0; LANES];
+        for op in [BinSOp::Div, BinSOp::Mod] {
+            assert!(!bin_lanes(op, &a, &zero, &mut out));
+            assert!(!bin_splat(op, 2.5, &zero, &mut out));
+        }
+        assert!(bin_lanes(BinSOp::Mul, &a, &zero, &mut out));
+        assert!(bin_splat(BinSOp::Add, 2.5, &zero, &mut out));
     }
 }

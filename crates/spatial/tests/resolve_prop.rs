@@ -10,8 +10,8 @@ use proptest::test_runner::TestRng;
 use stardust_spatial::ir::MemDecl;
 use stardust_spatial::printer::spatial_loc;
 use stardust_spatial::{
-    print_program, resolve, validate, Counter, Machine, MemKind, ReferenceMachine, SExpr, ScanOp,
-    SpatialProgram, SpatialStmt, SymbolTable,
+    print_program, resolve, validate, BinSOp, Counter, Machine, MemKind, ReferenceMachine,
+    RunError, SExpr, ScanOp, SpatialProgram, SpatialStmt, SymbolTable,
 };
 
 const SIZE: usize = 16;
@@ -438,6 +438,142 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)]) {
         assert_eq!(a, b, "DRAM {} diverges", d.name);
     }
     assert_eq!(fast.stats(), reference.stats(), "stats diverge");
+}
+
+/// The shared front of the zero-divisor programs: one store that must
+/// survive in the partial DRAM, and `in0` loaded into the SRAM `s`.
+fn zero_divisor_program(name: &str) -> SpatialProgram {
+    let mut p = SpatialProgram::new(name);
+    p.add_dram("in0", SIZE);
+    p.add_sparse_dram("sp0", SIZE);
+    p.add_dram("out0", SIZE);
+    p.accel.push(SpatialStmt::StoreScalar {
+        dst: "out0".into(),
+        index: SExpr::Const(0.0),
+        value: SExpr::Const(7.0),
+    });
+    p.accel
+        .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, SIZE)));
+    p.accel.push(SpatialStmt::Load {
+        dst: "s".into(),
+        src: "in0".into(),
+        start: SExpr::Const(0.0),
+        end: SExpr::Const(SIZE as f64),
+        par: 1,
+    });
+    p
+}
+
+/// `out0[i + 1] = value` over `i in [0, 4)`.
+fn store_loop(value: SExpr) -> SpatialStmt {
+    SpatialStmt::Foreach {
+        id: 0,
+        counter: Counter::range_to("i", SExpr::Const(4.0)),
+        par: 1,
+        body: vec![SpatialStmt::StoreScalar {
+            dst: "out0".into(),
+            index: SExpr::add(SExpr::var("i"), SExpr::Const(1.0)),
+            value,
+        }],
+    }
+}
+
+/// A zero divisor is program data, not a program bug (position
+/// arithmetic over an empty dimension divides by a runtime `n`): both
+/// engines must raise the same typed error — in debug and release
+/// alike, where this used to be a panic and an `inf`/`NaN` — with the
+/// same partial DRAM and the same statistics. One program per way the
+/// bytecode engine evaluates a `Div`/`Mod`.
+#[test]
+fn division_by_zero_is_one_typed_error_on_both_engines() {
+    let sp0_at = |ix: SExpr| SExpr::read_random("sp0", ix);
+    let mut programs = Vec::new();
+
+    // `x % k` with `k` read at run time: fine on the first iteration,
+    // zero on the second (the postfix `Binary` op).
+    let mut p = zero_divisor_program("mod_runtime_k");
+    p.accel.push(store_loop(SExpr::bin(
+        BinSOp::Mod,
+        SExpr::add(SExpr::var("i"), SExpr::Const(8.0)),
+        sp0_at(SExpr::var("i")),
+    )));
+    programs.push(p);
+
+    // `x / 0` as a `Load` bound.
+    let mut p = zero_divisor_program("div_load_bound");
+    p.accel
+        .push(SpatialStmt::Alloc(MemDecl::new("t", MemKind::Sram, SIZE)));
+    p.accel.push(SpatialStmt::Load {
+        dst: "t".into(),
+        src: "in0".into(),
+        start: SExpr::Const(0.0),
+        end: SExpr::bin(BinSOp::Div, SExpr::Const(8.0), sp0_at(SExpr::Const(1.0))),
+        par: 1,
+    });
+    programs.push(p);
+
+    // `x / 0` as an SRAM index (the fused `mem[var op c]` operand), and
+    // `x % 0` inside a longer expression (the fused `var op c` op).
+    let mut p = zero_divisor_program("div_sram_index");
+    p.accel.push(store_loop(SExpr::read(
+        "s",
+        SExpr::bin(BinSOp::Div, SExpr::var("i"), SExpr::Const(0.0)),
+    )));
+    programs.push(p);
+    let mut p = zero_divisor_program("mod_literal");
+    p.accel.push(store_loop(SExpr::add(
+        SExpr::bin(BinSOp::Mod, SExpr::var("i"), SExpr::Const(0.0)),
+        SExpr::Const(1.0),
+    )));
+    programs.push(p);
+
+    // A zero-divisor index in the scatter superinstruction's loop.
+    let mut p = zero_divisor_program("mod_scatter_index");
+    p.accel.push(SpatialStmt::Alloc(MemDecl::new(
+        "acc",
+        MemKind::SparseSram,
+        SIZE,
+    )));
+    p.accel.push(SpatialStmt::Foreach {
+        id: 0,
+        counter: Counter::range_to("i", SExpr::Const(4.0)),
+        par: 1,
+        body: vec![SpatialStmt::RmwAdd {
+            mem: "acc".into(),
+            index: SExpr::bin(BinSOp::Mod, SExpr::var("i"), SExpr::Const(0.0)),
+            value: SExpr::read("s", SExpr::var("i")),
+        }],
+    });
+    programs.push(p);
+
+    // `in0` and `sp0` (these programs declare no `in1`), with the
+    // divisors planted at the head of `sp0`.
+    let mut writes = inputs(1);
+    writes.remove(1);
+    writes[1].1[..2].copy_from_slice(&[3.0, 0.0]);
+    for mut p in programs {
+        p.assign_ids();
+        validate(&p).expect("zero-divisor programs are well-formed");
+        // Agreement on error, partial DRAM and statistics — also under
+        // whatever `STARDUST_FAULTS` plan the chaos job installs.
+        assert_engines_agree(&p, &writes);
+        // And without a plan, the error both agree on is the typed one.
+        let mut fast = Machine::new(&p);
+        let mut reference = ReferenceMachine::new(&p);
+        for (name, data) in &writes {
+            fast.write_dram(name, data).unwrap();
+            reference.write_dram(name, data).unwrap();
+        }
+        let want = Err(RunError::DivisionByZero);
+        assert_eq!(fast.run(&p), want, "{}: bytecode engine", p.name);
+        assert_eq!(reference.run(&p), want, "{}: reference engine", p.name);
+        assert!(fast.poisoned(), "{}: an aborted run poisons", p.name);
+        let out = fast.dram("out0").unwrap();
+        assert_eq!(out[0], 7.0, "{}: the store before the fault", p.name);
+        if p.name == "mod_runtime_k" {
+            assert_eq!(out[1], 2.0, "11 % 3 stored before the zero divisor");
+        }
+    }
 }
 
 proptest! {

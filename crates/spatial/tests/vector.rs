@@ -18,8 +18,8 @@ use proptest::test_runner::TestRng;
 use stardust_spatial::ir::MemDecl;
 use stardust_spatial::vector::LANES;
 use stardust_spatial::{
-    Counter, Machine, MemKind, ReferenceMachine, RunBudget, SExpr, ScanOp, SpatialProgram,
-    SpatialStmt,
+    BinSOp, Counter, ExecStats, Machine, MemKind, ReferenceMachine, RunBudget, RunError, SExpr,
+    ScanOp, SpatialProgram, SpatialStmt,
 };
 
 /// Runs `p` three ways — bytecode with the vector tier forced on,
@@ -27,6 +27,16 @@ use stardust_spatial::{
 /// identical results (or errors), bitwise-identical DRAM, and identical
 /// statistics. An optional step budget applies to all three.
 fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: Option<u64>) {
+    let _ = agreed_result(p, writes, fuel);
+}
+
+/// [`assert_engines_agree`], returning the run result all three agreed
+/// on.
+fn agreed_result(
+    p: &SpatialProgram,
+    writes: &[(&str, Vec<f64>)],
+    fuel: Option<u64>,
+) -> Result<ExecStats, RunError> {
     let mut vec_m = Machine::new(p);
     for (name, data) in writes {
         vec_m.write_dram(name, data).unwrap();
@@ -76,6 +86,7 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: O
         reference.stats(),
         "vector vs reference stats diverge"
     );
+    rv
 }
 
 /// Deterministic data generator (no RNG dependency on the hot loop).
@@ -113,6 +124,11 @@ const ACC: usize = 24;
 /// `r += vals_s[j] * x_s[crd_s[j]]` with an empty body — the
 /// `GatherReduce` vector class.
 fn reduce_program(n: usize, lo: usize) -> SpatialProgram {
+    reduce_program_with(BinSOp::Mul, n, lo)
+}
+
+/// [`reduce_program`] with `op` in place of the multiply.
+fn reduce_program_with(op: BinSOp, n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
     let mut p = SpatialProgram::new("vec_reduce");
     p.add_dram("vals", len);
@@ -137,7 +153,8 @@ fn reduce_program(n: usize, lo: usize) -> SpatialProgram {
         },
         par: 1,
         body: vec![],
-        expr: SExpr::mul(
+        expr: SExpr::bin(
+            op,
             SExpr::read("vals_s", SExpr::var("j")),
             SExpr::read_random("x_s", SExpr::read("crd_s", SExpr::var("j"))),
         ),
@@ -155,6 +172,11 @@ fn reduce_program(n: usize, lo: usize) -> SpatialProgram {
 /// `acc_s[crd_s[j]] += vb * vals_s[j]` — the `Scatter` vector class
 /// with a gathered index.
 fn scatter_program(n: usize, lo: usize) -> SpatialProgram {
+    scatter_program_with(BinSOp::Mul, n, lo)
+}
+
+/// [`scatter_program`] with `op` in place of the multiply.
+fn scatter_program_with(op: BinSOp, n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
     let mut p = SpatialProgram::new("vec_scatter");
     p.add_dram("vals", len);
@@ -181,7 +203,7 @@ fn scatter_program(n: usize, lo: usize) -> SpatialProgram {
         body: vec![SpatialStmt::RmwAdd {
             mem: "acc_s".into(),
             index: SExpr::read("crd_s", SExpr::var("j")),
-            value: SExpr::mul(SExpr::var("vb"), SExpr::read("vals_s", SExpr::var("j"))),
+            value: SExpr::bin(op, SExpr::var("vb"), SExpr::read("vals_s", SExpr::var("j"))),
         }],
     });
     p.accel.push(SpatialStmt::Store {
@@ -198,6 +220,11 @@ fn scatter_program(n: usize, lo: usize) -> SpatialProgram {
 /// A dense fill over `j in [lo, lo+n)`: `s[j] = vals_s[j]` — the
 /// `Scatter` class with the iota index plan.
 fn dense_fill_program(n: usize, lo: usize) -> SpatialProgram {
+    dense_fill_program_with(SExpr::read("vals_s", SExpr::var("j")), n, lo)
+}
+
+/// [`dense_fill_program`] storing `value` (an expression over `j`).
+fn dense_fill_program_with(value: SExpr, n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
     let mut p = SpatialProgram::new("vec_fill");
     p.add_dram("vals", len);
@@ -217,7 +244,7 @@ fn dense_fill_program(n: usize, lo: usize) -> SpatialProgram {
         body: vec![SpatialStmt::WriteMem {
             mem: "s".into(),
             index: SExpr::var("j"),
-            value: SExpr::read("vals_s", SExpr::var("j")),
+            value,
             random: false,
         }],
     });
@@ -302,6 +329,26 @@ fn faulting_lanes_mid_chunk_match_scalar_semantics() {
     let mut inputs = reduce_inputs(n, 0, 10);
     inputs[1].1[1] = -1.0;
     assert_engines_agree(&reduce_program(n, 0), &inputs, None);
+    // A zero divisor is the same kind of lane fault: a typed error at
+    // the exact iteration, in every build profile. `vb % vals[j]` with
+    // a zero in the middle of the second chunk...
+    let zero = Err(RunError::DivisionByZero);
+    let mut inputs = scatter_inputs(n, 0, 11);
+    inputs[0].1[LANES + 3] = 0.0;
+    let p = scatter_program_with(BinSOp::Mod, n, 0);
+    assert_eq!(agreed_result(&p, &inputs, None), zero);
+    // ...`vals[j] / x[crd[j]]` with a zero behind the last chunk's
+    // gather...
+    let mut inputs = reduce_inputs(n, 0, 12);
+    inputs[1].1[2 * LANES + 1] = 5.0;
+    inputs[2].1[5] = 0.0;
+    let p = reduce_program_with(BinSOp::Div, n, 0);
+    assert_eq!(agreed_result(&p, &inputs, None), zero);
+    // ...and a loop-invariant zero divisor, `s[j] = j % 0`.
+    let value = SExpr::bin(BinSOp::Mod, SExpr::var("j"), SExpr::Const(0.0));
+    let p = dense_fill_program_with(value, n, 0);
+    let vals = [("vals", series(13, n, 64, 0.125))];
+    assert_eq!(agreed_result(&p, &vals, None), zero);
 }
 
 /// The fuel-drift regression: sweep step budgets so exhaustion lands on
