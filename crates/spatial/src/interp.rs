@@ -1,6 +1,6 @@
 //! Resolved-slot interpreter for the Spatial IR.
 //!
-//! Executes a [`SpatialProgram`] against DRAM contents. This provides the
+//! Executes a [`crate::SpatialProgram`] against DRAM contents. This provides the
 //! executable semantics that the authors obtained from the Spatial/SARA
 //! toolchain: compiled kernels are checked for correctness against the CIN
 //! oracle by running them here, and the [`ExecStats`] event trace (elements
@@ -66,7 +66,7 @@ pub enum RunError {
         /// The value.
         value: f64,
     },
-    /// A [`DramImage`] built for one compiled program was bound to a
+    /// A [`crate::DramImage`] built for one compiled program was bound to a
     /// machine running an incompatible one.
     ImageMismatch,
     /// [`Machine::run`] was handed a program other than the one the
@@ -152,7 +152,7 @@ impl CancelFlag {
 /// interrupt checks amortize over [`INTERRUPT_MASK`]+1 steps).
 ///
 /// A "step" is one loop-body execution — exactly what
-/// [`ExecStats::node_trips`] counts, summed over nodes — so the
+/// [`crate::ExecStats::node_trips`] counts, summed over nodes — so the
 /// completes-or-aborts predicate is identical across both execution
 /// engines: a run finishes iff its total trip count fits the fuel.
 /// Budgets are armed at [`Machine::run`] entry and persist on the
@@ -556,7 +556,11 @@ struct DramState {
 /// The words of a DRAM slot, read-only. Free function (not a method) so
 /// callers can split-borrow the segments against other machine fields.
 #[inline(always)]
-fn dram_words<'a>(input: &'a [f64], out: &'a [f64], st: DramState) -> Option<&'a [f64]> {
+pub(in crate::interp) fn dram_words<'a>(
+    input: &'a [f64],
+    out: &'a [f64],
+    st: DramState,
+) -> Option<&'a [f64]> {
     if !st.mapped {
         return None;
     }
@@ -569,7 +573,7 @@ fn dram_words<'a>(input: &'a [f64], out: &'a [f64], st: DramState) -> Option<&'a
 /// memcpy on the first such write, nothing afterwards — the
 /// copy-on-write half of [`DramImage`] sharing.
 #[inline(always)]
-fn dram_words_mut<'a>(
+pub(in crate::interp) fn dram_words_mut<'a>(
     input: &'a mut Arc<Vec<f64>>,
     out: &'a mut Vec<f64>,
     st: DramState,
@@ -675,7 +679,7 @@ impl DramImage {
 }
 
 /// Writes input tensors into a [`DramImage`] under construction.
-/// Arrays are addressed by DRAM slot (see [`SymbolTable::dram_slot`]) —
+/// Arrays are addressed by DRAM slot (see [`crate::SymbolTable::dram_slot`]) —
 /// resolve names once at compile time, not per bind.
 #[derive(Debug, Clone)]
 pub struct DramImageBuilder {
@@ -774,17 +778,17 @@ impl DramImageBuilder {
 /// source slot's region, logical length, and shuffle attribution are
 /// hoisted out of the loop (the loop body provably cannot change them).
 #[derive(Debug, Clone, Copy)]
-struct HotGather {
+pub(in crate::interp) struct HotGather {
     /// Chip slot (for error naming).
-    chip: Slot,
+    pub(in crate::interp) chip: Slot,
     /// Index variable slot.
-    var: Slot,
+    pub(in crate::interp) var: Slot,
     /// Hoisted word-arena offset.
-    woff: usize,
+    pub(in crate::interp) woff: usize,
     /// Hoisted logical length.
-    len: usize,
+    pub(in crate::interp) len: usize,
     /// Whether each read counts a shuffle access.
-    shuffle: bool,
+    pub(in crate::interp) shuffle: bool,
 }
 
 /// Operand shapes the scatter superinstruction can evaluate without the
@@ -792,7 +796,7 @@ struct HotGather {
 /// scale-by-gathered-value shape, and the `var op const` two-op
 /// expression program.
 #[derive(Debug, Clone, Copy)]
-enum HotValue {
+pub(in crate::interp) enum HotValue {
     Const(f64),
     Var(Slot),
     Gather(HotGather),
@@ -888,10 +892,10 @@ struct ScatterStmt {
 /// Register-batched statistics for the scatter superinstruction,
 /// flushed to the dense counters on every loop exit path.
 #[derive(Debug, Default, Clone, Copy)]
-struct HotCounters {
-    sram_reads: u64,
-    shuffles: u64,
-    alu_ops: u64,
+pub(in crate::interp) struct HotCounters {
+    pub(in crate::interp) sram_reads: u64,
+    pub(in crate::interp) shuffles: u64,
+    pub(in crate::interp) alu_ops: u64,
 }
 
 // --- FIFO ring primitives over a word-arena region -------------------
@@ -1138,7 +1142,7 @@ struct DenseStats {
 impl DenseStats {
     /// Zeroes every counter while keeping the dense vectors' lengths
     /// (and hence their slot/node indexing) intact.
-    fn clear(&mut self) {
+    pub(in crate::interp) fn clear(&mut self) {
         let DenseStats {
             dram_reads,
             dram_writes,
@@ -1177,21 +1181,31 @@ impl DenseStats {
         *reduce_elems = 0;
     }
 
-    fn note_dram_read(&mut self, slot: Slot, words: u64, node: Option<usize>) {
+    pub(in crate::interp) fn note_dram_read(
+        &mut self,
+        slot: Slot,
+        words: u64,
+        node: Option<usize>,
+    ) {
         *self.dram_reads[slot as usize].get_or_insert(0) += words;
         if let Some(n) = node {
             self.node_dram_read_words[n] += words;
         }
     }
 
-    fn note_dram_write(&mut self, slot: Slot, words: u64, node: Option<usize>) {
+    pub(in crate::interp) fn note_dram_write(
+        &mut self,
+        slot: Slot,
+        words: u64,
+        node: Option<usize>,
+    ) {
         *self.dram_writes[slot as usize].get_or_insert(0) += words;
         if let Some(n) = node {
             self.node_dram_write_words[n] += words;
         }
     }
 
-    fn fold(&self, syms: &SymbolTable) -> ExecStats {
+    pub(in crate::interp) fn fold(&self, syms: &SymbolTable) -> ExecStats {
         let mut out = ExecStats {
             dram_random_reads: self.dram_random_reads,
             dram_random_writes: self.dram_random_writes,
@@ -1238,7 +1252,10 @@ fn trimmed(counts: &[u64]) -> Vec<u64> {
 }
 
 #[inline]
-fn index_of(v: f64, context: impl FnOnce() -> String) -> Result<usize, RunError> {
+pub(in crate::interp) fn index_of(
+    v: f64,
+    context: impl FnOnce() -> String,
+) -> Result<usize, RunError> {
     if v < 0.0 {
         return Err(RunError::NegativeIndex {
             context: context(),
@@ -1555,7 +1572,7 @@ impl Machine {
 
     /// Rebinds the DRAM input segment to the pristine all-zero image
     /// the machine was constructed with — an `Arc` pointer copy that
-    /// drops any bound [`DramImage`] (and any copy-on-write private
+    /// drops any bound [`crate::DramImage`] (and any copy-on-write private
     /// segment). [`Machine::reset`] + `unbind_inputs` is the
     /// machine-pool checkout invariant: a recycled machine becomes
     /// indistinguishable from a fresh [`Machine::from_compiled`].
@@ -1653,7 +1670,7 @@ impl Machine {
     /// layout places every program-written slot there; input-segment
     /// writes only happen through host `write_dram`, outside a run).
     #[inline(always)]
-    fn log_dram_write(&mut self, dst: Slot, off: usize, n: usize) {
+    pub(in crate::interp) fn log_dram_write(&mut self, dst: Slot, off: usize, n: usize) {
         if let Some(log) = &mut self.write_log {
             let st = self.dram_state[dst as usize];
             if st.input {
@@ -1669,7 +1686,7 @@ impl Machine {
     /// installed [`crate::faults`] plan. One-shot injected step faults
     /// are min-folded into the fuel countdown so the hot loops pay for
     /// exactly one compare-and-decrement regardless of what is armed.
-    fn arm_budget(&mut self) {
+    pub(in crate::interp) fn arm_budget(&mut self) {
         let plan = faults::active();
         let mut fuel = self.budget.max_steps.unwrap_or(u64::MAX);
         let mut cause = FuelCause::Budget;
@@ -1701,10 +1718,10 @@ impl Machine {
 
     /// Charges one interpreter step ("fuel") and runs the amortized
     /// deadline/cancel check. Called once per loop-body execution —
-    /// exactly the [`ExecStats::node_trips`] sites — so the
+    /// exactly the [`crate::ExecStats::node_trips`] sites — so the
     /// completes-or-aborts predicate is engine-identical.
     #[inline(always)]
-    fn charge_step(&mut self) -> Result<(), RunError> {
+    pub(in crate::interp) fn charge_step(&mut self) -> Result<(), RunError> {
         if self.fuel == 0 {
             return Err(exhausted_fuel(self.fuel_cause, self.step_limit));
         }
@@ -1720,7 +1737,7 @@ impl Machine {
     }
 
     /// The configured deadline in milliseconds (for error messages).
-    fn deadline_ms(&self) -> u64 {
+    pub(in crate::interp) fn deadline_ms(&self) -> u64 {
         self.budget
             .deadline
             .map(|d| d.as_millis() as u64)
@@ -1729,7 +1746,7 @@ impl Machine {
 
     /// Charges `words` against the DRAM-word budget.
     #[inline(always)]
-    fn charge_dram(&mut self, words: u64) -> Result<(), RunError> {
+    pub(in crate::interp) fn charge_dram(&mut self, words: u64) -> Result<(), RunError> {
         match self.dram_fuel.checked_sub(words) {
             Some(rest) => {
                 self.dram_fuel = rest;
@@ -1745,7 +1762,7 @@ impl Machine {
     /// Ensures the slot's word region holds at least `need` words,
     /// relocating it to the end of the word arena when it does not.
     /// The region contents are NOT carried over — callers reset them.
-    fn reserve_words(&mut self, slot: Slot, need: usize) {
+    pub(in crate::interp) fn reserve_words(&mut self, slot: Slot, need: usize) {
         let st = &mut self.chip[slot as usize];
         if st.wcap < need {
             st.woff = self.words.len();
@@ -1757,7 +1774,7 @@ impl Machine {
     /// Ensures the slot's bitset region holds at least `need` packed
     /// words, relocating to the end of the bitset arena when it does
     /// not. Contents are NOT carried over — callers reset them.
-    fn reserve_bits(&mut self, slot: Slot, need: usize) {
+    pub(in crate::interp) fn reserve_bits(&mut self, slot: Slot, need: usize) {
         let st = &mut self.chip[slot as usize];
         if st.bcap < need {
             st.boff = self.bits.len();
@@ -1766,11 +1783,11 @@ impl Machine {
         }
     }
 
-    fn unknown_dram(&self, slot: Slot) -> RunError {
+    pub(in crate::interp) fn unknown_dram(&self, slot: Slot) -> RunError {
         RunError::UnknownMemory(self.compiled.syms().dram_name(slot).to_string())
     }
 
-    fn unknown_chip(&self, slot: Slot) -> RunError {
+    pub(in crate::interp) fn unknown_chip(&self, slot: Slot) -> RunError {
         RunError::UnknownMemory(self.compiled.syms().chip_name(slot).to_string())
     }
 
@@ -1784,7 +1801,7 @@ impl Machine {
 
     /// The words of a mapped DRAM slot.
     #[inline(always)]
-    fn dram_words_of(&self, slot: Slot) -> Option<&[f64]> {
+    pub(in crate::interp) fn dram_words_of(&self, slot: Slot) -> Option<&[f64]> {
         dram_words(
             &self.dram_input,
             &self.dram_out,
@@ -1795,7 +1812,7 @@ impl Machine {
     /// The words of a mapped DRAM slot, writable (copy-on-write for
     /// input-segment slots).
     #[inline(always)]
-    fn dram_words_of_mut(&mut self, slot: Slot) -> Option<&mut [f64]> {
+    pub(in crate::interp) fn dram_words_of_mut(&mut self, slot: Slot) -> Option<&mut [f64]> {
         dram_words_mut(
             &mut self.dram_input,
             &mut self.dram_out,
@@ -1971,7 +1988,7 @@ impl Machine {
 
     /// Reads a register slot.
     #[inline(always)]
-    fn reg_value(&self, reg: Slot) -> Result<f64, RunError> {
+    pub(in crate::interp) fn reg_value(&self, reg: Slot) -> Result<f64, RunError> {
         let st = &self.chip[reg as usize];
         if st.tag == ChipTag::Reg {
             Ok(self.words[st.woff])
@@ -1983,7 +2000,7 @@ impl Machine {
     /// Dequeues one element, counting the dequeue before the slot check
     /// exactly as the reference engine does.
     #[inline(always)]
-    fn deq_value(&mut self, fifo: Slot) -> Result<f64, RunError> {
+    pub(in crate::interp) fn deq_value(&mut self, fifo: Slot) -> Result<f64, RunError> {
         self.dense.fifo_deqs += 1;
         let st = &mut self.chip[fifo as usize];
         if st.tag != ChipTag::Fifo {
@@ -2003,7 +2020,7 @@ impl Machine {
     /// bounds check plus one arena load.
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
-    fn read_mem_value(
+    pub(in crate::interp) fn read_mem_value(
         &mut self,
         chip: Slot,
         dram: Slot,
@@ -2054,7 +2071,7 @@ impl Machine {
 
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
-    fn write_on_chip(
+    pub(in crate::interp) fn write_on_chip(
         &mut self,
         mem: Slot,
         ix: usize,
@@ -2089,7 +2106,12 @@ impl Machine {
     // --- Statement executors behind the bytecode dispatch loop.
     // --- Operands are already evaluated.
 
-    fn do_alloc(&mut self, slot: Slot, kind: MemKind, size: usize) -> Result<(), RunError> {
+    pub(in crate::interp) fn do_alloc(
+        &mut self,
+        slot: Slot,
+        kind: MemKind,
+        size: usize,
+    ) -> Result<(), RunError> {
         if self.alloc_fuel == 0 {
             self.alloc_fuel = u64::MAX;
             faults::consume_alloc();
@@ -2142,7 +2164,13 @@ impl Machine {
         Ok(())
     }
 
-    fn do_load(&mut self, dst: Slot, src: Slot, s: f64, e: f64) -> Result<(), RunError> {
+    pub(in crate::interp) fn do_load(
+        &mut self,
+        dst: Slot,
+        src: Slot,
+        s: f64,
+        e: f64,
+    ) -> Result<(), RunError> {
         let s = index_of(s, || "load start".to_string())?;
         let e = index_of(e, || "load end".to_string())?;
         let src_st = self.dram_state[src as usize];
@@ -2215,7 +2243,13 @@ impl Machine {
         }
     }
 
-    fn do_store(&mut self, dst: Slot, off: usize, src: Slot, n: usize) -> Result<(), RunError> {
+    pub(in crate::interp) fn do_store(
+        &mut self,
+        dst: Slot,
+        off: usize,
+        src: Slot,
+        n: usize,
+    ) -> Result<(), RunError> {
         let st = self.chip[src as usize];
         if st.tag != ChipTag::Words {
             return Err(self.unknown_chip(src));
@@ -2258,7 +2292,7 @@ impl Machine {
         Ok(())
     }
 
-    fn do_stream_store(
+    pub(in crate::interp) fn do_stream_store(
         &mut self,
         dst: Slot,
         off: usize,
@@ -2323,7 +2357,12 @@ impl Machine {
         Ok(())
     }
 
-    fn do_store_scalar(&mut self, dst: Slot, ix: usize, v: f64) -> Result<(), RunError> {
+    pub(in crate::interp) fn do_store_scalar(
+        &mut self,
+        dst: Slot,
+        ix: usize,
+        v: f64,
+    ) -> Result<(), RunError> {
         let st = self.dram_state[dst as usize];
         if !st.mapped {
             return Err(RunError::UnknownMemory(
@@ -2345,7 +2384,7 @@ impl Machine {
         Ok(())
     }
 
-    fn do_set_reg(&mut self, reg: Slot, v: f64) -> Result<(), RunError> {
+    pub(in crate::interp) fn do_set_reg(&mut self, reg: Slot, v: f64) -> Result<(), RunError> {
         let st = self.chip[reg as usize];
         if st.tag != ChipTag::Reg {
             return Err(self.unknown_chip(reg));
@@ -2354,7 +2393,7 @@ impl Machine {
         Ok(())
     }
 
-    fn do_enq(&mut self, fifo: Slot, v: f64) -> Result<(), RunError> {
+    pub(in crate::interp) fn do_enq(&mut self, fifo: Slot, v: f64) -> Result<(), RunError> {
         if self.chip[fifo as usize].tag != ChipTag::Fifo {
             return Err(self.unknown_chip(fifo));
         }
@@ -2366,7 +2405,7 @@ impl Machine {
         Ok(())
     }
 
-    fn do_gen_bit_vector(
+    pub(in crate::interp) fn do_gen_bit_vector(
         &mut self,
         dst: Slot,
         src: Slot,
@@ -2462,7 +2501,7 @@ impl Machine {
     /// Snapshots one bit vector into the scan pool slot at the current
     /// depth (a slice memcpy of the packed words), returning the scan
     /// dimension. Counts the entry's `scan_bits`.
-    fn scan_snapshot1(&mut self, bv: Slot) -> Result<usize, RunError> {
+    pub(in crate::interp) fn scan_snapshot1(&mut self, bv: Slot) -> Result<usize, RunError> {
         let depth = self.scan_depth;
         if self.scan_pool.len() <= depth {
             self.scan_pool.resize_with(depth + 1, ScanBuf::default);
@@ -2481,7 +2520,11 @@ impl Machine {
     /// Snapshots both bit vectors of a `Scan2` into the scan pool slot
     /// at the current depth, returning the scan dimension (the longer
     /// of the two). Counts the entry's `scan_bits`.
-    fn scan_snapshot2(&mut self, bv_a: Slot, bv_b: Slot) -> Result<usize, RunError> {
+    pub(in crate::interp) fn scan_snapshot2(
+        &mut self,
+        bv_a: Slot,
+        bv_b: Slot,
+    ) -> Result<usize, RunError> {
         let depth = self.scan_depth;
         if self.scan_pool.len() <= depth {
             self.scan_pool.resize_with(depth + 1, ScanBuf::default);
@@ -2515,7 +2558,7 @@ impl Machine {
 /// [`crate::bytecode::MAX_SIMPLE_RANK`]).
 impl Machine {
     /// Executes the compiled op vector from the top.
-    fn run_ops(&mut self, prog: &CompiledProgram) -> Result<(), RunError> {
+    pub(in crate::interp) fn run_ops(&mut self, prog: &CompiledProgram) -> Result<(), RunError> {
         self.frames.clear();
         self.vstack.clear();
         self.node_stack.clear();
@@ -2620,7 +2663,11 @@ impl Machine {
     /// Executes one straight-line op (everything except loop control).
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
-    fn exec_simple_op(&mut self, prog: &CompiledProgram, op: &Op) -> Result<(), RunError> {
+    pub(in crate::interp) fn exec_simple_op(
+        &mut self,
+        prog: &CompiledProgram,
+        op: &Op,
+    ) -> Result<(), RunError> {
         match op {
             Op::Alloc { slot, kind, size } => self.do_alloc(*slot, *kind, *size),
             Op::Bind { var, value } => {
@@ -2716,7 +2763,7 @@ impl Machine {
     /// once, the body ops stepped per iteration, the optional reduction
     /// folded — no frame, no per-iteration dispatch of loop control.
     #[allow(clippy::too_many_arguments)]
-    fn run_range_simple(
+    pub(in crate::interp) fn run_range_simple(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -2971,7 +3018,7 @@ impl Machine {
     /// Statistics, environment effects, and error order match the
     /// framed [`Op::EnterScan1`]/[`Op::Next`] protocol exactly.
     #[allow(clippy::too_many_arguments)]
-    fn run_scan1_simple(
+    pub(in crate::interp) fn run_scan1_simple(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -3075,7 +3122,7 @@ impl Machine {
     /// [`Op::EnterScan2`]/[`Op::Next`] protocol does — the emitting
     /// index advances its positions after the body.
     #[allow(clippy::too_many_arguments)]
-    fn run_scan2_simple(
+    pub(in crate::interp) fn run_scan2_simple(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -3196,7 +3243,11 @@ impl Machine {
     /// Resolves an operand into a hot-loop form whose referenced slot
     /// states are loop-invariant, or `None` when the shape (or a slot's
     /// current allocation) is not eligible.
-    fn hot_value(&self, prog: &CompiledProgram, o: Operand) -> Option<HotValue> {
+    pub(in crate::interp) fn hot_value(
+        &self,
+        prog: &CompiledProgram,
+        o: Operand,
+    ) -> Option<HotValue> {
         match o {
             Operand::Const(c) => Some(HotValue::Const(c)),
             Operand::Var(v) => Some(HotValue::Var(v)),
@@ -3228,7 +3279,12 @@ impl Machine {
 
     /// A gather whose source slot is currently plain words: its region
     /// and shuffle attribution hoist out of the loop.
-    fn hot_gather(&self, chip: Slot, random: bool, var: Slot) -> Option<HotGather> {
+    pub(in crate::interp) fn hot_gather(
+        &self,
+        chip: Slot,
+        random: bool,
+        var: Slot,
+    ) -> Option<HotGather> {
         let st = &self.chip[chip as usize];
         if st.tag != ChipTag::Words {
             return None;
@@ -3246,7 +3302,11 @@ impl Machine {
     /// Evaluation order, statistics, and errors are identical to the
     /// generic [`Machine::operand_value`] path.
     #[inline(always)]
-    fn hot_eval(&mut self, hv: HotValue, c: &mut HotCounters) -> Result<f64, RunError> {
+    pub(in crate::interp) fn hot_eval(
+        &mut self,
+        hv: HotValue,
+        c: &mut HotCounters,
+    ) -> Result<f64, RunError> {
         match hv {
             HotValue::Const(k) => Ok(k),
             HotValue::Var(v) => match self.env[v as usize] {
@@ -3320,7 +3380,7 @@ impl Machine {
     /// Returns `None` (having executed nothing) when an operand shape or
     /// a slot's current allocation is not eligible.
     #[allow(clippy::too_many_arguments)]
-    fn try_scatter_loop(
+    pub(in crate::interp) fn try_scatter_loop(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -3596,7 +3656,7 @@ impl Machine {
     /// source stream aliasing the destination region (lanes preload
     /// before the writes commit, so aliasing would reorder reads).
     #[allow(clippy::too_many_arguments)]
-    fn try_vector_scatter(
+    pub(in crate::interp) fn try_vector_scatter(
         &mut self,
         id: usize,
         var: usize,
@@ -3822,7 +3882,7 @@ impl Machine {
     /// The chunked multi-scatter executor: a `RangeSimple` whose body
     /// is several on-chip writes (`WriteMem`/`RmwAdd`), each with
     /// hot-shape operands — the fused fill/update bodies that
-    /// [`VecClass::MultiScatter`] admits. Every statement's lanes are
+    /// [`crate::VecClass::MultiScatter`] admits. Every statement's lanes are
     /// validated (and staged) before any statement commits, so a
     /// faulting chunk re-runs scalar from its first iteration with no
     /// partial writes; the commit is statement-major, which is
@@ -3840,7 +3900,7 @@ impl Machine {
     /// when runtime state is ineligible, leaving the generic loop to
     /// run.
     #[allow(clippy::too_many_arguments)]
-    fn try_multi_scatter(
+    pub(in crate::interp) fn try_multi_scatter(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -4128,7 +4188,7 @@ impl Machine {
     /// bounds, a referenced slot not currently plain words, an unbound
     /// splat variable), leaving the generic loop to run.
     #[allow(clippy::too_many_arguments)]
-    fn try_vector_reduce(
+    pub(in crate::interp) fn try_vector_reduce(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -4336,7 +4396,11 @@ impl Machine {
     /// postfix interpreter.
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
-    fn operand_value(&mut self, prog: &CompiledProgram, o: Operand) -> Result<f64, RunError> {
+    pub(in crate::interp) fn operand_value(
+        &mut self,
+        prog: &CompiledProgram,
+        o: Operand,
+    ) -> Result<f64, RunError> {
         match o {
             Operand::Const(c) => Ok(c),
             Operand::Var(v) => match self.env[v as usize] {
@@ -4587,7 +4651,7 @@ impl Machine {
     /// Reads the accumulator register at loop entry when the loop is a
     /// `Reduce` (the error ordering the reference walker has: a missing
     /// register is reported before the counter bounds are evaluated).
-    fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
+    pub(in crate::interp) fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
         match reduce {
             None => Ok(0.0),
             Some(reg) => self.reg_value(reg),
@@ -4596,7 +4660,7 @@ impl Machine {
 
     /// Writes the accumulator back at loop exit. Silently skips a slot
     /// that is no longer a register, as the reference walker does.
-    fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
+    pub(in crate::interp) fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
         if let Some(reg) = reduce {
             let st = self.chip[reg as usize];
             if st.tag == ChipTag::Reg {
@@ -4914,7 +4978,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Counter, MemDecl, SExpr, SpatialStmt};
+    use crate::ir::{Counter, MemDecl, SExpr, SpatialProgram, SpatialStmt};
     use crate::reference::ReferenceMachine;
 
     /// Runs `program` on both engines (bytecode, string-keyed
