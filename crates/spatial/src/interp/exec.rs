@@ -1,0 +1,663 @@
+//! Statement executors over the flat arenas: allocation, bulk and
+//! scalar DRAM traffic, on-chip reads and writes, FIFO rings,
+//! bit-vector generation, and scan snapshots. Operands arrive already
+//! evaluated; every tier above calls down into these.
+
+use super::image::{dram_words, dram_words_mut};
+use super::{ChipState, ChipTag, Machine, RunError, ScanBuf};
+use crate::faults;
+use crate::ir::MemKind;
+use crate::resolve::{bit_words_for, Slot};
+
+// --- FIFO ring primitives over a word-arena region -------------------
+//
+// A FIFO occupies `st.wcap` words at `st.woff`; `st.head` is the read
+// position and `st.len` the element count. The queue itself is
+// unbounded (matching the reference engine's `VecDeque`): when an
+// enqueue would exceed the region, the ring relocates to a larger
+// region at the end of the arena. Free functions (not methods) so
+// callers can split-borrow `words` against other machine fields.
+
+/// Makes room for `additional` more elements, relocating and
+/// linearizing the ring at the end of the arena when the current
+/// region is too small.
+fn fifo_reserve(words: &mut Vec<f64>, st: &mut ChipState, additional: usize) {
+    let need = st.len + additional;
+    if need <= st.wcap {
+        return;
+    }
+    let new_cap = need.next_power_of_two().max(4);
+    let new_off = words.len();
+    words.resize(new_off + new_cap, 0.0);
+    for i in 0..st.len {
+        words[new_off + i] = words[st.woff + (st.head + i) % st.wcap];
+    }
+    st.woff = new_off;
+    st.wcap = new_cap;
+    st.head = 0;
+}
+
+/// Appends one element. Capacity must have been reserved.
+#[inline(always)]
+fn fifo_push(words: &mut [f64], st: &mut ChipState, v: f64) {
+    debug_assert!(st.len < st.wcap, "fifo_push without reserve");
+    words[st.woff + (st.head + st.len) % st.wcap] = v;
+    st.len += 1;
+}
+
+/// Pops the front element, or `None` when empty.
+#[inline(always)]
+fn fifo_pop(words: &[f64], st: &mut ChipState) -> Option<f64> {
+    if st.len == 0 {
+        return None;
+    }
+    let v = words[st.woff + st.head];
+    st.head = (st.head + 1) % st.wcap;
+    st.len -= 1;
+    Some(v)
+}
+
+/// Drops all elements (the reference engine's drained-on-error state).
+#[inline(always)]
+fn fifo_clear(st: &mut ChipState) {
+    st.head = 0;
+    st.len = 0;
+}
+
+#[inline]
+pub(in crate::interp) fn index_of(
+    v: f64,
+    context: impl FnOnce() -> String,
+) -> Result<usize, RunError> {
+    if v < 0.0 {
+        return Err(RunError::NegativeIndex {
+            context: context(),
+            value: v,
+        });
+    }
+    // Exact-integer fast path: the cast round-trips iff `v` is a
+    // non-negative integer below 2^64, where `round` is the identity.
+    // This keeps `f64::round` (a libm call on baseline x86-64) off the
+    // hot path without changing a single result.
+    let t = v as usize;
+    if t as f64 == v {
+        return Ok(t);
+    }
+    Ok(v.round() as usize)
+}
+
+impl Machine {
+    fn current_node(&self) -> Option<usize> {
+        // `node_stack` wins over `frames`: only superinstructions push
+        // it — always after (inside) any framed loop, and nested
+        // superinstructions push in nesting order — so the last entry
+        // is the innermost active loop.
+        self.node_stack
+            .last()
+            .copied()
+            .or_else(|| self.frames.last().map(|f| f.node))
+    }
+
+    /// Reads a register slot.
+    #[inline(always)]
+    pub(in crate::interp) fn reg_value(&self, reg: Slot) -> Result<f64, RunError> {
+        let st = &self.chip[reg as usize];
+        if st.tag == ChipTag::Reg {
+            Ok(self.words[st.woff])
+        } else {
+            Err(self.unknown_chip(reg))
+        }
+    }
+
+    /// Dequeues one element, counting the dequeue before the slot check
+    /// exactly as the reference engine does.
+    #[inline(always)]
+    pub(in crate::interp) fn deq_value(&mut self, fifo: Slot) -> Result<f64, RunError> {
+        self.dense.fifo_deqs += 1;
+        let st = &mut self.chip[fifo as usize];
+        if st.tag != ChipTag::Fifo {
+            return Err(self.unknown_chip(fifo));
+        }
+        match fifo_pop(&self.words, st) {
+            Some(v) => Ok(v),
+            None => Err(RunError::FifoUnderflow(
+                self.compiled.syms().chip_name(fifo).to_string(),
+            )),
+        }
+    }
+
+    /// Shared `mem[index]` read behind every operand shape:
+    /// on-chip first, then the SparseDRAM random-read fallback. `ix` is
+    /// the already-evaluated (f64) index. The on-chip fast path is a
+    /// bounds check plus one arena load.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[cfg_attr(debug_assertions, inline(never))]
+    pub(in crate::interp) fn read_mem_value(
+        &mut self,
+        chip: Slot,
+        dram: Slot,
+        ix: f64,
+        random: bool,
+    ) -> Result<f64, RunError> {
+        let ix = index_of(ix, || self.compiled.syms().chip_name(chip).to_string())?;
+        let st = &self.chip[chip as usize];
+        match st.tag {
+            ChipTag::Words => {
+                if ix >= st.len {
+                    return Err(RunError::OutOfBounds {
+                        mem: self.compiled.syms().chip_name(chip).to_string(),
+                        index: ix as i64,
+                        len: st.len,
+                    });
+                }
+                let v = self.words[st.woff + ix];
+                self.dense.sram_reads += 1;
+                if random && st.kind == MemKind::SparseSram {
+                    self.dense.shuffle_accesses += 1;
+                }
+                Ok(v)
+            }
+            ChipTag::None => {
+                if let Some(arr) = self.dram_words_of(dram) {
+                    let len = arr.len();
+                    let v = match arr.get(ix) {
+                        Some(v) => *v,
+                        None => {
+                            return Err(RunError::OutOfBounds {
+                                mem: self.compiled.syms().dram_name(dram).to_string(),
+                                index: ix as i64,
+                                len,
+                            })
+                        }
+                    };
+                    self.charge_dram(1)?;
+                    self.dense.dram_random_reads += 1;
+                    Ok(v)
+                } else {
+                    Err(self.unknown_chip(chip))
+                }
+            }
+            _ => Err(self.unknown_chip(chip)),
+        }
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[cfg_attr(debug_assertions, inline(never))]
+    pub(in crate::interp) fn write_on_chip(
+        &mut self,
+        mem: Slot,
+        ix: usize,
+        value: f64,
+        random: bool,
+        accumulate: bool,
+    ) -> Result<(), RunError> {
+        let st = self.chip[mem as usize];
+        if st.tag != ChipTag::Words {
+            return Err(self.unknown_chip(mem));
+        }
+        if ix >= st.len {
+            return Err(RunError::OutOfBounds {
+                mem: self.compiled.syms().chip_name(mem).to_string(),
+                index: ix as i64,
+                len: st.len,
+            });
+        }
+        let slot = &mut self.words[st.woff + ix];
+        if accumulate {
+            *slot += value;
+        } else {
+            *slot = value;
+        }
+        self.dense.sram_writes += 1;
+        if (random || accumulate) && st.kind == MemKind::SparseSram {
+            self.dense.shuffle_accesses += 1;
+        }
+        Ok(())
+    }
+
+    // --- Statement executors behind the bytecode dispatch loop.
+    // --- Operands are already evaluated.
+
+    pub(in crate::interp) fn do_alloc(
+        &mut self,
+        slot: Slot,
+        kind: MemKind,
+        size: usize,
+    ) -> Result<(), RunError> {
+        if self.alloc_fuel == 0 {
+            self.alloc_fuel = u64::MAX;
+            faults::consume_alloc();
+            return Err(RunError::InjectedFault {
+                site: format!("alloc {}", self.compiled.syms().chip_name(slot)),
+            });
+        }
+        self.alloc_fuel -= 1;
+        match kind {
+            MemKind::Sram | MemKind::SparseSram => {
+                self.reserve_words(slot, size);
+                let st = &mut self.chip[slot as usize];
+                st.tag = ChipTag::Words;
+                st.kind = kind;
+                st.len = size;
+                let off = st.woff;
+                self.words[off..off + size].fill(0.0);
+            }
+            MemKind::Fifo => {
+                self.reserve_words(slot, size.max(1));
+                let st = &mut self.chip[slot as usize];
+                st.tag = ChipTag::Fifo;
+                st.kind = kind;
+                fifo_clear(st);
+            }
+            MemKind::Reg => {
+                self.reserve_words(slot, 1);
+                let st = &mut self.chip[slot as usize];
+                st.tag = ChipTag::Reg;
+                st.kind = kind;
+                let off = st.woff;
+                self.words[off] = 0.0;
+            }
+            MemKind::BitVector => {
+                let nw = bit_words_for(size);
+                self.reserve_bits(slot, nw);
+                let st = &mut self.chip[slot as usize];
+                st.tag = ChipTag::Bits;
+                st.kind = kind;
+                st.len = size;
+                let off = st.boff;
+                self.bits[off..off + nw].fill(0);
+            }
+            MemKind::Dram | MemKind::SparseDram => {
+                // DRAM is declared at program level, not allocated in
+                // Accel.
+                return Err(self.unknown_chip(slot));
+            }
+        }
+        Ok(())
+    }
+
+    pub(in crate::interp) fn do_load(
+        &mut self,
+        dst: Slot,
+        src: Slot,
+        s: f64,
+        e: f64,
+    ) -> Result<(), RunError> {
+        let s = index_of(s, || "load start".to_string())?;
+        let e = index_of(e, || "load end".to_string())?;
+        let src_st = self.dram_state[src as usize];
+        if !src_st.mapped {
+            return Err(self.unknown_dram(src));
+        }
+        let alen = src_st.len;
+        if e > alen {
+            return Err(RunError::OutOfBounds {
+                mem: self.compiled.syms().dram_name(src).to_string(),
+                index: e as i64,
+                len: alen,
+            });
+        }
+        let n = match e.checked_sub(s) {
+            Some(n) => n,
+            None => {
+                return Err(RunError::NegativeIndex {
+                    context: format!("load length (start {s} beyond end {e})"),
+                    value: e as f64 - s as f64,
+                })
+            }
+        };
+        self.charge_dram(n as u64)?;
+        self.dense
+            .note_dram_read(src, n as u64, self.current_node());
+        match self.chip[dst as usize].tag {
+            ChipTag::Words => {
+                let st = self.chip[dst as usize];
+                if n > st.len {
+                    return Err(RunError::OutOfBounds {
+                        mem: self.compiled.syms().chip_name(dst).to_string(),
+                        index: n as i64,
+                        len: st.len,
+                    });
+                }
+                {
+                    let Machine {
+                        dram_input,
+                        dram_out,
+                        words,
+                        ..
+                    } = self;
+                    let src_arr = dram_words(dram_input, dram_out, src_st).expect("checked");
+                    words[st.woff..st.woff + n].copy_from_slice(&src_arr[s..e]);
+                }
+                self.dense.sram_writes += n as u64;
+                Ok(())
+            }
+            ChipTag::Fifo => {
+                self.dense.fifo_enqs += n as u64;
+                let Machine {
+                    dram_input,
+                    dram_out,
+                    words,
+                    chip,
+                    ..
+                } = self;
+                let st = &mut chip[dst as usize];
+                fifo_reserve(words, st, n);
+                let src_arr = dram_words(dram_input, dram_out, src_st).expect("checked");
+                for &v in &src_arr[s..e] {
+                    fifo_push(words, st, v);
+                }
+                Ok(())
+            }
+            _ => Err(RunError::UnknownMemory(
+                self.compiled.syms().chip_name(dst).to_string(),
+            )),
+        }
+    }
+
+    pub(in crate::interp) fn do_store(
+        &mut self,
+        dst: Slot,
+        off: usize,
+        src: Slot,
+        n: usize,
+    ) -> Result<(), RunError> {
+        let st = self.chip[src as usize];
+        if st.tag != ChipTag::Words {
+            return Err(self.unknown_chip(src));
+        }
+        if n > st.len {
+            return Err(RunError::OutOfBounds {
+                mem: self.compiled.syms().chip_name(src).to_string(),
+                index: n as i64,
+                len: st.len,
+            });
+        }
+        self.dense.sram_reads += n as u64;
+        self.charge_dram(n as u64)?;
+        {
+            let Machine {
+                dram_input,
+                dram_out,
+                dram_state,
+                words,
+                compiled,
+                ..
+            } = self;
+            let syms = compiled.syms();
+            let arr = match dram_words_mut(dram_input, dram_out, dram_state[dst as usize]) {
+                Some(arr) => arr,
+                None => return Err(RunError::UnknownMemory(syms.dram_name(dst).to_string())),
+            };
+            if off + n > arr.len() {
+                return Err(RunError::OutOfBounds {
+                    mem: syms.dram_name(dst).to_string(),
+                    index: (off + n) as i64,
+                    len: arr.len(),
+                });
+            }
+            arr[off..off + n].copy_from_slice(&words[st.woff..st.woff + n]);
+        }
+        self.log_dram_write(dst, off, n);
+        self.dense
+            .note_dram_write(dst, n as u64, self.current_node());
+        Ok(())
+    }
+
+    pub(in crate::interp) fn do_stream_store(
+        &mut self,
+        dst: Slot,
+        off: usize,
+        fifo: Slot,
+        n: usize,
+    ) -> Result<(), RunError> {
+        if self.chip[fifo as usize].tag != ChipTag::Fifo {
+            return Err(RunError::UnknownMemory(
+                self.compiled.syms().chip_name(fifo).to_string(),
+            ));
+        }
+        if self.chip[fifo as usize].len < n {
+            // The reference engine pops one element at a time and fails
+            // on the first missing one — the FIFO ends up drained and
+            // the dequeues uncounted.
+            fifo_clear(&mut self.chip[fifo as usize]);
+            return Err(RunError::FifoUnderflow(
+                self.compiled.syms().chip_name(fifo).to_string(),
+            ));
+        }
+        self.dense.fifo_deqs += n as u64;
+        self.charge_dram(n as u64)?;
+        {
+            let Machine {
+                dram_input,
+                dram_out,
+                dram_state,
+                words,
+                chip,
+                compiled,
+                ..
+            } = self;
+            let syms = compiled.syms();
+            let st = &mut chip[fifo as usize];
+            let arr = match dram_words_mut(dram_input, dram_out, dram_state[dst as usize]) {
+                Some(arr) => arr,
+                None => {
+                    for _ in 0..n {
+                        fifo_pop(words, st);
+                    }
+                    return Err(RunError::UnknownMemory(syms.dram_name(dst).to_string()));
+                }
+            };
+            if off + n > arr.len() {
+                let len = arr.len();
+                for _ in 0..n {
+                    fifo_pop(words, st);
+                }
+                return Err(RunError::OutOfBounds {
+                    mem: syms.dram_name(dst).to_string(),
+                    index: (off + n) as i64,
+                    len,
+                });
+            }
+            for slot in &mut arr[off..off + n] {
+                *slot = fifo_pop(words, st).expect("length checked");
+            }
+        }
+        self.log_dram_write(dst, off, n);
+        self.dense
+            .note_dram_write(dst, n as u64, self.current_node());
+        Ok(())
+    }
+
+    pub(in crate::interp) fn do_store_scalar(
+        &mut self,
+        dst: Slot,
+        ix: usize,
+        v: f64,
+    ) -> Result<(), RunError> {
+        let st = self.dram_state[dst as usize];
+        if !st.mapped {
+            return Err(RunError::UnknownMemory(
+                self.compiled.syms().dram_name(dst).to_string(),
+            ));
+        }
+        if ix >= st.len {
+            return Err(RunError::OutOfBounds {
+                mem: self.compiled.syms().dram_name(dst).to_string(),
+                index: ix as i64,
+                len: st.len,
+            });
+        }
+        self.charge_dram(1)?;
+        let arr = self.dram_words_of_mut(dst).expect("checked");
+        arr[ix] = v;
+        self.log_dram_write(dst, ix, 1);
+        self.dense.dram_random_writes += 1;
+        Ok(())
+    }
+
+    pub(in crate::interp) fn do_set_reg(&mut self, reg: Slot, v: f64) -> Result<(), RunError> {
+        let st = self.chip[reg as usize];
+        if st.tag != ChipTag::Reg {
+            return Err(self.unknown_chip(reg));
+        }
+        self.words[st.woff] = v;
+        Ok(())
+    }
+
+    pub(in crate::interp) fn do_enq(&mut self, fifo: Slot, v: f64) -> Result<(), RunError> {
+        if self.chip[fifo as usize].tag != ChipTag::Fifo {
+            return Err(self.unknown_chip(fifo));
+        }
+        let Machine { words, chip, .. } = self;
+        let st = &mut chip[fifo as usize];
+        fifo_reserve(words, st, 1);
+        fifo_push(words, st, v);
+        self.dense.fifo_enqs += 1;
+        Ok(())
+    }
+
+    pub(in crate::interp) fn do_gen_bit_vector(
+        &mut self,
+        dst: Slot,
+        src: Slot,
+        s: usize,
+        n: usize,
+        d: usize,
+    ) -> Result<(), RunError> {
+        // Gather coordinates from the source memory into the reusable
+        // scratch buffer.
+        let mut coords = std::mem::take(&mut self.scratch);
+        coords.clear();
+        match self.chip[src as usize].tag {
+            ChipTag::Fifo => {
+                if self.chip[src as usize].len < n {
+                    // Reference semantics: pop until empty, fail.
+                    fifo_clear(&mut self.chip[src as usize]);
+                    self.scratch = coords;
+                    return Err(RunError::FifoUnderflow(
+                        self.compiled.syms().chip_name(src).to_string(),
+                    ));
+                }
+                let Machine { words, chip, .. } = self;
+                let st = &mut chip[src as usize];
+                for _ in 0..n {
+                    let v = fifo_pop(words, st).expect("length checked");
+                    coords.push(v.round() as usize);
+                }
+                self.dense.fifo_deqs += n as u64;
+            }
+            ChipTag::Words => {
+                let st = self.chip[src as usize];
+                if s + n > st.len {
+                    self.scratch = coords;
+                    return Err(RunError::OutOfBounds {
+                        mem: self.compiled.syms().chip_name(src).to_string(),
+                        index: (s + n) as i64,
+                        len: st.len,
+                    });
+                }
+                self.dense.sram_reads += n as u64;
+                coords.extend(
+                    self.words[st.woff + s..st.woff + s + n]
+                        .iter()
+                        .map(|&v| v.round() as usize),
+                );
+            }
+            _ => {
+                self.scratch = coords;
+                return Err(RunError::UnknownMemory(
+                    self.compiled.syms().chip_name(src).to_string(),
+                ));
+            }
+        }
+        let result = if self.chip[dst as usize].tag == ChipTag::Bits {
+            // The logical bit length only grows (matching the old
+            // `Vec<bool>` resize); regeneration clears every word up
+            // to the new length before setting the coordinate bits.
+            let new_len = self.chip[dst as usize].len.max(d);
+            let nw = bit_words_for(new_len);
+            self.reserve_bits(dst, nw);
+            let st = &mut self.chip[dst as usize];
+            st.len = new_len;
+            let off = st.boff;
+            self.bits[off..off + nw].fill(0);
+            let mut failed = None;
+            for &c in &coords {
+                if c >= new_len {
+                    failed = Some(RunError::OutOfBounds {
+                        mem: self.compiled.syms().chip_name(dst).to_string(),
+                        index: c as i64,
+                        len: new_len,
+                    });
+                    break;
+                }
+                self.bits[off + (c >> 6)] |= 1u64 << (c & 63);
+            }
+            match failed {
+                Some(e) => Err(e),
+                None => {
+                    self.dense.bv_gen_bits += d as u64;
+                    Ok(())
+                }
+            }
+        } else {
+            Err(RunError::UnknownMemory(
+                self.compiled.syms().chip_name(dst).to_string(),
+            ))
+        };
+        self.scratch = coords;
+        result
+    }
+
+    /// Snapshots one bit vector into the scan pool slot at the current
+    /// depth (a slice memcpy of the packed words), returning the scan
+    /// dimension. Counts the entry's `scan_bits`.
+    pub(in crate::interp) fn scan_snapshot1(&mut self, bv: Slot) -> Result<usize, RunError> {
+        let depth = self.scan_depth;
+        if self.scan_pool.len() <= depth {
+            self.scan_pool.resize_with(depth + 1, ScanBuf::default);
+        }
+        let st = self.chip[bv as usize];
+        if st.tag != ChipTag::Bits {
+            return Err(self.unknown_chip(bv));
+        }
+        let nw = bit_words_for(st.len);
+        let buf = &mut self.scan_pool[depth];
+        buf.aw = ScanBuf::copy_into(&mut buf.a, &self.bits[st.boff..st.boff + nw]);
+        self.dense.scan_bits += st.len as u64;
+        Ok(st.len)
+    }
+
+    /// Snapshots both bit vectors of a `Scan2` into the scan pool slot
+    /// at the current depth, returning the scan dimension (the longer
+    /// of the two). Counts the entry's `scan_bits`.
+    pub(in crate::interp) fn scan_snapshot2(
+        &mut self,
+        bv_a: Slot,
+        bv_b: Slot,
+    ) -> Result<usize, RunError> {
+        let depth = self.scan_depth;
+        if self.scan_pool.len() <= depth {
+            self.scan_pool.resize_with(depth + 1, ScanBuf::default);
+        }
+        // Error order matches the reference engine: `a` is examined
+        // first.
+        let sa = self.chip[bv_a as usize];
+        if sa.tag != ChipTag::Bits {
+            return Err(self.unknown_chip(bv_a));
+        }
+        let sb = self.chip[bv_b as usize];
+        if sb.tag != ChipTag::Bits {
+            return Err(self.unknown_chip(bv_b));
+        }
+        let dim = sa.len.max(sb.len);
+        let buf = &mut self.scan_pool[depth];
+        let naw = bit_words_for(sa.len);
+        let nbw = bit_words_for(sb.len);
+        buf.aw = ScanBuf::copy_into(&mut buf.a, &self.bits[sa.boff..sa.boff + naw]);
+        buf.bw = ScanBuf::copy_into(&mut buf.b, &self.bits[sb.boff..sb.boff + nbw]);
+        self.dense.scan_bits += 2 * dim as u64;
+        Ok(dim)
+    }
+}

@@ -1,0 +1,493 @@
+//! The superinstruction tier: `RangeSimple`, `Scan1Simple` and
+//! `Scan2Simple` loops run natively — no frame, no per-iteration
+//! dispatch of loop control — and hand eligible bodies to the scatter
+//! and vector tiers.
+
+use super::budget::{check_interrupts, exhausted_fuel, INTERRUPT_MASK};
+use super::{Machine, RunError};
+use crate::bytecode::{CompiledProgram, Op, OpId, Operand, VecClass};
+use crate::ir::ScanOp;
+use crate::resolve::Slot;
+
+impl Machine {
+    /// Runs a straight-line-body `Range` loop natively: bounds evaluated
+    /// once, the body ops stepped per iteration, the optional reduction
+    /// folded — no frame, no per-iteration dispatch of loop control.
+    #[allow(clippy::too_many_arguments)]
+    pub(in crate::interp) fn run_range_simple(
+        &mut self,
+        prog: &CompiledProgram,
+        id: usize,
+        var: Slot,
+        min: Operand,
+        max: Operand,
+        step: i64,
+        body: OpId,
+        body_len: u32,
+        reduce: Option<(Slot, Operand)>,
+    ) -> Result<usize, RunError> {
+        let mut acc = self.read_reduce_acc(reduce.map(|(reg, _)| reg))?;
+        let lo = self.operand_value(prog, min)?;
+        let hi = self.operand_value(prog, max)?;
+        debug_assert!(step > 0, "non-positive loop step");
+        let var = var as usize;
+        let saved = self.env[var];
+        let ops = prog.ops();
+        let end = (body + body_len) as usize;
+        let fstep = step as f64;
+        let mut v = lo;
+        // The lowering pass tags each RangeSimple with its
+        // vector-eligibility class; the op sits immediately before its
+        // body, so its own pc is `body - 1`.
+        let vclass = if self.vector_enabled {
+            prog.vec_class(body as usize - 1)
+        } else {
+            VecClass::None
+        };
+        // Trip/fold counts accumulate in registers and flush to the
+        // dense counters on every exit path — including errors — so the
+        // observable statistics are identical to per-iteration bumping.
+        let mut trips = 0u64;
+        let mut folds = 0u64;
+        let mut result: Result<(), RunError> = Ok(());
+        // Empty-body reductions over a unit-stride gather shape (the
+        // SpMV dot product) go through the vector tier when tagged
+        // eligible; ineligible runtime state falls through to the
+        // generic loop below.
+        if vclass == VecClass::GatherReduce {
+            if let Some((reg, expr)) = reduce {
+                if let Some(r) =
+                    self.try_vector_reduce(prog, id, var, saved, lo, hi, reg, expr, acc, end)
+                {
+                    return r;
+                }
+            }
+        }
+        // Single-statement bodies (the scatter-accumulate shape) get a
+        // dedicated loop: the body op is loop-invariant, so its
+        // dispatch is hoisted out of the iteration entirely.
+        if body_len == 1 && reduce.is_none() {
+            let op = &ops[body as usize];
+            // The scatter superinstruction: a lone on-chip write whose
+            // operands are hot-shape gathers. The arena makes every
+            // referenced slot's region provably loop-invariant (the
+            // body cannot allocate, enqueue, or regenerate), so slot
+            // states hoist out of the loop and statistics batch in
+            // registers.
+            let vector = vclass == VecClass::Scatter;
+            match *op {
+                Op::RmwAdd { mem, index, value } => {
+                    if let Some(r) = self.try_scatter_loop(
+                        prog, id, var, saved, v, hi, fstep, mem, index, value, true, true, vector,
+                        end,
+                    ) {
+                        return r;
+                    }
+                }
+                Op::WriteMem {
+                    mem,
+                    index,
+                    value,
+                    random,
+                } => {
+                    if let Some(r) = self.try_scatter_loop(
+                        prog, id, var, saved, v, hi, fstep, mem, index, value, random, false,
+                        vector, end,
+                    ) {
+                        return r;
+                    }
+                }
+                _ => {}
+            }
+            if !matches!(
+                op,
+                Op::RangeSimple { .. } | Op::Scan1Simple { .. } | Op::Scan2Simple { .. }
+            ) {
+                if v < hi {
+                    self.node_stack.push(id);
+                    // Fuel mirrors in a register like the trip counter
+                    // and flushes on every exit path; the single-op
+                    // body cannot consume fuel itself (no nested loop).
+                    let mut fuel = self.fuel;
+                    let interrupts = self.interrupts;
+                    while v < hi {
+                        if fuel == 0 {
+                            result = Err(exhausted_fuel(self.fuel_cause, self.step_limit));
+                            break;
+                        }
+                        fuel -= 1;
+                        if interrupts && fuel & INTERRUPT_MASK == 0 {
+                            if let Err(e) = check_interrupts(
+                                self.deadline_at,
+                                self.deadline_ms(),
+                                self.budget.cancel.as_ref(),
+                            ) {
+                                result = Err(e);
+                                break;
+                            }
+                        }
+                        self.env[var] = Some(v);
+                        trips += 1;
+                        if let Err(e) = self.exec_simple_op(prog, op) {
+                            result = Err(e);
+                            break;
+                        }
+                        v += fstep;
+                    }
+                    self.fuel = fuel;
+                    if result.is_ok() {
+                        self.node_stack.pop();
+                    }
+                }
+                self.dense.node_trips[id] += trips;
+                result?;
+                self.env[var] = saved;
+                return Ok(end);
+            }
+        }
+        // Multi-statement straight-line scatter bodies (fused
+        // fill/update loops) chunk through the vector tier;
+        // ineligible runtime state falls through to the generic loop.
+        if vclass == VecClass::MultiScatter && reduce.is_none() {
+            if let Some(r) = self.try_multi_scatter(prog, id, var, saved, v, hi, body, end) {
+                return r;
+            }
+        }
+        if v < hi {
+            self.node_stack.push(id);
+            // Field-based fuel here: the body can contain nested
+            // `RangeSimple` superinstructions that consume fuel
+            // themselves, so a register mirror would go stale.
+            'iters: while v < hi {
+                if let Err(e) = self.charge_step() {
+                    result = Err(e);
+                    break 'iters;
+                }
+                self.env[var] = Some(v);
+                trips += 1;
+                if let Err(e) = self.run_simple_body(prog, body, end) {
+                    result = Err(e);
+                    break 'iters;
+                }
+                if let Some((_, expr)) = reduce {
+                    match self.operand_value(prog, expr) {
+                        Ok(x) => {
+                            folds += 1; // reduce_elems and the tree-add
+                            acc += x;
+                        }
+                        Err(e) => {
+                            result = Err(e);
+                            break 'iters;
+                        }
+                    }
+                }
+                v += fstep;
+            }
+            if result.is_ok() {
+                self.node_stack.pop();
+            }
+        }
+        self.dense.node_trips[id] += trips;
+        if folds > 0 {
+            self.dense.reduce_elems += folds;
+            self.dense.alu_ops += folds;
+        }
+        result?;
+        self.env[var] = saved;
+        self.write_reduce_acc(reduce.map(|(reg, _)| reg), acc);
+        Ok(end)
+    }
+
+    /// Steps one iteration's worth of superinstruction body ops:
+    /// straight-line ops dispatch directly, nested superinstructions
+    /// run their own loops (constant recursion depth, capped by
+    /// [`crate::bytecode::MAX_SIMPLE_RANK`]) and their body spans are
+    /// skipped here.
+    fn run_simple_body(
+        &mut self,
+        prog: &CompiledProgram,
+        body: OpId,
+        end: usize,
+    ) -> Result<(), RunError> {
+        let ops = prog.ops();
+        let mut i = body as usize;
+        while i < end {
+            match &ops[i] {
+                Op::RangeSimple {
+                    id,
+                    var,
+                    min,
+                    max,
+                    step,
+                    body,
+                    body_len,
+                    reduce,
+                } => {
+                    i = self.run_range_simple(
+                        prog, *id, *var, *min, *max, *step, *body, *body_len, *reduce,
+                    )?;
+                }
+                Op::Scan1Simple {
+                    id,
+                    bv,
+                    pos_var,
+                    idx_var,
+                    body,
+                    body_len,
+                    reduce,
+                } => {
+                    i = self.run_scan1_simple(
+                        prog, *id, *bv, *pos_var, *idx_var, *body, *body_len, *reduce,
+                    )?;
+                }
+                Op::Scan2Simple {
+                    id,
+                    op,
+                    bv_a,
+                    bv_b,
+                    vars,
+                    body,
+                    body_len,
+                    reduce,
+                } => {
+                    i = self.run_scan2_simple(
+                        prog, *id, *op, *bv_a, *bv_b, *vars, *body, *body_len, *reduce,
+                    )?;
+                }
+                op => {
+                    self.exec_simple_op(prog, op)?;
+                    i += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs a straight-line-body single bit-vector `Scan` loop
+    /// natively: the vector is snapshotted once, then its set bits
+    /// iterate without a frame or per-emit `Next` dispatch.
+    /// Statistics, environment effects, and error order match the
+    /// framed [`Op::EnterScan1`]/[`Op::Next`] protocol exactly.
+    #[allow(clippy::too_many_arguments)]
+    pub(in crate::interp) fn run_scan1_simple(
+        &mut self,
+        prog: &CompiledProgram,
+        id: usize,
+        bv: Slot,
+        pos_var: Slot,
+        idx_var: Slot,
+        body: OpId,
+        body_len: u32,
+        reduce: Option<(Slot, Operand)>,
+    ) -> Result<usize, RunError> {
+        let mut acc = self.read_reduce_acc(reduce.map(|(reg, _)| reg))?;
+        let depth = self.scan_depth;
+        let dim = self.scan_snapshot1(bv)?;
+        let pos_var = pos_var as usize;
+        let idx_var = idx_var as usize;
+        let saved = [self.env[pos_var], self.env[idx_var]];
+        let end = (body + body_len) as usize;
+        // Emit/fold counts accumulate in registers and flush to the
+        // dense counters on every exit path — including errors — so
+        // the observable statistics are identical to per-emit bumping.
+        // Fuel stays field-based: the body can nest superinstructions
+        // that consume fuel themselves. `emits` counts emit positions
+        // *reached* (bumped before the step charge, like the reference
+        // walker); `trips` counts charged steps.
+        let mut emits = 0u64;
+        let mut trips = 0u64;
+        let mut folds = 0u64;
+        let mut result: Result<(), RunError> = Ok(());
+        let mut entered = false;
+        let mut pos = 0u64;
+        let mut idx = 0usize;
+        // Vector tier: non-emitting bits consume no fuel and no
+        // statistics, so jumping whole zero words at a time (one
+        // trailing_zeros per 64 positions) is observably identical to
+        // probing them one by one.
+        let fast = self.vector_enabled;
+        'emits: while idx < dim {
+            if fast {
+                match self.scan_pool[depth].next_a_set(idx, dim) {
+                    Some(i) => idx = i,
+                    None => break 'emits,
+                }
+            }
+            if !self.scan_pool[depth].a_set(idx) {
+                idx += 1;
+                continue;
+            }
+            emits += 1;
+            if let Err(e) = self.charge_step() {
+                result = Err(e);
+                break 'emits;
+            }
+            if !entered {
+                entered = true;
+                self.node_stack.push(id);
+                self.scan_depth = depth + 1;
+            }
+            self.env[pos_var] = Some(pos as f64);
+            self.env[idx_var] = Some(idx as f64);
+            trips += 1;
+            if let Err(e) = self.run_simple_body(prog, body, end) {
+                result = Err(e);
+                break 'emits;
+            }
+            if let Some((_, expr)) = reduce {
+                match self.operand_value(prog, expr) {
+                    Ok(x) => {
+                        folds += 1; // reduce_elems and the tree-add
+                        acc += x;
+                    }
+                    Err(e) => {
+                        result = Err(e);
+                        break 'emits;
+                    }
+                }
+            }
+            pos += 1;
+            idx += 1;
+        }
+        if entered && result.is_ok() {
+            self.node_stack.pop();
+            self.scan_depth = depth;
+        }
+        self.dense.scan_emits += emits;
+        self.dense.node_trips[id] += trips;
+        if folds > 0 {
+            self.dense.reduce_elems += folds;
+            self.dense.alu_ops += folds;
+        }
+        result?;
+        self.env[pos_var] = saved[0];
+        self.env[idx_var] = saved[1];
+        self.write_reduce_acc(reduce.map(|(reg, _)| reg), acc);
+        Ok(end)
+    }
+
+    /// Runs a straight-line-body two-input co-iteration `Scan` loop
+    /// natively (see [`Machine::run_scan1_simple`]): both vectors are
+    /// snapshotted once, the combined bits emit, and the per-side
+    /// position counters advance exactly as the framed
+    /// [`Op::EnterScan2`]/[`Op::Next`] protocol does — the emitting
+    /// index advances its positions after the body.
+    #[allow(clippy::too_many_arguments)]
+    pub(in crate::interp) fn run_scan2_simple(
+        &mut self,
+        prog: &CompiledProgram,
+        id: usize,
+        op: ScanOp,
+        bv_a: Slot,
+        bv_b: Slot,
+        vars: [Slot; 4],
+        body: OpId,
+        body_len: u32,
+        reduce: Option<(Slot, Operand)>,
+    ) -> Result<usize, RunError> {
+        let mut acc = self.read_reduce_acc(reduce.map(|(reg, _)| reg))?;
+        let depth = self.scan_depth;
+        let dim = self.scan_snapshot2(bv_a, bv_b)?;
+        let vars = vars.map(|v| v as usize);
+        let saved = vars.map(|v| self.env[v]);
+        let end = (body + body_len) as usize;
+        // `emits` counts emit positions *reached* (bumped before the
+        // step charge, like the reference walker); `trips` counts
+        // charged steps.
+        let mut emits = 0u64;
+        let mut trips = 0u64;
+        let mut folds = 0u64;
+        let mut result: Result<(), RunError> = Ok(());
+        let mut entered = false;
+        let (mut idx, mut ap, mut bp, mut emitted) = (0usize, 0u64, 0u64, 0u64);
+        // Vector tier: skipped (non-combined) positions consume no fuel
+        // and no statistics — only the side position counters advance —
+        // so batching whole words with popcounts is observably
+        // identical to probing one position at a time.
+        let fast = self.vector_enabled;
+        'emits: while idx < dim {
+            if fast {
+                let (next, askip, bskip) = self.scan_pool[depth].scan2_skip(op, idx, dim);
+                ap += askip;
+                bp += bskip;
+                idx = next;
+                if idx >= dim {
+                    break 'emits;
+                }
+            }
+            let has_a = self.scan_pool[depth].a_set(idx);
+            let has_b = self.scan_pool[depth].b_set(idx);
+            let combined = match op {
+                ScanOp::And => has_a && has_b,
+                ScanOp::Or => has_a || has_b,
+            };
+            if !combined {
+                if has_a {
+                    ap += 1;
+                }
+                if has_b {
+                    bp += 1;
+                }
+                idx += 1;
+                continue;
+            }
+            emits += 1;
+            if let Err(e) = self.charge_step() {
+                result = Err(e);
+                break 'emits;
+            }
+            if !entered {
+                entered = true;
+                self.node_stack.push(id);
+                self.scan_depth = depth + 1;
+            }
+            self.env[vars[0]] = Some(if has_a { ap as f64 } else { -1.0 });
+            self.env[vars[1]] = Some(if has_b { bp as f64 } else { -1.0 });
+            self.env[vars[2]] = Some(emitted as f64);
+            self.env[vars[3]] = Some(idx as f64);
+            trips += 1;
+            if let Err(e) = self.run_simple_body(prog, body, end) {
+                result = Err(e);
+                break 'emits;
+            }
+            if let Some((_, expr)) = reduce {
+                match self.operand_value(prog, expr) {
+                    Ok(x) => {
+                        folds += 1; // reduce_elems and the tree-add
+                        acc += x;
+                    }
+                    Err(e) => {
+                        result = Err(e);
+                        break 'emits;
+                    }
+                }
+            }
+            // The emitting index advances its positions after the
+            // body, exactly as the framed protocol does.
+            if has_a {
+                ap += 1;
+            }
+            if has_b {
+                bp += 1;
+            }
+            emitted += 1;
+            idx += 1;
+        }
+        if entered && result.is_ok() {
+            self.node_stack.pop();
+            self.scan_depth = depth;
+        }
+        self.dense.scan_emits += emits;
+        self.dense.node_trips[id] += trips;
+        if folds > 0 {
+            self.dense.reduce_elems += folds;
+            self.dense.alu_ops += folds;
+        }
+        result?;
+        for (v, old) in vars.iter().zip(saved) {
+            self.env[*v] = old;
+        }
+        self.write_reduce_acc(reduce.map(|(reg, _)| reg), acc);
+        Ok(end)
+    }
+}
