@@ -311,7 +311,7 @@ impl Machine {
     /// installed [`crate::faults`] plan. One-shot injected step faults
     /// are min-folded into the fuel countdown so the hot loops pay for
     /// exactly one compare-and-decrement regardless of what is armed.
-    pub(in crate::interp) fn arm_budget(&mut self) {
+    pub(super) fn arm_budget(&mut self) {
         let plan = faults::active();
         let mut fuel = self.budget.max_steps.unwrap_or(u64::MAX);
         let mut cause = FuelCause::Budget;
@@ -346,7 +346,7 @@ impl Machine {
     /// exactly the [`crate::ExecStats::node_trips`] sites — so the
     /// completes-or-aborts predicate is engine-identical.
     #[inline(always)]
-    pub(in crate::interp) fn charge_step(&mut self) -> Result<(), RunError> {
+    pub(super) fn charge_step(&mut self) -> Result<(), RunError> {
         if self.fuel == 0 {
             return Err(exhausted_fuel(self.fuel_cause, self.step_limit));
         }
@@ -362,7 +362,7 @@ impl Machine {
     }
 
     /// The configured deadline in milliseconds (for error messages).
-    pub(in crate::interp) fn deadline_ms(&self) -> u64 {
+    pub(super) fn deadline_ms(&self) -> u64 {
         self.budget
             .deadline
             .map(|d| d.as_millis() as u64)
@@ -371,7 +371,7 @@ impl Machine {
 
     /// Charges `words` against the DRAM-word budget.
     #[inline(always)]
-    pub(in crate::interp) fn charge_dram(&mut self, words: u64) -> Result<(), RunError> {
+    pub(super) fn charge_dram(&mut self, words: u64) -> Result<(), RunError> {
         match self.dram_fuel.checked_sub(words) {
             Some(rest) => {
                 self.dram_fuel = rest;

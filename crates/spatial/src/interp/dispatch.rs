@@ -16,7 +16,7 @@ use crate::resolve::Slot;
 /// [`crate::bytecode::MAX_SIMPLE_RANK`]).
 impl Machine {
     /// Executes the compiled op vector from the top.
-    pub(in crate::interp) fn run_ops(&mut self, prog: &CompiledProgram) -> Result<(), RunError> {
+    pub(super) fn run_ops(&mut self, prog: &CompiledProgram) -> Result<(), RunError> {
         self.frames.clear();
         self.vstack.clear();
         self.node_stack.clear();
@@ -121,7 +121,7 @@ impl Machine {
     /// Executes one straight-line op (everything except loop control).
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
-    pub(in crate::interp) fn exec_simple_op(
+    pub(super) fn exec_simple_op(
         &mut self,
         prog: &CompiledProgram,
         op: &Op,
@@ -222,7 +222,7 @@ impl Machine {
     /// postfix interpreter.
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
-    pub(in crate::interp) fn operand_value(
+    pub(super) fn operand_value(
         &mut self,
         prog: &CompiledProgram,
         o: Operand,
@@ -477,7 +477,7 @@ impl Machine {
     /// Reads the accumulator register at loop entry when the loop is a
     /// `Reduce` (the error ordering the reference walker has: a missing
     /// register is reported before the counter bounds are evaluated).
-    pub(in crate::interp) fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
+    pub(super) fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
         match reduce {
             None => Ok(0.0),
             Some(reg) => self.reg_value(reg),
@@ -486,7 +486,7 @@ impl Machine {
 
     /// Writes the accumulator back at loop exit. Silently skips a slot
     /// that is no longer a register, as the reference walker does.
-    pub(in crate::interp) fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
+    pub(super) fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
         if let Some(reg) = reduce {
             let st = self.chip[reg as usize];
             if st.tag == ChipTag::Reg {

@@ -65,10 +65,7 @@ fn fifo_clear(st: &mut ChipState) {
 }
 
 #[inline]
-pub(in crate::interp) fn index_of(
-    v: f64,
-    context: impl FnOnce() -> String,
-) -> Result<usize, RunError> {
+pub(super) fn index_of(v: f64, context: impl FnOnce() -> String) -> Result<usize, RunError> {
     if v < 0.0 {
         return Err(RunError::NegativeIndex {
             context: context(),
@@ -100,7 +97,7 @@ impl Machine {
 
     /// Reads a register slot.
     #[inline(always)]
-    pub(in crate::interp) fn reg_value(&self, reg: Slot) -> Result<f64, RunError> {
+    pub(super) fn reg_value(&self, reg: Slot) -> Result<f64, RunError> {
         let st = &self.chip[reg as usize];
         if st.tag == ChipTag::Reg {
             Ok(self.words[st.woff])
@@ -112,7 +109,7 @@ impl Machine {
     /// Dequeues one element, counting the dequeue before the slot check
     /// exactly as the reference engine does.
     #[inline(always)]
-    pub(in crate::interp) fn deq_value(&mut self, fifo: Slot) -> Result<f64, RunError> {
+    pub(super) fn deq_value(&mut self, fifo: Slot) -> Result<f64, RunError> {
         self.dense.fifo_deqs += 1;
         let st = &mut self.chip[fifo as usize];
         if st.tag != ChipTag::Fifo {
@@ -132,7 +129,7 @@ impl Machine {
     /// bounds check plus one arena load.
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
-    pub(in crate::interp) fn read_mem_value(
+    pub(super) fn read_mem_value(
         &mut self,
         chip: Slot,
         dram: Slot,
@@ -183,7 +180,7 @@ impl Machine {
 
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
-    pub(in crate::interp) fn write_on_chip(
+    pub(super) fn write_on_chip(
         &mut self,
         mem: Slot,
         ix: usize,
@@ -218,7 +215,7 @@ impl Machine {
     // --- Statement executors behind the bytecode dispatch loop.
     // --- Operands are already evaluated.
 
-    pub(in crate::interp) fn do_alloc(
+    pub(super) fn do_alloc(
         &mut self,
         slot: Slot,
         kind: MemKind,
@@ -276,13 +273,7 @@ impl Machine {
         Ok(())
     }
 
-    pub(in crate::interp) fn do_load(
-        &mut self,
-        dst: Slot,
-        src: Slot,
-        s: f64,
-        e: f64,
-    ) -> Result<(), RunError> {
+    pub(super) fn do_load(&mut self, dst: Slot, src: Slot, s: f64, e: f64) -> Result<(), RunError> {
         let s = index_of(s, || "load start".to_string())?;
         let e = index_of(e, || "load end".to_string())?;
         let src_st = self.dram_state[src as usize];
@@ -355,7 +346,7 @@ impl Machine {
         }
     }
 
-    pub(in crate::interp) fn do_store(
+    pub(super) fn do_store(
         &mut self,
         dst: Slot,
         off: usize,
@@ -404,7 +395,7 @@ impl Machine {
         Ok(())
     }
 
-    pub(in crate::interp) fn do_stream_store(
+    pub(super) fn do_stream_store(
         &mut self,
         dst: Slot,
         off: usize,
@@ -469,12 +460,7 @@ impl Machine {
         Ok(())
     }
 
-    pub(in crate::interp) fn do_store_scalar(
-        &mut self,
-        dst: Slot,
-        ix: usize,
-        v: f64,
-    ) -> Result<(), RunError> {
+    pub(super) fn do_store_scalar(&mut self, dst: Slot, ix: usize, v: f64) -> Result<(), RunError> {
         let st = self.dram_state[dst as usize];
         if !st.mapped {
             return Err(RunError::UnknownMemory(
@@ -496,7 +482,7 @@ impl Machine {
         Ok(())
     }
 
-    pub(in crate::interp) fn do_set_reg(&mut self, reg: Slot, v: f64) -> Result<(), RunError> {
+    pub(super) fn do_set_reg(&mut self, reg: Slot, v: f64) -> Result<(), RunError> {
         let st = self.chip[reg as usize];
         if st.tag != ChipTag::Reg {
             return Err(self.unknown_chip(reg));
@@ -505,7 +491,7 @@ impl Machine {
         Ok(())
     }
 
-    pub(in crate::interp) fn do_enq(&mut self, fifo: Slot, v: f64) -> Result<(), RunError> {
+    pub(super) fn do_enq(&mut self, fifo: Slot, v: f64) -> Result<(), RunError> {
         if self.chip[fifo as usize].tag != ChipTag::Fifo {
             return Err(self.unknown_chip(fifo));
         }
@@ -517,7 +503,7 @@ impl Machine {
         Ok(())
     }
 
-    pub(in crate::interp) fn do_gen_bit_vector(
+    pub(super) fn do_gen_bit_vector(
         &mut self,
         dst: Slot,
         src: Slot,
@@ -613,7 +599,7 @@ impl Machine {
     /// Snapshots one bit vector into the scan pool slot at the current
     /// depth (a slice memcpy of the packed words), returning the scan
     /// dimension. Counts the entry's `scan_bits`.
-    pub(in crate::interp) fn scan_snapshot1(&mut self, bv: Slot) -> Result<usize, RunError> {
+    pub(super) fn scan_snapshot1(&mut self, bv: Slot) -> Result<usize, RunError> {
         let depth = self.scan_depth;
         if self.scan_pool.len() <= depth {
             self.scan_pool.resize_with(depth + 1, ScanBuf::default);
@@ -632,11 +618,7 @@ impl Machine {
     /// Snapshots both bit vectors of a `Scan2` into the scan pool slot
     /// at the current depth, returning the scan dimension (the longer
     /// of the two). Counts the entry's `scan_bits`.
-    pub(in crate::interp) fn scan_snapshot2(
-        &mut self,
-        bv_a: Slot,
-        bv_b: Slot,
-    ) -> Result<usize, RunError> {
+    pub(super) fn scan_snapshot2(&mut self, bv_a: Slot, bv_b: Slot) -> Result<usize, RunError> {
         let depth = self.scan_depth;
         if self.scan_pool.len() <= depth {
             self.scan_pool.resize_with(depth + 1, ScanBuf::default);

@@ -10,11 +10,7 @@ use crate::resolve::Slot;
 /// The words of a DRAM slot, read-only. Free function (not a method) so
 /// callers can split-borrow the segments against other machine fields.
 #[inline(always)]
-pub(in crate::interp) fn dram_words<'a>(
-    input: &'a [f64],
-    out: &'a [f64],
-    st: DramState,
-) -> Option<&'a [f64]> {
+pub(super) fn dram_words<'a>(input: &'a [f64], out: &'a [f64], st: DramState) -> Option<&'a [f64]> {
     if !st.mapped {
         return None;
     }
@@ -27,7 +23,7 @@ pub(in crate::interp) fn dram_words<'a>(
 /// memcpy on the first such write, nothing afterwards — the
 /// copy-on-write half of [`DramImage`] sharing.
 #[inline(always)]
-pub(in crate::interp) fn dram_words_mut<'a>(
+pub(super) fn dram_words_mut<'a>(
     input: &'a mut Arc<Vec<f64>>,
     out: &'a mut Vec<f64>,
     st: DramState,

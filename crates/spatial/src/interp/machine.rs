@@ -256,7 +256,7 @@ impl Machine {
     /// layout places every program-written slot there; input-segment
     /// writes only happen through host `write_dram`, outside a run).
     #[inline(always)]
-    pub(in crate::interp) fn log_dram_write(&mut self, dst: Slot, off: usize, n: usize) {
+    pub(super) fn log_dram_write(&mut self, dst: Slot, off: usize, n: usize) {
         if let Some(log) = &mut self.write_log {
             let st = self.dram_state[dst as usize];
             if st.input {
@@ -271,7 +271,7 @@ impl Machine {
     /// Ensures the slot's word region holds at least `need` words,
     /// relocating it to the end of the word arena when it does not.
     /// The region contents are NOT carried over — callers reset them.
-    pub(in crate::interp) fn reserve_words(&mut self, slot: Slot, need: usize) {
+    pub(super) fn reserve_words(&mut self, slot: Slot, need: usize) {
         let st = &mut self.chip[slot as usize];
         if st.wcap < need {
             st.woff = self.words.len();
@@ -283,7 +283,7 @@ impl Machine {
     /// Ensures the slot's bitset region holds at least `need` packed
     /// words, relocating to the end of the bitset arena when it does
     /// not. Contents are NOT carried over — callers reset them.
-    pub(in crate::interp) fn reserve_bits(&mut self, slot: Slot, need: usize) {
+    pub(super) fn reserve_bits(&mut self, slot: Slot, need: usize) {
         let st = &mut self.chip[slot as usize];
         if st.bcap < need {
             st.boff = self.bits.len();
@@ -292,11 +292,11 @@ impl Machine {
         }
     }
 
-    pub(in crate::interp) fn unknown_dram(&self, slot: Slot) -> RunError {
+    pub(super) fn unknown_dram(&self, slot: Slot) -> RunError {
         RunError::UnknownMemory(self.compiled.syms().dram_name(slot).to_string())
     }
 
-    pub(in crate::interp) fn unknown_chip(&self, slot: Slot) -> RunError {
+    pub(super) fn unknown_chip(&self, slot: Slot) -> RunError {
         RunError::UnknownMemory(self.compiled.syms().chip_name(slot).to_string())
     }
 
@@ -310,7 +310,7 @@ impl Machine {
 
     /// The words of a mapped DRAM slot.
     #[inline(always)]
-    pub(in crate::interp) fn dram_words_of(&self, slot: Slot) -> Option<&[f64]> {
+    pub(super) fn dram_words_of(&self, slot: Slot) -> Option<&[f64]> {
         dram_words(
             &self.dram_input,
             &self.dram_out,
@@ -321,7 +321,7 @@ impl Machine {
     /// The words of a mapped DRAM slot, writable (copy-on-write for
     /// input-segment slots).
     #[inline(always)]
-    pub(in crate::interp) fn dram_words_of_mut(&mut self, slot: Slot) -> Option<&mut [f64]> {
+    pub(super) fn dram_words_of_mut(&mut self, slot: Slot) -> Option<&mut [f64]> {
         dram_words_mut(
             &mut self.dram_input,
             &mut self.dram_out,

@@ -13,17 +13,17 @@ use crate::resolve::Slot;
 /// source slot's region, logical length, and shuffle attribution are
 /// hoisted out of the loop (the loop body provably cannot change them).
 #[derive(Debug, Clone, Copy)]
-pub(in crate::interp) struct HotGather {
+pub(super) struct HotGather {
     /// Chip slot (for error naming).
-    pub(in crate::interp) chip: Slot,
+    pub(super) chip: Slot,
     /// Index variable slot.
-    pub(in crate::interp) var: Slot,
+    pub(super) var: Slot,
     /// Hoisted word-arena offset.
-    pub(in crate::interp) woff: usize,
+    pub(super) woff: usize,
     /// Hoisted logical length.
-    pub(in crate::interp) len: usize,
+    pub(super) len: usize,
     /// Whether each read counts a shuffle access.
-    pub(in crate::interp) shuffle: bool,
+    pub(super) shuffle: bool,
 }
 
 /// Operand shapes the scatter superinstruction can evaluate without the
@@ -31,7 +31,7 @@ pub(in crate::interp) struct HotGather {
 /// scale-by-gathered-value shape, and the `var op const` two-op
 /// expression program.
 #[derive(Debug, Clone, Copy)]
-pub(in crate::interp) enum HotValue {
+pub(super) enum HotValue {
     Const(f64),
     Var(Slot),
     Gather(HotGather),
@@ -42,21 +42,17 @@ pub(in crate::interp) enum HotValue {
 /// Register-batched statistics for the scatter superinstruction,
 /// flushed to the dense counters on every loop exit path.
 #[derive(Debug, Default, Clone, Copy)]
-pub(in crate::interp) struct HotCounters {
-    pub(in crate::interp) sram_reads: u64,
-    pub(in crate::interp) shuffles: u64,
-    pub(in crate::interp) alu_ops: u64,
+pub(super) struct HotCounters {
+    pub(super) sram_reads: u64,
+    pub(super) shuffles: u64,
+    pub(super) alu_ops: u64,
 }
 
 impl Machine {
     /// Resolves an operand into a hot-loop form whose referenced slot
     /// states are loop-invariant, or `None` when the shape (or a slot's
     /// current allocation) is not eligible.
-    pub(in crate::interp) fn hot_value(
-        &self,
-        prog: &CompiledProgram,
-        o: Operand,
-    ) -> Option<HotValue> {
+    pub(super) fn hot_value(&self, prog: &CompiledProgram, o: Operand) -> Option<HotValue> {
         match o {
             Operand::Const(c) => Some(HotValue::Const(c)),
             Operand::Var(v) => Some(HotValue::Var(v)),
@@ -88,12 +84,7 @@ impl Machine {
 
     /// A gather whose source slot is currently plain words: its region
     /// and shuffle attribution hoist out of the loop.
-    pub(in crate::interp) fn hot_gather(
-        &self,
-        chip: Slot,
-        random: bool,
-        var: Slot,
-    ) -> Option<HotGather> {
+    pub(super) fn hot_gather(&self, chip: Slot, random: bool, var: Slot) -> Option<HotGather> {
         let st = &self.chip[chip as usize];
         if st.tag != ChipTag::Words {
             return None;
@@ -111,11 +102,7 @@ impl Machine {
     /// Evaluation order, statistics, and errors are identical to the
     /// generic [`Machine::operand_value`] path.
     #[inline(always)]
-    pub(in crate::interp) fn hot_eval(
-        &mut self,
-        hv: HotValue,
-        c: &mut HotCounters,
-    ) -> Result<f64, RunError> {
+    pub(super) fn hot_eval(&mut self, hv: HotValue, c: &mut HotCounters) -> Result<f64, RunError> {
         match hv {
             HotValue::Const(k) => Ok(k),
             HotValue::Var(v) => match self.env[v as usize] {
@@ -189,7 +176,7 @@ impl Machine {
     /// Returns `None` (having executed nothing) when an operand shape or
     /// a slot's current allocation is not eligible.
     #[allow(clippy::too_many_arguments)]
-    pub(in crate::interp) fn try_scatter_loop(
+    pub(super) fn try_scatter_loop(
         &mut self,
         prog: &CompiledProgram,
         id: usize,

@@ -14,7 +14,7 @@ impl Machine {
     /// once, the body ops stepped per iteration, the optional reduction
     /// folded — no frame, no per-iteration dispatch of loop control.
     #[allow(clippy::too_many_arguments)]
-    pub(in crate::interp) fn run_range_simple(
+    pub(super) fn run_range_simple(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -269,7 +269,7 @@ impl Machine {
     /// Statistics, environment effects, and error order match the
     /// framed [`Op::EnterScan1`]/[`Op::Next`] protocol exactly.
     #[allow(clippy::too_many_arguments)]
-    pub(in crate::interp) fn run_scan1_simple(
+    pub(super) fn run_scan1_simple(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -373,7 +373,7 @@ impl Machine {
     /// [`Op::EnterScan2`]/[`Op::Next`] protocol does — the emitting
     /// index advances its positions after the body.
     #[allow(clippy::too_many_arguments)]
-    pub(in crate::interp) fn run_scan2_simple(
+    pub(super) fn run_scan2_simple(
         &mut self,
         prog: &CompiledProgram,
         id: usize,

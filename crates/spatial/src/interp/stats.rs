@@ -155,7 +155,7 @@ impl ExecStats {
 impl DenseStats {
     /// Zeroes every counter while keeping the dense vectors' lengths
     /// (and hence their slot/node indexing) intact.
-    pub(in crate::interp) fn clear(&mut self) {
+    pub(super) fn clear(&mut self) {
         let DenseStats {
             dram_reads,
             dram_writes,
@@ -194,31 +194,21 @@ impl DenseStats {
         *reduce_elems = 0;
     }
 
-    pub(in crate::interp) fn note_dram_read(
-        &mut self,
-        slot: Slot,
-        words: u64,
-        node: Option<usize>,
-    ) {
+    pub(super) fn note_dram_read(&mut self, slot: Slot, words: u64, node: Option<usize>) {
         *self.dram_reads[slot as usize].get_or_insert(0) += words;
         if let Some(n) = node {
             self.node_dram_read_words[n] += words;
         }
     }
 
-    pub(in crate::interp) fn note_dram_write(
-        &mut self,
-        slot: Slot,
-        words: u64,
-        node: Option<usize>,
-    ) {
+    pub(super) fn note_dram_write(&mut self, slot: Slot, words: u64, node: Option<usize>) {
         *self.dram_writes[slot as usize].get_or_insert(0) += words;
         if let Some(n) = node {
             self.node_dram_write_words[n] += words;
         }
     }
 
-    pub(in crate::interp) fn fold(&self, syms: &SymbolTable) -> ExecStats {
+    pub(super) fn fold(&self, syms: &SymbolTable) -> ExecStats {
         let mut out = ExecStats {
             dram_random_reads: self.dram_random_reads,
             dram_random_writes: self.dram_random_writes,

@@ -173,7 +173,7 @@ impl Machine {
     /// source stream aliasing the destination region (lanes preload
     /// before the writes commit, so aliasing would reorder reads).
     #[allow(clippy::too_many_arguments)]
-    pub(in crate::interp) fn try_vector_scatter(
+    pub(super) fn try_vector_scatter(
         &mut self,
         id: usize,
         var: usize,
@@ -417,7 +417,7 @@ impl Machine {
     /// when runtime state is ineligible, leaving the generic loop to
     /// run.
     #[allow(clippy::too_many_arguments)]
-    pub(in crate::interp) fn try_multi_scatter(
+    pub(super) fn try_multi_scatter(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -705,7 +705,7 @@ impl Machine {
     /// bounds, a referenced slot not currently plain words, an unbound
     /// splat variable), leaving the generic loop to run.
     #[allow(clippy::too_many_arguments)]
-    pub(in crate::interp) fn try_vector_reduce(
+    pub(super) fn try_vector_reduce(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
