@@ -57,6 +57,10 @@ impl KernelOutput {
     /// # Panics
     ///
     /// Panics when the output is a scalar.
+    #[allow(
+        clippy::panic,
+        reason = "documented accessor contract: the caller asked a scalar output for a tensor"
+    )]
     pub fn to_dense(&self) -> DenseTensor<f64> {
         match self {
             KernelOutput::Tensor(t) => t.to_dense(),
@@ -69,6 +73,10 @@ impl KernelOutput {
     /// # Panics
     ///
     /// Panics when the output is a tensor.
+    #[allow(
+        clippy::panic,
+        reason = "documented accessor contract: the caller asked a tensor output for a scalar"
+    )]
     pub fn as_scalar(&self) -> f64 {
         match self {
             KernelOutput::Scalar(v) => *v,

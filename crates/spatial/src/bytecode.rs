@@ -585,6 +585,10 @@ impl CompiledProgram {
         // surfaces as a typed VerifyError here, not as a differential
         // divergence (or an out-of-bounds dispatch) at run time.
         #[cfg(debug_assertions)]
+        #[allow(
+            clippy::panic,
+            reason = "debug-only self-check of this crate's own lowering, not of its input"
+        )]
         if let Err(e) = compiled.verify() {
             panic!("compiler produced an invalid program: {e}");
         }

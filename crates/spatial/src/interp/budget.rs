@@ -196,6 +196,10 @@ pub(crate) enum FuelCause {
 /// Builds the out-of-fuel outcome. `#[cold]` keeps the construction
 /// (and the injected-fault consumption) off the hot loops.
 #[cold]
+#[allow(
+    clippy::panic,
+    reason = "the fault harness's forced panic; only an installed FaultPlan arms it"
+)]
 pub(crate) fn exhausted_fuel(cause: FuelCause, limit: u64) -> RunError {
     match cause {
         FuelCause::Budget => RunError::BudgetExceeded {

@@ -94,6 +94,10 @@ impl LevelStorage {
     ///
     /// Panics when invoked on [`LevelStorage::Dense`] or when `p + 1` is out
     /// of bounds of the positions array.
+    #[allow(
+        clippy::panic,
+        reason = "documented accessor contract: the caller asked a dense level for a segment"
+    )]
     pub fn segment(&self, p: usize) -> std::ops::Range<usize> {
         match self {
             LevelStorage::Compressed { pos, .. } => pos[p]..pos[p + 1],

@@ -310,6 +310,10 @@ impl<T: Value> SparseTensor<T> {
     /// # Panics
     ///
     /// Panics when level `l` is dense.
+    #[allow(
+        clippy::panic,
+        reason = "documented accessor contract: the caller named a dense level"
+    )]
     pub fn pos(&self, l: usize) -> &[usize] {
         match &self.s.levels[l] {
             LevelStorage::Compressed { pos, .. } => pos,
@@ -322,6 +326,10 @@ impl<T: Value> SparseTensor<T> {
     /// # Panics
     ///
     /// Panics when level `l` is dense.
+    #[allow(
+        clippy::panic,
+        reason = "documented accessor contract: the caller named a dense level"
+    )]
     pub fn crd(&self, l: usize) -> &[usize] {
         match &self.s.levels[l] {
             LevelStorage::Compressed { crd, .. } => crd,
