@@ -27,6 +27,18 @@
 //! engine, and differential tests assert both produce byte-identical
 //! DRAM contents and identical [`ExecStats`]. `cargo bench --bench
 //! interp` measures the speedup.
+//!
+//! # Layout
+//!
+//! This file holds the data: [`Machine`] and the private state types
+//! its fields are made of, so every submodule reads them without any
+//! field being widened. Behaviour lives one role per file: `budget`
+//! (limits and errors), `stats`, `image` (copy-on-write DRAM images),
+//! `machine` (lifecycle, host DRAM access, `run`), `exec` (statement
+//! executors), `dispatch` (the bytecode loop), and one file per
+//! hot-loop tier — `simple` (superinstructions), `scatter` (including
+//! the bounds-check-elided loop) and `vector_tier` — so a tier goes by
+//! deleting its file and the call into it from the tier above.
 
 mod budget;
 mod dispatch;
