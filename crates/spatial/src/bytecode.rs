@@ -635,7 +635,7 @@ impl CompiledProgram {
 
     /// One past the largest `Foreach`/`Reduce` node id (sizes the dense
     /// per-node statistics vectors).
-    pub fn node_limit(&self) -> usize {
+    pub(crate) fn node_limit(&self) -> usize {
         self.node_limit
     }
 
