@@ -57,7 +57,7 @@ use std::time::Instant;
 
 use crate::bytecode::CompiledProgram;
 use crate::ir::{MemKind, ScanOp};
-use crate::resolve::Slot;
+use crate::resolve::{DramRegion, Slot};
 
 pub(crate) use budget::{check_interrupts, exhausted_fuel, FuelCause, INTERRUPT_MASK};
 pub use budget::{BudgetResource, CancelFlag, RunBudget, RunError};
@@ -318,6 +318,18 @@ struct DenseStats {
     scan_emits: u64,
     bv_gen_bits: u64,
     reduce_elems: u64,
+}
+
+impl From<&DramRegion> for DramState {
+    fn from(r: &DramRegion) -> Self {
+        DramState {
+            mapped: r.mapped,
+            input: !r.written,
+            kind: r.kind,
+            off: r.offset,
+            len: r.size,
+        }
+    }
 }
 
 /// The machine state a program executes against: DRAM plus on-chip

@@ -155,13 +155,7 @@ impl DramImageBuilder {
                 len: r.size,
             });
         }
-        Ok(DramState {
-            mapped: true,
-            input: !r.written,
-            kind: r.kind,
-            off: r.offset,
-            len: r.size,
-        })
+        Ok(DramState::from(r))
     }
 
     /// Writes `data` to the head of the slot's array, exactly like

@@ -29,17 +29,7 @@ impl Machine {
     pub fn from_compiled(compiled: Arc<CompiledProgram>) -> Self {
         let syms = compiled.syms();
         let dram_layout = compiled.dram_layout();
-        let dram_state = dram_layout
-            .drams
-            .iter()
-            .map(|r| DramState {
-                mapped: r.mapped,
-                input: !r.written,
-                kind: r.kind,
-                off: r.offset,
-                len: r.size,
-            })
-            .collect();
+        let dram_state = dram_layout.drams.iter().map(DramState::from).collect();
         // Every on-chip slot starts unallocated at its static home.
         let layout = compiled.layout();
         let chip = layout

@@ -269,16 +269,11 @@ impl Machine {
                         }
                         ValPlan::IotaBin { op, c } => {
                             // Lanes are independent; per-lane apply is
-                            // bit-identical to the scalar op. A zero
-                            // divisor re-runs scalar for the exact error.
-                            for (k, x) in vals.iter_mut().enumerate() {
-                                match op.apply((at + k) as f64, *c) {
-                                    Some(v) => *x = v,
-                                    None => {
-                                        vec_on = false;
-                                        break 'chunks;
-                                    }
-                                }
+                            // bit-identical to the scalar op.
+                            let iota: [f64; L] = std::array::from_fn(|k| (at + k) as f64);
+                            if !vector::bin_lanes(*op, &iota, &[*c; L], &mut vals) {
+                                vec_on = false; // scalar re-run raises DivisionByZero
+                                break 'chunks;
                             }
                         }
                         ValPlan::Stream(g) => {
@@ -553,16 +548,10 @@ impl Machine {
                                 }
                             }
                             ValPlan::IotaBin { op, c } => {
-                                for (k, x) in vals.iter_mut().enumerate() {
-                                    match op.apply((at + k) as f64, *c) {
-                                        Some(v) => *x = v,
-                                        None => {
-                                            // Zero divisor: scalar re-run
-                                            // raises the exact error.
-                                            vec_on = false;
-                                            break 'chunks;
-                                        }
-                                    }
+                                let iota: [f64; L] = std::array::from_fn(|k| (at + k) as f64);
+                                if !vector::bin_lanes(*op, &iota, &[*c; L], vals) {
+                                    vec_on = false; // scalar re-run raises DivisionByZero
+                                    break 'chunks;
                                 }
                             }
                             ValPlan::Stream(g) => {
