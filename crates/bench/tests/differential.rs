@@ -17,13 +17,21 @@
 //! The `write_dram`-bound and image-bound machines share one
 //! `Arc<CompiledProgram>` artifact, so the test also covers the re-bind
 //! path the harness uses for dataset sweeps.
+//!
+//! A second leg pins the fast tiers against the scalar loops directly:
+//! every stage runs once as compiled (vector tier and bounds-check
+//! elision on, the default) and once with both off, and the two must
+//! agree on the result, every DRAM bit and the `ExecStats`. It runs
+//! under the `STARDUST_FAULTS` plan when one is set, so the CI chaos
+//! step's `max_steps` clamp lands budget aborts inside vector chunks
+//! of real kernels.
 
 use std::collections::HashMap;
 
 use stardust_bench::{instantiate, Scale, KERNEL_NAMES};
 use stardust_core::pipeline::{KernelOutput, TensorData};
 use stardust_kernels::Kernel;
-use stardust_spatial::ReferenceMachine;
+use stardust_spatial::{FaultPlan, Machine, ReferenceMachine};
 
 /// Runs every stage of `kernel` through both engines and asserts
 /// bit-identical DRAM images and identical statistics.
@@ -138,6 +146,89 @@ fn all_table3_kernels_agree_on_the_dataset_suite() {
         for (kernel, set) in instantiate(name, &scale) {
             println!("differential: {name} on {}", set.dataset);
             assert_engines_agree(&kernel, &set.inputs);
+        }
+    }
+}
+
+/// Runs `f` under the `STARDUST_FAULTS` environment plan when one is
+/// set, installing a fresh plan per call so one-shot faults fire
+/// identically for every machine. With the variable unset this is a
+/// plain call.
+fn with_env_faults<R>(f: impl FnOnce() -> R) -> R {
+    // A malformed plan must fail the suite loudly, not run it as a
+    // vacuous no-op.
+    match FaultPlan::from_env().expect("STARDUST_FAULTS is malformed") {
+        Some(plan) => stardust_spatial::faults::with_plan(plan, f),
+        None => f(),
+    }
+}
+
+/// The DRAM contents of `machine` as bits, array by array.
+fn dram_bits(machine: &Machine) -> Vec<(String, Vec<u64>)> {
+    machine
+        .compiled()
+        .source()
+        .drams
+        .iter()
+        .map(|d| {
+            let words = machine.dram(&d.name).expect("dram present");
+            let bits = words.iter().map(|v| v.to_bits()).collect();
+            (d.name.clone(), bits)
+        })
+        .collect()
+}
+
+/// Runs every stage of `kernel` with the fast tiers on and off and
+/// asserts the same result, bit-identical DRAM and identical
+/// statistics.
+fn assert_tiers_invisible(kernel: &Kernel, inputs: &HashMap<String, TensorData>) {
+    let result = kernel
+        .run(inputs)
+        .unwrap_or_else(|e| panic!("{} failed to run: {e}", kernel.name));
+    let mut available = inputs.clone();
+    for (s, stage) in result.stages.iter().enumerate() {
+        let compiled = &stage.compiled;
+        let program = compiled.spatial();
+        let mut tiered = compiled.bind(&available).expect("bind inputs");
+        let mut scalar = tiered.clone();
+        scalar.set_vector_mode(false);
+        scalar.set_elide_mode(false);
+        let tiered_result = with_env_faults(|| tiered.run(program));
+        let scalar_result = with_env_faults(|| scalar.run(program));
+        assert_eq!(
+            tiered_result, scalar_result,
+            "{} stage {s}: results diverge with the tiers off",
+            kernel.name
+        );
+        assert_eq!(
+            dram_bits(&tiered),
+            dram_bits(&scalar),
+            "{} stage {s}: DRAM diverges with the tiers off",
+            kernel.name
+        );
+        assert_eq!(
+            tiered.stats(),
+            scalar.stats(),
+            "{} stage {s}: ExecStats diverge with the tiers off",
+            kernel.name
+        );
+        // The next stage reads this one's fault-free output.
+        if let KernelOutput::Tensor(t) = compiled.execute(&available).expect("stage runs").output {
+            available.insert(
+                compiled.program().output().to_string(),
+                TensorData::Sparse(t),
+            );
+        }
+    }
+}
+
+#[test]
+fn compiled_stages_agree_with_the_tiers_off() {
+    let scale = Scale::ci();
+    for name in KERNEL_NAMES {
+        for (kernel, set) in instantiate(name, &scale) {
+            println!("tiers off: {name} on {}", set.dataset);
+            assert_tiers_invisible(&kernel, &set.inputs);
         }
     }
 }

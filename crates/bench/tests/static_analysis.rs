@@ -5,21 +5,21 @@
 //! counterpart of the `debug_assertions` check inside
 //! `CompiledProgram::compile`, exercised here through the public
 //! pipeline so the CI `static-analysis` job covers both build
-//! profiles. The analysis *yield* (how many stages carry vector or
-//! elision tags) is printed per run for drift-watching but not
-//! asserted.
+//! profiles. It also holds the analysis *yield* to a floor: the
+//! FIFO-fed and three-factor inner products (SpMV, MatTransMul,
+//! Residual and SDDMM on each of their three datasets, plus TTV) are
+//! vector-tagged, at least two stages are elision-licensed, and the
+//! printed programs are the ones the paper prints — position arithmetic
+//! folded, one accumulator register per reduction, no absent-operand
+//! `mux` guards inside an intersection scan.
 //!
 //! For every superinstruction loop (`RangeSimple`, `Scan1Simple`,
 //! `Scan2Simple`) that is not vector-tagged or elision-licensed, the
 //! test also prints the first thing that keeps it out, in the order
 //! `analysis::classify_vec` and `analysis::compute_elide` look — run
-//! with `--nocapture` to read it. What it shows today: the Table-3
-//! inner loops already *are* `RangeSimple`, and what blocks the tiers
-//! above is inside their bodies — per-iteration FIFO `deq` binds
-//! (`Bind Expr(Deq)`), per-iteration `Alloc` + `Load` of whole-dimension
-//! SRAMs, and index arithmetic the lowering leaves unfolded
-//! (`(0 + (j * 1))`), which lands in `Operand::Expr` where a `Gather`
-//! or fused shape would have matched.
+//! with `--nocapture` to read it. What it shows today: the scan loops
+//! (no vector class at all), and row loops whose bodies allocate,
+//! bind gathers or write registers.
 
 use std::collections::BTreeMap;
 
@@ -178,6 +178,44 @@ fn elide_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
     }
 }
 
+/// The unfolded position arithmetic the lowering used to print
+/// (`(0 * n) + i`, `0 + ...`, `k * 1`), or `None`.
+fn unfolded_index(source: &str) -> Option<&'static str> {
+    ["(0 * ", "(0 + ", " * 1)"]
+        .into_iter()
+        .find(|pattern| source.contains(pattern))
+}
+
+/// The first line of an intersection (`and`) scan body that holds a
+/// `mux`: intersection positions are never -1, so such a guard is dead.
+fn mux_in_and_scan(source: &str) -> Option<&str> {
+    let indent = |line: &str| line.len() - line.trim_start().len();
+    let lines: Vec<&str> = source.lines().collect();
+    for (n, line) in lines.iter().enumerate() {
+        if !(line.contains("Scan(") && line.contains(", and,")) {
+            continue;
+        }
+        let guarded = lines[n + 1..]
+            .iter()
+            .take_while(|inner| indent(inner) > indent(line))
+            .find(|inner| inner.contains("mux("));
+        if guarded.is_some() {
+            return guarded.copied();
+        }
+    }
+    None
+}
+
+/// A register declared twice in a row (`val ws = Reg[T]` from both the
+/// `where` producer and the reduction it holds), or `None`.
+fn doubled_register(source: &str) -> Option<&str> {
+    let lines: Vec<&str> = source.lines().collect();
+    lines
+        .windows(2)
+        .find(|pair| pair[0].contains(" = Reg[") && pair[0] == pair[1])
+        .map(|pair| pair[0])
+}
+
 #[test]
 fn all_table3_kernels_pass_the_verifier() {
     let scale = Scale::ci();
@@ -201,6 +239,27 @@ fn all_table3_kernels_pass_the_verifier() {
                     )
                 });
                 stages += 1;
+                let source = stage.source();
+                if let Some(pattern) = unfolded_index(source) {
+                    panic!(
+                        "{name}/{} stage {s} prints unfolded index arithmetic `{pattern}`:\n{source}",
+                        set.dataset
+                    );
+                }
+                if let Some(line) = doubled_register(source) {
+                    panic!(
+                        "{name}/{} stage {s} allocates a register twice: `{}`",
+                        set.dataset,
+                        line.trim()
+                    );
+                }
+                if let Some(line) = mux_in_and_scan(source) {
+                    panic!(
+                        "{name}/{} stage {s} guards an intersection scan: `{}`",
+                        set.dataset,
+                        line.trim()
+                    );
+                }
                 let ops = spatial.ops();
                 if (0..ops.len()).any(|pc| spatial.vec_class(pc) != VecClass::None) {
                     vector_tagged += 1;
@@ -245,4 +304,13 @@ fn all_table3_kernels_pass_the_verifier() {
             println!("  {what}: {count:>3} × {why}");
         }
     }
+    assert!(
+        vector_tagged >= 13,
+        "only {vector_tagged} vector-tagged stages; SpMV, MatTransMul, Residual and SDDMM \
+         (three datasets each) and TTV must reach the vector tier"
+    );
+    assert!(
+        elide_tagged >= 2,
+        "only {elide_tagged} elision-licensed stages"
+    );
 }

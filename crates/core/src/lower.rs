@@ -682,7 +682,7 @@ impl<'p> Lowerer<'p> {
                     rhs.tensor, stored_vars[n]
                 ))
             })?;
-            offset = SExpr::add(offset, SExpr::mul(coord, SExpr::Const(stride as f64)));
+            offset = idx_add(offset, idx_mul(coord, SExpr::Const(stride as f64)));
             stride *= stored_dims[n];
         }
         let mem = format!("{}_vals", lhs.tensor);
@@ -695,7 +695,7 @@ impl<'p> Lowerer<'p> {
             dst: mem,
             src: format!("{}_vals_dram", rhs.tensor),
             start: offset.clone(),
-            end: SExpr::add(offset, SExpr::Const(slice_len as f64)),
+            end: idx_add(offset, SExpr::Const(slice_len as f64)),
             par: self.inner_par,
         });
         // Leaf-time affine addressing layout: the lhs's own index order.
@@ -758,7 +758,7 @@ impl<'p> Lowerer<'p> {
                 Some(c) => c.clone(),
                 None => return Ok(None),
             };
-            offset = SExpr::add(offset, SExpr::mul(coord, SExpr::Const(stride as f64)));
+            offset = idx_add(offset, idx_mul(coord, SExpr::Const(stride as f64)));
             stride *= stored_dims[n];
         }
         Ok(Some(vec![SpatialStmt::Store {
@@ -778,7 +778,8 @@ impl<'p> Lowerer<'p> {
         out: &mut Vec<SpatialStmt>,
         par: usize,
     ) -> Result<(), CompileError> {
-        // The accumulator register.
+        // The accumulator register was allocated by the enclosing
+        // `where` producer (`lower_producer`).
         let (lhs, _, rhs, vars) = assign_under_foralls(nest).ok_or_else(|| {
             CompileError::NoLoweringRule(format!("reduction target is not a loop nest: {nest}"))
         })?;
@@ -788,7 +789,6 @@ impl<'p> Lowerer<'p> {
             ));
         }
         let ws = lhs.tensor.clone();
-        out.push(SpatialStmt::Alloc(MemDecl::new(&ws, MemKind::Reg, 1)));
         if vars.len() == 1
             && matches!(
                 self.iteration.get(&vars[0]).map(|f| &f.strategy),
@@ -913,7 +913,7 @@ impl<'p> Lowerer<'p> {
         let len = self.fresh_name(&format!("{}_len", v.name()));
         let pos_mem = format!("{driver}{}_pos", level + 1);
         let start_val = SExpr::read(pos_mem.clone(), parent_pos.clone());
-        let end_val = SExpr::read(pos_mem, SExpr::add(parent_pos.clone(), SExpr::Const(1.0)));
+        let end_val = SExpr::read(pos_mem, idx_add(parent_pos.clone(), SExpr::Const(1.0)));
         let (start_val, end_val) = match &parent_valid {
             Some(valid) => (
                 SExpr::select(valid.clone(), start_val, SExpr::Const(0.0)),
@@ -1065,9 +1065,9 @@ impl<'p> Lowerer<'p> {
             let factor = SExpr::Const(dense_factor as f64);
             out.push(SpatialStmt::StreamStore {
                 dst: format!("{output}_vals_dram"),
-                offset: SExpr::mul(SExpr::var(&start), factor.clone()),
+                offset: idx_mul(SExpr::var(&start), factor.clone()),
                 fifo: out_vals_fifo.expect("mirror fifo"),
-                len: SExpr::mul(SExpr::var(&len), factor),
+                len: idx_mul(SExpr::var(&len), factor),
             });
             out.push(SpatialStmt::StreamStore {
                 dst: format!("{output}{}_crd_dram", out_level + 1),
@@ -1078,7 +1078,7 @@ impl<'p> Lowerer<'p> {
             // pos entry mirrors the driver's (Fig. 11 line 41).
             out.push(SpatialStmt::StoreScalar {
                 dst: format!("{output}{}_pos_dram", out_level + 1),
-                index: SExpr::add(parent_pos, SExpr::Const(1.0)),
+                index: idx_add(parent_pos, SExpr::Const(1.0)),
                 value: SExpr::var(&end),
             });
         }
@@ -1108,7 +1108,7 @@ impl<'p> Lowerer<'p> {
             let end = self.fresh_name(&format!("{t}_end"));
             let pos_mem = format!("{t}{}_pos", level + 1);
             let sv = SExpr::read(pos_mem.clone(), parent_pos.clone());
-            let ev = SExpr::read(pos_mem, SExpr::add(parent_pos, SExpr::Const(1.0)));
+            let ev = SExpr::read(pos_mem, idx_add(parent_pos, SExpr::Const(1.0)));
             let (sv, ev) = match &parent_valid {
                 Some(valid) => (
                     SExpr::select(valid.clone(), sv, SExpr::Const(0.0)),
@@ -1209,7 +1209,7 @@ impl<'p> Lowerer<'p> {
             let parent = self.output_parent_pos(scope);
             out.push(SpatialStmt::StoreScalar {
                 dst: format!("{output}{}_pos_dram", l + 1),
-                index: SExpr::add(parent, SExpr::Const(1.0)),
+                index: idx_add(parent, SExpr::Const(1.0)),
                 value: SExpr::RegRead(cnt),
             });
             return Ok(());
@@ -1221,18 +1221,22 @@ impl<'p> Lowerer<'p> {
         let mut loop_body: Vec<SpatialStmt> = Vec::new();
         for (n, (t, level, start, _bv, vals_mem, innermost)) in seg.iter().enumerate() {
             let pos_var = if n == 0 { &p_a } else { &p_b };
-            let valid = SExpr::add(SExpr::var(pos_var), SExpr::Const(1.0));
+            // A union position is -1 where its operand is absent, so its
+            // reads are guarded; an intersection emits only where both
+            // operands are present, so its positions need no guard.
+            let valid = (op == stardust_spatial::ScanOp::Or)
+                .then(|| SExpr::add(SExpr::var(pos_var), SExpr::Const(1.0)));
             let st = inner.tensors.get_mut(t).expect("state exists");
             st.level = level + 1;
             st.global_pos = SExpr::add(SExpr::var(start), SExpr::var(pos_var));
-            st.valid = Some(valid.clone());
+            st.valid = valid.clone();
             if *innermost {
                 if let Some(vm) = vals_mem {
                     st.val = Some(ValSource::Mem {
                         mem: vm.clone(),
                         pos: SExpr::var(pos_var),
                         random: false,
-                        valid: Some(valid),
+                        valid,
                     });
                 }
             }
@@ -1277,7 +1281,7 @@ impl<'p> Lowerer<'p> {
                     };
                     after_foreach.push(SpatialStmt::StoreScalar {
                         dst: format!("{output}{}_pos_dram", l + 1),
-                        index: SExpr::add(parent, SExpr::Const(1.0)),
+                        index: idx_add(parent, SExpr::Const(1.0)),
                         value: SExpr::RegRead(ctr),
                     });
                 }
@@ -1297,7 +1301,7 @@ impl<'p> Lowerer<'p> {
                     value: SExpr::sub(
                         SExpr::read(
                             format!("{output}{}_pos_dram", l + 1),
-                            SExpr::add(parent, SExpr::Const(1.0)),
+                            idx_add(parent, SExpr::Const(1.0)),
                         ),
                         SExpr::var(&o_start),
                     ),
@@ -1401,7 +1405,7 @@ impl<'p> Lowerer<'p> {
                 });
                 out.push(SpatialStmt::Bind {
                     var: end.clone(),
-                    value: SExpr::read(pos_mem, SExpr::add(parent_pos, SExpr::Const(1.0))),
+                    value: SExpr::read(pos_mem, idx_add(parent_pos, SExpr::Const(1.0))),
                 });
                 out.push(SpatialStmt::Bind {
                     var: len.clone(),
@@ -1655,7 +1659,7 @@ impl<'p> Lowerer<'p> {
                 if self.plan.is_sparse_driven(v) {
                     random = true;
                 }
-                idx = SExpr::add(idx, SExpr::mul(coord, SExpr::Const(stride as f64)));
+                idx = idx_add(idx, idx_mul(coord, SExpr::Const(stride as f64)));
                 stride *= decl.dims[m];
             }
             return Ok(if random {
@@ -1732,8 +1736,8 @@ impl<'p> Lowerer<'p> {
         if st.level != level {
             return Ok(());
         }
-        st.global_pos = SExpr::add(
-            SExpr::mul(st.global_pos.clone(), SExpr::Const(dim as f64)),
+        st.global_pos = idx_add(
+            idx_mul(st.global_pos.clone(), SExpr::Const(dim as f64)),
             coord,
         );
         st.level += 1;
@@ -1771,7 +1775,7 @@ impl<'p> Lowerer<'p> {
                 .get(v)
                 .cloned()
                 .ok_or_else(|| CompileError::Memory(format!("unbound variable {v}")))?;
-            offset = SExpr::add(offset, SExpr::mul(coord, SExpr::Const(stride as f64)));
+            offset = idx_add(offset, idx_mul(coord, SExpr::Const(stride as f64)));
             stride *= decl.dims[m];
         }
         Ok(offset)
@@ -1829,6 +1833,28 @@ impl<'p> Lowerer<'p> {
 // ----------------------------------------------------------------------
 // Free helpers
 // ----------------------------------------------------------------------
+
+/// `a + b` for a position or offset: constants fold and a zero term
+/// drops, so `(0 * n) + i` prints as the paper's plain `i`. Index
+/// positions only — value expressions keep every operation, because
+/// `x + 0` turns a stored `-0.0` into `+0.0`.
+fn idx_add(a: SExpr, b: SExpr) -> SExpr {
+    match (a, b) {
+        (SExpr::Const(x), SExpr::Const(y)) => SExpr::Const(x + y),
+        (SExpr::Const(z), e) | (e, SExpr::Const(z)) if z == 0.0 => e,
+        (a, b) => SExpr::add(a, b),
+    }
+}
+
+/// `a * b` for a position or offset: constants fold and a unit factor
+/// drops (see [`idx_add`]).
+fn idx_mul(a: SExpr, b: SExpr) -> SExpr {
+    match (a, b) {
+        (SExpr::Const(x), SExpr::Const(y)) => SExpr::Const(x * y),
+        (SExpr::Const(u), e) | (e, SExpr::Const(u)) if u == 1.0 => e,
+        (a, b) => SExpr::mul(a, b),
+    }
+}
 
 fn collect_extents(
     program: &Program,
@@ -1980,5 +2006,50 @@ fn strip_foralls_wrapper(s: &Stmt) -> &Stmt {
     match s {
         Stmt::SuchThat { body, .. } | Stmt::Map { body, .. } => strip_foralls_wrapper(body),
         other => other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::ProgramBuilder;
+    use crate::pipeline::Compiler;
+    use crate::schedule::Scheduler;
+    use stardust_ir::cin::PatternFn;
+    use stardust_ir::expr::Expr;
+    use stardust_tensor::Format;
+
+    #[test]
+    fn index_folds_leave_value_identities_alone() {
+        assert_eq!(idx_add(SExpr::Const(0.0), SExpr::var("i")), SExpr::var("i"));
+        assert_eq!(idx_mul(SExpr::var("j"), SExpr::Const(1.0)), SExpr::var("j"));
+        assert_eq!(
+            idx_add(SExpr::Const(2.0), SExpr::Const(3.0)),
+            SExpr::Const(5.0)
+        );
+        // `0 + v` and `v * 1` written in the index notation are values:
+        // `0 + -0.0` is `+0.0`, so they reach the program as written,
+        // while the positions around them print folded.
+        let mut p = ProgramBuilder::new("spmv_identities")
+            .tensor("A", vec![8, 8], Format::csr())
+            .tensor("x", vec![8], Format::dense_vec())
+            .tensor("y", vec![8], Format::dense_vec())
+            .expr("y(i) = (0 + A(i,j)) * (x(j) * 1)")
+            .build()
+            .unwrap();
+        let mut s = Scheduler::new(&mut p);
+        s.precompute(&Expr::access("x", vec!["j".into()]), &["j"], "x_on")
+            .unwrap();
+        s.precompute_reduction("ws").unwrap();
+        s.accelerate_reduction("ws", PatternFn::Reduction).unwrap();
+        let stmt = s.finish();
+        let kernel = Compiler::compile(&p, &stmt, SizeHints::new()).unwrap();
+        let source = kernel.source();
+        assert!(source.contains("(0 + A_val"), "{source}");
+        assert!(
+            source.contains("(x_on_vals(j_") && source.contains(" * 1))"),
+            "{source}"
+        );
+        assert!(!source.contains("(0 * "), "{source}");
     }
 }

@@ -742,8 +742,12 @@ impl<'p> Scheduler<'p> {
     }
 }
 
-/// Recursive insertion helper for `precompute`: wraps the outermost forall
-/// binding an `ivar` once every `dep` is bound above it.
+/// Recursive insertion helper for `precompute`: places the producer at
+/// the outermost point where every `dep` is bound — the body of the
+/// forall binding the last dep (so SDDMM stages its row `C(i,:)` once
+/// per `i`, not once per stored `B(i,j)`) — or, when an `ivar` is bound
+/// before the deps are, around the first forall binding an `ivar` with
+/// every dep in scope.
 fn insert_where_at(
     stmt: &mut Stmt,
     ivars: &[IndexVar],
@@ -755,16 +759,24 @@ fn insert_where_at(
     if *inserted {
         return;
     }
+    let deps_bound = |bound: &[IndexVar]| deps.iter().all(|d| bound.contains(d));
     match stmt {
         Stmt::Forall { index, body } => {
-            if ivars.contains(index) && deps.iter().all(|d| bound.contains(d)) {
+            if ivars.contains(index) && deps_bound(bound) {
                 let consumer = stmt.clone();
                 *stmt = Stmt::where_(consumer, producer.clone());
                 *inserted = true;
                 return;
             }
             bound.push(index.clone());
-            insert_where_at(body, ivars, deps, bound, producer, inserted);
+            if deps.contains(index) && deps_bound(bound) && !ivars.iter().any(|v| bound.contains(v))
+            {
+                let consumer = (**body).clone();
+                **body = Stmt::where_(consumer, producer.clone());
+                *inserted = true;
+            } else {
+                insert_where_at(body, ivars, deps, bound, producer, inserted);
+            }
             bound.pop();
         }
         Stmt::SuchThat { body, .. } | Stmt::Map { body, .. } => {

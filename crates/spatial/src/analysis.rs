@@ -48,9 +48,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
 
-use crate::bytecode::{EOp, FusedOp, GatherRef, Op, Operand, VecClass};
+use crate::bytecode::{EOp, FusedOp, GatherRef, LaneOp, Op, Operand, VecClass};
 use crate::ir::{BinSOp, MemKind};
 use crate::resolve::{bit_words_for, ArenaLayout, DramLayout, Slot, SymbolTable};
+use crate::vector;
 
 /// A structural-validity violation found by [`verify`]. Each variant
 /// carries the program counter (or expression-op index) of the
@@ -1070,20 +1071,177 @@ pub fn effects_of_span(ops: &[Op], eops: &[EOp], fused: &[FusedOp], span: Range<
     eff
 }
 
-/// Whether a reduce operand is a unit-stride gather shape over loop
-/// variable `var` (see [`VecClass::GatherReduce`]).
-fn reduce_vectorizable(expr: Operand, var: Slot, fused: &[FusedOp]) -> bool {
-    match expr {
-        Operand::Gather { var: v, .. } => v == var,
-        Operand::Fused(i) => match fused[i as usize] {
-            // `a` must be loop-invariant: the splat is read once per
-            // chunk, so the loop variable itself is not eligible.
-            FusedOp::BinGather { a, mem, .. } => mem.var == var && a != var,
-            FusedOp::BinGatherInd { lhs, inner, .. } => lhs.var == var && inner.var == var,
-            FusedOp::GatherOffset { .. } => false,
-        },
-        _ => false,
+/// The FIFO-head binding `Bind x = fifo.deq` as `(x, fifo)`.
+fn deq_bind(op: &Op, eops: &[EOp]) -> Option<(Slot, Slot)> {
+    let Op::Bind {
+        var,
+        value: Operand::Expr(e),
+    } = *op
+    else {
+        return None;
+    };
+    match (eops.get(e as usize), eops.get(e as usize + 1)) {
+        (Some(&EOp::Deq(fifo)), Some(&EOp::End)) => Some((var, fifo)),
+        _ => None,
     }
+}
+
+/// Builds the lane program of one reduce loop (see
+/// [`VecClass::Reduce`]): every variable becomes the loop's iota, one
+/// of its FIFO heads, or a loop-invariant splat, and every operator
+/// must be one a lane cannot fail on. The builders return `false` on
+/// the first shape the vector tier cannot evaluate lane-wise or a
+/// program past [`vector::MAX_LANE_OPS`] / [`vector::MAX_LANE_DEPTH`].
+struct LaneBuilder<'a> {
+    /// The loop variable.
+    var: Slot,
+    /// The variables the body binds to FIFO heads, in body order.
+    heads: &'a [Slot],
+    ops: Vec<LaneOp>,
+    depth: usize,
+}
+
+impl LaneBuilder<'_> {
+    fn push(&mut self, op: LaneOp) -> bool {
+        match op {
+            LaneOp::Bin(_) => self.depth -= 1,
+            LaneOp::Read { .. } | LaneOp::Neg | LaneOp::End => {}
+            _ => self.depth += 1,
+        }
+        self.ops.push(op);
+        self.ops.len() < vector::MAX_LANE_OPS && self.depth <= vector::MAX_LANE_DEPTH
+    }
+
+    fn var(&mut self, v: Slot) -> bool {
+        let op = if v == self.var {
+            LaneOp::Iota
+        } else if let Some(k) = self.heads.iter().position(|&h| h == v) {
+            LaneOp::Head(k as u32)
+        } else {
+            LaneOp::Var(v)
+        };
+        self.push(op)
+    }
+
+    fn bin(&mut self, op: BinSOp) -> bool {
+        matches!(op, BinSOp::Add | BinSOp::Sub | BinSOp::Mul) && self.push(LaneOp::Bin(op))
+    }
+
+    fn read(&mut self, chip: Slot, random: bool) -> bool {
+        self.push(LaneOp::Read { chip, random })
+    }
+
+    fn gather(&mut self, g: GatherRef) -> bool {
+        self.var(g.var) && self.read(g.chip, g.random)
+    }
+
+    /// Appends the lane form of a reduce operand. Fused shapes expand
+    /// to the postfix sequence they abbreviate.
+    fn operand(&mut self, o: Operand, eops: &[EOp], fused: &[FusedOp]) -> bool {
+        match o {
+            Operand::Const(c) => self.push(LaneOp::Const(c)),
+            Operand::Var(v) => self.var(v),
+            Operand::Gather {
+                chip, random, var, ..
+            } => self.var(var) && self.read(chip, random),
+            Operand::Fused(i) => match fused[i as usize] {
+                FusedOp::GatherOffset { mem, c, op } => {
+                    self.var(mem.var)
+                        && self.push(LaneOp::Const(c))
+                        && self.bin(op)
+                        && self.read(mem.chip, mem.random)
+                }
+                FusedOp::BinGather { a, op, mem } => {
+                    self.var(a) && self.gather(mem) && self.bin(op)
+                }
+                FusedOp::BinGatherInd {
+                    lhs,
+                    op,
+                    inner,
+                    outer,
+                } => {
+                    self.gather(lhs)
+                        && self.gather(inner)
+                        && self.read(outer.chip, outer.random)
+                        && self.bin(op)
+                }
+            },
+            Operand::Expr(e) => {
+                for eop in &eops[e as usize..] {
+                    let ok = match *eop {
+                        EOp::Const(c) => self.push(LaneOp::Const(c)),
+                        EOp::Var(v) => self.var(v),
+                        EOp::RegRead(r) => self.push(LaneOp::Reg(r)),
+                        EOp::ReadMem { chip, random, .. } => self.read(chip, random),
+                        EOp::Neg => self.push(LaneOp::Neg),
+                        EOp::Binary(op) => self.bin(op),
+                        EOp::VarReadMem {
+                            chip, random, var, ..
+                        } => self.var(var) && self.read(chip, random),
+                        EOp::VarBinGather {
+                            a,
+                            op,
+                            chip,
+                            random,
+                            ivar,
+                            ..
+                        } => {
+                            self.var(a) && self.var(ivar) && self.read(chip, random) && self.bin(op)
+                        }
+                        EOp::VarConstBin { var, c, op } => {
+                            self.var(var) && self.push(LaneOp::Const(c)) && self.bin(op)
+                        }
+                        // A dequeue in the reduced expression is an
+                        // effect per lane; a mux evaluates one side.
+                        EOp::Deq(_) | EOp::BranchFalse { .. } | EOp::Jump { .. } => false,
+                        EOp::End => return true,
+                    };
+                    if !ok {
+                        return false;
+                    }
+                }
+                false
+            }
+        }
+    }
+}
+
+/// The lane program of a unit-step `RangeSimple` reduce, or `None` when
+/// the loop is not [`VecClass::Reduce`]-shaped: its body must be only
+/// FIFO-head bindings (distinct variables other than the loop
+/// variable, distinct FIFOs, at most [`vector::MAX_LANE_HEADS`]) and its
+/// reduced expression lane-evaluable.
+fn reduce_lanes(
+    var: Slot,
+    body: &[Op],
+    expr: Operand,
+    eops: &[EOp],
+    fused: &[FusedOp],
+) -> Option<Vec<LaneOp>> {
+    if body.len() > vector::MAX_LANE_HEADS {
+        return None;
+    }
+    let mut heads: Vec<Slot> = Vec::with_capacity(body.len());
+    let mut fifos: Vec<Slot> = Vec::with_capacity(body.len());
+    for op in body {
+        let (x, fifo) = deq_bind(op, eops)?;
+        if x == var || heads.contains(&x) || fifos.contains(&fifo) {
+            return None;
+        }
+        heads.push(x);
+        fifos.push(fifo);
+    }
+    let mut b = LaneBuilder {
+        var,
+        heads: &heads,
+        ops: Vec::new(),
+        depth: 0,
+    };
+    if !b.operand(expr, eops, fused) || b.depth != 1 {
+        return None;
+    }
+    b.ops.push(LaneOp::End);
+    Some(b.ops)
 }
 
 /// Whether `operand` is the `env[var] op c` expression program
@@ -1214,16 +1372,19 @@ fn multi_scatter_ok(body: &[Op], var: Slot, eops: &[EOp], fused: &[FusedOp]) -> 
     gathers.iter().all(|g| !dsts.contains(g))
 }
 
-/// The vector-eligibility pass: one classification per lowered op.
+/// The vector-eligibility pass: one classification per lowered op,
+/// plus the lane-program table its [`VecClass::Reduce`] entries index.
 /// Runs after lowering (the superinstruction shapes it recognizes are
 /// produced by the peephole) and stores its verdicts in a side table
 /// parallel to `ops`. The flag is a *shape* property of the bytecode;
 /// the interpreter still validates the runtime half of the contract
-/// (slot allocations, integral unit-step bounds, stream aliasing) on
-/// each loop entry and falls back to the scalar loop when it does not
-/// hold.
-pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> Vec<VecClass> {
-    ops.iter()
+/// (slot allocations, integral unit-step bounds, stream aliasing, FIFO
+/// occupancy) on each loop entry or chunk and falls back to the scalar
+/// loop when it does not hold.
+pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClass>, Vec<LaneOp>) {
+    let mut lanes = Vec::new();
+    let classes = ops
+        .iter()
         .enumerate()
         .map(|(pc, op)| match *op {
             Op::RangeSimple {
@@ -1237,36 +1398,32 @@ pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> Vec<VecClass
                 if body as usize != pc + 1 {
                     return VecClass::None;
                 }
-                if body_len == 0 {
-                    match reduce {
-                        Some((_, expr)) if reduce_vectorizable(expr, var, fused) => {
-                            VecClass::GatherReduce
+                let span = &ops[body as usize..body as usize + body_len as usize];
+                match reduce {
+                    Some((_, expr)) => match reduce_lanes(var, span, expr, eops, fused) {
+                        Some(program) => {
+                            let at = lanes.len() as u32;
+                            lanes.extend(program);
+                            VecClass::Reduce(at)
                         }
-                        _ => VecClass::None,
-                    }
-                } else if body_len == 1 && reduce.is_none() {
-                    match ops[body as usize] {
-                        Op::RmwAdd { index, value, .. } | Op::WriteMem { index, value, .. }
-                            if scatter_vectorizable(index, value, var, eops, fused) =>
+                        None => VecClass::None,
+                    },
+                    None => match span {
+                        [Op::RmwAdd { index, value, .. } | Op::WriteMem { index, value, .. }]
+                            if scatter_vectorizable(*index, *value, var, eops, fused) =>
                         {
                             VecClass::Scatter
                         }
+                        [] | [_] => VecClass::None,
+                        _ if multi_scatter_ok(span, var, eops, fused) => VecClass::MultiScatter,
                         _ => VecClass::None,
-                    }
-                } else if reduce.is_none() {
-                    let span = &ops[body as usize..body as usize + body_len as usize];
-                    if multi_scatter_ok(span, var, eops, fused) {
-                        VecClass::MultiScatter
-                    } else {
-                        VecClass::None
-                    }
-                } else {
-                    VecClass::None
+                    },
                 }
             }
             _ => VecClass::None,
         })
-        .collect()
+        .collect();
+    (classes, lanes)
 }
 
 /// How an on-chip slot is allocated across the whole program: the

@@ -139,6 +139,47 @@ pub enum EOp {
     End,
 }
 
+/// One op of a reduce loop's *lane program* (see [`VecClass::Reduce`]):
+/// the reduced expression re-expressed over whole lanes of consecutive
+/// iterations, in postfix order like [`EOp`]. Every leaf is either
+/// loop-invariant or a lane the vector tier can materialize for a whole
+/// chunk at once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LaneOp {
+    /// A literal, the same in every lane.
+    Const(f64),
+    /// The loop variable: lane `k` of a chunk starting at `v` is `v + k`.
+    Iota,
+    /// The variable bound by the loop body's `k`-th op, `Bind x =
+    /// fifo.deq`: lane `k` of a chunk is the FIFO's `k`-th element from
+    /// its head.
+    Head(u32),
+    /// A variable the loop body does not bind: loop-invariant.
+    Var(Slot),
+    /// A register: loop-invariant (the body writes none, and the
+    /// accumulator is only written back at loop exit).
+    Reg(Slot),
+    /// Pop an index lane, push `chip[index]` per lane. The body writes
+    /// no memory, so every lane sees the loop-entry contents.
+    Read {
+        /// On-chip slot read.
+        chip: Slot,
+        /// Whether the access is data-dependent.
+        random: bool,
+    },
+    /// Negate the top lane.
+    Neg,
+    /// Pop rhs then lhs, push `lhs op rhs` per lane (`Add`, `Sub` or
+    /// `Mul`: operators that cannot fail).
+    Bin(BinSOp),
+    /// End of this lane program.
+    End,
+}
+
+/// Index into [`CompiledProgram::lanes`] where a lane program starts;
+/// it runs to the matching [`LaneOp::End`].
+pub type LaneRef = u32;
+
 /// A statement operand, resolved at compile time to an immediate form
 /// whenever the expression is a leaf (or the ubiquitous single-gather
 /// `mem[var]`), so the executor skips the expression interpreter for
@@ -490,6 +531,8 @@ pub struct CompiledProgram {
     /// attempting a chunked run, so ineligible loops never pay for
     /// runtime shape analysis.
     vec: Vec<VecClass>,
+    /// The lane programs [`VecClass::Reduce`] entries point into.
+    lanes: Vec<LaneOp>,
     /// Per-op bounds-check-elision flags (parallel to `ops`), computed
     /// by [`crate::analysis::compute_elide`]: true at a scatter write
     /// every dynamic access of which the static analysis proves within
@@ -513,12 +556,14 @@ pub struct CompiledProgram {
 pub enum VecClass {
     /// Not a vectorizable shape.
     None,
-    /// An empty-body unit-step [`Op::RangeSimple`] reducing a
-    /// unit-stride gather shape: a plain gather, the
-    /// scale-by-gathered-value [`FusedOp::BinGather`], or the SpMV
-    /// dot-product [`FusedOp::BinGatherInd`] — all indexed by the loop
-    /// variable itself.
-    GatherReduce,
+    /// A unit-step [`Op::RangeSimple`] reduce whose body is empty or
+    /// only binds FIFO heads (`val j = crd.deq; val v = vals.deq`, each
+    /// from its own FIFO) and whose reduced expression is the lane
+    /// program at this [`LaneRef`]: `+ - *` and negation over
+    /// constants, loop-invariant values, the loop variable, the bound
+    /// FIFO heads, and on-chip reads indexed by any of those — the
+    /// inner products of SpMV, MatTransMul, Residual, TTV and SDDMM.
+    Reduce(LaneRef),
     /// A unit-step [`Op::RangeSimple`] whose single body op is an
     /// on-chip scatter write ([`Op::WriteMem`]/[`Op::RmwAdd`]) with a
     /// dense (loop-variable, optionally constant-offset) or
@@ -565,7 +610,7 @@ impl CompiledProgram {
             ..
         } = resolved;
         let zero_input = Arc::new(vec![0.0; dram_layout.input_words]);
-        let vec = crate::analysis::classify_vec(&ops, &eops, &fused);
+        let (vec, lanes) = crate::analysis::classify_vec(&ops, &eops, &fused);
         let elide = crate::analysis::compute_elide(&ops);
         let compiled = CompiledProgram {
             source: program.clone(),
@@ -578,6 +623,7 @@ impl CompiledProgram {
             fused,
             zero_input,
             vec,
+            lanes,
             elide,
             stmt_spans,
         };
@@ -659,6 +705,11 @@ impl CompiledProgram {
     #[inline(always)]
     pub fn vec_class(&self, pc: usize) -> VecClass {
         self.vec[pc]
+    }
+
+    /// The lane-program table [`VecClass::Reduce`] indexes.
+    pub fn lanes(&self) -> &[LaneOp] {
+        &self.lanes
     }
 
     /// Whether the scatter write at `pc` carries a statically proven
@@ -1489,7 +1540,10 @@ mod tests {
         });
         p.assign_ids();
         let c = CompiledProgram::compile(&p);
-        assert_eq!(c.vec_class(range_simple_pc(&c)), VecClass::GatherReduce);
+        assert!(matches!(
+            c.vec_class(range_simple_pc(&c)),
+            VecClass::Reduce(_)
+        ));
     }
 
     #[test]
@@ -1524,8 +1578,8 @@ mod tests {
 
     #[test]
     fn vec_classifier_rejects_non_unit_stride_shapes() {
-        // A reduce operand that is an expression program (not a gather
-        // in the loop variable) stays scalar.
+        // A reduce operand with an operator that can fail per lane
+        // (`j / 2`) stays scalar.
         let mut p = SpatialProgram::new("t");
         p.accel.push(SpatialStmt::Reduce {
             id: 0,
@@ -1533,7 +1587,7 @@ mod tests {
             counter: Counter::range_to("j", SExpr::Const(8.0)),
             par: 1,
             body: vec![],
-            expr: SExpr::add(SExpr::var("j"), SExpr::Const(1.0)),
+            expr: SExpr::bin(BinSOp::Div, SExpr::var("j"), SExpr::Const(2.0)),
         });
         p.assign_ids();
         let c = CompiledProgram::compile(&p);

@@ -58,6 +58,7 @@ use std::time::Instant;
 use crate::bytecode::CompiledProgram;
 use crate::ir::{MemKind, ScanOp};
 use crate::resolve::{DramRegion, Slot};
+use vector_tier::LaneStack;
 
 pub(crate) use budget::{check_interrupts, exhausted_fuel, FuelCause, INTERRUPT_MASK};
 pub use budget::{BudgetResource, CancelFlag, RunBudget, RunError};
@@ -398,6 +399,9 @@ pub struct Machine {
     scratch: Vec<usize>,
     frames: Vec<Frame>,
     vstack: Vec<f64>,
+    /// The lane stack of [`crate::VecClass::Reduce`] loops, kept across
+    /// loop entries so entering one zeroes nothing.
+    lane_stack: Option<Box<LaneStack>>,
     scan_pool: Vec<ScanBuf>,
     scan_depth: usize,
     /// Configured resource limits ([`Machine::set_budget`]); armed into

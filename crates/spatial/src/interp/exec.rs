@@ -335,8 +335,16 @@ impl Machine {
                 let st = &mut chip[dst as usize];
                 fifo_reserve(words, st, n);
                 let src_arr = dram_words(dram_input, dram_out, src_st).expect("checked");
-                for &v in &src_arr[s..e] {
-                    fifo_push(words, st, v);
+                let tail = st.head + st.len;
+                if tail + n <= st.wcap {
+                    // Room past the tail without wrapping (always, for
+                    // the freshly allocated FIFO a row loads): one copy.
+                    words[st.woff + tail..st.woff + tail + n].copy_from_slice(&src_arr[s..e]);
+                    st.len += n;
+                } else {
+                    for &v in &src_arr[s..e] {
+                        fifo_push(words, st, v);
+                    }
                 }
                 Ok(())
             }

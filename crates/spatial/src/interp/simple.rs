@@ -8,6 +8,12 @@ use super::{Machine, RunError};
 use crate::bytecode::{CompiledProgram, Op, OpId, Operand, VecClass};
 use crate::ir::ScanOp;
 use crate::resolve::Slot;
+use crate::vector;
+
+/// Fewest trips a [`VecClass::Reduce`] loop needs before resolving its
+/// lane program pays for itself; shorter loops (most rows of a circuit
+/// matrix hold one nonzero) run scalar.
+const MIN_REDUCE_TRIPS: u64 = 2;
 
 impl Machine {
     /// Runs a straight-line-body `Range` loop natively: bounds evaluated
@@ -50,19 +56,18 @@ impl Machine {
         let mut trips = 0u64;
         let mut folds = 0u64;
         let mut result: Result<(), RunError> = Ok(());
-        // Empty-body reductions over a unit-stride gather shape (the
-        // SpMV dot product) go through the vector tier when tagged
-        // eligible; ineligible runtime state falls through to the
-        // generic loop below.
-        if vclass == VecClass::GatherReduce {
-            if let Some((reg, expr)) = reduce {
-                if let Some(r) =
-                    self.try_vector_reduce(prog, id, var, saved, lo, hi, reg, expr, acc, end)
-                {
-                    return r;
-                }
-            }
-        }
+        // Reduce loops the analysis gave a lane program run chunk by
+        // chunk inside the generic loop below, once the program
+        // resolves against the loop-entry state.
+        let mut lanes = match vclass {
+            VecClass::Reduce(at) => match vector::unit_trips(lo, hi) {
+                Some((base, total)) if total >= MIN_REDUCE_TRIPS => self
+                    .reduce_plan(prog, at, body, body_len)
+                    .map(|plan| (plan, base, total)),
+                _ => None,
+            },
+            _ => None,
+        };
         // Single-statement bodies (the scatter-accumulate shape) get a
         // dedicated loop: the body op is loop-invariant, so its
         // dispatch is hoisted out of the iteration entirely.
@@ -159,6 +164,23 @@ impl Machine {
             // `RangeSimple` superinstructions that consume fuel
             // themselves, so a register mirror would go stale.
             'iters: while v < hi {
+                if let Some((plan, base, total)) = &lanes {
+                    // Chunks stop short of the next fuel or interrupt
+                    // check, which the scalar iteration below then makes.
+                    let burst = vector::burst(total - trips, self.fuel, self.interrupts);
+                    let (n, faulted) =
+                        self.reduce_chunks(plan, var, base + trips as usize, burst, &mut acc);
+                    trips += n;
+                    folds += n;
+                    v += n as f64;
+                    if faulted {
+                        // The scalar loop takes over and raises the
+                        // fault at its iteration.
+                        lanes = None;
+                    } else if v >= hi {
+                        break 'iters;
+                    }
+                }
                 if let Err(e) = self.charge_step() {
                     result = Err(e);
                     break 'iters;

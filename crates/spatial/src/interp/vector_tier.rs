@@ -1,12 +1,13 @@
-//! The vector tier: chunked scatter, multi-scatter and gather-reduce
-//! executors over [`vector::LANES`]-wide lanes, each falling back to
-//! the scalar step at every boundary the scalar loop would observe.
+//! The vector tier: chunked scatter and multi-scatter executors and
+//! the lane-program reduce chunk, over [`vector::LANES`]-wide lanes,
+//! each falling back to the scalar step at every boundary the scalar
+//! loop would observe.
 
 use super::budget::{check_interrupts, exhausted_fuel, INTERRUPT_MASK};
 use super::exec::index_of;
 use super::scatter::{HotCounters, HotGather, HotValue};
 use super::{ChipState, ChipTag, Machine, RunError};
-use crate::bytecode::{CompiledProgram, FusedOp, Op, OpId, Operand};
+use crate::bytecode::{CompiledProgram, EOp, LaneOp, LaneRef, Op, OpId, Operand};
 use crate::ir::{BinSOp, MemKind};
 use crate::resolve::Slot;
 use crate::vector;
@@ -94,6 +95,73 @@ struct ScatterStmt {
     val_plan: ValPlan,
     accumulate: bool,
     dst_shuffle: bool,
+}
+
+/// The lane stack a [`crate::VecClass::Reduce`] lane program evaluates
+/// on.
+pub(super) type LaneStack = [[f64; vector::REDUCE_LANES]; vector::MAX_LANE_DEPTH];
+
+/// Copies the `n` words at `from` into the first `n` lanes — a
+/// fixed-width copy for a full chunk.
+#[inline(always)]
+fn window(lane: &mut [f64; vector::REDUCE_LANES], words: &[f64], from: usize, n: usize) {
+    if n == vector::REDUCE_LANES {
+        lane.copy_from_slice(&words[from..from + vector::REDUCE_LANES]);
+    } else {
+        lane[..n].copy_from_slice(&words[from..from + n]);
+    }
+}
+
+/// One op of a [`ReducePlan`]: a [`LaneOp`] resolved against the
+/// loop-entry state.
+#[derive(Debug, Clone, Copy)]
+enum PlanOp {
+    /// A loop-invariant value in every lane.
+    Splat(f64),
+    /// The loop variable.
+    Iota,
+    /// The window at the head of the plan's `k`-th FIFO.
+    Head(usize),
+    /// `mem[v]` over the loop variable: one contiguous window.
+    Stream {
+        woff: usize,
+        len: usize,
+    },
+    /// `mem[top]`: replaces the top lane by the words it indexes.
+    Gather {
+        woff: usize,
+        len: usize,
+    },
+    Neg,
+    Bin(BinSOp),
+}
+
+/// A [`crate::VecClass::Reduce`] loop's lane program resolved once per loop
+/// entry (see [`Machine::reduce_plan`]), with the per-iteration
+/// statistics every chunk charges `n` times.
+pub(super) struct ReducePlan {
+    ops: [PlanOp; vector::MAX_LANE_OPS],
+    n_ops: usize,
+    /// `(fifo, bound variable)` of each `Bind x = fifo.deq` in the body.
+    heads: [(Slot, Slot); vector::MAX_LANE_HEADS],
+    n_heads: usize,
+    reads: u64,
+    shuffles: u64,
+    alu: u64,
+}
+
+impl ReducePlan {
+    fn push_op(&mut self, op: PlanOp) {
+        self.ops[self.n_ops] = op;
+        self.n_ops += 1;
+    }
+
+    /// Pushes a leaf: a new lane-stack entry, a splat iff `op` is one.
+    fn push(&mut self, op: PlanOp, splat: &mut [bool], sp: &mut usize) {
+        splat[*sp] = matches!(op, PlanOp::Splat(_));
+        *sp += 1;
+        self.push_op(op);
+    }
 }
 
 impl Machine {
@@ -676,224 +744,257 @@ impl Machine {
         Some(Ok(end))
     }
 
-    /// The chunked (vector-tier) gather-reduce executor: an empty-body
-    /// `RangeSimple` whose reduce operand is a unit-stride gather shape
-    /// — a plain stream sum, `x op stream[v]`, or the SpMV dot product
-    /// `vals[v] op x[crd[v]]`. Streams load as whole lanes (bounds
-    /// hoisted per chunk), the data-dependent outer gather converts and
-    /// bounds-checks its indices per lane, the binary op applies per
-    /// lane (bit-exact — lanes are independent), and the *fold into the
-    /// accumulator stays serial in lane order*, so the f64 sum is
-    /// bit-identical to the scalar loop.
-    ///
-    /// Fuel/interrupt boundaries, faulting chunks, and remainder tails
-    /// follow the same identity contract as
-    /// [`Machine::try_vector_scatter`]; the scalar step evaluates the
-    /// operand through the generic [`Machine::operand_value`] path.
-    /// Returns `None` when runtime state is ineligible (non-integral
-    /// bounds, a referenced slot not currently plain words, an unbound
-    /// splat variable), leaving the generic loop to run.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_vector_reduce(
-        &mut self,
+    /// Resolves the lane program of a [`crate::VecClass::Reduce`] loop against
+    /// the loop-entry state: FIFO heads checked to be FIFOs, read slots
+    /// to be plain words (their regions hoist — the body writes no
+    /// memory and enqueues nothing), loop-invariant variables and
+    /// registers read once, and every sub-expression with no lane
+    /// operand folded to one splat — with the scalar engine's f64 op,
+    /// so the splat has the bits every lane would compute. Returns
+    /// `None` (having changed nothing) when any of that fails; the
+    /// scalar loop then runs and raises whatever error the state holds.
+    pub(super) fn reduce_plan(
+        &self,
         prog: &CompiledProgram,
-        id: usize,
+        lanes: LaneRef,
+        body: OpId,
+        body_len: u32,
+    ) -> Option<ReducePlan> {
+        let mut plan = ReducePlan {
+            ops: [PlanOp::Iota; vector::MAX_LANE_OPS],
+            n_ops: 0,
+            heads: [(0, 0); vector::MAX_LANE_HEADS],
+            n_heads: body_len as usize,
+            reads: 0,
+            shuffles: 0,
+            alu: 0,
+        };
+        let eops = prog.eops();
+        for (k, op) in prog.ops()[body as usize..(body + body_len) as usize]
+            .iter()
+            .enumerate()
+        {
+            let Op::Bind {
+                var,
+                value: Operand::Expr(e),
+            } = *op
+            else {
+                return None;
+            };
+            let EOp::Deq(fifo) = eops[e as usize] else {
+                return None;
+            };
+            if self.chip[fifo as usize].tag != ChipTag::Fifo {
+                return None;
+            }
+            plan.heads[k] = (fifo, var);
+        }
+        // Whether each lane-stack entry is a splat; a splat entry is
+        // always exactly one trailing `Splat` op of the plan.
+        let mut splat = [false; vector::MAX_LANE_DEPTH];
+        let mut sp = 0usize;
+        for lop in &prog.lanes()[lanes as usize..] {
+            match *lop {
+                LaneOp::Const(c) => plan.push(PlanOp::Splat(c), &mut splat, &mut sp),
+                LaneOp::Var(v) => {
+                    plan.push(PlanOp::Splat(self.env[v as usize]?), &mut splat, &mut sp)
+                }
+                LaneOp::Reg(r) => {
+                    plan.push(PlanOp::Splat(self.reg_value(r).ok()?), &mut splat, &mut sp)
+                }
+                LaneOp::Iota => plan.push(PlanOp::Iota, &mut splat, &mut sp),
+                LaneOp::Head(k) => plan.push(PlanOp::Head(k as usize), &mut splat, &mut sp),
+                LaneOp::Read { chip, random } => {
+                    let st = self.chip[chip as usize];
+                    if st.tag != ChipTag::Words {
+                        return None;
+                    }
+                    plan.reads += 1;
+                    plan.shuffles += u64::from(random && st.kind == MemKind::SparseSram);
+                    let last = &mut plan.ops[plan.n_ops - 1];
+                    match *last {
+                        // A loop-invariant read: every lane reads the
+                        // same word, so read it once here.
+                        PlanOp::Splat(x) if splat[sp - 1] => {
+                            let ix = vector::lane_index(x).filter(|&ix| ix < st.len)?;
+                            *last = PlanOp::Splat(self.words[st.woff + ix]);
+                        }
+                        PlanOp::Iota => {
+                            *last = PlanOp::Stream {
+                                woff: st.woff,
+                                len: st.len,
+                            };
+                        }
+                        _ => plan.push_op(PlanOp::Gather {
+                            woff: st.woff,
+                            len: st.len,
+                        }),
+                    }
+                }
+                LaneOp::Neg => {
+                    plan.alu += 1;
+                    match &mut plan.ops[plan.n_ops - 1] {
+                        PlanOp::Splat(x) if splat[sp - 1] => *x = -*x,
+                        _ => plan.push_op(PlanOp::Neg),
+                    }
+                }
+                LaneOp::Bin(op) => {
+                    plan.alu += 1;
+                    sp -= 1;
+                    if splat[sp - 1] && splat[sp] {
+                        let (PlanOp::Splat(a), PlanOp::Splat(b)) =
+                            (plan.ops[plan.n_ops - 2], plan.ops[plan.n_ops - 1])
+                        else {
+                            return None; // a splat entry is one trailing Splat op
+                        };
+                        plan.n_ops -= 1;
+                        plan.ops[plan.n_ops - 1] = PlanOp::Splat(op.apply(a, b)?);
+                    } else {
+                        splat[sp - 1] = false;
+                        plan.push_op(PlanOp::Bin(op));
+                    }
+                }
+                LaneOp::End => break,
+            }
+        }
+        Some(plan)
+    }
+
+    /// Runs up to `max` consecutive iterations of a
+    /// [`crate::VecClass::Reduce`] loop, the first with loop variable
+    /// `at`, in chunks of [`vector::REDUCE_LANES`] (the last one shorter): per
+    /// chunk each FIFO head is read as one window after one occupancy
+    /// check, the lane program evaluates lane-wise with the scalar
+    /// engine's f64 ops, the lanes fold into `acc` serially in lane
+    /// order — so the sum is bit-identical to the scalar loop — and the
+    /// heads advance. At the end the bound variables hold their last
+    /// lane (as after the scalar loop's last iteration), and fuel and
+    /// statistics are charged: per-iteration constants of the plan,
+    /// times the iterations run. The caller keeps `max` inside a
+    /// fuel/interrupt burst and counts trips and folds.
+    ///
+    /// Returns the iterations run and whether the next chunk would
+    /// fault (a FIFO too short, an index negative or out of bounds).
+    /// A faulting chunk changes nothing: the caller runs its first
+    /// iteration scalar, which raises the scalar loop's error at its
+    /// exact iteration and state.
+    pub(super) fn reduce_chunks(
+        &mut self,
+        plan: &ReducePlan,
         var: usize,
-        saved: Option<f64>,
-        lo: f64,
-        hi: f64,
-        reg: Slot,
-        expr: Operand,
-        acc0: f64,
-        end: usize,
-    ) -> Option<Result<usize, RunError>> {
-        const L: usize = vector::LANES;
-        let (base, total) = vector::unit_trips(lo, hi)?;
-        if total == 0 {
-            return None; // zero-trip: the generic loop exits instantly
-        }
-        enum RedPlan {
-            /// Σ stream[v].
-            Stream(HotGather),
-            /// Σ (x op stream[v]) with loop-invariant `x`.
-            SplatBin { x: f64, op: BinSOp, g: HotGather },
-            /// Σ (lhs[v] op outer[inner[v]]) — the SpMV dot product.
-            IndBin {
-                l: HotGather,
-                op: BinSOp,
-                i: HotGather,
-                o: HotGather,
-            },
-        }
-        let plan = match expr {
-            Operand::Gather {
-                chip,
-                random,
-                var: gv,
-                ..
-            } => RedPlan::Stream(self.hot_gather(chip, random, gv)?),
-            Operand::Fused(fi) => match prog.fused()[fi as usize] {
-                FusedOp::BinGather { a, op, mem } => RedPlan::SplatBin {
-                    x: self.env[a as usize]?,
-                    op,
-                    g: self.hot_gather(mem.chip, mem.random, mem.var)?,
-                },
-                FusedOp::BinGatherInd {
-                    lhs,
-                    op,
-                    inner,
-                    outer,
-                } => RedPlan::IndBin {
-                    l: self.hot_gather(lhs.chip, lhs.random, lhs.var)?,
-                    op,
-                    i: self.hot_gather(inner.chip, inner.random, inner.var)?,
-                    o: self.hot_gather(outer.chip, outer.random, outer.var)?,
-                },
-                _ => return None,
-            },
-            _ => return None,
-        };
-        let (reads_per, shuf_per, alu_per) = match &plan {
-            RedPlan::Stream(g) => (1u64, g.shuffle as u64, 0u64),
-            RedPlan::SplatBin { g, .. } => (1, g.shuffle as u64, 1),
-            RedPlan::IndBin { l, i, o, .. } => {
-                (3, l.shuffle as u64 + i.shuffle as u64 + o.shuffle as u64, 1)
+        at: usize,
+        max: u64,
+        acc: &mut f64,
+    ) -> (u64, bool) {
+        const L: usize = vector::REDUCE_LANES;
+        let heads = &plan.heads[..plan.n_heads];
+        // Lanes at or past a short chunk's length hold leftovers; no
+        // operator here can fail on them and they are never folded.
+        let mut stack = self
+            .lane_stack
+            .take()
+            .unwrap_or_else(|| Box::new([[0.0; L]; vector::MAX_LANE_DEPTH]));
+        let mut done = 0usize;
+        let mut faulted = false;
+        'chunks: while (done as u64) < max {
+            let n = (max - done as u64).min(L as u64) as usize;
+            let at = at + done;
+            if heads
+                .iter()
+                .any(|&(fifo, _)| self.chip[fifo as usize].len < n)
+            {
+                faulted = true;
+                break 'chunks;
             }
-        };
-        let mut stream_cap = total;
-        match &plan {
-            RedPlan::Stream(g) | RedPlan::SplatBin { g, .. } => {
-                stream_cap = stream_cap.min(g.len.saturating_sub(base) as u64);
-            }
-            RedPlan::IndBin { l, i, .. } => {
-                stream_cap = stream_cap
-                    .min(l.len.saturating_sub(base) as u64)
-                    .min(i.len.saturating_sub(base) as u64);
-            }
-        }
-        let mut acc = acc0;
-        let mut done = 0u64;
-        let mut fuel = self.fuel;
-        let interrupts = self.interrupts;
-        let mut trips = 0u64;
-        let mut folds = 0u64;
-        let mut c = HotCounters::default();
-        let mut result: Result<(), RunError> = Ok(());
-        let mut vec_on = true;
-        self.node_stack.push(id);
-        'outer: while done < total {
-            if vec_on {
-                let mut safe = vector::burst(stream_cap.saturating_sub(done), fuel, interrupts);
-                'chunks: while safe >= L as u64 {
-                    let at = base + done as usize;
-                    let mut m = [0.0f64; L];
-                    match &plan {
-                        RedPlan::Stream(g) => {
-                            m.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                        }
-                        RedPlan::SplatBin { x, op, g } => {
-                            let mut lanes = [0.0f64; L];
-                            lanes.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            if !vector::bin_splat(*op, *x, &lanes, &mut m) {
-                                vec_on = false; // scalar re-run raises DivisionByZero
-                                break 'chunks;
+            let mut sp = 0usize;
+            for op in &plan.ops[..plan.n_ops] {
+                match *op {
+                    PlanOp::Splat(x) => {
+                        stack[sp] = [x; L];
+                        sp += 1;
+                    }
+                    PlanOp::Iota => {
+                        stack[sp] = std::array::from_fn(|k| (at + k) as f64);
+                        sp += 1;
+                    }
+                    PlanOp::Head(h) => {
+                        let st = self.chip[heads[h].0 as usize];
+                        if st.head + n <= st.wcap {
+                            window(&mut stack[sp], &self.words, st.woff + st.head, n);
+                        } else {
+                            for (k, x) in stack[sp][..n].iter_mut().enumerate() {
+                                *x = self.words[st.woff + (st.head + k) % st.wcap];
                             }
                         }
-                        RedPlan::IndBin { l, op, i, o } => {
-                            let mut lv = [0.0f64; L];
-                            lv.copy_from_slice(&self.words[l.woff + at..l.woff + at + L]);
-                            let mut iv = [0.0f64; L];
-                            iv.copy_from_slice(&self.words[i.woff + at..i.woff + at + L]);
-                            let mut idx = [0usize; L];
-                            if !vector::to_indices(&iv, &mut idx) {
-                                vec_on = false; // scalar re-run raises NegativeIndex
-                                break 'chunks;
-                            }
-                            let mut max_ix = 0usize;
-                            for &ix in &idx {
-                                max_ix = max_ix.max(ix);
-                            }
-                            if max_ix >= o.len {
-                                vec_on = false; // scalar re-run raises OutOfBounds
-                                break 'chunks;
-                            }
-                            let mut rv = [0.0f64; L];
-                            for k in 0..L {
-                                rv[k] = self.words[o.woff + idx[k]];
-                            }
-                            if !vector::bin_lanes(*op, &lv, &rv, &mut m) {
-                                vec_on = false; // scalar re-run raises DivisionByZero
-                                break 'chunks;
-                            }
+                        sp += 1;
+                    }
+                    PlanOp::Stream { woff, len } => {
+                        if at + n > len {
+                            faulted = true;
+                            break 'chunks;
+                        }
+                        window(&mut stack[sp], &self.words, woff + at, n);
+                        sp += 1;
+                    }
+                    PlanOp::Gather { woff, len } => {
+                        let lane = &mut stack[sp - 1];
+                        let mut idx = [0usize; L];
+                        let in_bounds = if n == L {
+                            vector::to_indices(lane, &mut idx) && idx.iter().all(|&ix| ix < len)
+                        } else {
+                            lane[..n].iter().zip(&mut idx).all(|(&x, ix)| {
+                                *ix = vector::lane_index(x).unwrap_or(usize::MAX);
+                                *ix < len
+                            })
+                        };
+                        if !in_bounds {
+                            faulted = true;
+                            break 'chunks;
+                        }
+                        for (x, &ix) in lane[..n].iter_mut().zip(&idx) {
+                            *x = self.words[woff + ix];
                         }
                     }
-                    // The reduction itself stays serial in lane order:
-                    // bit-identical f64 summation.
-                    for &x in &m {
-                        acc += x;
+                    PlanOp::Neg => {
+                        for x in &mut stack[sp - 1] {
+                            *x = -*x;
+                        }
                     }
-                    done += L as u64;
-                    fuel -= L as u64;
-                    safe -= L as u64;
-                    trips += L as u64;
-                    folds += L as u64;
-                    c.sram_reads += reads_per * L as u64;
-                    c.shuffles += shuf_per * L as u64;
-                    c.alu_ops += alu_per * L as u64;
-                }
-                if done >= total {
-                    break 'outer;
+                    PlanOp::Bin(op) => {
+                        sp -= 1;
+                        let (below, top) = stack.split_at_mut(sp);
+                        let lhs = below[sp - 1];
+                        let lanes_ok = vector::bin_lanes(op, &lhs, &top[0], &mut below[sp - 1]);
+                        debug_assert!(lanes_ok, "lane programs admit only + - *");
+                    }
                 }
             }
-            // Scalar step (tail / boundary / faulting-chunk re-run):
-            // per-iteration fuel semantics plus the generic operand
-            // path, exactly as the generic reduce loop.
-            if fuel == 0 {
-                result = Err(exhausted_fuel(self.fuel_cause, self.step_limit));
-                break 'outer;
+            // Nothing in this chunk can fault past this point: commit.
+            for &(fifo, _) in heads {
+                let st = &mut self.chip[fifo as usize];
+                st.head = (st.head + n) % st.wcap;
+                st.len -= n;
             }
-            fuel -= 1;
-            if interrupts && fuel & INTERRUPT_MASK == 0 {
-                if let Err(e) = check_interrupts(
-                    self.deadline_at,
-                    self.deadline_ms(),
-                    self.budget.cancel.as_ref(),
-                ) {
-                    result = Err(e);
-                    break 'outer;
-                }
+            for &x in &stack[0][..n] {
+                *acc += x;
             }
-            self.env[var] = Some(lo + done as f64);
-            trips += 1;
-            match self.operand_value(prog, expr) {
-                Ok(x) => {
-                    folds += 1;
-                    acc += x;
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
+            done += n;
+        }
+        self.lane_stack = Some(stack);
+        if done > 0 {
+            for &(fifo, x) in heads {
+                let st = self.chip[fifo as usize];
+                let last = (st.head + st.wcap - 1) % st.wcap;
+                self.env[x as usize] = Some(self.words[st.woff + last]);
             }
-            done += 1;
+            self.env[var] = Some((at + done - 1) as f64);
+            let done = done as u64;
+            self.fuel -= done;
+            self.dense.fifo_deqs += heads.len() as u64 * done;
+            self.dense.sram_reads += plan.reads * done;
+            self.dense.shuffle_accesses += plan.shuffles * done;
+            self.dense.alu_ops += plan.alu * done;
         }
-        self.fuel = fuel;
-        if result.is_ok() {
-            self.node_stack.pop();
-        }
-        self.dense.node_trips[id] += trips;
-        self.dense.sram_reads += c.sram_reads;
-        self.dense.shuffle_accesses += c.shuffles;
-        self.dense.alu_ops += c.alu_ops;
-        if folds > 0 {
-            self.dense.reduce_elems += folds;
-            self.dense.alu_ops += folds;
-        }
-        if let Err(e) = result {
-            return Some(Err(e));
-        }
-        self.env[var] = saved;
-        self.write_reduce_acc(Some(reg), acc);
-        Some(Ok(end))
+        (done as u64, faulted)
     }
 }

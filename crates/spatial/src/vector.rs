@@ -57,6 +57,21 @@ pub(crate) fn unit_trips(lo: f64, hi: f64) -> Option<(usize, u64)> {
     Some((base, (hi.ceil() - lo) as u64))
 }
 
+/// Iterations a [`crate::VecClass::Reduce`] loop evaluates per pass
+/// over its lane program: four chunks, so the dispatch of each lane op
+/// amortizes over 32 iterations.
+pub(crate) const REDUCE_LANES: usize = 4 * LANES;
+
+/// Longest lane program [`crate::VecClass::Reduce`] admits, in ops
+/// (the Table-3 inner products need at most 9).
+pub(crate) const MAX_LANE_OPS: usize = 16;
+
+/// Deepest lane stack a lane program may build.
+pub(crate) const MAX_LANE_DEPTH: usize = 6;
+
+/// Most FIFO heads one reduce loop's body may bind.
+pub(crate) const MAX_LANE_HEADS: usize = 4;
+
 /// How many consecutive iterations may run with *no* per-iteration
 /// abort or interrupt check, starting from the current `fuel` value.
 /// The scalar loops check fuel exhaustion at every iteration top and
@@ -83,24 +98,43 @@ pub(crate) fn burst(trips_left: u64, fuel: u64, interrupts: bool) -> u64 {
 /// chunk scalar so the `NegativeIndex` error surfaces at the exact
 /// iteration, with the exact partial state).
 #[inline(always)]
-pub(crate) fn to_indices(src: &[f64; LANES], out: &mut [usize; LANES]) -> bool {
+pub(crate) fn to_indices<const N: usize>(src: &[f64; N], out: &mut [usize; N]) -> bool {
     let mut ok = true;
-    for k in 0..LANES {
+    for k in 0..N {
         let v = src[k];
         ok &= v >= 0.0;
-        // Exact-integer fast path (identical to `index_of`): the cast
-        // round-trips iff `v` is a non-negative integer below 2^64.
-        let t = v as usize;
-        out[k] = if t as f64 == v { t } else { v.round() as usize };
+        out[k] = round_index(v);
     }
     ok
+}
+
+/// One lane's index with [`crate::interp`] `index_of` semantics: `None`
+/// exactly where `index_of` raises `NegativeIndex`.
+#[inline(always)]
+pub(crate) fn lane_index(v: f64) -> Option<usize> {
+    if v < 0.0 {
+        return None;
+    }
+    Some(round_index(v))
+}
+
+/// `index_of`'s conversion of a non-negative value. Exact-integer fast
+/// path: the cast round-trips iff `v` is an integer below 2^64.
+#[inline(always)]
+fn round_index(v: f64) -> usize {
+    let t = v as usize;
+    if t as f64 == v {
+        t
+    } else {
+        v.round() as usize
+    }
 }
 
 /// `out[k] = f(k)` for every lane: a fixed-trip loop with no early exit,
 /// the shape the autovectorizer turns into packed arithmetic once `f` is
 /// inlined.
 #[inline(always)]
-fn fill_lanes(out: &mut [f64; LANES], f: impl Fn(usize) -> f64) {
+fn fill_lanes<const N: usize>(out: &mut [f64; N], f: impl Fn(usize) -> f64) {
     for (k, slot) in out.iter_mut().enumerate() {
         *slot = f(k);
     }
@@ -111,7 +145,7 @@ fn fill_lanes(out: &mut [f64; LANES], f: impl Fn(usize) -> f64) {
 /// caller then re-runs the chunk scalar so `DivisionByZero` surfaces at
 /// the exact iteration, with the exact partial state.
 #[inline(always)]
-fn try_fill_lanes(out: &mut [f64; LANES], f: impl Fn(usize) -> Option<f64>) -> bool {
+fn try_fill_lanes<const N: usize>(out: &mut [f64; N], f: impl Fn(usize) -> Option<f64>) -> bool {
     let mut ok = true;
     for (k, slot) in out.iter_mut().enumerate() {
         match f(k) {
@@ -149,11 +183,11 @@ pub(crate) fn bin_splat(
 /// [`try_fill_lanes`]).
 #[inline(always)]
 #[must_use]
-pub(crate) fn bin_lanes(
+pub(crate) fn bin_lanes<const N: usize>(
     op: crate::ir::BinSOp,
-    a: &[f64; LANES],
-    b: &[f64; LANES],
-    out: &mut [f64; LANES],
+    a: &[f64; N],
+    b: &[f64; N],
+    out: &mut [f64; N],
 ) -> bool {
     use crate::ir::BinSOp::*;
     match op {

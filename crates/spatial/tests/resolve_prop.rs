@@ -11,7 +11,7 @@ use stardust_spatial::ir::MemDecl;
 use stardust_spatial::printer::spatial_loc;
 use stardust_spatial::{
     print_program, resolve, validate, BinSOp, Counter, Machine, MemKind, ReferenceMachine,
-    RunError, SExpr, ScanOp, SpatialProgram, SpatialStmt, SymbolTable,
+    RunBudget, RunError, SExpr, ScanOp, SpatialProgram, SpatialStmt, SymbolTable,
 };
 
 const SIZE: usize = 16;
@@ -574,6 +574,161 @@ fn division_by_zero_is_one_typed_error_on_both_engines() {
     }
 }
 
+/// Runs `p` with the vector tier on, with it off (the scalar loop), and
+/// on the reference engine, all under the same step budget, and asserts
+/// one result, bit-identical DRAM and identical statistics.
+fn assert_tier_matches_scalar(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: Option<u64>) {
+    let mut tiered = Machine::new(p);
+    let mut reference = ReferenceMachine::new(p);
+    for (name, data) in writes {
+        tiered.write_dram(name, data).unwrap();
+        reference.write_dram(name, data).unwrap();
+    }
+    if let Some(steps) = fuel {
+        tiered.set_budget(RunBudget::unlimited().with_max_steps(steps));
+        reference.set_budget(RunBudget::unlimited().with_max_steps(steps));
+    }
+    let mut scalar = tiered.clone();
+    scalar.set_vector_mode(false);
+    let tiered_result = with_env_faults(|| tiered.run(p));
+    let scalar_result = with_env_faults(|| scalar.run(p));
+    let ref_result = with_env_faults(|| reference.run(p));
+    assert_eq!(tiered_result, scalar_result, "vector tier vs scalar loop");
+    assert_eq!(tiered_result, ref_result, "vector tier vs reference");
+    for d in &p.drams {
+        let bits = |words: &[f64]| words.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = bits(tiered.dram(&d.name).unwrap());
+        assert_eq!(want, bits(scalar.dram(&d.name).unwrap()), "DRAM {}", d.name);
+        assert_eq!(
+            want,
+            bits(reference.dram(&d.name).unwrap()),
+            "DRAM {}",
+            d.name
+        );
+    }
+    assert_eq!(tiered.stats(), scalar.stats(), "stats vs scalar loop");
+    assert_eq!(tiered.stats(), reference.stats(), "stats vs reference");
+}
+
+/// The FIFO-fed inner product of the compiled SpMV family, row by row:
+/// per row `i`, `val j = crd.deq; val v = vals.deq` feed one of the
+/// Table-3 reduce expressions over `v`, `x(j)`, a loop-invariant
+/// register and the loop variable, and `out0(i)` takes the row's sum.
+/// Rows run up to two chunks and a remainder long; sometimes a
+/// coordinate is out of range or negative, or a row's `crd` FIFO is one
+/// element short, so a lane faults.
+fn fifo_reduce_case(rng: &mut TestRng) -> (SpatialProgram, Vec<(&'static str, Vec<f64>)>) {
+    let rows = 1 + rng.below(4) as usize;
+    let n = rng.below(SIZE as u64 + 1) as usize;
+    let short_row = (rng.below(6) == 0).then(|| rng.below(rows as u64) as usize);
+    let mut p = SpatialProgram::new("fifo_reduce");
+    p.add_dram("crd", rows * SIZE);
+    p.add_dram("vals", rows * SIZE);
+    p.add_sparse_dram("x", SIZE);
+    p.add_dram("out0", SIZE);
+    p.accel.push(SpatialStmt::Alloc(MemDecl::new(
+        "x_s",
+        MemKind::SparseSram,
+        SIZE,
+    )));
+    p.accel.push(SpatialStmt::Load {
+        dst: "x_s".into(),
+        src: "x".into(),
+        start: SExpr::Const(0.0),
+        end: SExpr::Const(SIZE as f64),
+        par: 1,
+    });
+    p.accel
+        .push(SpatialStmt::Alloc(MemDecl::new("alpha", MemKind::Reg, 1)));
+    p.accel.push(SpatialStmt::SetReg {
+        reg: "alpha".into(),
+        value: SExpr::read("x_s", SExpr::Const(1.0)),
+    });
+    let x_at = |ix: SExpr| SExpr::read_random("x_s", ix);
+    let (v, j, q) = (SExpr::var("v"), SExpr::var("j"), SExpr::var("q"));
+    let expr = match rng.below(5) {
+        0 => SExpr::mul(v, x_at(j)),
+        1 => SExpr::mul(SExpr::mul(SExpr::RegRead("alpha".into()), v), x_at(j)),
+        2 => SExpr::Neg(Box::new(SExpr::mul(v, x_at(j)))),
+        3 => SExpr::mul(SExpr::mul(v, x_at(q)), x_at(j)),
+        _ => SExpr::add(
+            SExpr::sub(v, q),
+            SExpr::mul(x_at(j), SExpr::RegRead("alpha".into())),
+        ),
+    };
+    let row_start = SExpr::mul(SExpr::var("i"), SExpr::Const(SIZE as f64));
+    let row_load = |fifo: &str, src: &str, len: SExpr| SpatialStmt::Load {
+        dst: fifo.into(),
+        src: src.into(),
+        start: row_start.clone(),
+        end: SExpr::add(row_start.clone(), len),
+        par: 1,
+    };
+    // The short row's `crd` FIFO holds `n - 1` coordinates.
+    let crd_len = match short_row {
+        Some(r) => SExpr::sub(
+            SExpr::Const(n as f64),
+            SExpr::select(
+                SExpr::sub(SExpr::var("i"), SExpr::Const(r as f64)),
+                SExpr::Const(0.0),
+                SExpr::Const(1.0),
+            ),
+        ),
+        None => SExpr::Const(n as f64),
+    };
+    p.accel.push(SpatialStmt::Foreach {
+        id: 0,
+        counter: Counter::range_to("i", SExpr::Const(rows as f64)),
+        par: 1,
+        body: vec![
+            SpatialStmt::Alloc(MemDecl::new("r", MemKind::Reg, 1)),
+            SpatialStmt::Alloc(MemDecl::new("crd_f", MemKind::Fifo, SIZE)),
+            row_load("crd_f", "crd", crd_len),
+            SpatialStmt::Alloc(MemDecl::new("vals_f", MemKind::Fifo, SIZE)),
+            row_load("vals_f", "vals", SExpr::Const(n as f64)),
+            SpatialStmt::Reduce {
+                id: 0,
+                reg: "r".into(),
+                counter: Counter::range_to("q", SExpr::Const(n as f64)),
+                par: 1,
+                body: vec![
+                    SpatialStmt::Bind {
+                        var: "j".into(),
+                        value: SExpr::Deq("crd_f".into()),
+                    },
+                    SpatialStmt::Bind {
+                        var: "v".into(),
+                        value: SExpr::Deq("vals_f".into()),
+                    },
+                ],
+                expr,
+            },
+            SpatialStmt::StoreScalar {
+                dst: "out0".into(),
+                index: SExpr::var("i"),
+                value: SExpr::RegRead("r".into()),
+            },
+        ],
+    });
+    p.assign_ids();
+    let mut crd: Vec<f64> = (0..rows * SIZE)
+        .map(|_| rng.below(SIZE as u64) as f64)
+        .collect();
+    if n > 0 && rng.below(4) == 0 {
+        let at = rng.below(rows as u64) as usize * SIZE + rng.below(n as u64) as usize;
+        crd[at] = if rng.below(2) == 0 { -1.0 } else { SIZE as f64 };
+    }
+    // Inexact values, so a sum folded out of lane order rounds
+    // differently.
+    let vals = (0..rows * SIZE)
+        .map(|_| rng.below(1000) as f64 / 7.0 - 70.0)
+        .collect();
+    let x = (0..SIZE)
+        .map(|_| rng.below(100) as f64 / 3.0 - 16.0)
+        .collect();
+    (p, vec![("crd", crd), ("vals", vals), ("x", x)])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -615,5 +770,23 @@ proptest! {
     fn random_programs_execute_identically(seed in 0u64..100_000) {
         let p = random_program(seed);
         assert_engines_agree(&p, &inputs(seed));
+    }
+
+    /// The FIFO-fed reduce shape under a step budget drawn to land
+    /// anywhere in the run, mostly inside an 8-lane chunk: the vector
+    /// tier's partial DRAM, error and statistics equal the scalar
+    /// loop's (and the reference engine's), also when a lane faults.
+    #[test]
+    fn fifo_fed_reduce_budget_aborts_match_the_scalar_loop(seed in 0u64..100_000) {
+        let mut rng = TestRng::for_test(&format!("fifo-reduce-{seed}"));
+        let (p, writes) = fifo_reduce_case(&mut rng);
+        let compiled = stardust_spatial::CompiledProgram::compile(&p);
+        prop_assert!(
+            (0..compiled.ops().len())
+                .any(|pc| matches!(compiled.vec_class(pc), stardust_spatial::VecClass::Reduce(_))),
+            "the FIFO-fed reduce must reach the vector tier"
+        );
+        let fuel = (rng.below(4) != 0).then(|| 1 + rng.below(4 * (SIZE as u64 + 6)));
+        assert_tier_matches_scalar(&p, &writes, fuel);
     }
 }

@@ -122,7 +122,7 @@ const ACC: usize = 24;
 
 /// The CSR SpMV inner loop over `j in [lo, lo+n)`:
 /// `r += vals_s[j] * x_s[crd_s[j]]` with an empty body — the
-/// `GatherReduce` vector class.
+/// `Reduce` vector class.
 fn reduce_program(n: usize, lo: usize) -> SpatialProgram {
     reduce_program_with(BinSOp::Mul, n, lo)
 }

@@ -8,6 +8,13 @@
 //! step — canonical CIN (eq. 1), per-row staging of the dense operands
 //! (Fig. 6a), the scalar-workspace precompute, and the `accelerate`d
 //! reduction — then compiles and runs the kernel.
+//!
+//! The generated Spatial is the per-row staging the CIN shows: the
+//! row-invariant `C(i,:)` is placed under `forall(i)`, so `C_on_vals`
+//! loads once per row `i`, outside the loop over the stored `B(i,j)`;
+//! only `D(:,j)` is loaded per nonzero. The inner `Reduce` reads plain
+//! affine positions (`C_on_vals(k)`, `D_on_vals(k)`) and reaches the
+//! vector tier.
 
 use std::collections::HashMap;
 
