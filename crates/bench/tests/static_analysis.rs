@@ -8,18 +8,21 @@
 //! profiles. It also holds the analysis *yield* to a floor: the
 //! FIFO-fed and three-factor inner products (SpMV, MatTransMul,
 //! Residual and SDDMM on each of their three datasets, plus TTV) are
-//! vector-tagged, at least two stages are elision-licensed, and the
-//! printed programs are the ones the paper prints — position arithmetic
-//! folded, one accumulator register per reduction, no absent-operand
-//! `mux` guards inside an intersection scan.
+//! reduce-tagged, the innermost co-iteration scan of every Plus2,
+//! Plus3 and InnerProd stage is scan-tagged (25 vector-tagged stages
+//! in all), at least two stages are elision-licensed, and the printed
+//! programs are the ones the paper prints — position arithmetic folded,
+//! one accumulator register per reduction, no absent-operand `mux`
+//! guards inside an intersection scan.
 //!
 //! For every superinstruction loop (`RangeSimple`, `Scan1Simple`,
 //! `Scan2Simple`) that is not vector-tagged or elision-licensed, the
 //! test also prints the first thing that keeps it out, in the order
 //! `analysis::classify_vec` and `analysis::compute_elide` look — run
-//! with `--nocapture` to read it. What it shows today: the scan loops
-//! (no vector class at all), and row loops whose bodies allocate,
-//! bind gathers or write registers.
+//! with `--nocapture` to read it. What it shows today: the per-row
+//! scans of Plus2 and InnerProd, whose bodies bind, load and build the
+//! next level's bit vectors, and row loops whose bodies allocate, bind
+//! gathers or write registers.
 
 use std::collections::BTreeMap;
 
@@ -114,12 +117,28 @@ fn is_scatter(op: &Op) -> bool {
     matches!(op, Op::WriteMem { .. } | Op::RmwAdd { .. })
 }
 
+/// Whether a scan body op is of a kind a `VecClass::Scan` lane
+/// statement can be: an append store, a register update, an enqueue.
+fn is_lane_statement(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::StoreScalar { .. } | Op::SetReg { .. } | Op::Enq { .. }
+    )
+}
+
 /// Why `classify_vec` left this loop `VecClass::None`, in its order:
-/// loop kind, step, first body op that is not a scatter write, then
-/// the reduce or scatter operands.
+/// for a two-input scan, the first body op that cannot be a lane
+/// statement; for a range loop, the step, the first body op that is
+/// not a scatter write, then the reduce or scatter operands.
 fn vector_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
     let Some((_, _, _, step)) = l.range else {
-        return "scan loops have no vector class".into();
+        if l.kind == "Scan1Simple" {
+            return "single-vector scans have no vector class".into();
+        }
+        return match l.body.iter().find(|op| !is_lane_statement(op)) {
+            Some(op) => format!("body op {}", op_shape(p, op)),
+            None => "lane statements share a target or read one".into(),
+        };
     };
     if step != 1 {
         return format!("step {step}");
@@ -223,6 +242,7 @@ fn all_table3_kernels_pass_the_verifier() {
     let mut elide_tagged = 0usize;
     let mut stages = 0usize;
     let mut loops = 0usize;
+    let mut untagged_inner_scans: Vec<String> = Vec::new();
     let mut vector_blockers: BTreeMap<String, usize> = BTreeMap::new();
     let mut elide_blockers: BTreeMap<String, usize> = BTreeMap::new();
     for name in KERNEL_NAMES {
@@ -277,6 +297,19 @@ fn all_table3_kernels_pass_the_verifier() {
                     } else {
                         format!("tagged {:?}", spatial.vec_class(pc))
                     };
+                    let innermost = !l.body.iter().any(|op| {
+                        matches!(
+                            op,
+                            Op::RangeSimple { .. } | Op::Scan1Simple { .. } | Op::Scan2Simple { .. }
+                        )
+                    });
+                    if l.kind == "Scan2Simple"
+                        && innermost
+                        && ["Plus2", "Plus3", "InnerProd"].contains(&name)
+                        && !matches!(spatial.vec_class(pc), VecClass::Scan(_))
+                    {
+                        untagged_inner_scans.push(format!("{name}/{} stage {s} pc {pc}", set.dataset));
+                    }
                     let licensed = (pc + 1..=pc + l.body.len()).any(|b| spatial.elide_at(b));
                     let elide = if licensed {
                         "licensed".to_string()
@@ -305,9 +338,14 @@ fn all_table3_kernels_pass_the_verifier() {
         }
     }
     assert!(
-        vector_tagged >= 13,
+        vector_tagged >= 25,
         "only {vector_tagged} vector-tagged stages; SpMV, MatTransMul, Residual and SDDMM \
-         (three datasets each) and TTV must reach the vector tier"
+         (three datasets each), TTV, and every Plus2, Plus3 and InnerProd stage must reach \
+         the vector tier"
+    );
+    assert!(
+        untagged_inner_scans.is_empty(),
+        "innermost co-iteration scans left scalar: {untagged_inner_scans:?}"
     );
     assert!(
         elide_tagged >= 2,

@@ -29,7 +29,9 @@
 //! - [`classify_vec`] — vector eligibility, moved here from the
 //!   lowering and widened: multi-statement scatter bodies
 //!   ([`VecClass::MultiScatter`]) and offset/computed dense fills ride
-//!   on the same operand-shape lattice as the original two classes.
+//!   on the same operand-shape lattice as the original two classes,
+//!   and reduce loops ([`VecClass::Reduce`]) and two-input scans
+//!   ([`VecClass::Scan`]) get lane programs from one builder.
 //! - [`compute_elide`] — the check-elision table: a store through the
 //!   loop variable of a constant-bound loop whose bound the analysis
 //!   proves within the destination's allocated extent skips the
@@ -1086,26 +1088,36 @@ fn deq_bind(op: &Op, eops: &[EOp]) -> Option<(Slot, Slot)> {
     }
 }
 
-/// Builds the lane program of one reduce loop (see
-/// [`VecClass::Reduce`]): every variable becomes the loop's iota, one
-/// of its FIFO heads, or a loop-invariant splat, and every operator
-/// must be one a lane cannot fail on. The builders return `false` on
-/// the first shape the vector tier cannot evaluate lane-wise or a
-/// program past [`vector::MAX_LANE_OPS`] / [`vector::MAX_LANE_DEPTH`].
+/// Builds one lane program (see [`VecClass::Reduce`] and
+/// [`VecClass::Scan`]): every variable becomes a per-lane leaf — a
+/// range loop's iota or one of its FIFO heads, a scan loop's variables
+/// — or a loop-invariant splat, and every operator must be one a lane
+/// cannot fail on. The builders return `false` on the first shape the
+/// vector tier cannot evaluate lane-wise, an operator short of
+/// operands, or a program past [`vector::MAX_LANE_OPS`] /
+/// [`vector::MAX_LANE_DEPTH`].
 struct LaneBuilder<'a> {
-    /// The loop variable.
-    var: Slot,
-    /// The variables the body binds to FIFO heads, in body order.
-    heads: &'a [Slot],
+    /// The variables that take a per-lane value, each with its leaf.
+    lanes: &'a [(Slot, LaneOp)],
     ops: Vec<LaneOp>,
     depth: usize,
 }
 
 impl LaneBuilder<'_> {
+    fn new(lanes: &[(Slot, LaneOp)]) -> LaneBuilder<'_> {
+        LaneBuilder {
+            lanes,
+            ops: Vec::new(),
+            depth: 0,
+        }
+    }
+
     fn push(&mut self, op: LaneOp) -> bool {
         match op {
+            LaneOp::Bin(_) if self.depth < 2 => return false,
+            LaneOp::Read { .. } | LaneOp::Neg if self.depth < 1 => return false,
             LaneOp::Bin(_) => self.depth -= 1,
-            LaneOp::Read { .. } | LaneOp::Neg | LaneOp::End => {}
+            LaneOp::Read { .. } | LaneOp::Neg => {}
             _ => self.depth += 1,
         }
         self.ops.push(op);
@@ -1113,14 +1125,95 @@ impl LaneBuilder<'_> {
     }
 
     fn var(&mut self, v: Slot) -> bool {
-        let op = if v == self.var {
-            LaneOp::Iota
-        } else if let Some(k) = self.heads.iter().position(|&h| h == v) {
-            LaneOp::Head(k as u32)
-        } else {
-            LaneOp::Var(v)
+        let op = match self.lanes.iter().find(|&&(x, _)| x == v) {
+            Some(&(_, leaf)) => leaf,
+            None => LaneOp::Var(v),
         };
         self.push(op)
+    }
+
+    /// The `mux(p + 1, chip[p], 0)` guarded read at `eops[at..at + 5]`
+    /// over a scan position `p`, as the `or` lowering emits it:
+    /// `[VarConstBin p + 1, BranchFalse, VarReadMem chip[p], Jump,
+    /// Const 0]`.
+    fn guarded(&self, eops: &[EOp], at: usize) -> Option<LaneOp> {
+        let (
+            Some(&EOp::VarConstBin {
+                var: p,
+                c,
+                op: BinSOp::Add,
+            }),
+            Some(&EOp::BranchFalse { target }),
+            Some(&EOp::VarReadMem {
+                chip, random, var, ..
+            }),
+            Some(&EOp::Jump { target: join }),
+            Some(&EOp::Const(zero)),
+        ) = (
+            eops.get(at),
+            eops.get(at + 1),
+            eops.get(at + 2),
+            eops.get(at + 3),
+            eops.get(at + 4),
+        )
+        else {
+            return None;
+        };
+        let shaped = c == 1.0
+            && var == p
+            && target as usize == at + 4
+            && join as usize == at + 5
+            && zero.to_bits() == 0;
+        match self.lanes.iter().find(|&&(x, _)| x == p) {
+            Some(&(_, LaneOp::ScanVar(side @ (0 | 1)))) if shaped => {
+                Some(LaneOp::Guarded { side, chip, random })
+            }
+            _ => None,
+        }
+    }
+
+    /// Appends the lane form of the expression ops `eops[from..to]`.
+    fn eops(&mut self, eops: &[EOp], from: usize, to: usize) -> bool {
+        let mut at = from;
+        while at < to {
+            if let Some(leaf) = self.guarded(eops, at).filter(|_| at + 5 <= to) {
+                if !self.push(leaf) {
+                    return false;
+                }
+                at += 5;
+                continue;
+            }
+            let ok = match eops[at] {
+                EOp::Const(c) => self.push(LaneOp::Const(c)),
+                EOp::Var(v) => self.var(v),
+                EOp::RegRead(r) => self.push(LaneOp::Reg(r)),
+                EOp::ReadMem { chip, random, .. } => self.read(chip, random),
+                EOp::Neg => self.push(LaneOp::Neg),
+                EOp::Binary(op) => self.bin(op),
+                EOp::VarReadMem {
+                    chip, random, var, ..
+                } => self.var(var) && self.read(chip, random),
+                EOp::VarBinGather {
+                    a,
+                    op,
+                    chip,
+                    random,
+                    ivar,
+                    ..
+                } => self.var(a) && self.var(ivar) && self.read(chip, random) && self.bin(op),
+                EOp::VarConstBin { var, c, op } => {
+                    self.var(var) && self.push(LaneOp::Const(c)) && self.bin(op)
+                }
+                // A dequeue is an effect per lane; any other mux
+                // evaluates one side only.
+                EOp::Deq(_) | EOp::BranchFalse { .. } | EOp::Jump { .. } | EOp::End => false,
+            };
+            if !ok {
+                return false;
+            }
+            at += 1;
+        }
+        true
     }
 
     fn bin(&mut self, op: BinSOp) -> bool {
@@ -1166,44 +1259,24 @@ impl LaneBuilder<'_> {
                         && self.bin(op)
                 }
             },
-            Operand::Expr(e) => {
-                for eop in &eops[e as usize..] {
-                    let ok = match *eop {
-                        EOp::Const(c) => self.push(LaneOp::Const(c)),
-                        EOp::Var(v) => self.var(v),
-                        EOp::RegRead(r) => self.push(LaneOp::Reg(r)),
-                        EOp::ReadMem { chip, random, .. } => self.read(chip, random),
-                        EOp::Neg => self.push(LaneOp::Neg),
-                        EOp::Binary(op) => self.bin(op),
-                        EOp::VarReadMem {
-                            chip, random, var, ..
-                        } => self.var(var) && self.read(chip, random),
-                        EOp::VarBinGather {
-                            a,
-                            op,
-                            chip,
-                            random,
-                            ivar,
-                            ..
-                        } => {
-                            self.var(a) && self.var(ivar) && self.read(chip, random) && self.bin(op)
-                        }
-                        EOp::VarConstBin { var, c, op } => {
-                            self.var(var) && self.push(LaneOp::Const(c)) && self.bin(op)
-                        }
-                        // A dequeue in the reduced expression is an
-                        // effect per lane; a mux evaluates one side.
-                        EOp::Deq(_) | EOp::BranchFalse { .. } | EOp::Jump { .. } => false,
-                        EOp::End => return true,
-                    };
-                    if !ok {
-                        return false;
-                    }
-                }
-                false
-            }
+            Operand::Expr(e) => self.eops(eops, e as usize, expr_end(eops, e)),
         }
     }
+
+    /// The finished program of one whole expression: `None` unless the
+    /// operand left exactly one lane.
+    fn program(mut self, o: Operand, eops: &[EOp], fused: &[FusedOp]) -> Option<Vec<LaneOp>> {
+        (self.operand(o, eops, fused) && self.depth == 1).then_some(self.ops)
+    }
+}
+
+/// The index of the `End` closing the expression program at `e`.
+fn expr_end(eops: &[EOp], e: u32) -> usize {
+    let from = e as usize;
+    from + eops[from..]
+        .iter()
+        .position(|eop| matches!(eop, EOp::End))
+        .unwrap_or(eops.len() - from)
 }
 
 /// The lane program of a unit-step `RangeSimple` reduce, or `None` when
@@ -1221,27 +1294,142 @@ fn reduce_lanes(
     if body.len() > vector::MAX_LANE_HEADS {
         return None;
     }
-    let mut heads: Vec<Slot> = Vec::with_capacity(body.len());
+    let mut lanes: Vec<(Slot, LaneOp)> = vec![(var, LaneOp::Iota)];
     let mut fifos: Vec<Slot> = Vec::with_capacity(body.len());
-    for op in body {
+    for (k, op) in body.iter().enumerate() {
         let (x, fifo) = deq_bind(op, eops)?;
-        if x == var || heads.contains(&x) || fifos.contains(&fifo) {
+        if lanes.iter().any(|&(v, _)| v == x) || fifos.contains(&fifo) {
             return None;
         }
-        heads.push(x);
+        lanes.push((x, LaneOp::Head(k as u32)));
         fifos.push(fifo);
     }
-    let mut b = LaneBuilder {
-        var,
-        heads: &heads,
-        ops: Vec::new(),
-        depth: 0,
+    let mut program = LaneBuilder::new(&lanes).program(expr, eops, fused)?;
+    program.push(LaneOp::End);
+    Some(program)
+}
+
+/// The register `r` of the expression program `[RegRead(r), End]` —
+/// the append counter a `StoreScalar` index reads.
+fn reg_read(operand: Operand, eops: &[EOp]) -> Option<Slot> {
+    let Operand::Expr(e) = operand else {
+        return None;
     };
-    if !b.operand(expr, eops, fused) || b.depth != 1 {
+    match (eops.get(e as usize), eops.get(e as usize + 1)) {
+        (Some(&EOp::RegRead(r)), Some(&EOp::End)) => Some(r),
+        _ => None,
+    }
+}
+
+/// The lane statement a `Scan2Simple` body op is (see
+/// [`VecClass::Scan`]): its value program closed by its sink, or the
+/// first reason it is none of the four.
+fn scan_statement(
+    op: &Op,
+    lanes: &[(Slot, LaneOp)],
+    eops: &[EOp],
+    fused: &[FusedOp],
+) -> Option<Vec<LaneOp>> {
+    let (mut program, sink) = match *op {
+        Op::StoreScalar { dst, index, value } => {
+            let ctr = reg_read(index, eops)?;
+            let program = LaneBuilder::new(lanes).program(value, eops, fused)?;
+            (program, LaneOp::Store { dst, ctr })
+        }
+        Op::Enq { fifo, value } => {
+            let program = LaneBuilder::new(lanes).program(value, eops, fused)?;
+            (program, LaneOp::Enq(fifo))
+        }
+        Op::SetReg {
+            reg,
+            value: Operand::Expr(e),
+        } => {
+            // `[RegRead(reg), e…, Binary(Add), End]`: `e` is one whole
+            // expression exactly when the ops between leave one lane.
+            let (from, end) = (e as usize, expr_end(eops, e));
+            if eops[from] != EOp::RegRead(reg) || end < from + 3 {
+                return None;
+            }
+            if eops[end - 1] != EOp::Binary(BinSOp::Add) {
+                return None;
+            }
+            if eops[from + 1..end - 1] == [EOp::Const(1.0)] {
+                return Some(vec![LaneOp::Count(reg)]);
+            }
+            let mut b = LaneBuilder::new(lanes);
+            if !b.eops(eops, from + 1, end - 1) || b.depth != 1 {
+                return None;
+            }
+            (b.ops, LaneOp::AddReg(reg))
+        }
+        _ => return None,
+    };
+    program.push(sink);
+    Some(program)
+}
+
+/// The lane programs of a `Scan2Simple` body (see [`VecClass::Scan`]),
+/// or `None` when a body op is not one of the four lane statements, two
+/// statements share a target, a store's counter is not advanced after
+/// it, or a lane program reads a register the loop writes.
+fn scan_lanes(
+    vars: [Slot; 4],
+    body: &[Op],
+    reduce: Option<(Slot, Operand)>,
+    eops: &[EOp],
+    fused: &[FusedOp],
+) -> Option<Vec<LaneOp>> {
+    if body.len() + usize::from(reduce.is_some()) > vector::MAX_LANE_STMTS {
         return None;
     }
-    b.ops.push(LaneOp::End);
-    Some(b.ops)
+    let lanes: [(Slot, LaneOp); 4] =
+        std::array::from_fn(|k| (vars[k], LaneOp::ScanVar(k as u32)));
+    let mut program = Vec::new();
+    for op in body {
+        program.extend(scan_statement(op, &lanes, eops, fused)?);
+    }
+    if let Some((_, expr)) = reduce {
+        program.extend(LaneBuilder::new(&lanes).program(expr, eops, fused)?);
+        program.push(LaneOp::Fold);
+    }
+    // Targets: registers and FIFOs (chip slots), DRAM arrays.
+    let mut chips: Vec<Slot> = reduce.iter().map(|&(reg, _)| reg).collect();
+    let mut drams: Vec<Slot> = Vec::new();
+    let mut counted: Vec<Slot> = Vec::new();
+    let mut appended: Vec<Slot> = Vec::new();
+    for op in &program {
+        let (set, target) = match *op {
+            LaneOp::AddReg(r) | LaneOp::Enq(r) => (&mut chips, r),
+            LaneOp::Count(r) => {
+                counted.push(r);
+                (&mut chips, r)
+            }
+            LaneOp::Store { dst, ctr } => {
+                // Every store sees its counter before the advance.
+                if counted.contains(&ctr) {
+                    return None;
+                }
+                appended.push(ctr);
+                (&mut drams, dst)
+            }
+            _ => continue,
+        };
+        if set.contains(&target) {
+            return None;
+        }
+        set.push(target);
+    }
+    if !appended.iter().all(|ctr| counted.contains(ctr)) {
+        return None;
+    }
+    let reads_target = program
+        .iter()
+        .any(|op| matches!(*op, LaneOp::Reg(r) if chips.contains(&r)));
+    if reads_target {
+        return None;
+    }
+    program.push(LaneOp::End);
+    Some(program)
 }
 
 /// Whether `operand` is the `env[var] op c` expression program
@@ -1418,6 +1606,23 @@ pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClas
                         _ if multi_scatter_ok(span, var, eops, fused) => VecClass::MultiScatter,
                         _ => VecClass::None,
                     },
+                }
+            }
+            Op::Scan2Simple {
+                vars,
+                body,
+                body_len,
+                reduce,
+                ..
+            } if body as usize == pc + 1 => {
+                let span = &ops[body as usize..body as usize + body_len as usize];
+                match scan_lanes(vars, span, reduce, eops, fused) {
+                    Some(program) => {
+                        let at = lanes.len() as u32;
+                        lanes.extend(program);
+                        VecClass::Scan(at)
+                    }
+                    None => VecClass::None,
                 }
             }
             _ => VecClass::None,

@@ -139,11 +139,14 @@ pub enum EOp {
     End,
 }
 
-/// One op of a reduce loop's *lane program* (see [`VecClass::Reduce`]):
-/// the reduced expression re-expressed over whole lanes of consecutive
-/// iterations, in postfix order like [`EOp`]. Every leaf is either
-/// loop-invariant or a lane the vector tier can materialize for a whole
-/// chunk at once.
+/// One op of a loop's *lane program* (see [`VecClass::Reduce`] and
+/// [`VecClass::Scan`]): an expression re-expressed over whole lanes of
+/// consecutive iterations, in postfix order like [`EOp`]. Every leaf is
+/// either loop-invariant or a lane the vector tier can materialize for
+/// a whole chunk at once. A reduce loop's program ends at
+/// [`LaneOp::End`]; a scan loop's is one program per body statement,
+/// each closed by the statement's sink op (`Fold`, `AddReg`, `Enq`,
+/// `Store`, `Count`), and the list ends at [`LaneOp::End`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LaneOp {
     /// A literal, the same in every lane.
@@ -154,6 +157,22 @@ pub enum LaneOp {
     /// fifo.deq`: lane `k` of a chunk is the FIFO's `k`-th element from
     /// its head.
     Head(u32),
+    /// The scan loop's `k`-th variable, `[a_pos, b_pos, out_pos, idx]`:
+    /// lane `l` of a chunk is its value at the chunk's `l`-th emit (a
+    /// position is −1 on the absent side of an `or` scan).
+    ScanVar(u32),
+    /// `mux(p + 1, chip[p], 0)` over the scan position `p` of side
+    /// `side` (0 = a, 1 = b) — the guarded read the `or` lowering
+    /// emits: `chip[p]` on lanes where that side is present, `0` where
+    /// it is absent.
+    Guarded {
+        /// 0 for the `a` position, 1 for the `b` position.
+        side: u32,
+        /// On-chip slot read.
+        chip: Slot,
+        /// Whether the access is data-dependent.
+        random: bool,
+    },
     /// A variable the loop body does not bind: loop-invariant.
     Var(Slot),
     /// A register: loop-invariant (the body writes none, and the
@@ -172,7 +191,25 @@ pub enum LaneOp {
     /// Pop rhs then lhs, push `lhs op rhs` per lane (`Add`, `Sub` or
     /// `Mul`: operators that cannot fail).
     Bin(BinSOp),
-    /// End of this lane program.
+    /// Sink: fold each lane, in lane order, into the scan's own `Reduce`
+    /// accumulator.
+    Fold,
+    /// Sink: `SetReg reg = reg + lane`, in lane order.
+    AddReg(Slot),
+    /// Sink: `Enq fifo, lane`, in lane order.
+    Enq(Slot),
+    /// Sink: `StoreScalar dst(ctr) = lane`, where lane `l` sees the
+    /// counter register `ctr` advanced `l` times by its
+    /// [`LaneOp::Count`].
+    Store {
+        /// Destination DRAM slot.
+        dst: Slot,
+        /// The counter register indexing the store.
+        ctr: Slot,
+    },
+    /// Sink with no program: `SetReg ctr = ctr + 1` once per lane.
+    Count(Slot),
+    /// End of this lane program (of a scan loop's list of them).
     End,
 }
 
@@ -531,7 +568,8 @@ pub struct CompiledProgram {
     /// attempting a chunked run, so ineligible loops never pay for
     /// runtime shape analysis.
     vec: Vec<VecClass>,
-    /// The lane programs [`VecClass::Reduce`] entries point into.
+    /// The lane programs [`VecClass::Reduce`] and [`VecClass::Scan`]
+    /// entries point into.
     lanes: Vec<LaneOp>,
     /// Per-op bounds-check-elision flags (parallel to `ops`), computed
     /// by [`crate::analysis::compute_elide`]: true at a scatter write
@@ -577,6 +615,19 @@ pub enum VecClass {
     /// gathers from — the multi-output fill loops of multi-statement
     /// kernel bodies (classified by [`crate::analysis::classify_vec`]).
     MultiScatter,
+    /// An [`Op::Scan2Simple`] whose every body statement is one of the
+    /// four lane statements the compiled co-iteration kernels produce,
+    /// with pairwise-distinct targets: the scan's own `Reduce` fold,
+    /// `SetReg r = r + e` (`r` read nowhere else), `Enq f, e`, and the
+    /// counter-indexed append `StoreScalar d(ctr) = e; …; SetReg ctr =
+    /// ctr + 1`. Each `e` is a lane program over the four scan
+    /// variables, loop invariants, on-chip reads and the `mux(p + 1,
+    /// mem(p), 0)` guarded read; the statements' programs start at this
+    /// [`LaneRef`]. The vector tier takes up to
+    /// [`crate::vector::REDUCE_LANES`] emits at a time straight from the
+    /// scan snapshot's words — the inner loops of Plus2, Plus3 and
+    /// InnerProd.
+    Scan(LaneRef),
 }
 
 impl CompiledProgram {
@@ -707,7 +758,8 @@ impl CompiledProgram {
         self.vec[pc]
     }
 
-    /// The lane-program table [`VecClass::Reduce`] indexes.
+    /// The lane-program table [`VecClass::Reduce`] and
+    /// [`VecClass::Scan`] index.
     pub fn lanes(&self) -> &[LaneOp] {
         &self.lanes
     }

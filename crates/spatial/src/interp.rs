@@ -37,8 +37,11 @@
 //! `machine` (lifecycle, host DRAM access, `run`), `exec` (statement
 //! executors), `dispatch` (the bytecode loop), and one file per
 //! hot-loop tier — `simple` (superinstructions), `scatter` (including
-//! the bounds-check-elided loop) and `vector_tier` — so a tier goes by
-//! deleting its file and the call into it from the tier above.
+//! the bounds-check-elided loop) and `vector_tier` (the chunked
+//! scatters, and the lane-program chunks of `Reduce` loops and of
+//! two-input scans, `Machine::scan_chunks`, whose emits it takes word
+//! by word from the scan snapshot) — so a tier goes by deleting its
+//! file and the call into it from the tier above.
 
 mod budget;
 mod dispatch;
@@ -58,7 +61,7 @@ use std::time::Instant;
 use crate::bytecode::CompiledProgram;
 use crate::ir::{MemKind, ScanOp};
 use crate::resolve::{DramRegion, Slot};
-use vector_tier::LaneStack;
+use vector_tier::LaneScratch;
 
 pub(crate) use budget::{check_interrupts, exhausted_fuel, FuelCause, INTERRUPT_MASK};
 pub use budget::{BudgetResource, CancelFlag, RunBudget, RunError};
@@ -214,6 +217,33 @@ impl ScanBuf {
         None
     }
 
+    /// The word walk of the two-input scan's fast paths: every packed
+    /// word from the one holding `from` up to `dim`, as `(index of its
+    /// bit 0, combined, a, b)`, all three masked to `[from, dim)`.
+    #[inline(always)]
+    fn words2(
+        &self,
+        op: ScanOp,
+        from: usize,
+        dim: usize,
+    ) -> impl Iterator<Item = (usize, u64, u64, u64)> + '_ {
+        let first = from >> 6;
+        (first..dim.div_ceil(64)).map(move |w| {
+            let rem = dim - (w << 6);
+            let mut live = if rem >= 64 { !0u64 } else { (1u64 << rem) - 1 };
+            if w == first {
+                live &= !0u64 << (from & 63);
+            }
+            let aw = self.word_a(w) & live;
+            let bw = self.word_b(w) & live;
+            let comb = match op {
+                ScanOp::And => aw & bw,
+                ScanOp::Or => aw | bw,
+            };
+            (w << 6, comb, aw, bw)
+        })
+    }
+
     /// Fast-forward for the chunked two-input scan: returns the index
     /// of the next *combined* bit at or after `from` (or `dim` when
     /// none remains) plus the number of `a` and `b` bits passed over in
@@ -222,30 +252,25 @@ impl ScanBuf {
     /// per word.
     fn scan2_skip(&self, op: ScanOp, from: usize, dim: usize) -> (usize, u64, u64) {
         let (mut askip, mut bskip) = (0u64, 0u64);
-        let mut idx = from;
-        while idx < dim {
-            let w = idx >> 6;
-            let rem = dim - (w << 6);
-            let hi_mask = if rem >= 64 { !0u64 } else { (1u64 << rem) - 1 };
-            let live = hi_mask & (!0u64 << (idx & 63));
-            let aw = self.word_a(w) & live;
-            let bw = self.word_b(w) & live;
-            let comb = match op {
-                ScanOp::And => aw & bw,
-                ScanOp::Or => aw | bw,
-            };
+        for (base, comb, aw, bw) in self.words2(op, from, dim) {
             if comb != 0 {
                 let b = comb.trailing_zeros();
                 let below = (1u64 << b) - 1;
                 askip += (aw & below).count_ones() as u64;
                 bskip += (bw & below).count_ones() as u64;
-                return ((w << 6) + b as usize, askip, bskip);
+                return (base + b as usize, askip, bskip);
             }
             askip += aw.count_ones() as u64;
             bskip += bw.count_ones() as u64;
-            idx = (w + 1) << 6;
         }
         (dim, askip, bskip)
+    }
+
+    /// How many combined positions the snapshot holds below `dim`.
+    fn combined(&self, op: ScanOp, dim: usize) -> u64 {
+        self.words2(op, 0, dim)
+            .map(|(_, comb, _, _)| u64::from(comb.count_ones()))
+            .sum()
     }
 }
 
@@ -399,9 +424,10 @@ pub struct Machine {
     scratch: Vec<usize>,
     frames: Vec<Frame>,
     vstack: Vec<f64>,
-    /// The lane stack of [`crate::VecClass::Reduce`] loops, kept across
-    /// loop entries so entering one zeroes nothing.
-    lane_stack: Option<Box<LaneStack>>,
+    /// The lane stack and chunk buffers of [`crate::VecClass::Reduce`]
+    /// and [`crate::VecClass::Scan`] loops, kept across loop entries so
+    /// entering one zeroes nothing.
+    lane_scratch: Option<Box<LaneScratch>>,
     scan_pool: Vec<ScanBuf>,
     scan_depth: usize,
     /// Configured resource limits ([`Machine::set_budget`]); armed into

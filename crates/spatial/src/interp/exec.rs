@@ -21,7 +21,7 @@ use crate::resolve::{bit_words_for, Slot};
 /// Makes room for `additional` more elements, relocating and
 /// linearizing the ring at the end of the arena when the current
 /// region is too small.
-fn fifo_reserve(words: &mut Vec<f64>, st: &mut ChipState, additional: usize) {
+pub(super) fn fifo_reserve(words: &mut Vec<f64>, st: &mut ChipState, additional: usize) {
     let need = st.len + additional;
     if need <= st.wcap {
         return;
@@ -39,7 +39,7 @@ fn fifo_reserve(words: &mut Vec<f64>, st: &mut ChipState, additional: usize) {
 
 /// Appends one element. Capacity must have been reserved.
 #[inline(always)]
-fn fifo_push(words: &mut [f64], st: &mut ChipState, v: f64) {
+pub(super) fn fifo_push(words: &mut [f64], st: &mut ChipState, v: f64) {
     debug_assert!(st.len < st.wcap, "fifo_push without reserve");
     words[st.woff + (st.head + st.len) % st.wcap] = v;
     st.len += 1;

@@ -70,7 +70,7 @@ impl Machine {
             scratch: Vec::new(),
             frames: Vec::new(),
             vstack: Vec::new(),
-            lane_stack: None,
+            lane_scratch: None,
             scan_pool: Vec::new(),
             scan_depth: 0,
             budget: RunBudget::default(),

@@ -4,6 +4,7 @@
 //! and vector tiers.
 
 use super::budget::{check_interrupts, exhausted_fuel, INTERRUPT_MASK};
+use super::vector_tier::ScanCursor;
 use super::{Machine, RunError};
 use crate::bytecode::{CompiledProgram, Op, OpId, Operand, VecClass};
 use crate::ir::ScanOp;
@@ -14,6 +15,11 @@ use crate::vector;
 /// lane program pays for itself; shorter loops (most rows of a circuit
 /// matrix hold one nonzero) run scalar.
 const MIN_REDUCE_TRIPS: u64 = 2;
+
+/// Fewest combined positions a [`VecClass::Scan`] snapshot needs before
+/// resolving its lane statements pays for itself; most inner scans of
+/// a sparse intersection emit at most once and run scalar.
+const MIN_SCAN_EMITS: u64 = 2;
 
 impl Machine {
     /// Runs a straight-line-body `Range` loop natively: bounds evaluated
@@ -421,22 +427,64 @@ impl Machine {
         let mut folds = 0u64;
         let mut result: Result<(), RunError> = Ok(());
         let mut entered = false;
-        let (mut idx, mut ap, mut bp, mut emitted) = (0usize, 0u64, 0u64, 0u64);
+        let mut cur = ScanCursor::default();
         // Vector tier: skipped (non-combined) positions consume no fuel
         // and no statistics — only the side position counters advance —
         // so batching whole words with popcounts is observably
         // identical to probing one position at a time.
         let fast = self.vector_enabled;
-        'emits: while idx < dim {
-            if fast {
-                let (next, askip, bskip) = self.scan_pool[depth].scan2_skip(op, idx, dim);
-                ap += askip;
-                bp += bskip;
-                idx = next;
-                if idx >= dim {
+        // Scan loops the analysis gave lane statements run chunk by
+        // chunk inside the loop below, once the statements resolve
+        // against the loop-entry state and the snapshot holds enough
+        // emits. The scan op sits immediately before its body.
+        let mut lanes = match prog.vec_class(body as usize - 1) {
+            VecClass::Scan(at) if fast => {
+                let total = self.scan_pool[depth].combined(op, dim);
+                if total >= MIN_SCAN_EMITS {
+                    self.scan_plan(prog, at).map(|plan| (plan, total))
+                } else {
+                    None
+                }
+            }
+            _ => None,
+        };
+        'emits: while cur.idx < dim {
+            if let Some((plan, total)) = &lanes {
+                // Chunks stop short of the next fuel or interrupt
+                // check, which the scalar emit below then makes.
+                let burst = vector::burst(total - cur.emitted, self.fuel, self.interrupts);
+                let (n, faulted) =
+                    self.scan_chunks(plan, depth, op, dim, vars, &mut cur, burst, &mut acc);
+                if n > 0 {
+                    emits += n;
+                    trips += n;
+                    if reduce.is_some() {
+                        folds += n;
+                    }
+                    if !entered {
+                        entered = true;
+                        self.node_stack.push(id);
+                        self.scan_depth = depth + 1;
+                    }
+                }
+                if faulted {
+                    // The scalar loop takes over and raises the fault
+                    // (or takes the slow path) at its emit.
+                    lanes = None;
+                } else if cur.idx >= dim {
                     break 'emits;
                 }
             }
+            if fast {
+                let (next, askip, bskip) = self.scan_pool[depth].scan2_skip(op, cur.idx, dim);
+                cur.ap += askip;
+                cur.bp += bskip;
+                cur.idx = next;
+                if cur.idx >= dim {
+                    break 'emits;
+                }
+            }
+            let idx = cur.idx;
             let has_a = self.scan_pool[depth].a_set(idx);
             let has_b = self.scan_pool[depth].b_set(idx);
             let combined = match op {
@@ -444,13 +492,9 @@ impl Machine {
                 ScanOp::Or => has_a || has_b,
             };
             if !combined {
-                if has_a {
-                    ap += 1;
-                }
-                if has_b {
-                    bp += 1;
-                }
-                idx += 1;
+                cur.ap += u64::from(has_a);
+                cur.bp += u64::from(has_b);
+                cur.idx += 1;
                 continue;
             }
             emits += 1;
@@ -463,9 +507,9 @@ impl Machine {
                 self.node_stack.push(id);
                 self.scan_depth = depth + 1;
             }
-            self.env[vars[0]] = Some(if has_a { ap as f64 } else { -1.0 });
-            self.env[vars[1]] = Some(if has_b { bp as f64 } else { -1.0 });
-            self.env[vars[2]] = Some(emitted as f64);
+            self.env[vars[0]] = Some(if has_a { cur.ap as f64 } else { -1.0 });
+            self.env[vars[1]] = Some(if has_b { cur.bp as f64 } else { -1.0 });
+            self.env[vars[2]] = Some(cur.emitted as f64);
             self.env[vars[3]] = Some(idx as f64);
             trips += 1;
             if let Err(e) = self.run_simple_body(prog, body, end) {
@@ -486,14 +530,10 @@ impl Machine {
             }
             // The emitting index advances its positions after the
             // body, exactly as the framed protocol does.
-            if has_a {
-                ap += 1;
-            }
-            if has_b {
-                bp += 1;
-            }
-            emitted += 1;
-            idx += 1;
+            cur.ap += u64::from(has_a);
+            cur.bp += u64::from(has_b);
+            cur.emitted += 1;
+            cur.idx += 1;
         }
         if entered && result.is_ok() {
             self.node_stack.pop();

@@ -1,14 +1,15 @@
-//! The vector tier: chunked scatter and multi-scatter executors and
-//! the lane-program reduce chunk, over [`vector::LANES`]-wide lanes,
-//! each falling back to the scalar step at every boundary the scalar
-//! loop would observe.
+//! The vector tier: chunked scatter and multi-scatter executors over
+//! [`vector::LANES`]-wide lanes, and the lane-program chunks of reduce
+//! and two-input scan loops over [`vector::REDUCE_LANES`] — one lane
+//! evaluator for both — each falling back to the scalar step at every
+//! boundary the scalar loop would observe.
 
 use super::budget::{check_interrupts, exhausted_fuel, INTERRUPT_MASK};
-use super::exec::index_of;
+use super::exec::{fifo_push, fifo_reserve, index_of};
 use super::scatter::{HotCounters, HotGather, HotValue};
-use super::{ChipState, ChipTag, Machine, RunError};
+use super::{ChipState, ChipTag, Machine, RunError, ScanBuf};
 use crate::bytecode::{CompiledProgram, EOp, LaneOp, LaneRef, Op, OpId, Operand};
-use crate::ir::{BinSOp, MemKind};
+use crate::ir::{BinSOp, MemKind, ScanOp};
 use crate::resolve::Slot;
 use crate::vector;
 
@@ -97,22 +98,42 @@ struct ScatterStmt {
     dst_shuffle: bool,
 }
 
-/// The lane stack a [`crate::VecClass::Reduce`] lane program evaluates
-/// on.
-pub(super) type LaneStack = [[f64; vector::REDUCE_LANES]; vector::MAX_LANE_DEPTH];
+const CHUNK: usize = vector::REDUCE_LANES;
+
+/// The lane buffers of [`crate::VecClass::Reduce`] and
+/// [`crate::VecClass::Scan`] chunks: the stack a lane program evaluates
+/// on, one chunk of scan emits, and a scan chunk's per-statement values.
+#[derive(Debug, Clone)]
+pub(super) struct LaneScratch {
+    stack: [[f64; CHUNK]; vector::MAX_LANE_DEPTH],
+    /// `[a_pos, b_pos, out_pos, idx]` of each emit of a scan chunk.
+    scan: [[f64; CHUNK]; 4],
+    /// Each lane statement's values over a scan chunk.
+    vals: [[f64; CHUNK]; vector::MAX_LANE_STMTS],
+}
+
+impl LaneScratch {
+    fn boxed() -> Box<LaneScratch> {
+        Box::new(LaneScratch {
+            stack: [[0.0; CHUNK]; vector::MAX_LANE_DEPTH],
+            scan: [[0.0; CHUNK]; 4],
+            vals: [[0.0; CHUNK]; vector::MAX_LANE_STMTS],
+        })
+    }
+}
 
 /// Copies the `n` words at `from` into the first `n` lanes — a
 /// fixed-width copy for a full chunk.
 #[inline(always)]
-fn window(lane: &mut [f64; vector::REDUCE_LANES], words: &[f64], from: usize, n: usize) {
-    if n == vector::REDUCE_LANES {
-        lane.copy_from_slice(&words[from..from + vector::REDUCE_LANES]);
+fn window(lane: &mut [f64; CHUNK], words: &[f64], from: usize, n: usize) {
+    if n == CHUNK {
+        lane.copy_from_slice(&words[from..from + CHUNK]);
     } else {
         lane[..n].copy_from_slice(&words[from..from + n]);
     }
 }
 
-/// One op of a [`ReducePlan`]: a [`LaneOp`] resolved against the
+/// One op of a [`LanePlan`]: a [`LaneOp`] resolved against the
 /// loop-entry state.
 #[derive(Debug, Clone, Copy)]
 enum PlanOp {
@@ -122,6 +143,8 @@ enum PlanOp {
     Iota,
     /// The window at the head of the plan's `k`-th FIFO.
     Head(usize),
+    /// The scan variable `k` of each emit.
+    ScanVar(usize),
     /// `mem[v]` over the loop variable: one contiguous window.
     Stream {
         woff: usize,
@@ -132,25 +155,41 @@ enum PlanOp {
         woff: usize,
         len: usize,
     },
+    /// `mux(p + 1, mem[p], 0)` over the scan position of `side`.
+    Guarded {
+        side: usize,
+        woff: usize,
+        len: usize,
+    },
     Neg,
     Bin(BinSOp),
 }
 
-/// A [`crate::VecClass::Reduce`] loop's lane program resolved once per loop
-/// entry (see [`Machine::reduce_plan`]), with the per-iteration
-/// statistics every chunk charges `n` times.
-pub(super) struct ReducePlan {
+/// One lane program resolved once per loop entry (see
+/// [`Machine::lane_plan`]), with the per-iteration statistics every
+/// chunk charges `n` times — and, for guarded reads, once per lane
+/// where their side is present.
+#[derive(Debug, Clone, Copy)]
+struct LanePlan {
     ops: [PlanOp; vector::MAX_LANE_OPS],
     n_ops: usize,
-    /// `(fifo, bound variable)` of each `Bind x = fifo.deq` in the body.
-    heads: [(Slot, Slot); vector::MAX_LANE_HEADS],
-    n_heads: usize,
     reads: u64,
     shuffles: u64,
     alu: u64,
+    /// `(reads, shuffles)` per lane where side `a` (`b`) is present.
+    guarded: [(u64, u64); 2],
 }
 
-impl ReducePlan {
+impl LanePlan {
+    const EMPTY: LanePlan = LanePlan {
+        ops: [PlanOp::Iota; vector::MAX_LANE_OPS],
+        n_ops: 0,
+        reads: 0,
+        shuffles: 0,
+        alu: 0,
+        guarded: [(0, 0); 2],
+    };
+
     fn push_op(&mut self, op: PlanOp) {
         self.ops[self.n_ops] = op;
         self.n_ops += 1;
@@ -162,6 +201,117 @@ impl ReducePlan {
         *sp += 1;
         self.push_op(op);
     }
+
+    /// The statistics of `n` lanes, `present` of which hold each side.
+    fn charge(&self, stats: &mut super::DenseStats, n: u64, present: [u64; 2]) {
+        let [(ra, sa), (rb, sb)] = self.guarded;
+        stats.sram_reads += self.reads * n + ra * present[0] + rb * present[1];
+        stats.shuffle_accesses += self.shuffles * n + sa * present[0] + sb * present[1];
+        stats.alu_ops += self.alu * n;
+    }
+}
+
+/// A [`crate::VecClass::Reduce`] loop's lane program and FIFO heads,
+/// resolved once per loop entry (see [`Machine::reduce_plan`]).
+pub(super) struct ReducePlan {
+    lanes: LanePlan,
+    /// `(fifo, bound variable)` of each `Bind x = fifo.deq` in the body.
+    heads: [(Slot, Slot); vector::MAX_LANE_HEADS],
+    n_heads: usize,
+}
+
+/// Where a [`crate::VecClass::Scan`] lane statement's values go, its
+/// slots resolved to arena offsets.
+#[derive(Debug, Clone, Copy)]
+enum ScanSink {
+    Fold,
+    AddReg { woff: usize },
+    Enq(Slot),
+    Store { dst: Slot, ctr: usize, len: usize },
+    Count { ctr: usize },
+}
+
+/// A [`crate::VecClass::Scan`] loop's lane statements, resolved once
+/// per loop entry (see [`Machine::scan_plan`]).
+pub(super) struct ScanPlan {
+    stmts: [(LanePlan, ScanSink); vector::MAX_LANE_STMTS],
+    n_stmts: usize,
+    /// Whether any statement enqueues (the commit then interleaves
+    /// FIFO pushes lane-major, as the scalar loop does).
+    enqueues: bool,
+    /// `Store` statements: DRAM words one lane writes.
+    stores: u64,
+}
+
+/// The two-input scan's iteration state between emits: the next dense
+/// index to probe, the `a`/`b` bits before it, and the emits so far.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct ScanCursor {
+    pub(super) idx: usize,
+    pub(super) ap: u64,
+    pub(super) bp: u64,
+    pub(super) emitted: u64,
+}
+
+/// Fills `lanes` with up to `max` (at least 1) emits of a snapshot from
+/// `cur` — each position found with `trailing_zeros`, its `a`/`b`
+/// positions from popcount prefixes, −1 on an absent side — returning
+/// how many it took, the cursor past the last of them (`dim` when none
+/// is left), and how many lanes hold each side.
+fn fill_scan_lanes(
+    buf: &ScanBuf,
+    op: ScanOp,
+    dim: usize,
+    cur: ScanCursor,
+    max: usize,
+    lanes: &mut [[f64; CHUNK]; 4],
+) -> (usize, ScanCursor, [u64; 2]) {
+    let mut n = 0usize;
+    let mut present = [0u64; 2];
+    let (mut ap, mut bp) = (cur.ap, cur.bp);
+    for (base, comb, aw, bw) in buf.words2(op, cur.idx, dim) {
+        let mut bits = comb;
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            let below = (1u64 << bit) - 1;
+            let (has_a, has_b) = ((aw >> bit) & 1 == 1, (bw >> bit) & 1 == 1);
+            lanes[0][n] = if has_a {
+                (ap + u64::from((aw & below).count_ones())) as f64
+            } else {
+                -1.0
+            };
+            lanes[1][n] = if has_b {
+                (bp + u64::from((bw & below).count_ones())) as f64
+            } else {
+                -1.0
+            };
+            lanes[2][n] = (cur.emitted + n as u64) as f64;
+            lanes[3][n] = (base + bit as usize) as f64;
+            present[0] += u64::from(has_a);
+            present[1] += u64::from(has_b);
+            n += 1;
+            if n == max {
+                let upto = (2u64 << bit).wrapping_sub(1);
+                let next = ScanCursor {
+                    idx: base + bit as usize + 1,
+                    ap: ap + u64::from((aw & upto).count_ones()),
+                    bp: bp + u64::from((bw & upto).count_ones()),
+                    emitted: cur.emitted + n as u64,
+                };
+                return (n, next, present);
+            }
+            bits &= bits - 1;
+        }
+        ap += u64::from(aw.count_ones());
+        bp += u64::from(bw.count_ones());
+    }
+    let end = ScanCursor {
+        idx: dim,
+        ap,
+        bp,
+        emitted: cur.emitted + n as u64,
+    };
+    (n, end, present)
 }
 
 impl Machine {
@@ -744,56 +894,23 @@ impl Machine {
         Some(Ok(end))
     }
 
-    /// Resolves the lane program of a [`crate::VecClass::Reduce`] loop against
-    /// the loop-entry state: FIFO heads checked to be FIFOs, read slots
-    /// to be plain words (their regions hoist — the body writes no
-    /// memory and enqueues nothing), loop-invariant variables and
-    /// registers read once, and every sub-expression with no lane
-    /// operand folded to one splat — with the scalar engine's f64 op,
-    /// so the splat has the bits every lane would compute. Returns
-    /// `None` (having changed nothing) when any of that fails; the
-    /// scalar loop then runs and raises whatever error the state holds.
-    pub(super) fn reduce_plan(
-        &self,
-        prog: &CompiledProgram,
-        lanes: LaneRef,
-        body: OpId,
-        body_len: u32,
-    ) -> Option<ReducePlan> {
-        let mut plan = ReducePlan {
-            ops: [PlanOp::Iota; vector::MAX_LANE_OPS],
-            n_ops: 0,
-            heads: [(0, 0); vector::MAX_LANE_HEADS],
-            n_heads: body_len as usize,
-            reads: 0,
-            shuffles: 0,
-            alu: 0,
-        };
-        let eops = prog.eops();
-        for (k, op) in prog.ops()[body as usize..(body + body_len) as usize]
-            .iter()
-            .enumerate()
-        {
-            let Op::Bind {
-                var,
-                value: Operand::Expr(e),
-            } = *op
-            else {
-                return None;
-            };
-            let EOp::Deq(fifo) = eops[e as usize] else {
-                return None;
-            };
-            if self.chip[fifo as usize].tag != ChipTag::Fifo {
-                return None;
-            }
-            plan.heads[k] = (fifo, var);
-        }
+    /// Resolves one lane program — `lanes` up to its closing sink or
+    /// [`LaneOp::End`], whose index it returns — against the loop-entry
+    /// state: read slots checked to be plain words (their regions hoist
+    /// — no admitted body writes on-chip memory), loop-invariant
+    /// variables and registers read once, and every sub-expression with
+    /// no lane operand folded to one splat — with the scalar engine's
+    /// f64 op, so the splat has the bits every lane would compute.
+    /// Returns `None` (having changed nothing) when any of that fails;
+    /// the scalar loop then runs and raises whatever error the state
+    /// holds.
+    fn lane_plan(&self, lanes: &[LaneOp]) -> Option<(LanePlan, usize)> {
+        let mut plan = LanePlan::EMPTY;
         // Whether each lane-stack entry is a splat; a splat entry is
         // always exactly one trailing `Splat` op of the plan.
         let mut splat = [false; vector::MAX_LANE_DEPTH];
         let mut sp = 0usize;
-        for lop in &prog.lanes()[lanes as usize..] {
+        for (at, lop) in lanes.iter().enumerate() {
             match *lop {
                 LaneOp::Const(c) => plan.push(PlanOp::Splat(c), &mut splat, &mut sp),
                 LaneOp::Var(v) => {
@@ -804,6 +921,23 @@ impl Machine {
                 }
                 LaneOp::Iota => plan.push(PlanOp::Iota, &mut splat, &mut sp),
                 LaneOp::Head(k) => plan.push(PlanOp::Head(k as usize), &mut splat, &mut sp),
+                LaneOp::ScanVar(k) => plan.push(PlanOp::ScanVar(k as usize), &mut splat, &mut sp),
+                LaneOp::Guarded { side, chip, random } => {
+                    let st = self.chip[chip as usize];
+                    if st.tag != ChipTag::Words {
+                        return None;
+                    }
+                    let g = &mut plan.guarded[side as usize];
+                    g.0 += 1;
+                    g.1 += u64::from(random && st.kind == MemKind::SparseSram);
+                    plan.alu += 2; // the `p + 1` and the mux, on every lane
+                    let op = PlanOp::Guarded {
+                        side: side as usize,
+                        woff: st.woff,
+                        len: st.len,
+                    };
+                    plan.push(op, &mut splat, &mut sp);
+                }
                 LaneOp::Read { chip, random } => {
                     let st = self.chip[chip as usize];
                     if st.tag != ChipTag::Words {
@@ -854,24 +988,169 @@ impl Machine {
                         plan.push_op(PlanOp::Bin(op));
                     }
                 }
-                LaneOp::End => break,
+                LaneOp::Fold
+                | LaneOp::AddReg(_)
+                | LaneOp::Enq(_)
+                | LaneOp::Store { .. }
+                | LaneOp::Count(_)
+                | LaneOp::End => return Some((plan, at)),
             }
         }
-        Some(plan)
+        None
+    }
+
+    /// Resolves a [`crate::VecClass::Reduce`] loop against the
+    /// loop-entry state: its FIFO heads checked to be FIFOs (the body
+    /// enqueues nothing), and its lane program by
+    /// [`Machine::lane_plan`].
+    pub(super) fn reduce_plan(
+        &self,
+        prog: &CompiledProgram,
+        lanes: LaneRef,
+        body: OpId,
+        body_len: u32,
+    ) -> Option<ReducePlan> {
+        let mut heads = [(0, 0); vector::MAX_LANE_HEADS];
+        let eops = prog.eops();
+        for (k, op) in prog.ops()[body as usize..(body + body_len) as usize]
+            .iter()
+            .enumerate()
+        {
+            let Op::Bind {
+                var,
+                value: Operand::Expr(e),
+            } = *op
+            else {
+                return None;
+            };
+            let EOp::Deq(fifo) = eops[e as usize] else {
+                return None;
+            };
+            if self.chip[fifo as usize].tag != ChipTag::Fifo {
+                return None;
+            }
+            heads[k] = (fifo, var);
+        }
+        let (lanes, _) = self.lane_plan(&prog.lanes()[lanes as usize..])?;
+        Some(ReducePlan {
+            lanes,
+            heads,
+            n_heads: body_len as usize,
+        })
+    }
+
+    /// Evaluates `plan` over the first `n` lanes of one chunk into
+    /// `s.stack[0]`, lane-wise with the scalar engine's f64 ops: `at`
+    /// is lane 0's loop variable, `heads` the reduce loop's FIFO heads
+    /// (each checked to hold `n` elements), `s.scan` the scan chunk's
+    /// emits. Returns `false` when a lane would fault — an index
+    /// negative or out of bounds — having changed only `s`.
+    fn eval_lanes(
+        &self,
+        plan: &LanePlan,
+        heads: &[(Slot, Slot)],
+        at: usize,
+        n: usize,
+        s: &mut LaneScratch,
+    ) -> bool {
+        // Lanes at or past a short chunk's length hold leftovers; no
+        // operator here can fail on them and they are never committed.
+        let stack = &mut s.stack;
+        let mut sp = 0usize;
+        for op in &plan.ops[..plan.n_ops] {
+            match *op {
+                PlanOp::Splat(x) => {
+                    stack[sp] = [x; CHUNK];
+                    sp += 1;
+                }
+                PlanOp::Iota => {
+                    stack[sp] = std::array::from_fn(|k| (at + k) as f64);
+                    sp += 1;
+                }
+                PlanOp::Head(h) => {
+                    let st = self.chip[heads[h].0 as usize];
+                    if st.head + n <= st.wcap {
+                        window(&mut stack[sp], &self.words, st.woff + st.head, n);
+                    } else {
+                        for (k, x) in stack[sp][..n].iter_mut().enumerate() {
+                            *x = self.words[st.woff + (st.head + k) % st.wcap];
+                        }
+                    }
+                    sp += 1;
+                }
+                PlanOp::ScanVar(k) => {
+                    stack[sp] = s.scan[k];
+                    sp += 1;
+                }
+                PlanOp::Stream { woff, len } => {
+                    if at + n > len {
+                        return false;
+                    }
+                    window(&mut stack[sp], &self.words, woff + at, n);
+                    sp += 1;
+                }
+                PlanOp::Gather { woff, len } => {
+                    let lane = &mut stack[sp - 1];
+                    let mut idx = [0usize; CHUNK];
+                    let in_bounds = if n == CHUNK {
+                        vector::to_indices(lane, &mut idx) && idx.iter().all(|&ix| ix < len)
+                    } else {
+                        lane[..n].iter().zip(&mut idx).all(|(&x, ix)| {
+                            *ix = vector::lane_index(x).unwrap_or(usize::MAX);
+                            *ix < len
+                        })
+                    };
+                    if !in_bounds {
+                        return false;
+                    }
+                    for (x, &ix) in lane[..n].iter_mut().zip(&idx) {
+                        *x = self.words[woff + ix];
+                    }
+                }
+                PlanOp::Guarded { side, woff, len } => {
+                    // Positions are exact integers ≥ −1, so `p + 1 != 0`
+                    // is `p >= 0`; only present lanes read.
+                    let lane = &mut stack[sp];
+                    for (x, &p) in lane[..n].iter_mut().zip(&s.scan[side]) {
+                        *x = if p < 0.0 {
+                            0.0
+                        } else if (p as usize) < len {
+                            self.words[woff + p as usize]
+                        } else {
+                            return false;
+                        };
+                    }
+                    sp += 1;
+                }
+                PlanOp::Neg => {
+                    for x in &mut stack[sp - 1] {
+                        *x = -*x;
+                    }
+                }
+                PlanOp::Bin(op) => {
+                    sp -= 1;
+                    let (below, top) = stack.split_at_mut(sp);
+                    let lhs = below[sp - 1];
+                    let lanes_ok = vector::bin_lanes(op, &lhs, &top[0], &mut below[sp - 1]);
+                    debug_assert!(lanes_ok, "lane programs admit only + - *");
+                }
+            }
+        }
+        true
     }
 
     /// Runs up to `max` consecutive iterations of a
     /// [`crate::VecClass::Reduce`] loop, the first with loop variable
     /// `at`, in chunks of [`vector::REDUCE_LANES`] (the last one shorter): per
     /// chunk each FIFO head is read as one window after one occupancy
-    /// check, the lane program evaluates lane-wise with the scalar
-    /// engine's f64 ops, the lanes fold into `acc` serially in lane
-    /// order — so the sum is bit-identical to the scalar loop — and the
-    /// heads advance. At the end the bound variables hold their last
-    /// lane (as after the scalar loop's last iteration), and fuel and
-    /// statistics are charged: per-iteration constants of the plan,
-    /// times the iterations run. The caller keeps `max` inside a
-    /// fuel/interrupt burst and counts trips and folds.
+    /// check, the lane program evaluates lane-wise ([`Machine::eval_lanes`]),
+    /// the lanes fold into `acc` serially in lane order — so the sum is
+    /// bit-identical to the scalar loop — and the heads advance. At the
+    /// end the bound variables hold their last lane (as after the scalar
+    /// loop's last iteration), and fuel and statistics are charged:
+    /// per-iteration constants of the plan, times the iterations run.
+    /// The caller keeps `max` inside a fuel/interrupt burst and counts
+    /// trips and folds.
     ///
     /// Returns the iterations run and whether the next chunk would
     /// fault (a FIFO too short, an index negative or out of bounds).
@@ -886,88 +1165,19 @@ impl Machine {
         max: u64,
         acc: &mut f64,
     ) -> (u64, bool) {
-        const L: usize = vector::REDUCE_LANES;
         let heads = &plan.heads[..plan.n_heads];
-        // Lanes at or past a short chunk's length hold leftovers; no
-        // operator here can fail on them and they are never folded.
-        let mut stack = self
-            .lane_stack
-            .take()
-            .unwrap_or_else(|| Box::new([[0.0; L]; vector::MAX_LANE_DEPTH]));
+        let mut s = self.lane_scratch.take().unwrap_or_else(LaneScratch::boxed);
         let mut done = 0usize;
         let mut faulted = false;
-        'chunks: while (done as u64) < max {
-            let n = (max - done as u64).min(L as u64) as usize;
-            let at = at + done;
+        while (done as u64) < max {
+            let n = (max - done as u64).min(CHUNK as u64) as usize;
             if heads
                 .iter()
                 .any(|&(fifo, _)| self.chip[fifo as usize].len < n)
+                || !self.eval_lanes(&plan.lanes, heads, at + done, n, &mut s)
             {
                 faulted = true;
-                break 'chunks;
-            }
-            let mut sp = 0usize;
-            for op in &plan.ops[..plan.n_ops] {
-                match *op {
-                    PlanOp::Splat(x) => {
-                        stack[sp] = [x; L];
-                        sp += 1;
-                    }
-                    PlanOp::Iota => {
-                        stack[sp] = std::array::from_fn(|k| (at + k) as f64);
-                        sp += 1;
-                    }
-                    PlanOp::Head(h) => {
-                        let st = self.chip[heads[h].0 as usize];
-                        if st.head + n <= st.wcap {
-                            window(&mut stack[sp], &self.words, st.woff + st.head, n);
-                        } else {
-                            for (k, x) in stack[sp][..n].iter_mut().enumerate() {
-                                *x = self.words[st.woff + (st.head + k) % st.wcap];
-                            }
-                        }
-                        sp += 1;
-                    }
-                    PlanOp::Stream { woff, len } => {
-                        if at + n > len {
-                            faulted = true;
-                            break 'chunks;
-                        }
-                        window(&mut stack[sp], &self.words, woff + at, n);
-                        sp += 1;
-                    }
-                    PlanOp::Gather { woff, len } => {
-                        let lane = &mut stack[sp - 1];
-                        let mut idx = [0usize; L];
-                        let in_bounds = if n == L {
-                            vector::to_indices(lane, &mut idx) && idx.iter().all(|&ix| ix < len)
-                        } else {
-                            lane[..n].iter().zip(&mut idx).all(|(&x, ix)| {
-                                *ix = vector::lane_index(x).unwrap_or(usize::MAX);
-                                *ix < len
-                            })
-                        };
-                        if !in_bounds {
-                            faulted = true;
-                            break 'chunks;
-                        }
-                        for (x, &ix) in lane[..n].iter_mut().zip(&idx) {
-                            *x = self.words[woff + ix];
-                        }
-                    }
-                    PlanOp::Neg => {
-                        for x in &mut stack[sp - 1] {
-                            *x = -*x;
-                        }
-                    }
-                    PlanOp::Bin(op) => {
-                        sp -= 1;
-                        let (below, top) = stack.split_at_mut(sp);
-                        let lhs = below[sp - 1];
-                        let lanes_ok = vector::bin_lanes(op, &lhs, &top[0], &mut below[sp - 1]);
-                        debug_assert!(lanes_ok, "lane programs admit only + - *");
-                    }
-                }
+                break;
             }
             // Nothing in this chunk can fault past this point: commit.
             for &(fifo, _) in heads {
@@ -975,12 +1185,12 @@ impl Machine {
                 st.head = (st.head + n) % st.wcap;
                 st.len -= n;
             }
-            for &x in &stack[0][..n] {
+            for &x in &s.stack[0][..n] {
                 *acc += x;
             }
             done += n;
         }
-        self.lane_stack = Some(stack);
+        self.lane_scratch = Some(s);
         if done > 0 {
             for &(fifo, x) in heads {
                 let st = self.chip[fifo as usize];
@@ -991,10 +1201,186 @@ impl Machine {
             let done = done as u64;
             self.fuel -= done;
             self.dense.fifo_deqs += heads.len() as u64 * done;
-            self.dense.sram_reads += plan.reads * done;
-            self.dense.shuffle_accesses += plan.shuffles * done;
-            self.dense.alu_ops += plan.alu * done;
+            plan.lanes.charge(&mut self.dense, done, [0, 0]);
         }
         (done as u64, faulted)
+    }
+
+    /// Resolves a [`crate::VecClass::Scan`] loop's lane statements
+    /// against the loop-entry state: each program by
+    /// [`Machine::lane_plan`], each sink's slot checked to be what it
+    /// writes — a register, a FIFO, a mapped DRAM array — and resolved
+    /// to its offset (no admitted body allocates, so the offsets hold
+    /// for the whole loop). `None` leaves the scalar loop to run.
+    pub(super) fn scan_plan(&self, prog: &CompiledProgram, lanes: LaneRef) -> Option<ScanPlan> {
+        let mut plan = ScanPlan {
+            stmts: [(LanePlan::EMPTY, ScanSink::Fold); vector::MAX_LANE_STMTS],
+            n_stmts: 0,
+            enqueues: false,
+            stores: 0,
+        };
+        let reg = |r: Slot| {
+            let st = self.chip[r as usize];
+            (st.tag == ChipTag::Reg).then_some(st.woff)
+        };
+        let mut rest = &prog.lanes()[lanes as usize..];
+        while rest[0] != LaneOp::End {
+            let (mut lanes, at) = self.lane_plan(rest)?;
+            let sink = match rest[at] {
+                LaneOp::Fold => ScanSink::Fold,
+                LaneOp::AddReg(r) => {
+                    lanes.alu += 1; // the `r + e`
+                    ScanSink::AddReg { woff: reg(r)? }
+                }
+                LaneOp::Enq(f) if self.chip[f as usize].tag == ChipTag::Fifo => {
+                    plan.enqueues = true;
+                    ScanSink::Enq(f)
+                }
+                LaneOp::Store { dst, ctr } => {
+                    let st = self.dram_state[dst as usize];
+                    if !st.mapped {
+                        return None;
+                    }
+                    plan.stores += 1;
+                    ScanSink::Store {
+                        dst,
+                        ctr: reg(ctr)?,
+                        len: st.len,
+                    }
+                }
+                LaneOp::Count(r) => {
+                    lanes.alu += 1; // the `ctr + 1`
+                    ScanSink::Count { ctr: reg(r)? }
+                }
+                _ => return None,
+            };
+            plan.stmts[plan.n_stmts] = (lanes, sink);
+            plan.n_stmts += 1;
+            rest = &rest[at + 1..];
+        }
+        Some(plan)
+    }
+
+    /// Runs up to `max` emits of a [`crate::VecClass::Scan`] loop from
+    /// `cur`, in chunks of up to [`vector::REDUCE_LANES`] taken straight
+    /// from the snapshot's words at `depth` ([`fill_scan_lanes`]). Per
+    /// chunk every statement's lane program evaluates
+    /// ([`Machine::eval_lanes`]), every fault the commit could hit is
+    /// checked — a counter that is negative, non-integral or would run
+    /// a store past its array, the DRAM-word budget — and only then do
+    /// the statements commit, each in lane order: folds and register
+    /// adds serially, so sums are bit-identical to the scalar loop;
+    /// appends as one run of DRAM words (logged for shard merges); FIFO
+    /// pushes lane-major, reserving one element at a time, so rings grow
+    /// exactly as the scalar loop grows them. Fuel and statistics are
+    /// charged per lane as the scalar loop charges them, and the scan
+    /// variables are left bound to the last emit. The caller keeps `max`
+    /// inside a fuel/interrupt burst and counts emits, trips and folds.
+    ///
+    /// Returns the emits run and whether the next chunk would fault. A
+    /// faulting chunk changes nothing: the caller runs it scalar, which
+    /// raises the scalar loop's error (or takes its slow path) at its
+    /// exact emit.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn scan_chunks(
+        &mut self,
+        plan: &ScanPlan,
+        depth: usize,
+        op: ScanOp,
+        dim: usize,
+        vars: [usize; 4],
+        cur: &mut ScanCursor,
+        max: u64,
+        acc: &mut f64,
+    ) -> (u64, bool) {
+        let stmts = &plan.stmts[..plan.n_stmts];
+        let mut s = self.lane_scratch.take().unwrap_or_else(LaneScratch::boxed);
+        let mut done = 0u64;
+        let mut faulted = false;
+        'chunks: while done < max && cur.idx < dim {
+            let want = (max - done).min(CHUNK as u64) as usize;
+            let (n, next, present) =
+                fill_scan_lanes(&self.scan_pool[depth], op, dim, *cur, want, &mut s.scan);
+            if n == 0 {
+                *cur = next;
+                break;
+            }
+            for (k, (lanes, _)) in stmts.iter().enumerate() {
+                if lanes.n_ops > 0 {
+                    if !self.eval_lanes(lanes, &[], cur.emitted as usize, n, &mut s) {
+                        faulted = true;
+                        break 'chunks;
+                    }
+                    s.vals[k] = s.stack[0];
+                }
+            }
+            // Pre-check every fault an append could raise.
+            if plan.stores * n as u64 > self.dram_fuel {
+                faulted = true;
+                break;
+            }
+            for (_, sink) in stmts {
+                let (ctr, len) = match *sink {
+                    ScanSink::Store { ctr, len, .. } => (ctr, len),
+                    ScanSink::Count { ctr } => (ctr, usize::MAX),
+                    _ => continue,
+                };
+                let c0 = self.words[ctr];
+                let exact = (0.0..=4_294_967_296.0).contains(&c0) && c0.fract() == 0.0;
+                if !exact || c0 as usize + n > len {
+                    faulted = true;
+                    break 'chunks;
+                }
+            }
+            // Commit.
+            for (k, (lanes, sink)) in stmts.iter().enumerate() {
+                let vals = &s.vals[k][..n];
+                match *sink {
+                    ScanSink::Fold => {
+                        for &x in vals {
+                            *acc += x;
+                        }
+                    }
+                    ScanSink::AddReg { woff } => {
+                        let mut r = self.words[woff];
+                        for &x in vals {
+                            r += x;
+                        }
+                        self.words[woff] = r;
+                    }
+                    ScanSink::Store { dst, ctr, .. } => {
+                        let c0 = self.words[ctr] as usize;
+                        let arr = self.dram_words_of_mut(dst).expect("mapped at plan time");
+                        arr[c0..c0 + n].copy_from_slice(vals);
+                        self.log_dram_write(dst, c0, n);
+                        self.dram_fuel -= n as u64;
+                        self.dense.dram_random_writes += n as u64;
+                    }
+                    ScanSink::Count { ctr } => self.words[ctr] += n as f64,
+                    ScanSink::Enq(_) => self.dense.fifo_enqs += n as u64,
+                }
+                lanes.charge(&mut self.dense, n as u64, present);
+            }
+            if plan.enqueues {
+                let Machine { words, chip, .. } = self;
+                for l in 0..n {
+                    for (k, (_, sink)) in stmts.iter().enumerate() {
+                        if let ScanSink::Enq(f) = *sink {
+                            let st = &mut chip[f as usize];
+                            fifo_reserve(words, st, 1);
+                            fifo_push(words, st, s.vals[k][l]);
+                        }
+                    }
+                }
+            }
+            for (&var, lane) in vars.iter().zip(&s.scan) {
+                self.env[var] = Some(lane[n - 1]);
+            }
+            *cur = next;
+            done += n as u64;
+        }
+        self.lane_scratch = Some(s);
+        self.fuel -= done;
+        (done, faulted)
     }
 }

@@ -72,6 +72,10 @@ pub(crate) const MAX_LANE_DEPTH: usize = 6;
 /// Most FIFO heads one reduce loop's body may bind.
 pub(crate) const MAX_LANE_HEADS: usize = 4;
 
+/// Most lane statements one [`crate::VecClass::Scan`] loop may hold
+/// (its body plus its own fold; the Table-3 kernels need at most 3).
+pub(crate) const MAX_LANE_STMTS: usize = 4;
+
 /// How many consecutive iterations may run with *no* per-iteration
 /// abort or interrupt check, starting from the current `fuel` value.
 /// The scalar loops check fuel exhaustion at every iteration top and

@@ -10,7 +10,10 @@
 //! middle of a chunk, and — the fuel-drift regression — step budgets
 //! that exhaust *inside* a vector chunk, where the abort point must
 //! land on the identical iteration with the identical partial DRAM.
-//! Raise `PROPTEST_CASES` for deeper sweeps (CI does).
+//! Raise `PROPTEST_CASES` for deeper sweeps (CI does). Every engine run
+//! happens under the `STARDUST_FAULTS` plan when one is set, so CI's
+//! chaos steps land injected errors, failed allocations and budget
+//! clamps inside chunks too.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -18,16 +21,43 @@ use proptest::test_runner::TestRng;
 use stardust_spatial::ir::MemDecl;
 use stardust_spatial::vector::LANES;
 use stardust_spatial::{
-    BinSOp, Counter, ExecStats, Machine, MemKind, ReferenceMachine, RunBudget, RunError, SExpr,
-    ScanOp, SpatialProgram, SpatialStmt,
+    faults, BinSOp, CancelFlag, CompiledProgram, Counter, ExecStats, FaultPlan, Machine, MemKind,
+    ReferenceMachine, RunBudget, RunError, SExpr, ScanOp, SpatialProgram, SpatialStmt, VecClass,
 };
+
+/// Runs `f` under the `STARDUST_FAULTS` environment plan when one is
+/// set, installing a *fresh* plan per call so one-shot faults fire
+/// identically for every engine. With the variable unset this is a
+/// plain call.
+fn with_env_faults<R>(f: impl FnOnce() -> R) -> R {
+    // A malformed plan must fail the suite loudly — treating it as "no
+    // faults" would run the chaos step as a vacuous no-op.
+    match FaultPlan::from_env().expect("STARDUST_FAULTS is malformed") {
+        Some(plan) => faults::with_plan(plan, f),
+        None => f(),
+    }
+}
+
+/// Asserts the result a fault-free run must reach. An injected plan
+/// may abort the run before it gets there, so under one only the
+/// engines' agreement is checked.
+fn assert_clean_result(got: Result<ExecStats, RunError>, want: Result<ExecStats, RunError>) {
+    if FaultPlan::from_env().expect("STARDUST_FAULTS is malformed").is_none() {
+        assert_eq!(got, want);
+    }
+}
+
+/// A budget of `n` steps.
+fn steps(n: u64) -> RunBudget {
+    RunBudget::unlimited().with_max_steps(n)
+}
 
 /// Runs `p` three ways — bytecode with the vector tier forced on,
 /// bytecode with it forced off, and the reference engine — and asserts
 /// identical results (or errors), bitwise-identical DRAM, and identical
-/// statistics. An optional step budget applies to all three.
-fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: Option<u64>) {
-    let _ = agreed_result(p, writes, fuel);
+/// statistics. `budget` applies to all three.
+fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], budget: RunBudget) {
+    let _ = agreed_result(p, writes, budget);
 }
 
 /// [`assert_engines_agree`], returning the run result all three agreed
@@ -35,28 +65,24 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: O
 fn agreed_result(
     p: &SpatialProgram,
     writes: &[(&str, Vec<f64>)],
-    fuel: Option<u64>,
+    budget: RunBudget,
 ) -> Result<ExecStats, RunError> {
     let mut vec_m = Machine::new(p);
     for (name, data) in writes {
         vec_m.write_dram(name, data).unwrap();
     }
-    if let Some(f) = fuel {
-        vec_m.set_budget(RunBudget::unlimited().with_max_steps(f));
-    }
+    vec_m.set_budget(budget.clone());
     let mut scalar_m = vec_m.clone();
     let mut reference = ReferenceMachine::new(p);
     for (name, data) in writes {
         reference.write_dram(name, data).unwrap();
     }
-    if let Some(f) = fuel {
-        reference.set_budget(RunBudget::unlimited().with_max_steps(f));
-    }
+    reference.set_budget(budget);
     vec_m.set_vector_mode(true);
     scalar_m.set_vector_mode(false);
-    let rv = vec_m.run(p);
-    let rs = scalar_m.run(p);
-    let rr = reference.run(p);
+    let rv = with_env_faults(|| vec_m.run(p));
+    let rs = with_env_faults(|| scalar_m.run(p));
+    let rr = with_env_faults(|| reference.run(p));
     assert_eq!(rv, rs, "vector vs scalar bytecode results diverge");
     assert_eq!(rv, rr, "vector bytecode vs reference results diverge");
     for d in &p.drams {
@@ -295,13 +321,13 @@ fn remainder_lengths_and_offsets_are_bit_identical() {
     for &n in &lengths {
         for lo in [0usize, 1, 3, LANES - 1] {
             let seed = (n * 31 + lo) as u64;
-            assert_engines_agree(&reduce_program(n, lo), &reduce_inputs(n, lo, seed), None);
-            assert_engines_agree(&scatter_program(n, lo), &scatter_inputs(n, lo, seed), None);
+            assert_engines_agree(&reduce_program(n, lo), &reduce_inputs(n, lo, seed), RunBudget::unlimited());
+            assert_engines_agree(&scatter_program(n, lo), &scatter_inputs(n, lo, seed), RunBudget::unlimited());
             let len = (lo + n).max(1);
             assert_engines_agree(
                 &dense_fill_program(n, lo),
                 &[("vals", series(seed, len, 64, 0.125))],
-                None,
+                RunBudget::unlimited(),
             );
         }
     }
@@ -316,19 +342,19 @@ fn faulting_lanes_mid_chunk_match_scalar_semantics() {
     // Out-of-bounds destination index in the middle of the second chunk.
     let mut inputs = scatter_inputs(n, 0, 7);
     inputs[1].1[LANES + 3] = ACC as f64 + 5.0;
-    assert_engines_agree(&scatter_program(n, 0), &inputs, None);
+    assert_engines_agree(&scatter_program(n, 0), &inputs, RunBudget::unlimited());
     // Negative index in the middle of the first chunk.
     let mut inputs = scatter_inputs(n, 0, 8);
     inputs[1].1[3] = -2.0;
-    assert_engines_agree(&scatter_program(n, 0), &inputs, None);
+    assert_engines_agree(&scatter_program(n, 0), &inputs, RunBudget::unlimited());
     // Out-of-bounds outer gather in the SpMV dot product.
     let mut inputs = reduce_inputs(n, 0, 9);
     inputs[1].1[2 * LANES + 1] = XS as f64;
-    assert_engines_agree(&reduce_program(n, 0), &inputs, None);
+    assert_engines_agree(&reduce_program(n, 0), &inputs, RunBudget::unlimited());
     // Negative inner index in the SpMV dot product.
     let mut inputs = reduce_inputs(n, 0, 10);
     inputs[1].1[1] = -1.0;
-    assert_engines_agree(&reduce_program(n, 0), &inputs, None);
+    assert_engines_agree(&reduce_program(n, 0), &inputs, RunBudget::unlimited());
     // A zero divisor is the same kind of lane fault: a typed error at
     // the exact iteration, in every build profile. `vb % vals[j]` with
     // a zero in the middle of the second chunk...
@@ -336,25 +362,25 @@ fn faulting_lanes_mid_chunk_match_scalar_semantics() {
     let mut inputs = scatter_inputs(n, 0, 11);
     inputs[0].1[LANES + 3] = 0.0;
     let p = scatter_program_with(BinSOp::Mod, n, 0);
-    assert_eq!(agreed_result(&p, &inputs, None), zero);
+    assert_clean_result(agreed_result(&p, &inputs, RunBudget::unlimited()), zero.clone());
     // ...`vals[j] / x[crd[j]]` with a zero behind the last chunk's
     // gather...
     let mut inputs = reduce_inputs(n, 0, 12);
     inputs[1].1[2 * LANES + 1] = 5.0;
     inputs[2].1[5] = 0.0;
     let p = reduce_program_with(BinSOp::Div, n, 0);
-    assert_eq!(agreed_result(&p, &inputs, None), zero);
+    assert_clean_result(agreed_result(&p, &inputs, RunBudget::unlimited()), zero.clone());
     // ...and a loop-invariant zero divisor, `s[j] = j % 0`.
     let value = SExpr::bin(BinSOp::Mod, SExpr::var("j"), SExpr::Const(0.0));
     let p = dense_fill_program_with(value, n, 0);
     let vals = [("vals", series(13, n, 64, 0.125))];
-    assert_eq!(agreed_result(&p, &vals, None), zero);
+    assert_clean_result(agreed_result(&p, &vals, RunBudget::unlimited()), zero);
 }
 
 /// The fuel-drift regression: sweep step budgets so exhaustion lands on
 /// every iteration of the chunked loops — including points strictly
 /// inside a vector chunk. The abort must come at the identical step
-/// with byte-identical partial DRAM on all four engines.
+/// with byte-identical partial DRAM on all three engines.
 #[test]
 fn budget_aborts_inside_chunks_are_identical() {
     let n = 5 * LANES;
@@ -363,8 +389,8 @@ fn budget_aborts_inside_chunks_are_identical() {
     let scatter = scatter_program(n, 0);
     let scatter_in = scatter_inputs(n, 0, 22);
     for fuel in 1..=(n as u64 + 24) {
-        assert_engines_agree(&reduce, &reduce_in, Some(fuel));
-        assert_engines_agree(&scatter, &scatter_in, Some(fuel));
+        assert_engines_agree(&reduce, &reduce_in, steps(fuel));
+        assert_engines_agree(&scatter, &scatter_in, steps(fuel));
     }
 }
 
@@ -453,43 +479,474 @@ fn scan1_program(coords: &[usize], dim: usize) -> SpatialProgram {
     p
 }
 
-/// The scan word-skip paths: empty vectors, single bits at word
-/// boundaries, dense words, and ragged tails must all emit identically
-/// with the vector tier on and off.
+/// Bit-vector patterns over `dim` bits that stress the word walk:
+/// empty vectors, single bits at word boundaries, dense words, and
+/// ragged tails.
+fn word_skip_patterns(dim: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    vec![
+        (vec![], vec![]),
+        (vec![0], vec![dim - 1]),
+        (vec![63, 64, 65], vec![64]),
+        (vec![5, 70, 130, dim - 1], vec![0, 1, 2, 3, 66, 131]),
+        ((0..dim).step_by(2).collect(), (0..dim).step_by(3).collect()),
+        ((64..128).collect(), vec![]),
+    ]
+}
+
+/// The scan word-skip paths must all emit identically with the vector
+/// tier on and off.
 #[test]
 fn scan_word_skip_is_bit_identical() {
     let dim = 200;
-    let cases: Vec<(Vec<usize>, Vec<usize>)> = vec![
-        (vec![], vec![]),
-        (vec![0], vec![199]),
-        (vec![63, 64, 65], vec![64]),
-        (vec![5, 70, 130, 199], vec![0, 1, 2, 3, 66, 131]),
-        ((0..dim).step_by(2).collect(), (0..dim).step_by(3).collect()),
-        ((64..128).collect(), vec![]),
-    ];
-    for (a, b) in &cases {
-        assert_engines_agree(&scan_union_program(a, b, dim), &[], None);
-        assert_engines_agree(&scan1_program(a, dim), &[], None);
+    for (a, b) in &word_skip_patterns(dim) {
+        assert_engines_agree(&scan_union_program(a, b, dim), &[], RunBudget::unlimited());
+        assert_engines_agree(&scan1_program(a, dim), &[], RunBudget::unlimited());
     }
     // Budgeted scans: exhaustion must land on the identical emit.
     let (a, b): (Vec<usize>, Vec<usize>) =
         ((0..dim).step_by(5).collect(), (2..dim).step_by(7).collect());
     for fuel in 1..40 {
-        assert_engines_agree(&scan_union_program(&a, &b, dim), &[], Some(fuel));
+        assert_engines_agree(&scan_union_program(&a, &b, dim), &[], steps(fuel));
     }
 }
 
-/// Random (length, offset, data, fuel) sweeps over all three range
-/// vector classes, with occasional faulting indices mixed in.
+/// The four lane statements a `VecClass::Scan` body admits, one
+/// program each.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ScanBody {
+    /// The scan's own fold, `Reduce(r)(Scan) { e + ix }` (Plus3 pass 1).
+    Fold,
+    /// `r := r + e` (InnerProd).
+    AddReg,
+    /// `fc.enq(ix); fv.enq(e - po)` (Plus3 pass 2).
+    Enq,
+    /// `oc(ctr) = ix; ov(ctr) = e; ctr := ctr + 1` (Plus2).
+    Append,
+}
+
+const SCAN_BODIES: [ScanBody; 4] = [
+    ScanBody::Fold,
+    ScanBody::AddReg,
+    ScanBody::Enq,
+    ScanBody::Append,
+];
+
+/// A two-input scan over `a` (in `dim_a` bits) and `b` (in `dim_b`),
+/// reading values `va[pa]` and `vb[pb]`, plus the knobs the fault
+/// cases turn.
+#[derive(Debug, Clone)]
+struct ScanCase {
+    op: ScanOp,
+    a: Vec<usize>,
+    dim_a: usize,
+    b: Vec<usize>,
+    dim_b: usize,
+    /// Words of `va`/`vb`; shorter than a side's bit count faults a
+    /// present lane.
+    va_len: usize,
+    vb_len: usize,
+    /// Words of each append output.
+    out_len: usize,
+    /// The append counter's first value.
+    ctr0: f64,
+    /// Capacity of the enqueue FIFOs, and how many elements pass
+    /// through them before the scan (so its pushes wrap the ring).
+    fifo_cap: usize,
+    prefill: usize,
+}
+
+impl ScanCase {
+    fn new(op: ScanOp, a: &[usize], dim_a: usize, b: &[usize], dim_b: usize) -> ScanCase {
+        let mut case = ScanCase {
+            op,
+            a: a.to_vec(),
+            dim_a,
+            b: b.to_vec(),
+            dim_b,
+            va_len: a.len().max(1),
+            vb_len: b.len().max(1),
+            out_len: 0,
+            ctr0: 0.0,
+            fifo_cap: 0,
+            prefill: 0,
+        };
+        case.out_len = case.emits().max(1);
+        case.fifo_cap = case.emits().max(1);
+        case
+    }
+
+    /// How many positions the scan emits.
+    fn emits(&self) -> usize {
+        let in_b = |x: &usize| self.b.contains(x);
+        match self.op {
+            ScanOp::And => self.a.iter().filter(|x| in_b(x)).count(),
+            ScanOp::Or => self.a.len() + self.b.iter().filter(|x| !self.a.contains(x)).count(),
+        }
+    }
+
+    /// The per-emit value: guarded reads in a union, plain reads in an
+    /// intersection, as the lowering emits them.
+    fn value(&self) -> SExpr {
+        let guarded = |p: &str, read: SExpr| {
+            SExpr::select(
+                SExpr::add(SExpr::var(p), SExpr::Const(1.0)),
+                read,
+                SExpr::Const(0.0),
+            )
+        };
+        let va = SExpr::read("va", SExpr::var("pa"));
+        let vb = SExpr::read_random("vb", SExpr::var("pb"));
+        match self.op {
+            ScanOp::Or => SExpr::add(guarded("pa", va), guarded("pb", vb)),
+            ScanOp::And => SExpr::mul(va, vb),
+        }
+    }
+
+    fn counter(&self) -> Counter {
+        Counter::Scan2 {
+            op: self.op,
+            bv_a: "bva".into(),
+            bv_b: "bvb".into(),
+            a_pos_var: "pa".into(),
+            b_pos_var: "pb".into(),
+            out_pos_var: "po".into(),
+            idx_var: "ix".into(),
+        }
+    }
+
+    fn program(&self, body: ScanBody) -> SpatialProgram {
+        let mut p = SpatialProgram::new(format!("vec_scan_{body:?}").to_lowercase());
+        p.add_dram("va_d", self.va_len);
+        p.add_dram("vb_d", self.vb_len);
+        alloc(&mut p, "va", MemKind::Sram, self.va_len);
+        alloc(&mut p, "vb", MemKind::SparseSram, self.vb_len);
+        load_all(&mut p, "va", "va_d", self.va_len);
+        load_all(&mut p, "vb", "vb_d", self.vb_len);
+        bitvector(&mut p, "bva", &self.a, self.dim_a);
+        bitvector(&mut p, "bvb", &self.b, self.dim_b);
+        let reg = |name: &str| SExpr::RegRead(name.into());
+        let set = |reg: &str, value: SExpr| SpatialStmt::SetReg {
+            reg: reg.into(),
+            value,
+        };
+        let store = |dst: &str, index: SExpr, value: SExpr| SpatialStmt::StoreScalar {
+            dst: dst.into(),
+            index,
+            value,
+        };
+        let scan = |body: Vec<SpatialStmt>| SpatialStmt::Foreach {
+            id: 0,
+            counter: self.counter(),
+            par: 16,
+            body,
+        };
+        match body {
+            ScanBody::Fold | ScanBody::AddReg => {
+                p.add_dram("out", 1);
+                alloc(&mut p, "r", MemKind::Reg, 1);
+                p.accel.push(set("r", SExpr::Const(0.5)));
+                p.accel.push(if body == ScanBody::Fold {
+                    SpatialStmt::Reduce {
+                        id: 0,
+                        reg: "r".into(),
+                        counter: self.counter(),
+                        par: 16,
+                        body: vec![],
+                        expr: SExpr::add(self.value(), SExpr::var("ix")),
+                    }
+                } else {
+                    scan(vec![set("r", SExpr::add(reg("r"), self.value()))])
+                });
+                p.accel.push(store("out", SExpr::Const(0.0), reg("r")));
+            }
+            ScanBody::Enq => {
+                let n = self.emits();
+                for (fifo, dram) in [("fc", "oc"), ("fv", "ov")] {
+                    p.add_dram(dram, n.max(1));
+                    p.add_dram(format!("pre_{dram}"), self.prefill.max(1));
+                    alloc(&mut p, fifo, MemKind::Fifo, self.fifo_cap);
+                    for k in 0..self.prefill {
+                        p.accel.push(SpatialStmt::Enq {
+                            fifo: fifo.into(),
+                            value: SExpr::Const(k as f64),
+                        });
+                    }
+                    p.accel.push(SpatialStmt::StreamStore {
+                        dst: format!("pre_{dram}"),
+                        offset: SExpr::Const(0.0),
+                        fifo: fifo.into(),
+                        len: SExpr::Const(self.prefill as f64),
+                    });
+                }
+                p.accel.push(scan(vec![
+                    SpatialStmt::Enq {
+                        fifo: "fc".into(),
+                        value: SExpr::var("ix"),
+                    },
+                    SpatialStmt::Enq {
+                        fifo: "fv".into(),
+                        value: SExpr::sub(self.value(), SExpr::var("po")),
+                    },
+                ]));
+                for (fifo, dram) in [("fc", "oc"), ("fv", "ov")] {
+                    p.accel.push(SpatialStmt::StreamStore {
+                        dst: dram.into(),
+                        offset: SExpr::Const(0.0),
+                        fifo: fifo.into(),
+                        len: SExpr::Const(n as f64),
+                    });
+                }
+            }
+            ScanBody::Append => {
+                p.add_dram("oc", self.out_len);
+                p.add_dram("ov", self.out_len);
+                p.add_dram("octr", 1);
+                alloc(&mut p, "ctr", MemKind::Reg, 1);
+                p.accel.push(set("ctr", SExpr::Const(self.ctr0)));
+                p.accel.push(scan(vec![
+                    store("oc", reg("ctr"), SExpr::var("ix")),
+                    store("ov", reg("ctr"), self.value()),
+                    set("ctr", SExpr::add(reg("ctr"), SExpr::Const(1.0))),
+                ]));
+                p.accel.push(store("octr", SExpr::Const(0.0), reg("ctr")));
+            }
+        }
+        p.assign_ids();
+        p
+    }
+
+    fn inputs(&self, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
+        vec![
+            ("va_d", series(seed, self.va_len, 16, 0.25)),
+            ("vb_d", series(seed ^ 0x5CA7, self.vb_len, 16, -3.5)),
+        ]
+    }
+
+    /// Asserts the three engines agree on `body` under `budget`.
+    fn check(&self, body: ScanBody, budget: RunBudget) -> Result<ExecStats, RunError> {
+        agreed_result(&self.program(body), &self.inputs(self.emits() as u64), budget)
+    }
+}
+
+/// The word-walk patterns under both operators, plus sides of different
+/// dimensions.
+fn scan_cases() -> Vec<ScanCase> {
+    let dim = 200;
+    let mut sides = word_skip_patterns(dim)
+        .into_iter()
+        .map(|(a, b)| (a, dim, b, dim))
+        .collect::<Vec<_>>();
+    sides.push(((0..70).step_by(3).collect(), 70, (0..dim).step_by(4).collect(), dim));
+    sides.push(((0..dim).collect(), dim, (5..130).step_by(2).collect(), 130));
+    sides.push((vec![63], 64, (0..65).collect(), 65));
+    let mut cases = Vec::new();
+    for (a, dim_a, b, dim_b) in &sides {
+        for op in [ScanOp::And, ScanOp::Or] {
+            cases.push(ScanCase::new(op, a, *dim_a, b, *dim_b));
+        }
+    }
+    cases
+}
+
+/// Every admitted body, under both operators, compiles to a
+/// `VecClass::Scan` loop — the shapes the tests below sweep take the
+/// chunk path.
+#[test]
+fn scan_shapes_classify_as_scan() {
+    let case = |op| ScanCase::new(op, &[1, 2, 3], 8, &[2, 3, 4], 8);
+    for op in [ScanOp::And, ScanOp::Or] {
+        for body in SCAN_BODIES {
+            let c = CompiledProgram::compile(&case(op).program(body));
+            assert!(
+                (0..c.ops().len()).any(|pc| matches!(c.vec_class(pc), VecClass::Scan(_))),
+                "{body:?} under {op:?} is not a scan-class loop"
+            );
+        }
+    }
+}
+
+/// A union scan with the given body over the registers `r` and `ctr`,
+/// the FIFO `f` and the DRAM array `out`.
+fn scan_with_body(body: Vec<SpatialStmt>) -> SpatialProgram {
+    let case = ScanCase::new(ScanOp::Or, &[1, 2, 3], 8, &[2, 3, 4], 8);
+    let mut p = SpatialProgram::new("vec_scan_refused");
+    p.add_dram("out", 8);
+    alloc(&mut p, "va", MemKind::Sram, 4);
+    alloc(&mut p, "r", MemKind::Reg, 1);
+    alloc(&mut p, "ctr", MemKind::Reg, 1);
+    alloc(&mut p, "f", MemKind::Fifo, 8);
+    bitvector(&mut p, "bva", &case.a, case.dim_a);
+    bitvector(&mut p, "bvb", &case.b, case.dim_b);
+    p.accel.push(SpatialStmt::Foreach {
+        id: 0,
+        counter: case.counter(),
+        par: 16,
+        body,
+    });
+    p.assign_ids();
+    p
+}
+
+/// Bodies of the admitted statement kinds that still must stay scalar:
+/// a register update reading its own register inside `e`, two
+/// statements with one target, an append whose counter advances before
+/// the store, and a store whose counter never advances.
+#[test]
+fn scan_bodies_sharing_or_reading_targets_stay_scalar() {
+    let reg = |name: &str| SExpr::RegRead(name.into());
+    let va = SExpr::read("va", SExpr::var("pa"));
+    let set = |reg: &str, value: SExpr| SpatialStmt::SetReg {
+        reg: reg.into(),
+        value,
+    };
+    let enq = |value: SExpr| SpatialStmt::Enq {
+        fifo: "f".into(),
+        value,
+    };
+    let store = |value: SExpr| SpatialStmt::StoreScalar {
+        dst: "out".into(),
+        index: reg("ctr"),
+        value,
+    };
+    let advance = set("ctr", SExpr::add(reg("ctr"), SExpr::Const(1.0)));
+    let bodies = [
+        vec![set("r", SExpr::add(reg("r"), SExpr::mul(va.clone(), reg("r"))))],
+        vec![enq(SExpr::var("ix")), enq(SExpr::var("po"))],
+        vec![advance.clone(), store(SExpr::var("ix"))],
+        vec![store(SExpr::var("ix"))],
+        vec![store(SExpr::var("ix")), advance, enq(reg("ctr"))],
+    ];
+    for body in bodies {
+        let p = scan_with_body(body);
+        let c = CompiledProgram::compile(&p);
+        assert!(
+            (0..c.ops().len()).all(|pc| c.vec_class(pc) == VecClass::None),
+            "{:?} must stay scalar",
+            p.accel.last()
+        );
+        assert_engines_agree(&p, &[], RunBudget::unlimited());
+    }
+}
+
+/// Every admitted body over every word-walk pattern, both operators and
+/// sides of different dimensions: bit-identical on all three engines.
+#[test]
+fn scan_shapes_are_bit_identical() {
+    for case in scan_cases() {
+        for body in SCAN_BODIES {
+            assert_engines_agree(&case.program(body), &case.inputs(7), RunBudget::unlimited());
+        }
+    }
+}
+
+/// Faults a scan chunk must leave to the scalar loop: each aborts (or
+/// takes the slow path) at the exact emit, with the exact partial DRAM
+/// and statistics.
+#[test]
+fn scan_shape_faults_match_scalar_semantics() {
+    let dim = 200;
+    let a: Vec<usize> = (0..dim).step_by(2).collect();
+    let b: Vec<usize> = (1..dim).step_by(3).collect();
+    for op in [ScanOp::And, ScanOp::Or] {
+        let base = ScanCase::new(op, &a, dim, &b, dim);
+        let n = base.emits();
+        // A present lane out of bounds mid-chunk, on either side.
+        for body in SCAN_BODIES {
+            let short_a = ScanCase {
+                va_len: 45,
+                ..base.clone()
+            };
+            assert!(short_a.check(body, RunBudget::unlimited()).is_err());
+            let short_b = ScanCase {
+                vb_len: 20,
+                ..base.clone()
+            };
+            assert!(short_b.check(body, RunBudget::unlimited()).is_err());
+        }
+        // The DRAM-word budget running out anywhere in the appends
+        // (the loads take the first `va_len + vb_len` words).
+        let loads = (base.va_len + base.vb_len) as u64;
+        for words in loads..=loads + 2 * n as u64 + 2 {
+            let budget = RunBudget::unlimited().with_max_dram_words(words);
+            let _ = base.check(ScanBody::Append, budget);
+        }
+        // An append running past its array mid-chunk.
+        let short_out = ScanCase {
+            out_len: n / 2 + 3,
+            ..base.clone()
+        };
+        assert!(short_out
+            .check(ScanBody::Append, RunBudget::unlimited())
+            .is_err());
+        // A non-integral counter rounds (no error, scalar slow path); a
+        // negative one faults the first store.
+        let fractional = ScanCase {
+            ctr0: 0.5,
+            out_len: n + 2,
+            ..base.clone()
+        };
+        let _ = fractional.check(ScanBody::Append, RunBudget::unlimited());
+        let negative = ScanCase {
+            ctr0: -3.0,
+            ..base.clone()
+        };
+        assert!(negative
+            .check(ScanBody::Append, RunBudget::unlimited())
+            .is_err());
+        // FIFO rings growing inside a chunk, and wrapping inside one.
+        let growing = ScanCase {
+            fifo_cap: 4,
+            ..base.clone()
+        };
+        let _ = growing.check(ScanBody::Enq, RunBudget::unlimited());
+        let wrapping = ScanCase {
+            fifo_cap: n + 8,
+            prefill: 20,
+            ..base.clone()
+        };
+        let _ = wrapping.check(ScanBody::Enq, RunBudget::unlimited());
+    }
+}
+
+/// Step budgets exhausting on every emit of every admitted body —
+/// including emits strictly inside a chunk — and a raised cancel flag
+/// whose amortized check lands inside one.
+#[test]
+fn scan_shape_budget_aborts_are_identical() {
+    let dim = 200;
+    let a: Vec<usize> = (0..dim).step_by(3).collect();
+    let b: Vec<usize> = (0..dim).step_by(5).collect();
+    let cancelled = CancelFlag::new();
+    cancelled.cancel();
+    for op in [ScanOp::And, ScanOp::Or] {
+        let case = ScanCase::new(op, &a, dim, &b, dim);
+        let n = case.emits() as u64;
+        for body in SCAN_BODIES {
+            for fuel in 1..=n + 8 {
+                let _ = case.check(body, steps(fuel));
+            }
+            // The deadline/cancel check runs when the step countdown
+            // crosses a multiple of 4096: `k` steps into the scan.
+            for k in [1, 2, 31, 32, 33, n - 1] {
+                let budget = steps(4096 + k).with_cancel(cancelled.clone());
+                let _ = case.check(body, budget);
+            }
+        }
+    }
+}
+
+/// Random (length, offset, data, fuel) sweeps over the three range
+/// vector classes and the scan class, with occasional faulting indices
+/// mixed in.
 fn random_case(seed: u64) {
     let mut rng = TestRng::for_test(&format!("vector-{seed}"));
     let n = rng.below(8 * LANES as u64) as usize;
     let lo = rng.below(2 * LANES as u64) as usize;
-    let fuel = match rng.below(3) {
-        0 => None,
-        _ => Some(1 + rng.below((n as u64 + 8) * 2)),
+    let budget = match rng.below(3) {
+        0 => RunBudget::unlimited(),
+        _ => steps(1 + rng.below((n as u64 + 8) * 2)),
     };
-    let shape = rng.below(3);
+    let shape = rng.below(4);
     match shape {
         0 => {
             let mut inputs = reduce_inputs(n, lo, seed);
@@ -502,7 +959,7 @@ fn random_case(seed: u64) {
                     XS as f64 + 1.0
                 };
             }
-            assert_engines_agree(&reduce_program(n, lo), &inputs, fuel);
+            assert_engines_agree(&reduce_program(n, lo), &inputs, budget);
         }
         1 => {
             let mut inputs = scatter_inputs(n, lo, seed);
@@ -510,15 +967,38 @@ fn random_case(seed: u64) {
                 let at = lo + rng.below(n as u64) as usize;
                 inputs[1].1[at] = if rng.below(2) == 0 { -1.0 } else { ACC as f64 };
             }
-            assert_engines_agree(&scatter_program(n, lo), &inputs, fuel);
+            assert_engines_agree(&scatter_program(n, lo), &inputs, budget);
         }
-        _ => {
+        2 => {
             let len = (lo + n).max(1);
             assert_engines_agree(
                 &dense_fill_program(n, lo),
                 &[("vals", series(seed, len, 64, 0.125))],
-                fuel,
+                budget,
             );
+        }
+        _ => {
+            // Two random bit vectors of random density and dimension.
+            let side = |rng: &mut TestRng| {
+                let dim = 1 + rng.below(3 * 64) as usize;
+                let density = 1 + rng.below(4);
+                let coords: Vec<usize> = (0..dim).filter(|_| rng.below(4) < density).collect();
+                (coords, dim)
+            };
+            let (a, dim_a) = side(&mut rng);
+            let (b, dim_b) = side(&mut rng);
+            let op = if rng.below(2) == 0 {
+                ScanOp::And
+            } else {
+                ScanOp::Or
+            };
+            let mut case = ScanCase::new(op, &a, dim_a, &b, dim_b);
+            if rng.below(4) == 0 {
+                // A present `a` lane out of bounds somewhere.
+                case.va_len = 1 + rng.below(case.va_len as u64) as usize;
+            }
+            let body = SCAN_BODIES[rng.below(4) as usize];
+            assert_engines_agree(&case.program(body), &case.inputs(seed), budget);
         }
     }
 }
@@ -718,7 +1198,7 @@ fn widened_shapes_classify_as_tagged() {
 }
 
 /// Remainder sweep over the widened shapes: multi-statement bodies,
-/// offset fills, and computed fills are bit-identical across all four
+/// offset fills, and computed fills are bit-identical across all three
 /// engines at every length and loop start around the chunk width.
 #[test]
 fn widened_shapes_are_bit_identical() {
@@ -735,15 +1215,15 @@ fn widened_shapes_are_bit_identical() {
         for lo in [0usize, 1, LANES - 1] {
             let seed = (n * 37 + lo) as u64;
             let len = (lo + n).max(1);
-            assert_engines_agree(&multi_body_program(n, lo), &multi_inputs(n, lo, seed), None);
+            assert_engines_agree(&multi_body_program(n, lo), &multi_inputs(n, lo, seed), RunBudget::unlimited());
             for off in [0usize, 1, 7] {
                 assert_engines_agree(
                     &offset_fill_program(n, lo, off),
                     &[("vals", series(seed, len, 64, 0.125))],
-                    None,
+                    RunBudget::unlimited(),
                 );
             }
-            assert_engines_agree(&computed_fill_program(n, lo), &[], None);
+            assert_engines_agree(&computed_fill_program(n, lo), &[], RunBudget::unlimited());
         }
     }
 }
@@ -758,16 +1238,16 @@ fn multi_statement_faults_match_scalar_semantics() {
     // statement 1 of that iteration faults *after* statement 0's write.
     let mut inputs = multi_inputs(n, 0, 41);
     inputs[1].1[LANES + 5] = ACC as f64 + 3.0;
-    assert_engines_agree(&multi_body_program(n, 0), &inputs, None);
+    assert_engines_agree(&multi_body_program(n, 0), &inputs, RunBudget::unlimited());
     // Negative index in the first chunk.
     let mut inputs = multi_inputs(n, 0, 42);
     inputs[1].1[2] = -4.0;
-    assert_engines_agree(&multi_body_program(n, 0), &inputs, None);
+    assert_engines_agree(&multi_body_program(n, 0), &inputs, RunBudget::unlimited());
 }
 
 /// Fuel exhaustion landing on every iteration of the widened shapes —
 /// including points strictly inside a chunk. Abort step and partial
-/// DRAM must be identical on all four engines.
+/// DRAM must be identical on all three engines.
 #[test]
 fn widened_shape_budget_aborts_are_identical() {
     let n = 3 * LANES;
@@ -777,9 +1257,9 @@ fn widened_shape_budget_aborts_are_identical() {
     let offset_in = [("vals", series(52, n, 64, 0.125))];
     let computed = computed_fill_program(n, 0);
     for fuel in 1..=(n as u64 + 16) {
-        assert_engines_agree(&multi, &multi_in, Some(fuel));
-        assert_engines_agree(&offset, &offset_in, Some(fuel));
-        assert_engines_agree(&computed, &[], Some(fuel));
+        assert_engines_agree(&multi, &multi_in, steps(fuel));
+        assert_engines_agree(&offset, &offset_in, steps(fuel));
+        assert_engines_agree(&computed, &[], steps(fuel));
     }
 }
 
@@ -787,16 +1267,14 @@ fn widened_shape_budget_aborts_are_identical() {
 /// both the vector and scalar bytecode engines) and asserts
 /// bit-identical DRAM, results, and statistics — the elision table
 /// must be observably invisible.
-fn assert_elide_invisible(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: Option<u64>) {
+fn assert_elide_invisible(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], budget: RunBudget) {
     let mut machines = Vec::new();
     for (vector, elide) in [(true, true), (true, false), (false, true), (false, false)] {
         let mut m = Machine::new(p);
         for (name, data) in writes {
             m.write_dram(name, data).unwrap();
         }
-        if let Some(f) = fuel {
-            m.set_budget(RunBudget::unlimited().with_max_steps(f));
-        }
+        m.set_budget(budget.clone());
         m.set_vector_mode(vector);
         m.set_elide_mode(elide);
         let r = m.run(p);
@@ -838,8 +1316,8 @@ fn elide_mode_is_observably_invisible() {
         for lo in [0usize, 1] {
             let len = (lo + n).max(1);
             let vals = series((n + lo) as u64, len, 64, 0.125);
-            assert_elide_invisible(&dense_fill_program(n, lo), &[("vals", vals)], None);
-            assert_elide_invisible(&computed_fill_program(n, lo), &[], None);
+            assert_elide_invisible(&dense_fill_program(n, lo), &[("vals", vals)], RunBudget::unlimited());
+            assert_elide_invisible(&computed_fill_program(n, lo), &[], RunBudget::unlimited());
         }
     }
     // Fuel aborts inside the elided loop land on the identical step.
@@ -849,7 +1327,7 @@ fn elide_mode_is_observably_invisible() {
         assert_elide_invisible(
             &dense_fill_program(n, 0),
             &[("vals", vals.clone())],
-            Some(fuel),
+            steps(fuel),
         );
     }
     // The elision table licenses the dense fill.
