@@ -8,9 +8,12 @@
 //! profiles. It also holds the analysis *yield* to a floor: the
 //! FIFO-fed and three-factor inner products (SpMV, MatTransMul,
 //! Residual and SDDMM on each of their three datasets, plus TTV) are
-//! reduce-tagged, the innermost co-iteration scan of every Plus2,
-//! Plus3 and InnerProd stage is scan-tagged (25 vector-tagged stages
-//! in all), at least two stages are elision-licensed, and the printed
+//! reduce-tagged, the row loop around the inner product of SpMV,
+//! MatTransMul and Residual is tagged `SegReduce` on each of their
+//! datasets (9 row loops), the innermost co-iteration scan of every
+//! Plus2, Plus3 and InnerProd stage is scan-tagged (25 vector-tagged
+//! stages in all), at least two stages are elision-licensed, and the
+//! printed
 //! programs are the ones the paper prints — position arithmetic folded,
 //! one accumulator register per reduction, no absent-operand `mux`
 //! guards inside an intersection scan.
@@ -21,14 +24,15 @@
 //! `analysis::classify_vec` and `analysis::compute_elide` look — run
 //! with `--nocapture` to read it. What it shows today: the per-row
 //! scans of Plus2 and InnerProd, whose bodies bind, load and build the
-//! next level's bit vectors, and row loops whose bodies allocate, bind
-//! gathers or write registers.
+//! next level's bit vectors, and the row and middle loops of SDDMM,
+//! TTV, TTM and MTTKRP, whose bodies allocate SRAM, bind gathers,
+//! enqueue or write registers.
 
 use std::collections::BTreeMap;
 
 use stardust_bench::{instantiate, Scale, KERNEL_NAMES};
 use stardust_spatial::bytecode::{EOp, Op, Operand};
-use stardust_spatial::{CompiledProgram, VecClass};
+use stardust_spatial::{CompiledProgram, MemKind, VecClass};
 
 /// An operand by the form the lowering gave it; an expression program
 /// by the kinds of its ops (`Expr(Var Const Binary VarReadMem)`).
@@ -126,10 +130,28 @@ fn is_lane_statement(op: &Op) -> bool {
     )
 }
 
+/// Whether a row-loop body op is of a kind a `VecClass::SegReduce`
+/// row body can hold (its inner loop's ops included).
+fn is_row_op(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Alloc {
+            kind: MemKind::Reg | MemKind::Fifo,
+            ..
+        } | Op::Bind { .. }
+            | Op::SetReg { .. }
+            | Op::Load { .. }
+            | Op::StoreScalar { .. }
+            | Op::RangeSimple { .. }
+    )
+}
+
 /// Why `classify_vec` left this loop `VecClass::None`, in its order:
 /// for a two-input scan, the first body op that cannot be a lane
-/// statement; for a range loop, the step, the first body op that is
-/// not a scatter write, then the reduce or scatter operands.
+/// statement; for a range loop, the step, then for a row loop (one
+/// with a nested loop) the first op that cannot be a row op, else the
+/// first body op that is not a scatter write, then the reduce or
+/// scatter operands.
 fn vector_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
     let Some((_, _, _, step)) = l.range else {
         if l.kind == "Scan1Simple" {
@@ -142,6 +164,12 @@ fn vector_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
     };
     if step != 1 {
         return format!("step {step}");
+    }
+    if l.body.iter().any(|op| matches!(op, Op::RangeSimple { .. })) {
+        return match l.body.iter().find(|op| !is_row_op(op)) {
+            Some(op) => format!("row loop: body op {}", op_shape(p, op)),
+            None => "row loop: row ops not SegReduce-shaped".into(),
+        };
     }
     if let Some(op) = l.body.iter().find(|op| !is_scatter(op)) {
         return format!("body op {}", op_shape(p, op));
@@ -243,6 +271,8 @@ fn all_table3_kernels_pass_the_verifier() {
     let mut stages = 0usize;
     let mut loops = 0usize;
     let mut untagged_inner_scans: Vec<String> = Vec::new();
+    let mut seg_row_loops = 0usize;
+    let mut untagged_row_loops: Vec<String> = Vec::new();
     let mut vector_blockers: BTreeMap<String, usize> = BTreeMap::new();
     let mut elide_blockers: BTreeMap<String, usize> = BTreeMap::new();
     for name in KERNEL_NAMES {
@@ -310,6 +340,17 @@ fn all_table3_kernels_pass_the_verifier() {
                     {
                         untagged_inner_scans.push(format!("{name}/{} stage {s} pc {pc}", set.dataset));
                     }
+                    if l.kind == "RangeSimple"
+                        && !innermost
+                        && ["SpMV", "MatTransMul", "Residual"].contains(&name)
+                    {
+                        if matches!(spatial.vec_class(pc), VecClass::SegReduce(_)) {
+                            seg_row_loops += 1;
+                        } else {
+                            untagged_row_loops
+                                .push(format!("{name}/{} stage {s} pc {pc}", set.dataset));
+                        }
+                    }
                     let licensed = (pc + 1..=pc + l.body.len()).any(|b| spatial.elide_at(b));
                     let elide = if licensed {
                         "licensed".to_string()
@@ -346,6 +387,11 @@ fn all_table3_kernels_pass_the_verifier() {
     assert!(
         untagged_inner_scans.is_empty(),
         "innermost co-iteration scans left scalar: {untagged_inner_scans:?}"
+    );
+    assert!(
+        untagged_row_loops.is_empty() && seg_row_loops == 9,
+        "{seg_row_loops} SegReduce row loops; SpMV, MatTransMul and Residual row loops \
+         left scalar: {untagged_row_loops:?}"
     );
     assert!(
         elide_tagged >= 2,

@@ -30,8 +30,9 @@
 //!   lowering and widened: multi-statement scatter bodies
 //!   ([`VecClass::MultiScatter`]) and offset/computed dense fills ride
 //!   on the same operand-shape lattice as the original two classes,
-//!   and reduce loops ([`VecClass::Reduce`]) and two-input scans
-//!   ([`VecClass::Scan`]) get lane programs from one builder.
+//!   reduce loops ([`VecClass::Reduce`]), two-input scans
+//!   ([`VecClass::Scan`]) and the row loops around reduces
+//!   ([`VecClass::SegReduce`]) get lane programs from one builder.
 //! - [`compute_elide`] — the check-elision table: a store through the
 //!   loop variable of a constant-bound loop whose bound the analysis
 //!   proves within the destination's allocated extent skips the
@@ -1099,6 +1100,9 @@ fn deq_bind(op: &Op, eops: &[EOp]) -> Option<(Slot, Slot)> {
 struct LaneBuilder<'a> {
     /// The variables that take a per-lane value, each with its leaf.
     lanes: &'a [(Slot, LaneOp)],
+    /// The registers that take a per-lane value: a row loop's
+    /// registers, each with its row column.
+    regs: &'a [(Slot, u32)],
     ops: Vec<LaneOp>,
     depth: usize,
 }
@@ -1107,9 +1111,18 @@ impl LaneBuilder<'_> {
     fn new(lanes: &[(Slot, LaneOp)]) -> LaneBuilder<'_> {
         LaneBuilder {
             lanes,
+            regs: &[],
             ops: Vec::new(),
             depth: 0,
         }
+    }
+
+    fn reg(&mut self, r: Slot) -> bool {
+        let op = match self.regs.iter().find(|&&(x, _)| x == r) {
+            Some(&(_, col)) => LaneOp::Col(col),
+            None => LaneOp::Reg(r),
+        };
+        self.push(op)
     }
 
     fn push(&mut self, op: LaneOp) -> bool {
@@ -1186,7 +1199,7 @@ impl LaneBuilder<'_> {
             let ok = match eops[at] {
                 EOp::Const(c) => self.push(LaneOp::Const(c)),
                 EOp::Var(v) => self.var(v),
-                EOp::RegRead(r) => self.push(LaneOp::Reg(r)),
+                EOp::RegRead(r) => self.reg(r),
                 EOp::ReadMem { chip, random, .. } => self.read(chip, random),
                 EOp::Neg => self.push(LaneOp::Neg),
                 EOp::Binary(op) => self.bin(op),
@@ -1432,6 +1445,240 @@ fn scan_lanes(
     Some(program)
 }
 
+/// Whether a lane program's loop-invariant leaves stay invariant across
+/// the rows of a row loop: no `Var` the loop binds, no `Reg` or
+/// on-chip read of a slot it writes.
+fn row_invariant(program: &[LaneOp], bound: &[Slot], written: &[Slot]) -> bool {
+    program.iter().all(|op| match *op {
+        LaneOp::Var(v) => !bound.contains(&v),
+        LaneOp::Reg(r) | LaneOp::Read { chip: r, .. } => !written.contains(&r),
+        _ => true,
+    })
+}
+
+/// Whether `v` is bound to a row column.
+fn is_col(leaves: &[(Slot, LaneOp)], v: Slot) -> bool {
+    leaves
+        .iter()
+        .any(|&(x, leaf)| x == v && matches!(leaf, LaneOp::Col(_)))
+}
+
+/// The lane program of one row expression of a
+/// [`VecClass::SegReduce`] row loop, closed by [`LaneOp::End`].
+#[allow(clippy::too_many_arguments)]
+fn row_program(
+    value: Operand,
+    leaves: &[(Slot, LaneOp)],
+    regs: &[(Slot, u32)],
+    bound: &[Slot],
+    written: &[Slot],
+    eops: &[EOp],
+    fused: &[FusedOp],
+) -> Option<Vec<LaneOp>> {
+    let mut b = LaneBuilder::new(leaves);
+    b.regs = regs;
+    let mut program = b.program(value, eops, fused)?;
+    if !row_invariant(&program, bound, written) {
+        return None;
+    }
+    program.push(LaneOp::End);
+    Some(program)
+}
+
+/// The row programs of a [`VecClass::SegReduce`] row loop at `pc`, or
+/// `None` when the loop is not that shape. `classes` and `lanes` are
+/// the first pass's verdicts and lane programs: the inner loop must be
+/// `Reduce`-tagged, and its program is checked in place, not copied.
+fn seg_lanes(
+    ops: &[Op],
+    pc: usize,
+    classes: &[VecClass],
+    lanes: &[LaneOp],
+    eops: &[EOp],
+    fused: &[FusedOp],
+) -> Option<Vec<LaneOp>> {
+    let Op::RangeSimple {
+        var,
+        step: 1,
+        body,
+        body_len,
+        reduce: None,
+        ..
+    } = ops[pc]
+    else {
+        return None;
+    };
+    let (body, end) = (body as usize, (body + body_len) as usize);
+    if body != pc + 1 {
+        return None;
+    }
+    // What the body binds and writes, its top-level ops, its one inner
+    // loop.
+    let mut bound = vec![var];
+    let mut written = Vec::new();
+    let mut top = Vec::new();
+    let mut inner = None;
+    let mut at = body;
+    while at < end {
+        top.push(at);
+        match ops[at] {
+            Op::RangeSimple {
+                var: q,
+                body: b,
+                body_len: n,
+                ..
+            } if inner.is_none() => {
+                inner = Some(at);
+                bound.push(q);
+                for op in &ops[b as usize..(b + n) as usize] {
+                    if let Op::Bind { var, .. } = *op {
+                        bound.push(var);
+                    }
+                }
+                at = (b + n) as usize;
+                continue;
+            }
+            Op::Alloc {
+                slot,
+                kind: MemKind::Reg | MemKind::Fifo,
+                ..
+            }
+            | Op::SetReg { reg: slot, .. }
+            | Op::Load { dst: slot, .. } => written.push(slot),
+            Op::Bind { var, .. } => bound.push(var),
+            Op::StoreScalar { .. } => {}
+            _ => return None,
+        }
+        at += 1;
+    }
+    let inner = inner?;
+    if top.len() > vector::MAX_SEG_OPS {
+        return None;
+    }
+    let (
+        VecClass::Reduce(inner_at),
+        &Op::RangeSimple {
+            min: Operand::Const(lo),
+            max: Operand::Var(trips),
+            reduce: Some((acc, _)),
+            body: ib,
+            body_len: ibl,
+            ..
+        },
+    ) = (classes[inner], &ops[inner])
+    else {
+        return None;
+    };
+    // `0.0` exactly: a `-0.0` first lane would carry its sign.
+    if lo.to_bits() != 0 {
+        return None;
+    }
+    let inner_program = &lanes[inner_at as usize..];
+    let inner_len = inner_program.iter().position(|op| *op == LaneOp::End)?;
+    if !row_invariant(&inner_program[..inner_len], &bound, &written) {
+        return None;
+    }
+    let mut leaves: Vec<(Slot, LaneOp)> = vec![(var, LaneOp::Iota)];
+    let mut regs: Vec<(Slot, u32)> = Vec::new();
+    let mut fifos: Vec<Slot> = Vec::new();
+    let mut loaded: Vec<(Slot, Slot)> = Vec::new();
+    let mut stores: Vec<Slot> = Vec::new();
+    let mut cols = 0u32;
+    let mut programs = 0usize;
+    let mut after = false;
+    let mut out = Vec::new();
+    for &at in &top {
+        match ops[at] {
+            Op::Alloc {
+                slot,
+                kind: MemKind::Reg,
+                ..
+            } => {
+                if regs.iter().any(|&(r, _)| r == slot) {
+                    return None;
+                }
+                regs.push((slot, cols));
+                cols += 1;
+            }
+            Op::Alloc { slot, .. } => {
+                if after || fifos.contains(&slot) {
+                    return None;
+                }
+                fifos.push(slot);
+            }
+            Op::Bind { var: x, value } => {
+                if leaves.iter().any(|&(v, _)| v == x) {
+                    return None;
+                }
+                let p = row_program(value, &leaves, &regs, &bound, &written, eops, fused)?;
+                out.extend(p);
+                programs += 1;
+                leaves.push((x, LaneOp::Col(cols)));
+                cols += 1;
+            }
+            Op::SetReg { reg, value } => {
+                if !regs.iter().any(|&(r, _)| r == reg) {
+                    return None;
+                }
+                let p = row_program(value, &leaves, &regs, &bound, &written, eops, fused)?;
+                out.extend(p);
+                programs += 1;
+            }
+            Op::Load {
+                dst,
+                src,
+                start: Operand::Var(s),
+                end: Operand::Var(e),
+            } => {
+                if after
+                    || !fifos.contains(&dst)
+                    || loaded.iter().any(|&(f, _)| f == dst)
+                    || !is_col(&leaves, s)
+                    || !is_col(&leaves, e)
+                {
+                    return None;
+                }
+                loaded.push((dst, src));
+            }
+            Op::RangeSimple { .. } => {
+                after = true;
+                if !is_col(&leaves, trips) || !regs.iter().any(|&(r, _)| r == acc) {
+                    return None;
+                }
+                for op in &ops[ib as usize..(ib + ibl) as usize] {
+                    let (_, fifo) = deq_bind(op, eops)?;
+                    if !loaded.iter().any(|&(f, _)| f == fifo) {
+                        return None;
+                    }
+                }
+            }
+            Op::StoreScalar { dst, index, value } => {
+                for operand in [index, value] {
+                    let p = row_program(operand, &leaves, &regs, &bound, &written, eops, fused)?;
+                    out.extend(p);
+                }
+                programs += 2;
+                cols += 2;
+                stores.push(dst);
+            }
+            _ => return None,
+        }
+    }
+    // A store into an array a later row loads would reorder under
+    // row-at-a-time commits.
+    let feeds_load = stores
+        .iter()
+        .any(|d| loaded.iter().any(|&(_, src)| src == *d));
+    if feeds_load
+        || cols as usize > vector::MAX_SEG_COLS
+        || programs > vector::MAX_SEG_PROGS
+        || loaded.len() > vector::MAX_LANE_HEADS
+    {
+        return None;
+    }
+    Some(out)
+}
+
 /// Whether `operand` is the `env[var] op c` expression program
 /// (`[VarConstBin, End]`), returning its parts. The lowering emits
 /// this two-op program for `Var op Const` shapes it has no immediate
@@ -1561,7 +1808,10 @@ fn multi_scatter_ok(body: &[Op], var: Slot, eops: &[EOp], fused: &[FusedOp]) -> 
 }
 
 /// The vector-eligibility pass: one classification per lowered op,
-/// plus the lane-program table its [`VecClass::Reduce`] entries index.
+/// plus the lane-program table its [`VecClass::Reduce`],
+/// [`VecClass::Scan`] and [`VecClass::SegReduce`] entries index. A
+/// second pass over the first's verdicts tags the row loops around
+/// `Reduce`-tagged inner loops [`VecClass::SegReduce`].
 /// Runs after lowering (the superinstruction shapes it recognizes are
 /// produced by the peephole) and stores its verdicts in a side table
 /// parallel to `ops`. The flag is a *shape* property of the bytecode;
@@ -1571,7 +1821,7 @@ fn multi_scatter_ok(body: &[Op], var: Slot, eops: &[EOp], fused: &[FusedOp]) -> 
 /// loop when it does not hold.
 pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClass>, Vec<LaneOp>) {
     let mut lanes = Vec::new();
-    let classes = ops
+    let mut classes: Vec<VecClass> = ops
         .iter()
         .enumerate()
         .map(|(pc, op)| match *op {
@@ -1628,6 +1878,15 @@ pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClas
             _ => VecClass::None,
         })
         .collect();
+    for pc in 0..ops.len() {
+        if classes[pc] == VecClass::None {
+            if let Some(program) = seg_lanes(ops, pc, &classes, &lanes, eops, fused) {
+                let at = lanes.len() as u32;
+                lanes.extend(program);
+                classes[pc] = VecClass::SegReduce(at);
+            }
+        }
+    }
     (classes, lanes)
 }
 

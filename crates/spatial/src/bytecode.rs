@@ -139,14 +139,16 @@ pub enum EOp {
     End,
 }
 
-/// One op of a loop's *lane program* (see [`VecClass::Reduce`] and
-/// [`VecClass::Scan`]): an expression re-expressed over whole lanes of
-/// consecutive iterations, in postfix order like [`EOp`]. Every leaf is
-/// either loop-invariant or a lane the vector tier can materialize for
-/// a whole chunk at once. A reduce loop's program ends at
-/// [`LaneOp::End`]; a scan loop's is one program per body statement,
-/// each closed by the statement's sink op (`Fold`, `AddReg`, `Enq`,
-/// `Store`, `Count`), and the list ends at [`LaneOp::End`].
+/// One op of a loop's *lane program* (see [`VecClass::Reduce`],
+/// [`VecClass::Scan`] and [`VecClass::SegReduce`]): an expression
+/// re-expressed over whole lanes of consecutive iterations, in postfix
+/// order like [`EOp`]. Every leaf is either loop-invariant or a lane
+/// the vector tier can materialize for a whole chunk at once. A reduce
+/// loop's program ends at [`LaneOp::End`]; a scan loop's is one program
+/// per body statement, each closed by the statement's sink op (`Fold`,
+/// `AddReg`, `Enq`, `Store`, `Count`), and the list ends at
+/// [`LaneOp::End`]; a row loop's is one program per row expression,
+/// each closed by [`LaneOp::End`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LaneOp {
     /// A literal, the same in every lane.
@@ -173,6 +175,10 @@ pub enum LaneOp {
         /// Whether the access is data-dependent.
         random: bool,
     },
+    /// Row column `k` of a [`VecClass::SegReduce`] row loop: lane `l`
+    /// holds the column's value in the chunk's `l`-th row — a variable
+    /// bound earlier in the row, or a register allocated in it.
+    Col(u32),
     /// A variable the loop body does not bind: loop-invariant.
     Var(Slot),
     /// A register: loop-invariant (the body writes none, and the
@@ -568,8 +574,8 @@ pub struct CompiledProgram {
     /// attempting a chunked run, so ineligible loops never pay for
     /// runtime shape analysis.
     vec: Vec<VecClass>,
-    /// The lane programs [`VecClass::Reduce`] and [`VecClass::Scan`]
-    /// entries point into.
+    /// The lane programs [`VecClass::Reduce`], [`VecClass::Scan`] and
+    /// [`VecClass::SegReduce`] entries point into.
     lanes: Vec<LaneOp>,
     /// Per-op bounds-check-elision flags (parallel to `ops`), computed
     /// by [`crate::analysis::compute_elide`]: true at a scatter write
@@ -628,6 +634,25 @@ pub enum VecClass {
     /// scan snapshot's words — the inner loops of Plus2, Plus3 and
     /// InnerProd.
     Scan(LaneRef),
+    /// A unit-step [`Op::RangeSimple`] row loop with no reduce of its
+    /// own, whose body is straight-line row ops around exactly one
+    /// [`VecClass::Reduce`]-tagged `RangeSimple` over `0 until n` (`n`
+    /// bound in the row). Before the inner loop the body may allocate
+    /// registers and FIFOs, `Bind` and `SetReg` lane programs over the
+    /// row variable, loop invariants, earlier row columns and on-chip
+    /// reads of slots it does not write, and `Load` a FIFO between
+    /// two row-bound variables; every FIFO head of the inner loop must
+    /// be one of those loads. After it, the body may `SetReg` and
+    /// `StoreScalar`. Each `Alloc` of a register, each `Bind` and each
+    /// `StoreScalar` (index, then value) opens the next row column
+    /// ([`LaneOp::Col`]); the `Bind`, `SetReg` and `StoreScalar`
+    /// programs start at this [`LaneRef`], one per expression in body
+    /// order, each closed by [`LaneOp::End`]. The vector tier runs the
+    /// rows as one segmented stream: row programs over up to
+    /// [`crate::vector::REDUCE_LANES`] rows at a time, the inner lane
+    /// program over chunks of nonzeros that cross row boundaries —
+    /// the row loops of SpMV, MatTransMul and Residual.
+    SegReduce(LaneRef),
 }
 
 impl CompiledProgram {
@@ -758,8 +783,8 @@ impl CompiledProgram {
         self.vec[pc]
     }
 
-    /// The lane-program table [`VecClass::Reduce`] and
-    /// [`VecClass::Scan`] index.
+    /// The lane-program table [`VecClass::Reduce`], [`VecClass::Scan`]
+    /// and [`VecClass::SegReduce`] index.
     pub fn lanes(&self) -> &[LaneOp] {
         &self.lanes
     }
@@ -2005,7 +2030,7 @@ mod tests {
     }
 
     #[test]
-    fn errors_inside_loops_match_the_tree_engines() {
+    fn errors_inside_loops_match_the_reference_engine() {
         // FIFO underflow on the third iteration.
         let mut p = SpatialProgram::new("t");
         p.add_dram("out", 4);

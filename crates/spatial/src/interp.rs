@@ -38,10 +38,12 @@
 //! executors), `dispatch` (the bytecode loop), and one file per
 //! hot-loop tier — `simple` (superinstructions), `scatter` (including
 //! the bounds-check-elided loop) and `vector_tier` (the chunked
-//! scatters, and the lane-program chunks of `Reduce` loops and of
+//! scatters; the lane-program chunks of `Reduce` loops and of
 //! two-input scans, `Machine::scan_chunks`, whose emits it takes word
-//! by word from the scan snapshot) — so a tier goes by deleting its
-//! file and the call into it from the tier above.
+//! by word from the scan snapshot; and the segmented executor of
+//! `SegReduce` row loops, `Machine::seg_rows`, whose nonzero chunks
+//! cross row boundaries) — so a tier goes by deleting its file and the
+//! call into it from the tier above.
 
 mod budget;
 mod dispatch;
@@ -424,9 +426,9 @@ pub struct Machine {
     scratch: Vec<usize>,
     frames: Vec<Frame>,
     vstack: Vec<f64>,
-    /// The lane stack and chunk buffers of [`crate::VecClass::Reduce`]
-    /// and [`crate::VecClass::Scan`] loops, kept across loop entries so
-    /// entering one zeroes nothing.
+    /// The lane stack and chunk buffers of [`crate::VecClass::Reduce`],
+    /// [`crate::VecClass::Scan`] and [`crate::VecClass::SegReduce`]
+    /// loops, kept across loop entries so entering one zeroes nothing.
     lane_scratch: Option<Box<LaneScratch>>,
     scan_pool: Vec<ScanBuf>,
     scan_depth: usize,

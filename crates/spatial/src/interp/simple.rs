@@ -12,8 +12,10 @@ use crate::resolve::Slot;
 use crate::vector;
 
 /// Fewest trips a [`VecClass::Reduce`] loop needs before resolving its
-/// lane program pays for itself; shorter loops (most rows of a circuit
-/// matrix hold one nonzero) run scalar.
+/// lane program pays for itself; shorter loops run scalar. (Under a
+/// [`VecClass::SegReduce`] row loop the inner loop never enters on its
+/// own, so the one-nonzero rows of a circuit matrix stream with the
+/// rest.)
 const MIN_REDUCE_TRIPS: u64 = 2;
 
 /// Fewest combined positions a [`VecClass::Scan`] snapshot needs before
@@ -72,6 +74,16 @@ impl Machine {
                     .map(|plan| (plan, base, total)),
                 _ => None,
             },
+            _ => None,
+        };
+        // Row loops the analysis gave row programs run block by block
+        // inside the generic loop below, once the plan resolves against
+        // the loop-entry state.
+        let seg = match vclass {
+            VecClass::SegReduce(at) => vector::unit_trips(lo, hi).and_then(|(base, total)| {
+                self.seg_plan(prog, at, body, end)
+                    .map(|plan| (plan, base, total))
+            }),
             _ => None,
         };
         // Single-statement bodies (the scatter-accumulate shape) get a
@@ -170,6 +182,16 @@ impl Machine {
             // `RangeSimple` superinstructions that consume fuel
             // themselves, so a register mirror would go stale.
             'iters: while v < hi {
+                if let Some((plan, base, total)) = &seg {
+                    // Rows stop short of any row a check refuses, which
+                    // the scalar iteration below then runs.
+                    let n = self.seg_rows(plan, var, id, base + trips as usize, total - trips);
+                    trips += n;
+                    v += n as f64;
+                    if v >= hi {
+                        break 'iters;
+                    }
+                }
                 if let Some((plan, base, total)) = &lanes {
                     // Chunks stop short of the next fuel or interrupt
                     // check, which the scalar iteration below then makes.

@@ -1,14 +1,16 @@
 //! The vector tier: chunked scatter and multi-scatter executors over
 //! [`vector::LANES`]-wide lanes, and the lane-program chunks of reduce
-//! and two-input scan loops over [`vector::REDUCE_LANES`] — one lane
-//! evaluator for both — each falling back to the scalar step at every
-//! boundary the scalar loop would observe.
+//! loops, two-input scans and segmented row loops over
+//! [`vector::REDUCE_LANES`] — one lane evaluator for all three — each
+//! falling back to the scalar step at every boundary the scalar loop
+//! would observe.
 
 use super::budget::{check_interrupts, exhausted_fuel, INTERRUPT_MASK};
 use super::exec::{fifo_push, fifo_reserve, index_of};
+use super::image::{dram_words, dram_words_mut};
 use super::scatter::{HotCounters, HotGather, HotValue};
 use super::{ChipState, ChipTag, Machine, RunError, ScanBuf};
-use crate::bytecode::{CompiledProgram, EOp, LaneOp, LaneRef, Op, OpId, Operand};
+use crate::bytecode::{CompiledProgram, EOp, LaneOp, LaneRef, Op, OpId, Operand, VecClass};
 use crate::ir::{BinSOp, MemKind, ScanOp};
 use crate::resolve::Slot;
 use crate::vector;
@@ -100,9 +102,11 @@ struct ScatterStmt {
 
 const CHUNK: usize = vector::REDUCE_LANES;
 
-/// The lane buffers of [`crate::VecClass::Reduce`] and
-/// [`crate::VecClass::Scan`] chunks: the stack a lane program evaluates
-/// on, one chunk of scan emits, and a scan chunk's per-statement values.
+/// The lane buffers of [`crate::VecClass::Reduce`],
+/// [`crate::VecClass::Scan`] and [`crate::VecClass::SegReduce`] chunks:
+/// the stack a lane program evaluates on, one chunk of scan emits, a
+/// scan chunk's per-statement values, a block of rows' columns, and one
+/// chunk of a row loop's nonzeros.
 #[derive(Debug, Clone)]
 pub(super) struct LaneScratch {
     stack: [[f64; CHUNK]; vector::MAX_LANE_DEPTH],
@@ -110,6 +114,11 @@ pub(super) struct LaneScratch {
     scan: [[f64; CHUNK]; 4],
     /// Each lane statement's values over a scan chunk.
     vals: [[f64; CHUNK]; vector::MAX_LANE_STMTS],
+    /// Each row column over a block of rows.
+    cols: [[f64; CHUNK]; vector::MAX_SEG_COLS],
+    /// The inner loop variable, then each FIFO head, over a chunk of a
+    /// row loop's nonzeros.
+    seg: [[f64; CHUNK]; 1 + vector::MAX_LANE_HEADS],
 }
 
 impl LaneScratch {
@@ -118,6 +127,8 @@ impl LaneScratch {
             stack: [[0.0; CHUNK]; vector::MAX_LANE_DEPTH],
             scan: [[0.0; CHUNK]; 4],
             vals: [[0.0; CHUNK]; vector::MAX_LANE_STMTS],
+            cols: [[0.0; CHUNK]; vector::MAX_SEG_COLS],
+            seg: [[0.0; CHUNK]; 1 + vector::MAX_LANE_HEADS],
         })
     }
 }
@@ -145,6 +156,11 @@ enum PlanOp {
     Head(usize),
     /// The scan variable `k` of each emit.
     ScanVar(usize),
+    /// Row column `k` of each row.
+    Col(usize),
+    /// Nonzero lane `k` of a row loop: the inner loop variable (0) or
+    /// FIFO head `k - 1` of each nonzero.
+    Seg(usize),
     /// `mem[v]` over the loop variable: one contiguous window.
     Stream {
         woff: usize,
@@ -251,6 +267,73 @@ pub(super) struct ScanCursor {
     pub(super) ap: u64,
     pub(super) bp: u64,
     pub(super) emitted: u64,
+}
+
+/// One top-level op of a [`crate::VecClass::SegReduce`] row body,
+/// resolved at loop entry (the row `Load`s are [`RowLoad`]s).
+#[derive(Debug, Clone, Copy)]
+enum RowStmt {
+    /// `Alloc` of a register: its column restarts at 0.0.
+    Reg { slot: Slot, col: usize },
+    /// `Alloc` of a FIFO.
+    Fifo { slot: Slot },
+    /// `Bind` or `SetReg`: program `prog` evaluated into column `col`.
+    Eval { prog: usize, col: usize },
+    /// The inner reduce: each row's nonzeros folded into its
+    /// accumulator's column.
+    Fold,
+    /// `StoreScalar d(ix) = val`, each a `(program, column)`, into an
+    /// array of `len` words (its slot is in [`SegPlan`]'s `store_at`).
+    Store {
+        ix: (usize, usize),
+        val: (usize, usize),
+        len: usize,
+    },
+}
+
+/// One row `Load` of a [`crate::VecClass::SegReduce`] row body: its
+/// FIFO, DRAM source and that array's length, the columns holding its
+/// bounds, its FIFO's declared size, and whether the inner loop
+/// dequeues it.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowLoad {
+    fifo: Slot,
+    src: Slot,
+    src_len: usize,
+    start: usize,
+    end: usize,
+    size: usize,
+    deq: bool,
+}
+
+/// A [`crate::VecClass::SegReduce`] row loop resolved once per loop
+/// entry (see [`Machine::seg_plan`]).
+pub(super) struct SegPlan {
+    stmts: [RowStmt; vector::MAX_SEG_OPS],
+    n_stmts: usize,
+    progs: [LanePlan; vector::MAX_SEG_PROGS],
+    n_progs: usize,
+    loads: [RowLoad; vector::MAX_LANE_HEADS],
+    n_loads: usize,
+    /// The inner loop's lane program over the nonzero lanes, and
+    /// whether it reads the inner loop variable.
+    inner: LanePlan,
+    iota: bool,
+    inner_id: usize,
+    /// `(load, bound variable)` of each inner FIFO head.
+    heads: [(usize, Slot); vector::MAX_LANE_HEADS],
+    n_heads: usize,
+    /// The columns of each row's inner trip count and accumulator.
+    trips: usize,
+    acc: usize,
+    /// `(variable, column)` of each row `Bind`.
+    binds: [(Slot, usize); vector::MAX_SEG_COLS],
+    n_binds: usize,
+    /// `Alloc`s and `StoreScalar`s per row, and each store's
+    /// `(array, index column, value column)`.
+    allocs: u64,
+    stores: u64,
+    store_at: [(Slot, usize, usize); vector::MAX_SEG_PROGS / 2],
 }
 
 /// Fills `lanes` with up to `max` (at least 1) emits of a snapshot from
@@ -903,8 +986,10 @@ impl Machine {
     /// f64 op, so the splat has the bits every lane would compute.
     /// Returns `None` (having changed nothing) when any of that fails;
     /// the scalar loop then runs and raises whatever error the state
-    /// holds.
-    fn lane_plan(&self, lanes: &[LaneOp]) -> Option<(LanePlan, usize)> {
+    /// holds. With `seg` the program is a row loop's inner program: its
+    /// loop variable and FIFO heads become the nonzero lanes
+    /// ([`PlanOp::Seg`]).
+    fn lane_plan(&self, lanes: &[LaneOp], seg: bool) -> Option<(LanePlan, usize)> {
         let mut plan = LanePlan::EMPTY;
         // Whether each lane-stack entry is a splat; a splat entry is
         // always exactly one trailing `Splat` op of the plan.
@@ -919,8 +1004,13 @@ impl Machine {
                 LaneOp::Reg(r) => {
                     plan.push(PlanOp::Splat(self.reg_value(r).ok()?), &mut splat, &mut sp)
                 }
+                LaneOp::Iota if seg => plan.push(PlanOp::Seg(0), &mut splat, &mut sp),
                 LaneOp::Iota => plan.push(PlanOp::Iota, &mut splat, &mut sp),
+                LaneOp::Head(k) if seg => {
+                    plan.push(PlanOp::Seg(1 + k as usize), &mut splat, &mut sp)
+                }
                 LaneOp::Head(k) => plan.push(PlanOp::Head(k as usize), &mut splat, &mut sp),
+                LaneOp::Col(k) => plan.push(PlanOp::Col(k as usize), &mut splat, &mut sp),
                 LaneOp::ScanVar(k) => plan.push(PlanOp::ScanVar(k as usize), &mut splat, &mut sp),
                 LaneOp::Guarded { side, chip, random } => {
                     let st = self.chip[chip as usize];
@@ -945,6 +1035,20 @@ impl Machine {
                     }
                     plan.reads += 1;
                     plan.shuffles += u64::from(random && st.kind == MemKind::SparseSram);
+                    // `mem[v + c]` over the loop variable, `c` a
+                    // non-negative integer: one window `c` words on.
+                    if let [PlanOp::Iota, PlanOp::Splat(c), PlanOp::Bin(BinSOp::Add)] =
+                        plan.ops[plan.n_ops.saturating_sub(3)..plan.n_ops]
+                    {
+                        if let Some(c) = vector::exact_index(c) {
+                            plan.n_ops -= 2;
+                            plan.ops[plan.n_ops - 1] = PlanOp::Stream {
+                                woff: st.woff + c,
+                                len: st.len.saturating_sub(c),
+                            };
+                            continue;
+                        }
+                    }
                     let last = &mut plan.ops[plan.n_ops - 1];
                     match *last {
                         // A loop-invariant read: every lane reads the
@@ -1031,7 +1135,7 @@ impl Machine {
             }
             heads[k] = (fifo, var);
         }
-        let (lanes, _) = self.lane_plan(&prog.lanes()[lanes as usize..])?;
+        let (lanes, _) = self.lane_plan(&prog.lanes()[lanes as usize..], false)?;
         Some(ReducePlan {
             lanes,
             heads,
@@ -1043,7 +1147,8 @@ impl Machine {
     /// `s.stack[0]`, lane-wise with the scalar engine's f64 ops: `at`
     /// is lane 0's loop variable, `heads` the reduce loop's FIFO heads
     /// (each checked to hold `n` elements), `s.scan` the scan chunk's
-    /// emits. Returns `false` when a lane would fault — an index
+    /// emits, `s.cols` a block of rows' columns and `s.seg` a chunk of
+    /// a row loop's nonzeros. Returns `false` when a lane would fault — an index
     /// negative or out of bounds — having changed only `s`.
     fn eval_lanes(
         &self,
@@ -1080,6 +1185,14 @@ impl Machine {
                 }
                 PlanOp::ScanVar(k) => {
                     stack[sp] = s.scan[k];
+                    sp += 1;
+                }
+                PlanOp::Col(k) => {
+                    stack[sp] = s.cols[k];
+                    sp += 1;
+                }
+                PlanOp::Seg(k) => {
+                    stack[sp] = s.seg[k];
                     sp += 1;
                 }
                 PlanOp::Stream { woff, len } => {
@@ -1225,7 +1338,7 @@ impl Machine {
         };
         let mut rest = &prog.lanes()[lanes as usize..];
         while rest[0] != LaneOp::End {
-            let (mut lanes, at) = self.lane_plan(rest)?;
+            let (mut lanes, at) = self.lane_plan(rest, false)?;
             let sink = match rest[at] {
                 LaneOp::Fold => ScanSink::Fold,
                 LaneOp::AddReg(r) => {
@@ -1382,5 +1495,524 @@ impl Machine {
         self.lane_scratch = Some(s);
         self.fuel -= done;
         (done, faulted)
+    }
+
+    /// Resolves a [`crate::VecClass::SegReduce`] row loop's body
+    /// `ops[body..end]` against the loop-entry state, once per entry:
+    /// each row program by [`Machine::lane_plan`], the inner loop's over
+    /// the nonzero lanes, each allocated slot checked to have its home
+    /// region already (so no row relocates it), each loaded and stored
+    /// array checked to be mapped. Row columns are numbered as the
+    /// class defines them. `None` leaves the scalar loop to run.
+    pub(super) fn seg_plan(
+        &self,
+        prog: &CompiledProgram,
+        lanes: LaneRef,
+        body: OpId,
+        end: usize,
+    ) -> Option<SegPlan> {
+        let mut plan = SegPlan {
+            stmts: [RowStmt::Fold; vector::MAX_SEG_OPS],
+            n_stmts: 0,
+            progs: [LanePlan::EMPTY; vector::MAX_SEG_PROGS],
+            n_progs: 0,
+            loads: [RowLoad::default(); vector::MAX_LANE_HEADS],
+            n_loads: 0,
+            inner: LanePlan::EMPTY,
+            iota: false,
+            inner_id: 0,
+            heads: [(0, 0); vector::MAX_LANE_HEADS],
+            n_heads: 0,
+            trips: 0,
+            acc: 0,
+            binds: [(0, 0); vector::MAX_SEG_COLS],
+            n_binds: 0,
+            allocs: 0,
+            stores: 0,
+            store_at: [(0, 0, 0); vector::MAX_SEG_PROGS / 2],
+        };
+        let (ops, eops) = (prog.ops(), prog.eops());
+        let mut rest = &prog.lanes()[lanes as usize..];
+        let mut next_prog = |plan: &mut SegPlan| -> Option<usize> {
+            let (lanes, at) = self.lane_plan(rest, false)?;
+            rest = &rest[at + 1..];
+            plan.progs[plan.n_progs] = lanes;
+            plan.n_progs += 1;
+            Some(plan.n_progs - 1)
+        };
+        // Register and FIFO columns and sizes: `(slot, column or size)`.
+        let mut regs = [(0, 0); vector::MAX_SEG_COLS];
+        let mut n_regs = 0;
+        let mut fifos = [(0, 0); vector::MAX_LANE_HEADS];
+        let mut n_fifos = 0;
+        let mut cols = 0usize;
+        let find = |list: &[(Slot, usize)], slot: Slot| {
+            list.iter().find(|&&(x, _)| x == slot).map(|&(_, v)| v)
+        };
+        let mut at = body as usize;
+        while at < end {
+            let stmt = match ops[at] {
+                Op::Alloc { slot, kind, size } => {
+                    plan.allocs += 1;
+                    let need = if kind == MemKind::Reg { 1 } else { size.max(1) };
+                    if self.chip[slot as usize].wcap < need {
+                        return None;
+                    }
+                    if kind == MemKind::Reg {
+                        regs[n_regs] = (slot, cols);
+                        n_regs += 1;
+                        cols += 1;
+                        RowStmt::Reg {
+                            slot,
+                            col: cols - 1,
+                        }
+                    } else {
+                        *fifos.get_mut(n_fifos)? = (slot, size);
+                        n_fifos += 1;
+                        RowStmt::Fifo { slot }
+                    }
+                }
+                Op::Bind { var, .. } => {
+                    plan.binds[plan.n_binds] = (var, cols);
+                    plan.n_binds += 1;
+                    cols += 1;
+                    RowStmt::Eval {
+                        prog: next_prog(&mut plan)?,
+                        col: cols - 1,
+                    }
+                }
+                Op::SetReg { reg, .. } => RowStmt::Eval {
+                    prog: next_prog(&mut plan)?,
+                    col: find(&regs[..n_regs], reg)?,
+                },
+                Op::Load {
+                    dst,
+                    src,
+                    start: Operand::Var(s),
+                    end: Operand::Var(e),
+                } => {
+                    let st = self.dram_state[src as usize];
+                    let binds = &plan.binds[..plan.n_binds];
+                    if !st.mapped {
+                        return None;
+                    }
+                    plan.loads[plan.n_loads] = RowLoad {
+                        fifo: dst,
+                        src,
+                        src_len: st.len,
+                        start: find(binds, s)?,
+                        end: find(binds, e)?,
+                        size: find(&fifos[..n_fifos], dst)?,
+                        deq: false,
+                    };
+                    plan.n_loads += 1;
+                    at += 1;
+                    continue;
+                }
+                Op::RangeSimple {
+                    id,
+                    max: Operand::Var(trips),
+                    reduce: Some((acc, _)),
+                    body: ib,
+                    body_len,
+                    ..
+                } => {
+                    let VecClass::Reduce(inner) = prog.vec_class(at) else {
+                        return None;
+                    };
+                    plan.inner = self.lane_plan(&prog.lanes()[inner as usize..], true)?.0;
+                    plan.iota = plan.inner.ops[..plan.inner.n_ops]
+                        .iter()
+                        .any(|op| matches!(op, PlanOp::Seg(0)));
+                    plan.inner_id = id;
+                    plan.trips = find(&plan.binds[..plan.n_binds], trips)?;
+                    plan.acc = find(&regs[..n_regs], acc)?;
+                    for op in &ops[ib as usize..(ib + body_len) as usize] {
+                        let Op::Bind {
+                            var,
+                            value: Operand::Expr(e),
+                        } = *op
+                        else {
+                            return None;
+                        };
+                        let EOp::Deq(fifo) = eops[e as usize] else {
+                            return None;
+                        };
+                        let loads = &mut plan.loads[..plan.n_loads];
+                        let li = loads.iter().position(|l| l.fifo == fifo)?;
+                        loads[li].deq = true;
+                        plan.heads[plan.n_heads] = (li, var);
+                        plan.n_heads += 1;
+                    }
+                    at = (ib + body_len) as usize;
+                    plan.stmts[plan.n_stmts] = RowStmt::Fold;
+                    plan.n_stmts += 1;
+                    continue;
+                }
+                Op::StoreScalar { dst, .. } => {
+                    let st = self.dram_state[dst as usize];
+                    if !st.mapped {
+                        return None;
+                    }
+                    plan.store_at[plan.stores as usize] = (dst, cols, cols + 1);
+                    plan.stores += 1;
+                    cols += 2;
+                    RowStmt::Store {
+                        ix: (next_prog(&mut plan)?, cols - 2),
+                        val: (next_prog(&mut plan)?, cols - 1),
+                        len: st.len,
+                    }
+                }
+                _ => return None,
+            };
+            plan.stmts[plan.n_stmts] = stmt;
+            plan.n_stmts += 1;
+            at += 1;
+        }
+        Some(plan)
+    }
+
+    /// Runs up to `max` rows of a [`crate::VecClass::SegReduce`] loop,
+    /// the first with loop variable `at`, in blocks of up to
+    /// [`vector::REDUCE_LANES`] rows ([`Machine::seg_block`]). A block
+    /// whose row programs fault is retried one row at a time, so every
+    /// row before the faulting one still commits. Returns the rows run;
+    /// the caller counts their trips and runs the next row scalar.
+    pub(super) fn seg_rows(
+        &mut self,
+        plan: &SegPlan,
+        var: usize,
+        id: usize,
+        at: usize,
+        max: u64,
+    ) -> u64 {
+        let mut s = self.lane_scratch.take().unwrap_or_else(LaneScratch::boxed);
+        let mut done = 0u64;
+        let mut width = CHUNK as u64;
+        while done < max {
+            let rows = (max - done).min(width) as usize;
+            match self.seg_block(plan, var, id, at + done as usize, rows, &mut s) {
+                Some(k) => {
+                    done += k as u64;
+                    if k < rows {
+                        break;
+                    }
+                }
+                None if width > 1 => width = 1,
+                None => break,
+            }
+        }
+        self.lane_scratch = Some(s);
+        done
+    }
+
+    /// Runs one block of `rows` rows from loop variable `r0` as a
+    /// segmented stream. Each row statement evaluates over the whole
+    /// block in body order ([`Machine::eval_lanes`], row columns in
+    /// `s.cols`); at the inner loop every row is pre-checked and the
+    /// nonzeros folded ([`Machine::seg_fold`]); every check that fails
+    /// cuts the block before its row. Then the rows that are left
+    /// commit as the scalar loop would have run them: stores in row
+    /// order (logged for shard merges), fuel and statistics charged per
+    /// row and per nonzero, and the last row's registers, FIFOs and
+    /// bound variables, and the last nonzero's heads, left as exit
+    /// state. Returns the rows committed, or `None` — having committed
+    /// nothing — when a row program faults on some row of the block.
+    fn seg_block(
+        &mut self,
+        plan: &SegPlan,
+        var: usize,
+        id: usize,
+        r0: usize,
+        rows: usize,
+        s: &mut LaneScratch,
+    ) -> Option<usize> {
+        let mut rows = rows;
+        let mut trips = [0usize; CHUNK];
+        let mut starts = [[0usize; CHUNK]; vector::MAX_LANE_HEADS];
+        let mut lens = [[0usize; CHUNK]; vector::MAX_LANE_HEADS];
+        for stmt in &plan.stmts[..plan.n_stmts] {
+            if rows == 0 {
+                return Some(0);
+            }
+            match *stmt {
+                RowStmt::Reg { col, .. } => s.cols[col] = [0.0; CHUNK],
+                RowStmt::Fifo { .. } => {}
+                RowStmt::Eval { prog, col } => {
+                    if !self.eval_lanes(&plan.progs[prog], &[], r0, rows, s) {
+                        return None;
+                    }
+                    s.cols[col] = s.stack[0];
+                }
+                RowStmt::Fold => {
+                    rows = self.seg_fold(plan, rows, &mut trips, &mut starts, &mut lens, s);
+                }
+                RowStmt::Store { ix, val, len, .. } => {
+                    for (prog, col) in [ix, val] {
+                        if !self.eval_lanes(&plan.progs[prog], &[], r0, rows, s) {
+                            return None;
+                        }
+                        s.cols[col] = s.stack[0];
+                    }
+                    let fits = |&x: &f64| vector::lane_index(x).is_some_and(|ix| ix < len);
+                    rows = s.cols[ix.1][..rows]
+                        .iter()
+                        .position(|x| !fits(x))
+                        .unwrap_or(rows);
+                }
+            }
+        }
+        if rows == 0 {
+            return Some(0);
+        }
+        // Commit: stores in row order (logged for shard merges), then
+        // fuel and statistics.
+        let stores = &plan.store_at[..plan.stores as usize];
+        let Machine {
+            dram_input,
+            dram_out,
+            dram_state,
+            ..
+        } = self;
+        for j in 0..rows {
+            for &(dst, ix, val) in stores {
+                let i = vector::lane_index(s.cols[ix][j]).expect("checked");
+                let arr = dram_words_mut(dram_input, dram_out, dram_state[dst as usize]);
+                arr.expect("mapped at plan time")[i] = s.cols[val][j];
+            }
+        }
+        if self.write_log.is_some() {
+            for j in 0..rows {
+                for &(dst, ix, _) in stores {
+                    let i = vector::lane_index(s.cols[ix][j]).expect("checked");
+                    self.log_dram_write(dst, i, 1);
+                }
+            }
+        }
+        let k = rows as u64;
+        let nnz: u64 = trips[..rows].iter().map(|&n| n as u64).sum();
+        let mut loaded = 0u64;
+        for (li, load) in plan.loads[..plan.n_loads].iter().enumerate() {
+            let words: u64 = lens[li][..rows].iter().map(|&n| n as u64).sum();
+            self.dense.note_dram_read(load.src, words, Some(id));
+            loaded += words;
+        }
+        self.fuel -= k + nnz;
+        self.alloc_fuel -= plan.allocs * k;
+        self.dram_fuel -= loaded + plan.stores * k;
+        let d = &mut self.dense;
+        for p in &plan.progs[..plan.n_progs] {
+            p.charge(d, k, [0, 0]);
+        }
+        plan.inner.charge(d, nnz, [0, 0]);
+        d.fifo_enqs += loaded;
+        d.fifo_deqs += plan.n_heads as u64 * nnz;
+        d.node_trips[plan.inner_id] += nnz;
+        d.reduce_elems += nnz;
+        d.alu_ops += nnz; // the tree-adds
+        d.dram_random_writes += plan.stores * k;
+        // Exit state: the last row's allocations, loads and bindings.
+        let last = rows - 1;
+        let Machine {
+            dram_input,
+            dram_out,
+            dram_state,
+            words,
+            chip,
+            env,
+            ..
+        } = self;
+        for stmt in &plan.stmts[..plan.n_stmts] {
+            match *stmt {
+                RowStmt::Reg { slot, col } => {
+                    let st = &mut chip[slot as usize];
+                    st.tag = ChipTag::Reg;
+                    st.kind = MemKind::Reg;
+                    words[st.woff] = s.cols[col][last];
+                }
+                RowStmt::Fifo { slot } => {
+                    let st = &mut chip[slot as usize];
+                    st.tag = ChipTag::Fifo;
+                    st.kind = MemKind::Fifo;
+                    st.head = 0;
+                    st.len = 0;
+                }
+                _ => {}
+            }
+        }
+        let n = trips[last];
+        for (li, load) in plan.loads[..plan.n_loads].iter().enumerate() {
+            let src =
+                dram_words(dram_input, dram_out, dram_state[load.src as usize]).expect("mapped");
+            let (from, len) = (starts[li][last], lens[li][last]);
+            let st = &mut chip[load.fifo as usize];
+            words[st.woff..st.woff + len].copy_from_slice(&src[from..from + len]);
+            st.len = len;
+            if load.deq {
+                st.head = n % st.wcap;
+                st.len -= n;
+            }
+        }
+        for &(x, col) in &plan.binds[..plan.n_binds] {
+            env[x as usize] = Some(s.cols[col][last]);
+        }
+        env[var] = Some((r0 + last) as f64);
+        if let Some(j) = (0..rows).rev().find(|&j| trips[j] > 0) {
+            for &(li, x) in &plan.heads[..plan.n_heads] {
+                let load = plan.loads[li];
+                let src = dram_words(dram_input, dram_out, dram_state[load.src as usize])
+                    .expect("mapped");
+                env[x as usize] = Some(src[starts[li][j] + trips[j] - 1]);
+            }
+        }
+        Some(rows)
+    }
+
+    /// The inner loop of a [`crate::VecClass::SegReduce`] block of
+    /// `rows` rows. First each row is pre-checked, in row order, before
+    /// anything of it changes: its trip count and load bounds exact
+    /// non-negative integers, `start ≤ end ≤` the source's length, no
+    /// load longer than its FIFO's declared size, every head FIFO
+    /// holding the row's trips, and the step, allocation and DRAM-word
+    /// budgets covering the rows so far — each row's `1 + n` steps
+    /// inside one [`vector::burst`]. Then the checked rows' nonzeros
+    /// stream through the inner program in chunks of
+    /// [`vector::REDUCE_LANES`] that cross row boundaries, each head
+    /// read straight from its DRAM source, and each lane folds serially,
+    /// in nonzero order, into its row's accumulator column — so each
+    /// sum has the scalar loop's bits. Fills `trips`, `starts` and
+    /// `lens` per row and returns how many rows passed: the rows before
+    /// the first failing check or the first chunk that would fault.
+    fn seg_fold(
+        &self,
+        plan: &SegPlan,
+        rows: usize,
+        trips: &mut [usize; CHUNK],
+        starts: &mut [[usize; CHUNK]; vector::MAX_LANE_HEADS],
+        lens: &mut [[usize; CHUNK]; vector::MAX_LANE_HEADS],
+        s: &mut LaneScratch,
+    ) -> usize {
+        let budget = vector::burst(u64::MAX, self.fuel, self.interrupts);
+        let (mut steps, mut dram, mut allocs) = (0u64, 0u64, 0u64);
+        let loads = &plan.loads[..plan.n_loads];
+        let mut checked = rows;
+        'rows: for j in 0..rows {
+            let Some(n) = vector::exact_index(s.cols[plan.trips][j]) else {
+                checked = j;
+                break;
+            };
+            let mut words = plan.stores;
+            for (li, load) in loads.iter().enumerate() {
+                let bounds = (
+                    vector::exact_index(s.cols[load.start][j]),
+                    vector::exact_index(s.cols[load.end][j]),
+                );
+                let (Some(a), Some(b)) = bounds else {
+                    checked = j;
+                    break 'rows;
+                };
+                if a > b || b > load.src_len || b - a > load.size || (load.deq && b - a < n) {
+                    checked = j;
+                    break 'rows;
+                }
+                starts[li][j] = a;
+                lens[li][j] = b - a;
+                words += (b - a) as u64;
+            }
+            steps += 1 + n as u64;
+            dram += words;
+            allocs += plan.allocs;
+            if steps > budget || dram > self.dram_fuel || allocs > self.alloc_fuel {
+                checked = j;
+                break;
+            }
+            trips[j] = n;
+        }
+        // The checked rows' nonzeros, in order: when each row's run
+        // starts where the previous one ended (as CSR rows do), a
+        // head's lanes are one contiguous DRAM window per chunk.
+        let heads = &plan.heads[..plan.n_heads];
+        let mut srcs: [&[f64]; vector::MAX_LANE_HEADS] = [&[]; vector::MAX_LANE_HEADS];
+        for (src, &(li, _)) in srcs.iter_mut().zip(heads) {
+            *src = self
+                .dram_words_of(loads[li].src)
+                .expect("mapped at plan time");
+        }
+        let packed = heads.iter().all(|&(li, _)| {
+            (1..checked).all(|j| starts[li][j - 1] + trips[j - 1] == starts[li][j])
+        });
+        let total: usize = trips[..checked].iter().sum();
+        let (mut lane_row, mut lane_q) = ([0usize; CHUNK], [0usize; CHUNK]);
+        let (mut row, mut q) = (0usize, 0usize);
+        let mut streamed = 0usize;
+        while streamed < total {
+            let m = (total - streamed).min(CHUNK);
+            let mut l = 0;
+            while l < m {
+                while q == trips[row] {
+                    row += 1;
+                    q = 0;
+                }
+                let take = (trips[row] - q).min(m - l);
+                lane_row[l..l + take].fill(row);
+                if plan.iota || !packed {
+                    for (t, lq) in lane_q[l..l + take].iter_mut().enumerate() {
+                        *lq = q + t;
+                    }
+                }
+                l += take;
+                q += take;
+            }
+            if plan.iota {
+                for (x, &lq) in s.seg[0].iter_mut().zip(&lane_q[..m]) {
+                    *x = lq as f64;
+                }
+            }
+            for (h, &(li, _)) in heads.iter().enumerate() {
+                let lane = &mut s.seg[1 + h];
+                if packed {
+                    window(lane, srcs[h], starts[li][0] + streamed, m);
+                } else {
+                    for (x, (&r, &lq)) in lane.iter_mut().zip(lane_row[..m].iter().zip(&lane_q)) {
+                        *x = srcs[h][starts[li][r] + lq];
+                    }
+                }
+            }
+            if !self.fold_chunk(plan, m, &lane_row, s) {
+                return lane_row[0];
+            }
+            streamed += m;
+        }
+        checked
+    }
+
+    /// Evaluates a row loop's inner program over the first `m` nonzero
+    /// lanes of `s.seg` and folds lane `l`, in lane order, into the
+    /// accumulator column of row `lane_row[l]`. `false` when a lane
+    /// would fault, having folded nothing.
+    fn fold_chunk(
+        &self,
+        plan: &SegPlan,
+        m: usize,
+        lane_row: &[usize; CHUNK],
+        s: &mut LaneScratch,
+    ) -> bool {
+        if !self.eval_lanes(&plan.inner, &[], 0, m, s) {
+            return false;
+        }
+        // Each row's run of lanes folds in a register.
+        let acc = &mut s.cols[plan.acc];
+        let mut row = lane_row[0];
+        let mut sum = acc[row];
+        for (&x, &r) in s.stack[0][..m].iter().zip(lane_row) {
+            if r != row {
+                acc[row] = sum;
+                row = r;
+                sum = acc[row];
+            }
+            sum += x;
+        }
+        acc[row] = sum;
+        true
     }
 }

@@ -57,6 +57,16 @@ pub(crate) fn unit_trips(lo: f64, hi: f64) -> Option<(usize, u64)> {
     Some((base, (hi.ceil() - lo) as u64))
 }
 
+/// `v` as an index when it is an exact integer in `[0, 2^32)` — values
+/// `index_of` converts without rounding — else `None`.
+pub(crate) fn exact_index(v: f64) -> Option<usize> {
+    // The saturating cast round-trips iff `v` is such an integer (NaN
+    // casts to 0 and compares unequal); `fract` would be a libm call on
+    // baseline x86-64.
+    let t = v as u32;
+    (f64::from(t) == v).then_some(t as usize)
+}
+
 /// Iterations a [`crate::VecClass::Reduce`] loop evaluates per pass
 /// over its lane program: four chunks, so the dispatch of each lane op
 /// amortizes over 32 iterations.
@@ -75,6 +85,18 @@ pub(crate) const MAX_LANE_HEADS: usize = 4;
 /// Most lane statements one [`crate::VecClass::Scan`] loop may hold
 /// (its body plus its own fold; the Table-3 kernels need at most 3).
 pub(crate) const MAX_LANE_STMTS: usize = 4;
+
+/// Most row columns one [`crate::VecClass::SegReduce`] row loop may
+/// open (MatTransMul and Residual open 7).
+pub(crate) const MAX_SEG_COLS: usize = 8;
+
+/// Most row programs one [`crate::VecClass::SegReduce`] row loop may
+/// hold (MatTransMul and Residual hold 7).
+pub(crate) const MAX_SEG_PROGS: usize = 8;
+
+/// Most top-level body ops one [`crate::VecClass::SegReduce`] row loop
+/// may hold (MatTransMul and Residual hold 13).
+pub(crate) const MAX_SEG_OPS: usize = 16;
 
 /// How many consecutive iterations may run with *no* per-iteration
 /// abort or interrupt check, starting from the current `fuel` value.
@@ -123,12 +145,13 @@ pub(crate) fn lane_index(v: f64) -> Option<usize> {
 }
 
 /// `index_of`'s conversion of a non-negative value. Exact-integer fast
-/// path: the cast round-trips iff `v` is an integer below 2^64.
+/// path: the cast round-trips iff `v` is an integer below 2^32 (a `u32`
+/// converts in one instruction each way, a `u64` does not).
 #[inline(always)]
 fn round_index(v: f64) -> usize {
-    let t = v as usize;
-    if t as f64 == v {
-        t
+    let t = v as u32;
+    if f64::from(t) == v {
+        t as usize
     } else {
         v.round() as usize
     }
@@ -224,6 +247,17 @@ mod tests {
     }
 
     #[test]
+    fn exact_index_takes_only_exact_integers_below_2_pow_32() {
+        assert_eq!(exact_index(0.0), Some(0));
+        assert_eq!(exact_index(-0.0), Some(0));
+        assert_eq!(exact_index(301.0), Some(301));
+        assert_eq!(exact_index(4_294_967_295.0), Some(4_294_967_295));
+        for v in [2.5, -1.0, 4_294_967_296.0, 1e18, f64::NAN, f64::INFINITY] {
+            assert_eq!(exact_index(v), None, "{v}");
+        }
+    }
+
+    #[test]
     fn burst_stops_at_fuel_and_interrupt_boundaries() {
         // No interrupts: bounded by trips and fuel only.
         assert_eq!(burst(100, u64::MAX, false), 100);
@@ -242,12 +276,13 @@ mod tests {
 
     #[test]
     fn to_indices_matches_index_of_semantics() {
-        let src = [0.0, 1.0, 7.0, 2.5, 3.49, 1e9, 0.0, 42.0];
+        let src = [0.0, 1.0, 7.0, 2.5, 3.49, 1e9, 5e9, 42.0];
         let mut out = [0usize; LANES];
         assert!(to_indices(&src, &mut out));
         // 2.5 rounds half-away-from-zero like `f64::round`; 3.49 rounds
-        // down — both exactly what the scalar `index_of` produces.
-        assert_eq!(out, [0, 1, 7, 3, 3, 1_000_000_000, 0, 42]);
+        // down; 5e9 is past the `u32` fast path — all exactly what the
+        // scalar `index_of` produces.
+        assert_eq!(out, [0, 1, 7, 3, 3, 1_000_000_000, 5_000_000_000, 42]);
         let bad = [0.0, 1.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0];
         assert!(!to_indices(&bad, &mut out));
     }

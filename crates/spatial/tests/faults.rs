@@ -117,7 +117,7 @@ fn assert_matches_baseline(p: &SpatialProgram, m: &Machine, want: &[Vec<u64>]) {
 }
 
 #[test]
-fn runaway_kernel_exhausts_fuel_on_all_three_engines() {
+fn runaway_kernel_exhausts_fuel_on_both_engines() {
     let p = runaway_program();
     let budget = RunBudget::default().with_max_steps(10_000);
     let want = Err(RunError::BudgetExceeded {

@@ -47,6 +47,16 @@ fn assert_clean_result(got: Result<ExecStats, RunError>, want: Result<ExecStats,
     }
 }
 
+/// Asserts that a run with no fault plan completed.
+fn assert_clean_ok(got: &Result<ExecStats, RunError>) {
+    if FaultPlan::from_env()
+        .expect("STARDUST_FAULTS is malformed")
+        .is_none()
+    {
+        assert!(got.is_ok(), "fault-free run failed: {got:?}");
+    }
+}
+
 /// A budget of `n` steps.
 fn steps(n: u64) -> RunBudget {
     RunBudget::unlimited().with_max_steps(n)
@@ -67,6 +77,21 @@ fn agreed_result(
     writes: &[(&str, Vec<f64>)],
     budget: RunBudget,
 ) -> Result<ExecStats, RunError> {
+    agreed_result_under(p, writes, budget, None)
+}
+
+/// [`agreed_result`] with every engine run under `plan` instead of the
+/// `STARDUST_FAULTS` one, when given.
+fn agreed_result_under(
+    p: &SpatialProgram,
+    writes: &[(&str, Vec<f64>)],
+    budget: RunBudget,
+    plan: Option<&FaultPlan>,
+) -> Result<ExecStats, RunError> {
+    let under = |f: &mut dyn FnMut() -> Result<ExecStats, RunError>| match plan {
+        Some(plan) => faults::with_plan(plan.clone(), f),
+        None => with_env_faults(f),
+    };
     let mut vec_m = Machine::new(p);
     for (name, data) in writes {
         vec_m.write_dram(name, data).unwrap();
@@ -80,9 +105,9 @@ fn agreed_result(
     reference.set_budget(budget);
     vec_m.set_vector_mode(true);
     scalar_m.set_vector_mode(false);
-    let rv = with_env_faults(|| vec_m.run(p));
-    let rs = with_env_faults(|| scalar_m.run(p));
-    let rr = with_env_faults(|| reference.run(p));
+    let rv = under(&mut || vec_m.run(p));
+    let rs = under(&mut || scalar_m.run(p));
+    let rr = under(&mut || reference.run(p));
     assert_eq!(rv, rs, "vector vs scalar bytecode results diverge");
     assert_eq!(rv, rr, "vector bytecode vs reference results diverge");
     for d in &p.drams {
@@ -935,6 +960,328 @@ fn scan_shape_budget_aborts_are_identical() {
     }
 }
 
+/// A CSR row loop over `rows` rows — the `SegReduce` vector class:
+/// per row, `Bind s = pos_s[i]; e = pos_s[i + 1]; n = e - s + d_s[i]`,
+/// two FIFOs loaded from `crd[s..e]` and `vals[s..e]`, `Reduce(ws)`
+/// over `0 until n` of `v * x_s[j]`, and `y[i] = ws` — or, with
+/// `regs`, the MatTransMul shape around it: `acc = b_s[i] * 0.5`
+/// before and `acc = acc + ws` before the store. When any row holds a
+/// nonzero, a tail after the loop stores the state the last row left:
+/// `ws`, the bound `e` and the last nonzero's `j` and `v`.
+#[derive(Debug, Clone)]
+struct SegCase {
+    /// Nonzeros per row.
+    lens: Vec<usize>,
+    /// Declared size of the two FIFOs.
+    fifo_cap: usize,
+    regs: bool,
+    /// Row bounds; the CSR prefix sums of `lens` unless a case bends
+    /// them.
+    pos: Vec<f64>,
+    /// Column coordinates; all below [`XS`] unless a case bends one.
+    crd: Vec<f64>,
+    /// Per-row additions to the trip count `e - s`; zero unless a case
+    /// bends one (past the FIFOs' contents, short of them, fractional,
+    /// negative).
+    delta: Vec<f64>,
+    /// Words of the output `y`; fewer than the rows faults a store.
+    y_len: usize,
+}
+
+impl SegCase {
+    fn new(lens: &[usize], regs: bool, seed: u64) -> SegCase {
+        let mut pos = vec![0.0];
+        for &n in lens {
+            pos.push(pos.last().unwrap() + n as f64);
+        }
+        let nnz: usize = lens.iter().sum();
+        SegCase {
+            lens: lens.to_vec(),
+            fifo_cap: lens.iter().copied().max().unwrap_or(0).max(1),
+            regs,
+            pos,
+            crd: series(seed ^ 0x5E6, nnz.max(1), XS as u64, 0.0),
+            delta: vec![0.0; lens.len().max(1)],
+            y_len: lens.len().max(1),
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.lens.len()
+    }
+
+    fn nnz(&self) -> usize {
+        self.lens.iter().sum()
+    }
+
+    fn program(&self) -> SpatialProgram {
+        let (rows, nnz) = (self.rows(), self.nnz().max(1));
+        let mut p = SpatialProgram::new("vec_seg_reduce");
+        p.add_dram("pos", rows + 1);
+        p.add_dram("crd", nnz);
+        p.add_dram("vals", nnz);
+        p.add_dram("x", XS);
+        p.add_dram("b", rows.max(1));
+        p.add_dram("d", rows.max(1));
+        p.add_dram("y", self.y_len);
+        p.add_dram("tail", 4);
+        alloc(&mut p, "pos_s", MemKind::Sram, rows + 1);
+        load_all(&mut p, "pos_s", "pos", rows + 1);
+        alloc(&mut p, "x_s", MemKind::SparseSram, XS);
+        load_all(&mut p, "x_s", "x", XS);
+        alloc(&mut p, "b_s", MemKind::Sram, rows.max(1));
+        load_all(&mut p, "b_s", "b", rows.max(1));
+        alloc(&mut p, "d_s", MemKind::Sram, rows.max(1));
+        load_all(&mut p, "d_s", "d", rows.max(1));
+        let bind = |var: &str, value: SExpr| SpatialStmt::Bind {
+            var: var.into(),
+            value,
+        };
+        let decl = |name: &str, kind, size| SpatialStmt::Alloc(MemDecl::new(name, kind, size));
+        let load = |dst: &str, src: &str| SpatialStmt::Load {
+            dst: dst.into(),
+            src: src.into(),
+            start: SExpr::var("s"),
+            end: SExpr::var("e"),
+            par: 1,
+        };
+        let mut body = Vec::new();
+        if self.regs {
+            body.push(decl("acc", MemKind::Reg, 1));
+            body.push(SpatialStmt::SetReg {
+                reg: "acc".into(),
+                value: SExpr::mul(SExpr::read("b_s", SExpr::var("i")), SExpr::Const(0.5)),
+            });
+        }
+        body.extend([
+            decl("ws", MemKind::Reg, 1),
+            bind("s", SExpr::read("pos_s", SExpr::var("i"))),
+            bind(
+                "e",
+                SExpr::read("pos_s", SExpr::add(SExpr::var("i"), SExpr::Const(1.0))),
+            ),
+            bind(
+                "n",
+                SExpr::add(
+                    SExpr::sub(SExpr::var("e"), SExpr::var("s")),
+                    SExpr::read("d_s", SExpr::var("i")),
+                ),
+            ),
+            decl("crd_f", MemKind::Fifo, self.fifo_cap),
+            load("crd_f", "crd"),
+            decl("vals_f", MemKind::Fifo, self.fifo_cap),
+            load("vals_f", "vals"),
+            SpatialStmt::Reduce {
+                id: 0,
+                reg: "ws".into(),
+                counter: Counter::range_to("q", SExpr::var("n")),
+                par: 1,
+                body: vec![
+                    bind("j", SExpr::Deq("crd_f".into())),
+                    bind("v", SExpr::Deq("vals_f".into())),
+                ],
+                expr: SExpr::mul(SExpr::var("v"), SExpr::read_random("x_s", SExpr::var("j"))),
+            },
+        ]);
+        let result = if self.regs {
+            body.push(SpatialStmt::SetReg {
+                reg: "acc".into(),
+                value: SExpr::add(SExpr::RegRead("acc".into()), SExpr::RegRead("ws".into())),
+            });
+            "acc"
+        } else {
+            "ws"
+        };
+        body.push(SpatialStmt::StoreScalar {
+            dst: "y".into(),
+            index: SExpr::var("i"),
+            value: SExpr::RegRead(result.into()),
+        });
+        p.accel.push(SpatialStmt::Foreach {
+            id: 0,
+            counter: Counter::range_to("i", SExpr::Const(rows as f64)),
+            par: 1,
+            body,
+        });
+        if self.nnz() > 0 {
+            let tail = [
+                SExpr::RegRead("ws".into()),
+                SExpr::var("e"),
+                SExpr::var("j"),
+                SExpr::var("v"),
+            ];
+            for (k, value) in tail.into_iter().enumerate() {
+                p.accel.push(SpatialStmt::StoreScalar {
+                    dst: "tail".into(),
+                    index: SExpr::Const(k as f64),
+                    value,
+                });
+            }
+        }
+        p.assign_ids();
+        p
+    }
+
+    fn inputs(&self, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
+        let nnz = self.nnz().max(1);
+        vec![
+            ("pos", self.pos.clone()),
+            ("crd", self.crd.clone()),
+            ("vals", series(seed, nnz, 16, 0.5)),
+            ("x", series(seed ^ 0x77, XS, 32, -8.0)),
+            ("b", series(seed ^ 0xB, self.rows().max(1), 8, 0.25)),
+            ("d", self.delta.clone()),
+        ]
+    }
+
+    /// The steps a fault-free run takes: one per row, one per nonzero.
+    fn trips(&self) -> u64 {
+        (self.rows() + self.nnz()) as u64
+    }
+
+    /// Asserts the three engines agree under `budget` (and the env
+    /// fault plan).
+    fn check(&self, budget: RunBudget) -> Result<ExecStats, RunError> {
+        agreed_result(&self.program(), &self.inputs(self.nnz() as u64), budget)
+    }
+}
+
+/// Row lengths around the nonzero chunk width, with empty first, middle
+/// and last rows, and one-nonzero runs like a circuit matrix's.
+fn seg_row_lengths() -> Vec<Vec<usize>> {
+    vec![
+        vec![],
+        vec![0],
+        vec![5],
+        vec![0, 1, 2, 33, 70, 0],
+        vec![70, 33, 2, 1, 0],
+        vec![1; 40],
+        vec![0, 0, 3, 0, 0, 31, 32, 33, 0],
+        (0..37).map(|k| k % 5).collect(),
+    ]
+}
+
+/// Both row-loop shapes compile to a `VecClass::SegReduce` loop — the
+/// cases below take the segmented path.
+#[test]
+fn seg_shapes_classify_as_seg_reduce() {
+    for regs in [false, true] {
+        let c = CompiledProgram::compile(&SegCase::new(&[1, 2], regs, 0).program());
+        assert!(
+            (0..c.ops().len()).any(|pc| matches!(c.vec_class(pc), VecClass::SegReduce(_))),
+            "row loop (regs: {regs}) is not a SegReduce loop"
+        );
+    }
+}
+
+/// Every row-length pattern, on both shapes: bit-identical on all three
+/// engines, and with no fault plan the run completes.
+#[test]
+fn seg_row_lengths_are_bit_identical() {
+    for lens in seg_row_lengths() {
+        for regs in [false, true] {
+            let case = SegCase::new(&lens, regs, lens.len() as u64);
+            assert_clean_ok(&case.check(RunBudget::unlimited()));
+        }
+    }
+}
+
+/// Faults a segmented block must leave to the scalar loop, each at the
+/// exact row with the exact partial DRAM and statistics: bounds that
+/// are non-integral (rounded, no error), negative or decreasing, a
+/// gather out of bounds in a middle row, a row longer than its FIFO's
+/// declared size (the ring grows, no error), and the DRAM-word budget
+/// running out anywhere.
+#[test]
+fn seg_faults_match_scalar_semantics() {
+    let lens = [0, 1, 2, 33, 70, 0, 4, 3];
+    for regs in [false, true] {
+        let base = SegCase::new(&lens, regs, 7);
+        let mut fractional = base.clone();
+        fractional.pos[4] += 0.5;
+        let _ = fractional.check(RunBudget::unlimited());
+        let mut negative = base.clone();
+        negative.pos[5] = -2.0;
+        assert!(negative.check(RunBudget::unlimited()).is_err());
+        let mut decreasing = base.clone();
+        decreasing.pos[6] = decreasing.pos[5] - 3.0;
+        assert!(decreasing.check(RunBudget::unlimited()).is_err());
+        // A trip count past the row's FIFO contents underflows; one
+        // short of them, fractional or negative does not fault.
+        let mut past = base.clone();
+        past.delta[3] = 1.0;
+        assert!(past.check(RunBudget::unlimited()).is_err());
+        for (row, d) in [(4, -1.0), (3, -33.0), (6, -0.5), (2, -5.0)] {
+            let mut bent = base.clone();
+            bent.delta[row] = d;
+            let _ = bent.check(RunBudget::unlimited());
+        }
+        for at in [0, 1, 20, 40, base.nnz() - 1] {
+            let mut oob = base.clone();
+            oob.crd[at] = XS as f64 + 3.0;
+            assert!(oob.check(RunBudget::unlimited()).is_err());
+        }
+        let short_y = SegCase {
+            y_len: 5,
+            ..base.clone()
+        };
+        assert!(short_y.check(RunBudget::unlimited()).is_err());
+        let short_fifo = SegCase {
+            fifo_cap: 40,
+            ..base.clone()
+        };
+        assert_clean_ok(&short_fifo.check(RunBudget::unlimited()));
+        // The prologue loads `rows + 1 + XS + 2 * rows` words; the rows
+        // then load `2 * nnz` and store `rows`.
+        let prologue = (3 * base.rows() + 1 + XS) as u64;
+        let rows_words = (2 * base.nnz() + base.rows()) as u64;
+        for words in prologue..=prologue + rows_words + 1 {
+            let budget = RunBudget::unlimited().with_max_dram_words(words);
+            let _ = base.check(budget);
+        }
+    }
+}
+
+/// A failed allocation at every allocation index of a 5-row program:
+/// the three engines stop at the same `Alloc` with the same state.
+#[test]
+fn seg_failed_allocations_match_scalar_semantics() {
+    for regs in [false, true] {
+        let case = SegCase::new(&[2, 0, 33, 1, 4], regs, 3);
+        let p = case.program();
+        let inputs = case.inputs(5);
+        let allocs = 4 + case.rows() as u64 * (3 + u64::from(regs));
+        for k in 0..=allocs {
+            let plan = FaultPlan {
+                fail_alloc: Some(k),
+                ..FaultPlan::default()
+            };
+            let r = agreed_result_under(&p, &inputs, RunBudget::unlimited(), Some(&plan));
+            assert_eq!(r.is_err(), k < allocs, "fail_alloc={k}");
+        }
+    }
+}
+
+/// Step budgets exhausting on every step of a row loop — row tops,
+/// nonzeros strictly inside a chunk, row boundaries inside one — and a
+/// raised cancel flag whose amortized check lands inside a block.
+#[test]
+fn seg_budget_aborts_are_identical() {
+    let cancelled = CancelFlag::new();
+    cancelled.cancel();
+    for regs in [false, true] {
+        let case = SegCase::new(&[0, 1, 2, 33, 5, 0, 40, 1, 1, 0], regs, 11);
+        let n = case.trips();
+        for fuel in 1..=n + 8 {
+            let _ = case.check(steps(fuel));
+        }
+        for k in [1, 2, 3, 31, 32, 33, 40, n - 1] {
+            let budget = steps(4096 + k).with_cancel(cancelled.clone());
+            let _ = case.check(budget);
+        }
+    }
+}
+
 /// Random (length, offset, data, fuel) sweeps over the three range
 /// vector classes and the scan class, with occasional faulting indices
 /// mixed in.
@@ -946,7 +1293,7 @@ fn random_case(seed: u64) {
         0 => RunBudget::unlimited(),
         _ => steps(1 + rng.below((n as u64 + 8) * 2)),
     };
-    let shape = rng.below(4);
+    let shape = rng.below(5);
     match shape {
         0 => {
             let mut inputs = reduce_inputs(n, lo, seed);
@@ -976,6 +1323,25 @@ fn random_case(seed: u64) {
                 &[("vals", series(seed, len, 64, 0.125))],
                 budget,
             );
+        }
+        3 => {
+            // Random rows, each 0..40 nonzeros, on either shape.
+            let rows = rng.below(12) as usize;
+            let lens: Vec<usize> = (0..rows).map(|_| rng.below(41) as usize).collect();
+            let mut case = SegCase::new(&lens, rng.below(2) == 0, seed);
+            if case.nnz() > 0 && rng.below(4) == 0 {
+                // A faulting gather somewhere in the rows.
+                let at = rng.below(case.nnz() as u64) as usize;
+                case.crd[at] = if rng.below(2) == 0 { -1.0 } else { XS as f64 };
+            }
+            if rng.below(4) == 0 {
+                case.fifo_cap = 1 + rng.below(40) as usize;
+            }
+            let budget = match rng.below(3) {
+                0 => RunBudget::unlimited(),
+                _ => steps(1 + rng.below(case.trips() + 8)),
+            };
+            assert_engines_agree(&case.program(), &case.inputs(seed), budget);
         }
         _ => {
             // Two random bit vectors of random density and dimension.
