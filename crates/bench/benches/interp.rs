@@ -197,9 +197,9 @@ fn spmv_workload(nnz_target: usize) -> Workload {
 /// `B(i,k) * C(k,j)` into a SparseSRAM row buffer. C is kept sparse
 /// (~32 nonzeros per row, still ≪ n columns) so total work stays
 /// proportional to B's nnz while the inner scatter runs are long enough
-/// to behave like real accumulation loops — and, under the vector tier,
-/// to form full 8-wide chunks rather than degenerating to the scalar
-/// tail on every row.
+/// to behave like real accumulation loops. No vector class covers the
+/// scatter loop, so this row gates the scalar single-op loop against
+/// the reference walker.
 fn spmspm_workload(nnz_target: usize) -> Workload {
     let n = (nnz_target / 50).max(8);
     let b = csr(n, nnz_target, 0xB0B);
@@ -312,103 +312,6 @@ fn spmspm_workload(nnz_target: usize) -> Workload {
             ("cvals_d".into(), Image::F64(c.vals().to_vec())),
         ],
         elements: b.crd(1).len() as u64,
-    }
-}
-
-/// Scatter-focused entry: per row, accumulate `scale(i) * vals(j)` into
-/// a shared SparseSRAM accumulator at gathered coordinates — the SpMSpM
-/// inner loop isolated at one nesting level, so the hot loop is *only*
-/// the `RmwAdd` scatter superinstruction (and, under the vector tier,
-/// the `VecClass::Scatter` chunked path). The accumulator is allocated
-/// *once*, outside the row loop: a per-row buffer would be re-zeroed
-/// O(n) per O(nnz/n) scatters and the zeroing, not the scatter, would
-/// dominate at scale.
-fn scatter_workload(nnz_target: usize) -> Workload {
-    let n = (nnz_target / 50).max(8);
-    let a = csr(n, nnz_target, 0x5CA7);
-    let nnz = a.crd(1).len().max(1);
-    let scale: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.125 + 1.0).collect();
-
-    let mut p = SpatialProgram::new("scatter_interp");
-    p.add_dram("pos_d", n + 1);
-    p.add_dram("crd_d", nnz);
-    p.add_dram("vals_d", nnz);
-    p.add_dram("scale_d", n);
-    p.add_dram("out_d", 64 * 16);
-    for (mem, kind, size, src) in [
-        ("pos_s", MemKind::Sram, n + 1, "pos_d"),
-        ("crd_s", MemKind::Sram, nnz, "crd_d"),
-        ("vals_s", MemKind::Sram, nnz, "vals_d"),
-        ("scale_s", MemKind::Sram, n, "scale_d"),
-    ] {
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new(mem, kind, size)));
-        p.accel.push(SpatialStmt::Load {
-            dst: mem.into(),
-            src: src.into(),
-            start: SExpr::Const(0.0),
-            end: SExpr::Const(size as f64),
-            par: 16,
-        });
-    }
-    p.accel.push(SpatialStmt::Alloc(MemDecl::new(
-        "accrow",
-        MemKind::SparseSram,
-        n,
-    )));
-    p.accel.push(SpatialStmt::Foreach {
-        id: 0,
-        counter: Counter::range_to("i", SExpr::Const(n as f64)),
-        par: 1,
-        body: vec![
-            SpatialStmt::Bind {
-                var: "vb".into(),
-                value: SExpr::read("scale_s", SExpr::var("i")),
-            },
-            SpatialStmt::Foreach {
-                id: 0,
-                counter: Counter::Range {
-                    var: "j".into(),
-                    min: SExpr::read("pos_s", SExpr::var("i")),
-                    max: SExpr::read("pos_s", SExpr::add(SExpr::var("i"), SExpr::Const(1.0))),
-                    step: 1,
-                },
-                par: 16,
-                body: vec![SpatialStmt::RmwAdd {
-                    mem: "accrow".into(),
-                    index: SExpr::read("crd_s", SExpr::var("j")),
-                    value: SExpr::mul(SExpr::var("vb"), SExpr::read("vals_s", SExpr::var("j"))),
-                }],
-            },
-            // Spill a 16-word window so results are observable.
-            SpatialStmt::Store {
-                dst: "out_d".into(),
-                offset: SExpr::mul(
-                    SExpr::bin(
-                        stardust_spatial::BinSOp::Mod,
-                        SExpr::var("i"),
-                        SExpr::Const(64.0),
-                    ),
-                    SExpr::Const(16.0),
-                ),
-                src: "accrow".into(),
-                len: SExpr::Const(16.0),
-                par: 16,
-            },
-        ],
-    });
-    p.assign_ids();
-
-    Workload {
-        name: "scatter",
-        program: p,
-        images: vec![
-            ("pos_d".into(), Image::Usize(a.pos(1).to_vec())),
-            ("crd_d".into(), Image::Usize(a.crd(1).to_vec())),
-            ("vals_d".into(), Image::F64(a.vals().to_vec())),
-            ("scale_d".into(), Image::F64(scale)),
-        ],
-        elements: nnz as u64,
     }
 }
 
@@ -526,53 +429,6 @@ fn scan_union_workload(nnz_target: usize) -> Workload {
     }
 }
 
-/// A dense in-bounds fill `s[j] = vals_s[j]` over the whole array —
-/// the shape the bounds-check-elision table licenses. Timed with the
-/// vector tier off so the scalar per-access checks are the entire
-/// inner loop, isolating the elision win.
-fn fill_workload(n: usize) -> Workload {
-    let vals: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.25 + 0.125).collect();
-    let mut p = SpatialProgram::new("fill_interp");
-    p.add_dram("vals_d", n);
-    p.add_dram("out_d", n);
-    p.accel
-        .push(SpatialStmt::Alloc(MemDecl::new("vals_s", MemKind::Sram, n)));
-    p.accel
-        .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, n)));
-    p.accel.push(SpatialStmt::Load {
-        dst: "vals_s".into(),
-        src: "vals_d".into(),
-        start: SExpr::Const(0.0),
-        end: SExpr::Const(n as f64),
-        par: 16,
-    });
-    p.accel.push(SpatialStmt::Foreach {
-        id: 0,
-        counter: Counter::range_to("j", SExpr::Const(n as f64)),
-        par: 1,
-        body: vec![SpatialStmt::WriteMem {
-            mem: "s".into(),
-            index: SExpr::var("j"),
-            value: SExpr::read("vals_s", SExpr::var("j")),
-            random: false,
-        }],
-    });
-    p.accel.push(SpatialStmt::Store {
-        dst: "out_d".into(),
-        offset: SExpr::Const(0.0),
-        src: "s".into(),
-        len: SExpr::Const(n as f64),
-        par: 16,
-    });
-    p.assign_ids();
-    Workload {
-        name: "fill",
-        program: p,
-        images: vec![("vals_d".into(), Image::F64(vals))],
-        elements: n as u64,
-    }
-}
-
 fn quick() -> bool {
     std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0")
         || std::env::args().any(|a| a == "--quick")
@@ -634,10 +490,6 @@ fn bench_scan_union(c: &mut Criterion) {
     bench_engines(c, scan_union_workload);
 }
 
-fn bench_scatter(c: &mut Criterion) {
-    bench_engines(c, scatter_workload);
-}
-
 /// Re-bind cost per dataset sweep iteration: the `write_dram` path
 /// (per-bind O(nnz) `usize → f64` conversion + copy) against the
 /// copy-on-write `DramImage` path (`Arc` clone + O(outputs) zero-fill)
@@ -690,11 +542,12 @@ fn speedup_summary(_c: &mut Criterion) {
     let nnz = *sizes().last().expect("nonempty");
     let mut rows = String::new();
     let mut vector_rows = String::new();
-    for make in [
-        spmv_workload as fn(usize) -> Workload,
-        spmspm_workload,
-        scan_union_workload,
-        scatter_workload,
+    // Whether the vector tier chunks the workload's hot loop: only
+    // those report a `vector.<name>_speedup`.
+    for (make, chunked) in [
+        (spmv_workload as fn(usize) -> Workload, true),
+        (spmspm_workload, false),
+        (scan_union_workload, true),
     ] {
         let w = make(nnz);
         let bytecode = w.machine();
@@ -752,9 +605,14 @@ fn speedup_summary(_c: &mut Criterion) {
         let elems = w.elements as f64;
         if !rows.is_empty() {
             rows.push(',');
-            vector_rows.push_str(", ");
         }
-        write!(vector_rows, r#""{}_speedup": {vec_speedup:.4}"#, w.name).expect("write to string");
+        if chunked {
+            if !vector_rows.is_empty() {
+                vector_rows.push_str(", ");
+            }
+            write!(vector_rows, r#""{}_speedup": {vec_speedup:.4}"#, w.name)
+                .expect("write to string");
+        }
         // "state" labels the on-chip memory representation each engine
         // runs on: the bytecode engine has the flat-arena machine
         // state, while the string-keyed reference walker keeps the
@@ -787,43 +645,6 @@ fn speedup_summary(_c: &mut Criterion) {
         )
         .expect("write to string");
     }
-    // Bounds-check-elision leg: the dense in-bounds fill is exactly the
-    // shape the effect analysis licenses (`elide_at`), timed on the
-    // scalar path (vector tier forced off) so per-access bounds checks
-    // are the whole inner loop. Interleaved best-of-five like the legs
-    // above; checked/elided ≥ 1 means the elided fast loop is no slower
-    // than the checked one. The CI floor is lenient (0.8) because the
-    // win at this size is a few percent and shared-runner drift is real.
-    let elide_json = {
-        let w = fill_workload(nnz);
-        let machine = w.machine();
-        machine.clone().run(&w.program).expect("warmup");
-        let (mut el_t, mut ck_t) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
-            let mut m = machine.clone();
-            m.set_vector_mode(false);
-            m.set_elide_mode(true);
-            let t0 = Instant::now();
-            m.run(&w.program).expect("elided runs");
-            el_t = el_t.min(t0.elapsed().as_secs_f64());
-            let mut m = machine.clone();
-            m.set_vector_mode(false);
-            m.set_elide_mode(false);
-            let t0 = Instant::now();
-            m.run(&w.program).expect("checked runs");
-            ck_t = ck_t.min(t0.elapsed().as_secs_f64());
-        }
-        let fill_speedup = ck_t / el_t;
-        println!(
-            "elide fill nnz={nnz}: elided {:.1} ms, checked {:.1} ms, \
-             checked/elided {fill_speedup:.2}x",
-            el_t * 1e3,
-            ck_t * 1e3,
-        );
-        format!(
-            r#"{{"kernel": "fill", "nnz": {nnz}, "elided_seconds": {el_t:.6e}, "checked_seconds": {ck_t:.6e}, "fill_speedup": {fill_speedup:.4}}}"#
-        )
-    };
     // Bind-path split across every configured size: image binds must
     // stay flat while write_dram binds grow with nnz. Recorded per
     // measurement so the CI artifact carries the trajectory.
@@ -915,14 +736,14 @@ fn speedup_summary(_c: &mut Criterion) {
     }
 
     if let Ok(path) = std::env::var("BENCH_SUMMARY_JSON") {
-        // The top-level "vector" section repeats the per-kernel
+        // The top-level "vector" section repeats the chunked workloads'
         // vector-vs-scalar speedups at the largest configured size under
         // stable dotted paths (`vector.spmv_speedup`, ...) so the floors
         // file can gate the data-parallel tier without `[*]` wildcards.
         let json = format!(
-            "{{\n  \"bench\": \"interp\",\n  \"quick\": {},\n  \"vector\": {{\"lanes\": {}, {vector_rows}}},\n  \"elide\": {elide_json},\n  \"results\": [{rows}\n  ],\n  \"bind\": [{bind_rows}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"interp\",\n  \"quick\": {},\n  \"vector\": {{\"lanes\": {}, {vector_rows}}},\n  \"results\": [{rows}\n  ],\n  \"bind\": [{bind_rows}\n  ]\n}}\n",
             quick(),
-            stardust_spatial::vector::LANES,
+            stardust_spatial::vector::REDUCE_LANES,
         );
         std::fs::write(&path, json).expect("write bench summary");
         println!("bench summary written to {path}");
@@ -934,7 +755,6 @@ criterion_group!(
     bench_spmv,
     bench_spmspm,
     bench_scan_union,
-    bench_scatter,
     bench_bind,
     speedup_summary
 );

@@ -18,10 +18,10 @@
 //! `Arc<CompiledProgram>` artifact, so the test also covers the re-bind
 //! path the harness uses for dataset sweeps.
 //!
-//! A second leg pins the fast tiers against the scalar loops directly:
-//! every stage runs once as compiled (vector tier and bounds-check
-//! elision on, the default) and once with both off, and the two must
-//! agree on the result, every DRAM bit and the `ExecStats`. It runs
+//! A second leg pins the vector tier against the scalar loops directly:
+//! every stage runs once as compiled (vector tier on, the default) and
+//! once with it off, and the two must agree on the result, every DRAM
+//! bit and the `ExecStats`. It runs
 //! under the `STARDUST_FAULTS` plan when one is set, so the CI chaos
 //! step's `max_steps` clamp lands budget aborts inside vector chunks
 //! of real kernels.
@@ -178,7 +178,7 @@ fn dram_bits(machine: &Machine) -> Vec<(String, Vec<u64>)> {
         .collect()
 }
 
-/// Runs every stage of `kernel` with the fast tiers on and off and
+/// Runs every stage of `kernel` with the vector tier on and off and
 /// asserts the same result, bit-identical DRAM and identical
 /// statistics.
 fn assert_tiers_invisible(kernel: &Kernel, inputs: &HashMap<String, TensorData>) {
@@ -192,7 +192,6 @@ fn assert_tiers_invisible(kernel: &Kernel, inputs: &HashMap<String, TensorData>)
         let mut tiered = compiled.bind(&available).expect("bind inputs");
         let mut scalar = tiered.clone();
         scalar.set_vector_mode(false);
-        scalar.set_elide_mode(false);
         let tiered_result = with_env_faults(|| tiered.run(program));
         let scalar_result = with_env_faults(|| scalar.run(program));
         assert_eq!(

@@ -12,21 +12,20 @@
 //! MatTransMul and Residual is tagged `SegReduce` on each of their
 //! datasets (9 row loops), the innermost co-iteration scan of every
 //! Plus2, Plus3 and InnerProd stage is scan-tagged (25 vector-tagged
-//! stages in all), at least two stages are elision-licensed, and the
-//! printed
-//! programs are the ones the paper prints — position arithmetic folded,
-//! one accumulator register per reduction, no absent-operand `mux`
-//! guards inside an intersection scan.
+//! stages in all), and the printed programs are the ones the paper
+//! prints — position arithmetic folded, one accumulator register per
+//! reduction, no absent-operand `mux` guards inside an intersection
+//! scan.
 //!
 //! For every superinstruction loop (`RangeSimple`, `Scan1Simple`,
-//! `Scan2Simple`) that is not vector-tagged or elision-licensed, the
-//! test also prints the first thing that keeps it out, in the order
-//! `analysis::classify_vec` and `analysis::compute_elide` look — run
-//! with `--nocapture` to read it. What it shows today: the per-row
-//! scans of Plus2 and InnerProd, whose bodies bind, load and build the
-//! next level's bit vectors, and the row and middle loops of SDDMM,
-//! TTV, TTM and MTTKRP, whose bodies allocate SRAM, bind gathers,
-//! enqueue or write registers.
+//! `Scan2Simple`) that is not vector-tagged, the test also prints the
+//! first thing that keeps it out, in the order `analysis::classify_vec`
+//! looks — run with `--nocapture` to read it. What it shows today: the
+//! per-row scans of Plus2 and InnerProd, whose bodies bind, load and
+//! build the next level's bit vectors; the row and middle loops of
+//! SDDMM, TTV, TTM and MTTKRP, whose bodies allocate SRAM, bind
+//! gathers, enqueue or write registers; and the single-op scatter
+//! loops of TTM and MTTKRP, which no vector class covers.
 
 use std::collections::BTreeMap;
 
@@ -74,27 +73,24 @@ fn op_shape(p: &CompiledProgram, op: &Op) -> String {
     }
 }
 
-/// The parts of a superinstruction loop the two classifiers read.
+/// The parts of a superinstruction loop the vector classifier reads.
 struct SimpleLoop<'a> {
     kind: String,
-    /// `(var, min, max, step)` of a `RangeSimple`; scans have none.
-    range: Option<(u32, Operand, Operand, i64)>,
+    /// The step of a `RangeSimple`; scans have none.
+    step: Option<i64>,
     body: &'a [Op],
     reduce: Option<Operand>,
 }
 
 fn simple_loop(ops: &[Op], pc: usize) -> Option<SimpleLoop<'_>> {
-    let (range, body, body_len, reduce) = match ops[pc] {
+    let (step, body, body_len, reduce) = match ops[pc] {
         Op::RangeSimple {
-            var,
-            min,
-            max,
             step,
             body,
             body_len,
             reduce,
             ..
-        } => (Some((var, min, max, step)), body, body_len, reduce),
+        } => (Some(step), body, body_len, reduce),
         Op::Scan1Simple {
             body,
             body_len,
@@ -111,14 +107,10 @@ fn simple_loop(ops: &[Op], pc: usize) -> Option<SimpleLoop<'_>> {
     };
     Some(SimpleLoop {
         kind: op_kind(&ops[pc]),
-        range,
+        step,
         body: &ops[body as usize..(body + body_len) as usize],
         reduce: reduce.map(|(_, expr)| expr),
     })
-}
-
-fn is_scatter(op: &Op) -> bool {
-    matches!(op, Op::WriteMem { .. } | Op::RmwAdd { .. })
 }
 
 /// Whether a scan body op is of a kind a `VecClass::Scan` lane
@@ -150,10 +142,10 @@ fn is_row_op(op: &Op) -> bool {
 /// for a two-input scan, the first body op that cannot be a lane
 /// statement; for a range loop, the step, then for a row loop (one
 /// with a nested loop) the first op that cannot be a row op, else the
-/// first body op that is not a scatter write, then the reduce or
-/// scatter operands.
+/// first body op of a loop that reduces nothing, then the reduce
+/// operand.
 fn vector_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
-    let Some((_, _, _, step)) = l.range else {
+    let Some(step) = l.step else {
         if l.kind == "Scan1Simple" {
             return "single-vector scans have no vector class".into();
         }
@@ -171,57 +163,11 @@ fn vector_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
             None => "row loop: row ops not SegReduce-shaped".into(),
         };
     }
-    if let Some(op) = l.body.iter().find(|op| !is_scatter(op)) {
-        return format!("body op {}", op_shape(p, op));
-    }
-    match (l.body, l.reduce) {
-        ([], None) => "empty body, nothing reduced".into(),
-        ([], Some(expr)) => format!("reduce operand {}", operand_shape(p, expr)),
-        (_, Some(_)) => "reduce over a non-empty body".into(),
-        (body, None) => {
-            let operands: Vec<String> = body
-                .iter()
-                .map(|op| match *op {
-                    Op::WriteMem { index, value, .. } | Op::RmwAdd { index, value, .. } => format!(
-                        "[{}] = {}",
-                        operand_shape(p, index),
-                        operand_shape(p, value)
-                    ),
-                    _ => unreachable!("every body op is a scatter write"),
-                })
-                .collect();
-            format!("scatter operands {}", operands.join("; "))
-        }
-    }
-}
-
-/// Why `compute_elide` licensed no write in this loop, in its order:
-/// loop kind, constant bounds, a write indexed by the loop variable.
-fn elide_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
-    let Some((var, min, max, _)) = l.range else {
-        return "scan loops are not licensed".into();
-    };
-    if !matches!((min, max), (Operand::Const(_), Operand::Const(_))) {
-        return format!(
-            "bounds {}..{}",
-            operand_shape(p, min),
-            operand_shape(p, max)
-        );
-    }
-    let index_of = |op: &Op| match *op {
-        Op::WriteMem { index, .. } | Op::RmwAdd { index, .. } => Some(index),
-        _ => None,
-    };
-    match l.body.iter().find_map(index_of) {
-        None => "no on-chip write in the body".into(),
-        Some(_)
-            if l.body
-                .iter()
-                .any(|op| index_of(op) == Some(Operand::Var(var))) =>
-        {
-            "write past the destination's one allocation size".into()
-        }
-        Some(index) => format!("write index {}", operand_shape(p, index)),
+    match (l.body.first(), l.reduce) {
+        (None, None) => "empty body, nothing reduced".into(),
+        (Some(op), None) => format!("body op {}", op_shape(p, op)),
+        (None, Some(expr)) => format!("reduce operand {}", operand_shape(p, expr)),
+        (Some(_), Some(_)) => "reduce over a non-empty body".into(),
     }
 }
 
@@ -267,14 +213,12 @@ fn doubled_register(source: &str) -> Option<&str> {
 fn all_table3_kernels_pass_the_verifier() {
     let scale = Scale::ci();
     let mut vector_tagged = 0usize;
-    let mut elide_tagged = 0usize;
     let mut stages = 0usize;
     let mut loops = 0usize;
     let mut untagged_inner_scans: Vec<String> = Vec::new();
     let mut seg_row_loops = 0usize;
     let mut untagged_row_loops: Vec<String> = Vec::new();
     let mut vector_blockers: BTreeMap<String, usize> = BTreeMap::new();
-    let mut elide_blockers: BTreeMap<String, usize> = BTreeMap::new();
     for name in KERNEL_NAMES {
         for (kernel, set) in instantiate(name, &scale) {
             let compiled = kernel
@@ -314,9 +258,6 @@ fn all_table3_kernels_pass_the_verifier() {
                 if (0..ops.len()).any(|pc| spatial.vec_class(pc) != VecClass::None) {
                     vector_tagged += 1;
                 }
-                if (0..ops.len()).any(|pc| spatial.elide_at(pc)) {
-                    elide_tagged += 1;
-                }
                 for pc in 0..ops.len() {
                     let Some(l) = simple_loop(ops, pc) else {
                         continue;
@@ -330,7 +271,9 @@ fn all_table3_kernels_pass_the_verifier() {
                     let innermost = !l.body.iter().any(|op| {
                         matches!(
                             op,
-                            Op::RangeSimple { .. } | Op::Scan1Simple { .. } | Op::Scan2Simple { .. }
+                            Op::RangeSimple { .. }
+                                | Op::Scan1Simple { .. }
+                                | Op::Scan2Simple { .. }
                         )
                     });
                     if l.kind == "Scan2Simple"
@@ -338,7 +281,8 @@ fn all_table3_kernels_pass_the_verifier() {
                         && ["Plus2", "Plus3", "InnerProd"].contains(&name)
                         && !matches!(spatial.vec_class(pc), VecClass::Scan(_))
                     {
-                        untagged_inner_scans.push(format!("{name}/{} stage {s} pc {pc}", set.dataset));
+                        untagged_inner_scans
+                            .push(format!("{name}/{} stage {s} pc {pc}", set.dataset));
                     }
                     if l.kind == "RangeSimple"
                         && !innermost
@@ -351,18 +295,11 @@ fn all_table3_kernels_pass_the_verifier() {
                                 .push(format!("{name}/{} stage {s} pc {pc}", set.dataset));
                         }
                     }
-                    let licensed = (pc + 1..=pc + l.body.len()).any(|b| spatial.elide_at(b));
-                    let elide = if licensed {
-                        "licensed".to_string()
-                    } else {
-                        elide_blocker(spatial, &l)
-                    };
                     println!(
-                        "{name}/{} stage {s} pc {pc} {}: vector: {vector}; elide: {elide}",
+                        "{name}/{} stage {s} pc {pc} {}: vector: {vector}",
                         set.dataset, l.kind
                     );
                     *vector_blockers.entry(vector).or_default() += 1;
-                    *elide_blockers.entry(elide).or_default() += 1;
                 }
             }
         }
@@ -370,13 +307,10 @@ fn all_table3_kernels_pass_the_verifier() {
     assert!(stages >= 10, "suite shrank: only {stages} stages compiled");
     println!(
         "static-analysis: {stages} stages verified, \
-         {vector_tagged} vector-tagged, {elide_tagged} elision-licensed, \
-         {loops} superinstruction loops"
+         {vector_tagged} vector-tagged, {loops} superinstruction loops"
     );
-    for (what, blockers) in [("vector", &vector_blockers), ("elide", &elide_blockers)] {
-        for (why, count) in blockers {
-            println!("  {what}: {count:>3} × {why}");
-        }
+    for (why, count) in &vector_blockers {
+        println!("  vector: {count:>3} × {why}");
     }
     assert!(
         vector_tagged >= 25,
@@ -392,9 +326,5 @@ fn all_table3_kernels_pass_the_verifier() {
         untagged_row_loops.is_empty() && seg_row_loops == 9,
         "{seg_row_loops} SegReduce row loops; SpMV, MatTransMul and Residual row loops \
          left scalar: {untagged_row_loops:?}"
-    );
-    assert!(
-        elide_tagged >= 2,
-        "only {elide_tagged} elision-licensed stages"
     );
 }

@@ -26,20 +26,12 @@
 //!   loops: a prefix is safe to replay per shard iff its DRAM write
 //!   set is disjoint from the candidate body's, a suffix is safe to
 //!   run after iff it depends on nothing the body defines.
-//! - [`classify_vec`] — vector eligibility, moved here from the
-//!   lowering and widened: multi-statement scatter bodies
-//!   ([`VecClass::MultiScatter`]) and offset/computed dense fills ride
-//!   on the same operand-shape lattice as the original two classes,
-//!   reduce loops ([`VecClass::Reduce`]), two-input scans
-//!   ([`VecClass::Scan`]) and the row loops around reduces
-//!   ([`VecClass::SegReduce`]) get lane programs from one builder.
-//! - [`compute_elide`] — the check-elision table: a store through the
-//!   loop variable of a constant-bound loop whose bound the analysis
-//!   proves within the destination's allocated extent skips the
-//!   per-access bounds check in the dispatch loop (the interpreter
-//!   re-validates the few runtime facts — slot actually allocated,
-//!   bound within the live length — once per loop instead of once per
-//!   access).
+//! - [`classify_vec`] — vector eligibility: reduce loops
+//!   ([`VecClass::Reduce`]), two-input scans ([`VecClass::Scan`]) and
+//!   the row loops around reduces ([`VecClass::SegReduce`]) get lane
+//!   programs from one builder, evaluated over
+//!   [`crate::vector::REDUCE_LANES`]-wide chunks. Scatter-write bodies
+//!   get no class: they run in the scalar single-op loop.
 //!
 //! The analyses are deliberately conservative: every set is an
 //! over-approximation, every proof obligation that cannot be
@@ -1395,8 +1387,7 @@ fn scan_lanes(
     if body.len() + usize::from(reduce.is_some()) > vector::MAX_LANE_STMTS {
         return None;
     }
-    let lanes: [(Slot, LaneOp); 4] =
-        std::array::from_fn(|k| (vars[k], LaneOp::ScanVar(k as u32)));
+    let lanes: [(Slot, LaneOp); 4] = std::array::from_fn(|k| (vars[k], LaneOp::ScanVar(k as u32)));
     let mut program = Vec::new();
     for op in body {
         program.extend(scan_statement(op, &lanes, eops, fused)?);
@@ -1679,134 +1670,6 @@ fn seg_lanes(
     Some(out)
 }
 
-/// Whether `operand` is the `env[var] op c` expression program
-/// (`[VarConstBin, End]`), returning its parts. The lowering emits
-/// this two-op program for `Var op Const` shapes it has no immediate
-/// form for — the offset dense fill `s[j + 1] = ...` and computed fill
-/// values `s[j] = j * 2.0` both land here.
-fn var_const_bin(operand: Operand, eops: &[EOp]) -> Option<(Slot, f64, BinSOp)> {
-    let Operand::Expr(e) = operand else {
-        return None;
-    };
-    match (eops.get(e as usize), eops.get(e as usize + 1)) {
-        (Some(&EOp::VarConstBin { var, c, op }), Some(&EOp::End)) => Some((var, c, op)),
-        _ => None,
-    }
-}
-
-/// Whether a scatter index operand is chunkable over loop variable
-/// `var`: the variable itself (iota), a unit-stride gather, or — via
-/// [`var_const_bin`] — `var + c` with an integral non-negative offset
-/// small enough that lane indices computed as `usize` additions equal
-/// the scalar engine's f64 arithmetic bit-for-bit (`Add` only; sums
-/// stay below 2^33, exactly representable).
-fn scatter_index_ok(index: Operand, var: Slot, eops: &[EOp]) -> bool {
-    match index {
-        // Dense run: `dst[v] = ...`.
-        Operand::Var(v) => v == var,
-        // Scattered run: `dst[crd[v]] = ...`.
-        Operand::Gather { var: v, .. } => v == var,
-        // Offset dense run: `dst[v + c] = ...`.
-        _ => matches!(
-            var_const_bin(index, eops),
-            Some((v, c, BinSOp::Add))
-                if v == var && c >= 0.0 && c.fract() == 0.0 && c <= 4_294_967_296.0
-        ),
-    }
-}
-
-/// Whether a scatter value operand is chunkable over loop variable
-/// `var` (see [`VecClass::Scatter`]); the widened lattice also admits
-/// the computed fill `env[var] op c` (evaluated per lane, no
-/// cross-lane dependence, so lane-order evaluation is bitwise
-/// identical to the scalar loop).
-fn scatter_value_ok(value: Operand, var: Slot, eops: &[EOp], fused: &[FusedOp]) -> bool {
-    match value {
-        Operand::Const(_) | Operand::Var(_) => true,
-        Operand::Gather { var: v, .. } => v == var,
-        Operand::Fused(i) => match fused[i as usize] {
-            FusedOp::BinGather { a, mem, .. } => mem.var == var && a != var,
-            _ => false,
-        },
-        _ => matches!(var_const_bin(value, eops), Some((v, _, _)) if v == var),
-    }
-}
-
-/// Whether a scatter body's index/value operands are chunkable over
-/// loop variable `var` (see [`VecClass::Scatter`]).
-fn scatter_vectorizable(
-    index: Operand,
-    value: Operand,
-    var: Slot,
-    eops: &[EOp],
-    fused: &[FusedOp],
-) -> bool {
-    scatter_index_ok(index, var, eops) && scatter_value_ok(value, var, eops, fused)
-}
-
-/// The gather chip slots an operand may read (for scatter aliasing:
-/// a chunked commit must not read a slot an earlier statement in the
-/// same iteration writes).
-fn operand_gather_chips(operand: Operand, eops: &[EOp], fused: &[FusedOp], out: &mut Vec<Slot>) {
-    match operand {
-        Operand::Const(_) | Operand::Var(_) => {}
-        Operand::Gather { chip, .. } => out.push(chip),
-        Operand::Fused(i) => match fused[i as usize] {
-            FusedOp::GatherOffset { mem, .. } => out.push(mem.chip),
-            FusedOp::BinGather { mem, .. } => out.push(mem.chip),
-            FusedOp::BinGatherInd {
-                lhs, inner, outer, ..
-            } => {
-                out.push(lhs.chip);
-                out.push(inner.chip);
-                out.push(outer.chip);
-            }
-        },
-        Operand::Expr(e) => {
-            for eop in &eops[e as usize..] {
-                match *eop {
-                    EOp::ReadMem { chip, .. }
-                    | EOp::VarReadMem { chip, .. }
-                    | EOp::VarBinGather { chip, .. } => out.push(chip),
-                    EOp::RegRead(r) | EOp::Deq(r) => out.push(r),
-                    EOp::End => break,
-                    _ => {}
-                }
-            }
-        }
-    }
-}
-
-/// Whether a multi-statement body qualifies as
-/// [`VecClass::MultiScatter`]: every body op is a scatter write with
-/// chunkable operands, destination slots are pairwise distinct (two
-/// statements scattering into one slot can interleave differently
-/// under chunking), and no statement gathers from a slot any statement
-/// writes (a chunk reads all lanes before committing any).
-fn multi_scatter_ok(body: &[Op], var: Slot, eops: &[EOp], fused: &[FusedOp]) -> bool {
-    let mut dsts: Vec<Slot> = Vec::with_capacity(body.len());
-    let mut gathers: Vec<Slot> = Vec::new();
-    for op in body {
-        let (mem, index, value) = match *op {
-            Op::WriteMem {
-                mem, index, value, ..
-            } => (mem, index, value),
-            Op::RmwAdd { mem, index, value } => (mem, index, value),
-            _ => return false,
-        };
-        if !scatter_vectorizable(index, value, var, eops, fused) {
-            return false;
-        }
-        if dsts.contains(&mem) {
-            return false;
-        }
-        dsts.push(mem);
-        operand_gather_chips(index, eops, fused, &mut gathers);
-        operand_gather_chips(value, eops, fused, &mut gathers);
-    }
-    gathers.iter().all(|g| !dsts.contains(g))
-}
-
 /// The vector-eligibility pass: one classification per lowered op,
 /// plus the lane-program table its [`VecClass::Reduce`],
 /// [`VecClass::Scan`] and [`VecClass::SegReduce`] entries index. A
@@ -1830,32 +1693,17 @@ pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClas
                 step: 1,
                 body,
                 body_len,
-                reduce,
+                reduce: Some((_, expr)),
                 ..
-            } => {
-                if body as usize != pc + 1 {
-                    return VecClass::None;
-                }
+            } if body as usize == pc + 1 => {
                 let span = &ops[body as usize..body as usize + body_len as usize];
-                match reduce {
-                    Some((_, expr)) => match reduce_lanes(var, span, expr, eops, fused) {
-                        Some(program) => {
-                            let at = lanes.len() as u32;
-                            lanes.extend(program);
-                            VecClass::Reduce(at)
-                        }
-                        None => VecClass::None,
-                    },
-                    None => match span {
-                        [Op::RmwAdd { index, value, .. } | Op::WriteMem { index, value, .. }]
-                            if scatter_vectorizable(*index, *value, var, eops, fused) =>
-                        {
-                            VecClass::Scatter
-                        }
-                        [] | [_] => VecClass::None,
-                        _ if multi_scatter_ok(span, var, eops, fused) => VecClass::MultiScatter,
-                        _ => VecClass::None,
-                    },
+                match reduce_lanes(var, span, expr, eops, fused) {
+                    Some(program) => {
+                        let at = lanes.len() as u32;
+                        lanes.extend(program);
+                        VecClass::Reduce(at)
+                    }
+                    None => VecClass::None,
                 }
             }
             Op::Scan2Simple {
@@ -1888,206 +1736,4 @@ pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClas
         }
     }
     (classes, lanes)
-}
-
-/// How an on-chip slot is allocated across the whole program: the
-/// elision pass only trusts a slot whose every `Alloc` agrees on one
-/// word size (and an SRAM kind), because the check it removes guards
-/// against the *live* length at the time of the write.
-#[derive(Clone, Copy, PartialEq)]
-enum AllocState {
-    Unseen,
-    One(usize),
-    Conflict,
-}
-
-/// The check-elision pass: a side table parallel to `ops`, true at a
-/// scatter-write op whose every dynamic access the analysis proves
-/// in-bounds. The proof: the write indexes `dst[v]` with the loop
-/// variable of an enclosing constant-bound `RangeSimple` whose bounds
-/// satisfy `0 <= lo` (integral) and `hi <= K`, where `K` is the single
-/// program-wide allocation size of `dst` (SRAM kinds only). Every
-/// iterate `v = lo + k*step < hi <= K` is then a valid integral index,
-/// so the per-access `index_of` + bounds check in the dispatch loop is
-/// redundant. The interpreter still hoists one runtime guard per loop
-/// entry (`hi <= live length`, `lo >= 0`) so a stale table can
-/// degrade only to the checked path, never to a wild index.
-pub fn compute_elide(ops: &[Op]) -> Vec<bool> {
-    let mut alloc: std::collections::BTreeMap<Slot, AllocState> = std::collections::BTreeMap::new();
-    for op in ops {
-        if let Op::Alloc { slot, kind, size } = *op {
-            let state = alloc.entry(slot).or_insert(AllocState::Unseen);
-            let sized = match kind {
-                MemKind::Sram | MemKind::SparseSram => Some(size),
-                _ => None,
-            };
-            *state = match (*state, sized) {
-                (AllocState::Unseen, Some(k)) => AllocState::One(k),
-                (AllocState::One(k), Some(k2)) if k == k2 => AllocState::One(k),
-                _ => AllocState::Conflict,
-            };
-        }
-    }
-    let mut elide = vec![false; ops.len()];
-    for (pc, op) in ops.iter().enumerate() {
-        let Op::RangeSimple {
-            var,
-            min,
-            max,
-            step,
-            body,
-            body_len,
-            ..
-        } = *op
-        else {
-            continue;
-        };
-        if step < 1 || body as usize != pc + 1 {
-            continue;
-        }
-        let (Operand::Const(lo), Operand::Const(hi)) = (min, max) else {
-            continue;
-        };
-        if !(lo >= 0.0 && lo.fract() == 0.0 && hi.is_finite()) {
-            continue;
-        }
-        for bpc in body as usize..body as usize + body_len as usize {
-            let (mem, index) = match ops[bpc] {
-                Op::WriteMem { mem, index, .. } => (mem, index),
-                Op::RmwAdd { mem, index, .. } => (mem, index),
-                _ => continue,
-            };
-            if index != Operand::Var(var) {
-                continue;
-            }
-            if let Some(AllocState::One(k)) = alloc.get(&mem) {
-                if hi <= *k as f64 {
-                    elide[bpc] = true;
-                }
-            }
-        }
-    }
-    elide
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn var_const_bin_recognizes_two_op_program() {
-        let eops = vec![
-            EOp::VarConstBin {
-                var: 3,
-                c: 1.0,
-                op: BinSOp::Add,
-            },
-            EOp::End,
-        ];
-        assert_eq!(
-            var_const_bin(Operand::Expr(0), &eops),
-            Some((3, 1.0, BinSOp::Add))
-        );
-        assert_eq!(var_const_bin(Operand::Var(3), &eops), None);
-        let longer = vec![
-            EOp::VarConstBin {
-                var: 3,
-                c: 1.0,
-                op: BinSOp::Add,
-            },
-            EOp::Neg,
-            EOp::End,
-        ];
-        assert_eq!(var_const_bin(Operand::Expr(0), &longer), None);
-    }
-
-    #[test]
-    fn scatter_index_rejects_non_add_and_fractional_offsets() {
-        let add = vec![
-            EOp::VarConstBin {
-                var: 0,
-                c: 2.0,
-                op: BinSOp::Add,
-            },
-            EOp::End,
-        ];
-        assert!(scatter_index_ok(Operand::Expr(0), 0, &add));
-        let sub = vec![
-            EOp::VarConstBin {
-                var: 0,
-                c: 2.0,
-                op: BinSOp::Sub,
-            },
-            EOp::End,
-        ];
-        assert!(!scatter_index_ok(Operand::Expr(0), 0, &sub));
-        let frac = vec![
-            EOp::VarConstBin {
-                var: 0,
-                c: 0.5,
-                op: BinSOp::Add,
-            },
-            EOp::End,
-        ];
-        assert!(!scatter_index_ok(Operand::Expr(0), 0, &frac));
-        let huge = vec![
-            EOp::VarConstBin {
-                var: 0,
-                c: 1e18,
-                op: BinSOp::Add,
-            },
-            EOp::End,
-        ];
-        assert!(!scatter_index_ok(Operand::Expr(0), 0, &huge));
-    }
-
-    #[test]
-    fn elide_requires_singleton_alloc_and_const_bounds() {
-        let loop_over = |min: Operand, max: Operand, allocs: Vec<Op>| {
-            let mut ops = allocs;
-            let pc = ops.len();
-            ops.push(Op::RangeSimple {
-                id: 0,
-                var: 0,
-                min,
-                max,
-                step: 1,
-                body: (pc + 1) as u32,
-                body_len: 1,
-                reduce: None,
-            });
-            ops.push(Op::WriteMem {
-                mem: 0,
-                index: Operand::Var(0),
-                value: Operand::Const(1.0),
-                random: false,
-            });
-            ops.push(Op::Halt);
-            (ops, pc + 1)
-        };
-        let alloc = |size| Op::Alloc {
-            slot: 0,
-            kind: MemKind::Sram,
-            size,
-        };
-        // In-bounds constant loop over a singleton alloc: elided.
-        let (ops, wpc) = loop_over(Operand::Const(0.0), Operand::Const(8.0), vec![alloc(8)]);
-        assert!(compute_elide(&ops)[wpc]);
-        // Bound exceeds the allocation: kept.
-        let (ops, wpc) = loop_over(Operand::Const(0.0), Operand::Const(9.0), vec![alloc(8)]);
-        assert!(!compute_elide(&ops)[wpc]);
-        // Conflicting re-allocation sizes: kept.
-        let (ops, wpc) = loop_over(
-            Operand::Const(0.0),
-            Operand::Const(8.0),
-            vec![alloc(8), alloc(16)],
-        );
-        assert!(!compute_elide(&ops)[wpc]);
-        // Non-constant bound: kept.
-        let (ops, wpc) = loop_over(Operand::Const(0.0), Operand::Var(1), vec![alloc(8)]);
-        assert!(!compute_elide(&ops)[wpc]);
-        // Negative lower bound: kept.
-        let (ops, wpc) = loop_over(Operand::Const(-1.0), Operand::Const(8.0), vec![alloc(8)]);
-        assert!(!compute_elide(&ops)[wpc]);
-    }
 }

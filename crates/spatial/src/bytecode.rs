@@ -577,11 +577,6 @@ pub struct CompiledProgram {
     /// The lane programs [`VecClass::Reduce`], [`VecClass::Scan`] and
     /// [`VecClass::SegReduce`] entries point into.
     lanes: Vec<LaneOp>,
-    /// Per-op bounds-check-elision flags (parallel to `ops`), computed
-    /// by [`crate::analysis::compute_elide`]: true at a scatter write
-    /// every dynamic access of which the static analysis proves within
-    /// its destination's allocated extent.
-    elide: Vec<bool>,
     /// Half-open `[start, end)` op spans of each top-level resolved
     /// statement, in statement order — the correspondence the effect
     /// analysis uses to reason about prefix/body/suffix regions of a
@@ -608,19 +603,6 @@ pub enum VecClass {
     /// FIFO heads, and on-chip reads indexed by any of those — the
     /// inner products of SpMV, MatTransMul, Residual, TTV and SDDMM.
     Reduce(LaneRef),
-    /// A unit-step [`Op::RangeSimple`] whose single body op is an
-    /// on-chip scatter write ([`Op::WriteMem`]/[`Op::RmwAdd`]) with a
-    /// dense (loop-variable, optionally constant-offset) or
-    /// unit-stride-gathered index and a chunkable value operand — the
-    /// Gustavson scatter-accumulate inner loop of SpMSpM, or a dense
-    /// fill/accumulate run.
-    Scatter,
-    /// A unit-step [`Op::RangeSimple`] whose body is *several* scatter
-    /// writes, each individually [`VecClass::Scatter`]-shaped, with
-    /// pairwise-distinct destination slots none of which any statement
-    /// gathers from — the multi-output fill loops of multi-statement
-    /// kernel bodies (classified by [`crate::analysis::classify_vec`]).
-    MultiScatter,
     /// An [`Op::Scan2Simple`] whose every body statement is one of the
     /// four lane statements the compiled co-iteration kernels produce,
     /// with pairwise-distinct targets: the scan's own `Reduce` fold,
@@ -687,7 +669,6 @@ impl CompiledProgram {
         } = resolved;
         let zero_input = Arc::new(vec![0.0; dram_layout.input_words]);
         let (vec, lanes) = crate::analysis::classify_vec(&ops, &eops, &fused);
-        let elide = crate::analysis::compute_elide(&ops);
         let compiled = CompiledProgram {
             source: program.clone(),
             syms,
@@ -700,7 +681,6 @@ impl CompiledProgram {
             zero_input,
             vec,
             lanes,
-            elide,
             stmt_spans,
         };
         // Every compile is verified in debug builds: a lowering bug
@@ -789,11 +769,11 @@ impl CompiledProgram {
         &self.lanes
     }
 
-    /// Whether the scatter write at `pc` carries a statically proven
-    /// in-bounds guarantee (see [`crate::analysis::compute_elide`]).
-    #[inline(always)]
-    pub fn elide_at(&self, pc: usize) -> bool {
-        self.elide[pc]
+    /// Always `false`: the engine has no bounds-check-elision tier.
+    /// Kept only because the `perf` benchmark's tier census calls it;
+    /// the next refresh of that benchmark deletes both.
+    pub fn elide_at(&self, _pc: usize) -> bool {
+        false
     }
 
     /// Half-open `[start, end)` op spans of each top-level resolved
@@ -1624,36 +1604,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_classifier_tags_scatter_loop() {
-        // The SpMSpM accumulation loop: one-statement RmwAdd body with
-        // a gathered index and a splat-times-gather value.
-        let mut p = SpatialProgram::new("t");
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("acc_s", MemKind::Sram, 16)));
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("crd_s", MemKind::Sram, 8)));
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("vals_s", MemKind::Sram, 8)));
-        p.accel.push(SpatialStmt::Bind {
-            var: "vb".into(),
-            value: SExpr::Const(2.5),
-        });
-        p.accel.push(range_loop(
-            0,
-            "j",
-            8.0,
-            vec![SpatialStmt::RmwAdd {
-                mem: "acc_s".into(),
-                index: SExpr::read("crd_s", SExpr::var("j")),
-                value: SExpr::mul(SExpr::var("vb"), SExpr::read("vals_s", SExpr::var("j"))),
-            }],
-        ));
-        p.assign_ids();
-        let c = CompiledProgram::compile(&p);
-        assert_eq!(c.vec_class(range_simple_pc(&c)), VecClass::Scatter);
-    }
-
-    #[test]
     fn vec_classifier_rejects_non_unit_stride_shapes() {
         // A reduce operand with an operator that can fail per lane
         // (`j / 2`) stays scalar.
@@ -1670,21 +1620,28 @@ mod tests {
         let c = CompiledProgram::compile(&p);
         assert_eq!(c.vec_class(range_simple_pc(&c)), VecClass::None);
 
-        // A scatter whose value multiplies by the loop variable itself
-        // (`j * vals[j]`): the splat side must be loop-invariant.
+        // A scatter-write body — the SpMSpM accumulation loop, one
+        // `RmwAdd` with a gathered index and a splat-times-gather value —
+        // gets no class: no tier chunks scatter loops.
         let mut p2 = SpatialProgram::new("t");
         p2.accel
             .push(SpatialStmt::Alloc(MemDecl::new("acc_s", MemKind::Sram, 16)));
         p2.accel
+            .push(SpatialStmt::Alloc(MemDecl::new("crd_s", MemKind::Sram, 8)));
+        p2.accel
             .push(SpatialStmt::Alloc(MemDecl::new("vals_s", MemKind::Sram, 8)));
+        p2.accel.push(SpatialStmt::Bind {
+            var: "vb".into(),
+            value: SExpr::Const(2.5),
+        });
         p2.accel.push(range_loop(
             0,
             "j",
             8.0,
             vec![SpatialStmt::RmwAdd {
                 mem: "acc_s".into(),
-                index: SExpr::var("j"),
-                value: SExpr::mul(SExpr::var("j"), SExpr::read("vals_s", SExpr::var("j"))),
+                index: SExpr::read("crd_s", SExpr::var("j")),
+                value: SExpr::mul(SExpr::var("vb"), SExpr::read("vals_s", SExpr::var("j"))),
             }],
         ));
         p2.assign_ids();

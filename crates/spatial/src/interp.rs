@@ -36,21 +36,19 @@
 //! (limits and errors), `stats`, `image` (copy-on-write DRAM images),
 //! `machine` (lifecycle, host DRAM access, `run`), `exec` (statement
 //! executors), `dispatch` (the bytecode loop), and one file per
-//! hot-loop tier — `simple` (superinstructions), `scatter` (including
-//! the bounds-check-elided loop) and `vector_tier` (the chunked
-//! scatters; the lane-program chunks of `Reduce` loops and of
-//! two-input scans, `Machine::scan_chunks`, whose emits it takes word
-//! by word from the scan snapshot; and the segmented executor of
-//! `SegReduce` row loops, `Machine::seg_rows`, whose nonzero chunks
-//! cross row boundaries) — so a tier goes by deleting its file and the
-//! call into it from the tier above.
+//! hot-loop tier — `simple` (superinstructions) and `vector_tier` (the
+//! lane-program chunks of `Reduce` loops and of two-input scans,
+//! `Machine::scan_chunks`, whose emits it takes word by word from the
+//! scan snapshot; and the segmented executor of `SegReduce` row loops,
+//! `Machine::seg_rows`, whose nonzero chunks cross row boundaries) — so
+//! a tier goes by deleting its file and the call into it from the tier
+//! above.
 
 mod budget;
 mod dispatch;
 mod exec;
 mod image;
 mod machine;
-mod scatter;
 mod simple;
 mod stats;
 #[cfg(test)]
@@ -469,11 +467,4 @@ pub struct Machine {
     /// process measures scalar vs vector on identical state. Results,
     /// statistics, and abort points are bit-identical either way.
     vector_enabled: bool,
-    /// Whether the dispatch loop consults the static
-    /// bounds-check-elision table (see [`crate::analysis`]). On by
-    /// default; runtime-togglable via [`Machine::set_elide_mode`]. Results, statistics, and abort
-    /// points are bit-identical either way — only the per-access
-    /// check is skipped, and only under a hoisted runtime guard that
-    /// re-establishes the proof's premises.
-    elide_enabled: bool,
 }

@@ -84,7 +84,6 @@ impl Machine {
             poisoned: false,
             write_log: None,
             vector_enabled: true,
-            elide_enabled: true,
             compiled,
         }
     }
@@ -177,15 +176,6 @@ impl Machine {
     /// vs vector in one process.
     pub fn set_vector_mode(&mut self, on: bool) {
         self.vector_enabled = on;
-    }
-
-    /// Enables or disables bounds-check elision ([`crate::analysis`];
-    /// on by default) at runtime. Execution results, `ExecStats`, and
-    /// budget-abort points are bit-identical in both modes — the toggle
-    /// exists so benchmarks and differential suites can measure checked
-    /// vs elided in one process.
-    pub fn set_elide_mode(&mut self, on: bool) {
-        self.elide_enabled = on;
     }
 
     /// Whether the last run aborted — with a structured error or a

@@ -1,7 +1,7 @@
 //! The superinstruction tier: `RangeSimple`, `Scan1Simple` and
 //! `Scan2Simple` loops run natively — no frame, no per-iteration
-//! dispatch of loop control — and hand eligible bodies to the scatter
-//! and vector tiers.
+//! dispatch of loop control — and hand eligible bodies to the vector
+//! tier.
 
 use super::budget::{check_interrupts, exhausted_fuel, INTERRUPT_MASK};
 use super::vector_tier::ScanCursor;
@@ -86,42 +86,11 @@ impl Machine {
             }),
             _ => None,
         };
-        // Single-statement bodies (the scatter-accumulate shape) get a
-        // dedicated loop: the body op is loop-invariant, so its
-        // dispatch is hoisted out of the iteration entirely.
+        // Single-op bodies get a dedicated loop: the body op is
+        // loop-invariant, so its dispatch is hoisted out of the
+        // iteration entirely.
         if body_len == 1 && reduce.is_none() {
             let op = &ops[body as usize];
-            // The scatter superinstruction: a lone on-chip write whose
-            // operands are hot-shape gathers. The arena makes every
-            // referenced slot's region provably loop-invariant (the
-            // body cannot allocate, enqueue, or regenerate), so slot
-            // states hoist out of the loop and statistics batch in
-            // registers.
-            let vector = vclass == VecClass::Scatter;
-            match *op {
-                Op::RmwAdd { mem, index, value } => {
-                    if let Some(r) = self.try_scatter_loop(
-                        prog, id, var, saved, v, hi, fstep, mem, index, value, true, true, vector,
-                        end,
-                    ) {
-                        return r;
-                    }
-                }
-                Op::WriteMem {
-                    mem,
-                    index,
-                    value,
-                    random,
-                } => {
-                    if let Some(r) = self.try_scatter_loop(
-                        prog, id, var, saved, v, hi, fstep, mem, index, value, random, false,
-                        vector, end,
-                    ) {
-                        return r;
-                    }
-                }
-                _ => {}
-            }
             if !matches!(
                 op,
                 Op::RangeSimple { .. } | Op::Scan1Simple { .. } | Op::Scan2Simple { .. }
@@ -166,14 +135,6 @@ impl Machine {
                 result?;
                 self.env[var] = saved;
                 return Ok(end);
-            }
-        }
-        // Multi-statement straight-line scatter bodies (fused
-        // fill/update loops) chunk through the vector tier;
-        // ineligible runtime state falls through to the generic loop.
-        if vclass == VecClass::MultiScatter && reduce.is_none() {
-            if let Some(r) = self.try_multi_scatter(prog, id, var, saved, v, hi, body, end) {
-                return r;
             }
         }
         if v < hi {

@@ -1,104 +1,15 @@
-//! The vector tier: chunked scatter and multi-scatter executors over
-//! [`vector::LANES`]-wide lanes, and the lane-program chunks of reduce
-//! loops, two-input scans and segmented row loops over
-//! [`vector::REDUCE_LANES`] — one lane evaluator for all three — each
-//! falling back to the scalar step at every boundary the scalar loop
-//! would observe.
+//! The vector tier: the lane-program chunks of reduce loops, two-input
+//! scans and segmented row loops over [`vector::REDUCE_LANES`] lanes —
+//! one lane evaluator for all three — each falling back to the scalar
+//! step at every boundary the scalar loop would observe.
 
-use super::budget::{check_interrupts, exhausted_fuel, INTERRUPT_MASK};
-use super::exec::{fifo_push, fifo_reserve, index_of};
+use super::exec::{fifo_push, fifo_reserve};
 use super::image::{dram_words, dram_words_mut};
-use super::scatter::{HotCounters, HotGather, HotValue};
-use super::{ChipState, ChipTag, Machine, RunError, ScanBuf};
+use super::{ChipTag, Machine, ScanBuf};
 use crate::bytecode::{CompiledProgram, EOp, LaneOp, LaneRef, Op, OpId, Operand, VecClass};
 use crate::ir::{BinSOp, MemKind, ScanOp};
 use crate::resolve::Slot;
 use crate::vector;
-
-/// Per-statement index plan for the chunked scatter executors: how a
-/// whole lane of destination indices materializes.
-#[derive(Debug, Clone, Copy)]
-enum IxPlan {
-    /// Dense run: the loop variable itself indexes the destination.
-    Iota,
-    /// Dense run at a constant offset: `dst[v + c]`. Only `Add` with a
-    /// non-negative integral `c` qualifies — those are exactly the
-    /// cases where `index_of(op.apply(v, c))` equals `v as usize + c`
-    /// for every in-window iteration.
-    OffIota(usize),
-    /// Scattered run: a unit-stride gather produces indices.
-    Stream(HotGather),
-}
-
-/// Per-statement value plan for the chunked scatter executors.
-#[derive(Debug, Clone, Copy)]
-enum ValPlan {
-    /// Loop-invariant value (constant or pre-read variable).
-    Splat(f64),
-    /// The loop variable itself.
-    Iota,
-    /// `v op c` computed per lane from the loop variable.
-    IotaBin { op: BinSOp, c: f64 },
-    /// A unit-stride gathered stream.
-    Stream(HotGather),
-    /// `x op stream[v]` with loop-invariant `x`.
-    SplatBin { x: f64, op: BinSOp, g: HotGather },
-}
-
-impl IxPlan {
-    /// Per-iteration statistic increments — compile-time constants of
-    /// the plan, charged per chunk in one multiply.
-    fn stats(&self) -> (u64, u64, u64) {
-        match self {
-            IxPlan::Iota => (0, 0, 0),
-            IxPlan::OffIota(_) => (0, 0, 1),
-            IxPlan::Stream(g) => (1, g.shuffle as u64, 0),
-        }
-    }
-
-    /// The gather stream backing this plan, if any.
-    fn stream(&self) -> Option<&HotGather> {
-        match self {
-            IxPlan::Stream(g) => Some(g),
-            _ => None,
-        }
-    }
-}
-
-impl ValPlan {
-    /// Per-iteration `(sram_reads, shuffles, alu_ops)` increments.
-    fn stats(&self) -> (u64, u64, u64) {
-        match self {
-            ValPlan::Splat(_) | ValPlan::Iota => (0, 0, 0),
-            ValPlan::IotaBin { .. } => (0, 0, 1),
-            ValPlan::Stream(g) => (1, g.shuffle as u64, 0),
-            ValPlan::SplatBin { g, .. } => (1, g.shuffle as u64, 1),
-        }
-    }
-
-    /// The gather stream backing this plan, if any.
-    fn stream(&self) -> Option<&HotGather> {
-        match self {
-            ValPlan::Stream(g) | ValPlan::SplatBin { g, .. } => Some(g),
-            _ => None,
-        }
-    }
-}
-
-/// One statement of a multi-scatter body: the hoisted destination
-/// region, the hot operand shapes (for the scalar step), and the lane
-/// plans (for the chunked path).
-struct ScatterStmt {
-    dst: Slot,
-    woff: usize,
-    len: usize,
-    hindex: HotValue,
-    hvalue: HotValue,
-    ix_plan: IxPlan,
-    val_plan: ValPlan,
-    accumulate: bool,
-    dst_shuffle: bool,
-}
 
 const CHUNK: usize = vector::REDUCE_LANES;
 
@@ -398,585 +309,6 @@ fn fill_scan_lanes(
 }
 
 impl Machine {
-    /// Builds the lane-index plan for one scatter statement, or `None`
-    /// when the index operand is not unit-stride in the loop variable
-    /// or a gather stream aliases a destination region (lanes preload
-    /// before the writes commit, so aliasing would reorder reads).
-    fn ix_plan(&self, hindex: HotValue, var: usize, dsts: &[Slot]) -> Option<IxPlan> {
-        match hindex {
-            HotValue::Var(a) if a as usize == var => Some(IxPlan::Iota),
-            // `v + c`: exact iff `c` is a non-negative integer small
-            // enough that `v + c` stays exactly representable — the
-            // same premises `crate::analysis` checks statically.
-            HotValue::VarConstBin {
-                var: a,
-                c,
-                op: BinSOp::Add,
-            } if a as usize == var && c >= 0.0 && c.fract() == 0.0 && c <= 4_294_967_296.0 => {
-                Some(IxPlan::OffIota(c as usize))
-            }
-            HotValue::Gather(g) if g.var as usize == var && !dsts.contains(&g.chip) => {
-                Some(IxPlan::Stream(g))
-            }
-            _ => None,
-        }
-    }
-
-    /// Builds the lane-value plan for one scatter statement (same
-    /// eligibility contract as [`Machine::ix_plan`]). An unbound splat
-    /// variable bails to the scalar loop so the UnboundVar error
-    /// surfaces with scalar semantics.
-    fn val_plan(&self, hvalue: HotValue, var: usize, dsts: &[Slot]) -> Option<ValPlan> {
-        match hvalue {
-            HotValue::Const(k) => Some(ValPlan::Splat(k)),
-            HotValue::Var(a) if a as usize == var => Some(ValPlan::Iota),
-            HotValue::Var(a) => Some(ValPlan::Splat(self.env[a as usize]?)),
-            HotValue::VarConstBin { var: a, c, op } if a as usize == var => {
-                Some(ValPlan::IotaBin { op, c })
-            }
-            HotValue::Gather(g) if g.var as usize == var && !dsts.contains(&g.chip) => {
-                Some(ValPlan::Stream(g))
-            }
-            HotValue::BinGather { a, op, g }
-                if g.var as usize == var && a as usize != var && !dsts.contains(&g.chip) =>
-            {
-                Some(ValPlan::SplatBin {
-                    x: self.env[a as usize]?,
-                    op,
-                    g,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The chunked (vector-tier) scatter executor: runs the scatter
-    /// superinstruction's unit-stride iterations [`vector::LANES`] at a
-    /// time. Index/value streams load as whole lanes from the flat
-    /// arena (bounds hoisted to one comparison per chunk), values
-    /// compute per lane, and the writes commit serially in lane order —
-    /// so repeated indices accumulate exactly as the scalar loop does
-    /// and every f64 result is bit-identical.
-    ///
-    /// Identity contract with the scalar loop:
-    /// - a chunk never crosses a fuel-exhaustion or interrupt-check
-    ///   boundary ([`vector::burst`]); the boundary iteration runs
-    ///   through the scalar step below at the identical fuel value;
-    /// - a chunk with a faulting lane (negative index, out-of-bounds
-    ///   destination) commits nothing and is re-run scalar from its
-    ///   first iteration, so the error, the partial writes before it,
-    ///   and the statistics match the scalar loop exactly;
-    /// - trailing iterations short of a full chunk run scalar.
-    ///
-    /// Returns `None` (having executed nothing) when the runtime half
-    /// of the eligibility contract fails — non-integral bounds, operand
-    /// shapes that are not unit-stride in the loop variable, or a
-    /// source stream aliasing the destination region (lanes preload
-    /// before the writes commit, so aliasing would reorder reads).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_vector_scatter(
-        &mut self,
-        id: usize,
-        var: usize,
-        saved: Option<f64>,
-        v0: f64,
-        hi: f64,
-        dst: Slot,
-        dst_st: ChipState,
-        hindex: HotValue,
-        hvalue: HotValue,
-        dst_shuffle: bool,
-        accumulate: bool,
-        end: usize,
-    ) -> Option<Result<usize, RunError>> {
-        const L: usize = vector::LANES;
-        let (base, total) = vector::unit_trips(v0, hi)?;
-        if total == 0 {
-            return None; // zero-trip: the scalar loop exits instantly
-        }
-        let ix_plan = self.ix_plan(hindex, var, &[dst])?;
-        let val_plan = self.val_plan(hvalue, var, &[dst])?;
-        // Per-iteration statistic increments are compile-time constants
-        // of the plan; chunks charge them in one multiply.
-        let (ix_reads, ix_shuf, ix_alu) = ix_plan.stats();
-        let (val_reads, val_shuf, val_alu) = val_plan.stats();
-        let (reads_per, shuf_per, alu_per) = (
-            ix_reads + val_reads,
-            ix_shuf + val_shuf + dst_shuffle as u64,
-            ix_alu + val_alu,
-        );
-        // Unit-stride streams stay in bounds for exactly
-        // `len - base` iterations; beyond that the scalar step owns the
-        // (error) semantics.
-        let mut stream_cap = total;
-        for g in [ix_plan.stream(), val_plan.stream()].into_iter().flatten() {
-            stream_cap = stream_cap.min(g.len.saturating_sub(base) as u64);
-        }
-        let mut done = 0u64;
-        let mut fuel = self.fuel;
-        let interrupts = self.interrupts;
-        let mut trips = 0u64;
-        let mut swrites = 0u64;
-        let mut c = HotCounters::default();
-        let mut result: Result<(), RunError> = Ok(());
-        let mut vec_on = true;
-        self.node_stack.push(id);
-        'outer: while done < total {
-            if vec_on {
-                let mut safe = vector::burst(stream_cap.saturating_sub(done), fuel, interrupts);
-                'chunks: while safe >= L as u64 {
-                    let at = base + done as usize;
-                    let mut idx = [0usize; L];
-                    match &ix_plan {
-                        IxPlan::Iota => {
-                            for (k, ix) in idx.iter_mut().enumerate() {
-                                *ix = at + k;
-                            }
-                        }
-                        IxPlan::OffIota(off) => {
-                            for (k, ix) in idx.iter_mut().enumerate() {
-                                *ix = at + k + off;
-                            }
-                        }
-                        IxPlan::Stream(g) => {
-                            let mut lanes = [0.0f64; L];
-                            lanes.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            if !vector::to_indices(&lanes, &mut idx) {
-                                // Negative lane: the chunk re-runs
-                                // scalar so NegativeIndex surfaces at
-                                // the exact iteration and state.
-                                vec_on = false;
-                                break 'chunks;
-                            }
-                        }
-                    }
-                    let mut max_ix = 0usize;
-                    for &ix in &idx {
-                        max_ix = max_ix.max(ix);
-                    }
-                    if max_ix >= dst_st.len {
-                        // Out-of-bounds lane: scalar re-run commits the
-                        // preceding lanes and raises the exact error.
-                        vec_on = false;
-                        break 'chunks;
-                    }
-                    let mut vals = [0.0f64; L];
-                    match &val_plan {
-                        ValPlan::Splat(x) => vals = [*x; L],
-                        ValPlan::Iota => {
-                            for (k, x) in vals.iter_mut().enumerate() {
-                                *x = (at + k) as f64;
-                            }
-                        }
-                        ValPlan::IotaBin { op, c } => {
-                            // Lanes are independent; per-lane apply is
-                            // bit-identical to the scalar op.
-                            let iota: [f64; L] = std::array::from_fn(|k| (at + k) as f64);
-                            if !vector::bin_lanes(*op, &iota, &[*c; L], &mut vals) {
-                                vec_on = false; // scalar re-run raises DivisionByZero
-                                break 'chunks;
-                            }
-                        }
-                        ValPlan::Stream(g) => {
-                            vals.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                        }
-                        ValPlan::SplatBin { x, op, g } => {
-                            let mut lanes = [0.0f64; L];
-                            lanes.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            if !vector::bin_splat(*op, *x, &lanes, &mut vals) {
-                                vec_on = false; // scalar re-run raises DivisionByZero
-                                break 'chunks;
-                            }
-                        }
-                    }
-                    // Serial in-lane-order commit: repeated indices
-                    // within a chunk accumulate exactly as the scalar
-                    // loop does.
-                    let dwords = &mut self.words[dst_st.woff..dst_st.woff + dst_st.len];
-                    if accumulate {
-                        for k in 0..L {
-                            dwords[idx[k]] += vals[k];
-                        }
-                    } else {
-                        for k in 0..L {
-                            dwords[idx[k]] = vals[k];
-                        }
-                    }
-                    done += L as u64;
-                    fuel -= L as u64;
-                    safe -= L as u64;
-                    trips += L as u64;
-                    swrites += L as u64;
-                    c.sram_reads += reads_per * L as u64;
-                    c.shuffles += shuf_per * L as u64;
-                    c.alu_ops += alu_per * L as u64;
-                }
-                if done >= total {
-                    break 'outer;
-                }
-            }
-            // Scalar step: the remainder tail, a fuel/interrupt
-            // boundary, or the re-run of a faulting chunk — the body is
-            // the scalar loop's, verbatim.
-            if fuel == 0 {
-                result = Err(exhausted_fuel(self.fuel_cause, self.step_limit));
-                break 'outer;
-            }
-            fuel -= 1;
-            if interrupts && fuel & INTERRUPT_MASK == 0 {
-                if let Err(e) = check_interrupts(
-                    self.deadline_at,
-                    self.deadline_ms(),
-                    self.budget.cancel.as_ref(),
-                ) {
-                    result = Err(e);
-                    break 'outer;
-                }
-            }
-            self.env[var] = Some(v0 + done as f64);
-            trips += 1;
-            let ixf = match self.hot_eval(hindex, &mut c) {
-                Ok(x) => x,
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
-            };
-            let ix = match index_of(ixf, || self.compiled.syms().chip_name(dst).to_string()) {
-                Ok(x) => x,
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
-            };
-            let val = match self.hot_eval(hvalue, &mut c) {
-                Ok(x) => x,
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
-            };
-            if ix >= dst_st.len {
-                result = Err(RunError::OutOfBounds {
-                    mem: self.compiled.syms().chip_name(dst).to_string(),
-                    index: ix as i64,
-                    len: dst_st.len,
-                });
-                break 'outer;
-            }
-            let slot = &mut self.words[dst_st.woff + ix];
-            if accumulate {
-                *slot += val;
-            } else {
-                *slot = val;
-            }
-            swrites += 1;
-            if dst_shuffle {
-                c.shuffles += 1;
-            }
-            done += 1;
-        }
-        self.fuel = fuel;
-        if result.is_ok() {
-            self.node_stack.pop();
-        }
-        self.dense.node_trips[id] += trips;
-        self.dense.sram_reads += c.sram_reads;
-        self.dense.sram_writes += swrites;
-        self.dense.shuffle_accesses += c.shuffles;
-        self.dense.alu_ops += c.alu_ops;
-        if let Err(e) = result {
-            return Some(Err(e));
-        }
-        self.env[var] = saved;
-        Some(Ok(end))
-    }
-
-    /// The chunked multi-scatter executor: a `RangeSimple` whose body
-    /// is several on-chip writes (`WriteMem`/`RmwAdd`), each with
-    /// hot-shape operands — the fused fill/update bodies that
-    /// [`crate::VecClass::MultiScatter`] admits. Every statement's lanes are
-    /// validated (and staged) before any statement commits, so a
-    /// faulting chunk re-runs scalar from its first iteration with no
-    /// partial writes; the commit is statement-major, which is
-    /// byte-identical to the scalar loop's iteration-major order
-    /// because destinations are pairwise distinct and disjoint from
-    /// every gather source (both re-checked here at runtime, mirroring
-    /// the static classification in [`crate::analysis`]).
-    ///
-    /// The scalar step reproduces one generic
-    /// [`Machine::run_simple_body`] iteration — same op order, same
-    /// statistics, same error identity — with the loop-invariant slot
-    /// states hoisted (the body cannot allocate, enqueue, or bind, so
-    /// hoisting is sound, and it cannot consume fuel, so the register
-    /// fuel mirror is exact). Returns `None` (having executed nothing)
-    /// when runtime state is ineligible, leaving the generic loop to
-    /// run.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_multi_scatter(
-        &mut self,
-        prog: &CompiledProgram,
-        id: usize,
-        var: usize,
-        saved: Option<f64>,
-        v0: f64,
-        hi: f64,
-        body: OpId,
-        end: usize,
-    ) -> Option<Result<usize, RunError>> {
-        const L: usize = vector::LANES;
-        let (base, total) = vector::unit_trips(v0, hi)?;
-        if total == 0 {
-            return None; // zero-trip: the generic loop exits instantly
-        }
-        let ops = prog.ops();
-        let mut dsts: Vec<Slot> = Vec::with_capacity(end - body as usize);
-        for op in &ops[body as usize..end] {
-            match *op {
-                Op::WriteMem { mem, .. } | Op::RmwAdd { mem, .. } => {
-                    // Pairwise-distinct destinations keep the
-                    // statement-major commit order sound.
-                    if dsts.contains(&mem) {
-                        return None;
-                    }
-                    dsts.push(mem);
-                }
-                _ => return None,
-            }
-        }
-        let mut stmts: Vec<ScatterStmt> = Vec::with_capacity(dsts.len());
-        let mut stream_cap = total;
-        let (mut reads_per, mut shuf_per, mut alu_per) = (0u64, 0u64, 0u64);
-        for op in &ops[body as usize..end] {
-            let (dst, index, value, random, accumulate) = match *op {
-                Op::WriteMem {
-                    mem,
-                    index,
-                    value,
-                    random,
-                } => (mem, index, value, random, false),
-                Op::RmwAdd { mem, index, value } => (mem, index, value, true, true),
-                _ => unreachable!("body shape checked above"),
-            };
-            let st = self.chip[dst as usize];
-            if st.tag != ChipTag::Words {
-                return None;
-            }
-            let hindex = self.hot_value(prog, index)?;
-            let hvalue = self.hot_value(prog, value)?;
-            let ix_plan = self.ix_plan(hindex, var, &dsts)?;
-            let val_plan = self.val_plan(hvalue, var, &dsts)?;
-            let dst_shuffle = (random || accumulate) && st.kind == MemKind::SparseSram;
-            let (ixr, ixs, ixa) = ix_plan.stats();
-            let (vr, vs, va) = val_plan.stats();
-            reads_per += ixr + vr;
-            shuf_per += ixs + vs + dst_shuffle as u64;
-            alu_per += ixa + va;
-            // Unit-stride streams stay in bounds for exactly
-            // `len - base` iterations; beyond that the scalar step
-            // owns the (error) semantics.
-            for g in [ix_plan.stream(), val_plan.stream()].into_iter().flatten() {
-                stream_cap = stream_cap.min(g.len.saturating_sub(base) as u64);
-            }
-            stmts.push(ScatterStmt {
-                dst,
-                woff: st.woff,
-                len: st.len,
-                hindex,
-                hvalue,
-                ix_plan,
-                val_plan,
-                accumulate,
-                dst_shuffle,
-            });
-        }
-        let nstmts = stmts.len() as u64;
-        // Per-statement lane staging, allocated once per loop entry.
-        let mut lanes: Vec<([usize; L], [f64; L])> = vec![([0; L], [0.0; L]); stmts.len()];
-        let mut done = 0u64;
-        let mut fuel = self.fuel;
-        let interrupts = self.interrupts;
-        let mut trips = 0u64;
-        let mut swrites = 0u64;
-        let mut c = HotCounters::default();
-        let mut result: Result<(), RunError> = Ok(());
-        let mut vec_on = true;
-        self.node_stack.push(id);
-        'outer: while done < total {
-            if vec_on {
-                let mut safe = vector::burst(stream_cap.saturating_sub(done), fuel, interrupts);
-                'chunks: while safe >= L as u64 {
-                    let at = base + done as usize;
-                    for (s, (idx, vals)) in stmts.iter().zip(lanes.iter_mut()) {
-                        match &s.ix_plan {
-                            IxPlan::Iota => {
-                                for (k, ix) in idx.iter_mut().enumerate() {
-                                    *ix = at + k;
-                                }
-                            }
-                            IxPlan::OffIota(off) => {
-                                for (k, ix) in idx.iter_mut().enumerate() {
-                                    *ix = at + k + off;
-                                }
-                            }
-                            IxPlan::Stream(g) => {
-                                let mut raw = [0.0f64; L];
-                                raw.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                                if !vector::to_indices(&raw, idx) {
-                                    // Negative lane: the chunk re-runs
-                                    // scalar so NegativeIndex surfaces
-                                    // at the exact iteration and state.
-                                    vec_on = false;
-                                    break 'chunks;
-                                }
-                            }
-                        }
-                        let mut max_ix = 0usize;
-                        for &ix in idx.iter() {
-                            max_ix = max_ix.max(ix);
-                        }
-                        if max_ix >= s.len {
-                            // Out-of-bounds lane: scalar re-run raises
-                            // the exact error at the exact iteration.
-                            vec_on = false;
-                            break 'chunks;
-                        }
-                        match &s.val_plan {
-                            ValPlan::Splat(x) => *vals = [*x; L],
-                            ValPlan::Iota => {
-                                for (k, x) in vals.iter_mut().enumerate() {
-                                    *x = (at + k) as f64;
-                                }
-                            }
-                            ValPlan::IotaBin { op, c } => {
-                                let iota: [f64; L] = std::array::from_fn(|k| (at + k) as f64);
-                                if !vector::bin_lanes(*op, &iota, &[*c; L], vals) {
-                                    vec_on = false; // scalar re-run raises DivisionByZero
-                                    break 'chunks;
-                                }
-                            }
-                            ValPlan::Stream(g) => {
-                                vals.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            }
-                            ValPlan::SplatBin { x, op, g } => {
-                                let mut raw = [0.0f64; L];
-                                raw.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                                if !vector::bin_splat(*op, *x, &raw, vals) {
-                                    vec_on = false; // scalar re-run raises DivisionByZero
-                                    break 'chunks;
-                                }
-                            }
-                        }
-                    }
-                    // Statement-major commit, serial in lane order
-                    // within each statement.
-                    for (s, (idx, vals)) in stmts.iter().zip(lanes.iter()) {
-                        let dwords = &mut self.words[s.woff..s.woff + s.len];
-                        if s.accumulate {
-                            for k in 0..L {
-                                dwords[idx[k]] += vals[k];
-                            }
-                        } else {
-                            for k in 0..L {
-                                dwords[idx[k]] = vals[k];
-                            }
-                        }
-                    }
-                    done += L as u64;
-                    fuel -= L as u64;
-                    safe -= L as u64;
-                    trips += L as u64;
-                    swrites += nstmts * L as u64;
-                    c.sram_reads += reads_per * L as u64;
-                    c.shuffles += shuf_per * L as u64;
-                    c.alu_ops += alu_per * L as u64;
-                }
-                if done >= total {
-                    break 'outer;
-                }
-            }
-            // Scalar step: the remainder tail, a fuel/interrupt
-            // boundary, or the re-run of a faulting chunk — one full
-            // iteration of the generic body, statement by statement.
-            if fuel == 0 {
-                result = Err(exhausted_fuel(self.fuel_cause, self.step_limit));
-                break 'outer;
-            }
-            fuel -= 1;
-            if interrupts && fuel & INTERRUPT_MASK == 0 {
-                if let Err(e) = check_interrupts(
-                    self.deadline_at,
-                    self.deadline_ms(),
-                    self.budget.cancel.as_ref(),
-                ) {
-                    result = Err(e);
-                    break 'outer;
-                }
-            }
-            self.env[var] = Some(v0 + done as f64);
-            trips += 1;
-            for s in &stmts {
-                // Same order as the generic WriteMem/RmwAdd op: index
-                // operand, index conversion, value operand, then the
-                // bounds-checked write.
-                let ixf = match self.hot_eval(s.hindex, &mut c) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        result = Err(e);
-                        break 'outer;
-                    }
-                };
-                let ix = match index_of(ixf, || self.compiled.syms().chip_name(s.dst).to_string()) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        result = Err(e);
-                        break 'outer;
-                    }
-                };
-                let val = match self.hot_eval(s.hvalue, &mut c) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        result = Err(e);
-                        break 'outer;
-                    }
-                };
-                if ix >= s.len {
-                    result = Err(RunError::OutOfBounds {
-                        mem: self.compiled.syms().chip_name(s.dst).to_string(),
-                        index: ix as i64,
-                        len: s.len,
-                    });
-                    break 'outer;
-                }
-                let slot = &mut self.words[s.woff + ix];
-                if s.accumulate {
-                    *slot += val;
-                } else {
-                    *slot = val;
-                }
-                swrites += 1;
-                if s.dst_shuffle {
-                    c.shuffles += 1;
-                }
-            }
-            done += 1;
-        }
-        self.fuel = fuel;
-        if result.is_ok() {
-            self.node_stack.pop();
-        }
-        self.dense.node_trips[id] += trips;
-        self.dense.sram_reads += c.sram_reads;
-        self.dense.sram_writes += swrites;
-        self.dense.shuffle_accesses += c.shuffles;
-        self.dense.alu_ops += c.alu_ops;
-        if let Err(e) = result {
-            return Some(Err(e));
-        }
-        self.env[var] = saved;
-        Some(Ok(end))
-    }
-
     /// Resolves one lane program — `lanes` up to its closing sink or
     /// [`LaneOp::End`], whose index it returns — against the loop-entry
     /// state: read slots checked to be plain words (their regions hoist

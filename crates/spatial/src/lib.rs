@@ -29,8 +29,7 @@
 //!
 //! The [`analysis`] module is the static layer over the lowered form:
 //! a structural verifier gating every compile, effect summaries the
-//! shard planner and vector classifier share, and the
-//! bounds-check-elision table the dispatch loop consults.
+//! shard planner uses, and the vector classifier.
 
 #![forbid(unsafe_code)]
 

@@ -442,12 +442,10 @@ impl ArenaLayout {
         for slot in 0..chip_count {
             let region = ChipRegion {
                 word_off: layout.words,
-                // Round every word region up to a whole vector chunk
-                // (crate::vector::LANES). With all regions starting on
-                // a lane boundary, the vector tier's whole-lane loads
-                // and stores on the flat arena are uniformly aligned
-                // relative to the arena start, and a chunked read never
-                // spills into the next slot's region.
+                // Round every word region up to a whole cache line
+                // (crate::vector::LANES), so every region starts on a
+                // line boundary relative to the arena start and no two
+                // slots share a line.
                 word_cap: word_need[slot].next_multiple_of(crate::vector::LANES),
                 bit_off: layout.bit_words,
                 bit_words: bit_need[slot],

@@ -1,18 +1,20 @@
 //! The data-parallel (vector) execution tier of the bytecode engine.
 //!
 //! The scalar superinstruction loops in [`crate::interp`] spend their
-//! time on per-element arena loads/stores — exactly the streamed
-//! pos/crd/vals traffic the Sparse Abstract Machine models as wide
-//! dataflow streams. This module holds the lane-level kernels those
-//! loops call to process unit-stride runs in [`LANES`]-wide chunks:
-//! bounds checks hoist to one comparison per chunk, index conversion
-//! and arithmetic happen per lane, and every *reduction* stays in
-//! serial lane order so f64 results are bit-identical to the scalar
-//! engine.
+//! time on per-element arena loads and per-op dispatch — exactly the
+//! streamed pos/crd/vals traffic the Sparse Abstract Machine models as
+//! wide dataflow streams. This module holds the lane-level helpers the
+//! lane-program chunks of [`crate::VecClass::Reduce`],
+//! [`crate::VecClass::Scan`] and [`crate::VecClass::SegReduce`] loops
+//! use to process [`REDUCE_LANES`] iterations at a time: bounds checks
+//! hoist to one comparison per chunk, index conversion and arithmetic
+//! happen per lane, and every *reduction* stays in serial lane order so
+//! f64 results are bit-identical to the scalar engine.
 //!
-//! The lane kernels are portable fixed-trip loops over `[f64; LANES]`,
+//! The lane kernels are portable fixed-trip loops over `[f64; N]`,
 //! shaped so the autovectorizer can take them (no early exits, no
-//! cross-lane dependencies).
+//! cross-lane dependencies). [`LANES`] is not a chunk width: it is the
+//! cache-line alignment of every region of the flat word arena.
 //!
 //! Fuel, interrupt, and statistics *semantics* are owned by the
 //! interpreter; the only scheduling helper here is [`burst`], which
@@ -22,8 +24,8 @@
 
 use crate::interp::INTERRUPT_MASK;
 
-/// Chunk width of the vector tier, in f64 lanes. One chunk is a cache
-/// line (64 bytes) of the flat word arena.
+/// Alignment of every region of the flat word arena, in f64 words: one
+/// cache line (64 bytes).
 pub const LANES: usize = 8;
 
 /// Largest f64 loop bound the vector tier treats as exactly
@@ -67,10 +69,11 @@ pub(crate) fn exact_index(v: f64) -> Option<usize> {
     (f64::from(t) == v).then_some(t as usize)
 }
 
-/// Iterations a [`crate::VecClass::Reduce`] loop evaluates per pass
-/// over its lane program: four chunks, so the dispatch of each lane op
-/// amortizes over 32 iterations.
-pub(crate) const REDUCE_LANES: usize = 4 * LANES;
+/// Iterations a [`crate::VecClass::Reduce`], [`crate::VecClass::Scan`]
+/// or [`crate::VecClass::SegReduce`] chunk evaluates per pass over its
+/// lane program, so the dispatch of each lane op amortizes over 32
+/// iterations. A loop's last chunk may be shorter.
+pub const REDUCE_LANES: usize = 32;
 
 /// Longest lane program [`crate::VecClass::Reduce`] admits, in ops
 /// (the Table-3 inner products need at most 9).
@@ -183,28 +186,6 @@ fn try_fill_lanes<const N: usize>(out: &mut [f64; N], f: impl Fn(usize) -> Optio
     ok
 }
 
-/// `out[k] = a op b[k]` with a loop-invariant left operand — the
-/// scale-by-gathered-value lane kernel (`vb * C_vals[jj]`). `false`
-/// when a lane divides by zero (see [`try_fill_lanes`]).
-#[inline(always)]
-#[must_use]
-pub(crate) fn bin_splat(
-    op: crate::ir::BinSOp,
-    a: f64,
-    b: &[f64; LANES],
-    out: &mut [f64; LANES],
-) -> bool {
-    use crate::ir::BinSOp::*;
-    // The common operators get their own loops so no lane re-matches `op`.
-    match op {
-        Add => fill_lanes(out, |k| a + b[k]),
-        Sub => fill_lanes(out, |k| a - b[k]),
-        Mul => fill_lanes(out, |k| a * b[k]),
-        Div | Mod => return try_fill_lanes(out, |k| op.apply(a, b[k])),
-    }
-    true
-}
-
 /// `out[k] = a[k] op b[k]` — the two-stream lane kernel
 /// (`A_vals[j] * x[crd[j]]`). `false` when a lane divides by zero (see
 /// [`try_fill_lanes`]).
@@ -277,7 +258,7 @@ mod tests {
     #[test]
     fn to_indices_matches_index_of_semantics() {
         let src = [0.0, 1.0, 7.0, 2.5, 3.49, 1e9, 5e9, 42.0];
-        let mut out = [0usize; LANES];
+        let mut out = [0usize; 8];
         assert!(to_indices(&src, &mut out));
         // 2.5 rounds half-away-from-zero like `f64::round`; 3.49 rounds
         // down; 5e9 is past the `u32` fast path — all exactly what the
@@ -298,19 +279,12 @@ mod tests {
             BinSOp::Div,
             BinSOp::Mod,
         ] {
-            let mut out = [0.0; LANES];
+            let mut out = [0.0; 8];
             assert!(bin_lanes(op, &a, &b, &mut out));
-            for k in 0..LANES {
+            for k in 0..a.len() {
                 assert_eq!(
                     Some(out[k].to_bits()),
                     op.apply(a[k], b[k]).map(f64::to_bits)
-                );
-            }
-            assert!(bin_splat(op, 2.5, &b, &mut out));
-            for k in 0..LANES {
-                assert_eq!(
-                    Some(out[k].to_bits()),
-                    op.apply(2.5, b[k]).map(f64::to_bits)
                 );
             }
         }
@@ -318,12 +292,10 @@ mod tests {
         // re-runs it scalar); the other operators never refuse.
         let mut zero = b;
         zero[5] = 0.0;
-        let mut out = [0.0; LANES];
+        let mut out = [0.0; 8];
         for op in [BinSOp::Div, BinSOp::Mod] {
             assert!(!bin_lanes(op, &a, &zero, &mut out));
-            assert!(!bin_splat(op, 2.5, &zero, &mut out));
         }
         assert!(bin_lanes(BinSOp::Mul, &a, &zero, &mut out));
-        assert!(bin_splat(BinSOp::Add, 2.5, &zero, &mut out));
     }
 }

@@ -528,7 +528,7 @@ fn division_by_zero_is_one_typed_error_on_both_engines() {
     )));
     programs.push((p, 0.0));
 
-    // A zero-divisor index in the scatter superinstruction's loop.
+    // A zero-divisor index in a single-op scatter loop.
     let mut p = zero_divisor_program("mod_scatter_index");
     p.accel.push(SpatialStmt::Alloc(MemDecl::new(
         "acc",

@@ -948,18 +948,15 @@ fn auto_shard_count_discounts_vectorized_plans() {
         counter: Counter::range_to("i", SExpr::Const(trips as f64)),
         par: 1,
         body: vec![
-            SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, SIZE)),
-            // A vector-eligible inner fill: `s[j] = j`.
-            SpatialStmt::Foreach {
+            SpatialStmt::Alloc(MemDecl::new("r", MemKind::Reg, 1)),
+            // A vector-eligible inner reduce: `r = Σ j * 2`.
+            SpatialStmt::Reduce {
                 id: 1,
+                reg: "r".into(),
                 counter: Counter::range_to("j", SExpr::Const(SIZE as f64)),
                 par: 1,
-                body: vec![SpatialStmt::WriteMem {
-                    mem: "s".into(),
-                    index: SExpr::var("j"),
-                    value: SExpr::var("j"),
-                    random: false,
-                }],
+                body: vec![],
+                expr: SExpr::mul(SExpr::var("j"), SExpr::Const(2.0)),
             },
             SpatialStmt::StoreScalar {
                 dst: "out0".into(),
@@ -968,7 +965,7 @@ fn auto_shard_count_discounts_vectorized_plans() {
                     SExpr::var("i"),
                     SExpr::Const(OUT as f64),
                 ),
-                value: SExpr::read("s", SExpr::Const(2.0)),
+                value: SExpr::RegRead("r".into()),
             },
         ],
     });
@@ -977,7 +974,7 @@ fn auto_shard_count_discounts_vectorized_plans() {
     let plan = ShardPlan::analyze(&compiled).expect("vectorized candidate proves");
     assert!(
         plan.vectorized(),
-        "inner fill must classify vector-eligible"
+        "inner reduce must classify vector-eligible"
     );
     let wide = PoolOccupancy {
         idle: 64,

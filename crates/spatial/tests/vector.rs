@@ -5,11 +5,14 @@
 //! bitwise-identical DRAM, identical `ExecStats`, and identical errors
 //! to the scalar bytecode engine and the string-keyed reference
 //! engine. These tests sweep the remainder
-//! lengths around the chunk width (0, 1, LANES-1, LANES, LANES+1,
-//! 2*LANES-1, ...), misaligned loop starts, faulting lanes in the
+//! lengths around the [`REDUCE_LANES`]-wide chunk (0, 1, 31, 32, 33,
+//! 63, 64, 65, ...), misaligned loop starts, faulting lanes in the
 //! middle of a chunk, and — the fuel-drift regression — step budgets
 //! that exhaust *inside* a vector chunk, where the abort point must
 //! land on the identical iteration with the identical partial DRAM.
+//! Scatter-write loops (single- and multi-statement, dense, offset and
+//! computed fills) get no vector class; they stay here as
+//! engine-agreement inputs for the scalar single-op and body loops.
 //! Raise `PROPTEST_CASES` for deeper sweeps (CI does). Every engine run
 //! happens under the `STARDUST_FAULTS` plan when one is set, so CI's
 //! chaos steps land injected errors, failed allocations and budget
@@ -19,7 +22,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 use stardust_spatial::ir::MemDecl;
-use stardust_spatial::vector::LANES;
+use stardust_spatial::vector::REDUCE_LANES;
 use stardust_spatial::{
     faults, BinSOp, CancelFlag, CompiledProgram, Counter, ExecStats, FaultPlan, Machine, MemKind,
     ReferenceMachine, RunBudget, RunError, SExpr, ScanOp, SpatialProgram, SpatialStmt, VecClass,
@@ -42,7 +45,10 @@ fn with_env_faults<R>(f: impl FnOnce() -> R) -> R {
 /// may abort the run before it gets there, so under one only the
 /// engines' agreement is checked.
 fn assert_clean_result(got: Result<ExecStats, RunError>, want: Result<ExecStats, RunError>) {
-    if FaultPlan::from_env().expect("STARDUST_FAULTS is malformed").is_none() {
+    if FaultPlan::from_env()
+        .expect("STARDUST_FAULTS is malformed")
+        .is_none()
+    {
         assert_eq!(got, want);
     }
 }
@@ -220,8 +226,8 @@ fn reduce_program_with(op: BinSOp, n: usize, lo: usize) -> SpatialProgram {
 }
 
 /// The SpMSpM accumulation loop over `j in [lo, lo+n)`:
-/// `acc_s[crd_s[j]] += vb * vals_s[j]` — the `Scatter` vector class
-/// with a gathered index.
+/// `acc_s[crd_s[j]] += vb * vals_s[j]` — a scatter write with a
+/// gathered index.
 fn scatter_program(n: usize, lo: usize) -> SpatialProgram {
     scatter_program_with(BinSOp::Mul, n, lo)
 }
@@ -268,8 +274,8 @@ fn scatter_program_with(op: BinSOp, n: usize, lo: usize) -> SpatialProgram {
     p
 }
 
-/// A dense fill over `j in [lo, lo+n)`: `s[j] = vals_s[j]` — the
-/// `Scatter` class with the iota index plan.
+/// A dense fill over `j in [lo, lo+n)`: `s[j] = vals_s[j]` — a
+/// scatter write indexed by the loop variable.
 fn dense_fill_program(n: usize, lo: usize) -> SpatialProgram {
     dense_fill_program_with(SExpr::read("vals_s", SExpr::var("j")), n, lo)
 }
@@ -329,25 +335,35 @@ fn reduce_inputs(n: usize, lo: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)
 }
 
 /// Remainder sweep: every length around the chunk width, crossed with
-/// aligned and misaligned loop starts, on all three vector classes.
+/// aligned and misaligned loop starts, on the reduce loop and the
+/// scatter and dense-fill inputs.
 #[test]
 fn remainder_lengths_and_offsets_are_bit_identical() {
+    const L: usize = REDUCE_LANES;
     let lengths = [
         0,
         1,
-        LANES - 1,
-        LANES,
-        LANES + 1,
-        2 * LANES - 1,
-        2 * LANES,
-        2 * LANES + 1,
-        5 * LANES + 3,
+        L - 1,
+        L,
+        L + 1,
+        2 * L - 1,
+        2 * L,
+        2 * L + 1,
+        5 * L + 3,
     ];
     for &n in &lengths {
-        for lo in [0usize, 1, 3, LANES - 1] {
+        for lo in [0usize, 1, 3, L - 1] {
             let seed = (n * 31 + lo) as u64;
-            assert_engines_agree(&reduce_program(n, lo), &reduce_inputs(n, lo, seed), RunBudget::unlimited());
-            assert_engines_agree(&scatter_program(n, lo), &scatter_inputs(n, lo, seed), RunBudget::unlimited());
+            assert_engines_agree(
+                &reduce_program(n, lo),
+                &reduce_inputs(n, lo, seed),
+                RunBudget::unlimited(),
+            );
+            assert_engines_agree(
+                &scatter_program(n, lo),
+                &scatter_inputs(n, lo, seed),
+                RunBudget::unlimited(),
+            );
             let len = (lo + n).max(1);
             assert_engines_agree(
                 &dense_fill_program(n, lo),
@@ -363,38 +379,46 @@ fn remainder_lengths_and_offsets_are_bit_identical() {
 /// engines exactly (the chunk is re-run scalar, committing nothing).
 #[test]
 fn faulting_lanes_mid_chunk_match_scalar_semantics() {
-    let n = 3 * LANES;
+    const L: usize = REDUCE_LANES;
+    let n = 3 * L;
     // Out-of-bounds destination index in the middle of the second chunk.
     let mut inputs = scatter_inputs(n, 0, 7);
-    inputs[1].1[LANES + 3] = ACC as f64 + 5.0;
+    inputs[1].1[L + 13] = ACC as f64 + 5.0;
     assert_engines_agree(&scatter_program(n, 0), &inputs, RunBudget::unlimited());
     // Negative index in the middle of the first chunk.
     let mut inputs = scatter_inputs(n, 0, 8);
-    inputs[1].1[3] = -2.0;
+    inputs[1].1[L / 2] = -2.0;
     assert_engines_agree(&scatter_program(n, 0), &inputs, RunBudget::unlimited());
-    // Out-of-bounds outer gather in the SpMV dot product.
+    // Out-of-bounds outer gather in the middle of the SpMV dot
+    // product's last chunk.
     let mut inputs = reduce_inputs(n, 0, 9);
-    inputs[1].1[2 * LANES + 1] = XS as f64;
+    inputs[1].1[2 * L + 17] = XS as f64;
     assert_engines_agree(&reduce_program(n, 0), &inputs, RunBudget::unlimited());
-    // Negative inner index in the SpMV dot product.
+    // Negative inner index in the middle of its first chunk.
     let mut inputs = reduce_inputs(n, 0, 10);
-    inputs[1].1[1] = -1.0;
+    inputs[1].1[L / 2 + 1] = -1.0;
     assert_engines_agree(&reduce_program(n, 0), &inputs, RunBudget::unlimited());
     // A zero divisor is the same kind of lane fault: a typed error at
     // the exact iteration, in every build profile. `vb % vals[j]` with
     // a zero in the middle of the second chunk...
     let zero = Err(RunError::DivisionByZero);
     let mut inputs = scatter_inputs(n, 0, 11);
-    inputs[0].1[LANES + 3] = 0.0;
+    inputs[0].1[L + 13] = 0.0;
     let p = scatter_program_with(BinSOp::Mod, n, 0);
-    assert_clean_result(agreed_result(&p, &inputs, RunBudget::unlimited()), zero.clone());
-    // ...`vals[j] / x[crd[j]]` with a zero behind the last chunk's
-    // gather...
+    assert_clean_result(
+        agreed_result(&p, &inputs, RunBudget::unlimited()),
+        zero.clone(),
+    );
+    // ...`vals[j] / x[crd[j]]` with a zero behind a gather in the
+    // middle of the last chunk...
     let mut inputs = reduce_inputs(n, 0, 12);
-    inputs[1].1[2 * LANES + 1] = 5.0;
+    inputs[1].1[2 * L + 17] = 5.0;
     inputs[2].1[5] = 0.0;
     let p = reduce_program_with(BinSOp::Div, n, 0);
-    assert_clean_result(agreed_result(&p, &inputs, RunBudget::unlimited()), zero.clone());
+    assert_clean_result(
+        agreed_result(&p, &inputs, RunBudget::unlimited()),
+        zero.clone(),
+    );
     // ...and a loop-invariant zero divisor, `s[j] = j % 0`.
     let value = SExpr::bin(BinSOp::Mod, SExpr::var("j"), SExpr::Const(0.0));
     let p = dense_fill_program_with(value, n, 0);
@@ -408,7 +432,7 @@ fn faulting_lanes_mid_chunk_match_scalar_semantics() {
 /// with byte-identical partial DRAM on all three engines.
 #[test]
 fn budget_aborts_inside_chunks_are_identical() {
-    let n = 5 * LANES;
+    let n = 5 * REDUCE_LANES;
     let reduce = reduce_program(n, 0);
     let reduce_in = reduce_inputs(n, 0, 21);
     let scatter = scatter_program(n, 0);
@@ -749,7 +773,11 @@ impl ScanCase {
 
     /// Asserts the three engines agree on `body` under `budget`.
     fn check(&self, body: ScanBody, budget: RunBudget) -> Result<ExecStats, RunError> {
-        agreed_result(&self.program(body), &self.inputs(self.emits() as u64), budget)
+        agreed_result(
+            &self.program(body),
+            &self.inputs(self.emits() as u64),
+            budget,
+        )
     }
 }
 
@@ -761,7 +789,12 @@ fn scan_cases() -> Vec<ScanCase> {
         .into_iter()
         .map(|(a, b)| (a, dim, b, dim))
         .collect::<Vec<_>>();
-    sides.push(((0..70).step_by(3).collect(), 70, (0..dim).step_by(4).collect(), dim));
+    sides.push((
+        (0..70).step_by(3).collect(),
+        70,
+        (0..dim).step_by(4).collect(),
+        dim,
+    ));
     sides.push(((0..dim).collect(), dim, (5..130).step_by(2).collect(), 130));
     sides.push((vec![63], 64, (0..65).collect(), 65));
     let mut cases = Vec::new();
@@ -835,7 +868,10 @@ fn scan_bodies_sharing_or_reading_targets_stay_scalar() {
     };
     let advance = set("ctr", SExpr::add(reg("ctr"), SExpr::Const(1.0)));
     let bodies = [
-        vec![set("r", SExpr::add(reg("r"), SExpr::mul(va.clone(), reg("r"))))],
+        vec![set(
+            "r",
+            SExpr::add(reg("r"), SExpr::mul(va.clone(), reg("r"))),
+        )],
         vec![enq(SExpr::var("ix")), enq(SExpr::var("po"))],
         vec![advance.clone(), store(SExpr::var("ix"))],
         vec![store(SExpr::var("ix"))],
@@ -1282,13 +1318,13 @@ fn seg_budget_aborts_are_identical() {
     }
 }
 
-/// Random (length, offset, data, fuel) sweeps over the three range
-/// vector classes and the scan class, with occasional faulting indices
-/// mixed in.
+/// Random (length, offset, data, fuel) sweeps over the reduce loop,
+/// the scatter and dense-fill inputs, the row loop and the scan class,
+/// with occasional faulting indices mixed in.
 fn random_case(seed: u64) {
     let mut rng = TestRng::for_test(&format!("vector-{seed}"));
-    let n = rng.below(8 * LANES as u64) as usize;
-    let lo = rng.below(2 * LANES as u64) as usize;
+    let n = rng.below(2 * REDUCE_LANES as u64) as usize;
+    let lo = rng.below(REDUCE_LANES as u64 / 2) as usize;
     let budget = match rng.below(3) {
         0 => RunBudget::unlimited(),
         _ => steps(1 + rng.below((n as u64 + 8) * 2)),
@@ -1382,11 +1418,7 @@ proptest! {
 
 /// A fused fill/update loop — *three* statements per iteration:
 /// `s1[j] = vals_s[j]`, `acc_s[crd_s[j]] += vb * vals_s[j]`, and the
-/// computed fill `s2[j] = j * 2.0`. Multi-statement bodies were
-/// `VecClass::None` before the effect-analysis framework; they now
-/// classify as [`VecClass::MultiScatter`] (pairwise-distinct
-/// destinations, no gather reads a written slot) and chunk through the
-/// vector tier with statement-major commits.
+/// computed fill `s2[j] = j * 2.0`, run by the scalar body loop.
 fn multi_body_program(n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
     let mut p = SpatialProgram::new("vec_multi");
@@ -1460,10 +1492,8 @@ fn multi_body_program(n: usize, lo: usize) -> SpatialProgram {
     p
 }
 
-/// The offset dense fill `s[j + off] = vals_s[j]` — previously
-/// `VecClass::None` (the index is not the bare loop variable), now a
-/// [`VecClass::Scatter`] via the `[VarConstBin, End]` offset-iota
-/// index plan.
+/// The offset dense fill `s[j + off] = vals_s[j]`: its index is the
+/// `[VarConstBin, End]` expression program.
 fn offset_fill_program(n: usize, lo: usize, off: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
     let slen = len + off;
@@ -1500,10 +1530,8 @@ fn offset_fill_program(n: usize, lo: usize, off: usize) -> SpatialProgram {
     p
 }
 
-/// The computed dense fill `s[j] = j * 2.0` — previously
-/// `VecClass::None` (the value is neither a constant, variable, nor
-/// gather), now a [`VecClass::Scatter`] via the per-lane
-/// `[VarConstBin, End]` value plan.
+/// The computed dense fill `s[j] = j * 2.0`: its value is the
+/// `[VarConstBin, End]` expression program.
 fn computed_fill_program(n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
     let mut p = SpatialProgram::new("vec_computed_fill");
@@ -1544,44 +1572,19 @@ fn multi_inputs(n: usize, lo: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)>
     ]
 }
 
-/// The widened classifier verdicts, asserted on the compiled artifact:
-/// the shapes the new tests sweep must actually take the new paths.
+/// Length and loop-start sweep over the multi-statement bodies, offset
+/// fills, and computed fills: bit-identical across all three engines.
 #[test]
-fn widened_shapes_classify_as_tagged() {
-    use stardust_spatial::{CompiledProgram, VecClass};
-    let find = |p: &SpatialProgram, class: VecClass| {
-        let c = CompiledProgram::compile(p);
-        assert!(
-            (0..c.ops().len()).any(|pc| c.vec_class(pc) == class),
-            "{} never classifies {:?}",
-            p.name,
-            class
-        );
-    };
-    find(&multi_body_program(3 * LANES, 0), VecClass::MultiScatter);
-    find(&offset_fill_program(3 * LANES, 0, 2), VecClass::Scatter);
-    find(&computed_fill_program(3 * LANES, 0), VecClass::Scatter);
-}
-
-/// Remainder sweep over the widened shapes: multi-statement bodies,
-/// offset fills, and computed fills are bit-identical across all three
-/// engines at every length and loop start around the chunk width.
-#[test]
-fn widened_shapes_are_bit_identical() {
-    let lengths = [
-        0,
-        1,
-        LANES - 1,
-        LANES,
-        LANES + 1,
-        2 * LANES + 1,
-        5 * LANES + 3,
-    ];
-    for &n in &lengths {
-        for lo in [0usize, 1, LANES - 1] {
+fn multi_statement_and_fill_shapes_are_bit_identical() {
+    for &n in &[0usize, 1, 7, 8, 9, 17, 43] {
+        for lo in [0usize, 1, 7] {
             let seed = (n * 37 + lo) as u64;
             let len = (lo + n).max(1);
-            assert_engines_agree(&multi_body_program(n, lo), &multi_inputs(n, lo, seed), RunBudget::unlimited());
+            assert_engines_agree(
+                &multi_body_program(n, lo),
+                &multi_inputs(n, lo, seed),
+                RunBudget::unlimited(),
+            );
             for off in [0usize, 1, 7] {
                 assert_engines_agree(
                     &offset_fill_program(n, lo, off),
@@ -1594,29 +1597,29 @@ fn widened_shapes_are_bit_identical() {
     }
 }
 
-/// A faulting lane in the middle of a multi-statement chunk: the whole
-/// chunk must re-run scalar, committing the exact statement prefix the
-/// scalar engines commit and aborting at the identical statement.
+/// A faulting statement in the middle of a multi-statement body: the
+/// engines commit the exact statement prefix and abort at the
+/// identical statement.
 #[test]
 fn multi_statement_faults_match_scalar_semantics() {
-    let n = 3 * LANES;
-    // Out-of-bounds accumulate index in the middle of the second chunk:
-    // statement 1 of that iteration faults *after* statement 0's write.
+    let n = 24;
+    // Out-of-bounds accumulate index at iteration 13: statement 1 of
+    // that iteration faults *after* statement 0's write.
     let mut inputs = multi_inputs(n, 0, 41);
-    inputs[1].1[LANES + 5] = ACC as f64 + 3.0;
+    inputs[1].1[13] = ACC as f64 + 3.0;
     assert_engines_agree(&multi_body_program(n, 0), &inputs, RunBudget::unlimited());
-    // Negative index in the first chunk.
+    // Negative index at iteration 2.
     let mut inputs = multi_inputs(n, 0, 42);
     inputs[1].1[2] = -4.0;
     assert_engines_agree(&multi_body_program(n, 0), &inputs, RunBudget::unlimited());
 }
 
-/// Fuel exhaustion landing on every iteration of the widened shapes —
-/// including points strictly inside a chunk. Abort step and partial
+/// Fuel exhaustion landing on every iteration of the multi-statement
+/// bodies, offset fills, and computed fills. Abort step and partial
 /// DRAM must be identical on all three engines.
 #[test]
-fn widened_shape_budget_aborts_are_identical() {
-    let n = 3 * LANES;
+fn multi_statement_and_fill_budget_aborts_are_identical() {
+    let n = 24;
     let multi = multi_body_program(n, 0);
     let multi_in = multi_inputs(n, 0, 51);
     let offset = offset_fill_program(n, 0, 3);
@@ -1627,80 +1630,4 @@ fn widened_shape_budget_aborts_are_identical() {
         assert_engines_agree(&offset, &offset_in, steps(fuel));
         assert_engines_agree(&computed, &[], steps(fuel));
     }
-}
-
-/// Runs `p` with bounds-check elision forced on and forced off (on
-/// both the vector and scalar bytecode engines) and asserts
-/// bit-identical DRAM, results, and statistics — the elision table
-/// must be observably invisible.
-fn assert_elide_invisible(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], budget: RunBudget) {
-    let mut machines = Vec::new();
-    for (vector, elide) in [(true, true), (true, false), (false, true), (false, false)] {
-        let mut m = Machine::new(p);
-        for (name, data) in writes {
-            m.write_dram(name, data).unwrap();
-        }
-        m.set_budget(budget.clone());
-        m.set_vector_mode(vector);
-        m.set_elide_mode(elide);
-        let r = m.run(p);
-        machines.push((vector, elide, m, r));
-    }
-    let (_, _, m0, r0) = &machines[0];
-    for (vector, elide, m, r) in &machines[1..] {
-        assert_eq!(r0, r, "elide divergence (vector={vector}, elide={elide})");
-        for d in &p.drams {
-            let bits = |m: &Machine| -> Vec<u64> {
-                m.dram(&d.name)
-                    .unwrap()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect()
-            };
-            assert_eq!(
-                bits(m0),
-                bits(m),
-                "DRAM {} elide divergence (vector={vector}, elide={elide})",
-                d.name
-            );
-        }
-        assert_eq!(
-            m0.stats(),
-            m.stats(),
-            "stats elide divergence (vector={vector}, elide={elide})"
-        );
-    }
-}
-
-/// Bounds-check elision is observably invisible: dense fills (the
-/// proven-in-bounds shape) and computed fills run bit-identically with
-/// the elision table honored and ignored, across remainder lengths and
-/// mid-loop fuel aborts.
-#[test]
-fn elide_mode_is_observably_invisible() {
-    for &n in &[0usize, 1, LANES, 2 * LANES + 1, 5 * LANES + 3] {
-        for lo in [0usize, 1] {
-            let len = (lo + n).max(1);
-            let vals = series((n + lo) as u64, len, 64, 0.125);
-            assert_elide_invisible(&dense_fill_program(n, lo), &[("vals", vals)], RunBudget::unlimited());
-            assert_elide_invisible(&computed_fill_program(n, lo), &[], RunBudget::unlimited());
-        }
-    }
-    // Fuel aborts inside the elided loop land on the identical step.
-    let n = 2 * LANES + 3;
-    let vals = series(9, n, 64, 0.125);
-    for fuel in 1..=(n as u64 + 8) {
-        assert_elide_invisible(
-            &dense_fill_program(n, 0),
-            &[("vals", vals.clone())],
-            steps(fuel),
-        );
-    }
-    // The elision table licenses the dense fill.
-    use stardust_spatial::CompiledProgram;
-    let c = CompiledProgram::compile(&dense_fill_program(2 * LANES, 0));
-    assert!(
-        (0..c.ops().len()).any(|pc| c.elide_at(pc)),
-        "dense fill carries no elision license"
-    );
 }
