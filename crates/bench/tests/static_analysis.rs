@@ -17,8 +17,8 @@
 //! reduction, no absent-operand `mux` guards inside an intersection
 //! scan.
 //!
-//! For every superinstruction loop (`RangeSimple`, `Scan1Simple`,
-//! `Scan2Simple`) that is not vector-tagged, the test also prints the
+//! For every loop (each a `RangeSimple` or `Scan2Simple`
+//! superinstruction) that is not vector-tagged, the test also prints the
 //! first thing that keeps it out, in the order `analysis::classify_vec`
 //! looks — run with `--nocapture` to read it. What it shows today: the
 //! per-row scans of Plus2 and InnerProd, whose bodies bind, load and
@@ -91,13 +91,7 @@ fn simple_loop(ops: &[Op], pc: usize) -> Option<SimpleLoop<'_>> {
             reduce,
             ..
         } => (Some(step), body, body_len, reduce),
-        Op::Scan1Simple {
-            body,
-            body_len,
-            reduce,
-            ..
-        }
-        | Op::Scan2Simple {
+        Op::Scan2Simple {
             body,
             body_len,
             reduce,
@@ -146,9 +140,6 @@ fn is_row_op(op: &Op) -> bool {
 /// operand.
 fn vector_blocker(p: &CompiledProgram, l: &SimpleLoop<'_>) -> String {
     let Some(step) = l.step else {
-        if l.kind == "Scan1Simple" {
-            return "single-vector scans have no vector class".into();
-        }
         return match l.body.iter().find(|op| !is_lane_statement(op)) {
             Some(op) => format!("body op {}", op_shape(p, op)),
             None => "lane statements share a target or read one".into(),
@@ -268,14 +259,10 @@ fn all_table3_kernels_pass_the_verifier() {
                     } else {
                         format!("tagged {:?}", spatial.vec_class(pc))
                     };
-                    let innermost = !l.body.iter().any(|op| {
-                        matches!(
-                            op,
-                            Op::RangeSimple { .. }
-                                | Op::Scan1Simple { .. }
-                                | Op::Scan2Simple { .. }
-                        )
-                    });
+                    let innermost = !l
+                        .body
+                        .iter()
+                        .any(|op| matches!(op, Op::RangeSimple { .. } | Op::Scan2Simple { .. }));
                     if l.kind == "Scan2Simple"
                         && innermost
                         && ["Plus2", "Plus3", "InnerProd"].contains(&name)

@@ -271,7 +271,6 @@ fn body_contains_loops(body: &[SpatialStmt]) -> bool {
 fn counter_ops(c: &Counter) -> usize {
     match c {
         Counter::Range { .. } => 1,
-        Counter::Scan1 { .. } => 2,
         Counter::Scan2 { .. } => 3,
     }
 }

@@ -255,10 +255,7 @@ fn collect_stmt(
             body,
         } => {
             let par = (*par).max(1);
-            let is_scan = matches!(
-                counter,
-                stardust_spatial::Counter::Scan1 { .. } | stardust_spatial::Counter::Scan2 { .. }
-            );
+            let is_scan = matches!(counter, stardust_spatial::Counter::Scan2 { .. });
             // Elements per cycle: loop-carrying bodies issue one
             // iteration per replica per cycle; innermost bodies vectorize
             // across the PCU lanes (one lane group per `par`, capped at the
@@ -289,10 +286,7 @@ fn collect_stmt(
             ..
         } => {
             let par = (*par).max(1);
-            let is_scan = matches!(
-                counter,
-                stardust_spatial::Counter::Scan1 { .. } | stardust_spatial::Counter::Scan2 { .. }
-            );
+            let is_scan = matches!(counter, stardust_spatial::Counter::Scan2 { .. });
             // A Reduce folds `par` elements per cycle per replica through
             // the PCU reduction tree.
             let throughput = (replication * par) as f64;

@@ -56,7 +56,7 @@ pub enum CompileError {
     /// §7.1, would fall back to the host on a real deployment).
     NoLoweringRule(String),
     /// The static bytecode verifier rejected the lowered program: a
-    /// structural invariant (jump targets, frame balance, slot
+    /// structural invariant (body spans and their nesting, slot
     /// extents, expression stack discipline) does not hold. Always a
     /// compiler bug, never a user-program error; the typed
     /// [`VerifyError`] pinpoints the offending op.

@@ -9,10 +9,12 @@
 //! Historically each proved its own fragment with ad-hoc syntactic
 //! pattern matching over the source tree. This module centralizes the
 //! reasoning over the *lowered* `Vec<Op>` form, where every name is a
-//! dense slot and every loop is an explicit jump structure:
+//! dense slot and every loop is a superinstruction heading its body
+//! span:
 //!
-//! - [`verify`] — structural validity of a compiled program: every jump
-//!   target in range, enter/advance frames balanced, every slot within
+//! - [`verify`] — structural validity of a compiled program: every
+//!   superinstruction's body span in range and nested inside the span
+//!   of the loop enclosing it, every slot within
 //!   its [`ArenaLayout`]/[`DramLayout`] extent, postfix expression
 //!   programs stack-disciplined. The compiler runs it on every
 //!   [`crate::CompiledProgram`] in debug builds (and CI runs it over
@@ -60,24 +62,10 @@ pub enum VerifyError {
         /// Offending program counter.
         pc: usize,
     },
-    /// A frame op (`Enter*`/`Next`/`ReduceTail`) or `Halt` appears
-    /// inside a superinstruction body, where the straight-line
-    /// executor cannot dispatch it.
-    MisplacedOp {
-        /// Offending program counter.
-        pc: usize,
-    },
-    /// A superinstruction's body span is malformed: `body != pc + 1`
-    /// or the span overruns the program.
+    /// A superinstruction's body span is malformed: `body != pc + 1`,
+    /// or the span overruns the program or the span of the
+    /// superinstruction enclosing it.
     BodyOutOfRange {
-        /// Offending program counter.
-        pc: usize,
-    },
-    /// A framed loop's structure is malformed: `exit` out of range or
-    /// not past the loop head, the op before `exit` is not the
-    /// matching [`Op::Next`], a `Next` advances a frame that was never
-    /// entered, or a [`Op::ReduceTail`] sits outside a reducing frame.
-    BadFrame {
         /// Offending program counter.
         pc: usize,
     },
@@ -170,18 +158,8 @@ impl fmt::Display for VerifyError {
             VerifyError::StrayHalt { pc } => {
                 write!(f, "Halt before the final op at pc {pc}")
             }
-            VerifyError::MisplacedOp { pc } => {
-                write!(
-                    f,
-                    "frame op in straight-line position at pc {pc} \
-                     (inside a superinstruction body)"
-                )
-            }
             VerifyError::BodyOutOfRange { pc } => {
                 write!(f, "superinstruction body span malformed at pc {pc}")
-            }
-            VerifyError::BadFrame { pc } => {
-                write!(f, "loop frame structure malformed at pc {pc}")
             }
             VerifyError::ChipSlotOutOfRange { pc, slot } => {
                 write!(f, "chip slot {slot} out of range at pc {pc}")
@@ -308,13 +286,6 @@ impl<'a> VerifyCtx<'a> {
                     FusedOp::BinGather { a, mem, .. } => {
                         self.check_var(pc, a)?;
                         self.check_gather(pc, mem)
-                    }
-                    FusedOp::BinGatherInd {
-                        lhs, inner, outer, ..
-                    } => {
-                        self.check_gather(pc, lhs)?;
-                        self.check_gather(pc, inner)?;
-                        self.check_gather(pc, outer)
                     }
                 }
             }
@@ -551,27 +522,6 @@ impl<'a> VerifyCtx<'a> {
                 }
                 Ok(())
             }
-            Op::Scan1Simple {
-                bv,
-                pos_var,
-                idx_var,
-                body,
-                body_len,
-                reduce,
-                ..
-            } => {
-                self.check_chip(pc, bv)?;
-                self.check_var(pc, pos_var)?;
-                self.check_var(pc, idx_var)?;
-                if !span_ok(body, body_len) {
-                    return Err(VerifyError::BodyOutOfRange { pc });
-                }
-                if let Some((reg, expr)) = reduce {
-                    self.check_chip(pc, reg)?;
-                    self.check_operand(pc, expr)?;
-                }
-                Ok(())
-            }
             Op::Scan2Simple {
                 bv_a,
                 bv_b,
@@ -595,152 +545,46 @@ impl<'a> VerifyCtx<'a> {
                 }
                 Ok(())
             }
-            Op::EnterRange {
-                var,
-                min,
-                max,
-                reduce,
-                ..
-            } => {
-                self.check_var(pc, var)?;
-                self.check_operand(pc, min)?;
-                self.check_operand(pc, max)?;
-                if let Some(reg) = reduce {
-                    self.check_chip(pc, reg)?;
-                }
-                Ok(())
-            }
-            Op::EnterScan1 {
-                bv,
-                pos_var,
-                idx_var,
-                reduce,
-                ..
-            } => {
-                self.check_chip(pc, bv)?;
-                self.check_var(pc, pos_var)?;
-                self.check_var(pc, idx_var)?;
-                if let Some(reg) = reduce {
-                    self.check_chip(pc, reg)?;
-                }
-                Ok(())
-            }
-            Op::EnterScan2 {
-                bv_a,
-                bv_b,
-                vars,
-                reduce,
-                ..
-            } => {
-                self.check_chip(pc, bv_a)?;
-                self.check_chip(pc, bv_b)?;
-                for v in vars {
-                    self.check_var(pc, v)?;
-                }
-                if let Some(reg) = reduce {
-                    self.check_chip(pc, reg)?;
-                }
-                Ok(())
-            }
-            Op::ReduceTail { expr } => self.check_operand(pc, expr),
-            Op::Next { .. } | Op::Halt => Ok(()),
+            Op::Halt => Ok(()),
         }
     }
 }
 
 /// Verifies the structural validity of a compiled program. `Ok(())`
-/// means: every jump lands inside the program, every frame op pairs
-/// with its enter, every slot index is within the layouts the program
-/// was linked against, and every expression program is
-/// stack-disciplined — i.e. the dispatch loop cannot step out of
-/// bounds no matter what data it runs over. The compiler asserts this
-/// on every program in debug builds; CI asserts it over the kernel
-/// suite and a mutation corpus.
+/// means: the program ends at its only [`Op::Halt`], every
+/// superinstruction's body span nests inside the span enclosing it,
+/// every slot index is within the layouts the program was linked
+/// against, and every expression program is stack-disciplined — i.e.
+/// the executor cannot step out of bounds no matter what data it runs
+/// over. The compiler asserts this on every program in debug builds;
+/// CI asserts it over the kernel suite and a mutation corpus.
 pub fn verify(ctx: &VerifyCtx<'_>) -> Result<(), VerifyError> {
     let ops = ctx.ops;
     if ops.last() != Some(&Op::Halt) {
         return Err(VerifyError::MissingHalt);
     }
-    // Pass 1: per-op local checks, stray-Halt placement, and
-    // superinstruction body hygiene (no frame ops in straight-line
-    // position — the simple-body executor treats them as unreachable).
+    // One linear pass: per-op local checks, stray-Halt placement, and
+    // span nesting. The executor steps a span and skips each nested
+    // span whole, so a child span overhanging its parent's end would
+    // run the parent's ops under the child's loop. `open` holds the
+    // ends of the spans enclosing `pc`, innermost last.
+    let mut open: Vec<usize> = Vec::new();
     for (pc, op) in ops.iter().enumerate() {
         ctx.check_op(pc, op)?;
         if matches!(op, Op::Halt) && pc != ops.len() - 1 {
             return Err(VerifyError::StrayHalt { pc });
         }
-        if let Op::RangeSimple { body, body_len, .. }
-        | Op::Scan1Simple { body, body_len, .. }
-        | Op::Scan2Simple { body, body_len, .. } = *op
+        while open.last().is_some_and(|&end| end <= pc) {
+            open.pop();
+        }
+        if let Op::RangeSimple { body, body_len, .. } | Op::Scan2Simple { body, body_len, .. } = *op
         {
-            let span = body as usize..body as usize + body_len as usize;
-            for bpc in span {
-                if matches!(
-                    ops[bpc],
-                    Op::EnterRange { .. }
-                        | Op::EnterScan1 { .. }
-                        | Op::EnterScan2 { .. }
-                        | Op::ReduceTail { .. }
-                        | Op::Next { .. }
-                        | Op::Halt
-                ) {
-                    return Err(VerifyError::MisplacedOp { pc: bpc });
-                }
+            let end = body as usize + body_len as usize;
+            if open.last().is_some_and(|&outer| end > outer) {
+                return Err(VerifyError::BodyOutOfRange { pc });
             }
+            open.push(end);
         }
-    }
-    // Pass 2: frame balance. A linear scan with an explicit enter
-    // stack mirrors the executor's frame stack: each Next must advance
-    // the innermost open frame and sit exactly at its enter's
-    // `exit - 1`; each ReduceTail must sit between a reducing frame's
-    // body and its Next.
-    let mut frames: Vec<usize> = Vec::new();
-    for (pc, op) in ops.iter().enumerate() {
-        match *op {
-            Op::EnterRange { exit, .. }
-            | Op::EnterScan1 { exit, .. }
-            | Op::EnterScan2 { exit, .. } => {
-                if (exit as usize) <= pc + 1 || (exit as usize) >= ops.len() {
-                    return Err(VerifyError::BadFrame { pc });
-                }
-                frames.push(pc);
-            }
-            Op::Next { body } => {
-                let Some(enter) = frames.pop() else {
-                    return Err(VerifyError::BadFrame { pc });
-                };
-                if body as usize != enter + 1 {
-                    return Err(VerifyError::BadFrame { pc });
-                }
-                let exit = match ops[enter] {
-                    Op::EnterRange { exit, .. }
-                    | Op::EnterScan1 { exit, .. }
-                    | Op::EnterScan2 { exit, .. } => exit as usize,
-                    _ => unreachable!("frame stack holds only enter pcs"),
-                };
-                if exit != pc + 1 {
-                    return Err(VerifyError::BadFrame { pc });
-                }
-            }
-            Op::ReduceTail { .. } => {
-                let Some(&enter) = frames.last() else {
-                    return Err(VerifyError::BadFrame { pc });
-                };
-                let reducing = match ops[enter] {
-                    Op::EnterRange { reduce, .. }
-                    | Op::EnterScan1 { reduce, .. }
-                    | Op::EnterScan2 { reduce, .. } => reduce.is_some(),
-                    _ => unreachable!("frame stack holds only enter pcs"),
-                };
-                if !reducing || !matches!(ops.get(pc + 1), Some(Op::Next { .. })) {
-                    return Err(VerifyError::BadFrame { pc });
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(&enter) = frames.last() {
-        return Err(VerifyError::BadFrame { pc: enter });
     }
     Ok(())
 }
@@ -790,13 +634,6 @@ impl Effects {
                 FusedOp::BinGather { a, mem, .. } => {
                     self.var_uses.insert(a);
                     self.gather(mem);
-                }
-                FusedOp::BinGatherInd {
-                    lhs, inner, outer, ..
-                } => {
-                    self.gather(lhs);
-                    self.gather(inner);
-                    self.gather(outer);
                 }
             },
             Operand::Expr(e) => self.expr(eops, e),
@@ -965,22 +802,6 @@ impl Effects {
                     self.chip_writes.insert(reg);
                 }
             }
-            Op::Scan1Simple {
-                bv,
-                pos_var,
-                idx_var,
-                reduce,
-                ..
-            } => {
-                self.chip_reads.insert(bv);
-                self.var_defs.insert(pos_var);
-                self.var_defs.insert(idx_var);
-                if let Some((reg, expr)) = reduce {
-                    self.operand(eops, fused, expr);
-                    self.chip_reads.insert(reg);
-                    self.chip_writes.insert(reg);
-                }
-            }
             Op::Scan2Simple {
                 bv_a,
                 bv_b,
@@ -999,57 +820,7 @@ impl Effects {
                     self.chip_writes.insert(reg);
                 }
             }
-            Op::EnterRange {
-                var,
-                min,
-                max,
-                reduce,
-                ..
-            } => {
-                self.operand(eops, fused, min);
-                self.operand(eops, fused, max);
-                self.var_defs.insert(var);
-                if let Some(reg) = reduce {
-                    self.chip_reads.insert(reg);
-                    self.chip_writes.insert(reg);
-                }
-            }
-            Op::EnterScan1 {
-                bv,
-                pos_var,
-                idx_var,
-                reduce,
-                ..
-            } => {
-                self.chip_reads.insert(bv);
-                self.var_defs.insert(pos_var);
-                self.var_defs.insert(idx_var);
-                if let Some(reg) = reduce {
-                    self.chip_reads.insert(reg);
-                    self.chip_writes.insert(reg);
-                }
-            }
-            Op::EnterScan2 {
-                bv_a,
-                bv_b,
-                vars,
-                reduce,
-                ..
-            } => {
-                self.chip_reads.insert(bv_a);
-                self.chip_reads.insert(bv_b);
-                for v in vars {
-                    self.var_defs.insert(v);
-                }
-                if let Some(reg) = reduce {
-                    self.chip_reads.insert(reg);
-                    self.chip_writes.insert(reg);
-                }
-            }
-            Op::ReduceTail { expr } => {
-                self.operand(eops, fused, expr);
-            }
-            Op::Next { .. } | Op::Halt => {}
+            Op::Halt => {}
         }
     }
 }
@@ -1251,17 +1022,6 @@ impl LaneBuilder<'_> {
                 }
                 FusedOp::BinGather { a, op, mem } => {
                     self.var(a) && self.gather(mem) && self.bin(op)
-                }
-                FusedOp::BinGatherInd {
-                    lhs,
-                    op,
-                    inner,
-                    outer,
-                } => {
-                    self.gather(lhs)
-                        && self.gather(inner)
-                        && self.read(outer.chip, outer.random)
-                        && self.bin(op)
                 }
             },
             Operand::Expr(e) => self.eops(eops, e as usize, expr_end(eops, e)),

@@ -8,22 +8,24 @@
 //! [`CompiledProgram`]:
 //!
 //! - every statement becomes one fixed-size [`Op`] in a flat `Vec<Op>`,
-//!   with loops compiled to explicit enter/advance ops carrying jump
-//!   targets (`Foreach`, `Reduce`, and the `Scan1`/`Scan2` co-iteration
-//!   counters all share one frame-based protocol), and
+//!   and every loop (`Foreach` or `Reduce`, over a dense `Range` or a
+//!   two-input co-iteration `Scan`) becomes one superinstruction
+//!   ([`Op::RangeSimple`], [`Op::Scan2Simple`]) followed by its body
+//!   span, nested loops nesting their spans inside it, and
 //! - every expression tree becomes a postfix [`EOp`] program evaluated
 //!   with a small value stack, with `Select` lowered to conditional
 //!   jumps so the untaken side is skipped exactly as the reference
 //!   walker skips it.
 //!
-//! [`crate::Machine::run`] then executes the op vector with a program
-//! counter and a dense frame stack — no recursion, no per-iteration
-//! closure, branch-predictable dispatch. The resolved tree is an
-//! intermediate of [`CompiledProgram::compile`]: lowering consumes it
-//! and only its layouts outlive the compile. The original string-keyed
-//! engine survives as [`crate::ReferenceMachine`]; differential tests
-//! hold the two to byte-identical DRAM images and identical
-//! [`crate::ExecStats`].
+//! [`crate::Machine::run`] then executes the op vector span by span: a
+//! superinstruction runs its loop natively and steps its body span once
+//! per iteration — no per-iteration closure, no loop-control dispatch,
+//! recursion only as deep as the program's loop nesting. The resolved
+//! tree is an intermediate of [`CompiledProgram::compile`]: lowering
+//! consumes it and only its layouts outlive the compile. The original
+//! string-keyed engine survives as [`crate::ReferenceMachine`];
+//! differential tests hold the two to byte-identical DRAM images and
+//! identical [`crate::ExecStats`].
 //!
 //! Compilation is pure: a [`CompiledProgram`] depends only on the source
 //! program, so it is shared behind `Arc` and cached by program identity
@@ -44,14 +46,6 @@ use crate::resolve::{
 
 /// Index of an [`Op`] in a compiled program (a program-counter value).
 pub type OpId = u32;
-
-/// Maximum nested-loop rank allowed inside one superinstruction
-/// ([`Op::RangeSimple`], [`Op::Scan1Simple`], [`Op::Scan2Simple`]).
-/// Caps the executor's recursion at a constant depth; deeper nests
-/// fall back to the frame-stack protocol. Rank 2 keeps the dominant
-/// sparse shapes — a dense row loop over a per-row scan or reduction —
-/// entirely inside one superinstruction.
-pub const MAX_SIMPLE_RANK: u32 = 2;
 
 /// Index into the flat expression-op array where an expression program
 /// starts; evaluation runs to the matching [`EOp::End`].
@@ -291,19 +285,6 @@ pub enum FusedOp {
         /// The gathered memory.
         mem: GatherRef,
     },
-    /// `lhs[env[v]] op outer[inner[env[w]]]` — the dot-product-gather
-    /// shape of CSR SpMV (`vals[j] * x[crd[j]]`, the operand gathered
-    /// through the shuffle network).
-    BinGatherInd {
-        /// Left-hand gathered memory.
-        lhs: GatherRef,
-        /// Operator.
-        op: BinSOp,
-        /// Inner (index-producing) gathered memory.
-        inner: GatherRef,
-        /// Outer memory indexed by the inner gather's result.
-        outer: GatherRef,
-    },
 }
 
 /// One statement op of the flat program.
@@ -414,11 +395,10 @@ pub enum Op {
         /// Bit-vector length.
         dim: Operand,
     },
-    /// A dense `Range` loop whose body is pure straight-line code (and
-    /// whose optional reduction tail is one expression): the whole loop
-    /// runs as a native loop inside a single dispatch — no frame, no
-    /// per-iteration `Next`. This is the dominant inner-loop shape of
-    /// sparse kernels (per-row reductions, scatter-accumulates).
+    /// A dense `Range` loop: bounds evaluated once, then the whole loop
+    /// runs natively inside a single dispatch, stepping the body span
+    /// once per iteration. Nested loops are nested superinstructions
+    /// inside the span.
     RangeSimple {
         /// Pattern node id (trip statistics).
         id: usize,
@@ -438,31 +418,12 @@ pub enum Op {
         /// is a `Reduce`.
         reduce: Option<(Slot, Operand)>,
     },
-    /// A single bit-vector `Scan` loop whose body is straight-line
-    /// (or nests only further superinstructions): the vector is
-    /// snapshotted once and its set bits iterate natively — no frame,
-    /// no per-emit `Next` dispatch. This is the inner-loop shape of
-    /// Capstan-style declarative-sparse kernels.
-    Scan1Simple {
-        /// Pattern node id (trip statistics).
-        id: usize,
-        /// Scanned bit vector (chip slot).
-        bv: Slot,
-        /// Position variable slot.
-        pos_var: Slot,
-        /// Dense-index variable slot.
-        idx_var: Slot,
-        /// First body op (always this op's pc + 1).
-        body: OpId,
-        /// Number of body ops; execution resumes past them.
-        body_len: u32,
-        /// `(accumulator register, reduced expression)` when the loop
-        /// is a `Reduce`.
-        reduce: Option<(Slot, Operand)>,
-    },
-    /// A two-input co-iteration `Scan` loop in superinstruction form
-    /// (see [`Op::Scan1Simple`]): the dominant shape of sparse-sparse
-    /// union and intersection kernels.
+    /// A two-input co-iteration `Scan` loop (Fig. 7's joiner) in
+    /// superinstruction form: both bit vectors are snapshotted once and
+    /// their combined set bits iterate natively, stepping the body span
+    /// once per emit — the loop shape of sparse-sparse union and
+    /// intersection kernels. `or` against an all-zero vector scans one
+    /// vector's set bits.
     Scan2Simple {
         /// Pattern node id (trip statistics).
         id: usize,
@@ -481,69 +442,6 @@ pub enum Op {
         /// `(accumulator register, reduced expression)` when the loop
         /// is a `Reduce`.
         reduce: Option<(Slot, Operand)>,
-    },
-    /// Enter a dense `Range` loop: evaluate the bounds, push a frame,
-    /// and either fall into the body or jump to `exit` on zero trips.
-    EnterRange {
-        /// Pattern node id (trip statistics).
-        id: usize,
-        /// Loop variable slot.
-        var: Slot,
-        /// Inclusive lower bound.
-        min: Operand,
-        /// Exclusive upper bound.
-        max: Operand,
-        /// Step (positive).
-        step: i64,
-        /// Reduction register when this loop is a `Reduce`.
-        reduce: Option<Slot>,
-        /// First op after the loop.
-        exit: OpId,
-    },
-    /// Enter a single bit-vector scan loop.
-    EnterScan1 {
-        /// Pattern node id.
-        id: usize,
-        /// Scanned bit vector (chip slot).
-        bv: Slot,
-        /// Position variable slot.
-        pos_var: Slot,
-        /// Dense-index variable slot.
-        idx_var: Slot,
-        /// Reduction register when this loop is a `Reduce`.
-        reduce: Option<Slot>,
-        /// First op after the loop.
-        exit: OpId,
-    },
-    /// Enter a two-input co-iteration scan loop.
-    EnterScan2 {
-        /// Pattern node id.
-        id: usize,
-        /// Combination operator.
-        op: ScanOp,
-        /// First bit vector (chip slot).
-        bv_a: Slot,
-        /// Second bit vector (chip slot).
-        bv_b: Slot,
-        /// `[a_pos, b_pos, out_pos, idx]` variable slots.
-        vars: [Slot; 4],
-        /// Reduction register when this loop is a `Reduce`.
-        reduce: Option<Slot>,
-        /// First op after the loop.
-        exit: OpId,
-    },
-    /// Fold the per-iteration reduction expression into the innermost
-    /// frame's accumulator (emitted between a `Reduce` body and its
-    /// `Next`).
-    ReduceTail {
-        /// The reduced expression.
-        expr: Operand,
-    },
-    /// Advance the innermost loop frame: jump back to `body` for the
-    /// next iteration, or pop the frame and fall through when done.
-    Next {
-        /// First op of the loop body.
-        body: OpId,
     },
     /// End of program.
     Halt,
@@ -1002,44 +900,13 @@ impl Lowering<'_> {
                 _ => Operand::Expr(self.expr(id)),
             },
             ResolvedExpr::Binary { op, lhs, rhs } => {
-                match (self.gather_ref(lhs), self.resolved.expr(lhs)) {
-                    // lhs is a plain variable: vb * C_vals[jj].
-                    (_, ResolvedExpr::Var(a)) => {
-                        if let Some(mem) = self.gather_ref(rhs) {
-                            return self.fuse(FusedOp::BinGather { a, op, mem });
-                        }
-                        Operand::Expr(self.expr(id))
-                    }
-                    // lhs is a gather: vals[j] * x[crd[j]].
-                    (Some(l), _) => {
-                        if let ResolvedExpr::ReadMem {
-                            chip,
-                            dram,
-                            index,
-                            random,
-                        } = self.resolved.expr(rhs)
-                        {
-                            if let Some(inner) = self.gather_ref(index) {
-                                let outer = GatherRef {
-                                    chip,
-                                    dram,
-                                    random,
-                                    // Unused: the index comes off the
-                                    // inner gather's result.
-                                    var: 0,
-                                };
-                                return self.fuse(FusedOp::BinGatherInd {
-                                    lhs: l,
-                                    op,
-                                    inner,
-                                    outer,
-                                });
-                            }
-                        }
-                        Operand::Expr(self.expr(id))
-                    }
-                    _ => Operand::Expr(self.expr(id)),
+                // vb * C_vals[jj].
+                if let (ResolvedExpr::Var(a), Some(mem)) =
+                    (self.resolved.expr(lhs), self.gather_ref(rhs))
+                {
+                    return self.fuse(FusedOp::BinGather { a, op, mem });
                 }
+                Operand::Expr(self.expr(id))
             }
             _ => Operand::Expr(self.expr(id)),
         }
@@ -1291,43 +1158,9 @@ impl Lowering<'_> {
         }
     }
 
-    /// Nested-loop rank of a body under superinstruction lowering:
-    /// `Some(0)` for pure straight-line code, `Some(n)` when every
-    /// nested loop is itself superinstruction-eligible with rank
-    /// `< n`, `None` when too-deep nesting forces the framed form.
-    /// Every counter kind lowers to a superinstruction
-    /// ([`Op::RangeSimple`], [`Op::Scan1Simple`], [`Op::Scan2Simple`]),
-    /// so only depth disqualifies. The rank bounds the executor's
-    /// constant recursion depth, so it is capped at
-    /// [`MAX_SIMPLE_RANK`].
-    fn simple_rank(body: &[ResolvedStmt]) -> Option<u32> {
-        let mut rank = 0u32;
-        for s in body {
-            let inner = match s {
-                ResolvedStmt::Foreach { body, .. } => body,
-                ResolvedStmt::Reduce { body, .. } => body,
-                _ => continue,
-            };
-            let r = Self::simple_rank(inner)?;
-            if r >= MAX_SIMPLE_RANK {
-                return None;
-            }
-            rank = rank.max(r + 1);
-        }
-        Some(rank)
-    }
-
-    /// Whether a loop body may live inside a [`Op::RangeSimple`]
-    /// (`simple_rank` already rejects over-deep nesting).
-    fn body_is_simple(body: &[ResolvedStmt]) -> bool {
-        Self::simple_rank(body).is_some()
-    }
-
-    /// Emits `Enter* body... [ReduceTail] Next` and patches the enter
-    /// op's exit target to the op after `Next` — or a single
-    /// superinstruction ([`Op::RangeSimple`], [`Op::Scan1Simple`],
-    /// [`Op::Scan2Simple`]) when the body is straight-line (or nests
-    /// only further superinstructions within [`MAX_SIMPLE_RANK`]).
+    /// Emits one superinstruction ([`Op::RangeSimple`],
+    /// [`Op::Scan2Simple`]) followed by its body span. The bound
+    /// operands intern before the body's, the reduce operand after.
     fn lower_loop(
         &mut self,
         id: usize,
@@ -1335,109 +1168,24 @@ impl Lowering<'_> {
         body: &[ResolvedStmt],
         reduce: Option<(Slot, ExprId)>,
     ) {
-        if Self::body_is_simple(body) {
-            // Bound operands intern before the body's (placeholder is
-            // pushed first so `body` starts at `enter_at + 1`), the
-            // reduce operand after — matching the framed emission
-            // order below.
-            let header = match counter {
-                ResolvedCounter::Range {
-                    var,
-                    min,
-                    max,
-                    step,
-                } => Some((*var, self.operand(*min), self.operand(*max), *step)),
-                ResolvedCounter::Scan1 { .. } | ResolvedCounter::Scan2 { .. } => None,
-            };
-            let enter_at = self.ops.len();
-            self.ops.push(Op::Halt); // placeholder, patched below
-            for s in body {
-                self.stmt(s);
-            }
-            let body_len = (self.ops.len() - enter_at - 1) as u32;
-            let reduce = reduce.map(|(reg, expr)| (reg, self.operand(expr)));
-            let body = (enter_at + 1) as OpId;
-            self.ops[enter_at] = match counter {
-                ResolvedCounter::Range { .. } => {
-                    let (var, min, max, step) = header.expect("range header");
-                    Op::RangeSimple {
-                        id,
-                        var,
-                        min,
-                        max,
-                        step,
-                        body,
-                        body_len,
-                        reduce,
-                    }
-                }
-                ResolvedCounter::Scan1 {
-                    bv,
-                    pos_var,
-                    idx_var,
-                } => Op::Scan1Simple {
-                    id,
-                    bv: *bv,
-                    pos_var: *pos_var,
-                    idx_var: *idx_var,
-                    body,
-                    body_len,
-                    reduce,
-                },
-                ResolvedCounter::Scan2 {
-                    op,
-                    bv_a,
-                    bv_b,
-                    a_pos_var,
-                    b_pos_var,
-                    out_pos_var,
-                    idx_var,
-                } => Op::Scan2Simple {
-                    id,
-                    op: *op,
-                    bv_a: *bv_a,
-                    bv_b: *bv_b,
-                    vars: [*a_pos_var, *b_pos_var, *out_pos_var, *idx_var],
-                    body,
-                    body_len,
-                    reduce,
-                },
-            };
-            return;
-        }
-        let reduce_reg = reduce.map(|(reg, _)| reg);
         let enter_at = self.ops.len();
-        match counter {
+        let first = (enter_at + 1) as OpId;
+        let mut head = match *counter {
             ResolvedCounter::Range {
                 var,
                 min,
                 max,
                 step,
-            } => {
-                let min = self.operand(*min);
-                let max = self.operand(*max);
-                self.ops.push(Op::EnterRange {
-                    id,
-                    var: *var,
-                    min,
-                    max,
-                    step: *step,
-                    reduce: reduce_reg,
-                    exit: 0,
-                });
-            }
-            ResolvedCounter::Scan1 {
-                bv,
-                pos_var,
-                idx_var,
-            } => self.ops.push(Op::EnterScan1 {
+            } => Op::RangeSimple {
                 id,
-                bv: *bv,
-                pos_var: *pos_var,
-                idx_var: *idx_var,
-                reduce: reduce_reg,
-                exit: 0,
-            }),
+                var,
+                min: self.operand(min),
+                max: self.operand(max),
+                step,
+                body: first,
+                body_len: 0,
+                reduce: None,
+            },
             ResolvedCounter::Scan2 {
                 op,
                 bv_a,
@@ -1446,32 +1194,34 @@ impl Lowering<'_> {
                 b_pos_var,
                 out_pos_var,
                 idx_var,
-            } => self.ops.push(Op::EnterScan2 {
+            } => Op::Scan2Simple {
                 id,
-                op: *op,
-                bv_a: *bv_a,
-                bv_b: *bv_b,
-                vars: [*a_pos_var, *b_pos_var, *out_pos_var, *idx_var],
-                reduce: reduce_reg,
-                exit: 0,
-            }),
-        }
+                op,
+                bv_a,
+                bv_b,
+                vars: [a_pos_var, b_pos_var, out_pos_var, idx_var],
+                body: first,
+                body_len: 0,
+                reduce: None,
+            },
+        };
+        self.ops.push(Op::Halt); // placeholder, replaced below
         for s in body {
             self.stmt(s);
         }
-        if let Some((_, expr)) = reduce {
-            let expr = self.operand(expr);
-            self.ops.push(Op::ReduceTail { expr });
+        let len = (self.ops.len() - enter_at - 1) as u32;
+        let fold = reduce.map(|(reg, expr)| (reg, self.operand(expr)));
+        if let Op::RangeSimple {
+            body_len, reduce, ..
         }
-        let body_start = (enter_at + 1) as OpId;
-        self.ops.push(Op::Next { body: body_start });
-        let exit = self.ops.len() as OpId;
-        match &mut self.ops[enter_at] {
-            Op::EnterRange { exit: e, .. }
-            | Op::EnterScan1 { exit: e, .. }
-            | Op::EnterScan2 { exit: e, .. } => *e = exit,
-            _ => unreachable!("loop lowering emitted a non-enter op"),
+        | Op::Scan2Simple {
+            body_len, reduce, ..
+        } = &mut head
+        {
+            *body_len = len;
+            *reduce = fold;
         }
+        self.ops[enter_at] = head;
     }
 }
 
@@ -1573,7 +1323,7 @@ mod tests {
     #[test]
     fn vec_classifier_tags_spmv_shaped_reduce() {
         // The CSR SpMV inner loop: empty body, `vals[j] * x[crd[j]]`
-        // reduce operand (the BinGatherInd fused shape).
+        // reduce operand (a gather through a gather).
         let mut p = SpatialProgram::new("t");
         p.accel
             .push(SpatialStmt::Alloc(MemDecl::new("vals_s", MemKind::Sram, 8)));
@@ -1650,13 +1400,11 @@ mod tests {
     }
 
     #[test]
-    fn nested_loops_lower_to_enter_body_next_with_patched_exit() {
+    fn nested_loops_lower_to_nested_superinstruction_spans() {
         let mut p = SpatialProgram::new("t");
         p.add_dram("out", 4);
-        // Four levels: the outer body's nested rank (3) exceeds
-        // MAX_SIMPLE_RANK, so the outer loop takes the framed
-        // enter/next form while the three inner loops collapse
-        // into nested superinstructions.
+        // Four levels: each loop is a superinstruction whose body span
+        // holds the next one.
         p.accel.push(range_loop(
             0,
             "i",
@@ -1684,21 +1432,90 @@ mod tests {
         ));
         p.assign_ids();
         let c = CompiledProgram::compile(&p);
-        // EnterRange, RangeSimple ×3, StoreScalar, Next, Halt.
-        assert_eq!(c.ops().len(), 7);
-        let Op::EnterRange { exit, .. } = c.ops()[0] else {
-            panic!("expected EnterRange, got {:?}", c.ops()[0]);
-        };
-        assert_eq!(exit, 6, "exit lands on Halt");
-        assert!(matches!(c.ops()[1], Op::RangeSimple { .. }));
-        assert!(matches!(c.ops()[2], Op::RangeSimple { .. }));
-        assert!(matches!(c.ops()[3], Op::RangeSimple { .. }));
-        let Op::Next { body } = c.ops()[5] else {
-            panic!("expected Next");
-        };
-        assert_eq!(body, 1, "Next jumps to the first body op");
-        assert!(matches!(c.ops()[6], Op::Halt));
+        // RangeSimple ×4, StoreScalar, Halt.
+        assert_eq!(c.ops().len(), 6);
+        for pc in 0..4 {
+            let Op::RangeSimple { body, body_len, .. } = c.ops()[pc] else {
+                panic!("expected RangeSimple at pc {pc}, got {:?}", c.ops()[pc]);
+            };
+            assert_eq!(body as usize, pc + 1);
+            assert_eq!(body_len as usize, 4 - pc, "span of pc {pc} ends at Halt");
+        }
+        assert!(matches!(c.ops()[4], Op::StoreScalar { .. }));
+        assert!(matches!(c.ops()[5], Op::Halt));
         assert_engines_agree(&p, &[]).unwrap();
+    }
+
+    /// Known answers for the fused operand shapes, on data where a
+    /// wrong operand order or operand choice gives a different result.
+    /// Compiled kernels only offset with `+`, so a `GatherOffset` that
+    /// swapped `x - c` into `c - x` would pass every kernel; here
+    /// `s[i - 1]` would read `s[1 - i]` and fault. `BinGather`'s left
+    /// variable (`b = 100 * i`) differs from its gather index `i`.
+    #[test]
+    fn fused_operand_shapes_give_known_answers() {
+        let mut p = SpatialProgram::new("t");
+        p.add_dram("in", 4);
+        p.add_dram("prev", 4);
+        p.add_dram("diff", 4);
+        p.accel
+            .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, 4)));
+        p.accel.push(SpatialStmt::Load {
+            dst: "s".into(),
+            src: "in".into(),
+            start: SExpr::Const(0.0),
+            end: SExpr::Const(4.0),
+            par: 1,
+        });
+        p.accel.push(SpatialStmt::Foreach {
+            id: 0,
+            counter: Counter::Range {
+                var: "i".into(),
+                min: SExpr::Const(1.0),
+                max: SExpr::Const(4.0),
+                step: 1,
+            },
+            par: 1,
+            body: vec![
+                SpatialStmt::Bind {
+                    var: "b".into(),
+                    value: SExpr::mul(SExpr::var("i"), SExpr::Const(100.0)),
+                },
+                SpatialStmt::StoreScalar {
+                    dst: "prev".into(),
+                    index: SExpr::var("i"),
+                    value: SExpr::read("s", SExpr::sub(SExpr::var("i"), SExpr::Const(1.0))),
+                },
+                SpatialStmt::StoreScalar {
+                    dst: "diff".into(),
+                    index: SExpr::var("i"),
+                    value: SExpr::sub(SExpr::var("b"), SExpr::read("s", SExpr::var("i"))),
+                },
+            ],
+        });
+        p.assign_ids();
+        let c = CompiledProgram::compile(&p);
+        assert!(c.fused().iter().any(|f| matches!(
+            f,
+            FusedOp::GatherOffset {
+                op: BinSOp::Sub,
+                ..
+            }
+        )));
+        assert!(c.fused().iter().any(|f| matches!(
+            f,
+            FusedOp::BinGather {
+                op: BinSOp::Sub,
+                ..
+            }
+        )));
+        let input = vec![3.0, 5.0, 7.0, 11.0];
+        assert_engines_agree(&p, &[("in", input.clone())]).unwrap();
+        let mut m = Machine::new(&p);
+        m.write_dram("in", &input).unwrap();
+        m.run(&p).unwrap();
+        assert_eq!(m.dram("prev").unwrap(), &[0.0, 3.0, 5.0, 7.0]);
+        assert_eq!(m.dram("diff").unwrap(), &[0.0, 95.0, 193.0, 289.0]);
     }
 
     #[test]
@@ -1918,7 +1735,7 @@ mod tests {
     }
 
     #[test]
-    fn deeply_nested_loops_grow_the_frame_stack() {
+    fn deeply_nested_loops_run_as_nested_superinstructions() {
         const DEPTH: usize = 64;
         let mut p = SpatialProgram::new("t");
         p.add_dram("out", 1);
@@ -1943,6 +1760,10 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
+        let c = CompiledProgram::compile(&p);
+        for (d, op) in c.ops()[1..=DEPTH].iter().enumerate() {
+            assert!(matches!(op, Op::RangeSimple { .. }), "depth {d}: {op:?}");
+        }
         let stats = assert_engines_agree(&p, &[]).unwrap();
         for d in 0..DEPTH {
             assert_eq!(stats.trips(d), 1, "depth {d}");
@@ -1956,16 +1777,19 @@ mod tests {
     fn zero_trip_scan_over_empty_bit_vector() {
         let mut p = SpatialProgram::new("t");
         p.add_dram("out", 2);
-        p.accel.push(SpatialStmt::Alloc(MemDecl::new(
-            "bv",
-            MemKind::BitVector,
-            8,
-        )));
+        for bv in ["bv", "none"] {
+            p.accel
+                .push(SpatialStmt::Alloc(MemDecl::new(bv, MemKind::BitVector, 8)));
+        }
         p.accel.push(SpatialStmt::Foreach {
             id: 0,
-            counter: Counter::Scan1 {
-                bv: "bv".into(),
-                pos_var: "p".into(),
+            counter: Counter::Scan2 {
+                op: ScanOp::Or,
+                bv_a: "bv".into(),
+                bv_b: "none".into(),
+                a_pos_var: "p".into(),
+                b_pos_var: "q".into(),
+                out_pos_var: "o".into(),
                 idx_var: "i".into(),
             },
             par: 1,
@@ -1983,7 +1807,7 @@ mod tests {
         p.assign_ids();
         let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.scan_emits, 0);
-        assert_eq!(stats.scan_bits, 8);
+        assert_eq!(stats.scan_bits, 16);
     }
 
     #[test]
@@ -2016,7 +1840,7 @@ mod tests {
 
     #[test]
     fn machine_recovers_after_an_errored_run() {
-        // An error mid-loop abandons the frame stack; the next run on the
+        // An error mid-loop abandons the loops in flight; the next run on the
         // same machine must start clean. The store offset is data, so
         // one program first runs off the end of `out` and then fits.
         let mut p = SpatialProgram::new("t");

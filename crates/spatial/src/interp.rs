@@ -13,13 +13,13 @@
 //! [`crate::resolve`] link pass interns every memory, register, FIFO,
 //! and variable name into dense `u32` slots and flattens every
 //! expression tree into one arena, and the [`crate::bytecode`] pass
-//! lowers the resolved tree into a flat op vector with explicit jump
-//! targets. [`Machine::run`] executes that bytecode with a program
-//! counter and a dense frame stack — no statement recursion, no
-//! per-iteration closures — over `Vec`-indexed state, so the hot path
-//! never hashes a string or chases a statement tree. Dense counters are
-//! folded back into the string-keyed [`ExecStats`] shape when
-//! [`Machine::run`] finishes.
+//! lowers the resolved tree into a flat op vector in which every loop
+//! is one superinstruction followed by its body span. [`Machine::run`]
+//! executes that bytecode over `Vec`-indexed state — each loop runs
+//! natively, stepping its span, with no per-iteration closure or
+//! loop-control dispatch — so the hot path never hashes a string or
+//! chases a statement tree. Dense counters are folded back into the
+//! string-keyed [`ExecStats`] shape when [`Machine::run`] finishes.
 //!
 //! The original name-keyed tree walker survives as
 //! [`crate::ReferenceMachine`], the differential-testing oracle: it
@@ -35,8 +35,9 @@
 //! field being widened. Behaviour lives one role per file: `budget`
 //! (limits and errors), `stats`, `image` (copy-on-write DRAM images),
 //! `machine` (lifecycle, host DRAM access, `run`), `exec` (statement
-//! executors), `dispatch` (the bytecode loop), and one file per
-//! hot-loop tier — `simple` (superinstructions) and `vector_tier` (the
+//! executors), `dispatch` (straight-line ops and expressions), and one
+//! file per hot-loop tier — `simple` (the loop superinstructions, and
+//! with them the engine's entry) and `vector_tier` (the
 //! lane-program chunks of `Reduce` loops and of two-input scans,
 //! `Machine::scan_chunks`, whose emits it takes word by word from the
 //! scan snapshot; and the segmented executor of `SegReduce` row loops,
@@ -60,7 +61,7 @@ use std::time::Instant;
 
 use crate::bytecode::CompiledProgram;
 use crate::ir::{MemKind, ScanOp};
-use crate::resolve::{DramRegion, Slot};
+use crate::resolve::DramRegion;
 use vector_tier::LaneScratch;
 
 pub(crate) use budget::{check_interrupts, exhausted_fuel, FuelCause, INTERRUPT_MASK};
@@ -196,27 +197,6 @@ impl ScanBuf {
         }
     }
 
-    /// Fast-forward for the vector tier's chunked scan: the next set
-    /// bit of `a` at or after `from`, skipping zero words whole and
-    /// locating set bits with `trailing_zeros` instead of a per-bit
-    /// probe. Purely a lookup — non-set positions have no observable
-    /// effect in a `Scan1` loop, so the emit sequence is identical to
-    /// the linear probe.
-    fn next_a_set(&self, from: usize, dim: usize) -> Option<usize> {
-        let mut idx = from;
-        while idx < dim {
-            let w = idx >> 6;
-            let rem = dim - (w << 6);
-            let hi_mask = if rem >= 64 { !0u64 } else { (1u64 << rem) - 1 };
-            let word = self.word_a(w) & hi_mask & (!0u64 << (idx & 63));
-            if word != 0 {
-                return Some((w << 6) + word.trailing_zeros() as usize);
-            }
-            idx = (w + 1) << 6;
-        }
-        None
-    }
-
     /// The word walk of the two-input scan's fast paths: every packed
     /// word from the one holding `from` up to `dim`, as `(index of its
     /// bit 0, combined, a, b)`, all three masked to `[from, dim)`.
@@ -272,52 +252,6 @@ impl ScanBuf {
             .map(|(_, comb, _, _)| u64::from(comb.count_ones()))
             .sum()
     }
-}
-
-/// Iteration state of one active loop in the bytecode engine.
-#[derive(Debug, Clone)]
-enum FrameState {
-    /// Dense `Range` loop.
-    Range {
-        var: Slot,
-        saved: Option<f64>,
-        v: f64,
-        hi: f64,
-        step: f64,
-    },
-    /// Single bit-vector scan.
-    Scan1 {
-        depth: usize,
-        dim: usize,
-        idx: usize,
-        pos: u64,
-        pos_var: Slot,
-        idx_var: Slot,
-        saved: [Option<f64>; 2],
-    },
-    /// Two-input co-iteration scan.
-    Scan2 {
-        depth: usize,
-        dim: usize,
-        idx: usize,
-        ap: u64,
-        bp: u64,
-        emitted: u64,
-        op: ScanOp,
-        vars: [Slot; 4],
-        saved: [Option<f64>; 4],
-    },
-}
-
-/// One active loop of the bytecode dispatch loop: the pattern node id
-/// (for trip/DRAM attribution), the reduction accumulator when the loop
-/// is a `Reduce`, and the counter state.
-#[derive(Debug, Clone)]
-struct Frame {
-    node: usize,
-    reduce: Option<Slot>,
-    acc: f64,
-    state: FrameState,
 }
 
 /// Dense statistics counters, indexed by slot / node id. `Option` on
@@ -422,7 +356,6 @@ pub struct Machine {
     stats: ExecStats,
     node_stack: Vec<usize>,
     scratch: Vec<usize>,
-    frames: Vec<Frame>,
     vstack: Vec<f64>,
     /// The lane stack and chunk buffers of [`crate::VecClass::Reduce`],
     /// [`crate::VecClass::Scan`] and [`crate::VecClass::SegReduce`]

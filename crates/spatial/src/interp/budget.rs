@@ -245,30 +245,6 @@ pub(crate) fn check_interrupts(
     Ok(())
 }
 
-/// [`Machine::charge_step`] over already-destructured machine fields,
-/// for call sites (the frame advancer) that hold the machine split into
-/// disjoint borrows.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn charge_step_parts(
-    fuel: &mut u64,
-    cause: FuelCause,
-    limit: u64,
-    interrupts: bool,
-    deadline_at: Option<Instant>,
-    deadline_ms: u64,
-    cancel: Option<&CancelFlag>,
-) -> Result<(), RunError> {
-    if *fuel == 0 {
-        return Err(exhausted_fuel(cause, limit));
-    }
-    *fuel -= 1;
-    if interrupts && *fuel & INTERRUPT_MASK == 0 {
-        check_interrupts(deadline_at, deadline_ms, cancel)?;
-    }
-    Ok(())
-}
-
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -1,123 +1,13 @@
-//! The bytecode dispatch loop: program counter, frame stack, operand
-//! fetch, and the postfix expression interpreter.
+//! Straight-line op dispatch, operand fetch, and the postfix
+//! expression interpreter — everything a superinstruction's body span
+//! executes besides its nested loops. Expressions evaluate on a value
+//! stack with the top cached in a register; nothing here recurses.
 
-use super::budget::charge_step_parts;
 use super::exec::index_of;
-use super::{ChipTag, Frame, FrameState, Machine, RunError};
-use crate::bytecode::{CompiledProgram, EOp, FusedOp, GatherRef, Op, OpId, Operand};
-use crate::ir::ScanOp;
-use crate::resolve::Slot;
+use super::{Machine, RunError};
+use crate::bytecode::{CompiledProgram, EOp, FusedOp, GatherRef, Op, Operand};
 
-/// The bytecode dispatch engine: a program counter over the compiled
-/// op vector, loop state in a dense frame stack, expressions evaluated
-/// postfix on a value stack with the top cached in a register. No
-/// recursion anywhere on the hot path (nested `RangeSimple`
-/// superinstructions recurse to a constant depth bounded by
-/// [`crate::bytecode::MAX_SIMPLE_RANK`]).
 impl Machine {
-    /// Executes the compiled op vector from the top.
-    pub(super) fn run_ops(&mut self, prog: &CompiledProgram) -> Result<(), RunError> {
-        self.frames.clear();
-        self.vstack.clear();
-        self.node_stack.clear();
-        self.scan_depth = 0;
-        let ops = prog.ops();
-        let mut pc = 0usize;
-        loop {
-            match &ops[pc] {
-                Op::Halt => return Ok(()),
-                Op::RangeSimple {
-                    id,
-                    var,
-                    min,
-                    max,
-                    step,
-                    body,
-                    body_len,
-                    reduce,
-                } => {
-                    pc = self.run_range_simple(
-                        prog, *id, *var, *min, *max, *step, *body, *body_len, *reduce,
-                    )?;
-                }
-                Op::Scan1Simple {
-                    id,
-                    bv,
-                    pos_var,
-                    idx_var,
-                    body,
-                    body_len,
-                    reduce,
-                } => {
-                    pc = self.run_scan1_simple(
-                        prog, *id, *bv, *pos_var, *idx_var, *body, *body_len, *reduce,
-                    )?;
-                }
-                Op::Scan2Simple {
-                    id,
-                    op,
-                    bv_a,
-                    bv_b,
-                    vars,
-                    body,
-                    body_len,
-                    reduce,
-                } => {
-                    pc = self.run_scan2_simple(
-                        prog, *id, *op, *bv_a, *bv_b, *vars, *body, *body_len, *reduce,
-                    )?;
-                }
-                Op::EnterRange {
-                    id,
-                    var,
-                    min,
-                    max,
-                    step,
-                    reduce,
-                    exit,
-                } => {
-                    pc =
-                        self.enter_range(prog, pc, *id, *var, *min, *max, *step, *reduce, *exit)?;
-                }
-                Op::EnterScan1 {
-                    id,
-                    bv,
-                    pos_var,
-                    idx_var,
-                    reduce,
-                    exit,
-                } => {
-                    pc = self.enter_scan1(pc, *id, *bv, *pos_var, *idx_var, *reduce, *exit)?;
-                }
-                Op::EnterScan2 {
-                    id,
-                    op,
-                    bv_a,
-                    bv_b,
-                    vars,
-                    reduce,
-                    exit,
-                } => {
-                    pc = self.enter_scan2(pc, *id, *op, *bv_a, *bv_b, *vars, *reduce, *exit)?;
-                }
-                Op::ReduceTail { expr } => {
-                    let v = self.operand_value(prog, *expr)?;
-                    self.dense.reduce_elems += 1;
-                    self.dense.alu_ops += 1; // the tree-add
-                    self.frames.last_mut().expect("reduce frame").acc += v;
-                    pc += 1;
-                }
-                Op::Next { body } => {
-                    pc = self.loop_next(*body, pc)?;
-                }
-                op => {
-                    self.exec_simple_op(prog, op)?;
-                    pc += 1;
-                }
-            }
-        }
-    }
-
     /// Executes one straight-line op (everything except loop control).
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
@@ -213,7 +103,7 @@ impl Machine {
                 let s = index_of(s, || "genbv start".to_string())?;
                 self.do_gen_bit_vector(*dst, *src, s, n, d)
             }
-            _ => unreachable!("loop-control op in straight-line position"),
+            _ => unreachable!("loop or Halt in straight-line position"),
         }
     }
 
@@ -301,18 +191,6 @@ impl Machine {
                 let v = self.gather_value(mem)?;
                 self.dense.alu_ops += 1;
                 op.apply(x, v).ok_or(RunError::DivisionByZero)
-            }
-            FusedOp::BinGatherInd {
-                lhs,
-                op,
-                inner,
-                outer,
-            } => {
-                let l = self.gather_value(lhs)?;
-                let ix = self.gather_value(inner)?;
-                let r = self.read_mem_value(outer.chip, outer.dram, ix, outer.random)?;
-                self.dense.alu_ops += 1;
-                op.apply(l, r).ok_or(RunError::DivisionByZero)
             }
         }
     }
@@ -472,331 +350,5 @@ impl Machine {
                 }
             }
         }
-    }
-
-    /// Reads the accumulator register at loop entry when the loop is a
-    /// `Reduce` (the error ordering the reference walker has: a missing
-    /// register is reported before the counter bounds are evaluated).
-    pub(super) fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
-        match reduce {
-            None => Ok(0.0),
-            Some(reg) => self.reg_value(reg),
-        }
-    }
-
-    /// Writes the accumulator back at loop exit. Silently skips a slot
-    /// that is no longer a register, as the reference walker does.
-    pub(super) fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
-        if let Some(reg) = reduce {
-            let st = self.chip[reg as usize];
-            if st.tag == ChipTag::Reg {
-                self.words[st.woff] = acc;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enter_range(
-        &mut self,
-        prog: &CompiledProgram,
-        pc: usize,
-        id: usize,
-        var: Slot,
-        min: Operand,
-        max: Operand,
-        step: i64,
-        reduce: Option<Slot>,
-        exit: OpId,
-    ) -> Result<usize, RunError> {
-        let acc = self.read_reduce_acc(reduce)?;
-        let lo = self.operand_value(prog, min)?;
-        let hi = self.operand_value(prog, max)?;
-        debug_assert!(step > 0, "non-positive loop step");
-        let saved = self.env[var as usize];
-        if lo < hi {
-            self.charge_step()?;
-            self.env[var as usize] = Some(lo);
-            self.dense.node_trips[id] += 1;
-            self.frames.push(Frame {
-                node: id,
-                reduce,
-                acc,
-                state: FrameState::Range {
-                    var,
-                    saved,
-                    v: lo,
-                    hi,
-                    step: step as f64,
-                },
-            });
-            Ok(pc + 1)
-        } else {
-            self.write_reduce_acc(reduce, acc);
-            Ok(exit as usize)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enter_scan1(
-        &mut self,
-        pc: usize,
-        id: usize,
-        bv: Slot,
-        pos_var: Slot,
-        idx_var: Slot,
-        reduce: Option<Slot>,
-        exit: OpId,
-    ) -> Result<usize, RunError> {
-        let acc = self.read_reduce_acc(reduce)?;
-        let depth = self.scan_depth;
-        let dim = self.scan_snapshot1(bv)?;
-        let saved = [self.env[pos_var as usize], self.env[idx_var as usize]];
-        let mut idx = 0usize;
-        while idx < dim && !self.scan_pool[depth].a_set(idx) {
-            idx += 1;
-        }
-        if idx < dim {
-            // `scan_emits` counts the emit position being *reached* —
-            // even when the step charge then aborts — while
-            // `node_trips` counts charged steps, matching the reference
-            // walker exactly.
-            self.dense.scan_emits += 1;
-            self.charge_step()?;
-            self.scan_depth = depth + 1;
-            self.env[pos_var as usize] = Some(0.0);
-            self.env[idx_var as usize] = Some(idx as f64);
-            self.dense.node_trips[id] += 1;
-            self.frames.push(Frame {
-                node: id,
-                reduce,
-                acc,
-                state: FrameState::Scan1 {
-                    depth,
-                    dim,
-                    idx,
-                    pos: 0,
-                    pos_var,
-                    idx_var,
-                    saved,
-                },
-            });
-            Ok(pc + 1)
-        } else {
-            self.write_reduce_acc(reduce, acc);
-            Ok(exit as usize)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enter_scan2(
-        &mut self,
-        pc: usize,
-        id: usize,
-        op: ScanOp,
-        bv_a: Slot,
-        bv_b: Slot,
-        vars: [Slot; 4],
-        reduce: Option<Slot>,
-        exit: OpId,
-    ) -> Result<usize, RunError> {
-        let acc = self.read_reduce_acc(reduce)?;
-        let depth = self.scan_depth;
-        let dim = self.scan_snapshot2(bv_a, bv_b)?;
-        let saved = vars.map(|v| self.env[v as usize]);
-        let (mut idx, mut ap, mut bp) = (0usize, 0u64, 0u64);
-        while idx < dim {
-            let has_a = self.scan_pool[depth].a_set(idx);
-            let has_b = self.scan_pool[depth].b_set(idx);
-            let combined = match op {
-                ScanOp::And => has_a && has_b,
-                ScanOp::Or => has_a || has_b,
-            };
-            if combined {
-                // Emit reached before the charge; trip after (see
-                // [`Machine::enter_scan1`]).
-                self.dense.scan_emits += 1;
-                self.charge_step()?;
-                self.scan_depth = depth + 1;
-                self.env[vars[0] as usize] = Some(if has_a { ap as f64 } else { -1.0 });
-                self.env[vars[1] as usize] = Some(if has_b { bp as f64 } else { -1.0 });
-                self.env[vars[2] as usize] = Some(0.0);
-                self.env[vars[3] as usize] = Some(idx as f64);
-                self.dense.node_trips[id] += 1;
-                self.frames.push(Frame {
-                    node: id,
-                    reduce,
-                    acc,
-                    state: FrameState::Scan2 {
-                        depth,
-                        dim,
-                        idx,
-                        ap,
-                        bp,
-                        emitted: 0,
-                        op,
-                        vars,
-                        saved,
-                    },
-                });
-                return Ok(pc + 1);
-            }
-            if has_a {
-                ap += 1;
-            }
-            if has_b {
-                bp += 1;
-            }
-            idx += 1;
-        }
-        self.write_reduce_acc(reduce, acc);
-        Ok(exit as usize)
-    }
-
-    /// Advances the innermost loop frame: returns the body pc for the
-    /// next iteration (charging one fuel step per continuation), or
-    /// pops the frame (restoring loop variables and writing back a
-    /// reduction) and returns the fall-through pc.
-    fn loop_next(&mut self, body: OpId, pc: usize) -> Result<usize, RunError> {
-        let deadline_ms = self.deadline_ms();
-        let Machine {
-            frames,
-            env,
-            dense,
-            scan_pool,
-            scan_depth,
-            chip,
-            words,
-            fuel,
-            fuel_cause,
-            step_limit,
-            interrupts,
-            deadline_at,
-            budget,
-            ..
-        } = self;
-        let (cause, limit, intr, dl) = (*fuel_cause, *step_limit, *interrupts, *deadline_at);
-        let cancel = budget.cancel.as_ref();
-        let frame = frames.last_mut().expect("active frame");
-        match &mut frame.state {
-            FrameState::Range {
-                var, v, hi, step, ..
-            } => {
-                *v += *step;
-                if *v < *hi {
-                    charge_step_parts(fuel, cause, limit, intr, dl, deadline_ms, cancel)?;
-                    env[*var as usize] = Some(*v);
-                    dense.node_trips[frame.node] += 1;
-                    return Ok(body as usize);
-                }
-            }
-            FrameState::Scan1 {
-                depth,
-                dim,
-                idx,
-                pos,
-                pos_var,
-                idx_var,
-                ..
-            } => {
-                let buf = &scan_pool[*depth];
-                *pos += 1;
-                *idx += 1;
-                while *idx < *dim && !buf.a_set(*idx) {
-                    *idx += 1;
-                }
-                if *idx < *dim {
-                    // Emit reached before the charge; trip after (see
-                    // [`Machine::enter_scan1`]).
-                    dense.scan_emits += 1;
-                    charge_step_parts(fuel, cause, limit, intr, dl, deadline_ms, cancel)?;
-                    env[*pos_var as usize] = Some(*pos as f64);
-                    env[*idx_var as usize] = Some(*idx as f64);
-                    dense.node_trips[frame.node] += 1;
-                    return Ok(body as usize);
-                }
-            }
-            FrameState::Scan2 {
-                depth,
-                dim,
-                idx,
-                ap,
-                bp,
-                emitted,
-                op,
-                vars,
-                ..
-            } => {
-                let buf = &scan_pool[*depth];
-                // The emitting index advances its positions after the
-                // body, exactly as the reference walker does.
-                if buf.a_set(*idx) {
-                    *ap += 1;
-                }
-                if buf.b_set(*idx) {
-                    *bp += 1;
-                }
-                *emitted += 1;
-                *idx += 1;
-                while *idx < *dim {
-                    let has_a = buf.a_set(*idx);
-                    let has_b = buf.b_set(*idx);
-                    let combined = match op {
-                        ScanOp::And => has_a && has_b,
-                        ScanOp::Or => has_a || has_b,
-                    };
-                    if combined {
-                        // Emit reached before the charge; trip after
-                        // (see [`Machine::enter_scan1`]).
-                        dense.scan_emits += 1;
-                        charge_step_parts(fuel, cause, limit, intr, dl, deadline_ms, cancel)?;
-                        env[vars[0] as usize] = Some(if has_a { *ap as f64 } else { -1.0 });
-                        env[vars[1] as usize] = Some(if has_b { *bp as f64 } else { -1.0 });
-                        env[vars[2] as usize] = Some(*emitted as f64);
-                        env[vars[3] as usize] = Some(*idx as f64);
-                        dense.node_trips[frame.node] += 1;
-                        return Ok(body as usize);
-                    }
-                    if has_a {
-                        *ap += 1;
-                    }
-                    if has_b {
-                        *bp += 1;
-                    }
-                    *idx += 1;
-                }
-            }
-        }
-        // Loop finished: restore the counter-bound variables, release
-        // the scan snapshot depth, write back a reduction accumulator.
-        let frame = frames.pop().expect("active frame");
-        match frame.state {
-            FrameState::Range { var, saved, .. } => env[var as usize] = saved,
-            FrameState::Scan1 {
-                depth,
-                pos_var,
-                idx_var,
-                saved,
-                ..
-            } => {
-                *scan_depth = depth;
-                env[pos_var as usize] = saved[0];
-                env[idx_var as usize] = saved[1];
-            }
-            FrameState::Scan2 {
-                depth, vars, saved, ..
-            } => {
-                *scan_depth = depth;
-                for (v, old) in vars.iter().zip(saved) {
-                    env[*v as usize] = old;
-                }
-            }
-        }
-        if let Some(reg) = frame.reduce {
-            let st = chip[reg as usize];
-            if st.tag == ChipTag::Reg {
-                words[st.woff] = frame.acc;
-            }
-        }
-        Ok(pc + 1)
     }
 }

@@ -85,14 +85,9 @@ pub(super) fn index_of(v: f64, context: impl FnOnce() -> String) -> Result<usize
 
 impl Machine {
     fn current_node(&self) -> Option<usize> {
-        // `node_stack` wins over `frames`: only superinstructions push
-        // it — always after (inside) any framed loop, and nested
-        // superinstructions push in nesting order — so the last entry
-        // is the innermost active loop.
-        self.node_stack
-            .last()
-            .copied()
-            .or_else(|| self.frames.last().map(|f| f.node))
+        // Superinstructions push in nesting order, so the last entry is
+        // the innermost active loop.
+        self.node_stack.last().copied()
     }
 
     /// Reads a register slot.
@@ -602,25 +597,6 @@ impl Machine {
         };
         self.scratch = coords;
         result
-    }
-
-    /// Snapshots one bit vector into the scan pool slot at the current
-    /// depth (a slice memcpy of the packed words), returning the scan
-    /// dimension. Counts the entry's `scan_bits`.
-    pub(super) fn scan_snapshot1(&mut self, bv: Slot) -> Result<usize, RunError> {
-        let depth = self.scan_depth;
-        if self.scan_pool.len() <= depth {
-            self.scan_pool.resize_with(depth + 1, ScanBuf::default);
-        }
-        let st = self.chip[bv as usize];
-        if st.tag != ChipTag::Bits {
-            return Err(self.unknown_chip(bv));
-        }
-        let nw = bit_words_for(st.len);
-        let buf = &mut self.scan_pool[depth];
-        buf.aw = ScanBuf::copy_into(&mut buf.a, &self.bits[st.boff..st.boff + nw]);
-        self.dense.scan_bits += st.len as u64;
-        Ok(st.len)
     }
 
     /// Snapshots both bit vectors of a `Scan2` into the scan pool slot

@@ -68,7 +68,6 @@ impl Machine {
             stats: ExecStats::default(),
             node_stack: Vec::new(),
             scratch: Vec::new(),
-            frames: Vec::new(),
             vstack: Vec::new(),
             lane_scratch: None,
             scan_pool: Vec::new(),
@@ -131,7 +130,6 @@ impl Machine {
         self.dense.clear();
         self.stats = ExecStats::default();
         self.node_stack.clear();
-        self.frames.clear();
         self.vstack.clear();
         self.scan_depth = 0;
         self.budget = RunBudget::default();
@@ -437,9 +435,9 @@ impl Machine {
         &self.stats
     }
 
-    /// Executes the program's Accel block on the flat bytecode engine
-    /// (a program counter over the op vector, loop state in a dense
-    /// frame stack — no recursion).
+    /// Executes the program's Accel block on the flat bytecode engine:
+    /// the op vector up to its final `Halt` is one body span, each loop
+    /// in it a superinstruction (see [`crate::bytecode::Op`]).
     ///
     /// `program` must be the program the machine was compiled for —
     /// the very [`CompiledProgram::source`], or one equal to it.
@@ -458,7 +456,10 @@ impl Machine {
         let prog = Arc::clone(&self.compiled);
         self.arm_budget();
         self.poisoned = true;
-        let result = self.run_ops(&prog);
+        self.vstack.clear();
+        self.node_stack.clear();
+        self.scan_depth = 0;
+        let result = self.run_simple_body(&prog, 0, prog.ops().len() - 1);
         self.stats = self.dense.fold(self.compiled.syms());
         result?;
         self.poisoned = false;

@@ -1,11 +1,13 @@
-//! The superinstruction tier: `RangeSimple`, `Scan1Simple` and
-//! `Scan2Simple` loops run natively — no frame, no per-iteration
-//! dispatch of loop control — and hand eligible bodies to the vector
-//! tier.
+//! The loop executors: every loop is a `RangeSimple` or `Scan2Simple`
+//! superinstruction that runs natively — no per-iteration dispatch of
+//! loop control — steps its body span once per iteration, and hands
+//! eligible bodies to the vector tier. A program is one body span, so
+//! [`Machine::run_simple_body`] is also the engine's entry; it recurses
+//! once per nested loop, as deep as the program's loop nesting.
 
 use super::budget::{check_interrupts, exhausted_fuel, INTERRUPT_MASK};
 use super::vector_tier::ScanCursor;
-use super::{Machine, RunError};
+use super::{ChipTag, Machine, RunError};
 use crate::bytecode::{CompiledProgram, Op, OpId, Operand, VecClass};
 use crate::ir::ScanOp;
 use crate::resolve::Slot;
@@ -24,11 +26,11 @@ const MIN_REDUCE_TRIPS: u64 = 2;
 const MIN_SCAN_EMITS: u64 = 2;
 
 impl Machine {
-    /// Runs a straight-line-body `Range` loop natively: bounds evaluated
-    /// once, the body ops stepped per iteration, the optional reduction
-    /// folded — no frame, no per-iteration dispatch of loop control.
+    /// Runs a `Range` loop natively: bounds evaluated once, the body
+    /// span stepped per iteration, the optional reduction folded — no
+    /// per-iteration dispatch of loop control.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn run_range_simple(
+    fn run_range_simple(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -91,10 +93,7 @@ impl Machine {
         // iteration entirely.
         if body_len == 1 && reduce.is_none() {
             let op = &ops[body as usize];
-            if !matches!(
-                op,
-                Op::RangeSimple { .. } | Op::Scan1Simple { .. } | Op::Scan2Simple { .. }
-            ) {
+            if !matches!(op, Op::RangeSimple { .. } | Op::Scan2Simple { .. }) {
                 if v < hi {
                     self.node_stack.push(id);
                     // Fuel mirrors in a register like the trip counter
@@ -209,12 +208,10 @@ impl Machine {
         Ok(end)
     }
 
-    /// Steps one iteration's worth of superinstruction body ops:
-    /// straight-line ops dispatch directly, nested superinstructions
-    /// run their own loops (constant recursion depth, capped by
-    /// [`crate::bytecode::MAX_SIMPLE_RANK`]) and their body spans are
-    /// skipped here.
-    fn run_simple_body(
+    /// Steps the body span `[body, end)` once: straight-line ops
+    /// dispatch directly, nested superinstructions run their own loops
+    /// and their body spans are skipped here.
+    pub(super) fn run_simple_body(
         &mut self,
         prog: &CompiledProgram,
         body: OpId,
@@ -236,19 +233,6 @@ impl Machine {
                 } => {
                     i = self.run_range_simple(
                         prog, *id, *var, *min, *max, *step, *body, *body_len, *reduce,
-                    )?;
-                }
-                Op::Scan1Simple {
-                    id,
-                    bv,
-                    pos_var,
-                    idx_var,
-                    body,
-                    body_len,
-                    reduce,
-                } => {
-                    i = self.run_scan1_simple(
-                        prog, *id, *bv, *pos_var, *idx_var, *body, *body_len, *reduce,
                     )?;
                 }
                 Op::Scan2Simple {
@@ -274,117 +258,17 @@ impl Machine {
         Ok(())
     }
 
-    /// Runs a straight-line-body single bit-vector `Scan` loop
-    /// natively: the vector is snapshotted once, then its set bits
-    /// iterate without a frame or per-emit `Next` dispatch.
-    /// Statistics, environment effects, and error order match the
-    /// framed [`Op::EnterScan1`]/[`Op::Next`] protocol exactly.
+    /// Runs a two-input co-iteration `Scan` loop natively: both vectors
+    /// are snapshotted once, the combined bits emit, and the per-side
+    /// position counters advance exactly as the reference walker's do —
+    /// the emitting index advances its positions after the body.
+    /// Emit/fold counts accumulate in registers and flush to the dense
+    /// counters on every exit path — including errors — so the
+    /// observable statistics are identical to per-emit bumping. Fuel
+    /// stays field-based: the body can nest loops that consume fuel
+    /// themselves.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn run_scan1_simple(
-        &mut self,
-        prog: &CompiledProgram,
-        id: usize,
-        bv: Slot,
-        pos_var: Slot,
-        idx_var: Slot,
-        body: OpId,
-        body_len: u32,
-        reduce: Option<(Slot, Operand)>,
-    ) -> Result<usize, RunError> {
-        let mut acc = self.read_reduce_acc(reduce.map(|(reg, _)| reg))?;
-        let depth = self.scan_depth;
-        let dim = self.scan_snapshot1(bv)?;
-        let pos_var = pos_var as usize;
-        let idx_var = idx_var as usize;
-        let saved = [self.env[pos_var], self.env[idx_var]];
-        let end = (body + body_len) as usize;
-        // Emit/fold counts accumulate in registers and flush to the
-        // dense counters on every exit path — including errors — so
-        // the observable statistics are identical to per-emit bumping.
-        // Fuel stays field-based: the body can nest superinstructions
-        // that consume fuel themselves. `emits` counts emit positions
-        // *reached* (bumped before the step charge, like the reference
-        // walker); `trips` counts charged steps.
-        let mut emits = 0u64;
-        let mut trips = 0u64;
-        let mut folds = 0u64;
-        let mut result: Result<(), RunError> = Ok(());
-        let mut entered = false;
-        let mut pos = 0u64;
-        let mut idx = 0usize;
-        // Vector tier: non-emitting bits consume no fuel and no
-        // statistics, so jumping whole zero words at a time (one
-        // trailing_zeros per 64 positions) is observably identical to
-        // probing them one by one.
-        let fast = self.vector_enabled;
-        'emits: while idx < dim {
-            if fast {
-                match self.scan_pool[depth].next_a_set(idx, dim) {
-                    Some(i) => idx = i,
-                    None => break 'emits,
-                }
-            }
-            if !self.scan_pool[depth].a_set(idx) {
-                idx += 1;
-                continue;
-            }
-            emits += 1;
-            if let Err(e) = self.charge_step() {
-                result = Err(e);
-                break 'emits;
-            }
-            if !entered {
-                entered = true;
-                self.node_stack.push(id);
-                self.scan_depth = depth + 1;
-            }
-            self.env[pos_var] = Some(pos as f64);
-            self.env[idx_var] = Some(idx as f64);
-            trips += 1;
-            if let Err(e) = self.run_simple_body(prog, body, end) {
-                result = Err(e);
-                break 'emits;
-            }
-            if let Some((_, expr)) = reduce {
-                match self.operand_value(prog, expr) {
-                    Ok(x) => {
-                        folds += 1; // reduce_elems and the tree-add
-                        acc += x;
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break 'emits;
-                    }
-                }
-            }
-            pos += 1;
-            idx += 1;
-        }
-        if entered && result.is_ok() {
-            self.node_stack.pop();
-            self.scan_depth = depth;
-        }
-        self.dense.scan_emits += emits;
-        self.dense.node_trips[id] += trips;
-        if folds > 0 {
-            self.dense.reduce_elems += folds;
-            self.dense.alu_ops += folds;
-        }
-        result?;
-        self.env[pos_var] = saved[0];
-        self.env[idx_var] = saved[1];
-        self.write_reduce_acc(reduce.map(|(reg, _)| reg), acc);
-        Ok(end)
-    }
-
-    /// Runs a straight-line-body two-input co-iteration `Scan` loop
-    /// natively (see [`Machine::run_scan1_simple`]): both vectors are
-    /// snapshotted once, the combined bits emit, and the per-side
-    /// position counters advance exactly as the framed
-    /// [`Op::EnterScan2`]/[`Op::Next`] protocol does — the emitting
-    /// index advances its positions after the body.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn run_scan2_simple(
+    fn run_scan2_simple(
         &mut self,
         prog: &CompiledProgram,
         id: usize,
@@ -512,7 +396,7 @@ impl Machine {
                 }
             }
             // The emitting index advances its positions after the
-            // body, exactly as the framed protocol does.
+            // body, exactly as the reference walker does.
             cur.ap += u64::from(has_a);
             cur.bp += u64::from(has_b);
             cur.emitted += 1;
@@ -534,5 +418,26 @@ impl Machine {
         }
         self.write_reduce_acc(reduce.map(|(reg, _)| reg), acc);
         Ok(end)
+    }
+
+    /// Reads the accumulator register at loop entry when the loop is a
+    /// `Reduce` (the error ordering the reference walker has: a missing
+    /// register is reported before the counter bounds are evaluated).
+    fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
+        match reduce {
+            None => Ok(0.0),
+            Some(reg) => self.reg_value(reg),
+        }
+    }
+
+    /// Writes the accumulator back at loop exit. Silently skips a slot
+    /// that is no longer a register, as the reference walker does.
+    fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
+        if let Some(reg) = reduce {
+            let st = self.chip[reg as usize];
+            if st.tag == ChipTag::Reg {
+                self.words[st.woff] = acc;
+            }
+        }
     }
 }

@@ -26,6 +26,32 @@ fn assert_engines_agree(program: &SpatialProgram, writes: &[(&str, Vec<f64>)]) -
     fast_result.unwrap_or_else(|_| fast.stats().clone())
 }
 
+/// A one-input scan of `bv`'s set bits: `or` against `none`, an
+/// all-zero bit vector of the same dimension, emits exactly `bv`'s set
+/// bits and binds `pos` to the running position among them and `idx`
+/// to the coordinate. Every entry examines both vectors, so
+/// `scan_bits` counts twice the dimension.
+fn scan_one(bv: &str, none: &str, pos: &str, idx: &str) -> Counter {
+    Counter::Scan2 {
+        op: ScanOp::Or,
+        bv_a: bv.into(),
+        bv_b: none.into(),
+        a_pos_var: pos.into(),
+        b_pos_var: format!("{pos}_b"),
+        out_pos_var: format!("{pos}_out"),
+        idx_var: idx.into(),
+    }
+}
+
+/// Allocates the all-zero bit vector `name` of `dim` bits.
+fn zero_bits(p: &mut SpatialProgram, name: &str, dim: usize) {
+    p.accel.push(SpatialStmt::Alloc(MemDecl::new(
+        name,
+        MemKind::BitVector,
+        dim,
+    )));
+}
+
 #[test]
 fn doc_example_doubles_vector() {
     let mut p = SpatialProgram::new("double");
@@ -176,13 +202,10 @@ fn scan1_visits_set_bits() {
         count: SExpr::Const(3.0),
         dim: SExpr::Const(8.0),
     });
+    zero_bits(&mut p, "none", 8);
     p.accel.push(SpatialStmt::Foreach {
         id: 0,
-        counter: Counter::Scan1 {
-            bv: "bv".into(),
-            pos_var: "p".into(),
-            idx_var: "i".into(),
-        },
+        counter: scan_one("bv", "none", "p", "i"),
         par: 1,
         body: vec![SpatialStmt::StoreScalar {
             dst: "out".into(),
@@ -195,7 +218,7 @@ fn scan1_visits_set_bits() {
     m.run(&p).unwrap();
     assert_eq!(&m.dram("out").unwrap()[..3], &[1.0, 4.0, 6.0]);
     assert_eq!(m.stats().scan_emits, 3);
-    assert_eq!(m.stats().scan_bits, 8);
+    assert_eq!(m.stats().scan_bits, 16);
     assert_engines_agree(&p, &[]);
 }
 
@@ -315,6 +338,7 @@ fn scan_reentry_over_large_dimension_matches_reference() {
         count: SExpr::Const(coords.len() as f64),
         dim: SExpr::Const(DIM as f64),
     });
+    zero_bits(&mut p, "none", DIM);
     p.accel
         .push(SpatialStmt::Alloc(MemDecl::new("acc", MemKind::Reg, 1)));
     p.accel.push(SpatialStmt::Foreach {
@@ -324,11 +348,7 @@ fn scan_reentry_over_large_dimension_matches_reference() {
         body: vec![SpatialStmt::Reduce {
             id: 1,
             reg: "acc".into(),
-            counter: Counter::Scan1 {
-                bv: "bv".into(),
-                pos_var: "p".into(),
-                idx_var: "i".into(),
-            },
+            counter: scan_one("bv", "none", "p", "i"),
             par: 1,
             body: vec![],
             expr: SExpr::var("i"),
@@ -341,7 +361,7 @@ fn scan_reentry_over_large_dimension_matches_reference() {
     });
     p.assign_ids();
     let stats = assert_engines_agree(&p, &[]);
-    assert_eq!(stats.scan_bits, 3 * DIM as u64, "three re-entries");
+    assert_eq!(stats.scan_bits, 2 * 3 * DIM as u64, "three re-entries");
     assert_eq!(stats.scan_emits, 9);
     let mut m = Machine::new(&p);
     m.run(&p).unwrap();
@@ -376,15 +396,12 @@ fn scan_snapshot_survives_mid_loop_regeneration() {
         count: SExpr::Const(3.0),
         dim: SExpr::Const(8.0),
     });
+    zero_bits(&mut p, "none", 8);
     // Each iteration records its index, then clobbers the scanned
     // bit vector with {0}.
     p.accel.push(SpatialStmt::Foreach {
         id: 0,
-        counter: Counter::Scan1 {
-            bv: "bv".into(),
-            pos_var: "p".into(),
-            idx_var: "i".into(),
-        },
+        counter: scan_one("bv", "none", "p", "i"),
         par: 1,
         body: vec![
             SpatialStmt::StoreScalar {
@@ -408,11 +425,7 @@ fn scan_snapshot_survives_mid_loop_regeneration() {
     // A second scan sees the regenerated {0}.
     p.accel.push(SpatialStmt::Foreach {
         id: 1,
-        counter: Counter::Scan1 {
-            bv: "bv".into(),
-            pos_var: "q".into(),
-            idx_var: "j".into(),
-        },
+        counter: scan_one("bv", "none", "q", "j"),
         par: 1,
         body: vec![SpatialStmt::StoreScalar {
             dst: "out".into(),
@@ -454,21 +467,14 @@ fn nested_scans_use_distinct_pool_depths() {
             dim: SExpr::Const(8.0),
         });
     }
+    zero_bits(&mut p, "none", 8);
     p.accel.push(SpatialStmt::Foreach {
         id: 0,
-        counter: Counter::Scan1 {
-            bv: "bvA".into(),
-            pos_var: "pa".into(),
-            idx_var: "ia".into(),
-        },
+        counter: scan_one("bvA", "none", "pa", "ia"),
         par: 1,
         body: vec![SpatialStmt::Foreach {
             id: 1,
-            counter: Counter::Scan1 {
-                bv: "bvB".into(),
-                pos_var: "pb".into(),
-                idx_var: "ib".into(),
-            },
+            counter: scan_one("bvB", "none", "pb", "ib"),
             par: 1,
             body: vec![SpatialStmt::StoreScalar {
                 dst: "out".into(),
@@ -935,13 +941,12 @@ fn bitvector_grows_past_declared_dimension() {
         count: SExpr::Const(coords.len() as f64),
         dim: SExpr::Const(DIM as f64),
     });
+    // The zero side keeps its declared 8 bits: the scan runs to the
+    // longer vector's grown dimension.
+    zero_bits(&mut p, "none", 8);
     p.accel.push(SpatialStmt::Foreach {
         id: 0,
-        counter: Counter::Scan1 {
-            bv: "bv".into(),
-            pos_var: "p".into(),
-            idx_var: "i".into(),
-        },
+        counter: scan_one("bv", "none", "p", "i"),
         par: 1,
         body: vec![SpatialStmt::StoreScalar {
             dst: "out".into(),
@@ -951,7 +956,7 @@ fn bitvector_grows_past_declared_dimension() {
     });
     p.assign_ids();
     let stats = assert_engines_agree(&p, &[]);
-    assert_eq!(stats.scan_bits, DIM as u64, "scan sees the grown dim");
+    assert_eq!(stats.scan_bits, 2 * DIM as u64, "scan sees the grown dim");
     assert_eq!(stats.scan_emits, 3);
     let mut m = Machine::new(&p);
     m.run(&p).unwrap();

@@ -316,8 +316,8 @@ impl fmt::Display for ScanOp {
     }
 }
 
-/// The counter of a `Foreach`/`Reduce` pattern: dense range, single
-/// bit-vector scan, or two-input co-iteration scan (Fig. 9).
+/// The counter of a `Foreach`/`Reduce` pattern: dense range or
+/// two-input co-iteration scan (Fig. 9).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Counter {
     /// `min until max by step` with a counter variable — uncompressed
@@ -331,16 +331,6 @@ pub enum Counter {
         max: SExpr,
         /// Step (usually 1).
         step: i64,
-    },
-    /// `Scan(par, len, bv.deq)`: iterate the set bits of one bit vector,
-    /// binding the running position and the dense index.
-    Scan1 {
-        /// The scanned bit vector.
-        bv: String,
-        /// Bound variable: position among set bits (0, 1, 2, ...).
-        pos_var: String,
-        /// Bound variable: the dense coordinate of the set bit.
-        idx_var: String,
     },
     /// `Scan(par, len, bvA.deq, bvB.deq)`: co-iterate two bit vectors under
     /// AND/OR, binding per-operand positions (−1 when absent, Fig. 7's `X`),
@@ -378,9 +368,6 @@ impl Counter {
     pub fn bound_vars(&self) -> Vec<&str> {
         match self {
             Counter::Range { var, .. } => vec![var],
-            Counter::Scan1 {
-                pos_var, idx_var, ..
-            } => vec![pos_var, idx_var],
             Counter::Scan2 {
                 a_pos_var,
                 b_pos_var,

@@ -68,7 +68,6 @@ fn print_counter(c: &Counter, par: usize) -> String {
         Counter::Range { min, max, step, .. } => {
             format!("({min} until {max} by {step} par {par})")
         }
-        Counter::Scan1 { bv, .. } => format!("(Scan(par={par}, {bv}.deq))"),
         Counter::Scan2 { op, bv_a, bv_b, .. } => {
             format!("(Scan(par={par}, {op}, {bv_a}.deq, {bv_b}.deq))")
         }

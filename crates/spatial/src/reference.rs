@@ -768,32 +768,6 @@ impl ReferenceMachine {
                 rebind(&mut self.env, var, saved);
                 Ok(())
             }
-            Counter::Scan1 {
-                bv,
-                pos_var,
-                idx_var,
-            } => {
-                let bits = match self.on_chip.get(bv) {
-                    Some(Mem::Bits(b)) => b.clone(),
-                    _ => return Err(RunError::UnknownMemory(bv.clone())),
-                };
-                self.stats.scan_bits += bits.len() as u64;
-                let saved_pos = self.env.get(pos_var).copied();
-                let saved_idx = self.env.get(idx_var).copied();
-                let mut pos = 0u64;
-                for (idx, set) in bits.iter().enumerate() {
-                    if *set {
-                        self.env.insert(pos_var.clone(), pos as f64);
-                        self.env.insert(idx_var.clone(), idx as f64);
-                        self.stats.scan_emits += 1;
-                        body(self)?;
-                        pos += 1;
-                    }
-                }
-                rebind(&mut self.env, pos_var, saved_pos);
-                rebind(&mut self.env, idx_var, saved_idx);
-                Ok(())
-            }
             Counter::Scan2 {
                 op,
                 bv_a,
@@ -960,16 +934,16 @@ mod tests {
         assert_eq!(m.stats().trips(0), 5);
     }
 
+    /// A one-input scan: `or` against an all-zero vector of the same
+    /// dimension emits exactly `bv`'s set bits.
     #[test]
     fn scan1_visits_set_bits() {
         let p = empty_program();
         let mut m = ReferenceMachine::new(&p);
-        m.exec(&SpatialStmt::Alloc(MemDecl::new(
-            "bv",
-            MemKind::BitVector,
-            8,
-        )))
-        .unwrap();
+        for bv in ["bv", "none"] {
+            m.exec(&SpatialStmt::Alloc(MemDecl::new(bv, MemKind::BitVector, 8)))
+                .unwrap();
+        }
         m.exec(&SpatialStmt::Alloc(MemDecl::new("crd", MemKind::Fifo, 8)))
             .unwrap();
         for c in [1.0, 4.0, 6.0] {
@@ -991,9 +965,13 @@ mod tests {
             .unwrap();
         m.exec(&SpatialStmt::Foreach {
             id: 0,
-            counter: Counter::Scan1 {
-                bv: "bv".into(),
-                pos_var: "p".into(),
+            counter: Counter::Scan2 {
+                op: ScanOp::Or,
+                bv_a: "bv".into(),
+                bv_b: "none".into(),
+                a_pos_var: "p".into(),
+                b_pos_var: "q".into(),
+                out_pos_var: "o".into(),
                 idx_var: "i".into(),
             },
             par: 1,
@@ -1011,7 +989,7 @@ mod tests {
         };
         assert_eq!(&out[..3], &[1.0, 4.0, 6.0]);
         assert_eq!(m.stats().scan_emits, 3);
-        assert_eq!(m.stats().scan_bits, 8);
+        assert_eq!(m.stats().scan_bits, 16);
     }
 
     /// The worked example of Fig. 7: A crd {1,2,5}, B crd {0,2,3,8},

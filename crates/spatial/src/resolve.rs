@@ -175,15 +175,6 @@ pub enum ResolvedCounter {
         /// Step.
         step: i64,
     },
-    /// Single bit-vector scan.
-    Scan1 {
-        /// Scanned bit vector (chip slot).
-        bv: Slot,
-        /// Position variable slot.
-        pos_var: Slot,
-        /// Dense-index variable slot.
-        idx_var: Slot,
-    },
     /// Two-input co-iteration scan.
     Scan2 {
         /// Combination operator.
@@ -682,15 +673,6 @@ impl Resolver<'_> {
                     step: *step,
                 }
             }
-            Counter::Scan1 {
-                bv,
-                pos_var,
-                idx_var,
-            } => ResolvedCounter::Scan1 {
-                bv: self.syms.chip(bv),
-                pos_var: self.syms.var(pos_var),
-                idx_var: self.syms.var(idx_var),
-            },
             Counter::Scan2 {
                 op,
                 bv_a,
@@ -1113,9 +1095,13 @@ mod tests {
         let mut p = SpatialProgram::new("t");
         p.accel.push(SpatialStmt::Foreach {
             id: 3,
-            counter: Counter::Scan1 {
-                bv: "bv".into(),
-                pos_var: "p".into(),
+            counter: Counter::Scan2 {
+                op: ScanOp::Or,
+                bv_a: "bv".into(),
+                bv_b: "none".into(),
+                a_pos_var: "p".into(),
+                b_pos_var: "q".into(),
+                out_pos_var: "o".into(),
                 idx_var: "i".into(),
             },
             par: 2,
@@ -1127,9 +1113,9 @@ mod tests {
         let ResolvedStmt::Foreach { counter, body, .. } = &r.body[0] else {
             panic!("expected foreach");
         };
-        assert!(matches!(counter, ResolvedCounter::Scan1 { .. }));
+        assert!(matches!(counter, ResolvedCounter::Scan2 { .. }));
         assert!(matches!(body[0], ResolvedStmt::Alloc { .. }));
-        assert_eq!(syms.chip_count(), 2, "bv and tmp");
-        assert_eq!(syms.var_count(), 2, "p and i");
+        assert_eq!(syms.chip_count(), 3, "bv, none and tmp");
+        assert_eq!(syms.var_count(), 4, "p, q, o and i");
     }
 }

@@ -783,7 +783,6 @@ impl<'a> BodyMeta<'a> {
                 self.check_expr(min, bound, local)?;
                 self.check_expr(max, bound, local)
             }
-            Counter::Scan1 { bv, .. } => self.check_chip_read(bv, local),
             Counter::Scan2 { bv_a, bv_b, .. } => {
                 self.check_chip_read(bv_a, local)?;
                 self.check_chip_read(bv_b, local)

@@ -149,7 +149,6 @@ fn validate_counter(c: &Counter, scope: &HashMap<String, MemKind>) -> Result<(),
             validate_expr(min, scope)?;
             validate_expr(max, scope)
         }
-        Counter::Scan1 { bv, .. } => expect_kind(scope, bv, &[MemKind::BitVector], "bit vector"),
         Counter::Scan2 { bv_a, bv_b, .. } => {
             expect_kind(scope, bv_a, &[MemKind::BitVector], "bit vector")?;
             expect_kind(scope, bv_b, &[MemKind::BitVector], "bit vector")
@@ -314,7 +313,7 @@ fn validate_stmt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{MemDecl, SExpr};
+    use crate::ir::{MemDecl, SExpr, ScanOp};
 
     #[test]
     fn accepts_wellformed() {
@@ -362,23 +361,35 @@ mod tests {
 
     #[test]
     fn rejects_scan_of_non_bitvector() {
-        let mut p = SpatialProgram::new("bad");
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, 8)));
-        p.accel.push(SpatialStmt::Foreach {
-            id: 0,
-            counter: Counter::Scan1 {
-                bv: "s".into(),
-                pos_var: "p".into(),
-                idx_var: "i".into(),
-            },
-            par: 1,
-            body: vec![],
-        });
-        assert!(matches!(
-            validate(&p),
-            Err(ValidationError::KindMismatch { .. })
-        ));
+        // Either side of the scan may be the SRAM.
+        for (a, b) in [("s", "bv"), ("bv", "s")] {
+            let mut p = SpatialProgram::new("bad");
+            p.accel
+                .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, 8)));
+            p.accel.push(SpatialStmt::Alloc(MemDecl::new(
+                "bv",
+                MemKind::BitVector,
+                8,
+            )));
+            p.accel.push(SpatialStmt::Foreach {
+                id: 0,
+                counter: Counter::Scan2 {
+                    op: ScanOp::Or,
+                    bv_a: a.into(),
+                    bv_b: b.into(),
+                    a_pos_var: "p".into(),
+                    b_pos_var: "q".into(),
+                    out_pos_var: "o".into(),
+                    idx_var: "i".into(),
+                },
+                par: 1,
+                body: vec![],
+            });
+            assert!(matches!(
+                validate(&p),
+                Err(ValidationError::KindMismatch { .. })
+            ));
+        }
     }
 
     #[test]

@@ -215,15 +215,26 @@ fn bitvector_from_coords(p: &mut SpatialProgram, rng: &mut TestRng, name: &str) 
     cs
 }
 
+/// A one-input scan: `or` against an all-zero vector walks `bv`'s set
+/// bits alone.
 fn scan1_block(p: &mut SpatialProgram, rng: &mut TestRng, b: usize) {
-    let bv = format!("s1_bv{b}");
+    let (bv, none) = (format!("s1_bv{b}"), format!("s1_none{b}"));
     bitvector_from_coords(p, rng, &bv);
+    p.accel.push(SpatialStmt::Alloc(MemDecl::new(
+        &none,
+        MemKind::BitVector,
+        SIZE,
+    )));
     let (pos, idx) = (format!("p{b}"), format!("x{b}"));
     p.accel.push(SpatialStmt::Foreach {
         id: 0,
-        counter: Counter::Scan1 {
-            bv,
-            pos_var: pos.clone(),
+        counter: Counter::Scan2 {
+            op: ScanOp::Or,
+            bv_a: bv,
+            bv_b: none,
+            a_pos_var: pos.clone(),
+            b_pos_var: format!("q{b}"),
+            out_pos_var: format!("o{b}"),
             idx_var: idx.clone(),
         },
         par: 1 + rng.below(2) as usize,

@@ -140,12 +140,16 @@ fn random_shardable_program(seed: u64) -> SpatialProgram {
             // iterations.
             _ => {
                 let bv = format!("bv{b}");
+                let none = format!("none{b}");
                 let fifo = format!("f{b}");
-                body.push(SpatialStmt::Alloc(MemDecl::new(
-                    &bv,
-                    MemKind::BitVector,
-                    SIZE,
-                )));
+                // `or` against an all-zero vector walks `bv`'s set bits.
+                for v in [&bv, &none] {
+                    body.push(SpatialStmt::Alloc(MemDecl::new(
+                        v,
+                        MemKind::BitVector,
+                        SIZE,
+                    )));
+                }
                 body.push(SpatialStmt::Alloc(MemDecl::new(&fifo, MemKind::Fifo, 8)));
                 let coords = 1 + rng.below(4);
                 for c in 0..coords {
@@ -163,9 +167,13 @@ fn random_shardable_program(seed: u64) -> SpatialProgram {
                 });
                 body.push(SpatialStmt::Foreach {
                     id: 0,
-                    counter: Counter::Scan1 {
-                        bv,
-                        pos_var: "p".into(),
+                    counter: Counter::Scan2 {
+                        op: ScanOp::Or,
+                        bv_a: bv,
+                        bv_b: none,
+                        a_pos_var: "p".into(),
+                        b_pos_var: "q".into(),
+                        out_pos_var: "o".into(),
                         idx_var: "ix".into(),
                     },
                     par: 1,
@@ -447,9 +455,13 @@ fn rejects_scan_counter_outer_loop() {
     )));
     p.accel.push(SpatialStmt::Foreach {
         id: 0,
-        counter: Counter::Scan1 {
-            bv: "bv".into(),
-            pos_var: "p".into(),
+        counter: Counter::Scan2 {
+            op: ScanOp::Or,
+            bv_a: "bv".into(),
+            bv_b: "bv".into(),
+            a_pos_var: "p".into(),
+            b_pos_var: "q".into(),
+            out_pos_var: "o".into(),
             idx_var: "ix".into(),
         },
         par: 1,

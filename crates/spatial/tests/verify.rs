@@ -1,8 +1,8 @@
 //! Mutation tests for the static bytecode verifier.
 //!
 //! The verifier's contract has two halves. *No false negatives*:
-//! corrupt any structural invariant of a lowered program — jump
-//! targets, frame balance, slot extents, expression stack discipline —
+//! corrupt any structural invariant of a lowered program — body spans
+//! and their nesting, slot extents, expression stack discipline —
 //! and [`stardust_spatial::verify`] must reject the mutant. *No false
 //! positives*: every artifact the compiler actually produces must
 //! pass (also asserted per-seed by the random-program property suite
@@ -14,8 +14,8 @@
 use stardust_spatial::bytecode::{EOp, Op, Operand};
 use stardust_spatial::ir::MemDecl;
 use stardust_spatial::{
-    verify, CompiledProgram, Counter, MemKind, SExpr, SpatialProgram, SpatialStmt, VerifyCtx,
-    VerifyError,
+    verify, CompiledProgram, Counter, MemKind, SExpr, ScanOp, SpatialProgram, SpatialStmt,
+    VerifyCtx, VerifyError,
 };
 
 fn alloc(p: &mut SpatialProgram, name: &str, kind: MemKind, size: usize) {
@@ -105,11 +105,12 @@ fn simple_program() -> SpatialProgram {
     p
 }
 
-/// A framed program: four nested ranges overflow `MAX_SIMPLE_RANK`, so
-/// the outer loop lowers to `EnterRange .. Next` around nested
-/// superinstructions.
-fn framed_program() -> SpatialProgram {
-    let mut p = SpatialProgram::new("verify_framed");
+/// A nested program: four nested ranges, each a `RangeSimple` whose
+/// body span holds the next, then one straight-line store after the
+/// nest (so an inner span can overhang its parent's end without
+/// leaving the program).
+fn nested_program() -> SpatialProgram {
+    let mut p = SpatialProgram::new("verify_nested");
     p.add_dram("out", 4);
     p.accel.push(range_loop(
         0,
@@ -136,16 +137,23 @@ fn framed_program() -> SpatialProgram {
             )],
         )],
     ));
+    p.accel.push(SpatialStmt::StoreScalar {
+        dst: "out".into(),
+        index: SExpr::Const(3.0),
+        value: SExpr::Const(7.0),
+    });
     p.assign_ids();
     p
 }
 
-/// A scan/FIFO program: `Enq`, `GenBitVector`, a `Scan1Simple`.
+/// A scan/FIFO program: `Enq`, `GenBitVector`, a `Scan2Simple` that
+/// walks `bv`'s set bits (`or` against an all-zero vector).
 fn scan_program() -> SpatialProgram {
     let dim = 70usize;
     let mut p = SpatialProgram::new("verify_scan");
     p.add_dram("out", dim);
     alloc(&mut p, "bv", MemKind::BitVector, dim);
+    alloc(&mut p, "none", MemKind::BitVector, dim);
     alloc(&mut p, "f", MemKind::Fifo, 4);
     for c in [3.0, 64.0, 69.0] {
         p.accel.push(SpatialStmt::Enq {
@@ -162,9 +170,13 @@ fn scan_program() -> SpatialProgram {
     });
     p.accel.push(SpatialStmt::Foreach {
         id: 0,
-        counter: Counter::Scan1 {
-            bv: "bv".into(),
-            pos_var: "p".into(),
+        counter: Counter::Scan2 {
+            op: ScanOp::Or,
+            bv_a: "bv".into(),
+            bv_b: "none".into(),
+            a_pos_var: "p".into(),
+            b_pos_var: "q".into(),
+            out_pos_var: "o".into(),
             idx_var: "x".into(),
         },
         par: 1,
@@ -399,91 +411,38 @@ fn corrupted(op: &Op) -> Vec<Op> {
                 });
             }
         }
-        Op::Scan1Simple {
+        Op::Scan2Simple {
             id,
-            bv,
-            pos_var,
-            idx_var,
+            op,
+            bv_a,
+            bv_b,
+            vars,
             body,
             body_len,
             reduce,
         } => {
-            push(Op::Scan1Simple {
+            let scan = |bv_a, bv_b, vars, body, body_len| Op::Scan2Simple {
                 id,
-                bv: BAD,
-                pos_var,
-                idx_var,
+                op,
+                bv_a,
+                bv_b,
+                vars,
                 body,
                 body_len,
                 reduce,
-            });
-            push(Op::Scan1Simple {
-                id,
-                bv,
-                pos_var: BAD,
-                idx_var,
+            };
+            push(scan(BAD, bv_b, vars, body, body_len));
+            push(scan(bv_a, BAD, vars, body, body_len));
+            push(scan(
+                bv_a,
+                bv_b,
+                [vars[0], BAD, vars[2], vars[3]],
                 body,
                 body_len,
-                reduce,
-            });
-            push(Op::Scan1Simple {
-                id,
-                bv,
-                pos_var,
-                idx_var,
-                body: body + 1,
-                body_len,
-                reduce,
-            });
-            push(Op::Scan1Simple {
-                id,
-                bv,
-                pos_var,
-                idx_var,
-                body,
-                body_len: body_len + 100_000,
-                reduce,
-            });
+            ));
+            push(scan(bv_a, bv_b, vars, body + 1, body_len));
+            push(scan(bv_a, bv_b, vars, body, body_len + 100_000));
         }
-        Op::EnterRange {
-            id,
-            var,
-            min,
-            max,
-            step,
-            reduce,
-            exit,
-        } => {
-            push(Op::EnterRange {
-                id,
-                var: BAD,
-                min,
-                max,
-                step,
-                reduce,
-                exit,
-            });
-            // Exit before the loop head: frame check must reject.
-            push(Op::EnterRange {
-                id,
-                var,
-                min,
-                max,
-                step,
-                reduce,
-                exit: 0,
-            });
-            push(Op::EnterRange {
-                id,
-                var,
-                min,
-                max,
-                step,
-                reduce,
-                exit: exit + 100_000,
-            });
-        }
-        Op::Next { body } => push(Op::Next { body: body + 1 }),
         _ => {}
     }
     out
@@ -494,7 +453,7 @@ fn corrupted(op: &Op) -> Vec<Op> {
 /// random ones).
 #[test]
 fn compiler_outputs_verify_clean() {
-    for p in [simple_program(), framed_program(), scan_program()] {
+    for p in [simple_program(), nested_program(), scan_program()] {
         let c = CompiledProgram::compile(&p);
         c.verify()
             .unwrap_or_else(|e| panic!("{} rejected: {e}", p.name));
@@ -519,11 +478,11 @@ fn truncated_programs_are_rejected() {
     );
 }
 
-/// Overwriting any non-final op with `Halt` is rejected (stray or
-/// misplaced, depending on position).
+/// Overwriting any non-final op with `Halt` is rejected, inside a
+/// body span or not.
 #[test]
 fn stray_halts_are_rejected() {
-    for p in [simple_program(), framed_program(), scan_program()] {
+    for p in [simple_program(), nested_program(), scan_program()] {
         let c = CompiledProgram::compile(&p);
         for pc in 0..c.ops().len() - 1 {
             let mut ops = c.ops().to_vec();
@@ -541,7 +500,7 @@ fn stray_halts_are_rejected() {
 /// representative program is rejected.
 #[test]
 fn slot_and_target_corruptions_are_rejected() {
-    for p in [simple_program(), framed_program(), scan_program()] {
+    for p in [simple_program(), nested_program(), scan_program()] {
         let c = CompiledProgram::compile(&p);
         let mut mutants = 0usize;
         for pc in 0..c.ops().len() {
@@ -560,57 +519,54 @@ fn slot_and_target_corruptions_are_rejected() {
     }
 }
 
-/// Frame-protocol mutations on the framed program: a bare `Next`, a
-/// dropped `Next`, an unbalanced extra `EnterRange`.
+/// Span-nesting mutations: growing an inner loop's span one op past
+/// its parent's end, still inside the program, is rejected at the
+/// inner loop; growing the outermost loop's span over the trailing
+/// store is a well-formed program and passes.
 #[test]
-fn frame_imbalance_is_rejected() {
-    let c = CompiledProgram::compile(&framed_program());
+fn overhanging_spans_are_rejected() {
+    let c = CompiledProgram::compile(&nested_program());
     let ops = c.ops();
-    let enter_pc = ops
-        .iter()
-        .position(|o| matches!(o, Op::EnterRange { .. }))
-        .expect("framed program has an EnterRange");
-    let next_pc = ops
-        .iter()
-        .position(|o| matches!(o, Op::Next { .. }))
-        .expect("framed program has a Next");
-
-    // Bare Next: replace the EnterRange with a straight-line op.
-    let mut m = ops.to_vec();
-    m[enter_pc] = Op::Bind {
-        var: 0,
-        value: Operand::Const(0.0),
+    let span_end = |op: &Op| match *op {
+        Op::RangeSimple { body, body_len, .. } => (body + body_len) as usize,
+        _ => panic!("expected RangeSimple, got {op:?}"),
     };
-    assert!(
-        verify_mutant(&c, &m, c.eops()).is_err(),
-        "bare Next accepted"
-    );
-
-    // Dropped Next: the frame never closes.
-    let mut m = ops.to_vec();
-    m[next_pc] = Op::Bind {
-        var: 0,
-        value: Operand::Const(0.0),
+    let grown = |op: &Op, by: u32| match *op {
+        Op::RangeSimple {
+            id,
+            var,
+            min,
+            max,
+            step,
+            body,
+            body_len,
+            reduce,
+        } => Op::RangeSimple {
+            id,
+            var,
+            min,
+            max,
+            step,
+            body,
+            body_len: body_len + by,
+            reduce,
+        },
+        _ => panic!("expected RangeSimple, got {op:?}"),
     };
-    assert!(
-        verify_mutant(&c, &m, c.eops()).is_err(),
-        "open frame accepted"
-    );
-
-    // A frame op buried inside a superinstruction body.
-    let simple = CompiledProgram::compile(&simple_program());
-    let body_pc = simple
-        .ops()
-        .iter()
-        .position(|o| matches!(o, Op::RangeSimple { .. }))
-        .expect("simple program lowers a RangeSimple")
-        + 1;
-    let mut m = simple.ops().to_vec();
-    m[body_pc] = Op::Next { body: 0 };
-    assert!(
-        verify_mutant(&simple, &m, simple.eops()).is_err(),
-        "frame op inside a superinstruction body accepted"
-    );
+    for pc in 1..4 {
+        let parent_end = span_end(&ops[pc - 1]);
+        let mut m = ops.to_vec();
+        m[pc] = grown(&ops[pc], (parent_end - span_end(&ops[pc])) as u32 + 1);
+        assert!(span_end(&m[pc]) < ops.len(), "mutant stays in the program");
+        assert_eq!(
+            verify_mutant(&c, &m, c.eops()),
+            Err(VerifyError::BodyOutOfRange { pc }),
+            "span at pc {pc} overhangs its parent"
+        );
+    }
+    let mut m = ops.to_vec();
+    m[0] = grown(&ops[0], 1);
+    verify_mutant(&c, &m, c.eops()).expect("outermost span may grow up to Halt");
 }
 
 /// Expression-program mutations: truncation (no `End`), backward
