@@ -9,7 +9,7 @@
 //!   200 pattern memory units (16 banks × 4096 words), 80 memory
 //!   controllers, 16 shuffle networks (§8.2), and the three memory systems
 //!   of Table 6 (four-channel DDR4-2133, HBM-2E, and an ideal memory).
-//! - [`place`] — placement and resource accounting: datapaths packed into
+//! - [`place`](mod@place) — placement and resource accounting: datapaths packed into
 //!   PCU stages and replicated by the outer parallelization, buffers
 //!   mapped to PMUs by capacity, DRAM streams to MCs, gathers to shuffle
 //!   networks. Regenerates Table 5.

@@ -14,7 +14,7 @@
 //! - **Scheduling relations** ([`relations`]): `split_up`, `split_down`,
 //!   `fuse`, and environment bindings, which `s.t.` nodes carry so that
 //!   derived index variables remain recoverable.
-//! - **A CIN evaluator** ([`eval`]): executable semantics for any
+//! - **A CIN evaluator** ([`eval`](mod@eval)): executable semantics for any
 //!   (scheduled) CIN statement against real tensors. Every compiler
 //!   transformation in the workspace is tested against this oracle.
 

@@ -1,28 +1,37 @@
-//! Stage two of the execution pipeline: flat bytecode over resolved slots.
+//! The link-and-lower pass: from a named Spatial tree to flat bytecode
+//! over dense slots.
 //!
-//! The [`crate::resolve`] pass removes string hashing from the hot path,
-//! but the resolved form is still a statement *tree*: executing it would
-//! mean a recursive call per statement and a closure invocation per
-//! loop iteration, with `Vec<ResolvedStmt>` pointer chasing on every
-//! level. This module lowers a [`ResolvedProgram`] into a dense
-//! [`CompiledProgram`]:
+//! A [`SpatialProgram`] names every memory, register, FIFO and loop
+//! variable by `String`, and nests its statements and expressions as
+//! trees. Executing that form directly means a hashed name probe per
+//! access and a recursive call per statement. [`CompiledProgram::compile`]
+//! walks the tree once and emits a dense form:
 //!
+//! - every name is interned into one of the three slot namespaces of a
+//!   [`SymbolTable`] (DRAM, on-chip, variable) as the op that uses it is
+//!   emitted, so the machine's state is `Vec`-indexed and its inner loop
+//!   never hashes a string;
 //! - every statement becomes one fixed-size [`Op`] in a flat `Vec<Op>`,
 //!   and every loop (`Foreach` or `Reduce`, over a dense `Range` or a
 //!   two-input co-iteration `Scan`) becomes one superinstruction
 //!   ([`Op::RangeSimple`], [`Op::Scan2Simple`]) followed by its body
-//!   span, nested loops nesting their spans inside it, and
+//!   span, nested loops nesting their spans inside it;
 //! - every expression tree becomes a postfix [`EOp`] program evaluated
 //!   with a small value stack, with `Select` lowered to conditional
 //!   jumps so the untaken side is skipped exactly as the reference
-//!   walker skips it.
+//!   walker skips it;
+//! - the static on-chip and DRAM layouts ([`crate::resolve`]) are read
+//!   off the flat ops in one scan.
+//!
+//! Linking is *total*: names that are referenced but never declared
+//! still get slots, and the `UnknownMemory` error the reference engine
+//! raises at touch time is reproduced at runtime when the slot's state
+//! is found unallocated.
 //!
 //! [`crate::Machine::run`] then executes the op vector span by span: a
 //! superinstruction runs its loop natively and steps its body span once
 //! per iteration — no per-iteration closure, no loop-control dispatch,
-//! recursion only as deep as the program's loop nesting. The resolved
-//! tree is an intermediate of [`CompiledProgram::compile`]: lowering
-//! consumes it and only its layouts outlive the compile. The original
+//! recursion only as deep as the program's loop nesting. The original
 //! string-keyed engine survives as [`crate::ReferenceMachine`];
 //! differential tests hold the two to byte-identical DRAM images and
 //! identical [`crate::ExecStats`].
@@ -38,11 +47,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::interp::Machine;
-use crate::ir::{BinSOp, MemKind, ScanOp, SpatialProgram};
-use crate::resolve::{
-    resolve, ArenaLayout, DramLayout, ExprId, ResolvedCounter, ResolvedExpr, ResolvedProgram,
-    ResolvedStmt, Slot, SymbolTable,
-};
+use crate::ir::{BinSOp, Counter, MemDecl, MemKind, SExpr, ScanOp, SpatialProgram, SpatialStmt};
+use crate::resolve::{ArenaLayout, DramLayout, Slot, SymbolTable};
 
 /// Index of an [`Op`] in a compiled program (a program-counter value).
 pub type OpId = u32;
@@ -64,8 +70,7 @@ pub enum EOp {
     Deq(Slot),
     /// Pop an index, read `mem[index]`, push the value. Carries both
     /// resolutions of the name (on-chip checked first, then the
-    /// SparseDRAM random-read fallback), like
-    /// [`ResolvedExpr::ReadMem`].
+    /// SparseDRAM random-read fallback), like [`Operand::Gather`].
     ReadMem {
         /// On-chip slot of the name.
         chip: Slot,
@@ -475,7 +480,7 @@ pub struct CompiledProgram {
     /// The lane programs [`VecClass::Reduce`], [`VecClass::Scan`] and
     /// [`VecClass::SegReduce`] entries point into.
     lanes: Vec<LaneOp>,
-    /// Half-open `[start, end)` op spans of each top-level resolved
+    /// Half-open `[start, end)` op spans of each top-level source
     /// statement, in statement order — the correspondence the effect
     /// analysis uses to reason about prefix/body/suffix regions of a
     /// program.
@@ -536,35 +541,41 @@ pub enum VecClass {
 }
 
 impl CompiledProgram {
-    /// Links and lowers a program against a fresh symbol table.
+    /// Links and lowers a program in one pass: names intern into a
+    /// fresh symbol table (every DRAM declaration first, in order) as
+    /// the ops that use them are emitted, and the static layouts are
+    /// then read off the flat ops.
     pub fn compile(program: &SpatialProgram) -> Self {
-        let mut syms = SymbolTable::default();
-        let resolved = resolve(program, &mut syms);
         let mut lowering = Lowering {
-            resolved: &resolved,
+            syms: SymbolTable::default(),
             ops: Vec::new(),
             eops: Vec::new(),
             fused: Vec::new(),
             fuse_barrier: 0,
         };
-        let mut stmt_spans = Vec::with_capacity(resolved.body.len());
-        for stmt in &resolved.body {
-            let start = lowering.ops.len() as OpId;
-            lowering.stmt(stmt);
-            stmt_spans.push((start, lowering.ops.len() as OpId));
-        }
+        let drams: Vec<(Slot, &MemDecl)> = program
+            .drams
+            .iter()
+            .map(|d| (lowering.syms.dram(&d.name), d))
+            .collect();
+        let stmt_spans = program
+            .accel
+            .iter()
+            .map(|stmt| {
+                let start = lowering.ops.len() as OpId;
+                lowering.stmt(stmt);
+                (start, lowering.ops.len() as OpId)
+            })
+            .collect();
         lowering.ops.push(Op::Halt);
         let Lowering {
-            ops, eops, fused, ..
-        } = lowering;
-        // The resolved tree ends here: lowering has consumed it, and
-        // only its layouts travel with the compiled program.
-        let ResolvedProgram {
-            layout,
-            dram_layout,
-            node_limit,
+            syms,
+            ops,
+            eops,
+            fused,
             ..
-        } = resolved;
+        } = lowering;
+        let (layout, dram_layout, node_limit) = crate::resolve::layouts(&ops, &drams, &syms);
         let zero_input = Arc::new(vec![0.0; dram_layout.input_words]);
         let (vec, lanes) = crate::analysis::classify_vec(&ops, &eops, &fused);
         let compiled = CompiledProgram {
@@ -674,10 +685,10 @@ impl CompiledProgram {
         false
     }
 
-    /// Half-open `[start, end)` op spans of each top-level resolved
-    /// statement, in statement order. `resolve` drops
-    /// [`crate::ir::SpatialStmt::Comment`]s, so these index the
-    /// *resolved* body, not the source `accel` block.
+    /// Half-open `[start, end)` op spans of each top-level statement of
+    /// the source `accel` block, in statement order: `stmt_spans()[i]`
+    /// belongs to `source().accel[i]`. A [`SpatialStmt::Comment`] emits
+    /// no op, so its span is empty.
     pub fn stmt_spans(&self) -> &[(OpId, OpId)] {
         &self.stmt_spans
     }
@@ -833,8 +844,8 @@ impl ProgramCache {
     }
 }
 
-struct Lowering<'a> {
-    resolved: &'a ResolvedProgram,
+struct Lowering {
+    syms: SymbolTable,
     ops: Vec<Op>,
     eops: Vec<EOp>,
     fused: Vec<FusedOp>,
@@ -845,12 +856,17 @@ struct Lowering<'a> {
     fuse_barrier: usize,
 }
 
-impl Lowering<'_> {
+/// Lowering interns each name when the walk reaches it, in one
+/// post-order whatever operand shape it picks: a node's sub-expressions
+/// before the node's own names, a statement's operands before its names
+/// (in field order), a loop's bounds before its variable and its body,
+/// and a `Reduce`'s register after its body and its reduced expression.
+impl Lowering {
     /// Compiles one expression tree into the flat array, returning the
     /// index of its first op.
-    fn expr(&mut self, id: ExprId) -> ERef {
+    fn expr(&mut self, e: &SExpr) -> ERef {
         let start = self.eops.len() as ERef;
-        self.expr_ops(id);
+        self.expr_ops(e);
         self.eops.push(EOp::End);
         start
     }
@@ -860,77 +876,69 @@ impl Lowering<'_> {
         self.eops.len() >= self.fuse_barrier + n
     }
 
-    /// Lowers a statement operand: leaves, single gathers, and the
-    /// recognized compound shapes become immediates; everything else
-    /// becomes an expression program.
-    fn operand(&mut self, id: ExprId) -> Operand {
-        match self.resolved.expr(id) {
-            ResolvedExpr::Const(c) => Operand::Const(c),
-            ResolvedExpr::Var(v) => Operand::Var(v),
-            ResolvedExpr::ReadMem {
-                chip,
-                dram,
-                index,
-                random,
-            } => match self.resolved.expr(index) {
-                ResolvedExpr::Var(var) => Operand::Gather {
-                    chip,
-                    dram,
-                    random,
-                    var,
-                },
-                ResolvedExpr::Binary { op, lhs, rhs } => {
-                    if let (ResolvedExpr::Var(var), ResolvedExpr::Const(c)) =
-                        (self.resolved.expr(lhs), self.resolved.expr(rhs))
-                    {
-                        self.fuse(FusedOp::GatherOffset {
-                            mem: GatherRef {
-                                chip,
-                                dram,
-                                random,
-                                var,
-                            },
-                            c,
-                            op,
-                        })
-                    } else {
-                        Operand::Expr(self.expr(id))
-                    }
-                }
-                _ => Operand::Expr(self.expr(id)),
-            },
-            ResolvedExpr::Binary { op, lhs, rhs } => {
-                // vb * C_vals[jj].
-                if let (ResolvedExpr::Var(a), Some(mem)) =
-                    (self.resolved.expr(lhs), self.gather_ref(rhs))
-                {
-                    return self.fuse(FusedOp::BinGather { a, op, mem });
-                }
-                Operand::Expr(self.expr(id))
-            }
-            _ => Operand::Expr(self.expr(id)),
+    /// The `(chip, dram)` slots of a name `ReadMem` reads: the on-chip
+    /// slot is checked first, then the SparseDRAM random-read fallback.
+    fn mem(&mut self, name: &str) -> (Slot, Slot) {
+        (self.syms.chip(name), self.syms.dram(name))
+    }
+
+    /// `mem[var]`, interned index variable first.
+    fn gather(&mut self, mem: &str, var: &str, random: bool) -> GatherRef {
+        let var = self.syms.var(var);
+        let (chip, dram) = self.mem(mem);
+        GatherRef {
+            chip,
+            dram,
+            random,
+            var,
         }
     }
 
-    /// `mem[env[var]]` view of an expression, when it has that shape.
-    fn gather_ref(&self, id: ExprId) -> Option<GatherRef> {
-        if let ResolvedExpr::ReadMem {
-            chip,
-            dram,
-            index,
-            random,
-        } = self.resolved.expr(id)
-        {
-            if let ResolvedExpr::Var(var) = self.resolved.expr(index) {
-                return Some(GatherRef {
-                    chip,
-                    dram,
-                    random,
-                    var,
-                });
-            }
+    /// Lowers a statement operand: leaves, single gathers, and the
+    /// recognized compound shapes become immediates; everything else
+    /// becomes an expression program.
+    fn operand(&mut self, e: &SExpr) -> Operand {
+        match e {
+            SExpr::Const(c) => Operand::Const(*c),
+            SExpr::Var(v) => Operand::Var(self.syms.var(v)),
+            SExpr::ReadMem { mem, index, random } => match &**index {
+                SExpr::Var(var) => {
+                    let g = self.gather(mem, var, *random);
+                    Operand::Gather {
+                        chip: g.chip,
+                        dram: g.dram,
+                        random: g.random,
+                        var: g.var,
+                    }
+                }
+                // pos[i + 1].
+                SExpr::Binary { op, lhs, rhs } => match (&**lhs, &**rhs) {
+                    (SExpr::Var(var), SExpr::Const(c)) => {
+                        let mem = self.gather(mem, var, *random);
+                        self.fuse(FusedOp::GatherOffset {
+                            mem,
+                            c: *c,
+                            op: *op,
+                        })
+                    }
+                    _ => Operand::Expr(self.expr(e)),
+                },
+                _ => Operand::Expr(self.expr(e)),
+            },
+            // vb * C_vals[jj].
+            SExpr::Binary { op, lhs, rhs } => match (&**lhs, &**rhs) {
+                (SExpr::Var(a), SExpr::ReadMem { mem, index, random }) => match &**index {
+                    SExpr::Var(var) => {
+                        let a = self.syms.var(a);
+                        let mem = self.gather(mem, var, *random);
+                        self.fuse(FusedOp::BinGather { a, op: *op, mem })
+                    }
+                    _ => Operand::Expr(self.expr(e)),
+                },
+                _ => Operand::Expr(self.expr(e)),
+            },
+            _ => Operand::Expr(self.expr(e)),
         }
-        None
     }
 
     /// Interns a fused compound shape, returning its operand.
@@ -940,19 +948,25 @@ impl Lowering<'_> {
         Operand::Fused(ix)
     }
 
-    fn expr_ops(&mut self, id: ExprId) {
-        match self.resolved.expr(id) {
-            ResolvedExpr::Const(c) => self.eops.push(EOp::Const(c)),
-            ResolvedExpr::Var(v) => self.eops.push(EOp::Var(v)),
-            ResolvedExpr::RegRead(r) => self.eops.push(EOp::RegRead(r)),
-            ResolvedExpr::Deq(f) => self.eops.push(EOp::Deq(f)),
-            ResolvedExpr::ReadMem {
-                chip,
-                dram,
-                index,
-                random,
-            } => {
+    fn expr_ops(&mut self, e: &SExpr) {
+        match e {
+            SExpr::Const(c) => self.eops.push(EOp::Const(*c)),
+            SExpr::Var(v) => {
+                let v = self.syms.var(v);
+                self.eops.push(EOp::Var(v));
+            }
+            SExpr::RegRead(r) => {
+                let r = self.syms.chip(r);
+                self.eops.push(EOp::RegRead(r));
+            }
+            SExpr::Deq(f) => {
+                let f = self.syms.chip(f);
+                self.eops.push(EOp::Deq(f));
+            }
+            SExpr::ReadMem { mem, index, random } => {
                 self.expr_ops(index);
+                let (chip, dram) = self.mem(mem);
+                let random = *random;
                 if self.fusable(1) {
                     if let Some(&EOp::Var(var)) = self.eops.last() {
                         self.eops.pop();
@@ -967,11 +981,12 @@ impl Lowering<'_> {
                 }
                 self.eops.push(EOp::ReadMem { chip, dram, random });
             }
-            ResolvedExpr::Neg(inner) => {
+            SExpr::Neg(inner) => {
                 self.expr_ops(inner);
                 self.eops.push(EOp::Neg);
             }
-            ResolvedExpr::Binary { op, lhs, rhs } => {
+            SExpr::Binary { op, lhs, rhs } => {
+                let op = *op;
                 self.expr_ops(lhs);
                 self.expr_ops(rhs);
                 if self.fusable(2) {
@@ -1003,7 +1018,7 @@ impl Lowering<'_> {
                 }
                 self.eops.push(EOp::Binary(op));
             }
-            ResolvedExpr::Select {
+            SExpr::Select {
                 cond,
                 if_true,
                 if_false,
@@ -1028,165 +1043,184 @@ impl Lowering<'_> {
         }
     }
 
-    fn stmt(&mut self, s: &ResolvedStmt) {
-        match s {
-            ResolvedStmt::Alloc { slot, kind, size } => self.ops.push(Op::Alloc {
-                slot: *slot,
-                kind: *kind,
-                size: *size,
-            }),
-            ResolvedStmt::Bind { var, value } => {
-                let value = self.operand(*value);
-                self.ops.push(Op::Bind { var: *var, value });
+    /// Lowers one statement to one op, or a loop to its superinstruction
+    /// and body span; a comment emits nothing. Struct fields evaluate in
+    /// the order written, so each op's names intern in that order.
+    fn stmt(&mut self, s: &SpatialStmt) {
+        let op = match s {
+            SpatialStmt::Comment(_) => return,
+            SpatialStmt::Alloc(d) => Op::Alloc {
+                slot: self.syms.chip(&d.name),
+                kind: d.kind,
+                size: d.size,
+            },
+            SpatialStmt::Bind { var, value } => {
+                let value = self.operand(value);
+                Op::Bind {
+                    var: self.syms.var(var),
+                    value,
+                }
             }
-            ResolvedStmt::Load {
+            SpatialStmt::Load {
                 dst,
                 src,
                 start,
                 end,
+                ..
             } => {
-                let start = self.operand(*start);
-                let end = self.operand(*end);
-                self.ops.push(Op::Load {
-                    dst: *dst,
-                    src: *src,
+                let start = self.operand(start);
+                let end = self.operand(end);
+                Op::Load {
+                    dst: self.syms.chip(dst),
+                    src: self.syms.dram(src),
                     start,
                     end,
-                });
+                }
             }
-            ResolvedStmt::Store {
+            SpatialStmt::Store {
                 dst,
                 offset,
                 src,
                 len,
+                ..
             } => {
-                let offset = self.operand(*offset);
-                let len = self.operand(*len);
-                self.ops.push(Op::Store {
-                    dst: *dst,
+                let offset = self.operand(offset);
+                let len = self.operand(len);
+                Op::Store {
+                    dst: self.syms.dram(dst),
                     offset,
-                    src: *src,
+                    src: self.syms.chip(src),
                     len,
-                });
+                }
             }
-            ResolvedStmt::StreamStore {
+            SpatialStmt::StreamStore {
                 dst,
                 offset,
                 fifo,
                 len,
             } => {
-                let offset = self.operand(*offset);
-                let len = self.operand(*len);
-                self.ops.push(Op::StreamStore {
-                    dst: *dst,
+                let offset = self.operand(offset);
+                let len = self.operand(len);
+                Op::StreamStore {
+                    dst: self.syms.dram(dst),
                     offset,
-                    fifo: *fifo,
+                    fifo: self.syms.chip(fifo),
                     len,
-                });
+                }
             }
-            ResolvedStmt::StoreScalar { dst, index, value } => {
-                let index = self.operand(*index);
-                let value = self.operand(*value);
-                self.ops.push(Op::StoreScalar {
-                    dst: *dst,
+            SpatialStmt::StoreScalar { dst, index, value } => {
+                let index = self.operand(index);
+                let value = self.operand(value);
+                Op::StoreScalar {
+                    dst: self.syms.dram(dst),
                     index,
                     value,
-                });
+                }
             }
-            ResolvedStmt::WriteMem {
+            SpatialStmt::WriteMem {
                 mem,
                 index,
                 value,
                 random,
             } => {
-                let index = self.operand(*index);
-                let value = self.operand(*value);
-                self.ops.push(Op::WriteMem {
-                    mem: *mem,
+                let index = self.operand(index);
+                let value = self.operand(value);
+                Op::WriteMem {
+                    mem: self.syms.chip(mem),
                     index,
                     value,
                     random: *random,
-                });
+                }
             }
-            ResolvedStmt::RmwAdd { mem, index, value } => {
-                let index = self.operand(*index);
-                let value = self.operand(*value);
-                self.ops.push(Op::RmwAdd {
-                    mem: *mem,
+            SpatialStmt::RmwAdd { mem, index, value } => {
+                let index = self.operand(index);
+                let value = self.operand(value);
+                Op::RmwAdd {
+                    mem: self.syms.chip(mem),
                     index,
                     value,
-                });
+                }
             }
-            ResolvedStmt::SetReg { reg, value } => {
-                let value = self.operand(*value);
-                self.ops.push(Op::SetReg { reg: *reg, value });
+            SpatialStmt::SetReg { reg, value } => {
+                let value = self.operand(value);
+                Op::SetReg {
+                    reg: self.syms.chip(reg),
+                    value,
+                }
             }
-            ResolvedStmt::Enq { fifo, value } => {
-                let value = self.operand(*value);
-                self.ops.push(Op::Enq { fifo: *fifo, value });
+            SpatialStmt::Enq { fifo, value } => {
+                let value = self.operand(value);
+                Op::Enq {
+                    fifo: self.syms.chip(fifo),
+                    value,
+                }
             }
-            ResolvedStmt::GenBitVector {
+            SpatialStmt::GenBitVector {
                 dst,
                 src,
                 src_start,
                 count,
                 dim,
             } => {
-                let src_start = self.operand(*src_start);
-                let count = self.operand(*count);
-                let dim = self.operand(*dim);
-                self.ops.push(Op::GenBitVector {
-                    dst: *dst,
-                    src: *src,
+                let src_start = self.operand(src_start);
+                let count = self.operand(count);
+                let dim = self.operand(dim);
+                Op::GenBitVector {
+                    dst: self.syms.chip(dst),
+                    src: self.syms.chip(src),
                     src_start,
                     count,
                     dim,
-                });
+                }
             }
-            ResolvedStmt::Foreach { id, counter, body } => {
-                self.lower_loop(*id, counter, body, None);
-            }
-            ResolvedStmt::Reduce {
+            SpatialStmt::Foreach {
+                id, counter, body, ..
+            } => return self.lower_loop(*id, counter, body, None),
+            SpatialStmt::Reduce {
                 id,
                 reg,
                 counter,
                 body,
                 expr,
-            } => {
-                self.lower_loop(*id, counter, body, Some((*reg, *expr)));
-            }
-        }
+                ..
+            } => return self.lower_loop(*id, counter, body, Some((reg.as_str(), expr))),
+        };
+        self.ops.push(op);
     }
 
     /// Emits one superinstruction ([`Op::RangeSimple`],
     /// [`Op::Scan2Simple`]) followed by its body span. The bound
-    /// operands intern before the body's, the reduce operand after.
+    /// operands lower before the body's, the reduce operand after.
     fn lower_loop(
         &mut self,
         id: usize,
-        counter: &ResolvedCounter,
-        body: &[ResolvedStmt],
-        reduce: Option<(Slot, ExprId)>,
+        counter: &Counter,
+        body: &[SpatialStmt],
+        reduce: Option<(&str, &SExpr)>,
     ) {
         let enter_at = self.ops.len();
         let first = (enter_at + 1) as OpId;
-        let mut head = match *counter {
-            ResolvedCounter::Range {
+        let mut head = match counter {
+            Counter::Range {
                 var,
                 min,
                 max,
                 step,
-            } => Op::RangeSimple {
-                id,
-                var,
-                min: self.operand(min),
-                max: self.operand(max),
-                step,
-                body: first,
-                body_len: 0,
-                reduce: None,
-            },
-            ResolvedCounter::Scan2 {
+            } => {
+                let min = self.operand(min);
+                let max = self.operand(max);
+                Op::RangeSimple {
+                    id,
+                    var: self.syms.var(var),
+                    min,
+                    max,
+                    step: *step,
+                    body: first,
+                    body_len: 0,
+                    reduce: None,
+                }
+            }
+            Counter::Scan2 {
                 op,
                 bv_a,
                 bv_b,
@@ -1196,10 +1230,10 @@ impl Lowering<'_> {
                 idx_var,
             } => Op::Scan2Simple {
                 id,
-                op,
-                bv_a,
-                bv_b,
-                vars: [a_pos_var, b_pos_var, out_pos_var, idx_var],
+                op: *op,
+                bv_a: self.syms.chip(bv_a),
+                bv_b: self.syms.chip(bv_b),
+                vars: [a_pos_var, b_pos_var, out_pos_var, idx_var].map(|v| self.syms.var(v)),
                 body: first,
                 body_len: 0,
                 reduce: None,
@@ -1210,7 +1244,10 @@ impl Lowering<'_> {
             self.stmt(s);
         }
         let len = (self.ops.len() - enter_at - 1) as u32;
-        let fold = reduce.map(|(reg, expr)| (reg, self.operand(expr)));
+        let fold = reduce.map(|(reg, expr)| {
+            let expr = self.operand(expr);
+            (self.syms.chip(reg), expr)
+        });
         if let Op::RangeSimple {
             body_len, reduce, ..
         }

@@ -1,4 +1,4 @@
-//! Resolved-slot interpreter for the Spatial IR.
+//! Slot-indexed bytecode interpreter for the Spatial IR.
 //!
 //! Executes a [`crate::SpatialProgram`] against DRAM contents. This provides the
 //! executable semantics that the authors obtained from the Spatial/SARA
@@ -9,12 +9,11 @@
 //!
 //! # Execution engines
 //!
-//! [`Machine::new`] runs the two-stage compilation pipeline: the
-//! [`crate::resolve`] link pass interns every memory, register, FIFO,
-//! and variable name into dense `u32` slots and flattens every
-//! expression tree into one arena, and the [`crate::bytecode`] pass
-//! lowers the resolved tree into a flat op vector in which every loop
-//! is one superinstruction followed by its body span. [`Machine::run`]
+//! [`Machine::new`] compiles the program in one link-and-lower pass
+//! ([`crate::bytecode`]): it interns every memory, register, FIFO, and
+//! variable name into dense `u32` slots while it emits a flat op vector
+//! in which every loop is one superinstruction followed by its body
+//! span, and every expression a postfix program. [`Machine::run`]
 //! executes that bytecode over `Vec`-indexed state — each loop runs
 //! natively, stepping its span, with no per-iteration closure or
 //! loop-control dispatch — so the hot path never hashes a string or
@@ -294,7 +293,8 @@ impl From<&DramRegion> for DramState {
 
 /// The machine state a program executes against: DRAM plus on-chip
 /// memories, variable bindings, and statistics — all held in dense,
-/// slot-indexed vectors produced by the [`crate::resolve`] link pass.
+/// slot-indexed vectors laid out by the link-and-lower pass
+/// ([`crate::bytecode`]).
 ///
 /// # Example
 ///

@@ -88,7 +88,7 @@ impl fmt::Display for BudgetResource {
 }
 
 /// A shared cancellation flag: one cheap atomic, checked on loop
-/// back-edges (amortized — every [`INTERRUPT_MASK`]+1 steps on the hot
+/// back-edges (amortized — every 4096 steps on the hot
 /// paths), so an external controller can stop a runaway run without
 /// killing the thread. Clone freely; all clones observe one flag.
 #[derive(Debug, Clone, Default)]
@@ -118,7 +118,7 @@ impl CancelFlag {
 /// [`RunError::BudgetExceeded`] results instead of hangs. The default
 /// is unlimited on every axis, and an unlimited budget costs nothing
 /// measurable on the interpreter hot paths (fuel lives in a register,
-/// interrupt checks amortize over [`INTERRUPT_MASK`]+1 steps).
+/// interrupt checks amortize over 4096 steps).
 ///
 /// A "step" is one loop-body execution — exactly what
 /// [`crate::ExecStats::node_trips`] counts, summed over nodes — so the

@@ -179,7 +179,7 @@ fn fifo_underflow_detected() {
 }
 
 #[test]
-fn scan1_visits_set_bits() {
+fn or_scan_against_zero_visits_set_bits() {
     let mut p = SpatialProgram::new("t");
     p.add_dram("out", 8);
     p.accel.push(SpatialStmt::Alloc(MemDecl::new(

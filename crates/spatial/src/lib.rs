@@ -14,18 +14,19 @@
 //! cycle counts. The [`printer`] renders Fig.-11-style Spatial source,
 //! which drives the paper's lines-of-code comparison (Table 3).
 //!
-//! Execution goes through a two-stage compilation pipeline: the
-//! [`resolve`] link pass interns names into dense slots and flattens
-//! expression trees into an arena, then the [`bytecode`] pass lowers
-//! the resolved tree into a flat op vector with explicit jump targets
-//! and fused superinstructions. The interpreting [`Machine`] runs the
-//! bytecode with a non-recursive dispatch loop and never hashes a
-//! string on its hot path; compiled artifacts are shared behind `Arc`
-//! (and cached by [`ProgramCache`]) so harness sweeps re-bind machines
-//! without re-linking. The original name-keyed walker
+//! Execution goes through one link-and-lower pass ([`bytecode`]): it
+//! walks the Spatial tree once, interning names into dense slots
+//! ([`resolve::SymbolTable`]) as it emits a flat op vector of loop
+//! superinstructions and postfix expression programs, then reads the
+//! static memory layouts ([`resolve::ArenaLayout`], [`DramLayout`]) off
+//! the ops. The interpreting [`Machine`] runs the bytecode over
+//! slot-indexed state and never hashes a string on its hot path;
+//! compiled artifacts are shared behind `Arc` (and cached by
+//! [`ProgramCache`]) so harness sweeps re-bind machines without
+//! compiling again. The original name-keyed walker
 //! ([`ReferenceMachine`]) is preserved as the differential-testing
-//! oracle and benchmark baseline: it shares no code with the link pass,
-//! the lowering, or the machine state it checks.
+//! oracle and benchmark baseline: it shares no code with the lowering or
+//! the machine state it checks.
 //!
 //! The [`analysis`] module is the static layer over the lowered form:
 //! a structural verifier gating every compile, effect summaries the
@@ -57,7 +58,7 @@ pub use ir::{BinSOp, Counter, MemDecl, MemKind, SExpr, ScanOp, SpatialProgram, S
 pub use pool::{MachinePool, PoolOccupancy, PoolStats, PooledMachine};
 pub use printer::print_program;
 pub use reference::ReferenceMachine;
-pub use resolve::{resolve, DramLayout, DramRegion, ResolvedProgram, Slot, SymbolTable};
+pub use resolve::{DramLayout, DramRegion, Slot, SymbolTable};
 pub use shard::{
     auto_shard_count, auto_shard_count_for, run_contained, CompiledShards, NotShardable,
     ShardError, ShardPlan, ShardedRun, MIN_TRIPS_PER_SHARD, VECTOR_SHARD_DISCOUNT,

@@ -1,15 +1,15 @@
 //! The original string-keyed tree-walking interpreter, kept as the
 //! executable *reference semantics* for the Spatial IR.
 //!
-//! [`ReferenceMachine`] is the engine the resolved-slot interpreter
+//! [`ReferenceMachine`] is the engine the bytecode interpreter
 //! ([`crate::Machine`]) is differentially tested against: both must
 //! produce byte-identical DRAM contents and identical [`ExecStats`] on
 //! every program. It walks the [`SpatialProgram`] tree directly and keys
 //! every memory, register, FIFO, and variable access by name through
 //! `HashMap<String, _>` lookups — simple and obviously faithful to the
 //! documented semantics, but roughly an order of magnitude slower, which
-//! is why the production path links programs through
-//! [`crate::resolve`] first. `cargo bench --bench interp` measures the
+//! is why the production path compiles programs to slot-indexed
+//! bytecode ([`crate::bytecode`]) first. `cargo bench --bench interp` measures the
 //! two engines against each other.
 
 use std::collections::{HashMap, VecDeque};
@@ -937,7 +937,7 @@ mod tests {
     /// A one-input scan: `or` against an all-zero vector of the same
     /// dimension emits exactly `bv`'s set bits.
     #[test]
-    fn scan1_visits_set_bits() {
+    fn or_scan_against_zero_visits_set_bits() {
         let p = empty_program();
         let mut m = ReferenceMachine::new(&p);
         for bv in ["bv", "none"] {

@@ -1,14 +1,8 @@
-//! The resolution ("link") pass: from names to dense slots.
+//! Slots and static layouts: what linking a Spatial program produces
+//! besides its bytecode.
 //!
-//! A [`crate::SpatialProgram`] refers to every memory, register, FIFO,
-//! and loop variable by `String` name. Executing that form directly means
-//! a `HashMap<String, _>` probe — hashing the name — for *every* variable
-//! read, memory access, and statistics bump in the hot interpreter loop.
-//! TACO-lineage compilers get their speed precisely by resolving symbolic
-//! names to dense offsets before entering the kernel; this module does
-//! the same for the Spatial interpreter.
-//!
-//! [`resolve`] interns every name into one of three dense `u32` slot
+//! [`crate::CompiledProgram::compile`] interns every name of a
+//! [`crate::SpatialProgram`] into one of three dense `u32` slot
 //! namespaces held by a [`SymbolTable`]:
 //!
 //! - **DRAM slots** for off-chip arrays (declaration order first, so the
@@ -17,25 +11,16 @@
 //!   registers, bit vectors),
 //! - **var slots** for `val` bindings and counter-bound variables.
 //!
-//! Every [`crate::SExpr`] tree is compiled into a flat, arena-allocated
-//! [`ResolvedExpr`] form whose children are `u32` indices into one
-//! per-program arena, and every statement becomes a [`ResolvedStmt`]
-//! carrying pre-computed slot ids. The executing [`crate::Machine`] then
-//! replaces all of its name-keyed maps with `Vec`-indexed state, and the
-//! interpreter's inner loop never hashes a string.
-//!
-//! Resolution is *total*: names that are referenced but never declared
-//! still get slots, and the error the old engine raised at touch time
-//! (`UnknownMemory`) is reproduced at runtime when the slot's state is
-//! found unallocated. This keeps the pass infallible and the runtime
-//! semantics byte-identical to [`crate::ReferenceMachine`].
+//! From the lowered ops it then computes, in one flat scan of the lowered ops,
+//! where each slot lives at run time: the [`ArenaLayout`] of on-chip
+//! memories and the [`DramLayout`] of off-chip arrays. A machine
+//! allocates both once at bind time, so neither `Alloc` nor binding a
+//! dataset ever resolves a name or decides placement.
 
 use std::collections::HashMap;
 
-use crate::ir::{BinSOp, Counter, MemKind, SExpr, ScanOp, SpatialProgram, SpatialStmt};
-
-/// Index of a node in a [`ResolvedProgram`]'s expression arena.
-pub type ExprId = u32;
+use crate::bytecode::Op;
+use crate::ir::{MemDecl, MemKind};
 
 /// A dense id in one of the three slot namespaces.
 pub type Slot = u32;
@@ -114,232 +99,6 @@ impl SymbolTable {
     }
 }
 
-/// A scalar expression with all names resolved to slots and all children
-/// resolved to arena indices.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ResolvedExpr {
-    /// A literal constant.
-    Const(f64),
-    /// A bound variable.
-    Var(Slot),
-    /// A register read.
-    RegRead(Slot),
-    /// A FIFO dequeue.
-    Deq(Slot),
-    /// `mem[index]`, carrying both possible resolutions of the name: the
-    /// on-chip slot (checked first, as the engine does) and the DRAM slot
-    /// (the SparseDRAM random-read fallback).
-    ReadMem {
-        /// On-chip slot of the name.
-        chip: Slot,
-        /// DRAM slot of the same name.
-        dram: Slot,
-        /// Word index expression.
-        index: ExprId,
-        /// Whether the access is data-dependent.
-        random: bool,
-    },
-    /// Negation.
-    Neg(ExprId),
-    /// Binary operation.
-    Binary {
-        /// Operator.
-        op: BinSOp,
-        /// Left operand.
-        lhs: ExprId,
-        /// Right operand.
-        rhs: ExprId,
-    },
-    /// Two-way mux.
-    Select {
-        /// Condition (nonzero = true).
-        cond: ExprId,
-        /// Value when the condition holds.
-        if_true: ExprId,
-        /// Value otherwise.
-        if_false: ExprId,
-    },
-}
-
-/// A counter with resolved slots.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResolvedCounter {
-    /// Dense `min until max by step`.
-    Range {
-        /// Bound loop variable slot.
-        var: Slot,
-        /// Inclusive lower bound.
-        min: ExprId,
-        /// Exclusive upper bound.
-        max: ExprId,
-        /// Step.
-        step: i64,
-    },
-    /// Two-input co-iteration scan.
-    Scan2 {
-        /// Combination operator.
-        op: ScanOp,
-        /// First bit vector (chip slot).
-        bv_a: Slot,
-        /// Second bit vector (chip slot).
-        bv_b: Slot,
-        /// A-position variable slot.
-        a_pos_var: Slot,
-        /// B-position variable slot.
-        b_pos_var: Slot,
-        /// Output-position variable slot.
-        out_pos_var: Slot,
-        /// Dense-index variable slot.
-        idx_var: Slot,
-    },
-}
-
-/// A statement with all names resolved to slots and all expressions
-/// compiled into the arena.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResolvedStmt {
-    /// On-chip allocation. Off-chip kinds are kept so the runtime can
-    /// reproduce the engine's `UnknownMemory` rejection of DRAM allocs
-    /// inside `Accel`.
-    Alloc {
-        /// Chip slot being allocated.
-        slot: Slot,
-        /// Declared kind.
-        kind: MemKind,
-        /// Capacity in words (bits for bit vectors).
-        size: usize,
-    },
-    /// `val var = expr`.
-    Bind {
-        /// Bound variable slot.
-        var: Slot,
-        /// Value expression.
-        value: ExprId,
-    },
-    /// Bulk DRAM → on-chip load.
-    Load {
-        /// Destination chip slot.
-        dst: Slot,
-        /// Source DRAM slot.
-        src: Slot,
-        /// First word index.
-        start: ExprId,
-        /// One-past-last word index.
-        end: ExprId,
-    },
-    /// Bulk on-chip → DRAM store.
-    Store {
-        /// Destination DRAM slot.
-        dst: Slot,
-        /// Word offset into the destination.
-        offset: ExprId,
-        /// Source chip slot.
-        src: Slot,
-        /// Number of words.
-        len: ExprId,
-    },
-    /// FIFO → DRAM drain.
-    StreamStore {
-        /// Destination DRAM slot.
-        dst: Slot,
-        /// Word offset.
-        offset: ExprId,
-        /// Source FIFO chip slot.
-        fifo: Slot,
-        /// Number of elements.
-        len: ExprId,
-    },
-    /// Single-element DRAM write.
-    StoreScalar {
-        /// Destination DRAM slot.
-        dst: Slot,
-        /// Word index.
-        index: ExprId,
-        /// Stored value.
-        value: ExprId,
-    },
-    /// On-chip write.
-    WriteMem {
-        /// Destination chip slot.
-        mem: Slot,
-        /// Word index.
-        index: ExprId,
-        /// Stored value.
-        value: ExprId,
-        /// Whether the access is data-dependent.
-        random: bool,
-    },
-    /// On-chip atomic add.
-    RmwAdd {
-        /// Destination chip slot.
-        mem: Slot,
-        /// Word index.
-        index: ExprId,
-        /// Added value.
-        value: ExprId,
-    },
-    /// Register write.
-    SetReg {
-        /// Register chip slot.
-        reg: Slot,
-        /// Stored value.
-        value: ExprId,
-    },
-    /// FIFO enqueue.
-    Enq {
-        /// Destination FIFO chip slot.
-        fifo: Slot,
-        /// Enqueued value.
-        value: ExprId,
-    },
-    /// Bit-vector generation from a coordinate stream.
-    GenBitVector {
-        /// Destination bit-vector chip slot.
-        dst: Slot,
-        /// Source chip slot (FIFO or SRAM).
-        src: Slot,
-        /// Starting word within `src`.
-        src_start: ExprId,
-        /// Number of coordinates.
-        count: ExprId,
-        /// Bit-vector length.
-        dim: ExprId,
-    },
-    /// Counter-driven loop.
-    Foreach {
-        /// Pattern node id (for trip statistics).
-        id: usize,
-        /// Iteration space.
-        counter: ResolvedCounter,
-        /// Body statements.
-        body: Vec<ResolvedStmt>,
-    },
-    /// Counter-driven reduction into a register.
-    Reduce {
-        /// Pattern node id.
-        id: usize,
-        /// Accumulator register chip slot.
-        reg: Slot,
-        /// Iteration space.
-        counter: ResolvedCounter,
-        /// Per-iteration setup statements.
-        body: Vec<ResolvedStmt>,
-        /// The reduced expression.
-        expr: ExprId,
-    },
-}
-
-/// A resolved DRAM declaration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResolvedDram {
-    /// DRAM slot (equals declaration index for a fresh symbol table).
-    pub slot: Slot,
-    /// Memory kind (`Dram` or `SparseDram`).
-    pub kind: MemKind,
-    /// Capacity in words.
-    pub size: usize,
-}
-
 /// Static arena region of one on-chip slot: where the slot's storage
 /// lives inside the machine's flat word arena (`f64` words: SRAM,
 /// FIFO rings, registers) and flat bitset arena (`u64` words holding
@@ -383,63 +142,24 @@ pub const fn bit_words_for(bits: usize) -> usize {
 }
 
 impl ArenaLayout {
-    /// Computes the layout for all `Alloc` statements in `body`,
-    /// covering `chip_count` slots. Each slot's word/bit extents are
-    /// the maxima over every `Alloc` targeting it (one name may be
-    /// re-allocated with different sizes or even kinds).
-    fn compute(body: &[ResolvedStmt], chip_count: usize) -> ArenaLayout {
-        let mut word_need = vec![0usize; chip_count];
-        let mut bit_need = vec![0usize; chip_count];
-        fn scan(stmts: &[ResolvedStmt], word_need: &mut [usize], bit_need: &mut [usize]) {
-            for s in stmts {
-                match s {
-                    ResolvedStmt::Alloc { slot, kind, size } => {
-                        let slot = *slot as usize;
-                        match kind {
-                            MemKind::Sram | MemKind::SparseSram => {
-                                word_need[slot] = word_need[slot].max(*size);
-                            }
-                            // A FIFO ring needs at least one word so the
-                            // wrap arithmetic is well-defined; declared
-                            // capacity is only a reservation (the queue
-                            // itself is unbounded and grows by
-                            // relocation).
-                            MemKind::Fifo => {
-                                word_need[slot] = word_need[slot].max((*size).max(1));
-                            }
-                            MemKind::Reg => {
-                                word_need[slot] = word_need[slot].max(1);
-                            }
-                            MemKind::BitVector => {
-                                bit_need[slot] = bit_need[slot].max(bit_words_for(*size));
-                            }
-                            // Rejected at runtime; no on-chip storage.
-                            MemKind::Dram | MemKind::SparseDram => {}
-                        }
-                    }
-                    ResolvedStmt::Foreach { body, .. } | ResolvedStmt::Reduce { body, .. } => {
-                        scan(body, word_need, bit_need);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        scan(body, &mut word_need, &mut bit_need);
+    /// Packs one region per chip slot, in slot order, reserving
+    /// `word_need[slot]` words and `bit_need[slot]` bitset words.
+    fn pack(word_need: &[usize], bit_need: &[usize]) -> ArenaLayout {
         let mut layout = ArenaLayout {
-            chips: Vec::with_capacity(chip_count),
+            chips: Vec::with_capacity(word_need.len()),
             words: 0,
             bit_words: 0,
         };
-        for slot in 0..chip_count {
+        for (&words, &bit_words) in word_need.iter().zip(bit_need) {
             let region = ChipRegion {
                 word_off: layout.words,
                 // Round every word region up to a whole cache line
                 // (crate::vector::LANES), so every region starts on a
                 // line boundary relative to the arena start and no two
                 // slots share a line.
-                word_cap: word_need[slot].next_multiple_of(crate::vector::LANES),
+                word_cap: words.next_multiple_of(crate::vector::LANES),
                 bit_off: layout.bit_words,
-                bit_words: bit_need[slot],
+                bit_words,
             };
             layout.words += region.word_cap;
             layout.bit_words += region.bit_words;
@@ -498,40 +218,25 @@ pub struct DramLayout {
 }
 
 impl DramLayout {
-    /// Computes the layout: declaration sizes/kinds (last declaration of
-    /// a name wins, matching machine construction), written-slot
-    /// classification from the statement tree, and packed per-segment
-    /// offsets in slot order.
-    fn compute(drams: &[ResolvedDram], body: &[ResolvedStmt], dram_count: usize) -> DramLayout {
-        let mut regions = vec![DramRegion::UNMAPPED; dram_count];
-        for d in drams {
-            let r = &mut regions[d.slot as usize];
+    /// Packs the declared slots (last declaration of a name wins,
+    /// matching machine construction) into per-segment offsets in slot
+    /// order: `written` slots into the output segment, the rest into the
+    /// input segment.
+    fn pack(drams: &[(Slot, &MemDecl)], written: &[bool]) -> DramLayout {
+        let mut regions = vec![DramRegion::UNMAPPED; written.len()];
+        for &(slot, d) in drams {
+            let r = &mut regions[slot as usize];
             r.mapped = true;
             r.kind = d.kind;
             r.size = d.size;
         }
-        fn scan(stmts: &[ResolvedStmt], written: &mut [bool]) {
-            for s in stmts {
-                match s {
-                    ResolvedStmt::Store { dst, .. }
-                    | ResolvedStmt::StreamStore { dst, .. }
-                    | ResolvedStmt::StoreScalar { dst, .. } => written[*dst as usize] = true,
-                    ResolvedStmt::Foreach { body, .. } | ResolvedStmt::Reduce { body, .. } => {
-                        scan(body, written);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut written = vec![false; dram_count];
-        scan(body, &mut written);
         let mut layout = DramLayout {
             drams: Vec::new(),
             input_words: 0,
             output_words: 0,
         };
-        for (slot, r) in regions.iter_mut().enumerate() {
-            r.written = written[slot];
+        for (r, &written) in regions.iter_mut().zip(written) {
+            r.written = written;
             if r.mapped {
                 if r.written {
                     r.offset = layout.output_words;
@@ -547,336 +252,77 @@ impl DramLayout {
     }
 }
 
-/// A fully linked program: slot-resolved statements over a flat
-/// expression arena.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResolvedProgram {
-    /// Off-chip declarations in program order.
-    pub drams: Vec<ResolvedDram>,
-    /// The Accel block body.
-    pub body: Vec<ResolvedStmt>,
-    /// The expression arena; children of [`ResolvedExpr`] index into it.
-    pub exprs: Vec<ResolvedExpr>,
-    /// One past the largest `Foreach`/`Reduce` node id (sizes the dense
-    /// per-node statistics vectors).
-    pub node_limit: usize,
-    /// Static offsets/extents of every on-chip memory inside the
-    /// machine's flat arenas.
-    pub layout: ArenaLayout,
-    /// Static placement of every DRAM array inside the machine's flat
-    /// DRAM arena (read-only input prefix, written output suffix).
-    pub dram_layout: DramLayout,
-}
-
-impl ResolvedProgram {
-    /// The expression behind an arena id.
-    #[inline]
-    pub fn expr(&self, id: ExprId) -> ResolvedExpr {
-        self.exprs[id as usize]
-    }
-}
-
-/// Resolves a program against (and extending) the given symbol table.
-///
-/// Names the table already holds keep their slots and new names are
-/// appended, so resolving the same program twice is idempotent.
-pub fn resolve(program: &SpatialProgram, syms: &mut SymbolTable) -> ResolvedProgram {
-    let mut out = ResolvedProgram::default();
-    for d in &program.drams {
-        out.drams.push(ResolvedDram {
-            slot: syms.dram(&d.name),
-            kind: d.kind,
-            size: d.size,
-        });
-    }
-    let mut r = Resolver {
-        syms,
-        exprs: &mut out.exprs,
-        node_limit: 0,
-    };
-    out.body = program.accel.iter().filter_map(|s| r.stmt(s)).collect();
-    out.node_limit = r.node_limit;
-    out.layout = ArenaLayout::compute(&out.body, syms.chip_count());
-    out.dram_layout = DramLayout::compute(&out.drams, &out.body, syms.dram_count());
-    out
-}
-
-struct Resolver<'a> {
-    syms: &'a mut SymbolTable,
-    exprs: &'a mut Vec<ResolvedExpr>,
-    node_limit: usize,
-}
-
-impl Resolver<'_> {
-    fn push(&mut self, e: ResolvedExpr) -> ExprId {
-        let id = self.exprs.len() as ExprId;
-        self.exprs.push(e);
-        id
-    }
-
-    fn expr(&mut self, e: &SExpr) -> ExprId {
-        let resolved = match e {
-            SExpr::Const(c) => ResolvedExpr::Const(*c),
-            SExpr::Var(v) => ResolvedExpr::Var(self.syms.var(v)),
-            SExpr::RegRead(r) => ResolvedExpr::RegRead(self.syms.chip(r)),
-            SExpr::Deq(f) => ResolvedExpr::Deq(self.syms.chip(f)),
-            SExpr::ReadMem { mem, index, random } => {
-                let index = self.expr(index);
-                ResolvedExpr::ReadMem {
-                    chip: self.syms.chip(mem),
-                    dram: self.syms.dram(mem),
-                    index,
-                    random: *random,
+/// Reads the static layouts off a lowered program in one scan of its
+/// flat ops (each `Alloc`, each DRAM store and each loop is one op),
+/// given its DRAM declarations with their slots. Returns the on-chip
+/// layout — each slot's extents are the maxima over every `Alloc` of it,
+/// since one name may be re-allocated with different sizes or even
+/// kinds — the DRAM layout, and one past the largest loop node id (which
+/// sizes the dense per-node statistics vectors).
+pub(crate) fn layouts(
+    ops: &[Op],
+    drams: &[(Slot, &MemDecl)],
+    syms: &SymbolTable,
+) -> (ArenaLayout, DramLayout, usize) {
+    let mut word_need = vec![0usize; syms.chip_count()];
+    let mut bit_need = vec![0usize; syms.chip_count()];
+    let mut written = vec![false; syms.dram_count()];
+    let mut node_limit = 0;
+    for op in ops {
+        match *op {
+            Op::Alloc { slot, kind, size } => {
+                let slot = slot as usize;
+                match kind {
+                    MemKind::Sram | MemKind::SparseSram => {
+                        word_need[slot] = word_need[slot].max(size);
+                    }
+                    // A FIFO ring needs at least one word so the wrap
+                    // arithmetic is well-defined; declared capacity is
+                    // only a reservation (the queue itself is unbounded
+                    // and grows by relocation).
+                    MemKind::Fifo => word_need[slot] = word_need[slot].max(size.max(1)),
+                    MemKind::Reg => word_need[slot] = word_need[slot].max(1),
+                    MemKind::BitVector => {
+                        bit_need[slot] = bit_need[slot].max(bit_words_for(size));
+                    }
+                    // Rejected at runtime; no on-chip storage.
+                    MemKind::Dram | MemKind::SparseDram => {}
                 }
             }
-            SExpr::Neg(inner) => {
-                let inner = self.expr(inner);
-                ResolvedExpr::Neg(inner)
+            Op::Store { dst, .. } | Op::StreamStore { dst, .. } | Op::StoreScalar { dst, .. } => {
+                written[dst as usize] = true;
             }
-            SExpr::Binary { op, lhs, rhs } => {
-                let lhs = self.expr(lhs);
-                let rhs = self.expr(rhs);
-                ResolvedExpr::Binary { op: *op, lhs, rhs }
+            Op::RangeSimple { id, .. } | Op::Scan2Simple { id, .. } => {
+                node_limit = node_limit.max(id + 1);
             }
-            SExpr::Select {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                let cond = self.expr(cond);
-                let if_true = self.expr(if_true);
-                let if_false = self.expr(if_false);
-                ResolvedExpr::Select {
-                    cond,
-                    if_true,
-                    if_false,
-                }
-            }
-        };
-        self.push(resolved)
-    }
-
-    fn counter(&mut self, c: &Counter) -> ResolvedCounter {
-        match c {
-            Counter::Range {
-                var,
-                min,
-                max,
-                step,
-            } => {
-                let min = self.expr(min);
-                let max = self.expr(max);
-                ResolvedCounter::Range {
-                    var: self.syms.var(var),
-                    min,
-                    max,
-                    step: *step,
-                }
-            }
-            Counter::Scan2 {
-                op,
-                bv_a,
-                bv_b,
-                a_pos_var,
-                b_pos_var,
-                out_pos_var,
-                idx_var,
-            } => ResolvedCounter::Scan2 {
-                op: *op,
-                bv_a: self.syms.chip(bv_a),
-                bv_b: self.syms.chip(bv_b),
-                a_pos_var: self.syms.var(a_pos_var),
-                b_pos_var: self.syms.var(b_pos_var),
-                out_pos_var: self.syms.var(out_pos_var),
-                idx_var: self.syms.var(idx_var),
-            },
+            _ => {}
         }
     }
-
-    fn note_node(&mut self, id: usize) {
-        self.node_limit = self.node_limit.max(id + 1);
-    }
-
-    fn stmt(&mut self, s: &SpatialStmt) -> Option<ResolvedStmt> {
-        Some(match s {
-            SpatialStmt::Comment(_) => return None,
-            SpatialStmt::Alloc(d) => ResolvedStmt::Alloc {
-                slot: self.syms.chip(&d.name),
-                kind: d.kind,
-                size: d.size,
-            },
-            SpatialStmt::Bind { var, value } => {
-                let value = self.expr(value);
-                ResolvedStmt::Bind {
-                    var: self.syms.var(var),
-                    value,
-                }
-            }
-            SpatialStmt::Load {
-                dst,
-                src,
-                start,
-                end,
-                ..
-            } => {
-                let start = self.expr(start);
-                let end = self.expr(end);
-                ResolvedStmt::Load {
-                    dst: self.syms.chip(dst),
-                    src: self.syms.dram(src),
-                    start,
-                    end,
-                }
-            }
-            SpatialStmt::Store {
-                dst,
-                offset,
-                src,
-                len,
-                ..
-            } => {
-                let offset = self.expr(offset);
-                let len = self.expr(len);
-                ResolvedStmt::Store {
-                    dst: self.syms.dram(dst),
-                    offset,
-                    src: self.syms.chip(src),
-                    len,
-                }
-            }
-            SpatialStmt::StreamStore {
-                dst,
-                offset,
-                fifo,
-                len,
-            } => {
-                let offset = self.expr(offset);
-                let len = self.expr(len);
-                ResolvedStmt::StreamStore {
-                    dst: self.syms.dram(dst),
-                    offset,
-                    fifo: self.syms.chip(fifo),
-                    len,
-                }
-            }
-            SpatialStmt::StoreScalar { dst, index, value } => {
-                let index = self.expr(index);
-                let value = self.expr(value);
-                ResolvedStmt::StoreScalar {
-                    dst: self.syms.dram(dst),
-                    index,
-                    value,
-                }
-            }
-            SpatialStmt::WriteMem {
-                mem,
-                index,
-                value,
-                random,
-            } => {
-                let index = self.expr(index);
-                let value = self.expr(value);
-                ResolvedStmt::WriteMem {
-                    mem: self.syms.chip(mem),
-                    index,
-                    value,
-                    random: *random,
-                }
-            }
-            SpatialStmt::RmwAdd { mem, index, value } => {
-                let index = self.expr(index);
-                let value = self.expr(value);
-                ResolvedStmt::RmwAdd {
-                    mem: self.syms.chip(mem),
-                    index,
-                    value,
-                }
-            }
-            SpatialStmt::SetReg { reg, value } => {
-                let value = self.expr(value);
-                ResolvedStmt::SetReg {
-                    reg: self.syms.chip(reg),
-                    value,
-                }
-            }
-            SpatialStmt::Enq { fifo, value } => {
-                let value = self.expr(value);
-                ResolvedStmt::Enq {
-                    fifo: self.syms.chip(fifo),
-                    value,
-                }
-            }
-            SpatialStmt::GenBitVector {
-                dst,
-                src,
-                src_start,
-                count,
-                dim,
-            } => {
-                let src_start = self.expr(src_start);
-                let count = self.expr(count);
-                let dim = self.expr(dim);
-                ResolvedStmt::GenBitVector {
-                    dst: self.syms.chip(dst),
-                    src: self.syms.chip(src),
-                    src_start,
-                    count,
-                    dim,
-                }
-            }
-            SpatialStmt::Foreach {
-                id, counter, body, ..
-            } => {
-                self.note_node(*id);
-                let counter = self.counter(counter);
-                ResolvedStmt::Foreach {
-                    id: *id,
-                    counter,
-                    body: body.iter().filter_map(|b| self.stmt(b)).collect(),
-                }
-            }
-            SpatialStmt::Reduce {
-                id,
-                reg,
-                counter,
-                body,
-                expr,
-                ..
-            } => {
-                self.note_node(*id);
-                let counter = self.counter(counter);
-                let body = body.iter().filter_map(|b| self.stmt(b)).collect();
-                let expr = self.expr(expr);
-                ResolvedStmt::Reduce {
-                    id: *id,
-                    reg: self.syms.chip(reg),
-                    counter,
-                    body,
-                    expr,
-                }
-            }
-        })
-    }
+    (
+        ArenaLayout::pack(&word_need, &bit_need),
+        DramLayout::pack(drams, &written),
+        node_limit,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::MemDecl;
+    use crate::bytecode::{CompiledProgram, EOp, Op, Operand};
+    use crate::ir::{Counter, SExpr, ScanOp, SpatialProgram, SpatialStmt};
 
     #[test]
     fn dram_slots_follow_declaration_order() {
         let mut p = SpatialProgram::new("t");
         p.add_dram("a", 4);
         p.add_sparse_dram("b", 8);
-        let mut syms = SymbolTable::default();
-        let r = resolve(&p, &mut syms);
-        assert_eq!(r.drams.len(), 2);
-        assert_eq!(r.drams[0].slot, 0);
-        assert_eq!(r.drams[1].slot, 1);
-        assert_eq!(r.drams[1].kind, MemKind::SparseDram);
-        assert_eq!(syms.dram_name(0), "a");
-        assert_eq!(syms.dram_name(1), "b");
+        let c = CompiledProgram::compile(&p);
+        let drams = &c.dram_layout().drams;
+        assert_eq!(drams.len(), 2);
+        assert_eq!(drams[0].kind, MemKind::Dram);
+        assert_eq!(drams[1].kind, MemKind::SparseDram);
+        assert_eq!(c.syms().dram_name(0), "a");
+        assert_eq!(c.syms().dram_name(1), "b");
     }
 
     #[test]
@@ -888,29 +334,46 @@ mod tests {
         assert_eq!(syms.dram("s"), 0);
     }
 
+    /// Slots follow one post-order: DRAM declarations first, then a
+    /// statement's operands before its own names, a loop's bound before
+    /// its variable and body, and a `Reduce`'s register last.
     #[test]
-    fn expressions_flatten_into_one_arena() {
+    fn names_intern_in_post_order() {
         let mut p = SpatialProgram::new("t");
-        p.accel.push(SpatialStmt::Bind {
-            var: "v".into(),
-            value: SExpr::mul(
-                SExpr::add(SExpr::var("a"), SExpr::Const(2.0)),
-                SExpr::read("s", SExpr::var("i")),
-            ),
+        p.add_dram("d", 4);
+        p.accel.push(SpatialStmt::StoreScalar {
+            dst: "o".into(),
+            index: SExpr::var("i"),
+            value: SExpr::read("m", SExpr::var("k")),
         });
-        let mut syms = SymbolTable::default();
-        let r = resolve(&p, &mut syms);
-        // a, 2, (a+2), i, s(i), mul — six arena nodes.
-        assert_eq!(r.exprs.len(), 6);
-        let ResolvedStmt::Bind { value, .. } = &r.body[0] else {
-            panic!("expected bind");
+        p.accel.push(SpatialStmt::Reduce {
+            id: 0,
+            reg: "acc".into(),
+            counter: Counter::range_to("j", SExpr::var("n")),
+            par: 1,
+            body: vec![SpatialStmt::SetReg {
+                reg: "r".into(),
+                value: SExpr::var("w"),
+            }],
+            expr: SExpr::RegRead("q".into()),
+        });
+        let c = CompiledProgram::compile(&p);
+        let syms = c.syms();
+        let names = |count: usize, name: &dyn Fn(Slot) -> String| -> Vec<String> {
+            (0..count as Slot).map(name).collect()
         };
-        let ResolvedExpr::Binary { op, lhs, rhs } = r.expr(*value) else {
-            panic!("expected binary");
-        };
-        assert_eq!(op, BinSOp::Mul);
-        assert!(matches!(r.expr(lhs), ResolvedExpr::Binary { .. }));
-        assert!(matches!(r.expr(rhs), ResolvedExpr::ReadMem { .. }));
+        assert_eq!(
+            names(syms.dram_count(), &|s| syms.dram_name(s).into()),
+            ["d", "m", "o"]
+        );
+        assert_eq!(
+            names(syms.chip_count(), &|s| syms.chip_name(s).into()),
+            ["m", "r", "q", "acc"]
+        );
+        assert_eq!(
+            names(syms.var_count(), &|s| syms.var_name(s).into()),
+            ["i", "k", "n", "j", "w"]
+        );
     }
 
     #[test]
@@ -921,20 +384,20 @@ mod tests {
             var: "v".into(),
             value: SExpr::read_random("x", SExpr::Const(0.0)),
         });
-        let mut syms = SymbolTable::default();
-        let r = resolve(&p, &mut syms);
-        let ResolvedStmt::Bind { value, .. } = &r.body[0] else {
-            panic!("expected bind");
-        };
-        let ResolvedExpr::ReadMem {
-            chip, dram, random, ..
-        } = r.expr(*value)
+        let c = CompiledProgram::compile(&p);
+        let Op::Bind {
+            value: Operand::Expr(start),
+            ..
+        } = c.ops()[0]
         else {
+            panic!("expected a bind of an expression program");
+        };
+        let EOp::ReadMem { chip, dram, random } = c.eops()[start as usize + 1] else {
             panic!("expected readmem");
         };
         assert!(random);
-        assert_eq!(syms.chip_name(chip), "x");
-        assert_eq!(syms.dram_name(dram), "x");
+        assert_eq!(c.syms().chip_name(chip), "x");
+        assert_eq!(c.syms().dram_name(dram), "x");
         assert_eq!(dram, 0, "declared DRAM keeps its declaration slot");
     }
 
@@ -955,26 +418,11 @@ mod tests {
                 expr: SExpr::Const(1.0),
             }],
         });
-        let mut syms = SymbolTable::default();
-        let r = resolve(&p, &mut syms);
-        assert_eq!(r.body.len(), 1, "comment dropped");
-        assert_eq!(r.node_limit, 2);
-    }
-
-    #[test]
-    fn re_resolution_extends_the_table() {
-        let mut p1 = SpatialProgram::new("a");
-        p1.add_dram("x", 4);
-        let mut p2 = SpatialProgram::new("b");
-        p2.add_dram("y", 4);
-        p2.add_dram("x", 4);
-        let mut syms = SymbolTable::default();
-        resolve(&p1, &mut syms);
-        let r2 = resolve(&p2, &mut syms);
-        // "x" keeps slot 0 from the first resolution; "y" is appended.
-        assert_eq!(r2.drams[0].slot, 1);
-        assert_eq!(r2.drams[1].slot, 0);
-        assert_eq!(syms.dram_count(), 2);
+        let c = CompiledProgram::compile(&p);
+        // Two loops and Halt: the comment emits no op.
+        assert_eq!(c.ops().len(), 3, "comment dropped");
+        assert_eq!(c.stmt_spans(), [(0, 0), (0, 2)], "comment span is empty");
+        assert_eq!(c.node_limit(), 2);
     }
 
     #[test]
@@ -1003,9 +451,9 @@ mod tests {
             MemKind::BitVector,
             100,
         )));
-        let mut syms = SymbolTable::default();
-        let r = resolve(&p, &mut syms);
-        let l = &r.layout;
+        let c = CompiledProgram::compile(&p);
+        let mut syms = c.syms().clone();
+        let l = c.layout();
         assert_eq!(l.chips.len(), 4);
         let s = l.chips[syms.chip("s") as usize];
         let f = l.chips[syms.chip("f") as usize];
@@ -1056,9 +504,9 @@ mod tests {
             index: SExpr::Const(0.0),
             value: SExpr::Const(1.0),
         });
-        let mut syms = SymbolTable::default();
-        let r = resolve(&p, &mut syms);
-        let l = &r.dram_layout;
+        let c = CompiledProgram::compile(&p);
+        let mut syms = c.syms().clone();
+        let l = c.dram_layout();
         assert_eq!(l.input_words, 4 + 6);
         assert_eq!(l.output_words, 8 + 2);
         let a = l.drams[syms.dram("a") as usize];
@@ -1082,12 +530,12 @@ mod tests {
             reg: "ghost".into(),
             value: SExpr::Const(1.0),
         });
-        let mut syms = SymbolTable::default();
-        let r = resolve(&p, &mut syms);
-        assert_eq!(r.layout.chips.len(), 1);
-        assert_eq!(r.layout.chips[0].word_cap, 0);
-        assert_eq!(r.layout.chips[0].bit_words, 0);
-        assert_eq!(r.layout.words, 0);
+        let c = CompiledProgram::compile(&p);
+        let l = c.layout();
+        assert_eq!(l.chips.len(), 1);
+        assert_eq!(l.chips[0].word_cap, 0);
+        assert_eq!(l.chips[0].bit_words, 0);
+        assert_eq!(l.words, 0);
     }
 
     #[test]
@@ -1107,15 +555,11 @@ mod tests {
             par: 2,
             body: vec![SpatialStmt::Alloc(MemDecl::new("tmp", MemKind::Sram, 4))],
         });
-        let mut syms = SymbolTable::default();
-        let r = resolve(&p, &mut syms);
-        assert_eq!(r.node_limit, 4);
-        let ResolvedStmt::Foreach { counter, body, .. } = &r.body[0] else {
-            panic!("expected foreach");
-        };
-        assert!(matches!(counter, ResolvedCounter::Scan2 { .. }));
-        assert!(matches!(body[0], ResolvedStmt::Alloc { .. }));
-        assert_eq!(syms.chip_count(), 3, "bv, none and tmp");
-        assert_eq!(syms.var_count(), 4, "p, q, o and i");
+        let c = CompiledProgram::compile(&p);
+        assert_eq!(c.node_limit(), 4);
+        assert!(matches!(c.ops()[0], Op::Scan2Simple { body_len: 1, .. }));
+        assert!(matches!(c.ops()[1], Op::Alloc { .. }));
+        assert_eq!(c.syms().chip_count(), 3, "bv, none and tmp");
+        assert_eq!(c.syms().var_count(), 4, "p, q, o and i");
     }
 }

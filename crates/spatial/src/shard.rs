@@ -357,14 +357,9 @@ impl ShardPlan {
             ((hi_int - lo) as u64).div_ceil(step as u64)
         };
 
-        // Map the source statement index to its resolved-body index
-        // (resolve drops comments), then to the candidate's op span.
-        let resolved_idx = src.accel[..idx]
-            .iter()
-            .filter(|s| !matches!(s, SpatialStmt::Comment(_)))
-            .count();
+        // The candidate's op span: spans are indexed by source statement.
         let spans = parent.stmt_spans();
-        let (cand_start, cand_end) = spans[resolved_idx];
+        let (cand_start, cand_end) = spans[idx];
         let (ops, eops, fused) = (parent.ops(), parent.eops(), parent.fused());
         let syms = parent.syms();
         let cand = crate::analysis::effects_of_span(

@@ -17,7 +17,7 @@
 //! cache-line alignment of every region of the flat word arena.
 //!
 //! Fuel, interrupt, and statistics *semantics* are owned by the
-//! interpreter; the only scheduling helper here is [`burst`], which
+//! interpreter; the only scheduling helper here is `burst`, which
 //! bounds how many iterations may run without an abort or interrupt
 //! check so budget aborts land on the same step boundary as the scalar
 //! engine.

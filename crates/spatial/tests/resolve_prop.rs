@@ -1,8 +1,8 @@
-//! Property tests for the resolution and bytecode passes: random
-//! well-formed Spatial programs must resolve without panicking, survive
-//! the printer unchanged, resolve idempotently, and execute identically
-//! on both engines (flat bytecode, string-keyed reference). Raise
-//! `PROPTEST_CASES` for deeper sweeps (CI does).
+//! Property tests for the link-and-lower pass: random well-formed
+//! Spatial programs must compile without panicking, survive the printer
+//! unchanged, compile to the same artifact every time, and execute
+//! identically on both engines (flat bytecode, string-keyed reference).
+//! Raise `PROPTEST_CASES` for deeper sweeps (CI does).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -10,7 +10,7 @@ use proptest::test_runner::TestRng;
 use stardust_spatial::ir::MemDecl;
 use stardust_spatial::printer::spatial_loc;
 use stardust_spatial::{
-    print_program, resolve, validate, BinSOp, Counter, Machine, MemKind, ReferenceMachine,
+    print_program, validate, BinSOp, CompiledProgram, Counter, Machine, MemKind, ReferenceMachine,
     RunBudget, RunError, SExpr, ScanOp, SpatialProgram, SpatialStmt, SymbolTable,
 };
 
@@ -36,7 +36,7 @@ fn random_program(seed: u64) -> SpatialProgram {
             0 => load_store_block(&mut p, &mut rng, b),
             1 => scalar_loop_block(&mut p, &mut rng, b),
             2 => reduce_block(&mut p, &mut rng, b),
-            3 => scan1_block(&mut p, &mut rng, b),
+            3 => or_scan_against_zero_block(&mut p, &mut rng, b),
             4 => scan2_block(&mut p, &mut rng, b),
             5 => stream_store_block(&mut p, &mut rng, b),
             6 => rmw_block(&mut p, &mut rng, b),
@@ -217,7 +217,7 @@ fn bitvector_from_coords(p: &mut SpatialProgram, rng: &mut TestRng, name: &str) 
 
 /// A one-input scan: `or` against an all-zero vector walks `bv`'s set
 /// bits alone.
-fn scan1_block(p: &mut SpatialProgram, rng: &mut TestRng, b: usize) {
+fn or_scan_against_zero_block(p: &mut SpatialProgram, rng: &mut TestRng, b: usize) {
     let (bv, none) = (format!("s1_bv{b}"), format!("s1_none{b}"));
     bitvector_from_coords(p, rng, &bv);
     p.accel.push(SpatialStmt::Alloc(MemDecl::new(
@@ -740,12 +740,44 @@ fn fifo_reduce_case(rng: &mut TestRng) -> (SpatialProgram, Vec<(&'static str, Ve
     (p, vec![("crd", crd), ("vals", vals), ("x", x)])
 }
 
+/// Names of every slot of one namespace, in slot order.
+fn slot_names(count: usize, name: impl Fn(u32) -> String) -> Vec<String> {
+    (0..count as u32).map(name).collect()
+}
+
+/// Two compiles of one program are the same artifact: equal bytecode,
+/// fused and lane tables, vector classes, layouts and slot → name
+/// tables.
+fn assert_same_artifact(a: &CompiledProgram, b: &CompiledProgram) {
+    assert_eq!(a.ops(), b.ops(), "ops");
+    assert_eq!(a.eops(), b.eops(), "eops");
+    assert_eq!(a.fused(), b.fused(), "fused");
+    assert_eq!(a.lanes(), b.lanes(), "lanes");
+    let classes = |c: &CompiledProgram| {
+        (0..c.ops().len())
+            .map(|pc| c.vec_class(pc))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(classes(a), classes(b), "vec classes");
+    assert_eq!(a.layout(), b.layout(), "layout");
+    assert_eq!(a.dram_layout(), b.dram_layout(), "dram layout");
+    assert_eq!(a.stmt_spans(), b.stmt_spans(), "stmt spans");
+    let names = |s: &SymbolTable| {
+        [
+            slot_names(s.dram_count(), |i| s.dram_name(i).into()),
+            slot_names(s.chip_count(), |i| s.chip_name(i).into()),
+            slot_names(s.var_count(), |i| s.var_name(i).into()),
+        ]
+    };
+    assert_eq!(names(a.syms()), names(b.syms()), "slot names");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random well-formed programs validate, resolve without panicking,
-    /// resolve idempotently, and round-trip through the printer
-    /// unchanged.
+    /// Random well-formed programs validate, link and lower without
+    /// panicking, compile deterministically, and round-trip through the
+    /// printer unchanged.
     #[test]
     fn random_programs_resolve_and_roundtrip(seed in 0u64..100_000) {
         let p = random_program(seed);
@@ -754,13 +786,12 @@ proptest! {
         let printed_before = print_program(&p);
         let loc = spatial_loc(&p);
 
-        let mut syms = SymbolTable::default();
-        let r1 = resolve(&p, &mut syms);
-        let r2 = resolve(&p, &mut syms);
-        prop_assert_eq!(&r1, &r2, "resolution must be idempotent");
-        prop_assert!(r1.exprs.len() < 10_000);
+        let c1 = CompiledProgram::compile(&p);
+        let c2 = CompiledProgram::compile(&p);
+        assert_same_artifact(&c1, &c2);
+        prop_assert!(c1.eops().len() < 10_000);
 
-        // Resolution must not disturb the program: printing after the
+        // Compiling must not disturb the program: printing after the
         // pass reproduces the same source, line for line.
         let printed_after = print_program(&p);
         prop_assert_eq!(printed_before, printed_after);
@@ -769,13 +800,12 @@ proptest! {
         // The static verifier has zero false positives: every artifact
         // the compiler produces passes (the mutation suite in
         // `verify.rs` covers the no-false-negative half).
-        let compiled = stardust_spatial::CompiledProgram::compile(&p);
-        if let Err(e) = compiled.verify() {
+        if let Err(e) = c1.verify() {
             panic!("verifier rejected a compiler output (seed {seed}): {e}");
         }
     }
 
-    /// The resolved-slot engine and the reference engine agree — bitwise
+    /// The bytecode engine and the reference engine agree — bitwise
     /// DRAM images, statistics, and errors — on random programs.
     #[test]
     fn random_programs_execute_identically(seed in 0u64..100_000) {
@@ -784,14 +814,14 @@ proptest! {
     }
 
     /// The FIFO-fed reduce shape under a step budget drawn to land
-    /// anywhere in the run, mostly inside an 8-lane chunk: the vector
+    /// anywhere in the run, mostly inside a 32-lane chunk: the vector
     /// tier's partial DRAM, error and statistics equal the scalar
     /// loop's (and the reference engine's), also when a lane faults.
     #[test]
     fn fifo_fed_reduce_budget_aborts_match_the_scalar_loop(seed in 0u64..100_000) {
         let mut rng = TestRng::for_test(&format!("fifo-reduce-{seed}"));
         let (p, writes) = fifo_reduce_case(&mut rng);
-        let compiled = stardust_spatial::CompiledProgram::compile(&p);
+        let compiled = CompiledProgram::compile(&p);
         prop_assert!(
             (0..compiled.ops().len())
                 .any(|pc| matches!(compiled.vec_class(pc), stardust_spatial::VecClass::Reduce(_))),

@@ -889,6 +889,45 @@ fn non_trailing_loop_shards_bitwise() {
     }
 }
 
+/// Comments emit no ops, as the lowered kernels' top-level comments do
+/// not: the candidate is found by its source index across comments
+/// before it, between its prefix statements, and after it, and the
+/// sharded run matches the serial one bitwise.
+#[test]
+fn comments_around_the_sharded_loop_shard_bitwise() {
+    for shards in [2usize, 3] {
+        let mut p = skeleton();
+        p.accel.push(SpatialStmt::Comment("prefix".into()));
+        p.accel
+            .push(SpatialStmt::Alloc(MemDecl::new("s0", MemKind::Sram, SIZE)));
+        p.accel.push(SpatialStmt::Load {
+            dst: "s0".into(),
+            src: "in0".into(),
+            start: SExpr::Const(0.0),
+            end: SExpr::Const(SIZE as f64),
+            par: 1,
+        });
+        p.accel.push(SpatialStmt::Comment("loop".into()));
+        p.accel.push(SpatialStmt::Foreach {
+            id: 0,
+            counter: Counter::range_to("i", SExpr::Const(SIZE as f64)),
+            par: 1,
+            body: vec![SpatialStmt::StoreScalar {
+                dst: "out0".into(),
+                index: SExpr::var("i"),
+                value: SExpr::mul(SExpr::read("s0", SExpr::var("i")), SExpr::Const(3.0)),
+            }],
+        });
+        p.accel.push(SpatialStmt::Comment("done".into()));
+        p.assign_ids();
+        let compiled = Arc::new(CompiledProgram::compile(&p));
+        assert_eq!(compiled.stmt_spans().len(), p.accel.len());
+        let plan = ShardPlan::analyze(&compiled).expect("commented loop proves");
+        assert_eq!(plan.stmt_idx(), 4, "candidate is the loop between comments");
+        assert_shards_bitwise(&p, &["out0"], shards);
+    }
+}
+
 /// A prefix store into an array the body never touches: the old
 /// name-level pass rejected every DRAM-writing prefix
 /// (`PrefixWritesDram`); the effect summaries prove disjointness and
