@@ -39,11 +39,6 @@ fn operand_shape(p: &CompiledProgram, operand: Operand) -> String {
     match operand {
         Operand::Const(_) => "Const".into(),
         Operand::Var(_) => "Var".into(),
-        Operand::Gather { .. } => "Gather".into(),
-        Operand::Fused(i) => {
-            let fused = format!("{:?}", p.fused()[i as usize]);
-            format!("Fused({})", fused.split([' ', '{']).next().unwrap_or(""))
-        }
         Operand::Expr(e) => {
             let kinds: Vec<String> = p.eops()[e as usize..]
                 .iter()

@@ -45,7 +45,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
 
-use crate::bytecode::{EOp, FusedOp, GatherRef, LaneOp, Op, Operand, VecClass};
+use crate::bytecode::{EOp, LaneOp, Op, Operand, VecClass};
 use crate::ir::{BinSOp, MemKind};
 use crate::resolve::{bit_words_for, ArenaLayout, DramLayout, Slot, SymbolTable};
 use crate::vector;
@@ -89,13 +89,6 @@ pub enum VerifyError {
         pc: usize,
         /// The out-of-range slot.
         slot: Slot,
-    },
-    /// A fused-operand index is outside the program's fused table.
-    FusedOutOfRange {
-        /// Offending program counter.
-        pc: usize,
-        /// The out-of-range index.
-        index: u32,
     },
     /// An expression reference is outside the expression-op array.
     ExprOutOfRange {
@@ -170,9 +163,6 @@ impl fmt::Display for VerifyError {
             VerifyError::VarSlotOutOfRange { pc, slot } => {
                 write!(f, "variable slot {slot} out of range at pc {pc}")
             }
-            VerifyError::FusedOutOfRange { pc, index } => {
-                write!(f, "fused-operand index {index} out of range at pc {pc}")
-            }
             VerifyError::ExprOutOfRange { pc, index } => {
                 write!(f, "expression reference {index} out of range at pc {pc}")
             }
@@ -223,8 +213,6 @@ pub struct VerifyCtx<'a> {
     pub ops: &'a [Op],
     /// The flat expression ops.
     pub eops: &'a [EOp],
-    /// The fused compound-operand table.
-    pub fused: &'a [FusedOp],
     /// The symbol table the program was linked against.
     pub syms: &'a SymbolTable,
     /// On-chip arena extents.
@@ -260,35 +248,10 @@ impl<'a> VerifyCtx<'a> {
         }
     }
 
-    fn check_gather(&self, pc: usize, g: GatherRef) -> Result<(), VerifyError> {
-        self.check_chip(pc, g.chip)?;
-        self.check_dram(pc, g.dram)?;
-        self.check_var(pc, g.var)
-    }
-
     fn check_operand(&self, pc: usize, operand: Operand) -> Result<(), VerifyError> {
         match operand {
             Operand::Const(_) => Ok(()),
             Operand::Var(v) => self.check_var(pc, v),
-            Operand::Gather {
-                chip, dram, var, ..
-            } => {
-                self.check_chip(pc, chip)?;
-                self.check_dram(pc, dram)?;
-                self.check_var(pc, var)
-            }
-            Operand::Fused(i) => {
-                let Some(fused) = self.fused.get(i as usize) else {
-                    return Err(VerifyError::FusedOutOfRange { pc, index: i });
-                };
-                match *fused {
-                    FusedOp::GatherOffset { mem, .. } => self.check_gather(pc, mem),
-                    FusedOp::BinGather { a, mem, .. } => {
-                        self.check_var(pc, a)?;
-                        self.check_gather(pc, mem)
-                    }
-                }
-            }
             Operand::Expr(e) => self.check_expr(pc, e),
         }
     }
@@ -616,34 +579,14 @@ pub struct Effects {
 }
 
 impl Effects {
-    fn operand(&mut self, eops: &[EOp], fused: &[FusedOp], operand: Operand) {
+    fn operand(&mut self, eops: &[EOp], operand: Operand) {
         match operand {
             Operand::Const(_) => {}
             Operand::Var(v) => {
                 self.var_uses.insert(v);
             }
-            Operand::Gather {
-                chip, dram, var, ..
-            } => {
-                self.chip_reads.insert(chip);
-                self.dram_reads.insert(dram);
-                self.var_uses.insert(var);
-            }
-            Operand::Fused(i) => match fused[i as usize] {
-                FusedOp::GatherOffset { mem, .. } => self.gather(mem),
-                FusedOp::BinGather { a, mem, .. } => {
-                    self.var_uses.insert(a);
-                    self.gather(mem);
-                }
-            },
             Operand::Expr(e) => self.expr(eops, e),
         }
-    }
-
-    fn gather(&mut self, g: GatherRef) {
-        self.chip_reads.insert(g.chip);
-        self.dram_reads.insert(g.dram);
-        self.var_uses.insert(g.var);
     }
 
     /// Attributes every eop of the expression program starting at `e`.
@@ -698,7 +641,7 @@ impl Effects {
     }
 
     /// Folds one op's effects into the summary.
-    fn op(&mut self, eops: &[EOp], fused: &[FusedOp], op: &Op) {
+    fn op(&mut self, eops: &[EOp], op: &Op) {
         match *op {
             Op::Alloc { slot, .. } => {
                 self.chip_allocs.insert(slot);
@@ -706,7 +649,7 @@ impl Effects {
                 self.chip_writes.insert(slot);
             }
             Op::Bind { var, value } => {
-                self.operand(eops, fused, value);
+                self.operand(eops, value);
                 self.var_defs.insert(var);
             }
             Op::Load {
@@ -715,8 +658,8 @@ impl Effects {
                 start,
                 end,
             } => {
-                self.operand(eops, fused, start);
-                self.operand(eops, fused, end);
+                self.operand(eops, start);
+                self.operand(eops, end);
                 self.dram_reads.insert(src);
                 self.chip_writes.insert(dst);
             }
@@ -726,8 +669,8 @@ impl Effects {
                 src,
                 len,
             } => {
-                self.operand(eops, fused, offset);
-                self.operand(eops, fused, len);
+                self.operand(eops, offset);
+                self.operand(eops, len);
                 self.chip_reads.insert(src);
                 self.dram_writes.insert(dst);
             }
@@ -737,37 +680,37 @@ impl Effects {
                 fifo,
                 len,
             } => {
-                self.operand(eops, fused, offset);
-                self.operand(eops, fused, len);
+                self.operand(eops, offset);
+                self.operand(eops, len);
                 // Draining consumes the FIFO: read and write.
                 self.chip_reads.insert(fifo);
                 self.chip_writes.insert(fifo);
                 self.dram_writes.insert(dst);
             }
             Op::StoreScalar { dst, index, value } => {
-                self.operand(eops, fused, index);
-                self.operand(eops, fused, value);
+                self.operand(eops, index);
+                self.operand(eops, value);
                 self.dram_writes.insert(dst);
             }
             Op::WriteMem {
                 mem, index, value, ..
             } => {
-                self.operand(eops, fused, index);
-                self.operand(eops, fused, value);
+                self.operand(eops, index);
+                self.operand(eops, value);
                 self.chip_writes.insert(mem);
             }
             Op::RmwAdd { mem, index, value } => {
-                self.operand(eops, fused, index);
-                self.operand(eops, fused, value);
+                self.operand(eops, index);
+                self.operand(eops, value);
                 self.chip_reads.insert(mem);
                 self.chip_writes.insert(mem);
             }
             Op::SetReg { reg, value } => {
-                self.operand(eops, fused, value);
+                self.operand(eops, value);
                 self.chip_writes.insert(reg);
             }
             Op::Enq { fifo, value } => {
-                self.operand(eops, fused, value);
+                self.operand(eops, value);
                 self.chip_writes.insert(fifo);
             }
             Op::GenBitVector {
@@ -777,9 +720,9 @@ impl Effects {
                 count,
                 dim,
             } => {
-                self.operand(eops, fused, src_start);
-                self.operand(eops, fused, count);
-                self.operand(eops, fused, dim);
+                self.operand(eops, src_start);
+                self.operand(eops, count);
+                self.operand(eops, dim);
                 // The coordinate source may be a FIFO (consumed) — be
                 // conservative and charge a write too.
                 self.chip_reads.insert(src);
@@ -793,11 +736,11 @@ impl Effects {
                 reduce,
                 ..
             } => {
-                self.operand(eops, fused, min);
-                self.operand(eops, fused, max);
+                self.operand(eops, min);
+                self.operand(eops, max);
                 self.var_defs.insert(var);
                 if let Some((reg, expr)) = reduce {
-                    self.operand(eops, fused, expr);
+                    self.operand(eops, expr);
                     self.chip_reads.insert(reg);
                     self.chip_writes.insert(reg);
                 }
@@ -815,7 +758,7 @@ impl Effects {
                     self.var_defs.insert(v);
                 }
                 if let Some((reg, expr)) = reduce {
-                    self.operand(eops, fused, expr);
+                    self.operand(eops, expr);
                     self.chip_reads.insert(reg);
                     self.chip_writes.insert(reg);
                 }
@@ -829,10 +772,10 @@ impl Effects {
 /// operand expressions they reference). Spans are half-open pc ranges;
 /// the statement spans recorded by the compiler
 /// ([`crate::CompiledProgram::stmt_spans`]) are the intended inputs.
-pub fn effects_of_span(ops: &[Op], eops: &[EOp], fused: &[FusedOp], span: Range<usize>) -> Effects {
+pub fn effects_of_span(ops: &[Op], eops: &[EOp], span: Range<usize>) -> Effects {
     let mut eff = Effects::default();
     for op in &ops[span] {
-        eff.op(eops, fused, op);
+        eff.op(eops, op);
     }
     eff
 }
@@ -1000,38 +943,19 @@ impl LaneBuilder<'_> {
         self.push(LaneOp::Read { chip, random })
     }
 
-    fn gather(&mut self, g: GatherRef) -> bool {
-        self.var(g.var) && self.read(g.chip, g.random)
-    }
-
-    /// Appends the lane form of a reduce operand. Fused shapes expand
-    /// to the postfix sequence they abbreviate.
-    fn operand(&mut self, o: Operand, eops: &[EOp], fused: &[FusedOp]) -> bool {
+    /// Appends the lane form of a reduce operand.
+    fn operand(&mut self, o: Operand, eops: &[EOp]) -> bool {
         match o {
             Operand::Const(c) => self.push(LaneOp::Const(c)),
             Operand::Var(v) => self.var(v),
-            Operand::Gather {
-                chip, random, var, ..
-            } => self.var(var) && self.read(chip, random),
-            Operand::Fused(i) => match fused[i as usize] {
-                FusedOp::GatherOffset { mem, c, op } => {
-                    self.var(mem.var)
-                        && self.push(LaneOp::Const(c))
-                        && self.bin(op)
-                        && self.read(mem.chip, mem.random)
-                }
-                FusedOp::BinGather { a, op, mem } => {
-                    self.var(a) && self.gather(mem) && self.bin(op)
-                }
-            },
             Operand::Expr(e) => self.eops(eops, e as usize, expr_end(eops, e)),
         }
     }
 
     /// The finished program of one whole expression: `None` unless the
     /// operand left exactly one lane.
-    fn program(mut self, o: Operand, eops: &[EOp], fused: &[FusedOp]) -> Option<Vec<LaneOp>> {
-        (self.operand(o, eops, fused) && self.depth == 1).then_some(self.ops)
+    fn program(mut self, o: Operand, eops: &[EOp]) -> Option<Vec<LaneOp>> {
+        (self.operand(o, eops) && self.depth == 1).then_some(self.ops)
     }
 }
 
@@ -1049,13 +973,7 @@ fn expr_end(eops: &[EOp], e: u32) -> usize {
 /// FIFO-head bindings (distinct variables other than the loop
 /// variable, distinct FIFOs, at most [`vector::MAX_LANE_HEADS`]) and its
 /// reduced expression lane-evaluable.
-fn reduce_lanes(
-    var: Slot,
-    body: &[Op],
-    expr: Operand,
-    eops: &[EOp],
-    fused: &[FusedOp],
-) -> Option<Vec<LaneOp>> {
+fn reduce_lanes(var: Slot, body: &[Op], expr: Operand, eops: &[EOp]) -> Option<Vec<LaneOp>> {
     if body.len() > vector::MAX_LANE_HEADS {
         return None;
     }
@@ -1069,7 +987,7 @@ fn reduce_lanes(
         lanes.push((x, LaneOp::Head(k as u32)));
         fifos.push(fifo);
     }
-    let mut program = LaneBuilder::new(&lanes).program(expr, eops, fused)?;
+    let mut program = LaneBuilder::new(&lanes).program(expr, eops)?;
     program.push(LaneOp::End);
     Some(program)
 }
@@ -1089,20 +1007,15 @@ fn reg_read(operand: Operand, eops: &[EOp]) -> Option<Slot> {
 /// The lane statement a `Scan2Simple` body op is (see
 /// [`VecClass::Scan`]): its value program closed by its sink, or the
 /// first reason it is none of the four.
-fn scan_statement(
-    op: &Op,
-    lanes: &[(Slot, LaneOp)],
-    eops: &[EOp],
-    fused: &[FusedOp],
-) -> Option<Vec<LaneOp>> {
+fn scan_statement(op: &Op, lanes: &[(Slot, LaneOp)], eops: &[EOp]) -> Option<Vec<LaneOp>> {
     let (mut program, sink) = match *op {
         Op::StoreScalar { dst, index, value } => {
             let ctr = reg_read(index, eops)?;
-            let program = LaneBuilder::new(lanes).program(value, eops, fused)?;
+            let program = LaneBuilder::new(lanes).program(value, eops)?;
             (program, LaneOp::Store { dst, ctr })
         }
         Op::Enq { fifo, value } => {
-            let program = LaneBuilder::new(lanes).program(value, eops, fused)?;
+            let program = LaneBuilder::new(lanes).program(value, eops)?;
             (program, LaneOp::Enq(fifo))
         }
         Op::SetReg {
@@ -1142,7 +1055,6 @@ fn scan_lanes(
     body: &[Op],
     reduce: Option<(Slot, Operand)>,
     eops: &[EOp],
-    fused: &[FusedOp],
 ) -> Option<Vec<LaneOp>> {
     if body.len() + usize::from(reduce.is_some()) > vector::MAX_LANE_STMTS {
         return None;
@@ -1150,10 +1062,10 @@ fn scan_lanes(
     let lanes: [(Slot, LaneOp); 4] = std::array::from_fn(|k| (vars[k], LaneOp::ScanVar(k as u32)));
     let mut program = Vec::new();
     for op in body {
-        program.extend(scan_statement(op, &lanes, eops, fused)?);
+        program.extend(scan_statement(op, &lanes, eops)?);
     }
     if let Some((_, expr)) = reduce {
-        program.extend(LaneBuilder::new(&lanes).program(expr, eops, fused)?);
+        program.extend(LaneBuilder::new(&lanes).program(expr, eops)?);
         program.push(LaneOp::Fold);
     }
     // Targets: registers and FIFOs (chip slots), DRAM arrays.
@@ -1224,11 +1136,10 @@ fn row_program(
     bound: &[Slot],
     written: &[Slot],
     eops: &[EOp],
-    fused: &[FusedOp],
 ) -> Option<Vec<LaneOp>> {
     let mut b = LaneBuilder::new(leaves);
     b.regs = regs;
-    let mut program = b.program(value, eops, fused)?;
+    let mut program = b.program(value, eops)?;
     if !row_invariant(&program, bound, written) {
         return None;
     }
@@ -1246,7 +1157,6 @@ fn seg_lanes(
     classes: &[VecClass],
     lanes: &[LaneOp],
     eops: &[EOp],
-    fused: &[FusedOp],
 ) -> Option<Vec<LaneOp>> {
     let Op::RangeSimple {
         var,
@@ -1361,7 +1271,7 @@ fn seg_lanes(
                 if leaves.iter().any(|&(v, _)| v == x) {
                     return None;
                 }
-                let p = row_program(value, &leaves, &regs, &bound, &written, eops, fused)?;
+                let p = row_program(value, &leaves, &regs, &bound, &written, eops)?;
                 out.extend(p);
                 programs += 1;
                 leaves.push((x, LaneOp::Col(cols)));
@@ -1371,7 +1281,7 @@ fn seg_lanes(
                 if !regs.iter().any(|&(r, _)| r == reg) {
                     return None;
                 }
-                let p = row_program(value, &leaves, &regs, &bound, &written, eops, fused)?;
+                let p = row_program(value, &leaves, &regs, &bound, &written, eops)?;
                 out.extend(p);
                 programs += 1;
             }
@@ -1405,7 +1315,7 @@ fn seg_lanes(
             }
             Op::StoreScalar { dst, index, value } => {
                 for operand in [index, value] {
-                    let p = row_program(operand, &leaves, &regs, &bound, &written, eops, fused)?;
+                    let p = row_program(operand, &leaves, &regs, &bound, &written, eops)?;
                     out.extend(p);
                 }
                 programs += 2;
@@ -1442,7 +1352,7 @@ fn seg_lanes(
 /// (slot allocations, integral unit-step bounds, stream aliasing, FIFO
 /// occupancy) on each loop entry or chunk and falls back to the scalar
 /// loop when it does not hold.
-pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClass>, Vec<LaneOp>) {
+pub fn classify_vec(ops: &[Op], eops: &[EOp]) -> (Vec<VecClass>, Vec<LaneOp>) {
     let mut lanes = Vec::new();
     let mut classes: Vec<VecClass> = ops
         .iter()
@@ -1457,7 +1367,7 @@ pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClas
                 ..
             } if body as usize == pc + 1 => {
                 let span = &ops[body as usize..body as usize + body_len as usize];
-                match reduce_lanes(var, span, expr, eops, fused) {
+                match reduce_lanes(var, span, expr, eops) {
                     Some(program) => {
                         let at = lanes.len() as u32;
                         lanes.extend(program);
@@ -1474,7 +1384,7 @@ pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClas
                 ..
             } if body as usize == pc + 1 => {
                 let span = &ops[body as usize..body as usize + body_len as usize];
-                match scan_lanes(vars, span, reduce, eops, fused) {
+                match scan_lanes(vars, span, reduce, eops) {
                     Some(program) => {
                         let at = lanes.len() as u32;
                         lanes.extend(program);
@@ -1488,7 +1398,7 @@ pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> (Vec<VecClas
         .collect();
     for pc in 0..ops.len() {
         if classes[pc] == VecClass::None {
-            if let Some(program) = seg_lanes(ops, pc, &classes, &lanes, eops, fused) {
+            if let Some(program) = seg_lanes(ops, pc, &classes, &lanes, eops) {
                 let at = lanes.len() as u32;
                 lanes.extend(program);
                 classes[pc] = VecClass::SegReduce(at);

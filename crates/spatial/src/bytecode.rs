@@ -70,7 +70,7 @@ pub enum EOp {
     Deq(Slot),
     /// Pop an index, read `mem[index]`, push the value. Carries both
     /// resolutions of the name (on-chip checked first, then the
-    /// SparseDRAM random-read fallback), like [`Operand::Gather`].
+    /// SparseDRAM random-read fallback).
     ReadMem {
         /// On-chip slot of the name.
         chip: Slot,
@@ -222,74 +222,19 @@ pub enum LaneOp {
 /// it runs to the matching [`LaneOp::End`].
 pub type LaneRef = u32;
 
-/// A statement operand, resolved at compile time to an immediate form
-/// whenever the expression is a leaf (or the ubiquitous single-gather
-/// `mem[var]`), so the executor skips the expression interpreter for
-/// the common cases.
+/// A statement operand: a leaf the executor reads inline, or a postfix
+/// expression program. Compound shapes (`mem[var]`, `pos[i + 1]`,
+/// `vb * C_vals[jj]`) are expression programs whose ops the peephole
+/// has fused ([`EOp::VarReadMem`], [`EOp::VarConstBin`],
+/// [`EOp::VarBinGather`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Operand {
     /// A literal.
     Const(f64),
     /// A bound variable.
     Var(Slot),
-    /// `mem[env[var]]` — the dominant sparse-access shape.
-    Gather {
-        /// On-chip slot of the name.
-        chip: Slot,
-        /// DRAM slot of the same name.
-        dram: Slot,
-        /// Whether the access is data-dependent.
-        random: bool,
-        /// Index variable slot.
-        var: Slot,
-    },
-    /// A recognized multi-access shape, stored out of line in the
-    /// program's [`FusedOp`] table to keep this enum small.
-    Fused(u32),
     /// Anything else: a postfix expression program.
     Expr(ERef),
-}
-
-/// A memory reference inside a [`FusedOp`]: `mem[env[var]]` with both
-/// name resolutions, exactly like [`EOp::VarReadMem`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GatherRef {
-    /// On-chip slot of the name.
-    pub chip: Slot,
-    /// DRAM slot of the same name.
-    pub dram: Slot,
-    /// Whether the access is data-dependent.
-    pub random: bool,
-    /// Index variable slot.
-    pub var: Slot,
-}
-
-/// Compile-time-recognized compound operand shapes, evaluated without
-/// entering the expression interpreter. Each reproduces the unfused
-/// evaluation order (and therefore statistics and error identity)
-/// exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FusedOp {
-    /// `mem[env[var] op c]` — the compressed-level bound shape
-    /// (`pos[i + 1]`).
-    GatherOffset {
-        /// The gathered memory; its `var` is the index variable.
-        mem: GatherRef,
-        /// Index offset constant.
-        c: f64,
-        /// Index operator.
-        op: BinSOp,
-    },
-    /// `env[a] op mem[env[var]]` — the scale-by-gathered-value shape
-    /// (`vb * C_vals[jj]`).
-    BinGather {
-        /// Left operand variable slot.
-        a: Slot,
-        /// Operator.
-        op: BinSOp,
-        /// The gathered memory.
-        mem: GatherRef,
-    },
 }
 
 /// One statement op of the flat program.
@@ -465,7 +410,6 @@ pub struct CompiledProgram {
     node_limit: usize,
     ops: Vec<Op>,
     eops: Vec<EOp>,
-    fused: Vec<FusedOp>,
     /// A pristine zeroed input segment sized per the DRAM layout.
     /// Freshly constructed machines share it behind this `Arc`
     /// (copy-on-write), so creating a machine never allocates or zeroes
@@ -550,7 +494,6 @@ impl CompiledProgram {
             syms: SymbolTable::default(),
             ops: Vec::new(),
             eops: Vec::new(),
-            fused: Vec::new(),
             fuse_barrier: 0,
         };
         let drams: Vec<(Slot, &MemDecl)> = program
@@ -569,15 +512,11 @@ impl CompiledProgram {
             .collect();
         lowering.ops.push(Op::Halt);
         let Lowering {
-            syms,
-            ops,
-            eops,
-            fused,
-            ..
+            syms, ops, eops, ..
         } = lowering;
         let (layout, dram_layout, node_limit) = crate::resolve::layouts(&ops, &drams, &syms);
         let zero_input = Arc::new(vec![0.0; dram_layout.input_words]);
-        let (vec, lanes) = crate::analysis::classify_vec(&ops, &eops, &fused);
+        let (vec, lanes) = crate::analysis::classify_vec(&ops, &eops);
         let compiled = CompiledProgram {
             source: program.clone(),
             syms,
@@ -586,7 +525,6 @@ impl CompiledProgram {
             node_limit,
             ops,
             eops,
-            fused,
             zero_input,
             vec,
             lanes,
@@ -615,7 +553,6 @@ impl CompiledProgram {
         crate::analysis::verify(&crate::analysis::VerifyCtx {
             ops: &self.ops,
             eops: &self.eops,
-            fused: &self.fused,
             syms: &self.syms,
             layout: &self.layout,
             dram_layout: &self.dram_layout,
@@ -658,11 +595,6 @@ impl CompiledProgram {
     /// The flat expression ops.
     pub fn eops(&self) -> &[EOp] {
         &self.eops
-    }
-
-    /// The fused compound-operand table.
-    pub fn fused(&self) -> &[FusedOp] {
-        &self.fused
     }
 
     /// The vector-eligibility classification of the op at `pc` (see
@@ -848,7 +780,6 @@ struct Lowering {
     syms: SymbolTable,
     ops: Vec<Op>,
     eops: Vec<EOp>,
-    fused: Vec<FusedOp>,
     /// Ops below this index must not be consumed by peephole fusion: a
     /// jump target has been patched to land just past them, so folding
     /// them into a later superinstruction would skip real work on the
@@ -857,10 +788,10 @@ struct Lowering {
 }
 
 /// Lowering interns each name when the walk reaches it, in one
-/// post-order whatever operand shape it picks: a node's sub-expressions
-/// before the node's own names, a statement's operands before its names
-/// (in field order), a loop's bounds before its variable and its body,
-/// and a `Reduce`'s register after its body and its reduced expression.
+/// post-order: a node's sub-expressions before the node's own names, a
+/// statement's operands before its names (in field order), a loop's
+/// bounds before its variable and its body, and a `Reduce`'s register
+/// after its body and its reduced expression.
 impl Lowering {
     /// Compiles one expression tree into the flat array, returning the
     /// index of its first op.
@@ -876,76 +807,14 @@ impl Lowering {
         self.eops.len() >= self.fuse_barrier + n
     }
 
-    /// The `(chip, dram)` slots of a name `ReadMem` reads: the on-chip
-    /// slot is checked first, then the SparseDRAM random-read fallback.
-    fn mem(&mut self, name: &str) -> (Slot, Slot) {
-        (self.syms.chip(name), self.syms.dram(name))
-    }
-
-    /// `mem[var]`, interned index variable first.
-    fn gather(&mut self, mem: &str, var: &str, random: bool) -> GatherRef {
-        let var = self.syms.var(var);
-        let (chip, dram) = self.mem(mem);
-        GatherRef {
-            chip,
-            dram,
-            random,
-            var,
-        }
-    }
-
-    /// Lowers a statement operand: leaves, single gathers, and the
-    /// recognized compound shapes become immediates; everything else
-    /// becomes an expression program.
+    /// Lowers a statement operand: a literal or a variable stays a
+    /// leaf; everything else becomes an expression program.
     fn operand(&mut self, e: &SExpr) -> Operand {
         match e {
             SExpr::Const(c) => Operand::Const(*c),
             SExpr::Var(v) => Operand::Var(self.syms.var(v)),
-            SExpr::ReadMem { mem, index, random } => match &**index {
-                SExpr::Var(var) => {
-                    let g = self.gather(mem, var, *random);
-                    Operand::Gather {
-                        chip: g.chip,
-                        dram: g.dram,
-                        random: g.random,
-                        var: g.var,
-                    }
-                }
-                // pos[i + 1].
-                SExpr::Binary { op, lhs, rhs } => match (&**lhs, &**rhs) {
-                    (SExpr::Var(var), SExpr::Const(c)) => {
-                        let mem = self.gather(mem, var, *random);
-                        self.fuse(FusedOp::GatherOffset {
-                            mem,
-                            c: *c,
-                            op: *op,
-                        })
-                    }
-                    _ => Operand::Expr(self.expr(e)),
-                },
-                _ => Operand::Expr(self.expr(e)),
-            },
-            // vb * C_vals[jj].
-            SExpr::Binary { op, lhs, rhs } => match (&**lhs, &**rhs) {
-                (SExpr::Var(a), SExpr::ReadMem { mem, index, random }) => match &**index {
-                    SExpr::Var(var) => {
-                        let a = self.syms.var(a);
-                        let mem = self.gather(mem, var, *random);
-                        self.fuse(FusedOp::BinGather { a, op: *op, mem })
-                    }
-                    _ => Operand::Expr(self.expr(e)),
-                },
-                _ => Operand::Expr(self.expr(e)),
-            },
             _ => Operand::Expr(self.expr(e)),
         }
-    }
-
-    /// Interns a fused compound shape, returning its operand.
-    fn fuse(&mut self, f: FusedOp) -> Operand {
-        let ix = self.fused.len() as u32;
-        self.fused.push(f);
-        Operand::Fused(ix)
     }
 
     fn expr_ops(&mut self, e: &SExpr) {
@@ -965,7 +834,9 @@ impl Lowering {
             }
             SExpr::ReadMem { mem, index, random } => {
                 self.expr_ops(index);
-                let (chip, dram) = self.mem(mem);
+                // The on-chip slot is checked first at run time, then
+                // the SparseDRAM random-read fallback.
+                let (chip, dram) = (self.syms.chip(mem), self.syms.dram(mem));
                 let random = *random;
                 if self.fusable(1) {
                     if let Some(&EOp::Var(var)) = self.eops.last() {
@@ -1483,14 +1354,15 @@ mod tests {
         assert_engines_agree(&p, &[]).unwrap();
     }
 
-    /// Known answers for the fused operand shapes, on data where a
-    /// wrong operand order or operand choice gives a different result.
-    /// Compiled kernels only offset with `+`, so a `GatherOffset` that
-    /// swapped `x - c` into `c - x` would pass every kernel; here
-    /// `s[i - 1]` would read `s[1 - i]` and fault. `BinGather`'s left
-    /// variable (`b = 100 * i`) differs from its gather index `i`.
+    /// Known answers for the memory-reading operand shapes, on data
+    /// where a wrong operand order or operand choice gives a different
+    /// result. Compiled kernels only offset with `+`, so a
+    /// `VarConstBin` that swapped `x - c` into `c - x` would pass every
+    /// kernel; here `s[i - 1]` would read `s[1 - i]` and fault.
+    /// `VarBinGather`'s left variable (`b = 100 * i`) differs from its
+    /// gather index `i`.
     #[test]
-    fn fused_operand_shapes_give_known_answers() {
+    fn memory_operand_shapes_give_known_answers() {
         let mut p = SpatialProgram::new("t");
         p.add_dram("in", 4);
         p.add_dram("prev", 4);
@@ -1532,20 +1404,38 @@ mod tests {
         });
         p.assign_ids();
         let c = CompiledProgram::compile(&p);
-        assert!(c.fused().iter().any(|f| matches!(
-            f,
-            FusedOp::GatherOffset {
-                op: BinSOp::Sub,
-                ..
-            }
-        )));
-        assert!(c.fused().iter().any(|f| matches!(
-            f,
-            FusedOp::BinGather {
-                op: BinSOp::Sub,
-                ..
-            }
-        )));
+        // The two stored values' expression programs, without `End`.
+        let values: Vec<&[EOp]> = c
+            .ops()
+            .iter()
+            .filter_map(|op| match *op {
+                Op::StoreScalar {
+                    value: Operand::Expr(e),
+                    ..
+                } => {
+                    let from = e as usize;
+                    let len = c.eops()[from..].iter().position(|&e| e == EOp::End);
+                    Some(&c.eops()[from..from + len.unwrap()])
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(matches!(
+            values[..],
+            [
+                [
+                    EOp::VarConstBin {
+                        op: BinSOp::Sub,
+                        ..
+                    },
+                    EOp::ReadMem { .. }
+                ],
+                [EOp::VarBinGather {
+                    op: BinSOp::Sub,
+                    ..
+                }]
+            ]
+        ));
         let input = vec![3.0, 5.0, 7.0, 11.0];
         assert_engines_agree(&p, &[("in", input.clone())]).unwrap();
         let mut m = Machine::new(&p);

@@ -1,11 +1,13 @@
 //! Straight-line op dispatch, operand fetch, and the postfix
 //! expression interpreter — everything a superinstruction's body span
-//! executes besides its nested loops. Expressions evaluate on a value
-//! stack with the top cached in a register; nothing here recurses.
+//! executes besides its nested loops. A statement operand is a literal,
+//! a variable or an expression program; expressions evaluate on a value
+//! stack with the top cached in a register, the common memory-reading
+//! shapes as single fused eops. Nothing here recurses.
 
 use super::exec::index_of;
 use super::{Machine, RunError};
-use crate::bytecode::{CompiledProgram, EOp, FusedOp, GatherRef, Op, Operand};
+use crate::bytecode::{CompiledProgram, EOp, Op, Operand};
 
 impl Machine {
     /// Executes one straight-line op (everything except loop control).
@@ -107,9 +109,8 @@ impl Machine {
         }
     }
 
-    /// Fetches a statement operand: immediates inline, fused compound
-    /// shapes from the side table, expression programs through the
-    /// postfix interpreter.
+    /// Fetches a statement operand: leaves inline, expression programs
+    /// through the postfix interpreter.
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
     pub(super) fn operand_value(
@@ -125,73 +126,7 @@ impl Machine {
                     self.compiled.syms().var_name(v).to_string(),
                 )),
             },
-            Operand::Gather {
-                chip,
-                dram,
-                random,
-                var,
-            } => {
-                let ix = match self.env[var as usize] {
-                    Some(x) => x,
-                    None => {
-                        return Err(RunError::UnboundVar(
-                            self.compiled.syms().var_name(var).to_string(),
-                        ));
-                    }
-                };
-                self.read_mem_value(chip, dram, ix, random)
-            }
-            Operand::Fused(i) => self.fused_value(&prog.fused()[i as usize]),
             Operand::Expr(e) => self.eval_ops(prog, e),
-        }
-    }
-
-    /// Reads one `mem[env[var]]` reference of a fused shape.
-    #[inline(always)]
-    fn gather_value(&mut self, g: GatherRef) -> Result<f64, RunError> {
-        let ix = match self.env[g.var as usize] {
-            Some(x) => x,
-            None => {
-                return Err(RunError::UnboundVar(
-                    self.compiled.syms().var_name(g.var).to_string(),
-                ));
-            }
-        };
-        self.read_mem_value(g.chip, g.dram, ix, g.random)
-    }
-
-    /// Evaluates a fused compound operand, reproducing the unfused
-    /// evaluation order (stats and error identity included) exactly.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    #[cfg_attr(debug_assertions, inline(never))]
-    fn fused_value(&mut self, f: &FusedOp) -> Result<f64, RunError> {
-        match *f {
-            FusedOp::GatherOffset { mem, c, op } => {
-                let x = match self.env[mem.var as usize] {
-                    Some(x) => x,
-                    None => {
-                        return Err(RunError::UnboundVar(
-                            self.compiled.syms().var_name(mem.var).to_string(),
-                        ));
-                    }
-                };
-                self.dense.alu_ops += 1;
-                let ix = op.apply(x, c).ok_or(RunError::DivisionByZero)?;
-                self.read_mem_value(mem.chip, mem.dram, ix, mem.random)
-            }
-            FusedOp::BinGather { a, op, mem } => {
-                let x = match self.env[a as usize] {
-                    Some(x) => x,
-                    None => {
-                        return Err(RunError::UnboundVar(
-                            self.compiled.syms().var_name(a).to_string(),
-                        ));
-                    }
-                };
-                let v = self.gather_value(mem)?;
-                self.dense.alu_ops += 1;
-                op.apply(x, v).ok_or(RunError::DivisionByZero)
-            }
         }
     }
 

@@ -360,20 +360,16 @@ impl ShardPlan {
         // The candidate's op span: spans are indexed by source statement.
         let spans = parent.stmt_spans();
         let (cand_start, cand_end) = spans[idx];
-        let (ops, eops, fused) = (parent.ops(), parent.eops(), parent.fused());
+        let (ops, eops) = (parent.ops(), parent.eops());
         let syms = parent.syms();
-        let cand = crate::analysis::effects_of_span(
-            ops,
-            eops,
-            fused,
-            cand_start as usize..cand_end as usize,
-        );
+        let cand =
+            crate::analysis::effects_of_span(ops, eops, cand_start as usize..cand_end as usize);
 
         // Prefix obligation: re-run DRAM writes must be disjoint from
         // the body's, or a later shard's replayed prefix store would
         // clobber an earlier shard's body store.
         if cand_start > 0 {
-            let prefix = crate::analysis::effects_of_span(ops, eops, fused, 0..cand_start as usize);
+            let prefix = crate::analysis::effects_of_span(ops, eops, 0..cand_start as usize);
             if let Some(&slot) = prefix.dram_writes.intersection(&cand.dram_writes).next() {
                 return Err(NotShardable::PrefixWritesDram {
                     mem: syms.dram_name(slot).to_string(),
@@ -390,8 +386,7 @@ impl ShardPlan {
         let suffix_start = cand_end as usize;
         let suffix_end = spans.last().map_or(suffix_start, |&(_, e)| e as usize);
         if suffix_start < suffix_end {
-            let suffix =
-                crate::analysis::effects_of_span(ops, eops, fused, suffix_start..suffix_end);
+            let suffix = crate::analysis::effects_of_span(ops, eops, suffix_start..suffix_end);
             let outer_var = (0..syms.var_count() as Slot).find(|&s| syms.var_name(s) == var);
             let dep = suffix
                 .var_uses

@@ -524,8 +524,8 @@ fn division_by_zero_is_one_typed_error_on_both_engines() {
     });
     programs.push((p, 0.0));
 
-    // `x / 0` as an SRAM index (the fused `mem[var op c]` operand), and
-    // `x % 0` inside a longer expression (the fused `var op c` op).
+    // `x / 0` as an SRAM index (`[VarConstBin, ReadMem]`), and `x % 0`
+    // inside a longer expression (a `VarConstBin` under a `Binary`).
     let mut p = zero_divisor_program("div_sram_index");
     p.accel.push(store_loop(SExpr::read(
         "s",
@@ -746,12 +746,10 @@ fn slot_names(count: usize, name: impl Fn(u32) -> String) -> Vec<String> {
 }
 
 /// Two compiles of one program are the same artifact: equal bytecode,
-/// fused and lane tables, vector classes, layouts and slot → name
-/// tables.
+/// lane tables, vector classes, layouts and slot → name tables.
 fn assert_same_artifact(a: &CompiledProgram, b: &CompiledProgram) {
     assert_eq!(a.ops(), b.ops(), "ops");
     assert_eq!(a.eops(), b.eops(), "eops");
-    assert_eq!(a.fused(), b.fused(), "fused");
     assert_eq!(a.lanes(), b.lanes(), "lanes");
     let classes = |c: &CompiledProgram| {
         (0..c.ops().len())

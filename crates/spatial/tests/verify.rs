@@ -39,8 +39,9 @@ fn range_loop(id: usize, var: &str, n: f64, body: Vec<SpatialStmt>) -> SpatialSt
 
 /// A superinstruction-heavy program: `Alloc`/`Load`/`Bind`, a
 /// `RangeSimple` whose body writes through a `Select` expression
-/// (exercising `BranchFalse`/`Jump` expression control flow), a
-/// reduction, and a `Store`.
+/// (exercising `BranchFalse`/`Jump` expression control flow) and binds
+/// a scaled gather (`VarBinGather`) and a computed-index read
+/// (`ReadMem`), a reduction, and a `Store`.
 fn simple_program() -> SpatialProgram {
     let n = 8usize;
     let mut p = SpatialProgram::new("verify_simple");
@@ -65,16 +66,29 @@ fn simple_program() -> SpatialProgram {
         0,
         "j",
         n as f64,
-        vec![SpatialStmt::WriteMem {
-            mem: "s".into(),
-            index: SExpr::var("j"),
-            value: SExpr::select(
-                SExpr::read("vals_s", SExpr::var("j")),
-                SExpr::add(SExpr::var("j"), SExpr::var("t")),
-                SExpr::Const(0.0),
-            ),
-            random: false,
-        }],
+        vec![
+            SpatialStmt::WriteMem {
+                mem: "s".into(),
+                index: SExpr::var("j"),
+                value: SExpr::select(
+                    SExpr::read("vals_s", SExpr::var("j")),
+                    SExpr::add(SExpr::var("j"), SExpr::var("t")),
+                    SExpr::Const(0.0),
+                ),
+                random: false,
+            },
+            SpatialStmt::Bind {
+                var: "u".into(),
+                value: SExpr::mul(SExpr::var("t"), SExpr::read("vals_s", SExpr::var("j"))),
+            },
+            SpatialStmt::Bind {
+                var: "w".into(),
+                value: SExpr::read(
+                    "vals_s",
+                    SExpr::sub(SExpr::Const(n as f64 - 1.0), SExpr::var("j")),
+                ),
+            },
+        ],
     ));
     p.accel.push(SpatialStmt::Reduce {
         id: 1,
@@ -196,7 +210,6 @@ fn verify_mutant(c: &CompiledProgram, ops: &[Op], eops: &[EOp]) -> Result<(), Ve
     verify(&VerifyCtx {
         ops,
         eops,
-        fused: c.fused(),
         syms: c.syms(),
         layout: c.layout(),
         dram_layout: c.dram_layout(),
@@ -281,11 +294,6 @@ fn corrupted(op: &Op) -> Vec<Op> {
                 dst: 0,
                 index: Operand::Expr(BAD),
                 value,
-            });
-            push(Op::StoreScalar {
-                dst: 0,
-                index,
-                value: Operand::Fused(BAD),
             });
         }
         Op::WriteMem {
@@ -655,39 +663,103 @@ fn expression_corruptions_are_rejected() {
     );
 }
 
-/// Out-of-range variable slots inside expression ops are rejected.
+/// Every slot field of every expression op that carries one, corrupted
+/// out of range, is rejected: the memory-reading operand shapes are
+/// expression programs, so `check_expr` is their only verifier path.
 #[test]
 fn expression_slot_corruptions_are_rejected() {
     let c = CompiledProgram::compile(&simple_program());
     let eops = c.eops();
-    let mut mutants = 0usize;
+    let mut mutated = std::collections::BTreeMap::<&str, usize>::new();
     for (i, e) in eops.iter().enumerate() {
-        let bad = match *e {
-            EOp::Var(_) => EOp::Var(BAD),
-            EOp::RegRead(_) => EOp::RegRead(BAD),
-            EOp::ReadMem { dram, random, .. } => EOp::ReadMem {
-                chip: BAD,
-                dram,
-                random,
-            },
+        let (kind, bad) = match *e {
+            EOp::Var(_) => ("Var", vec![EOp::Var(BAD)]),
+            EOp::RegRead(_) => ("RegRead", vec![EOp::RegRead(BAD)]),
+            EOp::ReadMem { chip, dram, random } => (
+                "ReadMem",
+                vec![
+                    EOp::ReadMem {
+                        chip: BAD,
+                        dram,
+                        random,
+                    },
+                    EOp::ReadMem {
+                        chip,
+                        dram: BAD,
+                        random,
+                    },
+                ],
+            ),
             EOp::VarReadMem {
-                chip, dram, random, ..
-            } => EOp::VarReadMem {
                 chip,
                 dram,
                 random,
-                var: BAD,
-            },
-            EOp::VarConstBin { c, op, .. } => EOp::VarConstBin { var: BAD, c, op },
+                var,
+            } => (
+                "VarReadMem",
+                vec![
+                    EOp::VarReadMem {
+                        chip: BAD,
+                        dram,
+                        random,
+                        var,
+                    },
+                    EOp::VarReadMem {
+                        chip,
+                        dram: BAD,
+                        random,
+                        var,
+                    },
+                    EOp::VarReadMem {
+                        chip,
+                        dram,
+                        random,
+                        var: BAD,
+                    },
+                ],
+            ),
+            EOp::VarBinGather {
+                a,
+                op,
+                chip,
+                dram,
+                random,
+                ivar,
+            } => {
+                let gather = |a, chip, dram, ivar| EOp::VarBinGather {
+                    a,
+                    op,
+                    chip,
+                    dram,
+                    random,
+                    ivar,
+                };
+                (
+                    "VarBinGather",
+                    vec![
+                        gather(BAD, chip, dram, ivar),
+                        gather(a, chip, dram, BAD),
+                        gather(a, BAD, dram, ivar),
+                        gather(a, chip, BAD, ivar),
+                    ],
+                )
+            }
+            EOp::VarConstBin { c, op, .. } => {
+                ("VarConstBin", vec![EOp::VarConstBin { var: BAD, c, op }])
+            }
             _ => continue,
         };
-        let mut m = eops.to_vec();
-        m[i] = bad;
-        assert!(
-            verify_mutant(&c, c.ops(), &m).is_err(),
-            "bad slot at eop {i} accepted"
-        );
-        mutants += 1;
+        for bad in bad {
+            let mut m = eops.to_vec();
+            m[i] = bad;
+            assert!(
+                verify_mutant(&c, c.ops(), &m).is_err(),
+                "{bad:?} at eop {i} accepted"
+            );
+            *mutated.entry(kind).or_default() += 1;
+        }
     }
-    assert!(mutants >= 3, "too few expression slot mutants");
+    for kind in ["Var", "RegRead", "ReadMem", "VarReadMem", "VarBinGather"] {
+        assert!(mutated.contains_key(kind), "no {kind} eop to mutate");
+    }
 }
