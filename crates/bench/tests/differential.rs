@@ -25,13 +25,16 @@
 //! under the `STARDUST_FAULTS` plan when one is set, so the CI chaos
 //! step's `max_steps` clamp lands budget aborts inside vector chunks
 //! of real kernels.
+//!
+//! A third leg shards every stage the shard analysis accepts and holds
+//! the sharded runs bitwise against a serial run.
 
 use std::collections::HashMap;
 
 use stardust_bench::{instantiate, Scale, KERNEL_NAMES};
 use stardust_core::pipeline::{KernelOutput, TensorData};
 use stardust_kernels::Kernel;
-use stardust_spatial::{FaultPlan, Machine, ReferenceMachine};
+use stardust_spatial::{FaultPlan, Machine, MachinePool, ReferenceMachine, RunBudget, ShardPlan};
 
 /// Runs every stage of `kernel` through both engines and asserts
 /// bit-identical DRAM images and identical statistics.
@@ -230,4 +233,64 @@ fn compiled_stages_agree_with_the_tiers_off() {
             assert_tiers_invisible(&kernel, &set.inputs);
         }
     }
+}
+
+/// Every stage the shard analysis accepts runs at 2 and 3 shards
+/// bitwise identical to a serial image-bound run: every DRAM word and
+/// the statistics. The accepted count is pinned at 21 of the 27
+/// CI-scale stages (`perf`'s `spatial.shard.shardable_stages`): the
+/// InnerProd stages' suffix reads the body's workspace and the Plus2
+/// stages' prefix writes an array the body writes.
+#[test]
+fn compiled_stages_shard_bitwise() {
+    let scale = Scale::ci();
+    let pool = MachinePool::new();
+    let (mut stages, mut shardable) = (0, 0);
+    for name in KERNEL_NAMES {
+        for (kernel, set) in instantiate(name, &scale) {
+            let result = kernel
+                .run(&set.inputs)
+                .unwrap_or_else(|e| panic!("{} failed to run: {e}", kernel.name));
+            let mut available = set.inputs.clone();
+            for (s, stage) in result.stages.iter().enumerate() {
+                stages += 1;
+                let compiled = &stage.compiled;
+                let image = compiled.build_image(&available).expect("build image");
+                let mut serial = compiled.bind_image(&image).expect("bind image");
+                let stats = serial.run(compiled.spatial()).expect("serial run");
+                if let Ok(plan) = ShardPlan::analyze(compiled.compiled_spatial()) {
+                    shardable += 1;
+                    for n in [2, 3] {
+                        let run = plan
+                            .compile(n)
+                            .run_pooled(&image, &pool, &RunBudget::default(), None)
+                            .unwrap_or_else(|e| panic!("{name} stage {s} at {n} shards: {e}"));
+                        assert_eq!(
+                            run.stats, stats,
+                            "{name} on {} stage {s}: ExecStats diverge at {n} shards",
+                            set.dataset
+                        );
+                        assert_eq!(
+                            dram_bits(&run.machine),
+                            dram_bits(&serial),
+                            "{name} on {} stage {s}: DRAM diverges at {n} shards",
+                            set.dataset
+                        );
+                    }
+                }
+                if let KernelOutput::Tensor(t) = compiled.read_output(&serial).expect("read output")
+                {
+                    available.insert(
+                        compiled.program().output().to_string(),
+                        TensorData::Sparse(t),
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (shardable, stages),
+        (21, 27),
+        "shardable stages of all stages"
+    );
 }

@@ -579,7 +579,8 @@ pub struct Effects {
 }
 
 impl Effects {
-    fn operand(&mut self, eops: &[EOp], operand: Operand) {
+    /// Folds a statement operand's effects into the summary.
+    pub(crate) fn operand(&mut self, eops: &[EOp], operand: Operand) {
         match operand {
             Operand::Const(_) => {}
             Operand::Var(v) => {
@@ -641,7 +642,7 @@ impl Effects {
     }
 
     /// Folds one op's effects into the summary.
-    fn op(&mut self, eops: &[EOp], op: &Op) {
+    pub(crate) fn op(&mut self, eops: &[EOp], op: &Op) {
         match *op {
             Op::Alloc { slot, .. } => {
                 self.chip_allocs.insert(slot);

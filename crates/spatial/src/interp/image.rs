@@ -54,16 +54,10 @@ pub struct DramImage {
     /// as (segment offset, words). Rare — an in-place-updated operand —
     /// and re-applied per bind, so the cost stays O(outputs).
     output_init: Vec<(usize, Vec<f64>)>,
-    /// Word-mix hash of the built image (input-segment word bits plus
-    /// the output-init records), computed once at
-    /// [`DramImageBuilder::finish`]: a content-addressed identity for
-    /// the dataset as this program lays it out.
-    content_hash: u64,
 }
 
 /// Mixes one 64-bit word into a running content hash (splitmix64-style
-/// finalizer, a few ALU ops per word) — the content-hash primitive
-/// behind [`DramImage::content_hash`] and the fold of names and tensor
+/// finalizer, a few ALU ops per word) — the fold of names and tensor
 /// fingerprints that makes the pipeline's image-cache keys. (The
 /// fingerprints themselves are computed in `stardust-tensor`, which
 /// sits below this crate and carries its own copy of the finalizer;
@@ -91,17 +85,6 @@ impl DramImage {
     /// through the copy-on-write path).
     pub fn input_words(&self) -> &[f64] {
         &self.input
-    }
-
-    /// Content-addressed identity of the built image: a word-mix hash
-    /// of every input-segment word's bits plus the output-init
-    /// records. Two images of one program hash equal iff they bind
-    /// machines to identical DRAM. This is an **audit handle**, not
-    /// the cache key — the pipeline's image cache derives its keys
-    /// from the raw inputs *before* building (so a lookup never pays a
-    /// build), and regression tests cross-check the two identities.
-    pub fn content_hash(&self) -> u64 {
-        self.content_hash
     }
 
     /// Whether this image can bind to a machine running `compiled`:
@@ -194,26 +177,13 @@ impl DramImageBuilder {
         Ok(())
     }
 
-    /// Freezes the image. The input segment becomes immutable and
-    /// shareable, and the content hash is computed — the only pass
-    /// over the built words.
+    /// Freezes the image: the input segment becomes immutable and
+    /// shareable.
     pub fn finish(self) -> DramImage {
-        let mut h: u64 = 0x9e3779b97f4a7c15;
-        for v in &self.input {
-            mix64(&mut h, v.to_bits());
-        }
-        for (off, data) in &self.output_init {
-            mix64(&mut h, *off as u64);
-            mix64(&mut h, data.len() as u64);
-            for v in data {
-                mix64(&mut h, v.to_bits());
-            }
-        }
         DramImage {
             compiled: self.compiled,
             input: Arc::new(self.input),
             output_init: self.output_init,
-            content_hash: h,
         }
     }
 }

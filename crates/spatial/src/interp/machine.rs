@@ -453,6 +453,12 @@ impl Machine {
         if !std::ptr::eq(program, own) && program != own {
             return Err(RunError::ForeignProgram);
         }
+        self.run_compiled()
+    }
+
+    /// Runs the program the machine was compiled for (what
+    /// [`Machine::run`] does once the program is checked to be it).
+    pub(crate) fn run_compiled(&mut self) -> Result<ExecStats, RunError> {
         let prog = Arc::clone(&self.compiled);
         self.arm_budget();
         self.poisoned = true;

@@ -268,6 +268,7 @@ impl Machine {
     /// stays field-based: the body can nest loops that consume fuel
     /// themselves.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn run_scan2_simple(
         &mut self,
         prog: &CompiledProgram,

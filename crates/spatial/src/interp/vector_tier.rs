@@ -439,6 +439,7 @@ impl Machine {
     /// loop-entry state: its FIFO heads checked to be FIFOs (the body
     /// enqueues nothing), and its lane program by
     /// [`Machine::lane_plan`].
+    #[inline(never)]
     pub(super) fn reduce_plan(
         &self,
         prog: &CompiledProgram,
@@ -602,6 +603,7 @@ impl Machine {
     /// A faulting chunk changes nothing: the caller runs its first
     /// iteration scalar, which raises the scalar loop's error at its
     /// exact iteration and state.
+    #[inline(never)]
     pub(super) fn reduce_chunks(
         &mut self,
         plan: &ReducePlan,
@@ -657,6 +659,7 @@ impl Machine {
     /// writes — a register, a FIFO, a mapped DRAM array — and resolved
     /// to its offset (no admitted body allocates, so the offsets hold
     /// for the whole loop). `None` leaves the scalar loop to run.
+    #[inline(never)]
     pub(super) fn scan_plan(&self, prog: &CompiledProgram, lanes: LaneRef) -> Option<ScanPlan> {
         let mut plan = ScanPlan {
             stmts: [(LanePlan::EMPTY, ScanSink::Fold); vector::MAX_LANE_STMTS],
@@ -726,6 +729,7 @@ impl Machine {
     /// faulting chunk changes nothing: the caller runs it scalar, which
     /// raises the scalar loop's error (or takes its slow path) at its
     /// exact emit.
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     pub(super) fn scan_chunks(
         &mut self,
@@ -836,14 +840,20 @@ impl Machine {
     /// region already (so no row relocates it), each loaded and stored
     /// array checked to be mapped. Row columns are numbered as the
     /// class defines them. `None` leaves the scalar loop to run.
+    ///
+    /// The plan is boxed, and this and the other plan and chunk helpers
+    /// stay out of line: inlined into the loop executors, which recurse
+    /// once per nested loop, their plans would grow every nesting
+    /// level's stack frame by kilobytes.
+    #[inline(never)]
     pub(super) fn seg_plan(
         &self,
         prog: &CompiledProgram,
         lanes: LaneRef,
         body: OpId,
         end: usize,
-    ) -> Option<SegPlan> {
-        let mut plan = SegPlan {
+    ) -> Option<Box<SegPlan>> {
+        let mut plan = Box::new(SegPlan {
             stmts: [RowStmt::Fold; vector::MAX_SEG_OPS],
             n_stmts: 0,
             progs: [LanePlan::EMPTY; vector::MAX_SEG_PROGS],
@@ -862,7 +872,7 @@ impl Machine {
             allocs: 0,
             stores: 0,
             store_at: [(0, 0, 0); vector::MAX_SEG_PROGS / 2],
-        };
+        });
         let (ops, eops) = (prog.ops(), prog.eops());
         let mut rest = &prog.lanes()[lanes as usize..];
         let mut next_prog = |plan: &mut SegPlan| -> Option<usize> {
@@ -1010,6 +1020,7 @@ impl Machine {
     /// whose row programs fault is retried one row at a time, so every
     /// row before the faulting one still commits. Returns the rows run;
     /// the caller counts their trips and runs the next row scalar.
+    #[inline(never)]
     pub(super) fn seg_rows(
         &mut self,
         plan: &SegPlan,

@@ -294,28 +294,14 @@ impl MachinePool {
         }
     }
 
-    /// Checks out up to `n` machines for one program without ever
-    /// blocking: the grant is clamped to the headroom `capacity`
-    /// leaves over machines already checked out, **but never below
-    /// one** — a caller holding fewer shards than it asked for falls
-    /// back to fewer-way (down to serial) execution instead of waiting
-    /// for slots that its own in-flight work may be occupying.
-    pub fn try_checkout_n(
-        &self,
-        compiled: &Arc<CompiledProgram>,
-        n: usize,
-        capacity: Option<u64>,
-    ) -> Vec<PooledMachine<'_>> {
-        let granted = self.reserve_slots(n.max(1), capacity);
-        (0..granted)
-            .map(|_| self.checkout_reserved(compiled, true))
-            .collect()
-    }
-
-    /// [`MachinePool::try_checkout_n`] over *distinct* programs — one
-    /// machine per program, granted left-to-right (shard sub-programs
-    /// are distinct compiled artifacts, so the sharded executor cannot
-    /// use the single-key form). `clear_outputs` as on checkout: pass
+    /// Checks out one machine per program in `programs` (shard
+    /// sub-programs are distinct compiled artifacts), granted
+    /// left-to-right, without ever blocking: the grant is clamped to
+    /// the headroom `capacity` leaves over machines already checked
+    /// out, **but never below one** — a caller holding fewer shards
+    /// than it asked for falls back to fewer-way (down to serial)
+    /// execution instead of waiting for slots that its own in-flight
+    /// work may be occupying. `clear_outputs` as on checkout: pass
     /// `false` only when a `bind_image` immediately follows.
     pub(crate) fn try_checkout_each(
         &self,
@@ -518,27 +504,27 @@ mod tests {
         Arc::new(CompiledProgram::compile(&p))
     }
 
-    /// `try_checkout_n` clamps to capacity headroom, degrades to one
-    /// slot rather than zero (the no-deadlock guarantee), and releases
-    /// every reserved slot when the guards drop.
+    /// Checkout clamps to capacity headroom, degrades to one slot
+    /// rather than zero (the no-deadlock guarantee), and releases every
+    /// reserved slot when the guards drop.
     #[test]
     fn try_checkout_n_clamps_to_headroom_but_never_zero() {
         let pool = MachinePool::with_shards(1);
-        let prog = program("cap");
+        let progs = [program("a"), program("b"), program("c"), program("d")];
 
-        let all = pool.try_checkout_n(&prog, 4, None);
+        let all = pool.try_checkout_each(&progs, None, true);
         assert_eq!(all.len(), 4, "no capacity cap grants the full ask");
         assert_eq!(pool.occupancy().checked_out, 4);
         drop(all);
         assert_eq!(pool.occupancy().checked_out, 0);
 
-        let held = pool.try_checkout_n(&prog, 4, Some(6));
+        let held = pool.try_checkout_each(&progs, Some(6), true);
         assert_eq!(held.len(), 4);
-        let partial = pool.try_checkout_n(&prog, 4, Some(6));
+        let partial = pool.try_checkout_each(&progs, Some(6), true);
         assert_eq!(partial.len(), 2, "grant clamps to remaining headroom");
         assert_eq!(pool.occupancy().checked_out, 6);
 
-        let fallback = pool.try_checkout_n(&prog, 4, Some(6));
+        let fallback = pool.try_checkout_each(&progs, Some(6), true);
         assert_eq!(
             fallback.len(),
             1,

@@ -17,9 +17,12 @@
 //!    that depends on nothing the body defines — or reports a typed
 //!    [`NotShardable`] reason so callers fall back to serial
 //!    execution. The trailing statement is tried first; when it is not
-//!    provable, earlier top-level loops are candidates too, with the
-//!    prefix/suffix obligations discharged by the compiled program's
-//!    effect summaries ([`crate::analysis::effects_of_span`]).
+//!    provable, earlier top-level loops are candidates too. The proof
+//!    reads only the compiled ops: the candidate comes from its loop
+//!    superinstruction, the prefix/suffix obligations from span effect
+//!    summaries ([`crate::analysis::effects_of_span`]), and the body
+//!    obligations from a scoped walk over the body span that checks
+//!    each op's own [`crate::analysis::Effects`].
 //! 2. [`ShardPlan::compile`] rewrites the loop bounds into `n`
 //!    contiguous-slice sub-programs (plus a zero-trip *baseline*
 //!    program). Only literal bounds change, so every shard interns the
@@ -27,9 +30,9 @@
 //!    `DramLayout` — and therefore binds the parent's [`DramImage`]
 //!    input segment with zero copies.
 //! 3. [`CompiledShards::run_pooled`] checks out up to `n` pooled
-//!    machines without blocking ([`MachinePool::try_checkout_n`]
-//!    semantics: degraded grants run shards round-robin rather than
-//!    waiting), runs them under `std::thread::scope` with the caller's
+//!    machines without blocking (a degraded grant runs shards
+//!    round-robin rather than waiting), runs them under
+//!    `std::thread::scope` with the caller's
 //!    [`RunBudget`] and fault plan, then merges output segments and
 //!    [`ExecStats`] so the result is **bitwise identical** to a serial
 //!    run of the parent program.
@@ -81,13 +84,15 @@
 //!
 //! [`run_pooled`]: CompiledShards::run_pooled
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::bytecode::CompiledProgram;
+use crate::analysis::{effects_of_span, Effects};
+use crate::bytecode::{CompiledProgram, EOp, Op, Operand};
 use crate::faults::{self, FaultPlan};
 use crate::interp::{DramImage, ExecStats, Machine, RunBudget, RunError};
 use crate::ir::{Counter, SExpr, SpatialStmt};
@@ -281,11 +286,12 @@ impl ShardPlan {
     /// why not. The trailing statement is tried first (and its typed
     /// rejection is what an all-candidates failure reports); when it
     /// does not prove, every earlier top-level `Foreach` is tried in
-    /// reverse order. Per candidate, the proof obligations:
+    /// reverse order. The proof reads only the compiled program. Per
+    /// candidate, the obligations:
     ///
-    /// - the statement is a `Foreach` over
-    ///   `Range { min: Const, max: Const, step ≥ 1 }` with integral
-    ///   bounds of magnitude < 2⁵⁰ (exact f64 integer arithmetic);
+    /// - the statement's loop op is a non-reducing `RangeSimple` with
+    ///   `Const` bounds and `step ≥ 1`, the bounds integral and of
+    ///   magnitude < 2⁵⁰ (exact f64 integer arithmetic);
     /// - the *prefix* (statements before the loop, re-run by every
     ///   shard) writes no DRAM array the loop body writes — proven
     ///   from the compiled effect summaries
@@ -294,23 +300,26 @@ impl ShardPlan {
     ///   on-chip state allocated outside its own iteration scope,
     ///   never reads on-chip state another iteration scope allocates,
     ///   and never reads a variable bound by another iteration scope —
-    ///   i.e. iterations are state-independent;
+    ///   i.e. iterations are state-independent — checked op by op
+    ///   over the body span from each op's own effects;
     /// - the *suffix* (statements after the loop, also re-run by every
     ///   shard) depends on nothing the body defines: no body-bound
     ///   variable, no body-allocated or body-written chip slot, no
     ///   body-written DRAM array — again from the effect summaries.
     pub fn analyze(parent: &Arc<CompiledProgram>) -> Result<ShardPlan, NotShardable> {
-        let src = parent.source();
-        if src.accel.is_empty() {
+        let Some(last) = parent.stmt_spans().len().checked_sub(1) else {
             return Err(NotShardable::EmptyBody);
-        }
-        let trailing = Self::analyze_at(parent, src.accel.len() - 1);
-        let mut err = match trailing {
+        };
+        let mut err = match Self::analyze_at(parent, last) {
             Ok(plan) => return Ok(plan),
             Err(e) => e,
         };
-        for idx in (0..src.accel.len() - 1).rev() {
-            if !matches!(src.accel[idx], SpatialStmt::Foreach { .. }) {
+        for idx in (0..last).rev() {
+            let is_foreach = matches!(
+                head_op(parent, idx),
+                Some(Op::RangeSimple { reduce: None, .. } | Op::Scan2Simple { reduce: None, .. })
+            );
+            if !is_foreach {
                 continue;
             }
             match Self::analyze_at(parent, idx) {
@@ -330,21 +339,24 @@ impl ShardPlan {
     /// Runs the per-candidate proof obligations for the top-level
     /// statement at source index `idx` (see [`ShardPlan::analyze`]).
     fn analyze_at(parent: &Arc<CompiledProgram>, idx: usize) -> Result<ShardPlan, NotShardable> {
-        let src = parent.source();
-        let (counter, outer_body) = match src.accel.get(idx) {
-            None => return Err(NotShardable::EmptyBody),
-            Some(SpatialStmt::Foreach { counter, body, .. }) => (counter, body),
-            Some(SpatialStmt::Reduce { .. }) => return Err(NotShardable::TopLevelReduction),
-            Some(_) => return Err(NotShardable::TrailingStatementNotLoop),
-        };
-        let (var, min, max, step) = match counter {
-            Counter::Range {
+        let (var, min, max, step) = match head_op(parent, idx) {
+            Some(
+                Op::RangeSimple {
+                    reduce: Some(_), ..
+                }
+                | Op::Scan2Simple {
+                    reduce: Some(_), ..
+                },
+            ) => return Err(NotShardable::TopLevelReduction),
+            Some(&Op::RangeSimple {
                 var,
                 min,
                 max,
                 step,
-            } => (var.as_str(), min, max, *step),
-            _ => return Err(NotShardable::NonRangeCounter),
+                ..
+            }) => (var, min, max, step),
+            Some(Op::Scan2Simple { .. }) => return Err(NotShardable::NonRangeCounter),
+            _ => return Err(NotShardable::TrailingStatementNotLoop),
         };
         if step < 1 {
             return Err(NotShardable::NonPositiveStep);
@@ -359,17 +371,16 @@ impl ShardPlan {
 
         // The candidate's op span: spans are indexed by source statement.
         let spans = parent.stmt_spans();
-        let (cand_start, cand_end) = spans[idx];
+        let (cand_start, cand_end) = (spans[idx].0 as usize, spans[idx].1 as usize);
         let (ops, eops) = (parent.ops(), parent.eops());
         let syms = parent.syms();
-        let cand =
-            crate::analysis::effects_of_span(ops, eops, cand_start as usize..cand_end as usize);
+        let cand = effects_of_span(ops, eops, cand_start..cand_end);
 
         // Prefix obligation: re-run DRAM writes must be disjoint from
         // the body's, or a later shard's replayed prefix store would
         // clobber an earlier shard's body store.
         if cand_start > 0 {
-            let prefix = crate::analysis::effects_of_span(ops, eops, 0..cand_start as usize);
+            let prefix = effects_of_span(ops, eops, 0..cand_start);
             if let Some(&slot) = prefix.dram_writes.intersection(&cand.dram_writes).next() {
                 return Err(NotShardable::PrefixWritesDram {
                     mem: syms.dram_name(slot).to_string(),
@@ -383,15 +394,13 @@ impl ShardPlan {
         // outer loop variable is exempt: the dispatch loop restores
         // its pre-loop binding on exit, so the suffix observes the
         // prefix's value (or unbound), identically everywhere.
-        let suffix_start = cand_end as usize;
-        let suffix_end = spans.last().map_or(suffix_start, |&(_, e)| e as usize);
-        if suffix_start < suffix_end {
-            let suffix = crate::analysis::effects_of_span(ops, eops, suffix_start..suffix_end);
-            let outer_var = (0..syms.var_count() as Slot).find(|&s| syms.var_name(s) == var);
+        let suffix_end = spans.last().map_or(cand_end, |&(_, e)| e as usize);
+        if cand_end < suffix_end {
+            let suffix = effects_of_span(ops, eops, cand_end..suffix_end);
             let dep = suffix
                 .var_uses
                 .intersection(&cand.var_defs)
-                .find(|&&s| Some(s) != outer_var)
+                .find(|&&s| s != var)
                 .map(|&s| syms.var_name(s).to_string())
                 .or_else(|| {
                     suffix
@@ -412,14 +421,16 @@ impl ShardPlan {
             }
         }
 
-        let meta = BodyMeta::collect(outer_body);
-        let mut bound: HashSet<&str> = HashSet::new();
-        bound.insert(var);
-        let mut local: HashSet<&str> = HashSet::new();
-        meta.check_stmts(outer_body, &mut bound, &mut local)?;
+        // Body obligation: iterations are state-independent.
+        let walk = BodyWalk {
+            parent,
+            cand: &cand,
+        };
+        let (mut bound, mut local) = (BTreeSet::from([var]), BTreeSet::new());
+        walk.check_span(cand_start + 1..cand_end, &mut bound, &mut local)?;
 
-        let vectorized = (cand_start as usize..cand_end as usize)
-            .any(|pc| parent.vec_class(pc) != crate::VecClass::None);
+        let vectorized =
+            (cand_start..cand_end).any(|pc| parent.vec_class(pc) != crate::VecClass::None);
 
         Ok(ShardPlan {
             parent: Arc::clone(parent),
@@ -554,315 +565,178 @@ pub fn auto_shard_count_for(plan: &ShardPlan, occ: &PoolOccupancy) -> usize {
 
 /// Integral constant bound with exact-f64 headroom, or the typed
 /// rejection.
-fn const_bound(e: &SExpr) -> Result<i64, NotShardable> {
-    match e {
-        SExpr::Const(v) => {
+fn const_bound(bound: Operand) -> Result<i64, NotShardable> {
+    match bound {
+        Operand::Const(v) => {
             if v.fract() != 0.0 || v.is_nan() {
                 Err(NotShardable::NonIntegralBound)
             } else if v.abs() >= MAX_EXACT_BOUND {
                 Err(NotShardable::BoundsOutOfRange)
             } else {
-                Ok(*v as i64)
+                Ok(v as i64)
             }
         }
         _ => Err(NotShardable::NonConstBounds),
     }
 }
 
-/// Body-wide facts the scoped walk consults.
-struct BodyMeta<'a> {
-    /// DRAM arrays the loop body writes anywhere. (Prefix and suffix
-    /// writes are checked separately against the effect summaries; a
-    /// body read of an array only the prefix or suffix writes is safe,
-    /// because each shard replays the prefix before — and the suffix
-    /// after — its body slice, exactly as serial orders them.)
-    written_drams: HashSet<&'a str>,
-    /// Variables bound anywhere *inside* the outer-loop body. A read
-    /// of a name outside this set resolves to the prefix (or the shard
-    /// loop variable), which is iteration-independent.
-    body_vars: HashSet<&'a str>,
-    /// On-chip names `Alloc`'d anywhere inside the body. A read of one
-    /// of these outside the current iteration scope would observe
-    /// another iteration's contents.
-    body_allocs: HashSet<&'a str>,
+/// The first op of top-level statement `idx` (`None` for a statement
+/// that emits no op, such as a comment).
+fn head_op(prog: &CompiledProgram, idx: usize) -> Option<&Op> {
+    let (start, end) = prog.stmt_spans()[idx];
+    prog.ops()[start as usize..end as usize].first()
 }
 
-impl<'a> BodyMeta<'a> {
-    fn collect(body: &'a [SpatialStmt]) -> BodyMeta<'a> {
-        let mut written_drams = HashSet::new();
-        let mut body_vars = HashSet::new();
-        let mut body_allocs = HashSet::new();
-        for stmt in body {
-            stmt.visit(&mut |s| match s {
-                SpatialStmt::Store { dst, .. }
-                | SpatialStmt::StreamStore { dst, .. }
-                | SpatialStmt::StoreScalar { dst, .. } => {
-                    written_drams.insert(dst.as_str());
-                }
-                SpatialStmt::Bind { var, .. } => {
-                    body_vars.insert(var.as_str());
-                }
-                SpatialStmt::Alloc(decl) => {
-                    body_allocs.insert(decl.name.as_str());
-                }
-                SpatialStmt::Foreach { counter, .. } | SpatialStmt::Reduce { counter, .. } => {
-                    body_vars.extend(counter.bound_vars());
-                }
-                _ => {}
-            });
+/// A loop op's header effects — its bounds or scanned bit vectors, the
+/// variables it binds and, as a write, its accumulator register — its
+/// body length and its reduced expression. `None` for a non-loop op.
+fn loop_head(eops: &[EOp], op: &Op) -> Option<(Effects, u32, Option<Operand>)> {
+    let mut head = Effects::default();
+    let (body_len, reduce) = match *op {
+        Op::RangeSimple {
+            var,
+            min,
+            max,
+            body_len,
+            reduce,
+            ..
+        } => {
+            head.operand(eops, min);
+            head.operand(eops, max);
+            head.var_defs.insert(var);
+            (body_len, reduce)
         }
-        BodyMeta {
-            written_drams,
-            body_vars,
-            body_allocs,
+        Op::Scan2Simple {
+            bv_a,
+            bv_b,
+            vars,
+            body_len,
+            reduce,
+            ..
+        } => {
+            head.chip_reads.extend([bv_a, bv_b]);
+            head.var_defs.extend(vars);
+            (body_len, reduce)
         }
-    }
+        _ => return None,
+    };
+    // The accumulator is read and written across the reduction's own
+    // iterations — fine *within* one shard iteration, but the register
+    // must belong to the enclosing iteration scope.
+    let expr = reduce.map(|(reg, expr)| {
+        head.chip_writes.insert(reg);
+        expr
+    });
+    Some((head, body_len, expr))
+}
 
-    /// Scoped shardability walk. `bound` holds variables surely bound
-    /// in the current iteration scope; `local` holds on-chip names
-    /// surely `Alloc`'d in it. Nested loop bodies get *clones* of both
-    /// sets: a nested loop may run zero trips, so its bindings and
-    /// allocations must not validate uses after it — while same-scope
-    /// statements (unconditionally executed) propagate forward.
-    fn check_stmts(
+/// The scoped shardability walk over the candidate loop's body span,
+/// op by op, against the candidate's whole-span effect summary.
+struct BodyWalk<'a> {
+    parent: &'a CompiledProgram,
+    /// The candidate's effects: the DRAM arrays its body writes, the
+    /// chip slots it allocates and the variables it binds anywhere. (A
+    /// body read of an array only the prefix or suffix writes is safe:
+    /// each shard replays the prefix before — and the suffix after —
+    /// its body slice, exactly as serial orders them.)
+    cand: &'a Effects,
+}
+
+impl BodyWalk<'_> {
+    /// Checks the ops of `span`. `bound` holds variables surely bound
+    /// in the current iteration scope; `local` holds chip slots surely
+    /// allocated in it. A nested loop's body gets *clones* of both: it
+    /// may run zero trips, so its bindings and allocations must not
+    /// validate uses after it — while same-scope ops (unconditionally
+    /// executed) propagate forward.
+    fn check_span(
         &self,
-        stmts: &[SpatialStmt],
-        bound: &mut HashSet<&'a str>,
-        local: &mut HashSet<&'a str>,
+        span: Range<usize>,
+        bound: &mut BTreeSet<Slot>,
+        local: &mut BTreeSet<Slot>,
     ) -> Result<(), NotShardable> {
-        for stmt in stmts {
-            self.check_stmt(stmt, bound, local)?;
+        let (ops, eops) = (self.parent.ops(), self.parent.eops());
+        let mut pc = span.start;
+        while pc < span.end {
+            let op = &ops[pc];
+            let Some((head, body_len, reduce)) = loop_head(eops, op) else {
+                let mut eff = Effects::default();
+                eff.op(eops, op);
+                self.check(&eff, bound, local)?;
+                local.extend(eff.chip_allocs);
+                bound.extend(eff.var_defs);
+                pc += 1;
+                continue;
+            };
+            self.check(&head, bound, local)?;
+            let mut child_bound = bound.clone();
+            child_bound.extend(&head.var_defs);
+            let mut child_local = local.clone();
+            let body_end = pc + 1 + body_len as usize;
+            self.check_span(pc + 1..body_end, &mut child_bound, &mut child_local)?;
+            if let Some(expr) = reduce {
+                // The reduced expression is evaluated in the loop's
+                // scope, after its body.
+                let mut eff = Effects::default();
+                eff.operand(eops, expr);
+                self.check(&eff, &child_bound, &child_local)?;
+            }
+            pc = body_end;
         }
         Ok(())
     }
 
-    fn check_stmt(
+    /// The four body rules for one op's (or loop header's) effects in
+    /// the current scope.
+    fn check(
         &self,
-        stmt: &SpatialStmt,
-        bound: &mut HashSet<&'a str>,
-        local: &mut HashSet<&'a str>,
+        eff: &Effects,
+        bound: &BTreeSet<Slot>,
+        local: &BTreeSet<Slot>,
     ) -> Result<(), NotShardable> {
-        match stmt {
-            SpatialStmt::Alloc(decl) => {
-                if let Some(name) = self.body_allocs.get(decl.name.as_str()) {
-                    local.insert(name);
-                }
-                Ok(())
-            }
-            SpatialStmt::Bind { var, value } => {
-                self.check_expr(value, bound, local)?;
-                if let Some(name) = self.body_vars.get(var.as_str()) {
-                    bound.insert(name);
-                }
-                Ok(())
-            }
-            SpatialStmt::Load {
-                dst,
-                src,
-                start,
-                end,
-                ..
-            } => {
-                self.check_chip_mutation(dst, local)?;
-                self.check_dram_read(src)?;
-                self.check_expr(start, bound, local)?;
-                self.check_expr(end, bound, local)
-            }
-            SpatialStmt::Store {
-                offset, src, len, ..
-            } => {
-                // The DRAM write itself is fine (logged + merged);
-                // reading the source SRAM follows the stale rule.
-                self.check_chip_read(src, local)?;
-                self.check_expr(offset, bound, local)?;
-                self.check_expr(len, bound, local)
-            }
-            SpatialStmt::StreamStore {
-                offset, fifo, len, ..
-            } => {
-                // Draining the FIFO mutates it.
-                self.check_chip_mutation(fifo, local)?;
-                self.check_expr(offset, bound, local)?;
-                self.check_expr(len, bound, local)
-            }
-            SpatialStmt::StoreScalar { index, value, .. } => {
-                self.check_expr(index, bound, local)?;
-                self.check_expr(value, bound, local)
-            }
-            SpatialStmt::WriteMem {
-                mem, index, value, ..
-            } => {
-                self.check_chip_mutation(mem, local)?;
-                self.check_expr(index, bound, local)?;
-                self.check_expr(value, bound, local)
-            }
-            SpatialStmt::RmwAdd { mem, index, value } => {
-                self.check_chip_mutation(mem, local)?;
-                self.check_expr(index, bound, local)?;
-                self.check_expr(value, bound, local)
-            }
-            SpatialStmt::SetReg { reg, value } => {
-                self.check_chip_mutation(reg, local)?;
-                self.check_expr(value, bound, local)
-            }
-            SpatialStmt::Enq { fifo, value } => {
-                self.check_chip_mutation(fifo, local)?;
-                self.check_expr(value, bound, local)
-            }
-            SpatialStmt::GenBitVector {
-                dst,
-                src,
-                src_start,
-                count,
-                dim,
-            } => {
-                self.check_chip_mutation(dst, local)?;
-                // The source may be a FIFO (drained by the gather), so
-                // conservatively treat it as mutated too.
-                self.check_chip_mutation(src, local)?;
-                self.check_expr(src_start, bound, local)?;
-                self.check_expr(count, bound, local)?;
-                self.check_expr(dim, bound, local)
-            }
-            SpatialStmt::Foreach { counter, body, .. } => {
-                self.check_counter(counter, bound, local)?;
-                let mut child_bound = bound.clone();
-                let mut child_local = local.clone();
-                for v in counter.bound_vars() {
-                    if let Some(name) = self.body_vars.get(v) {
-                        child_bound.insert(name);
-                    }
-                }
-                self.check_stmts(body, &mut child_bound, &mut child_local)
-            }
-            SpatialStmt::Reduce {
-                reg,
-                counter,
-                body,
-                expr,
-                ..
-            } => {
-                // The accumulator is read and written across the
-                // reduction's own iterations — that is fine *within*
-                // one shard iteration, but the register must belong to
-                // the enclosing iteration scope.
-                self.check_chip_mutation(reg, local)?;
-                self.check_counter(counter, bound, local)?;
-                let mut child_bound = bound.clone();
-                let mut child_local = local.clone();
-                for v in counter.bound_vars() {
-                    if let Some(name) = self.body_vars.get(v) {
-                        child_bound.insert(name);
-                    }
-                }
-                self.check_stmts(body, &mut child_bound, &mut child_local)?;
-                self.check_expr(expr, &mut child_bound, &mut child_local)
-            }
-            SpatialStmt::Comment(_) => Ok(()),
+        let syms = self.parent.syms();
+        // On-chip mutation: the slot must be allocated in the current
+        // iteration scope (or by this very op), else it is loop-carried.
+        if let Some(&s) = eff
+            .chip_writes
+            .iter()
+            .find(|&s| !eff.chip_allocs.contains(s) && !local.contains(s))
+        {
+            return Err(NotShardable::BodyMutatesSharedChip {
+                mem: syms.chip_name(s).to_string(),
+            });
         }
-    }
-
-    fn check_counter(
-        &self,
-        counter: &Counter,
-        bound: &mut HashSet<&'a str>,
-        local: &mut HashSet<&'a str>,
-    ) -> Result<(), NotShardable> {
-        match counter {
-            Counter::Range { min, max, .. } => {
-                self.check_expr(min, bound, local)?;
-                self.check_expr(max, bound, local)
-            }
-            Counter::Scan2 { bv_a, bv_b, .. } => {
-                self.check_chip_read(bv_a, local)?;
-                self.check_chip_read(bv_b, local)
-            }
+        // DRAM read: an iteration could observe another slice's stores.
+        if let Some(&s) = eff.dram_reads.intersection(&self.cand.dram_writes).next() {
+            return Err(NotShardable::BodyReadsWrittenDram {
+                mem: syms.dram_name(s).to_string(),
+            });
         }
-    }
-
-    fn check_expr(
-        &self,
-        e: &SExpr,
-        bound: &mut HashSet<&'a str>,
-        local: &mut HashSet<&'a str>,
-    ) -> Result<(), NotShardable> {
-        match e {
-            SExpr::Const(_) => Ok(()),
-            SExpr::Var(name) => {
-                if bound.contains(name.as_str()) || !self.body_vars.contains(name.as_str()) {
-                    Ok(())
-                } else {
-                    Err(NotShardable::BodyReadsLoopCarriedVar { var: name.clone() })
-                }
-            }
-            SExpr::ReadMem { mem, index, .. } => {
-                // A name is either a DRAM array or an on-chip memory;
-                // both rules compose (each is vacuous for the other).
-                self.check_dram_read(mem)?;
-                self.check_chip_read(mem, local)?;
-                self.check_expr(index, bound, local)
-            }
-            SExpr::Deq(fifo) => self.check_chip_mutation(fifo, local),
-            SExpr::RegRead(reg) => self.check_chip_read(reg, local),
-            SExpr::Binary { lhs, rhs, .. } => {
-                self.check_expr(lhs, bound, local)?;
-                self.check_expr(rhs, bound, local)
-            }
-            SExpr::Neg(inner) => self.check_expr(inner, bound, local),
-            SExpr::Select {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                self.check_expr(cond, bound, local)?;
-                self.check_expr(if_true, bound, local)?;
-                self.check_expr(if_false, bound, local)
-            }
+        // On-chip read: prefix-allocated state is constant across
+        // iterations (the prefix only ever writes it before the loop);
+        // state allocated *somewhere* in the body must be allocated in
+        // the current scope, or the read observes another iteration.
+        if let Some(&s) = eff
+            .chip_reads
+            .iter()
+            .find(|&s| self.cand.chip_allocs.contains(s) && !local.contains(s))
+        {
+            return Err(NotShardable::BodyReadsStaleChip {
+                mem: syms.chip_name(s).to_string(),
+            });
         }
-    }
-
-    /// On-chip state mutation: the name must have been `Alloc`'d in
-    /// the current iteration scope, else the mutation is loop-carried.
-    fn check_chip_mutation(
-        &self,
-        name: &str,
-        local: &HashSet<&'a str>,
-    ) -> Result<(), NotShardable> {
-        if local.contains(name) {
-            Ok(())
-        } else {
-            Err(NotShardable::BodyMutatesSharedChip {
-                mem: name.to_string(),
-            })
+        // Variable read: a name the body binds must be bound in the
+        // current scope; any other resolves to the prefix.
+        if let Some(&s) = eff
+            .var_uses
+            .iter()
+            .find(|&s| self.cand.var_defs.contains(s) && !bound.contains(s))
+        {
+            return Err(NotShardable::BodyReadsLoopCarriedVar {
+                var: syms.var_name(s).to_string(),
+            });
         }
-    }
-
-    /// On-chip read: prefix-allocated state is constant across
-    /// iterations (the prefix only ever writes it before the loop) and
-    /// fine to read; state allocated *somewhere* in the body must be
-    /// allocated in the current scope or the read observes another
-    /// iteration.
-    fn check_chip_read(&self, name: &str, local: &HashSet<&'a str>) -> Result<(), NotShardable> {
-        if self.body_allocs.contains(name) && !local.contains(name) {
-            Err(NotShardable::BodyReadsStaleChip {
-                mem: name.to_string(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// DRAM read inside the body: rejected if the body writes the
-    /// same array anywhere (an iteration could observe another slice's
-    /// stores).
-    fn check_dram_read(&self, name: &str) -> Result<(), NotShardable> {
-        if self.written_drams.contains(name) {
-            Err(NotShardable::BodyReadsWrittenDram {
-                mem: name.to_string(),
-            })
-        } else {
-            Ok(())
-        }
+        Ok(())
     }
 }
 
@@ -933,9 +807,9 @@ impl CompiledShards {
     ///
     /// - `image` is bound to every shard machine: all of them share
     ///   the one `Arc` input segment, zero copies.
-    /// - `capacity` bounds total pool checkouts as in
-    ///   [`MachinePool::try_checkout_n`]: a degraded grant of `m < n`
-    ///   machines runs shards round-robin (`worker w` runs shards
+    /// - `capacity` bounds total pool checkouts: the grant is clamped
+    ///   to the headroom it leaves but never below one machine, and a
+    ///   degraded grant of `m < n` machines runs shards round-robin (`worker w` runs shards
     ///   `w, w+m, …` sequentially) instead of blocking.
     /// - `budget` is armed **per shard** (and once for the baseline).
     ///   Step/word budgets therefore bound each slice, not the sum —
@@ -991,7 +865,7 @@ impl CompiledShards {
                         // from this worker's plan clone, so the retry
                         // runs clean.
                         let res = retry_once(pool, &shards[k], &mut guard, |m| {
-                            run_one_shard(m, &shards[k], image, budget)
+                            run_one_shard(m, image, budget)
                         });
                         let failed = res.is_err();
                         outs.push((k, res));
@@ -1096,7 +970,7 @@ impl CompiledShards {
         let start = Instant::now();
         let mut guard = pool.checkout(&self.baseline);
         let res = retry_once(pool, &self.baseline, &mut guard, |m| {
-            run_one(m, &self.baseline, image, budget, false)
+            run_one(m, image, budget, false)
         });
         res.map(|stats| (guard, stats, start.elapsed().as_secs_f64()))
     }
@@ -1107,12 +981,11 @@ impl CompiledShards {
 /// the pool before the merge.
 fn run_one_shard(
     machine: &mut Machine,
-    prog: &Arc<CompiledProgram>,
     image: &DramImage,
     budget: &RunBudget,
 ) -> Result<ShardOut, ShardError> {
     let start = Instant::now();
-    let stats = run_one(machine, prog, image, budget, true)?;
+    let stats = run_one(machine, image, budget, true)?;
     let log = machine.shard_take_write_log();
     let out = machine.shard_output_words();
     let mut words = Vec::new();
@@ -1153,7 +1026,6 @@ fn retry_once<'p, T>(
 /// One shard-side execution: rebind, budget, contained run.
 fn run_one(
     machine: &mut Machine,
-    prog: &Arc<CompiledProgram>,
     image: &DramImage,
     budget: &RunBudget,
     arm_log: bool,
@@ -1164,22 +1036,19 @@ fn run_one(
     if arm_log {
         machine.shard_arm_write_log();
     }
-    run_contained(machine, prog.source())
+    run_contained(machine)
 }
 
-/// Runs `machine` on `program` with **panic containment**: a panic
-/// inside the interpreter — real or injected by the [`crate::faults`]
-/// harness — is caught here and returned as [`ShardError::Panic`]
-/// instead of unwinding the caller (or a shard scope). The machine is
-/// poisoned either way, so a pool quarantines it at check-in and the
-/// contained state can never be recycled — which is what makes the
-/// `AssertUnwindSafe` sound: nothing the panic tore through is ever
-/// observed again.
-pub fn run_contained(
-    machine: &mut Machine,
-    program: &crate::ir::SpatialProgram,
-) -> Result<ExecStats, ShardError> {
-    match catch_unwind(AssertUnwindSafe(|| machine.run(program))) {
+/// Runs the program `machine` was compiled for with **panic
+/// containment**: a panic inside the interpreter — real or injected by
+/// the [`crate::faults`] harness — is caught here and returned as
+/// [`ShardError::Panic`] instead of unwinding the caller (or a shard
+/// scope). The machine is poisoned either way, so a pool quarantines it
+/// at check-in and the contained state can never be recycled — which is
+/// what makes the `AssertUnwindSafe` sound: nothing the panic tore
+/// through is ever observed again.
+pub fn run_contained(machine: &mut Machine) -> Result<ExecStats, ShardError> {
+    match catch_unwind(AssertUnwindSafe(|| machine.run_compiled())) {
         Ok(Ok(stats)) => Ok(stats),
         Ok(Err(e)) => Err(ShardError::Run(e)),
         Err(payload) => Err(ShardError::Panic(panic_message(&*payload))),
@@ -1204,38 +1073,51 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// bound evaluation is ALU-free). Zero-valued map entries are
 /// preserved (a zero-length bulk access still creates its key), and
 /// node vectors are re-trimmed to the canonical trailing-zero-free
-/// form.
+/// form. `baseline` is destructured exhaustively, so a counter added
+/// to [`ExecStats`] fails to compile here instead of being silently
+/// left un-subtracted.
 fn merge_shard_stats(shards: &[ExecStats], baseline: &ExecStats) -> ExecStats {
     let mut sum = ExecStats::default();
     for s in shards {
         sum.merge(s);
     }
     let extra = shards.len().saturating_sub(1) as u64;
-    sub_map(&mut sum.dram_reads, &baseline.dram_reads, extra);
-    sub_map(&mut sum.dram_writes, &baseline.dram_writes, extra);
-    sub_node(&mut sum.node_trips, &baseline.node_trips, extra);
-    sub_node(
-        &mut sum.node_dram_read_words,
-        &baseline.node_dram_read_words,
-        extra,
-    );
-    sub_node(
-        &mut sum.node_dram_write_words,
-        &baseline.node_dram_write_words,
-        extra,
-    );
-    sum.dram_random_reads -= extra * baseline.dram_random_reads;
-    sum.dram_random_writes -= extra * baseline.dram_random_writes;
-    sum.alu_ops -= extra * baseline.alu_ops;
-    sum.sram_reads -= extra * baseline.sram_reads;
-    sum.sram_writes -= extra * baseline.sram_writes;
-    sum.shuffle_accesses -= extra * baseline.shuffle_accesses;
-    sum.fifo_enqs -= extra * baseline.fifo_enqs;
-    sum.fifo_deqs -= extra * baseline.fifo_deqs;
-    sum.scan_bits -= extra * baseline.scan_bits;
-    sum.scan_emits -= extra * baseline.scan_emits;
-    sum.bv_gen_bits -= extra * baseline.bv_gen_bits;
-    sum.reduce_elems -= extra * baseline.reduce_elems;
+    let ExecStats {
+        dram_reads,
+        dram_writes,
+        dram_random_reads,
+        dram_random_writes,
+        node_trips,
+        node_dram_read_words,
+        node_dram_write_words,
+        alu_ops,
+        sram_reads,
+        sram_writes,
+        shuffle_accesses,
+        fifo_enqs,
+        fifo_deqs,
+        scan_bits,
+        scan_emits,
+        bv_gen_bits,
+        reduce_elems,
+    } = baseline;
+    sub_map(&mut sum.dram_reads, dram_reads, extra);
+    sub_map(&mut sum.dram_writes, dram_writes, extra);
+    sub_node(&mut sum.node_trips, node_trips, extra);
+    sub_node(&mut sum.node_dram_read_words, node_dram_read_words, extra);
+    sub_node(&mut sum.node_dram_write_words, node_dram_write_words, extra);
+    sum.dram_random_reads -= extra * dram_random_reads;
+    sum.dram_random_writes -= extra * dram_random_writes;
+    sum.alu_ops -= extra * alu_ops;
+    sum.sram_reads -= extra * sram_reads;
+    sum.sram_writes -= extra * sram_writes;
+    sum.shuffle_accesses -= extra * shuffle_accesses;
+    sum.fifo_enqs -= extra * fifo_enqs;
+    sum.fifo_deqs -= extra * fifo_deqs;
+    sum.scan_bits -= extra * scan_bits;
+    sum.scan_emits -= extra * scan_emits;
+    sum.bv_gen_bits -= extra * bv_gen_bits;
+    sum.reduce_elems -= extra * reduce_elems;
     sum
 }
 

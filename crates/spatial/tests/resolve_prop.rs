@@ -1,8 +1,12 @@
 //! Property tests for the link-and-lower pass: random well-formed
 //! Spatial programs must compile without panicking, survive the printer
 //! unchanged, compile to the same artifact every time, and execute
-//! identically on both engines (flat bytecode, string-keyed reference).
-//! Raise `PROPTEST_CASES` for deeper sweeps (CI does).
+//! identically on both engines (flat bytecode, string-keyed reference),
+//! and — when the shard analysis accepts them — run sharded bitwise
+//! identical to serial. Raise `PROPTEST_CASES` for deeper sweeps (CI
+//! does).
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -10,8 +14,9 @@ use proptest::test_runner::TestRng;
 use stardust_spatial::ir::MemDecl;
 use stardust_spatial::printer::spatial_loc;
 use stardust_spatial::{
-    print_program, validate, BinSOp, CompiledProgram, Counter, Machine, MemKind, ReferenceMachine,
-    RunBudget, RunError, SExpr, ScanOp, SpatialProgram, SpatialStmt, SymbolTable,
+    print_program, validate, BinSOp, CompiledProgram, Counter, DramImage, Machine, MachinePool,
+    MemKind, ReferenceMachine, RunBudget, RunError, SExpr, ScanOp, ShardPlan, SpatialProgram,
+    SpatialStmt, SymbolTable,
 };
 
 const SIZE: usize = 16;
@@ -451,6 +456,62 @@ fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)]) {
     assert_eq!(fast.stats(), reference.stats(), "stats diverge");
 }
 
+/// The DRAM contents of `machine` as bits, array by array.
+fn dram_bits(machine: &Machine, p: &SpatialProgram) -> Vec<Vec<u64>> {
+    p.drams
+        .iter()
+        .map(|d| {
+            let words = machine.dram(&d.name).expect("dram present");
+            words.iter().map(|v| v.to_bits()).collect()
+        })
+        .collect()
+}
+
+/// When the shard analysis accepts `p`, runs its plan at 2, 3 and 7
+/// shards and asserts each run bitwise identical to a serial run on
+/// the same image: every DRAM word and the statistics, or a failure
+/// where serial fails. Fault-free whatever `STARDUST_FAULTS` says:
+/// recovery from injected faults is the shard suite's to test.
+fn assert_shards_match_serial(p: &SpatialProgram, seed: u64) {
+    let compiled = Arc::new(CompiledProgram::compile(p));
+    let Ok(plan) = ShardPlan::analyze(&compiled) else {
+        return;
+    };
+    let mut builder = DramImage::builder(Arc::clone(&compiled));
+    for (name, data) in inputs(seed) {
+        let slot = compiled.syms().dram_slot(name).expect("declared dram");
+        builder.write(slot, &data).expect("write input");
+    }
+    let image = builder.finish();
+    let mut serial = Machine::from_compiled(Arc::clone(&compiled));
+    serial.bind_image(&image).expect("serial bind");
+    let serial_result = serial.run(p);
+    let pool = MachinePool::new();
+    for n in [2, 3, 7] {
+        let sharded = plan
+            .compile(n)
+            .run_pooled(&image, &pool, &RunBudget::default(), None);
+        match (&serial_result, sharded) {
+            (Ok(stats), Ok(run)) => {
+                assert_eq!(
+                    &run.stats, stats,
+                    "seed {seed}: stats diverge at {n} shards"
+                );
+                assert_eq!(
+                    dram_bits(&run.machine, p),
+                    dram_bits(&serial, p),
+                    "seed {seed}: DRAM diverges at {n} shards"
+                );
+            }
+            (Err(_), Err(_)) => {}
+            (serial, sharded) => panic!(
+                "seed {seed}: serial {serial:?} but {n} shards {:?}",
+                sharded.map(|run| run.stats)
+            ),
+        }
+    }
+}
+
 /// The shared front of the zero-divisor programs: one store that must
 /// survive in the partial DRAM, and `in0` loaded into the SRAM `s`.
 fn zero_divisor_program(name: &str) -> SpatialProgram {
@@ -809,6 +870,14 @@ proptest! {
     fn random_programs_execute_identically(seed in 0u64..100_000) {
         let p = random_program(seed);
         assert_engines_agree(&p, &inputs(seed));
+    }
+
+    /// Every random program the shard analysis accepts (about a
+    /// quarter: most end in a scan loop or a loop the suffix reads)
+    /// runs sharded bitwise identical to serial.
+    #[test]
+    fn shardable_random_programs_shard_bitwise(seed in 0u64..100_000) {
+        assert_shards_match_serial(&random_program(seed), seed);
     }
 
     /// The FIFO-fed reduce shape under a step budget drawn to land
