@@ -1661,24 +1661,40 @@ mod tests {
         assert_eq!(m.dram("out").unwrap()[0], 9.0);
     }
 
-    #[test]
-    fn deeply_nested_loops_run_as_nested_superinstructions() {
-        const DEPTH: usize = 64;
+    /// Runs `f` on a thread with an explicit 1 MiB stack. Executor
+    /// recursion equals a program's loop nesting, so a deep nest run
+    /// here fails on any toolchain whose frames grow past that budget,
+    /// whatever the default thread stack is.
+    fn on_one_mib_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(f)
+            .expect("spawn a 1 MiB thread")
+            .join()
+            .expect("the deep nest failed");
+    }
+
+    /// Nesting depth of the deep-nest stack guards.
+    const DEPTH: usize = 64;
+
+    /// Wraps `body` in `DEPTH` loops, ids `0..DEPTH` outermost first,
+    /// each built by `level`, into a program counting the innermost
+    /// trips in register `acc` and storing the count to `out`.
+    fn deep_nest(
+        prelude: Vec<SpatialStmt>,
+        level: impl Fn(usize, Vec<SpatialStmt>) -> SpatialStmt,
+    ) -> SpatialProgram {
         let mut p = SpatialProgram::new("t");
         p.add_dram("out", 1);
         p.accel
             .push(SpatialStmt::Alloc(MemDecl::new("acc", MemKind::Reg, 1)));
+        p.accel.extend(prelude);
         let mut body = vec![SpatialStmt::SetReg {
             reg: "acc".into(),
             value: SExpr::add(SExpr::RegRead("acc".into()), SExpr::Const(1.0)),
         }];
         for d in (0..DEPTH).rev() {
-            body = vec![SpatialStmt::Foreach {
-                id: d,
-                counter: Counter::range_to(format!("v{d}"), SExpr::Const(1.0)),
-                par: 1,
-                body,
-            }];
+            body = vec![level(d, body)];
         }
         p.accel.extend(body);
         p.accel.push(SpatialStmt::StoreScalar {
@@ -1687,17 +1703,72 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
-        let c = CompiledProgram::compile(&p);
-        for (d, op) in c.ops()[1..=DEPTH].iter().enumerate() {
-            assert!(matches!(op, Op::RangeSimple { .. }), "depth {d}: {op:?}");
+        p
+    }
+
+    /// Asserts the nest compiles to `DEPTH` nested superinstructions of
+    /// the kind `is_loop` accepts, and runs once per level on both
+    /// engines.
+    fn check_deep_nest(p: &SpatialProgram, is_loop: fn(&Op) -> bool) {
+        let c = CompiledProgram::compile(p);
+        let first = c.ops().iter().position(is_loop).expect("a loop");
+        for (d, op) in c.ops()[first..first + DEPTH].iter().enumerate() {
+            assert!(is_loop(op), "depth {d}: {op:?}");
         }
-        let stats = assert_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(p, &[]).unwrap();
         for d in 0..DEPTH {
             assert_eq!(stats.trips(d), 1, "depth {d}");
         }
-        let mut m = Machine::new(&p);
-        m.run(&p).unwrap();
+        let mut m = Machine::new(p);
+        m.run(p).unwrap();
         assert_eq!(m.dram("out").unwrap()[0], 1.0);
+    }
+
+    #[test]
+    fn deeply_nested_loops_run_as_nested_superinstructions() {
+        let p = deep_nest(vec![], |d, body| SpatialStmt::Foreach {
+            id: d,
+            counter: Counter::range_to(format!("v{d}"), SExpr::Const(1.0)),
+            par: 1,
+            body,
+        });
+        on_one_mib_stack(move || check_deep_nest(&p, |op| matches!(op, Op::RangeSimple { .. })));
+    }
+
+    #[test]
+    fn deeply_nested_scans_run_as_nested_superinstructions() {
+        // `one` holds bit 0 and `none` nothing: each level emits once.
+        let prelude = vec![
+            SpatialStmt::Alloc(MemDecl::new("one", MemKind::BitVector, 1)),
+            SpatialStmt::Alloc(MemDecl::new("none", MemKind::BitVector, 1)),
+            SpatialStmt::Alloc(MemDecl::new("crd", MemKind::Fifo, 1)),
+            SpatialStmt::Enq {
+                fifo: "crd".into(),
+                value: SExpr::Const(0.0),
+            },
+            SpatialStmt::GenBitVector {
+                dst: "one".into(),
+                src: "crd".into(),
+                src_start: SExpr::Const(0.0),
+                count: SExpr::Const(1.0),
+                dim: SExpr::Const(1.0),
+            },
+        ];
+        let p = deep_nest(prelude, |d, body| SpatialStmt::Foreach {
+            id: d,
+            counter: Counter::Scan2 {
+                op: ScanOp::Or,
+                bv_a: "one".into(),
+                bv_b: "none".into(),
+                a_pos_var: format!("p{d}"),
+                b_pos_var: format!("q{d}"),
+                out_pos_var: format!("o{d}"),
+                idx_var: format!("i{d}"),
+            },
+            par: 1,
+            body,
+        });
+        on_one_mib_stack(move || check_deep_nest(&p, |op| matches!(op, Op::Scan2Simple { .. })));
     }
 
     #[test]

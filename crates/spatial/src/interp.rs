@@ -61,7 +61,7 @@ use std::time::Instant;
 use crate::bytecode::CompiledProgram;
 use crate::ir::{MemKind, ScanOp};
 use crate::resolve::DramRegion;
-use vector_tier::LaneScratch;
+use vector_tier::{LaneScratch, PlanPool};
 
 pub(crate) use budget::{check_interrupts, exhausted_fuel, FuelCause, INTERRUPT_MASK};
 pub use budget::{BudgetResource, CancelFlag, RunBudget, RunError};
@@ -355,12 +355,14 @@ pub struct Machine {
     dense: DenseStats,
     stats: ExecStats,
     node_stack: Vec<usize>,
-    scratch: Vec<usize>,
     vstack: Vec<f64>,
     /// The lane stack and chunk buffers of [`crate::VecClass::Reduce`],
     /// [`crate::VecClass::Scan`] and [`crate::VecClass::SegReduce`]
     /// loops, kept across loop entries so entering one zeroes nothing.
     lane_scratch: Option<Box<LaneScratch>>,
+    /// The boxed plans those loops resolve into, kept across loop
+    /// entries the same way.
+    plans: PlanPool,
     scan_pool: Vec<ScanBuf>,
     scan_depth: usize,
     /// Configured resource limits ([`Machine::set_budget`]); armed into

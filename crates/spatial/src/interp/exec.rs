@@ -3,11 +3,14 @@
 //! bit-vector generation, and scan snapshots. Operands arrive already
 //! evaluated; every tier above calls down into these.
 
+use std::ops::Range;
+
 use super::image::{dram_words, dram_words_mut};
 use super::{ChipState, ChipTag, Machine, RunError, ScanBuf};
 use crate::faults;
 use crate::ir::MemKind;
 use crate::resolve::{bit_words_for, Slot};
+use crate::vector;
 
 // --- FIFO ring primitives over a word-arena region -------------------
 //
@@ -37,12 +40,36 @@ pub(super) fn fifo_reserve(words: &mut Vec<f64>, st: &mut ChipState, additional:
     st.head = 0;
 }
 
+/// The arena offset, relative to the ring's region, of the element `k`
+/// places past the head, for `k <= wcap`. `head < wcap`, so one
+/// compare-and-subtract wraps it: no integer division on a push or pop.
+#[inline(always)]
+fn ring_at(st: &ChipState, k: usize) -> usize {
+    let at = st.head + k;
+    if at >= st.wcap {
+        at - st.wcap
+    } else {
+        at
+    }
+}
+
 /// Appends one element. Capacity must have been reserved.
 #[inline(always)]
 pub(super) fn fifo_push(words: &mut [f64], st: &mut ChipState, v: f64) {
     debug_assert!(st.len < st.wcap, "fifo_push without reserve");
-    words[st.woff + (st.head + st.len) % st.wcap] = v;
+    words[st.woff + ring_at(st, st.len)] = v;
     st.len += 1;
+}
+
+/// Appends `src` as at most two run copies. Capacity must have been
+/// reserved.
+pub(super) fn fifo_extend(words: &mut [f64], st: &mut ChipState, src: &[f64]) {
+    debug_assert!(st.len + src.len() <= st.wcap, "fifo_extend without reserve");
+    let tail = ring_at(st, st.len);
+    let first = src.len().min(st.wcap - tail);
+    words[st.woff + tail..st.woff + tail + first].copy_from_slice(&src[..first]);
+    words[st.woff..st.woff + src.len() - first].copy_from_slice(&src[first..]);
+    st.len += src.len();
 }
 
 /// Pops the front element, or `None` when empty.
@@ -52,9 +79,25 @@ fn fifo_pop(words: &[f64], st: &mut ChipState) -> Option<f64> {
         return None;
     }
     let v = words[st.woff + st.head];
-    st.head = (st.head + 1) % st.wcap;
+    st.head = ring_at(st, 1);
     st.len -= 1;
     Some(v)
+}
+
+/// The word ranges of the first `n <= len` elements, in queue order:
+/// the run up to the region's end, then the wrapped run from its start.
+pub(super) fn fifo_runs(st: &ChipState, n: usize) -> (Range<usize>, Range<usize>) {
+    let first = n.min(st.wcap - st.head);
+    let at = st.woff + st.head;
+    (at..at + first, st.woff..st.woff + n - first)
+}
+
+/// Pops the first `n <= len` elements unread.
+#[inline(always)]
+pub(super) fn fifo_drop(st: &mut ChipState, n: usize) {
+    debug_assert!(n <= st.len, "fifo_drop past the tail");
+    st.head = ring_at(st, n);
+    st.len -= n;
 }
 
 /// Drops all elements (the reference engine's drained-on-error state).
@@ -330,17 +373,7 @@ impl Machine {
                 let st = &mut chip[dst as usize];
                 fifo_reserve(words, st, n);
                 let src_arr = dram_words(dram_input, dram_out, src_st).expect("checked");
-                let tail = st.head + st.len;
-                if tail + n <= st.wcap {
-                    // Room past the tail without wrapping (always, for
-                    // the freshly allocated FIFO a row loads): one copy.
-                    words[st.woff + tail..st.woff + tail + n].copy_from_slice(&src_arr[s..e]);
-                    st.len += n;
-                } else {
-                    for &v in &src_arr[s..e] {
-                        fifo_push(words, st, v);
-                    }
-                }
+                fifo_extend(words, st, &src_arr[s..e]);
                 Ok(())
             }
             _ => Err(RunError::UnknownMemory(
@@ -436,26 +469,25 @@ impl Machine {
             let arr = match dram_words_mut(dram_input, dram_out, dram_state[dst as usize]) {
                 Some(arr) => arr,
                 None => {
-                    for _ in 0..n {
-                        fifo_pop(words, st);
-                    }
+                    fifo_drop(st, n);
                     return Err(RunError::UnknownMemory(syms.dram_name(dst).to_string()));
                 }
             };
             if off + n > arr.len() {
                 let len = arr.len();
-                for _ in 0..n {
-                    fifo_pop(words, st);
-                }
+                fifo_drop(st, n);
                 return Err(RunError::OutOfBounds {
                     mem: syms.dram_name(dst).to_string(),
                     index: (off + n) as i64,
                     len,
                 });
             }
-            for slot in &mut arr[off..off + n] {
-                *slot = fifo_pop(words, st).expect("length checked");
-            }
+            // The ring's first `n` elements: at most two run copies.
+            let (head, wrapped) = fifo_runs(st, n);
+            let k = head.len();
+            arr[off..off + k].copy_from_slice(&words[head]);
+            arr[off + k..off + n].copy_from_slice(&words[wrapped]);
+            fifo_drop(st, n);
         }
         self.log_dram_write(dst, off, n);
         self.dense
@@ -506,6 +538,12 @@ impl Machine {
         Ok(())
     }
 
+    /// Generates bit vector `dst` over `d` bits from the `n` coordinates
+    /// at `src` (an SRAM from word `s`, or a FIFO's front) in one pass:
+    /// the source is checked and counted first, then the destination,
+    /// whose words are cleared and whose bits are set straight from the
+    /// source words. A FIFO source loses its `n` coordinates whatever the
+    /// destination does, as the reference engine pops them first.
     pub(super) fn do_gen_bit_vector(
         &mut self,
         dst: Slot,
@@ -514,89 +552,92 @@ impl Machine {
         n: usize,
         d: usize,
     ) -> Result<(), RunError> {
-        // Gather coordinates from the source memory into the reusable
-        // scratch buffer.
-        let mut coords = std::mem::take(&mut self.scratch);
-        coords.clear();
-        match self.chip[src as usize].tag {
+        let sst = self.chip[src as usize];
+        let (run, wrapped) = match sst.tag {
             ChipTag::Fifo => {
-                if self.chip[src as usize].len < n {
+                if sst.len < n {
                     // Reference semantics: pop until empty, fail.
                     fifo_clear(&mut self.chip[src as usize]);
-                    self.scratch = coords;
                     return Err(RunError::FifoUnderflow(
                         self.compiled.syms().chip_name(src).to_string(),
                     ));
                 }
-                let Machine { words, chip, .. } = self;
-                let st = &mut chip[src as usize];
-                for _ in 0..n {
-                    let v = fifo_pop(words, st).expect("length checked");
-                    coords.push(v.round() as usize);
-                }
                 self.dense.fifo_deqs += n as u64;
+                fifo_runs(&sst, n)
             }
             ChipTag::Words => {
-                let st = self.chip[src as usize];
-                if s + n > st.len {
-                    self.scratch = coords;
+                if s + n > sst.len {
                     return Err(RunError::OutOfBounds {
                         mem: self.compiled.syms().chip_name(src).to_string(),
                         index: (s + n) as i64,
-                        len: st.len,
+                        len: sst.len,
                     });
                 }
                 self.dense.sram_reads += n as u64;
-                coords.extend(
-                    self.words[st.woff + s..st.woff + s + n]
-                        .iter()
-                        .map(|&v| v.round() as usize),
-                );
+                let at = sst.woff + s;
+                (at..at + n, 0..0)
             }
             _ => {
-                self.scratch = coords;
                 return Err(RunError::UnknownMemory(
                     self.compiled.syms().chip_name(src).to_string(),
-                ));
+                ))
+            }
+        };
+        let result = self.set_coordinate_bits(dst, d, [run, wrapped]);
+        if sst.tag == ChipTag::Fifo {
+            fifo_drop(&mut self.chip[src as usize], n);
+        }
+        result
+    }
+
+    /// The destination half of [`Machine::do_gen_bit_vector`]: the
+    /// coordinates are the words of `runs`, in order.
+    fn set_coordinate_bits(
+        &mut self,
+        dst: Slot,
+        d: usize,
+        runs: [Range<usize>; 2],
+    ) -> Result<(), RunError> {
+        if self.chip[dst as usize].tag != ChipTag::Bits {
+            return Err(RunError::UnknownMemory(
+                self.compiled.syms().chip_name(dst).to_string(),
+            ));
+        }
+        // The logical bit length only grows (matching the old
+        // `Vec<bool>` resize); regeneration clears every word up to the
+        // new length before setting the coordinate bits.
+        let new_len = self.chip[dst as usize].len.max(d);
+        let nw = bit_words_for(new_len);
+        self.reserve_bits(dst, nw);
+        let st = &mut self.chip[dst as usize];
+        st.len = new_len;
+        let bits = &mut self.bits[st.boff..st.boff + nw];
+        bits.fill(0);
+        for run in runs {
+            for &v in &self.words[run] {
+                // `index_of`'s conversion, exact integers without a
+                // `round` call; the first bad coordinate fails.
+                let c = match vector::lane_index(v) {
+                    Some(c) if c < new_len => c,
+                    Some(c) => {
+                        return Err(RunError::OutOfBounds {
+                            mem: self.compiled.syms().chip_name(dst).to_string(),
+                            index: c as i64,
+                            len: new_len,
+                        })
+                    }
+                    None => {
+                        return Err(RunError::NegativeIndex {
+                            context: "genbv coordinate".to_string(),
+                            value: v,
+                        })
+                    }
+                };
+                bits[c >> 6] |= 1u64 << (c & 63);
             }
         }
-        let result = if self.chip[dst as usize].tag == ChipTag::Bits {
-            // The logical bit length only grows (matching the old
-            // `Vec<bool>` resize); regeneration clears every word up
-            // to the new length before setting the coordinate bits.
-            let new_len = self.chip[dst as usize].len.max(d);
-            let nw = bit_words_for(new_len);
-            self.reserve_bits(dst, nw);
-            let st = &mut self.chip[dst as usize];
-            st.len = new_len;
-            let off = st.boff;
-            self.bits[off..off + nw].fill(0);
-            let mut failed = None;
-            for &c in &coords {
-                if c >= new_len {
-                    failed = Some(RunError::OutOfBounds {
-                        mem: self.compiled.syms().chip_name(dst).to_string(),
-                        index: c as i64,
-                        len: new_len,
-                    });
-                    break;
-                }
-                self.bits[off + (c >> 6)] |= 1u64 << (c & 63);
-            }
-            match failed {
-                Some(e) => Err(e),
-                None => {
-                    self.dense.bv_gen_bits += d as u64;
-                    Ok(())
-                }
-            }
-        } else {
-            Err(RunError::UnknownMemory(
-                self.compiled.syms().chip_name(dst).to_string(),
-            ))
-        };
-        self.scratch = coords;
-        result
+        self.dense.bv_gen_bits += d as u64;
+        Ok(())
     }
 
     /// Snapshots both bit vectors of a `Scan2` into the scan pool slot

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use super::image::{dram_words, dram_words_mut};
 use super::{
-    ChipState, ChipTag, DenseStats, DramState, ExecStats, FuelCause, Machine, RunBudget, RunError,
+    ChipState, ChipTag, DenseStats, DramState, ExecStats, FuelCause, Machine, PlanPool, RunBudget,
+    RunError,
 };
 use crate::bytecode::CompiledProgram;
 use crate::ir::{MemKind, SpatialProgram};
@@ -67,9 +68,9 @@ impl Machine {
             dense,
             stats: ExecStats::default(),
             node_stack: Vec::new(),
-            scratch: Vec::new(),
             vstack: Vec::new(),
             lane_scratch: None,
+            plans: PlanPool::default(),
             scan_pool: Vec::new(),
             scan_depth: 0,
             budget: RunBudget::default(),

@@ -66,28 +66,6 @@ impl Machine {
         let mut trips = 0u64;
         let mut folds = 0u64;
         let mut result: Result<(), RunError> = Ok(());
-        // Reduce loops the analysis gave a lane program run chunk by
-        // chunk inside the generic loop below, once the program
-        // resolves against the loop-entry state.
-        let mut lanes = match vclass {
-            VecClass::Reduce(at) => match vector::unit_trips(lo, hi) {
-                Some((base, total)) if total >= MIN_REDUCE_TRIPS => self
-                    .reduce_plan(prog, at, body, body_len)
-                    .map(|plan| (plan, base, total)),
-                _ => None,
-            },
-            _ => None,
-        };
-        // Row loops the analysis gave row programs run block by block
-        // inside the generic loop below, once the plan resolves against
-        // the loop-entry state.
-        let seg = match vclass {
-            VecClass::SegReduce(at) => vector::unit_trips(lo, hi).and_then(|(base, total)| {
-                self.seg_plan(prog, at, body, end)
-                    .map(|plan| (plan, base, total))
-            }),
-            _ => None,
-        };
         // Single-op bodies get a dedicated loop: the body op is
         // loop-invariant, so its dispatch is hoisted out of the
         // iteration entirely.
@@ -136,6 +114,27 @@ impl Machine {
                 return Ok(end);
             }
         }
+        // Reduce loops the analysis gave a lane program run chunk by
+        // chunk inside the generic loop below, once the program
+        // resolves against the loop-entry state; row loops given row
+        // programs run block by block once their plan resolves. Each
+        // plan box goes back to the pool on every exit below.
+        let mut lanes = match vclass {
+            VecClass::Reduce(at) => match vector::unit_trips(lo, hi) {
+                Some((base, total)) if total >= MIN_REDUCE_TRIPS => self
+                    .resolve_plan(|m, plan| m.reduce_plan(prog, at, body, body_len, plan))
+                    .map(|plan| (plan, base, total)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let seg = match vclass {
+            VecClass::SegReduce(at) => vector::unit_trips(lo, hi).and_then(|(base, total)| {
+                self.resolve_plan(|m, plan| m.seg_plan(prog, at, body, end, plan))
+                    .map(|plan| (plan, base, total))
+            }),
+            _ => None,
+        };
         if v < hi {
             self.node_stack.push(id);
             // Field-based fuel here: the body can contain nested
@@ -164,7 +163,9 @@ impl Machine {
                     if faulted {
                         // The scalar loop takes over and raises the
                         // fault at its iteration.
-                        lanes = None;
+                        if let Some((plan, ..)) = lanes.take() {
+                            self.give_plan(plan);
+                        }
                     } else if v >= hi {
                         break 'iters;
                     }
@@ -196,6 +197,12 @@ impl Machine {
             if result.is_ok() {
                 self.node_stack.pop();
             }
+        }
+        if let Some((plan, ..)) = lanes {
+            self.give_plan(plan);
+        }
+        if let Some((plan, ..)) = seg {
+            self.give_plan(plan);
         }
         self.dense.node_trips[id] += trips;
         if folds > 0 {
@@ -305,11 +312,13 @@ impl Machine {
         // chunk inside the loop below, once the statements resolve
         // against the loop-entry state and the snapshot holds enough
         // emits. The scan op sits immediately before its body.
+        // The plan box goes back to the pool on every exit below.
         let mut lanes = match prog.vec_class(body as usize - 1) {
             VecClass::Scan(at) if fast => {
                 let total = self.scan_pool[depth].combined(op, dim);
                 if total >= MIN_SCAN_EMITS {
-                    self.scan_plan(prog, at).map(|plan| (plan, total))
+                    self.resolve_plan(|m, plan| m.scan_plan(prog, at, plan))
+                        .map(|plan| (plan, total))
                 } else {
                     None
                 }
@@ -338,7 +347,9 @@ impl Machine {
                 if faulted {
                     // The scalar loop takes over and raises the fault
                     // (or takes the slow path) at its emit.
-                    lanes = None;
+                    if let Some((plan, _)) = lanes.take() {
+                        self.give_plan(plan);
+                    }
                 } else if cur.idx >= dim {
                     break 'emits;
                 }
@@ -402,6 +413,9 @@ impl Machine {
             cur.bp += u64::from(has_b);
             cur.emitted += 1;
             cur.idx += 1;
+        }
+        if let Some((plan, _)) = lanes {
+            self.give_plan(plan);
         }
         if entered && result.is_ok() {
             self.node_stack.pop();

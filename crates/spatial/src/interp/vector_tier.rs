@@ -3,7 +3,7 @@
 //! one lane evaluator for all three — each falling back to the scalar
 //! step at every boundary the scalar loop would observe.
 
-use super::exec::{fifo_push, fifo_reserve};
+use super::exec::{fifo_drop, fifo_extend, fifo_push, fifo_reserve, fifo_runs};
 use super::image::{dram_words, dram_words_mut};
 use super::{ChipTag, Machine, ScanBuf};
 use crate::bytecode::{CompiledProgram, EOp, LaneOp, LaneRef, Op, OpId, Operand, VecClass};
@@ -117,6 +117,16 @@ impl LanePlan {
         guarded: [(0, 0); 2],
     };
 
+    /// Empties the plan for [`Machine::lane_plan`] to refill: only the
+    /// op count and the counters, never the ops.
+    fn clear(&mut self) {
+        self.n_ops = 0;
+        self.reads = 0;
+        self.shuffles = 0;
+        self.alu = 0;
+        self.guarded = [(0, 0); 2];
+    }
+
     fn push_op(&mut self, op: PlanOp) {
         self.ops[self.n_ops] = op;
         self.n_ops += 1;
@@ -140,6 +150,7 @@ impl LanePlan {
 
 /// A [`crate::VecClass::Reduce`] loop's lane program and FIFO heads,
 /// resolved once per loop entry (see [`Machine::reduce_plan`]).
+#[derive(Debug, Clone)]
 pub(super) struct ReducePlan {
     lanes: LanePlan,
     /// `(fifo, bound variable)` of each `Bind x = fifo.deq` in the body.
@@ -160,11 +171,13 @@ enum ScanSink {
 
 /// A [`crate::VecClass::Scan`] loop's lane statements, resolved once
 /// per loop entry (see [`Machine::scan_plan`]).
+#[derive(Debug, Clone)]
 pub(super) struct ScanPlan {
     stmts: [(LanePlan, ScanSink); vector::MAX_LANE_STMTS],
     n_stmts: usize,
-    /// Whether any statement enqueues (the commit then interleaves
-    /// FIFO pushes lane-major, as the scalar loop does).
+    /// Whether any statement enqueues. The classifier gives each `Enq`
+    /// its own FIFO, so a chunk's pushes commit FIFO by FIFO unless a
+    /// ring must grow.
     enqueues: bool,
     /// `Store` statements: DRAM words one lane writes.
     stores: u64,
@@ -219,6 +232,7 @@ struct RowLoad {
 
 /// A [`crate::VecClass::SegReduce`] row loop resolved once per loop
 /// entry (see [`Machine::seg_plan`]).
+#[derive(Debug, Clone)]
 pub(super) struct SegPlan {
     stmts: [RowStmt; vector::MAX_SEG_OPS],
     n_stmts: usize,
@@ -247,19 +261,105 @@ pub(super) struct SegPlan {
     store_at: [(Slot, usize, usize); vector::MAX_SEG_PROGS / 2],
 }
 
+/// The free lists the boxed plans come from, kept across loop entries
+/// as `lane_scratch` is, so resolving a plan copies no plan. Each loop
+/// entry takes its own box ([`Machine::resolve_plan`]), so nested loops
+/// never share one, and every exit gives it back
+/// ([`Machine::give_plan`]), a faulted chunk's included.
+// Boxes, not plans: a loop holds its plan while nested loops take and
+// return theirs, so a plan leaves and rejoins its list as a pointer.
+#[allow(clippy::vec_box)]
+#[derive(Debug, Clone, Default)]
+pub(super) struct PlanPool {
+    reduce: Vec<Box<ReducePlan>>,
+    scan: Vec<Box<ScanPlan>>,
+    seg: Vec<Box<SegPlan>>,
+}
+
+/// A plan kind [`PlanPool`] keeps: its free list, and a new box for
+/// when the list is empty (the resolver empties what it reuses).
+pub(super) trait Pooled: Sized {
+    fn list(pool: &mut PlanPool) -> &mut Vec<Box<Self>>;
+    fn fresh() -> Box<Self>;
+}
+
+impl Pooled for ReducePlan {
+    fn list(pool: &mut PlanPool) -> &mut Vec<Box<Self>> {
+        &mut pool.reduce
+    }
+
+    #[cold]
+    fn fresh() -> Box<Self> {
+        Box::new(ReducePlan {
+            lanes: LanePlan::EMPTY,
+            heads: [(0, 0); vector::MAX_LANE_HEADS],
+            n_heads: 0,
+        })
+    }
+}
+
+impl Pooled for ScanPlan {
+    fn list(pool: &mut PlanPool) -> &mut Vec<Box<Self>> {
+        &mut pool.scan
+    }
+
+    #[cold]
+    fn fresh() -> Box<Self> {
+        Box::new(ScanPlan {
+            stmts: [(LanePlan::EMPTY, ScanSink::Fold); vector::MAX_LANE_STMTS],
+            n_stmts: 0,
+            enqueues: false,
+            stores: 0,
+        })
+    }
+}
+
+impl Pooled for SegPlan {
+    fn list(pool: &mut PlanPool) -> &mut Vec<Box<Self>> {
+        &mut pool.seg
+    }
+
+    #[cold]
+    fn fresh() -> Box<Self> {
+        Box::new(SegPlan {
+            stmts: [RowStmt::Fold; vector::MAX_SEG_OPS],
+            n_stmts: 0,
+            progs: [LanePlan::EMPTY; vector::MAX_SEG_PROGS],
+            n_progs: 0,
+            loads: [RowLoad::default(); vector::MAX_LANE_HEADS],
+            n_loads: 0,
+            inner: LanePlan::EMPTY,
+            iota: false,
+            inner_id: 0,
+            heads: [(0, 0); vector::MAX_LANE_HEADS],
+            n_heads: 0,
+            trips: 0,
+            acc: 0,
+            binds: [(0, 0); vector::MAX_SEG_COLS],
+            n_binds: 0,
+            allocs: 0,
+            stores: 0,
+            store_at: [(0, 0, 0); vector::MAX_SEG_PROGS / 2],
+        })
+    }
+}
+
 /// Fills `lanes` with up to `max` (at least 1) emits of a snapshot from
-/// `cur` — each position found with `trailing_zeros`, its `a`/`b`
-/// positions from popcount prefixes, −1 on an absent side — returning
-/// how many it took, the cursor past the last of them (`dim` when none
-/// is left), and how many lanes hold each side.
-fn fill_scan_lanes(
+/// `cur` — each position found with `trailing_zeros`, −1 on an absent
+/// side — returning how many it took, the cursor past the last of them
+/// (`dim` when none is left), and how many lanes hold each side. Under
+/// `Or` (`OR`) every set bit of either side emits, so each side's
+/// position is its running count, one step per present emit; under
+/// `And` only common bits emit, and the positions count the bits below
+/// by popcount prefixes.
+fn fill_scan_lanes<const OR: bool>(
     buf: &ScanBuf,
-    op: ScanOp,
     dim: usize,
     cur: ScanCursor,
     max: usize,
     lanes: &mut [[f64; CHUNK]; 4],
 ) -> (usize, ScanCursor, [u64; 2]) {
+    let op = if OR { ScanOp::Or } else { ScanOp::And };
     let mut n = 0usize;
     let mut present = [0u64; 2];
     let (mut ap, mut bp) = (cur.ap, cur.bp);
@@ -267,37 +367,46 @@ fn fill_scan_lanes(
         let mut bits = comb;
         while bits != 0 {
             let bit = bits.trailing_zeros();
-            let below = (1u64 << bit) - 1;
             let (has_a, has_b) = ((aw >> bit) & 1 == 1, (bw >> bit) & 1 == 1);
-            lanes[0][n] = if has_a {
-                (ap + u64::from((aw & below).count_ones())) as f64
+            let (pa, pb) = if OR {
+                let at = (ap, bp);
+                ap += u64::from(has_a);
+                bp += u64::from(has_b);
+                at
             } else {
-                -1.0
+                let below = (1u64 << bit) - 1;
+                (
+                    ap + u64::from((aw & below).count_ones()),
+                    bp + u64::from((bw & below).count_ones()),
+                )
             };
-            lanes[1][n] = if has_b {
-                (bp + u64::from((bw & below).count_ones())) as f64
-            } else {
-                -1.0
-            };
+            lanes[0][n] = if has_a { pa as f64 } else { -1.0 };
+            lanes[1][n] = if has_b { pb as f64 } else { -1.0 };
             lanes[2][n] = (cur.emitted + n as u64) as f64;
             lanes[3][n] = (base + bit as usize) as f64;
             present[0] += u64::from(has_a);
             present[1] += u64::from(has_b);
             n += 1;
             if n == max {
-                let upto = (2u64 << bit).wrapping_sub(1);
+                if !OR {
+                    let upto = (2u64 << bit).wrapping_sub(1);
+                    ap += u64::from((aw & upto).count_ones());
+                    bp += u64::from((bw & upto).count_ones());
+                }
                 let next = ScanCursor {
                     idx: base + bit as usize + 1,
-                    ap: ap + u64::from((aw & upto).count_ones()),
-                    bp: bp + u64::from((bw & upto).count_ones()),
+                    ap,
+                    bp,
                     emitted: cur.emitted + n as u64,
                 };
                 return (n, next, present);
             }
             bits &= bits - 1;
         }
-        ap += u64::from(aw.count_ones());
-        bp += u64::from(bw.count_ones());
+        if !OR {
+            ap += u64::from(aw.count_ones());
+            bp += u64::from(bw.count_ones());
+        }
     }
     let end = ScanCursor {
         idx: dim,
@@ -309,20 +418,40 @@ fn fill_scan_lanes(
 }
 
 impl Machine {
+    /// Takes a plan box from the pool and resolves it with `fill`, which
+    /// writes it in place: `None`, with the box given back, when `fill`
+    /// refuses.
+    pub(super) fn resolve_plan<P: Pooled>(
+        &mut self,
+        fill: impl FnOnce(&Machine, &mut P) -> Option<()>,
+    ) -> Option<Box<P>> {
+        let mut plan = P::list(&mut self.plans).pop().unwrap_or_else(P::fresh);
+        if fill(self, &mut plan).is_some() {
+            return Some(plan);
+        }
+        self.give_plan(plan);
+        None
+    }
+
+    /// Returns a plan box to the pool for the next loop entry.
+    pub(super) fn give_plan<P: Pooled>(&mut self, plan: Box<P>) {
+        P::list(&mut self.plans).push(plan);
+    }
+
     /// Resolves one lane program — `lanes` up to its closing sink or
-    /// [`LaneOp::End`], whose index it returns — against the loop-entry
-    /// state: read slots checked to be plain words (their regions hoist
-    /// — no admitted body writes on-chip memory), loop-invariant
-    /// variables and registers read once, and every sub-expression with
-    /// no lane operand folded to one splat — with the scalar engine's
-    /// f64 op, so the splat has the bits every lane would compute.
-    /// Returns `None` (having changed nothing) when any of that fails;
-    /// the scalar loop then runs and raises whatever error the state
-    /// holds. With `seg` the program is a row loop's inner program: its
-    /// loop variable and FIFO heads become the nonzero lanes
+    /// [`LaneOp::End`], whose index it returns — into `plan`, in place,
+    /// against the loop-entry state: read slots checked to be plain words
+    /// (their regions hoist — no admitted body writes on-chip memory),
+    /// loop-invariant variables and registers read once, and every
+    /// sub-expression with no lane operand folded to one splat — with the
+    /// scalar engine's f64 op, so the splat has the bits every lane would
+    /// compute. Returns `None` (having changed nothing but `plan`) when any
+    /// of that fails; the scalar loop then runs and raises whatever error
+    /// the state holds. With `seg` the program is a row loop's inner
+    /// program: its loop variable and FIFO heads become the nonzero lanes
     /// ([`PlanOp::Seg`]).
-    fn lane_plan(&self, lanes: &[LaneOp], seg: bool) -> Option<(LanePlan, usize)> {
-        let mut plan = LanePlan::EMPTY;
+    fn lane_plan(&self, lanes: &[LaneOp], seg: bool, plan: &mut LanePlan) -> Option<usize> {
+        plan.clear();
         // Whether each lane-stack entry is a splat; a splat entry is
         // always exactly one trailing `Splat` op of the plan.
         let mut splat = [false; vector::MAX_LANE_DEPTH];
@@ -429,14 +558,14 @@ impl Machine {
                 | LaneOp::Enq(_)
                 | LaneOp::Store { .. }
                 | LaneOp::Count(_)
-                | LaneOp::End => return Some((plan, at)),
+                | LaneOp::End => return Some(at),
             }
         }
         None
     }
 
-    /// Resolves a [`crate::VecClass::Reduce`] loop against the
-    /// loop-entry state: its FIFO heads checked to be FIFOs (the body
+    /// Resolves a [`crate::VecClass::Reduce`] loop into `plan` against
+    /// the loop-entry state: its FIFO heads checked to be FIFOs (the body
     /// enqueues nothing), and its lane program by
     /// [`Machine::lane_plan`].
     #[inline(never)]
@@ -446,8 +575,8 @@ impl Machine {
         lanes: LaneRef,
         body: OpId,
         body_len: u32,
-    ) -> Option<ReducePlan> {
-        let mut heads = [(0, 0); vector::MAX_LANE_HEADS];
+        plan: &mut ReducePlan,
+    ) -> Option<()> {
         let eops = prog.eops();
         for (k, op) in prog.ops()[body as usize..(body + body_len) as usize]
             .iter()
@@ -466,14 +595,11 @@ impl Machine {
             if self.chip[fifo as usize].tag != ChipTag::Fifo {
                 return None;
             }
-            heads[k] = (fifo, var);
+            plan.heads[k] = (fifo, var);
         }
-        let (lanes, _) = self.lane_plan(&prog.lanes()[lanes as usize..], false)?;
-        Some(ReducePlan {
-            lanes,
-            heads,
-            n_heads: body_len as usize,
-        })
+        plan.n_heads = body_len as usize;
+        self.lane_plan(&prog.lanes()[lanes as usize..], false, &mut plan.lanes)?;
+        Some(())
     }
 
     /// Evaluates `plan` over the first `n` lanes of one chunk into
@@ -510,9 +636,10 @@ impl Machine {
                     if st.head + n <= st.wcap {
                         window(&mut stack[sp], &self.words, st.woff + st.head, n);
                     } else {
-                        for (k, x) in stack[sp][..n].iter_mut().enumerate() {
-                            *x = self.words[st.woff + (st.head + k) % st.wcap];
-                        }
+                        let (run, wrapped) = fifo_runs(&st, n);
+                        let k = run.len();
+                        stack[sp][..k].copy_from_slice(&self.words[run]);
+                        stack[sp][k..n].copy_from_slice(&self.words[wrapped]);
                     }
                     sp += 1;
                 }
@@ -555,16 +682,22 @@ impl Machine {
                 }
                 PlanOp::Guarded { side, woff, len } => {
                     // Positions are exact integers ≥ −1, so `p + 1 != 0`
-                    // is `p >= 0`; only present lanes read.
+                    // is `p >= 0`, and only present lanes read: one
+                    // bounds check on the largest position covers them
+                    // all, and each lane then selects without a branch.
                     let lane = &mut stack[sp];
-                    for (x, &p) in lane[..n].iter_mut().zip(&s.scan[side]) {
-                        *x = if p < 0.0 {
-                            0.0
-                        } else if (p as usize) < len {
-                            self.words[woff + p as usize]
-                        } else {
-                            return false;
-                        };
+                    let pos = &s.scan[side][..n];
+                    let top = pos.iter().fold(-1.0f64, |m, &p| m.max(p));
+                    if top < 0.0 {
+                        lane[..n].fill(0.0);
+                    } else if top as usize >= len {
+                        return false;
+                    } else {
+                        let mem = &self.words[woff..woff + len];
+                        for (x, &p) in lane[..n].iter_mut().zip(pos) {
+                            let v = mem[p.max(0.0) as usize];
+                            *x = if p < 0.0 { 0.0 } else { v };
+                        }
                     }
                     sp += 1;
                 }
@@ -628,9 +761,7 @@ impl Machine {
             }
             // Nothing in this chunk can fault past this point: commit.
             for &(fifo, _) in heads {
-                let st = &mut self.chip[fifo as usize];
-                st.head = (st.head + n) % st.wcap;
-                st.len -= n;
+                fifo_drop(&mut self.chip[fifo as usize], n);
             }
             for &x in &s.stack[0][..n] {
                 *acc += x;
@@ -641,7 +772,7 @@ impl Machine {
         if done > 0 {
             for &(fifo, x) in heads {
                 let st = self.chip[fifo as usize];
-                let last = (st.head + st.wcap - 1) % st.wcap;
+                let last = if st.head == 0 { st.wcap } else { st.head } - 1;
                 self.env[x as usize] = Some(self.words[st.woff + last]);
             }
             self.env[var] = Some((at + done - 1) as f64);
@@ -654,33 +785,42 @@ impl Machine {
     }
 
     /// Resolves a [`crate::VecClass::Scan`] loop's lane statements
-    /// against the loop-entry state: each program by
+    /// into `plan` against the loop-entry state: each program by
     /// [`Machine::lane_plan`], each sink's slot checked to be what it
     /// writes — a register, a FIFO, a mapped DRAM array — and resolved
     /// to its offset (no admitted body allocates, so the offsets hold
     /// for the whole loop). `None` leaves the scalar loop to run.
     #[inline(never)]
-    pub(super) fn scan_plan(&self, prog: &CompiledProgram, lanes: LaneRef) -> Option<ScanPlan> {
-        let mut plan = ScanPlan {
-            stmts: [(LanePlan::EMPTY, ScanSink::Fold); vector::MAX_LANE_STMTS],
-            n_stmts: 0,
-            enqueues: false,
-            stores: 0,
-        };
+    pub(super) fn scan_plan(
+        &self,
+        prog: &CompiledProgram,
+        lanes: LaneRef,
+        plan: &mut ScanPlan,
+    ) -> Option<()> {
+        plan.n_stmts = 0;
+        plan.enqueues = false;
+        plan.stores = 0;
         let reg = |r: Slot| {
             let st = self.chip[r as usize];
             (st.tag == ChipTag::Reg).then_some(st.woff)
         };
         let mut rest = &prog.lanes()[lanes as usize..];
         while rest[0] != LaneOp::End {
-            let (mut lanes, at) = self.lane_plan(rest, false)?;
+            let k = plan.n_stmts;
+            let at = self.lane_plan(rest, false, &mut plan.stmts[k].0)?;
             let sink = match rest[at] {
                 LaneOp::Fold => ScanSink::Fold,
                 LaneOp::AddReg(r) => {
-                    lanes.alu += 1; // the `r + e`
+                    plan.stmts[k].0.alu += 1; // the `r + e`
                     ScanSink::AddReg { woff: reg(r)? }
                 }
                 LaneOp::Enq(f) if self.chip[f as usize].tag == ChipTag::Fifo => {
+                    debug_assert!(
+                        !plan.stmts[..k]
+                            .iter()
+                            .any(|&(_, sink)| matches!(sink, ScanSink::Enq(g) if g == f)),
+                        "two scan statements enqueue onto one FIFO"
+                    );
                     plan.enqueues = true;
                     ScanSink::Enq(f)
                 }
@@ -697,16 +837,16 @@ impl Machine {
                     }
                 }
                 LaneOp::Count(r) => {
-                    lanes.alu += 1; // the `ctr + 1`
+                    plan.stmts[k].0.alu += 1; // the `ctr + 1`
                     ScanSink::Count { ctr: reg(r)? }
                 }
                 _ => return None,
             };
-            plan.stmts[plan.n_stmts] = (lanes, sink);
+            plan.stmts[k].1 = sink;
             plan.n_stmts += 1;
             rest = &rest[at + 1..];
         }
-        Some(plan)
+        Some(())
     }
 
     /// Runs up to `max` emits of a [`crate::VecClass::Scan`] loop from
@@ -719,11 +859,13 @@ impl Machine {
     /// the statements commit, each in lane order: folds and register
     /// adds serially, so sums are bit-identical to the scalar loop;
     /// appends as one run of DRAM words (logged for shard merges); FIFO
-    /// pushes lane-major, reserving one element at a time, so rings grow
-    /// exactly as the scalar loop grows them. Fuel and statistics are
-    /// charged per lane as the scalar loop charges them, and the scan
-    /// variables are left bound to the last emit. The caller keeps `max`
-    /// inside a fuel/interrupt burst and counts emits, trips and folds.
+    /// pushes as one run per FIFO when each has room for the chunk (no
+    /// two statements share a FIFO), and otherwise lane-major, reserving
+    /// one element at a time, so rings grow exactly as the scalar loop
+    /// grows them. Fuel and statistics are charged per lane as the
+    /// scalar loop charges them, and the scan variables are left bound
+    /// to the last emit. The caller keeps `max` inside a fuel/interrupt
+    /// burst and counts emits, trips and folds.
     ///
     /// Returns the emits run and whether the next chunk would fault. A
     /// faulting chunk changes nothing: the caller runs it scalar, which
@@ -748,8 +890,11 @@ impl Machine {
         let mut faulted = false;
         'chunks: while done < max && cur.idx < dim {
             let want = (max - done).min(CHUNK as u64) as usize;
-            let (n, next, present) =
-                fill_scan_lanes(&self.scan_pool[depth], op, dim, *cur, want, &mut s.scan);
+            let buf = &self.scan_pool[depth];
+            let (n, next, present) = match op {
+                ScanOp::Or => fill_scan_lanes::<true>(buf, dim, *cur, want, &mut s.scan),
+                ScanOp::And => fill_scan_lanes::<false>(buf, dim, *cur, want, &mut s.scan),
+            };
             if n == 0 {
                 *cur = next;
                 break;
@@ -812,12 +957,24 @@ impl Machine {
             }
             if plan.enqueues {
                 let Machine { words, chip, .. } = self;
-                for l in 0..n {
-                    for (k, (_, sink)) in stmts.iter().enumerate() {
-                        if let ScanSink::Enq(f) = *sink {
-                            let st = &mut chip[f as usize];
-                            fifo_reserve(words, st, 1);
-                            fifo_push(words, st, s.vals[k][l]);
+                let enqs = || {
+                    stmts
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(k, &(_, sink))| match sink {
+                            ScanSink::Enq(f) => Some((k, f as usize)),
+                            _ => None,
+                        })
+                };
+                if enqs().all(|(_, f)| chip[f].len + n <= chip[f].wcap) {
+                    for (k, f) in enqs() {
+                        fifo_extend(words, &mut chip[f], &s.vals[k][..n]);
+                    }
+                } else {
+                    for l in 0..n {
+                        for (k, f) in enqs() {
+                            fifo_reserve(words, &mut chip[f], 1);
+                            fifo_push(words, &mut chip[f], s.vals[k][l]);
                         }
                     }
                 }
@@ -834,16 +991,16 @@ impl Machine {
     }
 
     /// Resolves a [`crate::VecClass::SegReduce`] row loop's body
-    /// `ops[body..end]` against the loop-entry state, once per entry:
-    /// each row program by [`Machine::lane_plan`], the inner loop's over
-    /// the nonzero lanes, each allocated slot checked to have its home
+    /// `ops[body..end]` into `plan` against the loop-entry state, once per
+    /// entry: each row program by [`Machine::lane_plan`], the inner loop's
+    /// over the nonzero lanes, each allocated slot checked to have its home
     /// region already (so no row relocates it), each loaded and stored
-    /// array checked to be mapped. Row columns are numbered as the
-    /// class defines them. `None` leaves the scalar loop to run.
+    /// array checked to be mapped. Row columns are numbered as the class
+    /// defines them. `None` leaves the scalar loop to run.
     ///
-    /// The plan is boxed, and this and the other plan and chunk helpers
-    /// stay out of line: inlined into the loop executors, which recurse
-    /// once per nested loop, their plans would grow every nesting
+    /// Plans live in pooled boxes, and this and the other plan and chunk
+    /// helpers stay out of line: inlined into the loop executors, which
+    /// recurse once per nested loop, their plans would grow every nesting
     /// level's stack frame by kilobytes.
     #[inline(never)]
     pub(super) fn seg_plan(
@@ -852,33 +1009,25 @@ impl Machine {
         lanes: LaneRef,
         body: OpId,
         end: usize,
-    ) -> Option<Box<SegPlan>> {
-        let mut plan = Box::new(SegPlan {
-            stmts: [RowStmt::Fold; vector::MAX_SEG_OPS],
-            n_stmts: 0,
-            progs: [LanePlan::EMPTY; vector::MAX_SEG_PROGS],
-            n_progs: 0,
-            loads: [RowLoad::default(); vector::MAX_LANE_HEADS],
-            n_loads: 0,
-            inner: LanePlan::EMPTY,
-            iota: false,
-            inner_id: 0,
-            heads: [(0, 0); vector::MAX_LANE_HEADS],
-            n_heads: 0,
-            trips: 0,
-            acc: 0,
-            binds: [(0, 0); vector::MAX_SEG_COLS],
-            n_binds: 0,
-            allocs: 0,
-            stores: 0,
-            store_at: [(0, 0, 0); vector::MAX_SEG_PROGS / 2],
-        });
+        plan: &mut SegPlan,
+    ) -> Option<()> {
+        plan.n_stmts = 0;
+        plan.n_progs = 0;
+        plan.n_loads = 0;
+        plan.inner.clear();
+        plan.iota = false;
+        plan.inner_id = 0;
+        plan.n_heads = 0;
+        plan.trips = 0;
+        plan.acc = 0;
+        plan.n_binds = 0;
+        plan.allocs = 0;
+        plan.stores = 0;
         let (ops, eops) = (prog.ops(), prog.eops());
         let mut rest = &prog.lanes()[lanes as usize..];
         let mut next_prog = |plan: &mut SegPlan| -> Option<usize> {
-            let (lanes, at) = self.lane_plan(rest, false)?;
+            let at = self.lane_plan(rest, false, &mut plan.progs[plan.n_progs])?;
             rest = &rest[at + 1..];
-            plan.progs[plan.n_progs] = lanes;
             plan.n_progs += 1;
             Some(plan.n_progs - 1)
         };
@@ -919,12 +1068,12 @@ impl Machine {
                     plan.n_binds += 1;
                     cols += 1;
                     RowStmt::Eval {
-                        prog: next_prog(&mut plan)?,
+                        prog: next_prog(plan)?,
                         col: cols - 1,
                     }
                 }
                 Op::SetReg { reg, .. } => RowStmt::Eval {
-                    prog: next_prog(&mut plan)?,
+                    prog: next_prog(plan)?,
                     col: find(&regs[..n_regs], reg)?,
                 },
                 Op::Load {
@@ -962,7 +1111,7 @@ impl Machine {
                     let VecClass::Reduce(inner) = prog.vec_class(at) else {
                         return None;
                     };
-                    plan.inner = self.lane_plan(&prog.lanes()[inner as usize..], true)?.0;
+                    self.lane_plan(&prog.lanes()[inner as usize..], true, &mut plan.inner)?;
                     plan.iota = plan.inner.ops[..plan.inner.n_ops]
                         .iter()
                         .any(|op| matches!(op, PlanOp::Seg(0)));
@@ -1000,8 +1149,8 @@ impl Machine {
                     plan.stores += 1;
                     cols += 2;
                     RowStmt::Store {
-                        ix: (next_prog(&mut plan)?, cols - 2),
-                        val: (next_prog(&mut plan)?, cols - 1),
+                        ix: (next_prog(plan)?, cols - 2),
+                        val: (next_prog(plan)?, cols - 1),
                         len: st.len,
                     }
                 }
@@ -1011,7 +1160,7 @@ impl Machine {
             plan.n_stmts += 1;
             at += 1;
         }
-        Some(plan)
+        Some(())
     }
 
     /// Runs up to `max` rows of a [`crate::VecClass::SegReduce`] loop,
@@ -1192,8 +1341,7 @@ impl Machine {
             words[st.woff..st.woff + len].copy_from_slice(&src[from..from + len]);
             st.len = len;
             if load.deq {
-                st.head = n % st.wcap;
-                st.len -= n;
+                fifo_drop(st, n);
             }
         }
         for &(x, col) in &plan.binds[..plan.n_binds] {

@@ -642,14 +642,14 @@ impl ReferenceMachine {
                 let s = self.eval(src_start)?;
                 let s = self.index_of(s, "genbv start")?;
                 // Gather coordinates from the source memory.
-                let coords: Vec<usize> = match self.on_chip.get_mut(src) {
+                let coords: Vec<f64> = match self.on_chip.get_mut(src) {
                     Some(Mem::Fifo(q)) => {
                         let mut out = Vec::with_capacity(n);
                         for _ in 0..n {
                             let v = q
                                 .pop_front()
                                 .ok_or_else(|| RunError::FifoUnderflow(src.clone()))?;
-                            out.push(v.round() as usize);
+                            out.push(v);
                         }
                         self.stats.fifo_deqs += n as u64;
                         out
@@ -663,7 +663,7 @@ impl ReferenceMachine {
                             });
                         }
                         self.stats.sram_reads += n as u64;
-                        w[s..s + n].iter().map(|&v| v.round() as usize).collect()
+                        w[s..s + n].to_vec()
                     }
                     _ => return Err(RunError::UnknownMemory(src.clone())),
                 };
@@ -673,7 +673,14 @@ impl ReferenceMachine {
                             bits.resize(d, false);
                         }
                         bits.iter_mut().for_each(|b| *b = false);
-                        for c in coords {
+                        for v in coords {
+                            if v < 0.0 {
+                                return Err(RunError::NegativeIndex {
+                                    context: "genbv coordinate".to_string(),
+                                    value: v,
+                                });
+                            }
+                            let c = v.round() as usize;
                             if c >= bits.len() {
                                 return Err(RunError::OutOfBounds {
                                     mem: dst.clone(),

@@ -6,6 +6,7 @@
 //! identical to serial. Raise `PROPTEST_CASES` for deeper sweeps (CI
 //! does).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -15,8 +16,8 @@ use stardust_spatial::ir::MemDecl;
 use stardust_spatial::printer::spatial_loc;
 use stardust_spatial::{
     print_program, validate, BinSOp, CompiledProgram, Counter, DramImage, Machine, MachinePool,
-    MemKind, ReferenceMachine, RunBudget, RunError, SExpr, ScanOp, ShardPlan, SpatialProgram,
-    SpatialStmt, SymbolTable,
+    MemKind, NotShardable, ReferenceMachine, RunBudget, RunError, SExpr, ScanOp, ShardPlan,
+    SpatialProgram, SpatialStmt, SymbolTable,
 };
 
 const SIZE: usize = 16;
@@ -36,7 +37,7 @@ fn random_program(seed: u64) -> SpatialProgram {
 
     let blocks = 3 + rng.below(5) as usize;
     for b in 0..blocks {
-        let choice = rng.below(8);
+        let choice = rng.below(10);
         match choice {
             0 => load_store_block(&mut p, &mut rng, b),
             1 => scalar_loop_block(&mut p, &mut rng, b),
@@ -45,10 +46,15 @@ fn random_program(seed: u64) -> SpatialProgram {
             4 => scan2_block(&mut p, &mut rng, b),
             5 => stream_store_block(&mut p, &mut rng, b),
             6 => rmw_block(&mut p, &mut rng, b),
-            _ => nested_loop_block(&mut p, &mut rng, b),
+            7 => nested_loop_block(&mut p, &mut rng, b),
+            _ => carried_state_block(&mut p, &mut rng, b),
         }
     }
-    p.accel.push(SpatialStmt::Comment("generated".into()));
+    // Mostly a trailing comment, so the shard proof's candidate is the
+    // last loop before it; otherwise the last block's own statement.
+    if rng.below(4) != 0 {
+        p.accel.push(SpatialStmt::Comment("generated".into()));
+    }
     p.assign_ids();
     p
 }
@@ -392,6 +398,199 @@ fn nested_loop_block(p: &mut SpatialProgram, rng: &mut TestRng, b: usize) {
         len: SExpr::Const(8.0),
         par: 1,
     });
+}
+
+/// A top-level `Range` whose body carries state from one iteration to
+/// the next, in one of five ways — when it is the program's last loop,
+/// each breaks one of the shard proof's body rules — or, now and then,
+/// a `Reduce`, or bounds the proof cannot split: a variable, a fraction,
+/// or a magnitude of 2⁵⁰.
+fn carried_state_block(p: &mut SpatialProgram, rng: &mut TestRng, b: usize) {
+    let i = format!("c{b}");
+    let out = format!("carry_out{b}");
+    p.add_dram(&out, SIZE);
+    let trips = 1 + rng.below(6);
+    let store = |value: SExpr| SpatialStmt::StoreScalar {
+        dst: out.clone(),
+        index: SExpr::var(&i),
+        value,
+    };
+    let alloc = |p: &mut SpatialProgram, name: &str, kind: MemKind| {
+        p.accel
+            .push(SpatialStmt::Alloc(MemDecl::new(name, kind, SIZE)));
+    };
+    let body = match rng.below(5) {
+        // A nested scan reads an SRAM the body allocates only after it:
+        // `BodyReadsStaleChip`.
+        0 => {
+            let (t, bv, none) = (
+                format!("cs_t{b}"),
+                format!("cs_bv{b}"),
+                format!("cs_none{b}"),
+            );
+            alloc(p, &t, MemKind::Sram);
+            p.accel.push(SpatialStmt::Load {
+                dst: t.clone(),
+                src: "in0".into(),
+                start: SExpr::Const(0.0),
+                end: SExpr::Const(SIZE as f64),
+                par: 1,
+            });
+            bitvector_from_coords(p, rng, &bv);
+            alloc(p, &none, MemKind::BitVector);
+            let (pa, ix) = (format!("cs_pa{b}"), format!("cs_ix{b}"));
+            vec![
+                SpatialStmt::Foreach {
+                    id: 0,
+                    counter: Counter::Scan2 {
+                        op: ScanOp::Or,
+                        bv_a: bv,
+                        bv_b: none,
+                        a_pos_var: pa.clone(),
+                        b_pos_var: format!("cs_pb{b}"),
+                        out_pos_var: format!("cs_po{b}"),
+                        idx_var: ix.clone(),
+                    },
+                    par: 1,
+                    body: vec![SpatialStmt::StoreScalar {
+                        dst: out.clone(),
+                        index: SExpr::var(&ix),
+                        value: SExpr::read(&t, SExpr::var(&pa)),
+                    }],
+                },
+                SpatialStmt::Alloc(MemDecl::new(&t, MemKind::Sram, SIZE)),
+                SpatialStmt::WriteMem {
+                    mem: t,
+                    index: SExpr::var(&i),
+                    value: SExpr::add(SExpr::var(&i), SExpr::Const(0.5)),
+                    random: false,
+                },
+            ]
+        }
+        // A FIFO filled before the loop and drained one element per
+        // iteration: `BodyMutatesSharedChip`.
+        1 => {
+            let f = format!("cs_f{b}");
+            alloc(p, &f, MemKind::Fifo);
+            for k in 0..trips + 1 {
+                p.accel.push(SpatialStmt::Enq {
+                    fifo: f.clone(),
+                    value: SExpr::Const(k as f64 + 0.25),
+                });
+            }
+            let v = format!("cs_v{b}");
+            vec![
+                SpatialStmt::Bind {
+                    var: v.clone(),
+                    value: SExpr::Deq(f),
+                },
+                store(SExpr::var(&v)),
+            ]
+        }
+        // A register carried across iterations: `BodyMutatesSharedChip`.
+        2 => {
+            let r = format!("cs_r{b}");
+            p.accel
+                .push(SpatialStmt::Alloc(MemDecl::new(&r, MemKind::Reg, 1)));
+            vec![
+                SpatialStmt::SetReg {
+                    reg: r.clone(),
+                    value: SExpr::add(SExpr::RegRead(r.clone()), SExpr::var(&i)),
+                },
+                store(SExpr::RegRead(r)),
+            ]
+        }
+        // A variable read before this iteration binds it:
+        // `BodyReadsLoopCarriedVar`.
+        3 => {
+            let w = format!("cs_w{b}");
+            p.accel.push(SpatialStmt::Bind {
+                var: w.clone(),
+                value: SExpr::Const(0.25),
+            });
+            vec![
+                store(SExpr::var(&w)),
+                SpatialStmt::Bind {
+                    var: w,
+                    value: SExpr::add(SExpr::var(&i), SExpr::Const(0.75)),
+                },
+            ]
+        }
+        // An array the body both reads and writes, each iteration
+        // reading the word the one before it wrote:
+        // `BodyReadsWrittenDram`.
+        _ => {
+            let (carry, s) = (format!("carry{b}"), format!("cs_s{b}"));
+            p.add_dram(&carry, SIZE);
+            vec![
+                SpatialStmt::Alloc(MemDecl::new(&s, MemKind::Sram, SIZE)),
+                SpatialStmt::Load {
+                    dst: s.clone(),
+                    src: carry.clone(),
+                    start: SExpr::Const(0.0),
+                    end: SExpr::Const(SIZE as f64),
+                    par: 1,
+                },
+                SpatialStmt::StoreScalar {
+                    dst: carry,
+                    index: SExpr::var(&i),
+                    value: SExpr::add(
+                        SExpr::read(
+                            &s,
+                            SExpr::select(
+                                SExpr::var(&i),
+                                SExpr::sub(SExpr::var(&i), SExpr::Const(1.0)),
+                                SExpr::Const(0.0),
+                            ),
+                        ),
+                        SExpr::Const(1.0),
+                    ),
+                },
+            ]
+        }
+    };
+    let (min, max) = match rng.below(10) {
+        0 => {
+            let n = format!("cs_n{b}");
+            p.accel.push(SpatialStmt::Bind {
+                var: n.clone(),
+                value: SExpr::Const(trips as f64),
+            });
+            (SExpr::Const(0.0), SExpr::var(&n))
+        }
+        1 => (SExpr::Const(0.0), SExpr::Const(trips as f64 + 0.5)),
+        2 => {
+            let huge = (1u64 << 50) as f64;
+            (SExpr::Const(huge), SExpr::Const(huge))
+        }
+        _ => (SExpr::Const(0.0), SExpr::Const(trips as f64)),
+    };
+    let counter = Counter::Range {
+        var: i,
+        min,
+        max,
+        step: 1,
+    };
+    if rng.below(4) == 0 {
+        let acc = format!("cs_acc{b}");
+        p.accel
+            .push(SpatialStmt::Alloc(MemDecl::new(&acc, MemKind::Reg, 1)));
+        p.accel.push(SpatialStmt::Reduce {
+            id: 0,
+            reg: acc,
+            counter,
+            par: 1,
+            body,
+            expr: SExpr::Const(1.0),
+        });
+    } else {
+        p.accel.push(SpatialStmt::Foreach {
+            id: 0,
+            counter,
+            par: 1,
+            body,
+        });
+    }
 }
 
 /// Input images for the declared DRAM arrays, derived from the seed.
@@ -829,6 +1028,65 @@ fn assert_same_artifact(a: &CompiledProgram, b: &CompiledProgram) {
         ]
     };
     assert_eq!(names(a.syms()), names(b.syms()), "slot names");
+}
+
+/// The name of a shard refusal's variant. The match is exhaustive, so
+/// a new variant does not compile until it is named here.
+fn refusal_name(e: &NotShardable) -> &'static str {
+    match e {
+        NotShardable::EmptyBody => "EmptyBody",
+        NotShardable::TrailingStatementNotLoop => "TrailingStatementNotLoop",
+        NotShardable::TopLevelReduction => "TopLevelReduction",
+        NotShardable::NonRangeCounter => "NonRangeCounter",
+        NotShardable::NonConstBounds => "NonConstBounds",
+        NotShardable::NonIntegralBound => "NonIntegralBound",
+        NotShardable::NonPositiveStep => "NonPositiveStep",
+        NotShardable::BoundsOutOfRange => "BoundsOutOfRange",
+        NotShardable::PrefixWritesDram { .. } => "PrefixWritesDram",
+        NotShardable::BodyReadsWrittenDram { .. } => "BodyReadsWrittenDram",
+        NotShardable::SuffixDependsOnBody { .. } => "SuffixDependsOnBody",
+        NotShardable::BodyMutatesSharedChip { .. } => "BodyMutatesSharedChip",
+        NotShardable::BodyReadsStaleChip { .. } => "BodyReadsStaleChip",
+        NotShardable::BodyReadsLoopCarriedVar { .. } => "BodyReadsLoopCarriedVar",
+    }
+}
+
+/// Seeds 0..1000 of `random_program` raise every shard refusal a
+/// well-formed program can raise — the four body rules among them, so
+/// generated programs guard each rule, not only the hand-written cases
+/// of `tests/shard.rs`. Two cannot occur: `EmptyBody` needs a program
+/// with no statements, and `NonPositiveStep` a step `validate` rejects.
+#[test]
+fn random_programs_reach_every_shard_refusal() {
+    let mut seen = BTreeSet::new();
+    for seed in 0..1000 {
+        let compiled = Arc::new(CompiledProgram::compile(&random_program(seed)));
+        if let Err(e) = ShardPlan::analyze(&compiled) {
+            seen.insert(refusal_name(&e));
+        }
+    }
+    // `EmptyBody` and `NonPositiveStep` are the two that cannot occur.
+    let missing: Vec<&str> = [
+        "TrailingStatementNotLoop",
+        "TopLevelReduction",
+        "NonRangeCounter",
+        "NonConstBounds",
+        "NonIntegralBound",
+        "BoundsOutOfRange",
+        "PrefixWritesDram",
+        "BodyReadsWrittenDram",
+        "SuffixDependsOnBody",
+        "BodyMutatesSharedChip",
+        "BodyReadsStaleChip",
+        "BodyReadsLoopCarriedVar",
+    ]
+    .into_iter()
+    .filter(|name| !seen.contains(name))
+    .collect();
+    assert!(
+        missing.is_empty(),
+        "seeds 0..1000 never refuse with {missing:?}"
+    );
 }
 
 proptest! {

@@ -905,6 +905,14 @@ fn scan_shape_faults_match_scalar_semantics() {
                 ..base.clone()
             };
             assert!(short_b.check(body, RunBudget::unlimited()).is_err());
+            // One word short: under `Or` the last `a` position, the
+            // largest a chunk can hold, is the first out of bounds.
+            let one_short = ScanCase {
+                va_len: a.len() - 1,
+                ..base.clone()
+            };
+            let got = one_short.check(body, RunBudget::unlimited());
+            assert!(op == ScanOp::And || got.is_err());
         }
         // The DRAM-word budget running out anywhere in the appends
         // (the loads take the first `va_len + vb_len` words).
@@ -1611,5 +1619,491 @@ fn multi_statement_and_fill_budget_aborts_are_identical() {
         assert_engines_agree(&multi, &multi_in, steps(fuel));
         assert_engines_agree(&offset, &offset_in, steps(fuel));
         assert_engines_agree(&computed, &[], steps(fuel));
+    }
+}
+
+/// How [`wrapped_fifo_program`] drains its FIFO.
+#[derive(Debug, Clone, Copy)]
+enum Drain {
+    /// `StreamStore` of `len` elements into `out`, of `out_len` words.
+    Store { len: usize, out_len: usize },
+    /// `GenBitVector` over `dim` bits, read back by a one-sided scan.
+    BitVector { dim: usize },
+}
+
+/// Enqueues each of `vals` onto FIFO `fifo`.
+fn enq_all(p: &mut SpatialProgram, fifo: &str, vals: &[f64]) {
+    for &v in vals {
+        p.accel.push(SpatialStmt::Enq {
+            fifo: fifo.into(),
+            value: SExpr::Const(v),
+        });
+    }
+}
+
+/// Stores every position of bit vector `bv` (of `dim` bits) into `out`:
+/// `out[po] = ix` over a one-sided scan.
+fn read_back_bits(p: &mut SpatialProgram, bv: &str, dim: usize) {
+    p.add_dram("out", dim + 1);
+    alloc(p, "none", MemKind::BitVector, dim);
+    p.accel.push(SpatialStmt::Foreach {
+        id: 0,
+        counter: Counter::Scan2 {
+            op: ScanOp::Or,
+            bv_a: bv.into(),
+            bv_b: "none".into(),
+            a_pos_var: "pa".into(),
+            b_pos_var: "pb".into(),
+            out_pos_var: "po".into(),
+            idx_var: "ix".into(),
+        },
+        par: 1,
+        body: vec![SpatialStmt::StoreScalar {
+            dst: "out".into(),
+            index: SExpr::var("po"),
+            value: SExpr::var("ix"),
+        }],
+    });
+}
+
+/// A FIFO of `cap` words that `k` elements pass through first — its
+/// head then sits `k % cap` words in, or, for `k > cap`, at the start of
+/// a grown ring — then given `vals` and drained by `drain`.
+fn wrapped_fifo_program(cap: usize, k: usize, vals: &[f64], drain: Drain) -> SpatialProgram {
+    let mut p = SpatialProgram::new("vec_wrapped_fifo");
+    p.add_dram("pre", k.max(1));
+    alloc(&mut p, "f", MemKind::Fifo, cap);
+    enq_all(
+        &mut p,
+        "f",
+        &(0..k).map(|x| x as f64 + 0.5).collect::<Vec<_>>(),
+    );
+    p.accel.push(SpatialStmt::StreamStore {
+        dst: "pre".into(),
+        offset: SExpr::Const(0.0),
+        fifo: "f".into(),
+        len: SExpr::Const(k as f64),
+    });
+    enq_all(&mut p, "f", vals);
+    match drain {
+        Drain::Store { len, out_len } => {
+            p.add_dram("out", out_len.max(1));
+            p.accel.push(SpatialStmt::StreamStore {
+                dst: "out".into(),
+                offset: SExpr::Const(0.0),
+                fifo: "f".into(),
+                len: SExpr::Const(len as f64),
+            });
+        }
+        Drain::BitVector { dim } => {
+            alloc(&mut p, "bv", MemKind::BitVector, dim);
+            p.accel.push(SpatialStmt::GenBitVector {
+                dst: "bv".into(),
+                src: "f".into(),
+                src_start: SExpr::Const(0.0),
+                count: SExpr::Const(vals.len() as f64),
+                dim: SExpr::Const(dim as f64),
+            });
+            read_back_bits(&mut p, "bv", dim);
+        }
+    }
+    p.assign_ids();
+    p
+}
+
+/// `GenBitVector` over `dim` bits from the `count` words of an SRAM
+/// loaded with `crd`, starting at word `start`, read back by a scan.
+fn sram_bit_vector_program(crd: &[f64], start: usize, count: usize, dim: usize) -> SpatialProgram {
+    let mut p = SpatialProgram::new("vec_sram_bit_vector");
+    p.add_dram("crd", crd.len().max(1));
+    alloc(&mut p, "crd_s", MemKind::Sram, crd.len().max(1));
+    load_all(&mut p, "crd_s", "crd", crd.len());
+    alloc(&mut p, "bv", MemKind::BitVector, dim);
+    p.accel.push(SpatialStmt::GenBitVector {
+        dst: "bv".into(),
+        src: "crd_s".into(),
+        src_start: SExpr::Const(start as f64),
+        count: SExpr::Const(count as f64),
+        dim: SExpr::Const(dim as f64),
+    });
+    read_back_bits(&mut p, "bv", dim);
+    p.assign_ids();
+    p
+}
+
+/// A FIFO whose ring has wrapped, or grown, before a `StreamStore`
+/// drains it — into an array that fits, one too short, or past its
+/// contents — and before a `GenBitVector` reads its coordinates, whose
+/// run may then straddle the ring's end.
+#[test]
+fn wrapped_fifos_stream_store_and_generate_bit_vectors() {
+    for cap in [1usize, 4, 7, 8, 33] {
+        for k in 0..=cap + 2 {
+            for m in [0, 1, cap.saturating_sub(1), cap, cap + 1] {
+                let vals: Vec<f64> = (0..m).map(|x| x as f64 * 1.25 - 2.0).collect();
+                for (len, out_len) in [(m, m), (m, m.saturating_sub(1)), (m + 1, m + 1)] {
+                    let p = wrapped_fifo_program(cap, k, &vals, Drain::Store { len, out_len });
+                    let got = agreed_result(&p, &[], RunBudget::unlimited());
+                    if len == m && out_len == m {
+                        assert_clean_ok(&got);
+                    }
+                }
+                let dim = 2 * m + 3;
+                let crd: Vec<f64> = (0..m).map(|x| ((x * 5 + k) % dim) as f64).collect();
+                let p = wrapped_fifo_program(cap, k, &crd, Drain::BitVector { dim });
+                assert_clean_ok(&agreed_result(&p, &[], RunBudget::unlimited()));
+            }
+        }
+    }
+}
+
+/// A negative `GenBitVector` coordinate raises `NegativeIndex` at that
+/// coordinate — with the counts and partial state of an out-of-range one
+/// — from an SRAM and from a wrapped FIFO, on both engines; fractional
+/// coordinates round, and NaN keeps `index_of`'s rule.
+#[test]
+fn gen_bit_vector_rejects_negative_coordinates() {
+    let negative = |value: f64| {
+        Err(RunError::NegativeIndex {
+            context: "genbv coordinate".into(),
+            value,
+        })
+    };
+    let dim = 16;
+    for at in [0usize, 3, 6] {
+        for bad in [-1.0, -0.5, -7.0] {
+            let mut crd = vec![1.0, 2.0, 4.0, 5.0, 9.0, 11.0, 15.0];
+            crd[at] = bad;
+            let p = sram_bit_vector_program(&crd, 0, crd.len(), dim);
+            let inputs = [("crd", crd.clone())];
+            assert_clean_result(
+                agreed_result(&p, &inputs, RunBudget::unlimited()),
+                negative(bad),
+            );
+            // From the FIFO, its run straddling the ring's end.
+            let p = wrapped_fifo_program(8, 5, &crd, Drain::BitVector { dim });
+            assert_clean_result(
+                agreed_result(&p, &[], RunBudget::unlimited()),
+                negative(bad),
+            );
+        }
+    }
+    // An out-of-range coordinate fails the same way, at its own index;
+    // a start past the negative one skips it.
+    let crd = [3.0, -1.0, 2.5, 2.4, f64::NAN, 0.0];
+    let inputs = [("crd", crd.to_vec())];
+    assert_clean_ok(&agreed_result(
+        &sram_bit_vector_program(&crd, 2, 4, dim),
+        &inputs,
+        RunBudget::unlimited(),
+    ));
+    let too_far = [3.0, 16.0, -1.0];
+    assert_clean_result(
+        agreed_result(
+            &sram_bit_vector_program(&too_far, 0, 3, dim),
+            &[("crd", too_far.to_vec())],
+            RunBudget::unlimited(),
+        ),
+        Err(RunError::OutOfBounds {
+            mem: "bv".into(),
+            index: 16,
+            len: dim,
+        }),
+    );
+}
+
+/// The `Enq` sinks of a scan chunk, against rings of every fit: room
+/// for whole chunks (one run per FIFO, wrapping past the ring's end when
+/// the prefill left the head near it) and too little room, so a ring
+/// grows mid-chunk and the pushes stay lane-major.
+#[test]
+fn scan_enq_runs_wrap_and_grow() {
+    let dim = 200;
+    let a: Vec<usize> = (0..dim).step_by(2).collect();
+    let b: Vec<usize> = (1..dim).step_by(3).collect();
+    for op in [ScanOp::And, ScanOp::Or] {
+        let base = ScanCase::new(op, &a, dim, &b, dim);
+        let n = base.emits();
+        let lanes = REDUCE_LANES;
+        for fifo_cap in [n + 40, n + 1, 2 * lanes, lanes + 1, lanes, 20, 1] {
+            for prefill in [0, 1, 17, fifo_cap - 1, fifo_cap] {
+                let case = ScanCase {
+                    fifo_cap,
+                    prefill,
+                    ..base.clone()
+                };
+                assert_clean_ok(&case.check(ScanBody::Enq, RunBudget::unlimited()));
+            }
+        }
+    }
+}
+
+/// Two `Enq` statements onto one FIFO in one scan get no vector class,
+/// so their pushes interleave lane-major, as the scalar loop makes
+/// them — through a ring that wraps and grows, stored back in order.
+#[test]
+fn scan_enqs_onto_one_fifo_stay_lane_major() {
+    let case = ScanCase::new(
+        ScanOp::Or,
+        &[1, 2, 3, 40, 41, 90],
+        100,
+        &[2, 5, 64, 99],
+        100,
+    );
+    let n = case.emits();
+    for (cap, prefill) in [(2 * n, 2 * n - 3), (4, 3), (2 * n + 1, 0)] {
+        let mut p = SpatialProgram::new("vec_scan_one_fifo");
+        p.add_dram("pre", prefill.max(1));
+        p.add_dram("out", 2 * n);
+        alloc(&mut p, "f", MemKind::Fifo, cap);
+        enq_all(&mut p, "f", &vec![7.0; prefill]);
+        p.accel.push(SpatialStmt::StreamStore {
+            dst: "pre".into(),
+            offset: SExpr::Const(0.0),
+            fifo: "f".into(),
+            len: SExpr::Const(prefill as f64),
+        });
+        bitvector(&mut p, "bva", &case.a, case.dim_a);
+        bitvector(&mut p, "bvb", &case.b, case.dim_b);
+        let enq = |value: SExpr| SpatialStmt::Enq {
+            fifo: "f".into(),
+            value,
+        };
+        p.accel.push(SpatialStmt::Foreach {
+            id: 0,
+            counter: case.counter(),
+            par: 16,
+            body: vec![enq(SExpr::var("ix")), enq(SExpr::var("po"))],
+        });
+        p.accel.push(SpatialStmt::StreamStore {
+            dst: "out".into(),
+            offset: SExpr::Const(0.0),
+            fifo: "f".into(),
+            len: SExpr::Const(2.0 * n as f64),
+        });
+        p.assign_ids();
+        let c = CompiledProgram::compile(&p);
+        assert!((0..c.ops().len()).all(|pc| c.vec_class(pc) == VecClass::None));
+        assert_clean_ok(&agreed_result(&p, &[], RunBudget::unlimited()));
+    }
+}
+
+/// The counts of `Scan`- and `Reduce`-tagged loops in `p`.
+fn tagged(p: &SpatialProgram) -> (usize, usize) {
+    let c = CompiledProgram::compile(p);
+    let classes: Vec<VecClass> = (0..c.ops().len()).map(|pc| c.vec_class(pc)).collect();
+    (
+        classes
+            .iter()
+            .filter(|v| matches!(v, VecClass::Scan(_)))
+            .count(),
+        classes
+            .iter()
+            .filter(|v| matches!(v, VecClass::Reduce(_)))
+            .count(),
+    )
+}
+
+/// A row loop over `rows` rows whose body enters, in order, a
+/// three-statement scan (two `Enq`s and its fold), a one-statement scan
+/// (`r2 := r2 + e`) and an SpMV dot product — so each entry reuses a
+/// plan box that an entry with more statements, or of the other kind,
+/// filled before it.
+fn plan_reuse_program(case: &ScanCase, rows: usize, m: usize) -> SpatialProgram {
+    let mut p = SpatialProgram::new("vec_plan_reuse");
+    let n = case.emits();
+    p.add_dram("va_d", case.va_len);
+    p.add_dram("vb_d", case.vb_len);
+    p.add_dram("vals", m);
+    p.add_dram("crd", m);
+    p.add_dram("x", XS);
+    for out in ["o1", "o2", "o3"] {
+        p.add_dram(out, rows);
+    }
+    for out in ["oc", "ov"] {
+        p.add_dram(out, (rows * n).max(1));
+    }
+    alloc(&mut p, "va", MemKind::Sram, case.va_len);
+    alloc(&mut p, "vb", MemKind::SparseSram, case.vb_len);
+    alloc(&mut p, "vals_s", MemKind::Sram, m);
+    alloc(&mut p, "crd_s", MemKind::Sram, m);
+    alloc(&mut p, "x_s", MemKind::SparseSram, XS);
+    load_all(&mut p, "va", "va_d", case.va_len);
+    load_all(&mut p, "vb", "vb_d", case.vb_len);
+    load_all(&mut p, "vals_s", "vals", m);
+    load_all(&mut p, "crd_s", "crd", m);
+    load_all(&mut p, "x_s", "x", XS);
+    bitvector(&mut p, "bva", &case.a, case.dim_a);
+    bitvector(&mut p, "bvb", &case.b, case.dim_b);
+    for reg in ["r1", "r2", "r3"] {
+        alloc(&mut p, reg, MemKind::Reg, 1);
+    }
+    for fifo in ["fc", "fv"] {
+        alloc(&mut p, fifo, MemKind::Fifo, (rows * n).max(1));
+    }
+    let reg = |name: &str| SExpr::RegRead(name.into());
+    let or = ScanCase {
+        op: ScanOp::Or,
+        ..case.clone()
+    };
+    let and = ScanCase {
+        op: ScanOp::And,
+        ..case.clone()
+    };
+    let store = |dst: &str, value: SExpr| SpatialStmt::StoreScalar {
+        dst: dst.into(),
+        index: SExpr::var("i"),
+        value,
+    };
+    let body = vec![
+        SpatialStmt::Reduce {
+            id: 1,
+            reg: "r1".into(),
+            counter: or.counter(),
+            par: 16,
+            body: vec![
+                SpatialStmt::Enq {
+                    fifo: "fc".into(),
+                    value: SExpr::add(SExpr::var("ix"), SExpr::var("i")),
+                },
+                SpatialStmt::Enq {
+                    fifo: "fv".into(),
+                    value: SExpr::sub(or.value(), SExpr::var("po")),
+                },
+            ],
+            expr: SExpr::add(or.value(), SExpr::var("ix")),
+        },
+        SpatialStmt::Foreach {
+            id: 2,
+            counter: and.counter(),
+            par: 16,
+            body: vec![SpatialStmt::SetReg {
+                reg: "r2".into(),
+                value: SExpr::add(reg("r2"), and.value()),
+            }],
+        },
+        SpatialStmt::Reduce {
+            id: 3,
+            reg: "r3".into(),
+            counter: Counter::range_to("j", SExpr::Const(m as f64)),
+            par: 1,
+            body: vec![],
+            expr: SExpr::mul(
+                SExpr::read("vals_s", SExpr::var("j")),
+                SExpr::read_random("x_s", SExpr::read("crd_s", SExpr::var("j"))),
+            ),
+        },
+        store("o1", reg("r1")),
+        store("o2", reg("r2")),
+        store("o3", reg("r3")),
+    ];
+    p.accel.push(SpatialStmt::Foreach {
+        id: 0,
+        counter: Counter::range_to("i", SExpr::Const(rows as f64)),
+        par: 1,
+        body,
+    });
+    for (fifo, out) in [("fc", "oc"), ("fv", "ov")] {
+        p.accel.push(SpatialStmt::StreamStore {
+            dst: out.into(),
+            offset: SExpr::Const(0.0),
+            fifo: fifo.into(),
+            len: SExpr::Const((rows * n) as f64),
+        });
+    }
+    p.assign_ids();
+    p
+}
+
+/// Nested scans and reduces entered again and again, each reusing a
+/// plan box that a loop with more statements filled: every entry
+/// resolves exactly its own statements, under step budgets too.
+#[test]
+fn reused_plan_boxes_resolve_only_their_own_statements() {
+    let dim = 150;
+    let a: Vec<usize> = (0..dim).step_by(2).collect();
+    let b: Vec<usize> = (0..dim).step_by(3).collect();
+    let case = ScanCase::new(ScanOp::Or, &a, dim, &b, dim);
+    let (rows, m) = (3, 2 * REDUCE_LANES + 5);
+    let p = plan_reuse_program(&case, rows, m);
+    assert_eq!(
+        tagged(&p),
+        (2, 1),
+        "both scans and the dot product are tagged"
+    );
+    let mut inputs = case.inputs(5);
+    inputs.extend(reduce_inputs(m, 0, 5));
+    assert_clean_ok(&agreed_result(&p, &inputs, RunBudget::unlimited()));
+    for fuel in (1..400).step_by(7) {
+        let _ = agreed_result(&p, &inputs, steps(fuel));
+    }
+}
+
+/// A scan entry whose first chunk faults — a fractional append counter,
+/// which the scalar loop rounds without an error — between two clean
+/// entries of the same loop: the faulted entry gives its plan box back
+/// and the next one resolves afresh.
+#[test]
+fn chunk_fault_mid_loop_then_a_clean_entry() {
+    let dim = 120;
+    let a: Vec<usize> = (0..dim).step_by(2).collect();
+    let b: Vec<usize> = (1..dim).step_by(5).collect();
+    for op in [ScanOp::And, ScanOp::Or] {
+        let case = ScanCase::new(op, &a, dim, &b, dim);
+        let n = case.emits();
+        let rows = 3;
+        let mut p = SpatialProgram::new("vec_fault_then_clean");
+        p.add_dram("va_d", case.va_len);
+        p.add_dram("vb_d", case.vb_len);
+        p.add_dram("oc", n + 2);
+        p.add_dram("ov", n + 2);
+        p.add_dram("octr", rows);
+        alloc(&mut p, "va", MemKind::Sram, case.va_len);
+        alloc(&mut p, "vb", MemKind::SparseSram, case.vb_len);
+        load_all(&mut p, "va", "va_d", case.va_len);
+        load_all(&mut p, "vb", "vb_d", case.vb_len);
+        bitvector(&mut p, "bva", &case.a, case.dim_a);
+        bitvector(&mut p, "bvb", &case.b, case.dim_b);
+        alloc(&mut p, "ctr", MemKind::Reg, 1);
+        let ctr = || SExpr::RegRead("ctr".into());
+        let store = |dst: &str, index: SExpr, value: SExpr| SpatialStmt::StoreScalar {
+            dst: dst.into(),
+            index,
+            value,
+        };
+        // `ctr` starts at 0.5 in row 1 and at 0 in rows 0 and 2.
+        let start = SExpr::select(
+            SExpr::sub(SExpr::var("i"), SExpr::Const(1.0)),
+            SExpr::Const(0.0),
+            SExpr::Const(0.5),
+        );
+        p.accel.push(SpatialStmt::Foreach {
+            id: 0,
+            counter: Counter::range_to("i", SExpr::Const(rows as f64)),
+            par: 1,
+            body: vec![
+                SpatialStmt::SetReg {
+                    reg: "ctr".into(),
+                    value: start,
+                },
+                SpatialStmt::Foreach {
+                    id: 1,
+                    counter: case.counter(),
+                    par: 16,
+                    body: vec![
+                        store("oc", ctr(), SExpr::add(SExpr::var("ix"), SExpr::var("i"))),
+                        store("ov", ctr(), case.value()),
+                        SpatialStmt::SetReg {
+                            reg: "ctr".into(),
+                            value: SExpr::add(ctr(), SExpr::Const(1.0)),
+                        },
+                    ],
+                },
+                store("octr", SExpr::var("i"), ctr()),
+            ],
+        });
+        p.assign_ids();
+        assert_eq!(tagged(&p).0, 1, "the append scan is tagged");
+        assert_clean_ok(&agreed_result(&p, &case.inputs(3), RunBudget::unlimited()));
     }
 }
